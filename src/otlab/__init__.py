@@ -18,6 +18,6 @@ The package is organized as five modules:
   emitting CSV/JSON.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from . import checksim, cli, numerics, protocol, security  # noqa: F401

@@ -11,7 +11,8 @@ distribution over all per-instance classical values (hidden bits, measurement
 outcomes, fabricated reports, check verdicts) is enumerated once from the
 protocol's states, gates and measurement operators, and instances are then
 drawn from that exact table.  This keeps millions of Monte Carlo instances
-cheap without approximating any probability.
+cheap without approximating any probability.  Instances are i.i.d., so a run
+draws only the instances that some side checks.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import protocol
-from .numerics import xlog2
 from .security import CheatParams, binary_entropy, example1_povm
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "BobStrategy",
     "CheckReport",
     "simulate_instances",
-    "sample_labels",
     "run_protocol2",
     "run_protocol3",
     "detection_curve",
@@ -87,8 +86,8 @@ class CheckConfig:
                 raise ValueError(f"fractional {name} must lie in [0, 1)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.c1 <= 0:
-            raise ValueError("c1 must be positive")
+        if not (np.isfinite(self.c1) and self.c1 > 0):
+            raise ValueError("c1 must be positive and finite")
 
     def resolved_threshold(self, side: str) -> int:
         """Absolute failure threshold for one side, resolving fractions of k."""
@@ -275,7 +274,16 @@ def _measure_rows(alice: AliceStrategy, info_a: dict, returned: np.ndarray):
 
 @lru_cache(maxsize=None)
 def _instance_table(alice: AliceStrategy, bob: BobStrategy):
-    """Exact joint distribution of all per-instance classical values."""
+    """Exact joint distribution of all per-instance classical values.
+
+    A per-instance mix is its components' tables laid end to end, each
+    weighted by its mix weight.
+    """
+    if alice.kind == "mix":
+        parts = [(weight, _instance_table(sub, bob)) for weight, sub in alice.mix]
+        probs = np.concatenate([weight * table[0] for weight, table in parts])
+        return probs / probs.sum(), {
+            name: np.concatenate([table[1][name] for _, table in parts]) for name in _FIELDS}
     probs = []
     columns = {name: [] for name in _FIELDS}
     for p_a, info_a, psi in _alice_sources(alice):
@@ -301,19 +309,6 @@ def _instance_table(alice: AliceStrategy, bob: BobStrategy):
 def simulate_instances(alice: AliceStrategy, bob: BobStrategy, n: int,
                        rng: np.random.Generator) -> dict:
     """Draw ``n`` protocol instances; returns per-instance value arrays."""
-    if alice.kind == "mix":
-        weights = np.array([w for w, _ in alice.mix])
-        pick = rng.choice(len(alice.mix), size=n, p=weights / weights.sum())
-        out = {name: np.zeros(n, dtype=np.int8) for name in _FIELDS}
-        for idx, (_, sub) in enumerate(alice.mix):
-            mask = pick == idx
-            count = int(mask.sum())
-            if count == 0:
-                continue
-            sub_fields = simulate_instances(sub, bob, count, rng)
-            for name in _FIELDS:
-                out[name][mask] = sub_fields[name]
-        return out
     probs, columns = _instance_table(alice, bob)
     idx = rng.choice(len(probs), size=n, p=probs)
     return {name: vals[idx] for name, vals in columns.items()}
@@ -322,16 +317,6 @@ def simulate_instances(alice: AliceStrategy, bob: BobStrategy, n: int,
 # ---------------------------------------------------------------------------
 # Check protocols
 # ---------------------------------------------------------------------------
-
-def sample_labels(rng: np.random.Generator, trials: int, m: int, k: int) -> np.ndarray:
-    """(trials, k) check-label sets, uniform without replacement per trial."""
-    keys = rng.random((trials, m))
-    return np.argsort(keys, axis=1)[:, :k]
-
-
-def _entropy_vec(delta: np.ndarray) -> np.ndarray:
-    return -xlog2(delta) - xlog2(1.0 - delta)
-
 
 def _wilson_ci(successes: int, n: int, z: float = 1.96) -> tuple:
     if n == 0:
@@ -415,7 +400,7 @@ def _finalize_report(protocol_id, side, config, k, threshold, failures,
     aborted = failures > threshold
     if k >= 1:
         eps = np.clip(EPS_C_MID * (failures + 1.0) / k, 0.0, 1.0)
-        leak = _entropy_vec(np.minimum(config.c1 * eps, 0.5))
+        leak = binary_entropy(np.minimum(config.c1 * eps, 0.5))
     else:
         eps = np.full(failures.shape, np.nan)
         leak = np.full(failures.shape, np.nan)
@@ -444,11 +429,8 @@ def run_protocol2(config: CheckConfig, alice: AliceStrategy,
     failures = np.zeros(config.trials, dtype=np.int64)
     for start in range(0, config.trials, _CHUNK_TRIALS):
         count = min(_CHUNK_TRIALS, config.trials - start)
-        fields = simulate_instances(alice, bob, count * m, rng)
-        fail = fields["bob_fail"].reshape(count, m)
-        labels = sample_labels(rng, count, m, k)
-        if k > 0:
-            failures[start:start + count] = np.take_along_axis(fail, labels, axis=1).sum(axis=1)
+        fields = simulate_instances(alice, bob, count * k, rng)
+        failures[start:start + count] = fields["bob_fail"].reshape(count, k).sum(axis=1)
     delivered = np.full(config.trials, m - k)
     return _finalize_report(2, "bob", config, k, config.resolved_threshold("bob"),
                             failures, delivered, {})
@@ -464,38 +446,39 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
     aborts on its own threshold; delivered tables are those never checked,
     zero when either side aborts.  Against a cheating Alice her own check is
     vacuous (she has no honest values) and never aborts.
+
+    Instances are i.i.d., so a trial draws only the number of labels both
+    sides check, ``J ~ Hypergeometric(k_alice, m - k_alice, k_bob)``, and
+    then its ``k_bob + k_alice - J`` distinct checked instances: Bob checks
+    the first ``k_bob`` of them, Alice the last ``k_alice``.
     """
     rng = np.random.default_rng(config.seed) if rng is None else rng
     m, k_b, k_a = config.m, config.k_bob, config.k_alice
     failures_b = np.zeros(config.trials, dtype=np.int64)
     failures_a = np.zeros(config.trials, dtype=np.int64)
-    unique_checked = np.zeros(config.trials, dtype=np.int64)
-    guess_sum, guess_count = 0.0, 0
+    checked = np.zeros(config.trials, dtype=np.int64)
+    guessed = 0
     for start in range(0, config.trials, _CHUNK_TRIALS):
         count = min(_CHUNK_TRIALS, config.trials - start)
-        fields = simulate_instances(alice, bob, count * m, rng)
-        bob_fail = fields["bob_fail"].reshape(count, m)
-        alice_fail = fields["alice_fail"].reshape(count, m)
-        labels_b = sample_labels(rng, count, m, k_b)
-        labels_a = sample_labels(rng, count, m, k_a)
         sl = slice(start, start + count)
-        if k_b > 0:
-            failures_b[sl] = np.take_along_axis(bob_fail, labels_b, axis=1).sum(axis=1)
-        if k_a > 0:
-            failures_a[sl] = np.take_along_axis(alice_fail, labels_a, axis=1).sum(axis=1)
-        checked = np.zeros((count, m), dtype=bool)
-        if k_b > 0:
-            np.put_along_axis(checked, labels_b, True, axis=1)
-        if k_a > 0:
-            np.put_along_axis(checked, labels_a, True, axis=1)
-        unique_checked[sl] = checked.sum(axis=1)
-        if bob.kind == "computational" and alice.kind == "honest":
-            guess_sum += float(fields["x_guess_correct"].sum())
-            guess_count += count * m
+        checked[sl] = k_b + k_a - rng.hypergeometric(k_a, m - k_a, k_b, size=count)
+        ends = np.cumsum(checked[sl])
+        begins = ends - checked[sl]
+        fields = simulate_instances(alice, bob, int(ends[-1]), rng)
+        bob_cum = np.concatenate(([0], np.cumsum(fields["bob_fail"])))
+        alice_cum = np.concatenate(([0], np.cumsum(fields["alice_fail"])))
+        failures_b[sl] = bob_cum[begins + k_b] - bob_cum[begins]
+        failures_a[sl] = alice_cum[ends] - alice_cum[ends - k_a]
+        guessed += int(fields["x_guess_correct"].sum())
     extras = {}
-    if guess_count:
-        extras["x_guess_rate"] = guess_sum / guess_count
-    delivered = config.m - unique_checked
+    if bob.kind == "computational" and alice.kind == "honest":
+        # The rate covers all m instances per trial; the unchecked ones enter
+        # as one binomial count at the exact per-instance guessing probability.
+        probs, columns = _instance_table(alice, bob)
+        unchecked = config.trials * m - int(checked.sum())
+        guessed += int(rng.binomial(unchecked, float(probs @ columns["x_guess_correct"])))
+        extras["x_guess_rate"] = guessed / (config.trials * m)
+    delivered = m - checked
     bob_report = _finalize_report(3, "bob", config, k_b, config.resolved_threshold("bob"),
                                   failures_b, delivered, dict(extras))
     alice_report = _finalize_report(3, "alice", config, k_a,

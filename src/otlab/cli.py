@@ -44,7 +44,7 @@ def _resolve_seed(value) -> int:
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
+    return json.dumps(obj, sort_keys=True, allow_nan=False)
 
 
 def _write_with_manifest(out: Path, payload: str, subcommand: str, params: dict) -> None:
@@ -62,10 +62,6 @@ def _write_with_manifest(out: Path, payload: str, subcommand: str, params: dict)
 
 def _random_params(rng: np.random.Generator) -> security.CheatParams:
     return security.CheatParams.from_squares(*rng.dirichlet([1.0, 1.0, 1.0]))
-
-
-def _entropy_vec(delta: np.ndarray) -> np.ndarray:
-    return -numerics.xlog2(delta) - numerics.xlog2(1.0 - delta)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +159,7 @@ def _suite_prop3(samples: int, seed: int) -> dict:
         applicable += int(mask.sum())
         if not mask.any():
             continue
-        bound = _entropy_vec(delta[mask])
+        bound = security.binary_entropy(delta[mask])
         for other in others:
             margin = bound - other[mask]
             min_margin = min(min_margin, float(margin.min()))
@@ -306,7 +302,7 @@ def run_curve(params: dict) -> int:
     envelope_violations = 0
     for center, value in curve.bins:
         left = center - bin_width / 2.0
-        if left >= 0.5 and value > float(_entropy_vec(np.array(1.0 - left))) + 1e-9:
+        if left >= 0.5 and value > security.binary_entropy(1.0 - left) + 1e-9:
             envelope_violations += 1
     sq = curve.argmax.squares
     summary = {
@@ -341,8 +337,10 @@ def _alice_from_params(params: dict) -> checksim.AliceStrategy:
     if name == "param":
         if params.get("alpha") is not None:
             triple = security.CheatParams.from_alpha(params["alpha"])
-        else:
+        elif all(params.get(key) is not None for key in ("a", "b", "c")):
             triple = security.CheatParams(params["a"], params["b"], params["c"])
+        else:
+            raise ValueError("--alice param needs --alpha or all of --a --b --c")
         return checksim.AliceStrategy.param(triple)
     if name == "mix":
         phi = params.get("phi", 0.5)
@@ -368,6 +366,12 @@ def _bob_from_params(params: dict) -> checksim.BobStrategy:
 
 def run_checksim(params: dict) -> int:
     seed = params["seed"]
+    if params["protocol"] == 2:
+        # Protocol 2 has an honest receiver and no sender-side check.
+        for key, flag, unused in (("bob", "--bob", "honest"), ("k_alice", "--k-alice", 0),
+                                  ("threshold_alice", "--threshold-alice", 0)):
+            if params.get(key, unused) != unused:
+                raise ValueError(f"{flag} applies to --protocol 3 only")
     config = checksim.CheckConfig(
         m=params["m"], k_bob=params["k"], threshold_bob=params["threshold"],
         k_alice=params.get("k_alice", 0),
@@ -470,6 +474,28 @@ def _params_from_args(args: argparse.Namespace) -> dict:
     return params
 
 
+def _manifest_run(manifest, parser: argparse.ArgumentParser) -> tuple:
+    """``(subcommand, parameters)`` of a manifest, checked before dispatch.
+
+    The parameters must carry exactly the keys a fresh parse of the
+    subcommand produces.
+    """
+    subcommand = manifest.get("subcommand") if isinstance(manifest, dict) else None
+    if subcommand not in _HANDLERS:
+        raise ValueError(f"manifest names no known subcommand: {subcommand!r}")
+    params = manifest.get("parameters")
+    if not isinstance(params, dict):
+        raise ValueError("manifest parameters must be a JSON object")
+    required = {"table": ["--x", "0", "--y", "0"], "verify": [VERIFY_SUITES[0]]}
+    expected = set(_params_from_args(parser.parse_args([subcommand,
+                                                        *required.get(subcommand, [])])))
+    if set(params) != expected:
+        missing, extra = sorted(expected - set(params)), sorted(set(params) - expected)
+        raise ValueError(f"manifest parameters for {subcommand}: missing {missing}, "
+                         f"unexpected {extra}")
+    return subcommand, params
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -484,8 +510,7 @@ def main(argv=None) -> int:
             except OSError as exc:
                 print(f"otlab: cannot read manifest: {exc}", file=sys.stderr)
                 return EXIT_IO
-            subcommand = manifest["subcommand"]
-            params = manifest["parameters"]
+            subcommand, params = _manifest_run(manifest, parser)
             return _HANDLERS[subcommand](params)
         if args.subcommand is None:
             parser.print_usage(sys.stderr)

@@ -250,12 +250,16 @@ def holevo_triple(params: CheatParams) -> HolevoTriple:
     return HolevoTriple(chi_y=float(chi_y), chi_r=float(chi_r), chi_yxr=float(chi_yxr))
 
 
-def binary_entropy(delta: float) -> float:
-    """``h(delta) = -(1-delta) log2(1-delta) - delta log2 delta`` on [0, 1]."""
-    delta = float(delta)
-    if not (0.0 <= delta <= 1.0):
-        raise ValueError(f"argument {delta} outside [0, 1]")
-    return float(-xlog2(delta) - xlog2(1.0 - delta))
+def binary_entropy(delta):
+    """``h(delta) = -(1-delta) log2(1-delta) - delta log2 delta`` on [0, 1].
+
+    Elementwise for arrays; a float for scalar input.
+    """
+    delta = np.asarray(delta, dtype=float)
+    outside = ~((delta >= 0.0) & (delta <= 1.0))
+    if outside.any():
+        raise ValueError(f"argument {delta[outside].flat[0]} outside [0, 1]")
+    return -xlog2(delta) - xlog2(1.0 - delta)
 
 
 @dataclass(frozen=True)
@@ -702,8 +706,8 @@ def tradeoff_curve(n_samples: int, bin_width: float = 0.01,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
+    if not (np.isfinite(bin_width) and bin_width > 0):
+        raise ValueError("bin_width must be positive and finite")
     rng = np.random.default_rng(0) if rng is None else rng
     _, squares = _haar_two_qutrit_squares(int(n_samples), rng)
     chi_y, chi_r, chi_yxr = _triple_from_squares(squares[:, 0], squares[:, 1], squares[:, 2])

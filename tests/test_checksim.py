@@ -16,7 +16,6 @@ from otlab.checksim import (
     leak_bound,
     run_protocol2,
     run_protocol3,
-    sample_labels,
     simulate_instances,
 )
 from otlab.security import CheatParams, binary_entropy
@@ -195,7 +194,7 @@ class TestRestartsAndThresholds:
         assert config.resolved_threshold("bob") == 2
         report = run_protocol2(CheckConfig(m=20, k_bob=10, threshold_bob=0.25,
                                            trials=2000),
-                               AliceStrategy.learn_y(), np.random.default_rng(19))
+                               AliceStrategy.learn_y(), np.random.default_rng(20))
         assert report.threshold == 2
         # Binomial(10, 1/2) <= 2 has probability ~0.0547.
         expected = sum(math.comb(10, i) for i in range(3)) / 2 ** 10
@@ -244,20 +243,90 @@ class TestEstimates:
         assert (report.c_a, report.c_mid, report.c_b) == (0.5, 1.0, 2.0)
 
 
-class TestLabelSampling:
-    def test_uniform_without_replacement(self):
-        m, k, n = 8, 3, 100_000
-        labels = sample_labels(np.random.default_rng(17), n, m, k)
-        assert labels.shape == (n, k)
-        # Every k-subset of {0..7} should be equally likely.
-        counts = {}
-        for row in labels:
-            counts[tuple(sorted(row))] = counts.get(tuple(sorted(row)), 0) + 1
-        n_subsets = 56
-        assert len(counts) == n_subsets
-        observed = np.array(list(counts.values()))
-        chi2 = float(((observed - n / n_subsets) ** 2 / (n / n_subsets)).sum())
-        assert stats.chi2.sf(chi2, df=n_subsets - 1) > 0.001
+_MIX_PHI, _ALPHA, _ANGLE = 0.3, 0.7, 1.1
+
+# Every strategy pair the CLI exposes, with its closed-form per-check failure
+# probability: Alice strategies against Bob's check in protocol 2, Bob
+# strategies against an honest Alice in protocol 3 (both sides see it).
+_SENDERS = [
+    ("honest", AliceStrategy.honest(), 0.0),
+    ("learn-y", AliceStrategy.learn_y(), 0.5),
+    ("param", AliceStrategy.param(CheatParams.from_alpha(_ALPHA)), math.cos(_ALPHA) ** 2 / 2),
+    ("mix", AliceStrategy.per_instance_mix([(_MIX_PHI, AliceStrategy.learn_y()),
+                                            (1.0 - _MIX_PHI, AliceStrategy.honest())]),
+     _MIX_PHI / 2),
+]
+_RECEIVERS = [
+    ("honest", BobStrategy.honest(), 0.0),
+    ("computational", BobStrategy.computational_basis(), 0.5),
+    ("phase-noise", BobStrategy.phase_noise(_ANGLE), math.sin(_ANGLE / 2) ** 2),
+]
+
+
+def _assert_binomial(count, n, p):
+    """``count`` of ``n`` is consistent with Bin(n, p) at the 3-sigma level."""
+    if p == 0.0:
+        assert count == 0
+    else:
+        assert stats.binomtest(int(count), n, p).pvalue >= 2.7e-3, (count, n, p)
+
+
+def _assert_aborts(report, p):
+    aborts = int(report.aborted.sum())
+    _assert_binomial(aborts, report.trials, float(stats.binom.sf(report.threshold, report.k, p)))
+    _assert_binomial(int(report.failures.sum()), report.trials * report.k, p)
+
+
+class TestAgainstExact:
+    @pytest.mark.parametrize("m,k,threshold", [(200, 20, 1), (12, 12, 0)],
+                             ids=["m>>k", "m=k"])
+    @pytest.mark.parametrize("name,alice,p", _SENDERS, ids=[c[0] for c in _SENDERS])
+    def test_protocol2_abort_probability(self, name, alice, p, m, k, threshold):
+        config = CheckConfig(m=m, k_bob=k, threshold_bob=threshold, trials=20_000)
+        _assert_aborts(run_protocol2(config, alice, np.random.default_rng(21)), p)
+
+    @pytest.mark.parametrize("m,k_b,k_a,t_b,t_a", [(200, 15, 25, 1, 2), (10, 10, 10, 0, 0)],
+                             ids=["m>>k", "m=k"])
+    @pytest.mark.parametrize("name,bob,p", _RECEIVERS, ids=[c[0] for c in _RECEIVERS])
+    def test_protocol3_abort_probability(self, name, bob, p, m, k_b, k_a, t_b, t_a):
+        trials = 20_000
+        config = CheckConfig(m=m, k_bob=k_b, threshold_bob=t_b, k_alice=k_a,
+                             threshold_alice=t_a, trials=trials)
+        bob_rep, alice_rep = run_protocol3(config, AliceStrategy.honest(), bob,
+                                           np.random.default_rng(22))
+        _assert_aborts(bob_rep, p)
+        _assert_aborts(alice_rep, p)
+        if name == "computational":
+            guessed = alice_rep.extras["x_guess_rate"] * trials * m
+            assert guessed == pytest.approx(round(guessed), abs=1e-6)
+            _assert_binomial(round(guessed), trials * m, 0.75)
+
+    @pytest.mark.parametrize("m,k_b,k_a", [(200, 15, 25), (10, 10, 10), (30, 0, 7)])
+    def test_protocol3_mean_delivered_tables(self, m, k_b, k_a):
+        trials = 20_000
+        config = CheckConfig(m=m, k_bob=k_b, k_alice=k_a, trials=trials)
+        bob_rep, _ = run_protocol3(config, AliceStrategy.honest(), BobStrategy.honest(),
+                                   np.random.default_rng(23))
+        delivered = bob_rep.tables_delivered
+        # Labels both sides check: Hypergeometric(k_a, m - k_a, k_b).
+        expected = m - k_b - k_a + k_a * k_b / m
+        var_shared = k_b * (k_a / m) * (1 - k_a / m) * (m - k_b) / max(m - 1, 1)
+        assert abs(delivered.mean() - expected) <= 3 * math.sqrt(var_shared / trials) + 1e-12
+        assert delivered.min() >= m - k_b - k_a
+        assert delivered.max() <= m - max(k_b, k_a)
+
+    def test_protocol3_joint_pass_follows_the_overlap(self):
+        # With zero thresholds a trial passes both checks when none of its
+        # k_b + k_a - J distinct checked instances fails.
+        m, k, angle, trials = 20, 10, 0.5, 20_000
+        p = math.sin(angle / 2) ** 2
+        shared = np.arange(k + 1)
+        expected = float(np.sum(stats.hypergeom.pmf(shared, m, k, k) * (1 - p) ** (2 * k - shared)))
+        config = CheckConfig(m=m, k_bob=k, k_alice=k, trials=trials)
+        bob_rep, alice_rep = run_protocol3(config, AliceStrategy.honest(),
+                                           BobStrategy.phase_noise(angle),
+                                           np.random.default_rng(24))
+        _assert_binomial(int(np.sum(~bob_rep.aborted & ~alice_rep.aborted)), trials, expected)
 
 
 class TestReproducibility:

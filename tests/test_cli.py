@@ -145,6 +145,48 @@ class TestErrorPaths:
         code, _, _ = _run(capsys, ["curve", "--n-samples", "1000", "--out", str(target)])
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--n-samples", "1000", "--bin-width", "nan"],
+        ["curve", "--n-samples", "1000", "--bin-width", "inf"],
+        ["curve", "--n-samples", "1000", "--bin-width", "0"],
+        ["curve", "--n-samples", "1000", "--bin-width", "-1"],
+        ["checksim", "--alice", "param"],
+        ["checksim", "--alice", "param", "--a", "0.6", "--b", "0.8"],
+        ["checksim", "--protocol", "2", "--bob", "computational"],
+        ["checksim", "--protocol", "2", "--k-alice", "3"],
+        ["checksim", "--protocol", "2", "--threshold-alice", "1"],
+        ["--from-manifest", {"subcommand": "nonsense", "parameters": {}}],
+        ["--from-manifest", {"parameters": {}}],
+        ["--from-manifest", {"subcommand": "curve", "parameters": {"n_samples": 1000, "seed": 1,
+                                                                   "out": None}}],
+        ["--from-manifest", {"subcommand": "curve", "parameters": {
+            "n_samples": 1000, "bin_width": 0.01, "seed": 1, "out": None, "extra": 1}}],
+        ["--from-manifest", {"subcommand": "curve", "parameters": [1000, 0.01]}],
+        ["--from-manifest", ["curve"]],
+    ])
+    def test_rejected_inputs_exit_2_without_traceback(self, capsys, tmp_path, argv):
+        if argv[0] == "--from-manifest":
+            path = tmp_path / "bad.manifest.json"
+            path.write_text(json.dumps(argv[1]))
+            argv = ["--from-manifest", str(path)]
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert err.startswith("otlab: ")
+        assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [["table", "--x", "1", "--y", "0", "--n", "5"],
+                                      ["verify", "prop2", "--samples", "50"]])
+    def test_manifest_replays_every_subcommand(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "run.out"
+        code, stdout, _ = _run(capsys, argv + ["--seed", "3", "--out", str(out_path)])
+        assert code == 0
+        first = out_path.read_text()
+        code, stdout2, _ = _run(capsys, ["--from-manifest", str(out_path) + ".manifest.json"])
+        assert code == 0
+        assert stdout2 == stdout
+        assert out_path.read_text() == first
+
     def test_bad_manifest_path_is_io_error(self, capsys, tmp_path):
         code, _, _ = _run(capsys, ["--from-manifest", str(tmp_path / "nope.json")])
         assert code == 3

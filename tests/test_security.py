@@ -194,10 +194,16 @@ class TestBinaryEntropy:
         assert binary_entropy(0.2) == pytest.approx(binary_entropy(0.8), abs=1e-14)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            binary_entropy(-0.1)
-        with pytest.raises(ValueError):
-            binary_entropy(1.1)
+        for bad in (-0.1, 1.1, float("nan"), np.array([0.2, np.nan]), np.array([[0.5, 1.5]])):
+            with pytest.raises(ValueError):
+                binary_entropy(bad)
+
+    def test_array_matches_scalar(self):
+        grid = np.linspace(0.0, 1.0, 11).reshape(1, 11)
+        values = binary_entropy(grid)
+        assert isinstance(values, np.ndarray) and values.shape == grid.shape
+        assert np.array_equal(values[0], [binary_entropy(d) for d in grid[0]])
+        assert isinstance(binary_entropy(np.float64(0.3)), float)
 
 
 class TestTradeoffBounds:
