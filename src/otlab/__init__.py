@@ -1,6 +1,6 @@
 """otlab: simulator and numerical security lab for qutrit one-time-table protocols.
 
-The package is organized as five modules:
+The package is organized as six modules:
 
 - :mod:`otlab.numerics`  -- dense small-dimension operator algebra and
   information-theoretic primitives (entropy, trace distance, fidelity,
@@ -14,10 +14,11 @@ The package is organized as five modules:
   information search, and the Haar-sampled tradeoff curve.
 - :mod:`otlab.checksim`  -- Monte Carlo simulation of the check-and-abort
   protocols against a library of adversary strategies.
+- :mod:`otlab.verify`    -- the property-sweep suites behind ``otlab verify``.
 - :mod:`otlab.cli`       -- seeded, reproducible command line front end
   emitting CSV/JSON.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
-from . import checksim, cli, numerics, protocol, security  # noqa: F401
+from . import checksim, cli, numerics, protocol, security, verify  # noqa: F401

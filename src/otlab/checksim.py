@@ -80,8 +80,8 @@ class CheckConfig:
                 raise ValueError(f"{name}={k} outside [0, m={self.m}]")
         for name in ("threshold_bob", "threshold_alice"):
             value = getattr(self, name)
-            if value < 0:
-                raise ValueError("thresholds must be nonnegative")
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative")
             if isinstance(value, float) and not value.is_integer() and value >= 1.0:
                 raise ValueError(f"fractional {name} must lie in [0, 1)")
         if self.trials < 1:

@@ -22,16 +22,11 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, checksim, numerics, protocol, security
-from .seeding import substream_rng
+from . import __version__, checksim, protocol, security, verify
+from .seeding import COMPONENTS, substream_rng
 
 DEFAULT_SEED = 7
 EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_IO = 0, 1, 2, 3
-
-_COMPONENT = {"table": 1, "verify": 2, "curve": 3, "checksim": 4}
-VERIFY_SUITES = ("prop1", "prop2", "prop3", "lemma1", "thm3", "infodelta", "examples")
 
 
 def _resolve_seed(value) -> int:
@@ -60,10 +55,6 @@ def _write_with_manifest(out: Path, payload: str, subcommand: str, params: dict)
     Path(str(out) + ".manifest.json").write_text(_dumps(manifest) + "\n")
 
 
-def _random_params(rng: np.random.Generator) -> security.CheatParams:
-    return security.CheatParams.from_squares(*rng.dirichlet([1.0, 1.0, 1.0]))
-
-
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
@@ -72,7 +63,7 @@ def run_table(params: dict) -> int:
     x, y, n, seed = params["x"], params["y"], params["n"], params["seed"]
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = substream_rng(seed, _COMPONENT["table"])
+    rng = substream_rng(seed, COMPONENTS["table"])
     lines = []
     e_total = 0
     correct = 0
@@ -99,184 +90,14 @@ def run_table(params: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify suites
+# verify
 # ---------------------------------------------------------------------------
-
-def _suite_prop1(samples: int, seed: int) -> dict:
-    """Same-measurement information sums stay below one bit."""
-    rng = substream_rng(seed, _COMPONENT["verify"], 1)
-    violations, min_margin = 0, np.inf
-    for _ in range(samples):
-        params = _random_params(rng)
-        povm = numerics.random_povm(3, int(rng.integers(3, 8)), rng, rank=1)
-        info = {label: numerics.mutual_information(
-            security.returned_ensemble(params, label), povm)
-            for label in ("y", "r", "yxr")}
-        margins = (1.0 - (info["y"] + info["r"]),
-                   1.0 - (info["y"] + info["yxr"]),
-                   1.0 - (info["y"] + max(info["r"], info["yxr"])))
-        min_margin = min(min_margin, *margins)
-        violations += int(any(m < -1e-9 for m in margins))
-    return {"min_margin": float(min_margin), "samples": samples, "violations": violations}
-
-
-def _suite_prop2(samples: int, seed: int) -> dict:
-    """Guessing-probability circle constraints, plus the equality locus."""
-    rng = substream_rng(seed, _COMPONENT["verify"], 2)
-    squares = rng.dirichlet([1.0, 1.0, 1.0], size=samples)
-    a, b, c = (np.sqrt(squares[:, i]) for i in range(3))
-    lhs1 = (a * c) ** 2 + (a * b) ** 2
-    lhs2 = (b * c) ** 2 + (a * b) ** 2
-    violations = int(np.sum(lhs1 > 0.25 + 1e-12) + np.sum(lhs2 > 0.25 + 1e-12))
-
-    from scipy.optimize import minimize_scalar
-
-    def neg_radius(a2: float) -> float:
-        p = security.CheatParams.from_squares(a2, (1 - a2) / 2, (1 - a2) / 2)
-        g = security.guess_probs(p)
-        return -((g.p_r - 0.5) ** 2 + (g.p_y - 0.5) ** 2)
-
-    res = minimize_scalar(neg_radius, bounds=(1e-9, 1 - 1e-9), method="bounded",
-                          options={"xatol": 1e-12})
-    return {
-        "equality_a2": float(res.x),
-        "max_lhs": float(max(lhs1.max(), lhs2.max())),
-        "samples": samples,
-        "violations": violations,
-    }
-
-
-def _suite_prop3(samples: int, seed: int) -> dict:
-    """Binary-entropy tradeoff bounds over random amplitude triples."""
-    rng = substream_rng(seed, _COMPONENT["verify"], 3)
-    squares = rng.dirichlet([1.0, 1.0, 1.0], size=samples)
-    chi_y, chi_r, chi_yxr = security._triple_from_squares(
-        squares[:, 0], squares[:, 1], squares[:, 2])
-    min_margin, violations, applicable = np.inf, 0, 0
-    for anchor, others in ((chi_r, (chi_y, chi_yxr)), (chi_yxr, (chi_r, chi_y))):
-        delta = 1.0 - anchor
-        mask = delta < 0.5
-        applicable += int(mask.sum())
-        if not mask.any():
-            continue
-        bound = security.binary_entropy(delta[mask])
-        for other in others:
-            margin = bound - other[mask]
-            min_margin = min(min_margin, float(margin.min()))
-            violations += int(np.sum(margin < -1e-9))
-    return {"applicable": applicable, "min_margin": float(min_margin),
-            "samples": samples, "violations": violations}
-
-
-def _suite_lemma1(samples: int, seed: int, params_per_povm: int = 10) -> dict:
-    """Qubit reduction: exact statistics preservation and the one-bit cap."""
-    rng = substream_rng(seed, _COMPONENT["verify"], 4)
-    tetra = np.stack([op.matrix for op in security.tetrahedron_states()])
-    max_dev, max_mi, violations = 0.0, 0.0, 0
-    for _ in range(samples):
-        n_out = int(rng.integers(3, 8))
-        # Rank-1 outcomes are the informative extreme; mix them with full rank.
-        rank = 1 if rng.random() < 0.5 else 3
-        povm = numerics.random_povm(3, n_out, rng, real=True, rank=rank)
-        elements3 = np.stack(povm.elements)
-        for _ in range(params_per_povm):
-            params = _random_params(rng)
-            states3 = security.cheat_state_vectors(params)
-            probs3 = np.einsum("si,nij,sj->sn", states3, elements3, states3).real
-            reduced = security.lemma1_reduce(povm, params, variant="exact")
-            elements2 = np.stack(reduced.elements)
-            probs2 = np.einsum("njk,skj->sn", elements2, tetra).real
-            dev = float(np.abs(probs3 - probs2).max())
-            joint_mi = numerics.classical_mutual_information(0.25 * probs2)
-            max_dev = max(max_dev, dev)
-            max_mi = max(max_mi, joint_mi)
-            violations += int(dev > 1e-10 or joint_mi > 1.0 + 1e-9)
-            # The PSD variant must always be a bona fide POVM.
-            psd_image = security.lemma1_reduce(povm, params, variant="psd")
-            violations += int(not psd_image.is_psd)
-    return {"max_joint_mi": max_mi, "max_statistics_deviation": max_dev,
-            "samples": samples, "violations": violations}
-
-
-def _suite_thm3(samples: int, seed: int) -> dict:
-    """Guessing-probability inequality extreme points."""
-    report = security.theorem3_report()
-    checks = {
-        "lhs_eq17": abs(report.lhs_eq17 - 2.0) <= 1e-12,
-        "lhs_eq18": abs(report.lhs_eq18 - 2.0) <= 1e-12,
-        "p_b": abs(report.p_b - 0.75) <= 1e-12,
-        "p_b_prime": abs(report.p_b_prime - 0.75) <= 1e-12,
-        "p_a": abs(report.p_a - 0.5) <= 1e-12,
-    }
-    return {
-        "lhs_eq17": report.lhs_eq17,
-        "lhs_eq18": report.lhs_eq18,
-        "p_a": report.p_a,
-        "p_ar": report.p_ar,
-        "p_ay": report.p_ay,
-        "p_b": report.p_b,
-        "p_b_prime": report.p_b_prime,
-        "samples": samples,
-        "violations": sum(1 for ok in checks.values() if not ok),
-    }
-
-
-def _suite_infodelta(samples: int, seed: int) -> dict:
-    grid = np.linspace(0.001, 0.099, max(2, samples))
-    report = security.infodelta_check(grid)
-    return {
-        "min_margin": report.min_margin,
-        "samples": len(report.rows),
-        "violations": sum(0 if row.ok else 1 for row in report.rows),
-    }
-
-
-def _suite_examples(samples: int, seed: int) -> dict:
-    """Example measurement identities on parameter grids."""
-    violations, worst = 0, 0.0
-    alphas = np.linspace(0.0, np.pi / 2, max(2, samples))
-    for alpha in alphas:
-        params = security.CheatParams.from_alpha(alpha)
-        povm = security.example1_povm(alpha)
-        i_y = numerics.mutual_information(security.returned_ensemble(params, "y"), povm)
-        i_r = numerics.mutual_information(security.returned_ensemble(params, "r"), povm)
-        dev = max(abs(i_y - np.cos(alpha) ** 2), abs(i_y + i_r - 1.0))
-        worst = max(worst, dev)
-        violations += int(dev > 1e-10)
-    a_grid = np.linspace(0.05, 0.95, max(2, samples // 2))
-    for a_val, theta in zip(a_grid, np.linspace(0.1, 1.4, len(a_grid))):
-        b_prime = np.sqrt(1 - a_val ** 2)
-        params = security.CheatParams(a_val, b_prime * np.cos(theta), b_prime * np.sin(theta))
-        povm = security.example1_povm(theta)
-        i_y = numerics.mutual_information(security.returned_ensemble(params, "y"), povm)
-        i_r = numerics.mutual_information(security.returned_ensemble(params, "r"), povm)
-        dev = abs(security.example3_value(a_val) - (i_y + i_r))
-        worst = max(worst, dev)
-        violations += int(dev > 1e-9)
-    center = abs(security.example3_value(1 / np.sqrt(2)) - 1.0)
-    worst = max(worst, center)
-    violations += int(center > 1e-10)
-    return {"max_deviation": float(worst), "samples": samples, "violations": violations}
-
-
-_SUITES = {
-    "prop1": _suite_prop1,
-    "prop2": _suite_prop2,
-    "prop3": _suite_prop3,
-    "lemma1": _suite_lemma1,
-    "thm3": _suite_thm3,
-    "infodelta": _suite_infodelta,
-    "examples": _suite_examples,
-}
-
 
 def run_verify(params: dict) -> int:
     suite, samples, seed = params["suite"], params["samples"], params["seed"]
-    if suite not in _SUITES:
-        raise ValueError(f"unknown suite {suite!r}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    report = _SUITES[suite](samples, seed)
+    report = verify.SUITES[suite](samples, seed)
     report.update({"seed": seed, "suite": suite})
     payload = _dumps(report) + "\n"
     if params.get("out"):
@@ -293,7 +114,7 @@ def run_curve(params: dict) -> int:
     n_samples, bin_width, seed = params["n_samples"], params["bin_width"], params["seed"]
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
-    rng = substream_rng(seed, _COMPONENT["curve"])
+    rng = substream_rng(seed, COMPONENTS["curve"])
     curve = security.tradeoff_curve(n_samples, bin_width, rng)
     rows = ["bin_center,max_chi_y"]
     rows.extend(f"{center!r},{value!r}" for center, value in curve.bins)
@@ -330,10 +151,6 @@ def run_curve(params: dict) -> int:
 
 def _alice_from_params(params: dict) -> checksim.AliceStrategy:
     name = params["alice"]
-    if name == "honest":
-        return checksim.AliceStrategy.honest()
-    if name == "learn-y":
-        return checksim.AliceStrategy.learn_y()
     if name == "param":
         if params.get("alpha") is not None:
             triple = security.CheatParams.from_alpha(params["alpha"])
@@ -350,18 +167,12 @@ def _alice_from_params(params: dict) -> checksim.AliceStrategy:
             (phi, checksim.AliceStrategy.learn_y()),
             (1.0 - phi, checksim.AliceStrategy.honest()),
         ])
-    raise ValueError(f"unknown alice strategy {name!r}")
+    return checksim.AliceStrategy(kind=name)  # honest or learn-y
 
 
 def _bob_from_params(params: dict) -> checksim.BobStrategy:
     name = params["bob"]
-    if name == "honest":
-        return checksim.BobStrategy.honest()
-    if name == "computational":
-        return checksim.BobStrategy.computational_basis()
-    if name == "phase-noise":
-        return checksim.BobStrategy.phase_noise(params.get("angle", 0.0))
-    raise ValueError(f"unknown bob strategy {name!r}")
+    return checksim.BobStrategy(kind=name, angle=params["angle"] if name == "phase-noise" else 0.0)
 
 
 def run_checksim(params: dict) -> int:
@@ -378,10 +189,9 @@ def run_checksim(params: dict) -> int:
         threshold_alice=params.get("threshold_alice", 0),
         trials=params["trials"], seed=seed, c1=params.get("c1", 1.0))
     alice = _alice_from_params(params)
-    rng = substream_rng(seed, _COMPONENT["checksim"])
+    rng = substream_rng(seed, COMPONENTS["checksim"])
     if params["protocol"] == 2:
-        report = checksim.run_protocol2(config, alice, rng)
-        reports = {"bob": report}
+        reports = {"bob": checksim.run_protocol2(config, alice, rng)}
     else:
         bob = _bob_from_params(params)
         bob_report, alice_report = checksim.run_protocol3(config, alice, bob, rng)
@@ -413,9 +223,24 @@ _HANDLERS = {"table": run_table, "verify": run_verify,
              "curve": run_curve, "checksim": run_checksim}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ``ValueError``, reported like every other one."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _threshold(text: str):
+    """An absolute failure count, or a fraction of the checked labels in [0, 1)."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="otlab", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="otlab", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--from-manifest", type=Path, default=None,
                         help="replay a previous run from its manifest file")
     sub = parser.add_subparsers(dest="subcommand")
@@ -428,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--out", type=Path, default=None)
 
     p_verify = sub.add_parser("verify", help="run a property-sweep suite")
-    p_verify.add_argument("suite", choices=VERIFY_SUITES)
+    p_verify.add_argument("suite", choices=tuple(verify.SUITES))
     p_verify.add_argument("--samples", type=int, default=200)
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--out", type=Path, default=None)
@@ -456,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--m", type=int, default=100)
     p_check.add_argument("--k", "--k-bob", dest="k", type=int, default=20)
     p_check.add_argument("--k-alice", type=int, default=0)
-    p_check.add_argument("--threshold", type=int, default=0)
-    p_check.add_argument("--threshold-alice", type=int, default=0)
+    p_check.add_argument("--threshold", type=_threshold, default=0)
+    p_check.add_argument("--threshold-alice", type=_threshold, default=0)
     p_check.add_argument("--trials", type=int, default=1000)
     p_check.add_argument("--c1", type=float, default=1.0)
     p_check.add_argument("--seed", type=int, default=None)
@@ -475,10 +300,11 @@ def _params_from_args(args: argparse.Namespace) -> dict:
 
 
 def _manifest_run(manifest, parser: argparse.ArgumentParser) -> tuple:
-    """``(subcommand, parameters)`` of a manifest, checked before dispatch.
+    """``(subcommand, parameters)`` of a manifest, parsed as a command line.
 
-    The parameters must carry exactly the keys a fresh parse of the
-    subcommand produces.
+    Each parameter is turned back into its flag (null: flag left unset), so
+    its value passes the same type and choice checks as on the command line.
+    The parameters must equal what that parse produces.
     """
     subcommand = manifest.get("subcommand") if isinstance(manifest, dict) else None
     if subcommand not in _HANDLERS:
@@ -486,24 +312,26 @@ def _manifest_run(manifest, parser: argparse.ArgumentParser) -> tuple:
     params = manifest.get("parameters")
     if not isinstance(params, dict):
         raise ValueError("manifest parameters must be a JSON object")
-    required = {"table": ["--x", "0", "--y", "0"], "verify": [VERIFY_SUITES[0]]}
-    expected = set(_params_from_args(parser.parse_args([subcommand,
-                                                        *required.get(subcommand, [])])))
-    if set(params) != expected:
-        missing, extra = sorted(expected - set(params)), sorted(set(params) - expected)
-        raise ValueError(f"manifest parameters for {subcommand}: missing {missing}, "
-                         f"unexpected {extra}")
-    return subcommand, params
+    argv = [subcommand]
+    argv += [f"--{key.replace('_', '-')}={value}" for key, value in params.items()
+             if key != "suite" and value is not None]
+    if params.get("suite") is not None:
+        argv += ["--", str(params["suite"])]
+    try:
+        parsed = _params_from_args(parser.parse_args(argv))
+    except ValueError as exc:
+        raise ValueError(f"manifest parameters for {subcommand}: {exc}") from None
+    differ = sorted(key for key in set(params) | set(parsed)
+                    if key not in params or key not in parsed or params[key] != parsed[key])
+    if differ:
+        raise ValueError(f"manifest parameters for {subcommand} differ from their parse: {differ}")
+    return subcommand, parsed
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
-
-    try:
         if args.from_manifest is not None:
             try:
                 manifest = json.loads(Path(args.from_manifest).read_text())
@@ -516,6 +344,8 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         return _HANDLERS[args.subcommand](_params_from_args(args))
+    except SystemExit as exc:  # --help printed and exited
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     except ValueError as exc:
         print(f"otlab: {exc}", file=sys.stderr)
         return EXIT_USAGE

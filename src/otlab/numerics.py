@@ -198,13 +198,6 @@ class Povm:
     def is_psd(self) -> bool:
         return self._min_eigenvalue >= EIG_FLOOR
 
-    def outcome_probabilities(self, rho: DensityOperator) -> np.ndarray:
-        if rho.dim != self.dim:
-            raise InvalidMeasurementError(
-                f"POVM dim {self.dim} does not match state dim {rho.dim}")
-        probs = np.array([np.trace(m @ rho.matrix).real for m in self.elements])
-        return np.clip(probs, 0.0, None)
-
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -333,20 +326,22 @@ def haar_random_pure(dim: int, rng: np.random.Generator) -> PureState:
     return PureState.from_amplitudes(z / np.linalg.norm(z))
 
 
-def classical_mutual_information(joint: np.ndarray) -> float:
-    """Mutual information in bits of a joint probability table."""
+def classical_mutual_information(joint):
+    """Mutual information in bits of a joint probability table.
+
+    A stack of tables ``[..., rows, cols]`` gives one value per table; a
+    single table gives a float.  Tables are renormalized; an all-zero table
+    carries no information.
+    """
     joint = np.clip(np.asarray(joint, dtype=float), 0.0, None)
-    total = joint.sum()
-    if total <= 0:
-        return 0.0
-    joint = joint / total
-    p_row = joint.sum(axis=1, keepdims=True)
-    p_col = joint.sum(axis=0, keepdims=True)
+    total = joint.sum(axis=(-2, -1), keepdims=True)
+    joint = joint / np.where(total > 0, total, 1.0)
+    denom = joint.sum(axis=-1, keepdims=True) * joint.sum(axis=-2, keepdims=True)
     mask = joint > 1e-300
     ratio = np.ones_like(joint)
-    denom = (p_row * p_col)[mask]
-    ratio[mask] = joint[mask] / np.where(denom > 0, denom, 1.0)
-    return float(max(0.0, np.sum(joint[mask] * np.log2(ratio[mask]))))
+    ratio[mask] = joint[mask] / np.where(denom > 0, denom, 1.0)[mask]
+    info = np.maximum(0.0, np.sum(joint * np.log2(ratio), axis=(-2, -1)))
+    return float(info) if info.ndim == 0 else info
 
 
 def mutual_information(ensemble: Ensemble, povm: Povm) -> float:

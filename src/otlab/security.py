@@ -43,9 +43,7 @@ __all__ = [
     "HolevoTriple",
     "TradeoffBoundReport",
     "Theorem3Report",
-    "TradeoffPoint",
     "TradeoffCurve",
-    "InfoDeltaRow",
     "InfoDeltaReport",
     "SearchConfig",
     "SearchResult",
@@ -53,13 +51,18 @@ __all__ = [
     "RY_ORDER",
     "cheat_state_vectors",
     "returned_ensemble",
+    "sign_state_probabilities",
+    "sign_state_information",
     "params_from_two_qutrit",
     "guess_probs",
     "holevo_triple",
     "binary_entropy",
+    "tradeoff_bound_margins",
     "check_tradeoff_bounds",
     "tetrahedron_states",
+    "lemma1_images",
     "lemma1_reduce",
+    "example1_elements",
     "example1_povm",
     "example2_povm",
     "example3_value",
@@ -75,9 +78,6 @@ __all__ = [
 RY_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 _SIGNS = np.array([[1, 1, 1], [1, -1, 1], [-1, -1, 1], [-1, 1, 1]], dtype=float)
 
-_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 # Bloch signs of the tetrahedron images, one row per (r, y) in RY_ORDER.
 _TETRA_SIGNS = np.array([[1, 1, 1], [-1, -1, 1], [1, -1, -1], [-1, 1, -1]], dtype=float)
 
@@ -94,6 +94,8 @@ class CheatParams:
     c: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.a, self.b, self.c])):
+            raise ValueError(f"amplitudes ({self.a}, {self.b}, {self.c}) must be finite")
         for name in ("a", "b", "c"):
             if getattr(self, name) < -1e-12:
                 raise ValueError(f"{name} must be nonnegative")
@@ -121,6 +123,8 @@ class CheatParams:
     @classmethod
     def from_alpha(cls, alpha: float) -> "CheatParams":
         """One-parameter extremal family ``(1, cos(alpha), sin(alpha))/sqrt(2)``."""
+        if not np.isfinite(alpha):
+            raise ValueError(f"alpha {alpha} must be finite")
         s = 1.0 / np.sqrt(2.0)
         return cls(s, float(np.cos(alpha)) * s, float(np.sin(alpha)) * s)
 
@@ -194,6 +198,34 @@ def returned_ensemble(params: CheatParams, label: str) -> Ensemble:
         groups[_label_index(label, r, y)].append(proj)
     ops = [DensityOperator.from_matrix(0.5 * (g[0] + g[1])) for g in (groups[0], groups[1])]
     return Ensemble.uniform(ops)
+
+
+# Weight of each sign state in the joint table of each label and label value:
+# a prior of 1/2 on the value times the 1/2 of each state averaged into it.
+_LABEL_WEIGHTS = 0.25 * np.array([[[_label_index(label, r, y) == value for r, y in RY_ORDER]
+                                   for value in (0, 1)] for label in ("y", "r", "yxr")])
+
+
+def sign_state_probabilities(elements, amplitudes) -> np.ndarray:
+    """Outcome probabilities ``[..., 4, n]`` of the sign states, in ``RY_ORDER``.
+
+    ``elements[..., n, 3, 3]`` are qutrit measurement elements and
+    ``amplitudes[..., 3]`` amplitude rows ``(a, b, c)``; leading axes
+    broadcast.
+    """
+    states = _SIGNS * np.asarray(amplitudes, dtype=float)[..., None, :]
+    return np.einsum("...si,...nij,...sj->...sn", states, elements, states).real
+
+
+def sign_state_information(elements, amplitudes) -> np.ndarray:
+    """Information ``[..., 3]`` about y, r and y XOR r in a measurement's outcome.
+
+    Takes the arguments of :func:`sign_state_probabilities`.  The entries
+    equal ``mutual_information(returned_ensemble(params, label), povm)`` for
+    the labels ``"y"``, ``"r"`` and ``"yxr"``.
+    """
+    probs = sign_state_probabilities(elements, amplitudes)
+    return classical_mutual_information(np.einsum("lgs,...sn->...lgn", _LABEL_WEIGHTS, probs))
 
 
 def params_from_two_qutrit(state) -> CheatParams:
@@ -287,24 +319,27 @@ class TradeoffBoundReport:
         return sum(1 for m in margins if m is not None and m < -tol)
 
 
+def tradeoff_bound_margins(chi_y, chi_r, chi_yxr) -> np.ndarray:
+    """Margins ``[..., 4]`` of the ``h(delta)`` bounds, NaN where a bound does not apply.
+
+    In the order of :class:`TradeoffBoundReport`: chi_y and chi_yxr against
+    ``h(1 - chi_r)``, then chi_r and chi_y against ``h(1 - chi_yxr)``.
+    """
+    margins = []
+    for anchor, others in ((chi_r, (chi_y, chi_yxr)), (chi_yxr, (chi_r, chi_y))):
+        delta = 1.0 - np.asarray(anchor, dtype=float)
+        applies = (delta >= 0.0) & (delta < 0.5)
+        bound = binary_entropy(np.where(applies, delta, 0.0))
+        margins += [np.where(applies, bound - other, np.nan) for other in others]
+    return np.stack(margins, axis=-1)
+
+
 def check_tradeoff_bounds(params: CheatParams) -> TradeoffBoundReport:
     """Evaluate the ``h(delta)`` tradeoff bounds for one amplitude triple."""
     triple = holevo_triple(params)
-    delta = 1.0 - triple.chi_r
-    delta_prime = 1.0 - triple.chi_yxr
-    m_y = m_yxr = m_r2 = m_y2 = None
-    if 0.0 <= delta < 0.5:
-        bound = binary_entropy(delta)
-        m_y = bound - triple.chi_y
-        m_yxr = bound - triple.chi_yxr
-    if 0.0 <= delta_prime < 0.5:
-        bound = binary_entropy(delta_prime)
-        m_r2 = bound - triple.chi_r
-        m_y2 = bound - triple.chi_y
-    return TradeoffBoundReport(
-        triple=triple, delta=delta, delta_prime=delta_prime,
-        margin_chi_y_vs_delta=m_y, margin_chi_yxr_vs_delta=m_yxr,
-        margin_chi_r_vs_delta_prime=m_r2, margin_chi_y_vs_delta_prime=m_y2)
+    margins = tradeoff_bound_margins(triple.chi_y, triple.chi_r, triple.chi_yxr)
+    return TradeoffBoundReport(triple, 1.0 - triple.chi_r, 1.0 - triple.chi_yxr,
+                               *(None if np.isnan(m) else float(m) for m in margins))
 
 
 def tetrahedron_states() -> tuple:
@@ -315,59 +350,76 @@ def tetrahedron_states() -> tuple:
     overlaps all equal 1/3 and their average is the maximally mixed qubit.
     """
     out = []
-    for ex, ey, ez in _TETRA_SIGNS:
-        bloch = (ex * _PAULI_X + ey * _PAULI_Y + ez * _PAULI_Z) / np.sqrt(3.0)
+    for ex, ey, ez in _TETRA_SIGNS / np.sqrt(3.0):
+        bloch = np.array([[ez, ex - 1j * ey], [ex + 1j * ey, -ez]])
         out.append(DensityOperator.from_matrix(0.5 * (np.eye(2) + bloch)))
     return tuple(out)
+
+
+def lemma1_images(elements, amplitudes, variant: str = "exact") -> np.ndarray:
+    """Qubit images ``[p, n, 2, 2]`` of elements ``[n, 3, 3]`` for amplitude rows ``[p, 3]``.
+
+    Each element's real part ``M`` (the imaginary antisymmetric part changes
+    no probability on the real sign states), with diagonal ``(f, g, h)`` and
+    ``u, v, w = M[0,1], M[0,2], M[1,2]``, maps to the identity weight
+    ``a^2 f + b^2 g + c^2 h`` plus a Bloch vector.
+
+    variant="exact"
+        Bloch vector ``2*sqrt(3) * (ab*u, bc*w, ac*v)``: the unique image
+        reproducing every outcome probability on the four sign states.  The
+        images are Hermitian and sum to the identity but need not be positive
+        semidefinite, because the four tetrahedron states affinely span the
+        qubit operator space, which forces this normalization.
+    variant="psd"
+        Bloch vector ``sqrt(3) * (ab*u, ac*v, bc*w)``: genuine POVM elements,
+        whose outcome distribution is the exact one shrunk halfway toward the
+        average-state distribution (with the two middle sign states
+        relabeled), so per-element statistics hold only for diagonal
+        measurements.
+    """
+    if variant not in ("exact", "psd"):
+        raise ValueError(f"unknown variant {variant!r}")
+    real = np.asarray(elements).real  # drops i*(antisymmetric) exactly; stays symmetric PSD
+    a, b, c = np.asarray(amplitudes, dtype=float).T[:, :, None]
+    f, g, h = real[:, 0, 0], real[:, 1, 1], real[:, 2, 2]
+    u, v, w = real[:, 0, 1], real[:, 0, 2], real[:, 1, 2]
+    base = a * a * f + b * b * g + c * c * h
+    if variant == "exact":
+        scale, (x, y, z) = 2.0 * np.sqrt(3.0), (a * b * u, b * c * w, a * c * v)
+    else:
+        scale, (x, y, z) = np.sqrt(3.0), (a * b * u, a * c * v, b * c * w)
+    x, y, z = scale * x, scale * y, scale * z
+    images = np.empty(base.shape + (2, 2), dtype=complex)
+    images[..., 0, 0] = base + z
+    images[..., 1, 1] = base - z
+    images[..., 0, 1] = x - 1j * y
+    images[..., 1, 0] = x + 1j * y
+    return images
 
 
 def lemma1_reduce(povm3: Povm, params: CheatParams, variant: str = "exact") -> Povm:
     """Map a qutrit POVM to a qubit measurement over the tetrahedron images.
 
-    The imaginary antisymmetric part of each element is dropped first; on
-    the four real sign states this changes no outcome probability.  Each
-    real element ``M`` with diagonal ``(f, g, h)`` and off-diagonals
-    ``u = M[0,1]``, ``v = M[0,2]``, ``w = M[1,2]`` is then mapped to an
-    affine qubit image with identity weight ``a^2 f + b^2 g + c^2 h``.
-
-    variant="exact"
-        The unique image reproducing every outcome probability on the four
-        sign states: Bloch vector ``2*sqrt(3) * (ab*u, bc*w, ac*v)``.  The
-        images sum to the identity and are Hermitian, but individual
-        elements need not be positive semidefinite (the returned ``Povm``
-        is built with the PSD check disabled and reports its true minimum
-        eigenvalue), because the four tetrahedron states affinely span the
-        qubit operator space, which forces this normalization.
-    variant="psd"
-        Bloch vector ``sqrt(3) * (ab*u, ac*v, bc*w)``.  Every image is then
-        a genuine POVM element, at the cost of exactness: the induced
-        outcome distribution is the exact one shrunk halfway toward the
-        average-state distribution (with the two middle sign states
-        relabeled), so it reproduces per-element statistics only for
-        diagonal measurements.
+    The images of :func:`lemma1_images` as a ``Povm``; the exact variant
+    skips the PSD check and reports its true minimum eigenvalue.
     """
     if povm3.dim != 3:
         raise InvalidMeasurementError(f"expected a qutrit POVM, got dim {povm3.dim}")
-    if variant not in ("exact", "psd"):
-        raise ValueError(f"unknown variant {variant!r}")
-    a, b, c = params.a, params.b, params.c
-    eye2 = np.eye(2, dtype=complex)
-    images = []
-    for element in povm3.elements:
-        real = element.real  # drops i*(antisymmetric) exactly; stays symmetric PSD
-        f, g, h = real[0, 0], real[1, 1], real[2, 2]
-        u, v, w = real[0, 1], real[0, 2], real[1, 2]
-        base = a * a * f + b * b * g + c * c * h
-        if variant == "exact":
-            bloch = 2.0 * np.sqrt(3.0) * (a * b * u * _PAULI_X
-                                          + b * c * w * _PAULI_Y
-                                          + a * c * v * _PAULI_Z)
-        else:
-            bloch = np.sqrt(3.0) * (a * b * u * _PAULI_X
-                                    + a * c * v * _PAULI_Y
-                                    + b * c * w * _PAULI_Z)
-        images.append(base * eye2 + bloch)
-    return Povm(2, tuple(images), require_psd=(variant == "psd"))
+    images = lemma1_images(np.stack(povm3.elements), [[params.a, params.b, params.c]], variant)
+    return Povm(2, tuple(images[0]), require_psd=(variant == "psd"))
+
+
+def example1_elements(alpha) -> np.ndarray:
+    """Elements ``[..., 4, 3, 3]`` of :func:`example1_povm`, one set per ``alpha``."""
+    alpha = np.asarray(alpha, dtype=float)
+    outside = ~((alpha >= 0.0) & (alpha <= np.pi / 2 + 1e-12))
+    if outside.any():
+        raise ValueError(f"alpha {alpha[outside].flat[0]} outside [0, pi/2]")
+    # Rows (cos alpha, +-1, 0) and (sin alpha, 0, +-1), over sqrt(2).
+    first = np.repeat(np.stack([np.cos(alpha), np.sin(alpha)], axis=-1), 2, axis=-1)
+    rest = np.array([[0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=float)
+    vectors = (first[..., None] * np.array([1.0, 0.0, 0.0]) + rest) / np.sqrt(2.0)
+    return vectors[..., :, None] * vectors[..., None, :]
 
 
 def example1_povm(alpha: float) -> Povm:
@@ -377,17 +429,7 @@ def example1_povm(alpha: float) -> Povm:
     ``cos^2(alpha)`` bits about y and ``sin^2(alpha)`` bits about r, summing
     to exactly one bit.
     """
-    alpha = float(alpha)
-    if not (0.0 <= alpha <= np.pi / 2 + 1e-12):
-        raise ValueError(f"alpha {alpha} outside [0, pi/2]")
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    vectors = np.array([
-        [ca, 1.0, 0.0],
-        [ca, -1.0, 0.0],
-        [sa, 0.0, 1.0],
-        [sa, 0.0, -1.0],
-    ]) / np.sqrt(2.0)
-    return Povm.from_elements([np.outer(v, v) for v in vectors])
+    return Povm.from_elements(example1_elements(float(alpha)))
 
 
 def example2_povm(alpha: float) -> Povm:
@@ -648,20 +690,6 @@ def max_holevo_sum_search() -> MaxHolevoSumResult:
                               constrained_max=constrained, unconstrained_max=unconstrained)
 
 
-@dataclass(frozen=True)
-class TradeoffPoint:
-    """One sampled point: h1 = max(chi_r, chi_yxr) against h2 = chi_y."""
-
-    h1: float
-    h2: float
-
-    def __post_init__(self):
-        for name in ("h1", "h2"):
-            val = getattr(self, name)
-            if not (-1e-12 <= val <= 1.0 + 1e-12):
-                raise ValueError(f"{name}={val} outside [0, 1]")
-
-
 @dataclass(frozen=True, eq=False)
 class TradeoffCurve:
     """Binned maxima of chi_y against max(chi_r, chi_yxr) over Haar samples."""
@@ -680,11 +708,6 @@ class TradeoffCurve:
     @property
     def h2(self) -> np.ndarray:
         return self.triples[:, 0]
-
-    def points(self):
-        """Per-sample coordinate records (built on demand; n can be large)."""
-        return tuple(TradeoffPoint(h1=float(a), h2=float(b))
-                     for a, b in zip(self.h1, self.h2))
 
 
 def _haar_two_qutrit_squares(n: int, rng: np.random.Generator):
@@ -779,9 +802,9 @@ def theorem3_report() -> Theorem3Report:
         lhs_eq17=2.0 * p_b + p_a, lhs_eq18=2.0 * p_b_prime + max(p_ar, p_ay))
 
 
-@dataclass(frozen=True)
-class InfoDeltaRow:
-    """One grid point of the small-delta information chain.
+@dataclass(frozen=True, eq=False)
+class InfoDeltaReport:
+    """The small-delta information chain, one array entry per grid point.
 
     ``mi_bound`` is the mutual-information value at error weight delta,
     ``drop_margin`` the (positive) term discarded between the exact
@@ -791,29 +814,24 @@ class InfoDeltaRow:
     rewritings in the chain.
     """
 
-    delta: float
-    mi_bound: float
-    drop_margin: float
-    terminal_margin: float
-    identity_residual: float
+    delta: np.ndarray
+    mi_bound: np.ndarray
+    drop_margin: np.ndarray
+    terminal_margin: np.ndarray
+    identity_residual: np.ndarray
+
+    @property
+    def point_ok(self) -> np.ndarray:
+        return ((self.drop_margin > 0.0) & (self.terminal_margin > 0.0)
+                & (self.identity_residual <= 1e-12))
 
     @property
     def ok(self) -> bool:
-        return (self.drop_margin > 0.0 and self.terminal_margin > 0.0
-                and self.identity_residual <= 1e-12)
-
-
-@dataclass(frozen=True)
-class InfoDeltaReport:
-    rows: tuple
-
-    @property
-    def ok(self) -> bool:
-        return all(row.ok for row in self.rows)
+        return bool(self.point_ok.all())
 
     @property
     def min_margin(self) -> float:
-        return min(min(r.drop_margin, r.terminal_margin) for r in self.rows)
+        return float(min(self.drop_margin.min(), self.terminal_margin.min()))
 
 
 def infodelta_check(grid: Iterable[float]) -> InfoDeltaReport:
@@ -827,22 +845,18 @@ def infodelta_check(grid: Iterable[float]) -> InfoDeltaReport:
     subtracted term), which is strictly below ``1 - 2 delta`` on the stated
     interval.  Behavior outside (0, 0.1) is deliberately not extrapolated.
     """
-    rows = []
-    for delta in grid:
-        delta = float(delta)
-        if not (0.0 < delta < 0.1):
-            raise ValueError(f"delta {delta} outside (0, 0.1)")
-        line1 = 0.5 + delta * np.log2(delta) - (0.5 + delta) * np.log2(0.5 + delta)
-        line3 = 1.0 + delta + delta * np.log2(delta) - (0.5 + delta) * np.log2(1.0 + 2.0 * delta)
-        line4 = 1.0 + delta + delta * np.log2(delta)
-        line5 = 1.0 + delta * np.log2(2.0 * delta)
-        rows.append(InfoDeltaRow(
-            delta=delta,
-            mi_bound=float(line1),
-            drop_margin=float(line4 - line3),
-            terminal_margin=float((1.0 - 2.0 * delta) - line5),
-            identity_residual=float(max(abs(line1 - line3), abs(line4 - line5)))))
-    return InfoDeltaReport(rows=tuple(rows))
+    delta = np.array(list(grid), dtype=float)
+    outside = ~((delta > 0.0) & (delta < 0.1))
+    if outside.any():
+        raise ValueError(f"delta {delta[outside][0]} outside (0, 0.1)")
+    line1 = 0.5 + delta * np.log2(delta) - (0.5 + delta) * np.log2(0.5 + delta)
+    line3 = 1.0 + delta + delta * np.log2(delta) - (0.5 + delta) * np.log2(1.0 + 2.0 * delta)
+    line4 = 1.0 + delta + delta * np.log2(delta)
+    line5 = 1.0 + delta * np.log2(2.0 * delta)
+    return InfoDeltaReport(
+        delta=delta, mi_bound=line1, drop_margin=line4 - line3,
+        terminal_margin=(1.0 - 2.0 * delta) - line5,
+        identity_residual=np.maximum(np.abs(line1 - line3), np.abs(line4 - line5)))
 
 
 def holevo_triple_from_nine_dim(state: PureState) -> HolevoTriple:

@@ -11,6 +11,9 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
+#: First substream key of each command line subcommand.
+COMPONENTS = {"table": 1, "verify": 2, "curve": 3, "checksim": 4}
+
 
 def substream_rng(seed: int, *key: int) -> np.random.Generator:
     """Generator for the substream named by ``key`` under a master seed."""

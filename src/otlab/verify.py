@@ -1,0 +1,154 @@
+"""Property sweeps behind ``otlab verify``, one function per suite.
+
+Each suite takes a sample count and a master seed, draws from its own
+substream, checks one family of claims of the single-instance analysis on
+arrays, and returns a JSON-ready report.  Its ``violations`` entry counts
+the failed checks; a failed check is counted, never raised.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+from scipy.optimize import minimize_scalar
+
+from . import numerics, security
+from .seeding import COMPONENTS, substream_rng
+
+
+def prop1(samples: int, seed: int) -> dict:
+    """Same-measurement information sums stay below one bit."""
+    rng = substream_rng(seed, COMPONENTS["verify"], 1)
+    info = np.empty((samples, 3))
+    for i in range(samples):
+        amplitudes = np.sqrt(rng.dirichlet([1.0, 1.0, 1.0]))
+        povm = numerics.random_povm(3, int(rng.integers(3, 8)), rng, rank=1)
+        info[i] = security.sign_state_information(np.stack(povm.elements), amplitudes)
+    i_y, i_r, i_yxr = info.T
+    margins = 1.0 - (i_y[:, None] + np.column_stack([i_r, i_yxr, np.maximum(i_r, i_yxr)]))
+    return {"min_margin": float(margins.min()), "samples": samples,
+            "violations": int(np.any(margins < -1e-9, axis=1).sum())}
+
+
+def prop2(samples: int, seed: int) -> dict:
+    """Guessing-probability circle constraints, plus the equality locus."""
+    rng = substream_rng(seed, COMPONENTS["verify"], 2)
+    squares = rng.dirichlet([1.0, 1.0, 1.0], size=samples)
+    a, b, c = (np.sqrt(squares[:, i]) for i in range(3))
+    lhs1 = (a * c) ** 2 + (a * b) ** 2
+    lhs2 = (b * c) ** 2 + (a * b) ** 2
+    violations = int(np.sum(lhs1 > 0.25 + 1e-12) + np.sum(lhs2 > 0.25 + 1e-12))
+
+    def neg_radius(a2: float) -> float:
+        p = security.CheatParams.from_squares(a2, (1 - a2) / 2, (1 - a2) / 2)
+        g = security.guess_probs(p)
+        return -((g.p_r - 0.5) ** 2 + (g.p_y - 0.5) ** 2)
+
+    res = minimize_scalar(neg_radius, bounds=(1e-9, 1 - 1e-9), method="bounded",
+                          options={"xatol": 1e-12})
+    return {
+        "equality_a2": float(res.x),
+        "max_lhs": float(max(lhs1.max(), lhs2.max())),
+        "samples": samples,
+        "violations": violations,
+    }
+
+
+def prop3(samples: int, seed: int) -> dict:
+    """Binary-entropy tradeoff bounds over random amplitude triples.
+
+    ``min_margin`` is null when no sample has a bound that applies.
+    """
+    rng = substream_rng(seed, COMPONENTS["verify"], 3)
+    squares = rng.dirichlet([1.0, 1.0, 1.0], size=samples)
+    margins = security.tradeoff_bound_margins(*security._triple_from_squares(*squares.T))
+    margins = margins[~np.isnan(margins)]
+    return {"applicable": margins.size // 2,
+            "min_margin": float(margins.min()) if margins.size else None,
+            "samples": samples, "violations": int(np.sum(margins < -1e-9))}
+
+
+def _is_measurement(images: np.ndarray) -> np.ndarray:
+    """Per row of ``images[p, n, d, d]``: Hermitian elements summing to the identity."""
+    asymmetry = np.abs(images - np.conj(np.swapaxes(images, -1, -2))).max(axis=(1, 2, 3))
+    incompleteness = np.abs(images.sum(axis=1) - np.eye(images.shape[-1])).max(axis=(1, 2))
+    return (asymmetry <= numerics.HERMITIAN_ATOL) & (incompleteness <= numerics.COMPLETENESS_ATOL)
+
+
+def lemma1(samples: int, seed: int, params_per_povm: int = 10) -> dict:
+    """Qubit reduction: exact statistics preservation and the one-bit cap.
+
+    Every (POVM, triple) pair counts one violation if its exact images miss
+    the qutrit statistics by more than 1e-10, carry more than one bit about
+    the sign state, or are not Hermitian and complete, and one more if its
+    psd images are not a bona fide POVM.
+    """
+    rng = substream_rng(seed, COMPONENTS["verify"], 4)
+    tetra = np.stack([op.matrix for op in security.tetrahedron_states()])
+    max_dev, max_mi, violations = 0.0, 0.0, 0
+    for _ in range(samples):
+        n_out = int(rng.integers(3, 8))
+        # Rank-1 outcomes are the informative extreme; mix them with full rank.
+        rank = 1 if rng.random() < 0.5 else 3
+        elements = np.stack(numerics.random_povm(3, n_out, rng, real=True, rank=rank).elements)
+        amplitudes = np.sqrt(rng.dirichlet([1.0, 1.0, 1.0], size=params_per_povm))
+        exact = security.lemma1_images(elements, amplitudes, "exact")
+        probs2 = np.einsum("pnjk,skj->psn", exact, tetra).real
+        dev = np.abs(security.sign_state_probabilities(elements, amplitudes) - probs2).max(
+            axis=(1, 2))
+        joint_mi = numerics.classical_mutual_information(0.25 * probs2)
+        max_dev = max(max_dev, float(dev.max()))
+        max_mi = max(max_mi, float(joint_mi.max()))
+        violations += int(np.sum((dev > 1e-10) | (joint_mi > 1.0 + 1e-9)
+                                 | ~_is_measurement(exact)))
+        # The psd variant must always be a bona fide POVM.
+        psd = security.lemma1_images(elements, amplitudes, "psd")
+        min_eig = np.linalg.eigvalsh(psd).min(axis=(1, 2))
+        violations += int(np.sum((min_eig < numerics.EIG_FLOOR) | ~_is_measurement(psd)))
+    return {"max_joint_mi": max_mi, "max_statistics_deviation": max_dev,
+            "samples": samples, "violations": violations}
+
+
+def thm3(samples: int, seed: int) -> dict:
+    """Guessing-probability inequality extreme points."""
+    report = dataclasses.asdict(security.theorem3_report())
+    exact = {"lhs_eq17": 2.0, "lhs_eq18": 2.0, "p_b": 0.75, "p_b_prime": 0.75, "p_a": 0.5}
+    violations = sum(not abs(report[name] - value) <= 1e-12 for name, value in exact.items())
+    return {**report, "samples": samples, "violations": violations}
+
+
+def infodelta(samples: int, seed: int) -> dict:
+    """Strict small-delta information chain on a grid in (0, 0.1)."""
+    report = security.infodelta_check(np.linspace(0.001, 0.099, max(2, samples)))
+    return {"min_margin": report.min_margin, "samples": report.delta.size,
+            "violations": int(np.sum(~report.point_ok))}
+
+
+def examples(samples: int, seed: int) -> dict:
+    """Example measurement identities on parameter grids."""
+    # CheatParams.from_alpha(alpha) measured by example1_povm(alpha): the
+    # information about y is cos^2(alpha) and the sum over y and r one bit.
+    alphas = np.linspace(0.0, np.pi / 2, max(2, samples))
+    amplitudes = (1.0 / np.sqrt(2.0)) * np.column_stack(
+        [np.ones_like(alphas), np.cos(alphas), np.sin(alphas)])
+    info = security.sign_state_information(security.example1_elements(alphas), amplitudes)
+    split_dev = np.maximum(np.abs(info[:, 0] - np.cos(alphas) ** 2),
+                           np.abs(info[:, 0] + info[:, 1] - 1.0))
+    # Triples (a, b' cos t, b' sin t) measured by example1_povm(t) carry
+    # example3_value(a) bits about y and r together.
+    a_grid = np.linspace(0.05, 0.95, max(2, samples // 2))
+    thetas = np.linspace(0.1, 1.4, len(a_grid))
+    b_prime = np.sqrt(1 - a_grid ** 2)
+    amplitudes = np.column_stack([a_grid, b_prime * np.cos(thetas), b_prime * np.sin(thetas)])
+    info = security.sign_state_information(security.example1_elements(thetas), amplitudes)
+    closed = np.array([security.example3_value(a) for a in a_grid])
+    value_dev = np.abs(closed - (info[:, 0] + info[:, 1]))
+    center = abs(security.example3_value(1 / np.sqrt(2)) - 1.0)
+    worst = max(float(split_dev.max()), float(value_dev.max()), center)
+    violations = int(np.sum(split_dev > 1e-10) + np.sum(value_dev > 1e-9)) + int(center > 1e-10)
+    return {"max_deviation": worst, "samples": samples, "violations": violations}
+
+
+SUITES = {suite.__name__: suite for suite in (prop1, prop2, prop3, lemma1, thm3, infodelta,
+                                               examples)}

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from otlab import checksim, cli, numerics, protocol, security
+from otlab import checksim, numerics, protocol, security, verify
 from otlab.seeding import substream_rng
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -63,7 +63,7 @@ def test_criterion_03_guessing_probabilities_and_circle():
     report = security.theorem3_report()
     assert abs(report.p_b - 0.75) <= 1e-12
     assert abs(report.p_b_prime - 0.75) <= 1e-12
-    suite = cli._suite_prop2(100_000, seed=303)
+    suite = verify.prop2(100_000, seed=303)
     assert suite["violations"] == 0
     assert suite["max_lhs"] <= 0.25 + 1e-12
     assert abs(suite["equality_a2"] - 0.5) <= 1e-6
@@ -87,7 +87,7 @@ def test_criterion_04_holevo_closed_forms_and_tradeoff_bounds():
             worst_guess = max(worst_guess, abs(guess - helstrom))
     assert worst_chi <= 1e-10, f"closed form deviates by {worst_chi:.2e}"
     assert worst_guess <= 1e-10, f"guess probability deviates by {worst_guess:.2e}"
-    suite = cli._suite_prop3(100_000, seed=404)
+    suite = verify.prop3(100_000, seed=404)
     assert suite["violations"] == 0
     _report(4, f"closed forms within {worst_chi:.1e} of eigendecomposition and guesses "
                f"within {worst_guess:.1e} of Helstrom on 1e4 triples; entropy tradeoff "
@@ -131,7 +131,7 @@ def test_criterion_06_tradeoff_curve_at_desk_scale():
 
 
 def test_criterion_07_measurement_reduction():
-    suite = cli._suite_lemma1(1000, seed=707, params_per_povm=100)
+    suite = verify.lemma1(1000, seed=707, params_per_povm=100)
     assert suite["violations"] == 0
     assert suite["max_statistics_deviation"] <= 1e-10
     assert suite["max_joint_mi"] <= 1.0 + 1e-9

@@ -1,9 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from otlab import cli
+from otlab import cli, security, verify
 
 
 def _run(capsys, argv):
@@ -52,16 +53,36 @@ class TestVerify:
         assert report["violations"] == 0
         assert code == 0
 
+    def test_prop3_without_applicable_bound_reports_null_margin(self, capsys):
+        code, out, _ = _run(capsys, ["verify", "prop3", "--samples", "1", "--seed", "5"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["applicable"] == 0 and report["min_margin"] is None
+
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _, _ = _run(capsys, ["verify", "nonsense"])
         assert code == 2
 
     def test_violation_sets_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setitem(cli._SUITES, "thm3",
+        monkeypatch.setitem(verify.SUITES, "thm3",
                             lambda samples, seed: {"violations": 2, "samples": samples})
         code, out, _ = _run(capsys, ["verify", "thm3"])
         assert code == 1
         assert json.loads(out)["violations"] == 2
+
+    def test_incomplete_reduction_is_a_violation(self, capsys, monkeypatch):
+        kernel = security.lemma1_images
+
+        def incomplete(elements, amplitudes, variant="exact"):
+            images = kernel(elements, amplitudes, variant)
+            images[:, 0] += 1e-6 * np.eye(2)
+            return images
+
+        monkeypatch.setattr(security, "lemma1_images", incomplete)
+        code, out, err = _run(capsys, ["verify", "lemma1", "--samples", "3", "--seed", "5"])
+        assert code == 1
+        assert json.loads(out)["violations"] > 0
+        assert err == ""
 
 
 class TestCurve:
@@ -121,6 +142,16 @@ class TestChecksim:
         assert code == 2
         assert "k_bob" in err
 
+    def test_fractional_threshold_resolves_against_k(self, capsys, tmp_path):
+        out_path = tmp_path / "check.json"
+        code, _, _ = _run(capsys, ["checksim", "--alice", "learn-y", "--m", "40", "--k", "20",
+                                   "--threshold", "0.25", "--trials", "100", "--seed", "3",
+                                   "--out", str(out_path)])
+        assert code == 0
+        payload = json.loads(out_path.read_text())
+        assert payload["reports"]["bob"]["threshold"] == 5
+        assert payload["config"]["threshold"] == 0.25
+
     def test_output_file_reproducible(self, capsys, tmp_path):
         out_path = tmp_path / "check.json"
         argv = ["checksim", "--protocol", "2", "--alice", "param", "--alpha", "0.6",
@@ -155,6 +186,11 @@ class TestErrorPaths:
         ["checksim", "--protocol", "2", "--bob", "computational"],
         ["checksim", "--protocol", "2", "--k-alice", "3"],
         ["checksim", "--protocol", "2", "--threshold-alice", "1"],
+        ["checksim", "--alice", "param", "--a", "nan", "--b", "0.5", "--c", "0.5"],
+        ["checksim", "--threshold", "nan"],
+        ["checksim", "--threshold", "1.5"],
+        ["checksim", "--threshold", "few"],
+        ["table", "--x", "2", "--y", "0"],
         ["--from-manifest", {"subcommand": "nonsense", "parameters": {}}],
         ["--from-manifest", {"parameters": {}}],
         ["--from-manifest", {"subcommand": "curve", "parameters": {"n_samples": 1000, "seed": 1,
@@ -163,6 +199,16 @@ class TestErrorPaths:
             "n_samples": 1000, "bin_width": 0.01, "seed": 1, "out": None, "extra": 1}}],
         ["--from-manifest", {"subcommand": "curve", "parameters": [1000, 0.01]}],
         ["--from-manifest", ["curve"]],
+        ["--from-manifest", {"subcommand": "table", "parameters": {
+            "x": 1, "y": 0, "n": "abc", "seed": 1, "out": None}}],
+        ["--from-manifest", {"subcommand": "table", "parameters": {
+            "x": 2, "y": 0, "n": 5, "seed": 1, "out": None}}],
+        ["--from-manifest", {"subcommand": "table", "parameters": {
+            "x": 1, "y": 0, "n": None, "seed": 1, "out": None}}],
+        ["--from-manifest", {"subcommand": "curve", "parameters": {
+            "n_samples": 1000, "bin_width": "wide", "seed": 1, "out": None}}],
+        ["--from-manifest", {"subcommand": "verify", "parameters": {
+            "suite": "-h", "samples": 5, "seed": 1, "out": None}}],
     ])
     def test_rejected_inputs_exit_2_without_traceback(self, capsys, tmp_path, argv):
         if argv[0] == "--from-manifest":

@@ -264,6 +264,18 @@ class TestInformation:
         assert classical_mutual_information(joint) == pytest.approx(1.0)
         assert classical_mutual_information(np.full((2, 2), 0.25)) == pytest.approx(0.0)
 
+    def test_classical_mi_takes_stacks(self):
+        rng = np.random.default_rng(21)
+        tables = rng.random((4, 3, 2, 5)) * (rng.random((4, 3, 2, 5)) < 0.7)
+        tables[0, 0] = 0.0
+        stacked = classical_mutual_information(tables)
+        assert stacked.shape == (4, 3)
+        assert stacked[0, 0] == 0.0
+        for idx in np.ndindex(4, 3):
+            assert stacked[idx] == pytest.approx(classical_mutual_information(tables[idx]),
+                                                 abs=1e-15)
+        assert isinstance(classical_mutual_information(tables[1, 1]), float)
+
 
 class TestRandomPovm:
     def test_valid_and_real_option(self):

@@ -30,10 +30,12 @@ from otlab.security import (
     holevo_triple,
     holevo_triple_from_nine_dim,
     infodelta_check,
+    lemma1_images,
     lemma1_reduce,
     max_holevo_sum_search,
     params_from_two_qutrit,
     returned_ensemble,
+    sign_state_information,
     tetrahedron_states,
     theorem3_report,
     tradeoff_curve,
@@ -50,6 +52,17 @@ class TestCheatParams:
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
             CheatParams(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("triple", [(np.nan, 0.5, 0.5), (0.6, np.nan, 0.8),
+                                        (np.inf, 0.0, 0.0), (0.0, -np.inf, 1.0)])
+    def test_non_finite_amplitudes_rejected(self, triple):
+        with pytest.raises(ValueError, match="finite"):
+            CheatParams(*triple)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            CheatParams.from_alpha(alpha)
 
     def test_alpha_family(self):
         p = CheatParams.from_alpha(0.3)
@@ -87,6 +100,29 @@ class TestReturnedEnsemble:
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             returned_ensemble(CheatParams.honest(0), "z")
+
+
+class TestSignStateInformation:
+    def test_matches_ensemble_oracle(self):
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            params = _random_params(rng)
+            povm = random_povm(3, int(rng.integers(2, 8)), rng, rank=int(rng.integers(1, 4)))
+            info = sign_state_information(np.stack(povm.elements),
+                                          [params.a, params.b, params.c])
+            oracle = [mutual_information(returned_ensemble(params, label), povm)
+                      for label in ("y", "r", "yxr")]
+            assert np.allclose(info, oracle, rtol=0.0, atol=1e-12)
+
+    def test_broadcasts_over_triples_and_measurements(self):
+        rng = np.random.default_rng(42)
+        amplitudes = np.sqrt(rng.dirichlet([1.0, 1.0, 1.0], size=6))
+        elements = np.stack([np.stack(random_povm(3, 4, rng).elements) for _ in range(6)])
+        paired = sign_state_information(elements, amplitudes)
+        assert paired.shape == (6, 3)
+        for i in range(6):
+            assert np.array_equal(sign_state_information(elements[i], amplitudes[i]), paired[i])
+        assert sign_state_information(elements[0], amplitudes).shape == (6, 3)
 
 
 class TestParamsFromTwoQutrit:
@@ -309,6 +345,21 @@ class TestLemma1Reduce:
             probs = np.einsum("njk,skj->sn", np.stack(reduced.elements), tetra).real
             assert numerics.classical_mutual_information(0.25 * probs) <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("variant", ["exact", "psd"])
+    def test_images_agree_with_reduce_per_pair(self, variant):
+        rng = np.random.default_rng(43)
+        povm = random_povm(3, 5, rng, real=False)
+        triples = [_random_params(rng) for _ in range(8)]
+        images = lemma1_images(np.stack(povm.elements), [[p.a, p.b, p.c] for p in triples],
+                               variant)
+        assert images.shape == (8, 5, 2, 2)
+        for row, params in zip(images, triples):
+            assert np.array_equal(row, np.stack(lemma1_reduce(povm, params, variant).elements))
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError):
+            lemma1_images(np.stack([np.eye(3)]), [[1.0, 0.0, 0.0]], variant="other")
+
     def test_wrong_dimension_rejected(self):
         qubit_povm = Povm.projective(np.eye(2, dtype=complex))
         with pytest.raises(InvalidMeasurementError):
@@ -445,9 +496,7 @@ class TestTradeoffCurve:
         assert np.all(curve.h1 >= -1e-12) and np.all(curve.h1 <= 1.0 + 1e-12)
         assert np.all(curve.h2 >= -1e-12) and np.all(curve.h2 <= 1.0 + 1e-12)
         assert curve.max_sum <= MAX_HOLEVO_SUM + 1e-6
-        points = curve.points()
-        assert len(points) == 3000
-        assert points[0].h1 == pytest.approx(curve.h1[0])
+        assert curve.h1.shape == curve.h2.shape == (3000,)
 
     def test_bins_sorted_and_within_width(self):
         curve = tradeoff_curve(2000, 0.02, np.random.default_rng(46))
@@ -487,7 +536,7 @@ class TestTheorem3:
 class TestInfoDelta:
     def test_reference_margins(self):
         report = infodelta_check([0.05, 0.01, 0.099])
-        margins = [row.terminal_margin for row in report.rows]
+        margins = report.terminal_margin
         assert margins[0] == pytest.approx(0.0660964, abs=1e-6)
         assert margins[1] == pytest.approx(0.0364386, abs=1e-6)
         assert margins[2] > 0.0
@@ -495,7 +544,7 @@ class TestInfoDelta:
 
     def test_identity_residuals_vanish(self):
         report = infodelta_check(np.linspace(0.005, 0.095, 25))
-        assert all(row.identity_residual <= 1e-12 for row in report.rows)
+        assert np.all(report.identity_residual <= 1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):
