@@ -16,9 +16,10 @@ The package is organized as six modules:
   protocols against a library of adversary strategies.
 - :mod:`otlab.verify`    -- the property-sweep suites behind ``otlab verify``.
 - :mod:`otlab.cli`       -- seeded, reproducible command line front end
-  emitting CSV/JSON.
+  emitting CSV/JSON; not imported with the package, so that
+  ``python -m otlab.cli`` runs it once (``from otlab import cli``).
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
-from . import checksim, cli, numerics, protocol, security, verify  # noqa: F401
+from . import checksim, numerics, protocol, security, verify  # noqa: F401

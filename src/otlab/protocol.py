@@ -9,6 +9,11 @@ outcome matches what she sent.  The resulting four bits ``(x, y, e, f)``
 satisfy ``e XOR f = x AND y`` and realize a PR-box style one-time table,
 which :func:`and_eval` then consumes to compute a distributed AND of fresh
 inputs with one-time-pad-masked messages.
+
+:func:`run_honest` runs a batch on bit arrays.  The returned qutrit is an
+eigenstate of Alice's basis, so once ``t`` and ``r`` are drawn the outcome is
+fixed: it is read off the exact Born weights, with no draw for the
+measurement.  :func:`alice_measure` measures one arbitrary returned qutrit.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from .numerics import InvalidStateError, PureState
 
 __all__ = [
     "OneTimeTable",
-    "HonestRunTrace",
     "AndEvalResult",
     "alice_prepare",
     "bob_gate",
@@ -32,6 +36,8 @@ __all__ = [
 ]
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
+# An honest outcome is certain: Born weights one-hot on outcome 0 or 1 to this.
+_ONE_HOT_TOL = 1e-12
 
 
 def _check_bit(value: int, name: str) -> int:
@@ -41,47 +47,34 @@ def _check_bit(value: int, name: str) -> int:
     return value
 
 
+def _bits(value, name: str) -> np.ndarray:
+    """``value`` as an int array, checked to hold only 0s and 1s."""
+    bits = np.asarray(value)
+    ok = (bits == 0) | (bits == 1)
+    if not ok.all():
+        raise ValueError(f"{name} must be 0 or 1, got {bits[~ok].flat[0].item()!r}")
+    return bits.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class OneTimeTable:
-    """Four-bit correlation record: inputs ``x, y`` and outputs ``e, f``."""
+    """Correlation records: inputs ``x, y`` and outputs ``e, f``, bits or bit arrays."""
 
-    x: int
-    y: int
-    e: int
-    f: int
-
-    def __post_init__(self):
-        for name in ("x", "y", "e", "f"):
-            _check_bit(getattr(self, name), name)
+    x: np.ndarray
+    y: np.ndarray
+    e: np.ndarray
+    f: np.ndarray
 
     @property
-    def correlation_ok(self) -> bool:
-        """Whether ``e XOR f = x AND y`` holds (true on every honest run)."""
+    def correlation_ok(self):
+        """Where ``e XOR f = x AND y`` holds (everywhere on honest runs)."""
         return (self.e ^ self.f) == (self.x & self.y)
-
-
-@dataclass(frozen=True, eq=False)
-class HonestRunTrace:
-    """Full record of one honest run, including the quantum states.
-
-    ``outcome`` is the index of the measured analysis vector
-    ``(|x> + (-1)^outcome |2>)/sqrt(2)``; honestly it always equals
-    ``t XOR (x AND y) XOR r`` and Alice's output bit is ``outcome XOR t``.
-    """
-
-    x: int
-    t: int
-    y: int
-    r: int
-    sent: PureState
-    returned: PureState
-    outcome: int
 
 
 @dataclass(frozen=True)
 class AndEvalResult:
-    alice_out: int
-    bob_out: int
+    alice_out: np.ndarray
+    bob_out: np.ndarray
     messages: tuple  # (a_prime, b_prime) as announced
 
 
@@ -111,15 +104,8 @@ def alice_basis(x: int) -> np.ndarray:
     return rows
 
 
-def _measure_index(amplitudes: np.ndarray, x: int, rng: np.random.Generator) -> int:
-    """Projective outcome in Alice's basis: exact Born weights, one uniform draw."""
-    probs = np.abs(alice_basis(x) @ amplitudes) ** 2
-    edges = np.cumsum(probs)
-    return int(min(np.searchsorted(edges, rng.random() * edges[-1], side="right"), 2))
-
-
 def alice_measure(state, x: int, t: int, rng: np.random.Generator) -> int:
-    """Alice's output bit for a returned qutrit.
+    """Alice's output bit for one returned qutrit.
 
     Returns 0 exactly when the measurement outcome matches the state she sent
     (index ``t``).  The third outcome ``|1-x>`` cannot occur under honest
@@ -131,41 +117,47 @@ def alice_measure(state, x: int, t: int, rng: np.random.Generator) -> int:
     if state.dim != 3:
         raise InvalidStateError(f"expected a qutrit state, got dim {state.dim}")
     x, t = _check_bit(x, "x"), _check_bit(t, "t")
-    idx = _measure_index(state.amplitudes, x, rng)
+    edges = np.cumsum(np.abs(alice_basis(x) @ state.amplitudes) ** 2)
+    idx = int(min(np.searchsorted(edges, rng.random() * edges[-1], side="right"), 2))
     if idx == 2:
         return int(rng.integers(0, 2))
     return idx ^ t
 
 
-def run_honest(x: int, y: int, rng: np.random.Generator):
-    """One honest protocol run; returns ``(OneTimeTable, HonestRunTrace)``.
+def run_honest(x, y, rng: np.random.Generator):
+    """Honest protocol runs for bit arrays ``x`` and ``y`` (broadcast together).
 
-    Draw order is fixed (t, then r, then the measurement draw) so traces are
-    reproducible from the generator state.
+    Returns ``(table, t, r, outcome)``: a :class:`OneTimeTable` of int arrays
+    with ``f = r``, Alice's coins ``t``, Bob's output bits ``r``, and the
+    measured analysis-vector index ``outcome = t XOR (x AND y) XOR r``, with
+    ``e = outcome XOR t``.  The draws are all of ``t``, then all of ``r``.
+    Raises RuntimeError if any run's Born weights are not one-hot on
+    outcome 0 or 1, which no honest run allows.
     """
-    x, y = _check_bit(x, "x"), _check_bit(y, "y")
-    t = int(rng.integers(0, 2))
-    r = int(rng.integers(0, 2))
-    sent = alice_prepare(x, t)
-    returned_amps = bob_gate(y, r) @ sent.amplitudes
-    returned = PureState(3, returned_amps)
-    idx = _measure_index(returned_amps, x, rng)
-    if idx == 2:  # impossible for honest parties; kept as a hard failure
-        raise RuntimeError("third measurement outcome in an honest run")
-    e = idx ^ t
-    table = OneTimeTable(x=x, y=y, e=e, f=r)
-    trace = HonestRunTrace(x=x, t=t, y=y, r=r, sent=sent, returned=returned, outcome=idx)
-    return table, trace
+    x, y = np.broadcast_arrays(np.atleast_1d(_bits(x, "x")), np.atleast_1d(_bits(y, "y")))
+    t = rng.integers(0, 2, size=x.shape)
+    r = rng.integers(0, 2, size=x.shape)
+    # The four sent states, four gate diagonals and two bases, indexed by their bits.
+    sent = np.array([[alice_prepare(i, j).amplitudes for j in (0, 1)] for i in (0, 1)])
+    gates = np.array([[np.diag(bob_gate(i, j)) for j in (0, 1)] for i in (0, 1)])
+    bases = np.array([alice_basis(i) for i in (0, 1)])
+    returned = gates[y, r] * sent[x, t]
+    weights = np.abs(np.einsum("...ij,...j->...i", bases[x], returned)) ** 2
+    outcome = np.argmax(weights[..., :2], axis=-1)
+    if np.abs(weights - (outcome[..., None] == np.arange(3))).max() > _ONE_HOT_TOL:
+        raise RuntimeError("third or uncertain measurement outcome in an honest run")
+    table = OneTimeTable(x=x, y=y, e=outcome ^ t, f=r)
+    return table, t, r, outcome
 
 
-def and_eval(table: OneTimeTable, a: int, b: int) -> AndEvalResult:
-    """Distributed AND of fresh inputs ``(a, b)`` using one one-time table.
+def and_eval(table: OneTimeTable, a, b) -> AndEvalResult:
+    """Distributed AND of fresh inputs ``(a, b)``, one per table, broadcast.
 
     Alice announces ``a' = a XOR x`` and Bob ``b' = b XOR y``; the outputs
     ``(x AND b') XOR e`` and ``(a' AND b) XOR f`` XOR to ``a AND b`` whenever
     the table satisfies its correlation.  Works on any table, honest or not.
     """
-    a, b = _check_bit(a, "a"), _check_bit(b, "b")
+    a, b = _bits(a, "a"), _bits(b, "b")
     a_prime = a ^ table.x
     b_prime = b ^ table.y
     alice_out = (table.x & b_prime) ^ table.e

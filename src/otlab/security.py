@@ -725,12 +725,13 @@ def tradeoff_curve(n_samples: int, bin_width: float = 0.01,
     Each sample is reduced to its amplitude triple (see
     :func:`params_from_two_qutrit`), its closed-form Holevo triple is
     computed, and the per-bin maximum of ``chi_y`` is recorded over
-    left-closed bins ``[k*w, (k+1)*w)`` of ``max(chi_r, chi_yxr)``.
+    left-closed bins ``[k*w, (k+1)*w)`` of ``max(chi_r, chi_yxr) <= 1``; a
+    width ``w >= 2**-53`` keeps every ``k`` an exact integer.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if not (np.isfinite(bin_width) and bin_width > 0):
-        raise ValueError("bin_width must be positive and finite")
+    if not (np.isfinite(bin_width) and bin_width >= 2.0 ** -53):
+        raise ValueError("bin_width must be finite and at least 2**-53")
     rng = np.random.default_rng(0) if rng is None else rng
     _, squares = _haar_two_qutrit_squares(int(n_samples), rng)
     chi_y, chi_r, chi_yxr = _triple_from_squares(squares[:, 0], squares[:, 1], squares[:, 2])

@@ -43,14 +43,11 @@ def test_criterion_02_and_evaluation_and_masking():
     n_per_cell = 25_000
     for a in (0, 1):
         for b in (0, 1):
-            a_msgs = np.empty(n_per_cell)
-            b_msgs = np.empty(n_per_cell)
-            for i in range(n_per_cell):
-                x, y = int(rng.integers(2)), int(rng.integers(2))
-                table, _ = protocol.run_honest(x, y, rng)
-                result = protocol.and_eval(table, a, b)
-                assert result.alice_out ^ result.bob_out == a & b
-                a_msgs[i], b_msgs[i] = result.messages
+            x, y = rng.integers(2, size=n_per_cell), rng.integers(2, size=n_per_cell)
+            table, *_ = protocol.run_honest(x, y, rng)
+            result = protocol.and_eval(table, a, b)
+            assert np.all(result.alice_out ^ result.bob_out == a & b)
+            a_msgs, b_msgs = result.messages
             bound = 4.0 / np.sqrt(n_per_cell)
             assert abs(a_msgs.mean() - 0.5) < bound, f"a' biased at (a,b)=({a},{b})"
             assert abs(b_msgs.mean() - 0.5) < bound, f"b' biased at (a,b)=({a},{b})"

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,7 @@ class TestTable:
         assert summary["correctness"] == 1.0
         records = [json.loads(line) for line in lines[:-1]]
         assert all((rec["e"] ^ rec["f"]) == 1 for rec in records)
+        assert summary["bias_e"] == sum(rec["e"] for rec in records) / 200
 
     def test_x_zero_gives_equal_outputs(self, capsys):
         code, out, _ = _run(capsys, ["table", "--x", "0", "--y", "1", "--n", "300", "--seed", "3"])
@@ -34,6 +38,26 @@ class TestTable:
         _, out1, _ = _run(capsys, ["table", "--x", "1", "--y", "0", "--n", "50", "--seed", "11"])
         _, out2, _ = _run(capsys, ["table", "--x", "1", "--y", "0", "--n", "50", "--seed", "11"])
         assert out1 == out2
+
+    def test_records_are_sorted_key_json(self, capsys):
+        for x in (0, 1):
+            for y in (0, 1):
+                argv = ["table", "--x", str(x), "--y", str(y), "--n", "40", "--seed", "5"]
+                code, out, _ = _run(capsys, argv)
+                assert code == 0
+                for line in out.strip().split("\n")[:-1]:
+                    record = json.loads(line)
+                    assert set(record) == {"e", "f", "x", "y"}
+                    assert line == json.dumps(record, sort_keys=True)
+
+    def test_run_as_module_writes_no_stderr(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "otlab.cli", "table", "--x", "0", "--y", "1",
+                               "--n", "3"], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert len(proc.stdout.splitlines()) == 4
 
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("OTLAB_SEED", "321")
@@ -209,6 +233,7 @@ class TestErrorPaths:
             "n_samples": 1000, "bin_width": "wide", "seed": 1, "out": None}}],
         ["--from-manifest", {"subcommand": "verify", "parameters": {
             "suite": "-h", "samples": 5, "seed": 1, "out": None}}],
+        ["curve", "--n-samples", "1000", "--bin-width", "1e-300"],
     ])
     def test_rejected_inputs_exit_2_without_traceback(self, capsys, tmp_path, argv):
         if argv[0] == "--from-manifest":

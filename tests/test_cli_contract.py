@@ -2,7 +2,8 @@
 
 Whatever the input, ``otlab`` exits with 0, 1, 2 or 3, prints no traceback,
 and writes only strict JSON (and, for ``curve``, CSV rows of finite numbers)
-to stdout.  Sizes are bounded so that every generated job stays small.
+to stdout.  A RuntimeWarning (a numpy cast or overflow) on any path fails.
+Sizes are bounded so that every generated job stays small.
 """
 
 import contextlib
@@ -10,6 +11,7 @@ import io
 import json
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -118,6 +120,7 @@ def manifests(draw):
 
 
 @CONTRACT
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(case=argvs())
 def test_argv_contract(tmp_path, case):
     argv, to_file = case
@@ -127,6 +130,7 @@ def test_argv_contract(tmp_path, case):
 
 
 @CONTRACT
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(case=manifests())
 def test_manifest_contract(tmp_path, case):
     manifest, to_file = case

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from otlab import protocol
 from otlab.numerics import InvalidStateError, PureState
 from otlab.protocol import (
     OneTimeTable,
@@ -108,43 +109,53 @@ class TestMeasure:
 class TestRunHonest:
     def test_correlation_always_holds(self):
         rng = np.random.default_rng(22)
-        for _ in range(2000):
-            x, y = int(rng.integers(2)), int(rng.integers(2))
-            table, trace = run_honest(x, y, rng)
-            assert table.correlation_ok
-            assert trace.outcome == trace.t ^ (x & y) ^ trace.r
-            assert table.e == trace.outcome ^ trace.t
-            assert table.f == trace.r
+        x, y = rng.integers(2, size=2000), rng.integers(2, size=2000)
+        table, t, r, outcome = run_honest(x, y, rng)
+        # The batch holds all 16 (x, t, y, r) of criterion 01's enumeration.
+        assert len(set(zip(x.tolist(), t.tolist(), y.tolist(), r.tolist()))) == 16
+        assert table.correlation_ok.all()
+        assert np.array_equal(outcome, t ^ (x & y) ^ r)
+        assert np.array_equal(table.e, outcome ^ t)
+        assert np.array_equal(table.f, r)
+        assert np.array_equal(table.x, x) and np.array_equal(table.y, y)
 
     def test_x_zero_forces_equal_outputs(self):
         rng = np.random.default_rng(23)
-        for _ in range(500):
-            table, _ = run_honest(0, int(rng.integers(2)), rng)
-            assert table.e == table.f
+        table, *_ = run_honest(0, rng.integers(2, size=500), rng)
+        assert np.array_equal(table.e, table.f)
 
     def test_output_bit_unbiased(self):
         rng = np.random.default_rng(24)
         n = 100_000
-        mean = np.mean([run_honest(1, 1, rng)[0].e for _ in range(n)])
-        assert abs(mean - 0.5) < 4.0 / np.sqrt(n)
+        table, *_ = run_honest(np.ones(n, dtype=int), 1, rng)
+        assert abs(table.e.mean() - 0.5) < 4.0 / np.sqrt(n)
 
-    def test_sent_state_recorded_exactly(self):
-        rng = np.random.default_rng(25)
-        _, trace = run_honest(1, 0, rng)
-        assert np.array_equal(trace.sent.amplitudes,
-                              alice_prepare(trace.x, trace.t).amplitudes)
+    def test_scalars_broadcast(self):
+        rng = np.random.default_rng(29)
+        table, t, r, outcome = run_honest(1, [0, 1, 1], rng)
+        assert table.x.tolist() == [1, 1, 1] and table.y.tolist() == [0, 1, 1]
+        assert t.shape == r.shape == outcome.shape == table.e.shape == (3,)
+        assert run_honest(0, 0, rng)[0].e.shape == (1,)
+
+    @pytest.mark.parametrize("phase", [np.pi / 2, 1e-5])
+    def test_uncertain_outcome_raises(self, monkeypatch, phase):
+        def leaky_gate(y, r):
+            return bob_gate(y, r) @ np.diag([1.0, 1.0, np.exp(1j * phase)])
+
+        monkeypatch.setattr(protocol, "bob_gate", leaky_gate)
+        with pytest.raises(RuntimeError):
+            run_honest([0, 1], [1, 1], np.random.default_rng(30))
 
 
 class TestAndEval:
     def test_honest_tables_compute_and(self):
         rng = np.random.default_rng(26)
-        for _ in range(200):
-            x, y = int(rng.integers(2)), int(rng.integers(2))
-            table, _ = run_honest(x, y, rng)
-            for a in (0, 1):
-                for b in (0, 1):
-                    result = and_eval(table, a, b)
-                    assert result.alice_out ^ result.bob_out == a & b
+        x, y = rng.integers(2, size=200), rng.integers(2, size=200)
+        table, *_ = run_honest(x, y, rng)
+        for a in (0, 1):
+            for b in (0, 1):
+                result = and_eval(table, a, b)
+                assert np.all(result.alice_out ^ result.bob_out == a & b)
 
     def test_flipped_e_flips_the_xor(self):
         table = OneTimeTable(x=1, y=1, e=0, f=1)  # honest: e^f = 1 = x&y
@@ -159,15 +170,17 @@ class TestAndEval:
         n = 20_000
         for a in (0, 1):
             for b in (0, 1):
-                msgs = []
-                for _ in range(n):
-                    x, y = int(rng.integers(2)), int(rng.integers(2))
-                    table, _ = run_honest(x, y, rng)
-                    msgs.append(and_eval(table, a, b).messages)
-                msgs = np.array(msgs)
-                assert abs(msgs[:, 0].mean() - 0.5) < 4.0 / np.sqrt(n)
-                assert abs(msgs[:, 1].mean() - 0.5) < 4.0 / np.sqrt(n)
+                x, y = rng.integers(2, size=n), rng.integers(2, size=n)
+                table, *_ = run_honest(x, y, rng)
+                a_prime, b_prime = and_eval(table, a, b).messages
+                assert abs(a_prime.mean() - 0.5) < 4.0 / np.sqrt(n)
+                assert abs(b_prime.mean() - 0.5) < 4.0 / np.sqrt(n)
 
     def test_table_validates_bits(self):
+        rng = np.random.default_rng(31)
         with pytest.raises(ValueError):
-            OneTimeTable(x=2, y=0, e=0, f=0)
+            run_honest(2, 0, rng)
+        with pytest.raises(ValueError):
+            run_honest([0, 1], [1, 2], rng)
+        with pytest.raises(ValueError):
+            and_eval(OneTimeTable(x=1, y=1, e=0, f=1), 2, 0)
