@@ -30,6 +30,7 @@ __all__ = [
     "classical_mutual_information",
     "xlog2",
     "random_povm",
+    "random_povm_elements",
     "random_density_operator",
 ]
 
@@ -55,12 +56,24 @@ class InvalidMeasurementError(ValueError):
 
 
 def xlog2(x):
-    """Elementwise ``x * log2(x)`` with the ``0 * log 0 = 0`` convention."""
+    """Elementwise ``x * log2(x)`` with the ``0 * log 0 = 0`` convention.
+
+    Entries that are not positive (NaN included) give 0.
+    """
     arr = np.asarray(x, dtype=float)
-    out = np.zeros_like(arr)
-    mask = arr > 0.0
-    out[mask] = arr[mask] * np.log2(arr[mask])
+    positive = arr > 0.0
+    out = np.log2(arr, where=positive, out=np.zeros_like(arr))
+    np.multiply(arr, out, where=positive, out=out)
     return float(out) if out.ndim == 0 else out
+
+
+def _within(a, b, atol: float) -> bool:
+    """Every entry of ``a - b`` is at most ``atol`` in modulus.
+
+    A NaN or infinite entry gives a NaN or infinite difference, which never is.
+    """
+    with np.errstate(invalid="ignore"):
+        return bool(np.abs(a - b).max() <= atol)
 
 
 def _entropy_bits(probs: np.ndarray) -> float:
@@ -104,7 +117,7 @@ class DensityOperator:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (self.dim, self.dim):
             raise ValueError(f"expected a {self.dim}x{self.dim} matrix, got {mat.shape}")
-        if not np.allclose(mat, mat.conj().T, rtol=0.0, atol=HERMITIAN_ATOL):
+        if not _within(mat, mat.conj().T, HERMITIAN_ATOL):
             raise InvalidOperatorError("operator is not Hermitian")
         tr = np.trace(mat)
         if abs(tr - 1.0) > TRACE_ATOL:
@@ -160,7 +173,7 @@ class Povm:
             if mat.shape != (self.dim, self.dim):
                 raise InvalidMeasurementError(
                     f"element {idx} has shape {mat.shape}, expected ({self.dim}, {self.dim})")
-            if not np.allclose(mat, mat.conj().T, rtol=0.0, atol=HERMITIAN_ATOL):
+            if not _within(mat, mat.conj().T, HERMITIAN_ATOL):
                 raise InvalidMeasurementError(f"element {idx} is not Hermitian")
             eig_min = float(np.linalg.eigvalsh(mat).min())
             min_eig = min(min_eig, eig_min)
@@ -172,7 +185,7 @@ class Povm:
         if not elems:
             raise InvalidMeasurementError("POVM needs at least one element")
         total = sum(elems)
-        if not np.allclose(total, np.eye(self.dim), rtol=0.0, atol=COMPLETENESS_ATOL):
+        if not _within(total, np.eye(self.dim), COMPLETENESS_ATOL):
             raise InvalidMeasurementError("elements do not sum to the identity")
         object.__setattr__(self, "elements", tuple(elems))
         object.__setattr__(self, "_min_eigenvalue", min_eig)
@@ -372,12 +385,15 @@ def random_density_operator(dim: int, rng: np.random.Generator,
     return DensityOperator.from_matrix(mat / np.trace(mat).real)
 
 
-def random_povm(dim: int, n_elements: int, rng: np.random.Generator,
-                real: bool = False, rank: int | None = None) -> Povm:
-    """Random POVM via symmetric normalization of random PSD seeds.
+def random_povm_elements(dim: int, n_elements: int, rng: np.random.Generator,
+                         real: bool = False, rank: int | None = None) -> np.ndarray:
+    """Elements ``[n, dim, dim]`` of a random POVM, by symmetric normalization.
 
-    ``real=True`` restricts to real matrices (real off-diagonal parts),
-    ``rank`` controls the rank of each seed (default: full).
+    Each element starts as a random PSD seed ``x x^dagger`` with ``x`` of
+    shape ``(dim, rank)`` (default rank: full); ``real=True`` draws real
+    ``x``.  The seeds are conjugated by the inverse square root of their sum.
+    If 100 draws in a row give an ill-conditioned sum, the last draw gets a
+    multiple of the identity as one more element, so ``n = n_elements + 1``.
     """
     if n_elements < 1:
         raise ValueError("need at least one element")
@@ -385,18 +401,21 @@ def random_povm(dim: int, n_elements: int, rng: np.random.Generator,
     # Reject ill-conditioned frames so the normalized elements stay exact
     # to machine precision (low-rank seeds can nearly miss a direction).
     for _ in range(100):
-        seeds = []
-        for _ in range(n_elements):
-            x = rng.normal(size=(dim, rank))
-            if not real:
-                x = x + 1j * rng.normal(size=(dim, rank))
-            seeds.append(x @ x.conj().T)
-        total = sum(seeds)
-        w, v = np.linalg.eigh(total)
+        # Per seed: its real part, then (if complex) its imaginary part.
+        z = rng.normal(size=(n_elements, 1 if real else 2, dim, rank))
+        x = z[:, 0] if real else z[:, 0] + 1j * z[:, 1]
+        seeds = x @ np.conj(np.swapaxes(x, -1, -2))
+        w, v = np.linalg.eigh(seeds.sum(axis=0))
         if w.min() > 1e-3 * w.max():
             break
     else:
-        seeds.append(0.01 * float(w.max()) * np.eye(dim))
-        w, v = np.linalg.eigh(sum(seeds))
+        seeds = np.concatenate([seeds, [0.01 * float(w.max()) * np.eye(dim)]])
+        w, v = np.linalg.eigh(seeds.sum(axis=0))
     inv_sqrt = (v * (w ** -0.5)) @ v.conj().T
-    return Povm.from_elements([inv_sqrt @ g @ inv_sqrt for g in seeds])
+    return (inv_sqrt @ seeds @ inv_sqrt).astype(complex, copy=False)
+
+
+def random_povm(dim: int, n_elements: int, rng: np.random.Generator,
+                real: bool = False, rank: int | None = None) -> Povm:
+    """Validated :class:`Povm` of :func:`random_povm_elements` (same draws)."""
+    return Povm.from_elements(list(random_povm_elements(dim, n_elements, rng, real, rank)))

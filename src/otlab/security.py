@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy import optimize
 
 from . import protocol
 from .numerics import (
@@ -549,6 +548,8 @@ def _seed_povms(ensemble: Ensemble) -> list:
 
 def _best_alpha_povm(ensemble: Ensemble, family) -> Povm:
     """Optimize the one-parameter measurement family for this ensemble."""
+    from scipy import optimize
+
     priors = ensemble.probabilities
     states = np.stack([op.matrix for op in ensemble.states])
 
@@ -664,6 +665,8 @@ def max_holevo_sum_search() -> MaxHolevoSumResult:
     Cross-check: coarse grid plus Nelder-Mead polish over the free
     ``(a^2, b^2)`` simplex; the two routes agree to 1e-8.
     """
+    from scipy import optimize
+
     def neg_slice(b2: float) -> float:
         return -_chi_sum_of_squares(1.0 - 2.0 * b2, b2)
 
@@ -710,20 +713,16 @@ class TradeoffCurve:
         return self.triples[:, 0]
 
 
-def _haar_two_qutrit_squares(n: int, rng: np.random.Generator):
-    """Amplitude matrices and reduced diagonals for n Haar two-qutrit states."""
-    z = rng.normal(size=(n, 9)) + 1j * rng.normal(size=(n, 9))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    squares = (np.abs(z.reshape(n, 3, 3)) ** 2).sum(axis=1)  # sum over withheld factor
-    return z, squares
-
-
 def tradeoff_curve(n_samples: int, bin_width: float = 0.01,
                    rng: np.random.Generator | None = None) -> TradeoffCurve:
     """Sample the Holevo tradeoff curve from Haar-random two-qutrit inputs.
 
-    Each sample is reduced to its amplitude triple (see
-    :func:`params_from_two_qutrit`), its closed-form Holevo triple is
+    A sample enters only through its amplitude triple, the square root of
+    the diagonal of its reduced operator on the sent qutrit (see
+    :func:`params_from_two_qutrit`).  That diagonal is drawn from its exact
+    law: each entry sums three squared moduli of i.i.d. complex Gaussians
+    over the withheld qutrit, a Gamma(3) variable, so the normalized
+    diagonal is Dirichlet(3, 3, 3).  Its closed-form Holevo triple is
     computed, and the per-bin maximum of ``chi_y`` is recorded over
     left-closed bins ``[k*w, (k+1)*w)`` of ``max(chi_r, chi_yxr) <= 1``; a
     width ``w >= 2**-53`` keeps every ``k`` an exact integer.
@@ -733,20 +732,18 @@ def tradeoff_curve(n_samples: int, bin_width: float = 0.01,
     if not (np.isfinite(bin_width) and bin_width >= 2.0 ** -53):
         raise ValueError("bin_width must be finite and at least 2**-53")
     rng = np.random.default_rng(0) if rng is None else rng
-    _, squares = _haar_two_qutrit_squares(int(n_samples), rng)
-    chi_y, chi_r, chi_yxr = _triple_from_squares(squares[:, 0], squares[:, 1], squares[:, 2])
+    squares = rng.dirichlet([3.0, 3.0, 3.0], size=int(n_samples))
+    chi_y, chi_r, chi_yxr = _triple_from_squares(*squares.T)
     triples = np.column_stack([chi_y, chi_r, chi_yxr])
     h1 = np.maximum(chi_r, chi_yxr)
     sums = chi_y + h1
     arg = int(np.argmax(sums))
-    bins: dict[int, float] = {}
-    indices = np.floor(h1 / bin_width).astype(int)
-    for k in np.unique(indices):
-        mask = indices == k
-        bins[int(k)] = float(chi_y[mask].max())
-    bin_list = tuple(sorted(((k + 0.5) * bin_width, v) for k, v in bins.items()))
+    keys, inverse = np.unique(np.floor(h1 / bin_width).astype(int), return_inverse=True)
+    maxima = np.full(keys.size, -np.inf)
+    np.maximum.at(maxima, inverse, chi_y)
+    bins = tuple(((k + 0.5) * bin_width, v) for k, v in zip(keys.tolist(), maxima.tolist()))
     return TradeoffCurve(
-        n_samples=int(n_samples), bin_width=float(bin_width), bins=bin_list,
+        n_samples=int(n_samples), bin_width=float(bin_width), bins=bins,
         triples=triples, max_sum=float(sums[arg]),
         argmax=CheatParams.from_squares(*squares[arg]))
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import numerics, security
 from .seeding import COMPONENTS, substream_rng
@@ -23,8 +22,8 @@ def prop1(samples: int, seed: int) -> dict:
     info = np.empty((samples, 3))
     for i in range(samples):
         amplitudes = np.sqrt(rng.dirichlet([1.0, 1.0, 1.0]))
-        povm = numerics.random_povm(3, int(rng.integers(3, 8)), rng, rank=1)
-        info[i] = security.sign_state_information(np.stack(povm.elements), amplitudes)
+        elements = numerics.random_povm_elements(3, int(rng.integers(3, 8)), rng, rank=1)
+        info[i] = security.sign_state_information(elements, amplitudes)
     i_y, i_r, i_yxr = info.T
     margins = 1.0 - (i_y[:, None] + np.column_stack([i_r, i_yxr, np.maximum(i_r, i_yxr)]))
     return {"min_margin": float(margins.min()), "samples": samples,
@@ -33,6 +32,8 @@ def prop1(samples: int, seed: int) -> dict:
 
 def prop2(samples: int, seed: int) -> dict:
     """Guessing-probability circle constraints, plus the equality locus."""
+    from scipy.optimize import minimize_scalar
+
     rng = substream_rng(seed, COMPONENTS["verify"], 2)
     squares = rng.dirichlet([1.0, 1.0, 1.0], size=samples)
     a, b, c = (np.sqrt(squares[:, i]) for i in range(3))
@@ -91,7 +92,7 @@ def lemma1(samples: int, seed: int, params_per_povm: int = 10) -> dict:
         n_out = int(rng.integers(3, 8))
         # Rank-1 outcomes are the informative extreme; mix them with full rank.
         rank = 1 if rng.random() < 0.5 else 3
-        elements = np.stack(numerics.random_povm(3, n_out, rng, real=True, rank=rank).elements)
+        elements = numerics.random_povm_elements(3, n_out, rng, real=True, rank=rank)
         amplitudes = np.sqrt(rng.dirichlet([1.0, 1.0, 1.0], size=params_per_povm))
         exact = security.lemma1_images(elements, amplitudes, "exact")
         probs2 = np.einsum("pnjk,skj->psn", exact, tetra).real

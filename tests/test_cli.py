@@ -10,6 +10,12 @@ import pytest
 from otlab import cli, security, verify
 
 
+def _module_env() -> dict:
+    """Environment in which a child interpreter imports this otlab."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def _run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -51,10 +57,9 @@ class TestTable:
                     assert line == json.dumps(record, sort_keys=True)
 
     def test_run_as_module_writes_no_stderr(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run([sys.executable, "-m", "otlab.cli", "table", "--x", "0", "--y", "1",
-                               "--n", "3"], capture_output=True, text=True, env=env, timeout=60)
+                               "--n", "3"], capture_output=True, text=True, env=_module_env(),
+                              timeout=60)
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert len(proc.stdout.splitlines()) == 4
@@ -261,3 +266,43 @@ class TestErrorPaths:
     def test_bad_manifest_path_is_io_error(self, capsys, tmp_path):
         code, _, _ = _run(capsys, ["--from-manifest", str(tmp_path / "nope.json")])
         assert code == 3
+
+
+class TestImportCost:
+    """Only the jobs that optimize (``verify prop2``, the searches) load scipy."""
+
+    @staticmethod
+    def _imported(argv):
+        """Exit code and top-level packages imported by ``python -m otlab.cli argv``."""
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "otlab.cli", *argv,
+                               "--seed", "4"], capture_output=True, text=True,
+                              env=_module_env(), timeout=60)
+        lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+        assert lines, proc.stderr
+        return proc.returncode, {line.rsplit("|", 1)[-1].strip().split(".")[0] for line in lines}
+
+    def test_import_otlab_leaves_scipy_out(self):
+        proc = subprocess.run([sys.executable, "-c",
+                               "import otlab, sys; assert 'scipy' not in sys.modules"],
+                              capture_output=True, text=True, env=_module_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--x", "1", "--y", "0", "--n", "5"],
+        ["checksim", "--protocol", "3", "--m", "20", "--k", "2", "--k-alice", "2",
+         "--trials", "10"],
+        ["curve", "--n-samples", "1000"],
+        ["verify", "prop1", "--samples", "3"],
+        ["verify", "lemma1", "--samples", "2"],
+    ])
+    def test_jobs_without_optimization_leave_scipy_out(self, argv):
+        code, imported = self._imported(argv)
+        assert code == 0
+        assert "otlab" in imported and "scipy" not in imported
+
+    @pytest.mark.parametrize("argv,loads_scipy", [(["verify", "prop2", "--samples", "50"], True),
+                                                  (["verify", "thm3"], False)])
+    def test_optimizing_suites_still_pass(self, argv, loads_scipy):
+        code, imported = self._imported(argv)
+        assert code == 0
+        assert ("scipy" in imported) == loads_scipy

@@ -17,6 +17,7 @@ from otlab.numerics import (
     mutual_information,
     partial_trace,
     random_povm,
+    random_povm_elements,
     trace_distance,
     von_neumann_entropy,
 )
@@ -68,6 +69,18 @@ class TestValidation:
         assert not quasi.is_psd
         assert quasi.min_eigenvalue == pytest.approx(-0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 2)])
+    def test_non_finite_entries_rejected(self, bad, entry):
+        mat = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        mat[entry] = bad
+        with pytest.raises(InvalidOperatorError):
+            DensityOperator.from_matrix(mat)
+        elements = [np.diag([1.0, 0.0, 0.0]).astype(complex), np.diag([0.0, 1.0, 1.0])]
+        elements[0][entry] = bad
+        with pytest.raises(InvalidMeasurementError):
+            Povm.from_elements(elements)
+
     def test_ensemble_probabilities(self):
         op = _proj([1, 0, 0])
         with pytest.raises(ValueError):
@@ -93,6 +106,19 @@ class TestEntropy:
             rho = DensityOperator.from_matrix(np.diag(probs))
             shannon = -np.sum(numerics.xlog2(probs))
             assert abs(von_neumann_entropy(rho) - shannon) < 1e-10
+
+    def test_xlog2_conventions(self):
+        values = np.array([np.nan, -1.0, 0.0, 1e-320, 0.25, 1.0, 2.0, np.inf])
+        expected = [0.0, 0.0, 0.0, 1e-320 * np.log2(1e-320), -0.5, 0.0, 2.0, np.inf]
+        assert np.array_equal(numerics.xlog2(values), expected)
+        assert numerics.xlog2(np.nan) == 0.0
+        assert numerics.xlog2(0.5) == -0.5 and isinstance(numerics.xlog2(0.5), float)
+        # Bit for bit the masked product on random data with exact zeros.
+        rng = np.random.default_rng(13)
+        x = rng.random((40, 9)) * (rng.random((40, 9)) < 0.7)
+        masked = np.zeros_like(x)
+        masked[x > 0] = x[x > 0] * np.log2(x[x > 0])
+        assert np.array_equal(numerics.xlog2(x), masked)
 
     def test_range(self):
         rng = np.random.default_rng(12)
@@ -286,3 +312,42 @@ class TestRandomPovm:
             assert np.allclose(total, np.eye(3), atol=1e-10)
             if real:
                 assert all(np.abs(m.imag).max() < 1e-15 for m in povm.elements)
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("dim,n_elements,rank,n_out", [
+        (3, 5, None, 5),    # full rank
+        (3, 4, 1, 4),       # rank 1, occasionally rejected and redrawn
+        (2, 3, 1, 3),
+        # Two rank-1 seeds never span 3 dims: the fallback adds an identity element.
+        (3, 2, 1, 3),
+    ])
+    def test_elements_match_validated_povm(self, real, dim, n_elements, rank, n_out):
+        for seed in range(20):
+            elements = random_povm_elements(dim, n_elements, np.random.default_rng(seed),
+                                            real=real, rank=rank)
+            povm = random_povm(dim, n_elements, np.random.default_rng(seed), real=real, rank=rank)
+            reference = _per_seed_random_povm(dim, n_elements, np.random.default_rng(seed),
+                                              real=real, rank=rank)
+            assert elements.shape == (n_out, dim, dim) and elements.dtype == complex
+            assert np.array_equal(elements, np.stack(povm.elements))
+            assert np.array_equal(elements, reference)
+
+
+def _per_seed_random_povm(dim, n_elements, rng, real, rank):
+    """Draw-by-draw reference: one seed at a time, its real then its imaginary part."""
+    rank = dim if rank is None else rank
+    for _ in range(100):
+        seeds = []
+        for _ in range(n_elements):
+            x = rng.normal(size=(dim, rank))
+            if not real:
+                x = x + 1j * rng.normal(size=(dim, rank))
+            seeds.append(x @ x.conj().T)
+        w, v = np.linalg.eigh(sum(seeds))
+        if w.min() > 1e-3 * w.max():
+            break
+    else:
+        seeds.append(0.01 * float(w.max()) * np.eye(dim))
+        w, v = np.linalg.eigh(sum(seeds))
+    inv_sqrt = (v * (w ** -0.5)) @ v.conj().T
+    return np.stack([inv_sqrt @ g @ inv_sqrt for g in seeds]).astype(complex)

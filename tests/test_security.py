@@ -504,12 +504,39 @@ class TestTradeoffCurve:
         assert centers == sorted(centers)
         assert len(curve.bins) <= int(1.0 / 0.02) + 1
 
-    def test_sampler_matches_per_state_reduction(self):
-        rng = np.random.default_rng(47)
-        amps, squares = security._haar_two_qutrit_squares(50, rng)
-        for row, sq in zip(amps, squares):
-            params = params_from_two_qutrit(row)
-            assert np.allclose(params.squares, sq, atol=1e-12)
+    def test_sampler_draws_dirichlet_diagonals(self):
+        curve = tradeoff_curve(500, 0.01, np.random.default_rng(47))
+        squares = np.random.default_rng(47).dirichlet([3.0, 3.0, 3.0], size=500)
+        expected = np.column_stack(security._triple_from_squares(*squares.T))
+        assert np.array_equal(curve.triples, expected)
+        arg = int(np.argmax(expected[:, 0] + np.maximum(expected[:, 1], expected[:, 2])))
+        assert curve.argmax == CheatParams.from_squares(*squares[arg])
+
+    def test_sampler_matches_haar_reduced_diagonal_law(self):
+        # Oracle: reduce full Haar two-qutrit states one by one.  The exact
+        # law of each diagonal entry is Beta(3, 6), with E[a^2] = 1/3,
+        # E[a^4] = 2/15 and E[a^2 b^2] = 1/10.
+        from scipy import stats
+
+        rng = np.random.default_rng(48)
+        oracle = np.array([params_from_two_qutrit(haar_random_pure(9, rng)).squares
+                           for _ in range(5000)])
+        sampled = rng.dirichlet([3.0, 3.0, 3.0], size=20000)  # the curve's draw (test above)
+        for squares in (oracle, sampled):
+            for col in range(3):
+                assert stats.kstest(squares[:, col], "beta", args=(3, 6)).pvalue > 1e-3
+            for values, exact in ((squares, 1 / 3), (squares ** 2, 2 / 15),
+                                  (squares * np.roll(squares, 1, axis=1), 1 / 10)):
+                sigma = values.std(axis=0) / np.sqrt(len(values))
+                assert np.all(np.abs(values.mean(axis=0) - exact) <= 5 * sigma)
+
+    @pytest.mark.parametrize("width", [2.0 ** -53, 1e-4, 0.01, 0.37, 2.0])
+    def test_one_pass_bins_equal_per_bin_masks(self, width):
+        curve = tradeoff_curve(3000, width, np.random.default_rng(49))
+        indices = np.floor(curve.h1 / width).astype(int)
+        expected = tuple(((int(k) + 0.5) * width, float(curve.h2[indices == k].max()))
+                         for k in np.unique(indices))
+        assert curve.bins == expected
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
