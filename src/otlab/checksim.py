@@ -6,31 +6,35 @@ for each sampled label, and Bob aborts when more than ``threshold`` checks
 violate ``a AND b = e XOR f``.  Protocol 3 runs the same check independently
 in both directions (label sets may overlap).
 
-Each instance is simulated exactly: for a given strategy pair the joint
+Each instance is modelled exactly: for a given strategy pair the joint
 distribution over all per-instance classical values (hidden bits, measurement
 outcomes, fabricated reports, check verdicts) is enumerated once from the
-protocol's states, gates and measurement operators, and instances are then
-drawn from that exact table.  This keeps millions of Monte Carlo instances
-cheap without approximating any probability.  Instances are i.i.d., so a run
-draws only the instances that some side checks.
+protocol's states, gates and measurement operators.  Instances are i.i.d., so
+a trial needs only its sufficient statistics, drawn from that exact table:
+one binomial failure count per side, plus, in protocol 3, the number of
+labels both sides check and those labels' joint verdicts.  The same table
+gives each run's exact law (:func:`exact_law`), and
+:func:`simulate_instances` draws whole instances as an independent oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import protocol
-from .security import CheatParams, binary_entropy, example1_povm
+from .security import CheatParams, binary_entropy, example1_elements
 
 __all__ = [
     "CheckConfig",
     "AliceStrategy",
     "BobStrategy",
     "CheckReport",
+    "ExactLaw",
     "simulate_instances",
+    "exact_law",
     "run_protocol2",
     "run_protocol3",
     "detection_curve",
@@ -49,7 +53,6 @@ EPS_C_MID = 1.0
 EPS_C_A = 0.5
 EPS_C_B = 2.0
 
-_CHUNK_TRIALS = 4096
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
@@ -255,9 +258,8 @@ def _measure_rows(alice: AliceStrategy, info_a: dict, returned: np.ndarray):
 
     if alice.kind == "param":
         p = alice.params
-        alpha = float(np.arctan2(p.c, p.b))
-        povm = example1_povm(alpha)
-        probs = np.array([np.vdot(returned, m @ returned).real for m in povm.elements])
+        elements = example1_elements(float(np.arctan2(p.c, p.b)))
+        probs = np.einsum("i,oij,j->o", returned.conj(), elements, returned).real
         probs = np.clip(probs, 0.0, None)
         for o in range(4):
             if probs[o] < 1e-15:
@@ -272,12 +274,13 @@ def _measure_rows(alice: AliceStrategy, info_a: dict, returned: np.ndarray):
     raise ValueError(alice.kind)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _instance_table(alice: AliceStrategy, bob: BobStrategy):
     """Exact joint distribution of all per-instance classical values.
 
     A per-instance mix is its components' tables laid end to end, each
-    weighted by its mix weight.
+    weighted by its mix weight.  The cache is bounded: seeded ``param`` and
+    ``phase-noise`` runs each bring a new key.
     """
     if alice.kind == "mix":
         parts = [(weight, _instance_table(sub, bob)) for weight, sub in alice.mix]
@@ -312,6 +315,110 @@ def simulate_instances(alice: AliceStrategy, bob: BobStrategy, n: int,
     probs, columns = _instance_table(alice, bob)
     idx = rng.choice(len(probs), size=n, p=probs)
     return {name: vals[idx] for name, vals in columns.items()}
+
+
+def _verdicts(alice: AliceStrategy, bob: BobStrategy):
+    """Exact law of one instance's two check verdicts, from its table.
+
+    Returns ``(fail, guess)``, both ``[2, 2]`` and indexed ``[bob_fail,
+    alice_fail]``: ``fail`` holds each verdict pair's probability and
+    ``guess`` that probability jointly with a correct guess of Alice's input.
+    """
+    probs, columns = _instance_table(alice, bob)
+    cell = 2 * columns["bob_fail"] + columns["alice_fail"]
+    fail = np.bincount(cell, weights=probs, minlength=4)
+    guess = np.bincount(cell, weights=probs * columns["x_guess_correct"], minlength=4)
+    return fail.reshape(2, 2), guess.reshape(2, 2)
+
+
+# ---------------------------------------------------------------------------
+# Exact law of a run
+# ---------------------------------------------------------------------------
+
+def _log_factorials(n: int) -> np.ndarray:
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
+
+
+def _binomial_pmf(k: int, p: float) -> np.ndarray:
+    """``P(Bin(k, p) = j)`` for j = 0..k."""
+    j = np.arange(k + 1)
+    if not 0.0 < p < 1.0:
+        return (j == (k if p >= 1.0 else 0)).astype(float)
+    lf = _log_factorials(k)
+    return np.exp(lf[k] - lf[j] - lf[k - j] + j * np.log(p) + (k - j) * np.log1p(-p))
+
+
+def _binomial_cdf(k: int, p: float, counts: np.ndarray) -> np.ndarray:
+    """``P(Bin(k, p) <= c)`` for each nonnegative ``c`` in ``counts``."""
+    return np.cumsum(_binomial_pmf(k, p))[np.minimum(counts, k)]
+
+
+def _shared_pmf(m: int, k_a: int, k_b: int) -> tuple:
+    """Support and probabilities of ``J ~ Hypergeometric(k_a, m - k_a, k_b)``."""
+    j = np.arange(max(0, k_a + k_b - m), min(k_a, k_b) + 1)
+    lf = _log_factorials(m)
+    log_p = (lf[k_a] - lf[j] - lf[k_a - j] + lf[m - k_a] - lf[k_b - j]
+             - lf[m - k_a - k_b + j] - lf[m] + lf[k_b] + lf[m - k_b])
+    return j, np.exp(log_p)
+
+
+@dataclass(frozen=True)
+class ExactLaw:
+    """Exact law of one trial of a check run.
+
+    ``fail_bob``/``fail_alice`` are the per-check failure probabilities of
+    Bob's and Alice's checks.  A side's failure count is ``Bin(k, p)``
+    whatever the overlap of the label sets, so its abort probability is a
+    binomial tail.  ``pass_probability`` (neither side aborts) and
+    ``tables_delivered`` (expected, zero on abort) are sums over the
+    hypergeometric number of labels both sides check.
+    """
+
+    fail_bob: float
+    fail_alice: float
+    abort_bob: float
+    abort_alice: float
+    pass_probability: float
+    tables_delivered: float
+
+
+def exact_law(config: CheckConfig, alice: AliceStrategy,
+              bob: BobStrategy | None = None) -> ExactLaw:
+    """Exact law of :func:`run_protocol3`, or of :func:`run_protocol2` without ``bob``.
+
+    Protocol 2 is protocol 3 with an honest receiver who is never checked.
+    Given J shared labels, their (Bob, Alice) failure counts are built up one
+    label at a time over the joint verdicts, kept only where both pass, and
+    each side's own ``k - J`` labels enter through a binomial distribution
+    function.
+    """
+    if bob is None:
+        config, bob = replace(config, k_alice=0, threshold_alice=0), BobStrategy.honest()
+    fail, _ = _verdicts(alice, bob)
+    m, k_b, k_a = config.m, config.k_bob, config.k_alice
+    t_b = min(config.resolved_threshold("bob"), k_b)
+    t_a = min(config.resolved_threshold("alice"), k_a)
+    p_b, p_a = float(fail[1].sum()), float(fail[:, 1].sum())
+    passing = np.zeros((t_b + 1, t_a + 1))
+    passing[0, 0] = 1.0
+    labels = pass_probability = delivered = 0.0
+    for j, weight in zip(*_shared_pmf(m, k_a, k_b)):
+        while labels < j:
+            step = fail[0, 0] * passing
+            step[1:] += fail[1, 0] * passing[:-1]
+            step[:, 1:] += fail[0, 1] * passing[:, :-1]
+            step[1:, 1:] += fail[1, 1] * passing[:-1, :-1]
+            passing, labels = step, labels + 1
+        own_b = _binomial_cdf(k_b - j, p_b, t_b - np.arange(t_b + 1))
+        own_a = _binomial_cdf(k_a - j, p_a, t_a - np.arange(t_a + 1))
+        passed = float(weight * (own_b @ passing @ own_a))
+        pass_probability += passed
+        delivered += (m - k_b - k_a + j) * passed
+    return ExactLaw(
+        fail_bob=p_b, fail_alice=p_a,
+        abort_bob=float(_binomial_pmf(k_b, p_b)[t_b + 1:].sum()),
+        abort_alice=float(_binomial_pmf(k_a, p_a)[t_a + 1:].sum()),
+        pass_probability=pass_probability, tables_delivered=float(delivered))
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +506,8 @@ def _finalize_report(protocol_id, side, config, k, threshold, failures,
     failures = np.asarray(failures)
     aborted = failures > threshold
     if k >= 1:
-        eps = np.clip(EPS_C_MID * (failures + 1.0) / k, 0.0, 1.0)
-        leak = binary_entropy(np.minimum(config.c1 * eps, 0.5))
+        eps = _epsilon(failures, k)
+        leak = _leak(eps, config.c1)
     else:
         eps = np.full(failures.shape, np.nan)
         leak = np.full(failures.shape, np.nan)
@@ -414,6 +521,32 @@ def _finalize_report(protocol_id, side, config, k, threshold, failures,
         c1=config.c1, extras=extras)
 
 
+def _binomial(rng, n, p, size=None):
+    """``Bin(n, p)`` draws; nothing is drawn when ``p`` is 0 or 1."""
+    if 0.0 < p < 1.0:
+        return rng.binomial(n, p, size)
+    return np.broadcast_to(np.asarray(n) * int(p >= 1.0),
+                           np.shape(n) if size is None else size).astype(np.int64)
+
+
+def _split(rng, n: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Multinomial counts ``[len(n), len(cells)]`` of ``n`` draws over ``cells``.
+
+    Drawn as conditional binomials over the nonzero cells; the last of them
+    takes the remainder, so a single nonzero cell, or ``n`` all zero, draws
+    nothing.
+    """
+    counts = np.zeros((len(n), len(cells)), dtype=np.int64)
+    live = np.flatnonzero(cells) if n.any() else np.flatnonzero(cells)[-1:]
+    left, mass = n, float(cells.sum())
+    for c in live[:-1]:
+        counts[:, c] = _binomial(rng, left, min(1.0, cells[c] / mass))
+        left = left - counts[:, c]
+        mass -= cells[c]
+    counts[:, live[-1]] = left
+    return counts
+
+
 def run_protocol2(config: CheckConfig, alice: AliceStrategy,
                   rng: np.random.Generator | None = None) -> CheckReport:
     """Bob checks Alice: generate m tables, sample k_bob labels, count failures.
@@ -422,17 +555,15 @@ def run_protocol2(config: CheckConfig, alice: AliceStrategy,
     violates ``a_j AND b_j = e_j XOR f_j`` against Bob's true values; Bob
     aborts a trial when failures exceed his threshold.  The report carries
     the failure-rate estimate and leak bound for the delivered tables.
+
+    Instances are i.i.d., so a trial's failure count is drawn directly as
+    ``Bin(k_bob, p)``, with ``p`` the exact per-check failure probability.
     """
     rng = np.random.default_rng(config.seed) if rng is None else rng
-    bob = BobStrategy.honest()
-    m, k = config.m, config.k_bob
-    failures = np.zeros(config.trials, dtype=np.int64)
-    for start in range(0, config.trials, _CHUNK_TRIALS):
-        count = min(_CHUNK_TRIALS, config.trials - start)
-        fields = simulate_instances(alice, bob, count * k, rng)
-        failures[start:start + count] = fields["bob_fail"].reshape(count, k).sum(axis=1)
-    delivered = np.full(config.trials, m - k)
-    return _finalize_report(2, "bob", config, k, config.resolved_threshold("bob"),
+    fail, _ = _verdicts(alice, BobStrategy.honest())
+    failures = _binomial(rng, config.k_bob, fail[1].sum(), size=config.trials)
+    delivered = np.full(config.trials, config.m - config.k_bob)
+    return _finalize_report(2, "bob", config, config.k_bob, config.resolved_threshold("bob"),
                             failures, delivered, {})
 
 
@@ -447,43 +578,47 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
     zero when either side aborts.  Against a cheating Alice her own check is
     vacuous (she has no honest values) and never aborts.
 
-    Instances are i.i.d., so a trial draws only the number of labels both
-    sides check, ``J ~ Hypergeometric(k_alice, m - k_alice, k_bob)``, and
-    then its ``k_bob + k_alice - J`` distinct checked instances: Bob checks
-    the first ``k_bob`` of them, Alice the last ``k_alice``.
+    Instances are i.i.d., so a trial draws its sufficient statistics only:
+    the number of labels both sides check,
+    ``J ~ Hypergeometric(k_alice, m - k_alice, k_bob)``; the joint verdicts
+    of those J labels, which can fail both checks together; and one binomial
+    failure count for each side's own ``k - J`` labels.  Against a
+    computational-basis Bob the input-guess total is drawn as one binomial
+    per group of instances sharing a verdict, unchecked instances included.
     """
     rng = np.random.default_rng(config.seed) if rng is None else rng
-    m, k_b, k_a = config.m, config.k_bob, config.k_alice
-    failures_b = np.zeros(config.trials, dtype=np.int64)
-    failures_a = np.zeros(config.trials, dtype=np.int64)
-    checked = np.zeros(config.trials, dtype=np.int64)
-    guessed = 0
-    for start in range(0, config.trials, _CHUNK_TRIALS):
-        count = min(_CHUNK_TRIALS, config.trials - start)
-        sl = slice(start, start + count)
-        checked[sl] = k_b + k_a - rng.hypergeometric(k_a, m - k_a, k_b, size=count)
-        ends = np.cumsum(checked[sl])
-        begins = ends - checked[sl]
-        fields = simulate_instances(alice, bob, int(ends[-1]), rng)
-        bob_cum = np.concatenate(([0], np.cumsum(fields["bob_fail"])))
-        alice_cum = np.concatenate(([0], np.cumsum(fields["alice_fail"])))
-        failures_b[sl] = bob_cum[begins + k_b] - bob_cum[begins]
-        failures_a[sl] = alice_cum[ends] - alice_cum[ends - k_a]
-        guessed += int(fields["x_guess_correct"].sum())
+    m, k_b, k_a, trials = config.m, config.k_bob, config.k_alice, config.trials
+    fail, guess = _verdicts(alice, bob)
+    if 0 < k_a < m and 0 < k_b < m:
+        shared = rng.hypergeometric(k_a, m - k_a, k_b, size=trials)
+    else:  # a side checks no label or every label: the overlap is fixed
+        shared = np.full(trials, k_a * k_b // m)
+    cells = _split(rng, shared, fail.ravel())   # columns: verdicts 00, 01, 10, 11
+    own_b = _binomial(rng, k_b - shared, fail[1].sum())
+    own_a = _binomial(rng, k_a - shared, fail[:, 1].sum())
+    checked = k_b + k_a - shared
     extras = {}
     if bob.kind == "computational" and alice.kind == "honest":
-        # The rate covers all m instances per trial; the unchecked ones enter
-        # as one binomial count at the exact per-instance guessing probability.
-        probs, columns = _instance_table(alice, bob)
-        unchecked = config.trials * m - int(checked.sum())
-        guessed += int(rng.binomial(unchecked, float(probs @ columns["x_guess_correct"])))
-        extras["x_guess_rate"] = guessed / (config.trials * m)
+        # Given what is known of an instance's verdicts (both for a shared
+        # label, one for a side's own, none unchecked), its guess is a coin
+        # of the conditional probability: one binomial per group.
+        bob_fails, alice_fails = np.divmod(np.arange(4), 2)
+        groups = [(cells[:, c].sum(), np.arange(4) == c) for c in range(4)]
+        groups += [(own_b.sum(), bob_fails == 1),
+                   ((k_b - shared - own_b).sum(), bob_fails == 0),
+                   (own_a.sum(), alice_fails == 1),
+                   ((k_a - shared - own_a).sum(), alice_fails == 0),
+                   (trials * m - checked.sum(), bob_fails >= 0)]
+        cell_p, guess_p = fail.ravel(), guess.ravel()
+        guessed = sum(int(_binomial(rng, int(n), guess_p[mask].sum() / cell_p[mask].sum()))
+                      for n, mask in groups if n)
+        extras["x_guess_rate"] = guessed / (trials * m)
     delivered = m - checked
     bob_report = _finalize_report(3, "bob", config, k_b, config.resolved_threshold("bob"),
-                                  failures_b, delivered, dict(extras))
+                                  cells[:, 2] + cells[:, 3] + own_b, delivered, dict(extras))
     alice_report = _finalize_report(3, "alice", config, k_a,
                                     config.resolved_threshold("alice"),
-                                    failures_a, delivered, dict(extras))
+                                    cells[:, 1] + cells[:, 3] + own_a, delivered, dict(extras))
     # Zero the deliveries whenever the opposite side aborted as well.
     either = bob_report.aborted | alice_report.aborted
     for report in (bob_report, alice_report):
@@ -500,7 +635,8 @@ def run_with_restarts(config: CheckConfig, alice: AliceStrategy, restarts: int,
     overall probability of slipping past the checks grows at most additively
     with the budget.  Runs ``restarts`` independent one-sided check protocols
     per trial and returns the measured any-attempt pass probability next to
-    the additive bound ``restarts * single_run_pass``.
+    the additive bound ``restarts * single_run_pass`` and the exact
+    ``1 - (1 - p_pass)^restarts``.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -513,8 +649,11 @@ def run_with_restarts(config: CheckConfig, alice: AliceStrategy, restarts: int,
         single_pass_total += float(passed.mean())
         passed_any |= passed
     single = single_pass_total / restarts
+    exact_single = exact_law(config, alice).pass_probability
     return {
         "additive_pass_bound": min(1.0, restarts * single),
+        "exact_overall_pass_probability": 1.0 - (1.0 - exact_single) ** restarts,
+        "exact_single_run_pass_probability": exact_single,
         "overall_pass_probability": float(passed_any.mean()),
         "restarts": restarts,
         "single_run_pass_probability": single,
@@ -559,13 +698,23 @@ def suggested_check_count(tables_needed: int) -> int:
     return int(np.ceil(tables_needed ** 1.1))
 
 
+def _epsilon(failures, k):
+    """Failure-rate estimate ``c_mid * (failures + 1) / k`` clipped to [0, 1]."""
+    return np.clip(EPS_C_MID * (np.asarray(failures) + 1.0) / k, 0.0, 1.0)
+
+
+def _leak(est_epsilon, c1):
+    """Per-table information cap ``h(min(c1 * eps, 1/2))`` in bits."""
+    return binary_entropy(np.minimum(c1 * est_epsilon, 0.5))
+
+
 def epsilon_estimate(failures: int, k: int) -> float:
     """Failure-rate estimate ``(failures + 1) / k`` clipped to [0, 1]."""
     if k < 1:
         raise ValueError("estimate undefined for k < 1")
     if failures < 0:
         raise ValueError("failures must be nonnegative")
-    return float(min(1.0, EPS_C_MID * (failures + 1) / k))
+    return float(_epsilon(failures, k))
 
 
 def leak_bound(est_epsilon: float, c1: float = 1.0) -> float:
@@ -574,4 +723,4 @@ def leak_bound(est_epsilon: float, c1: float = 1.0) -> float:
         raise ValueError(f"est_epsilon {est_epsilon} outside [0, 1]")
     if c1 <= 0:
         raise ValueError("c1 must be positive")
-    return binary_entropy(min(c1 * est_epsilon, 0.5))
+    return float(_leak(est_epsilon, c1))

@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: building it costs more than a small job."""
+    return build_parser()
+
+
 def _params_from_args(args: argparse.Namespace) -> dict:
     params = {key: val for key, val in vars(args).items()
               if key not in ("from_manifest", "subcommand")}
@@ -330,7 +337,7 @@ def _manifest_run(manifest, parser: argparse.ArgumentParser) -> tuple:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.from_manifest is not None:

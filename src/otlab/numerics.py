@@ -226,6 +226,8 @@ class Ensemble:
         if not entries:
             raise ValueError("ensemble needs at least one entry")
         probs = np.array([p for p, _ in entries])
+        if not np.isfinite(probs).all():
+            raise ValueError("ensemble probabilities must be finite")
         if probs.min() < -NORM_ATOL:
             raise ValueError("ensemble probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > NORM_ATOL:

@@ -175,9 +175,12 @@ class TestRestartsAndThresholds:
     def test_restart_budget_accumulates_additively(self):
         config = CheckConfig(m=3, k_bob=3, trials=20_000)
         result = checksim.run_with_restarts(config, AliceStrategy.learn_y(), 4,
-                                            np.random.default_rng(18))
+                                            np.random.default_rng(19))
         single = 2.0 ** -3
         overall_expected = 1.0 - (1.0 - single) ** 4
+        assert result["exact_single_run_pass_probability"] == pytest.approx(single, rel=1e-12)
+        assert result["exact_overall_pass_probability"] == \
+            pytest.approx(overall_expected, rel=1e-12)
         assert abs(result["single_run_pass_probability"] - single) <= \
             _binomial_3sigma(single, 4 * 20_000)
         assert abs(result["overall_pass_probability"] - overall_expected) <= \
@@ -271,10 +274,49 @@ def _assert_binomial(count, n, p):
         assert stats.binomtest(int(count), n, p).pvalue >= 2.7e-3, (count, n, p)
 
 
-def _assert_aborts(report, p):
-    aborts = int(report.aborted.sum())
-    _assert_binomial(aborts, report.trials, float(stats.binom.sf(report.threshold, report.k, p)))
+def _assert_aborts(report, abort_probability, p):
+    _assert_binomial(int(report.aborted.sum()), report.trials, abort_probability)
     _assert_binomial(int(report.failures.sum()), report.trials * report.k, p)
+
+
+def _assert_binomial_histogram(counts, k, p):
+    """Per-trial counts follow Bin(k, p): chi-square over bins of >= 5 expected."""
+    if p == 0.0:
+        assert not counts.any()
+        return
+    observed = np.bincount(counts, minlength=k + 1)
+    expected = len(counts) * stats.binom.pmf(np.arange(k + 1), k, p)
+    merged_obs, merged_exp, obs, exp = [], [], 0, 0.0
+    for o, e in zip(observed, expected):
+        obs, exp = obs + o, exp + e
+        if exp >= 5.0:
+            merged_obs.append(obs)
+            merged_exp.append(exp)
+            obs, exp = 0, 0.0
+    merged_obs[-1] += obs
+    merged_exp[-1] += exp
+    if len(merged_obs) == 1:  # all mass in one bin: nothing to compare
+        return
+    merged_exp = np.array(merged_exp) * sum(merged_obs) / sum(merged_exp)
+    pvalue = stats.chisquare(merged_obs, merged_exp).pvalue
+    assert pvalue >= 2.7e-3, (k, p, merged_obs, merged_exp)
+
+
+def _assert_same_law(left, right):
+    """Two samples of a discrete value share one law: chi-square homogeneity."""
+    keys, counts = np.unique(np.concatenate([left, right]), axis=0, return_counts=True)
+    inverse = {tuple(np.atleast_1d(key)): i for i, key in enumerate(keys)}
+    table = np.zeros((2, len(keys)))
+    for row, sample in enumerate((left, right)):
+        for value in sample:
+            table[row, inverse[tuple(np.atleast_1d(value))]] += 1
+    rare = counts < 20
+    if rare.any():  # pool rare values into one column
+        table = np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
+    if table.shape[1] < 2:
+        assert np.array_equal(np.sort(left, axis=0), np.sort(right, axis=0))
+        return
+    assert stats.chi2_contingency(table).pvalue >= 2.7e-3
 
 
 class TestAgainstExact:
@@ -283,7 +325,9 @@ class TestAgainstExact:
     @pytest.mark.parametrize("name,alice,p", _SENDERS, ids=[c[0] for c in _SENDERS])
     def test_protocol2_abort_probability(self, name, alice, p, m, k, threshold):
         config = CheckConfig(m=m, k_bob=k, threshold_bob=threshold, trials=20_000)
-        _assert_aborts(run_protocol2(config, alice, np.random.default_rng(21)), p)
+        law = checksim.exact_law(config, alice)
+        assert law.fail_bob == pytest.approx(p, abs=1e-12)
+        _assert_aborts(run_protocol2(config, alice, np.random.default_rng(21)), law.abort_bob, p)
 
     @pytest.mark.parametrize("m,k_b,k_a,t_b,t_a", [(200, 15, 25, 1, 2), (10, 10, 10, 0, 0)],
                              ids=["m>>k", "m=k"])
@@ -292,14 +336,34 @@ class TestAgainstExact:
         trials = 20_000
         config = CheckConfig(m=m, k_bob=k_b, threshold_bob=t_b, k_alice=k_a,
                              threshold_alice=t_a, trials=trials)
+        law = checksim.exact_law(config, AliceStrategy.honest(), bob)
+        assert (law.fail_bob, law.fail_alice) == pytest.approx((p, p), abs=1e-12)
         bob_rep, alice_rep = run_protocol3(config, AliceStrategy.honest(), bob,
                                            np.random.default_rng(22))
-        _assert_aborts(bob_rep, p)
-        _assert_aborts(alice_rep, p)
+        _assert_aborts(bob_rep, law.abort_bob, p)
+        _assert_aborts(alice_rep, law.abort_alice, p)
+        either = int(np.sum(bob_rep.aborted | alice_rep.aborted))
+        _assert_binomial(either, trials, 1.0 - law.pass_probability)
         if name == "computational":
             guessed = alice_rep.extras["x_guess_rate"] * trials * m
             assert guessed == pytest.approx(round(guessed), abs=1e-6)
             _assert_binomial(round(guessed), trials * m, 0.75)
+
+    @pytest.mark.parametrize("name,alice,p", _SENDERS, ids=[c[0] for c in _SENDERS])
+    def test_protocol2_failure_counts_are_binomial(self, name, alice, p):
+        config = CheckConfig(m=40, k_bob=15, threshold_bob=40, trials=20_000)
+        report = run_protocol2(config, alice, np.random.default_rng(25))
+        _assert_binomial_histogram(report.failures, 15, p)
+
+    @pytest.mark.parametrize("name,bob,p", _RECEIVERS, ids=[c[0] for c in _RECEIVERS])
+    def test_protocol3_failure_counts_are_binomial(self, name, bob, p):
+        # Each side's count is Bin(k, p) whatever the overlap of the label sets.
+        config = CheckConfig(m=30, k_bob=12, k_alice=18, threshold_bob=30,
+                             threshold_alice=30, trials=20_000)
+        bob_rep, alice_rep = run_protocol3(config, AliceStrategy.honest(), bob,
+                                           np.random.default_rng(26))
+        _assert_binomial_histogram(bob_rep.failures, 12, p)
+        _assert_binomial_histogram(alice_rep.failures, 18, p)
 
     @pytest.mark.parametrize("m,k_b,k_a", [(200, 15, 25), (10, 10, 10), (30, 0, 7)])
     def test_protocol3_mean_delivered_tables(self, m, k_b, k_a):
@@ -308,10 +372,9 @@ class TestAgainstExact:
         bob_rep, _ = run_protocol3(config, AliceStrategy.honest(), BobStrategy.honest(),
                                    np.random.default_rng(23))
         delivered = bob_rep.tables_delivered
-        # Labels both sides check: Hypergeometric(k_a, m - k_a, k_b).
-        expected = m - k_b - k_a + k_a * k_b / m
-        var_shared = k_b * (k_a / m) * (1 - k_a / m) * (m - k_b) / max(m - 1, 1)
-        assert abs(delivered.mean() - expected) <= 3 * math.sqrt(var_shared / trials) + 1e-12
+        expected = checksim.exact_law(config, AliceStrategy.honest(),
+                                      BobStrategy.honest()).tables_delivered
+        assert abs(delivered.mean() - expected) <= 3 * delivered.std() / math.sqrt(trials) + 1e-9
         assert delivered.min() >= m - k_b - k_a
         assert delivered.max() <= m - max(k_b, k_a)
 
@@ -319,14 +382,151 @@ class TestAgainstExact:
         # With zero thresholds a trial passes both checks when none of its
         # k_b + k_a - J distinct checked instances fails.
         m, k, angle, trials = 20, 10, 0.5, 20_000
-        p = math.sin(angle / 2) ** 2
-        shared = np.arange(k + 1)
-        expected = float(np.sum(stats.hypergeom.pmf(shared, m, k, k) * (1 - p) ** (2 * k - shared)))
         config = CheckConfig(m=m, k_bob=k, k_alice=k, trials=trials)
-        bob_rep, alice_rep = run_protocol3(config, AliceStrategy.honest(),
-                                           BobStrategy.phase_noise(angle),
+        bob = BobStrategy.phase_noise(angle)
+        expected = checksim.exact_law(config, AliceStrategy.honest(), bob).pass_probability
+        bob_rep, alice_rep = run_protocol3(config, AliceStrategy.honest(), bob,
                                            np.random.default_rng(24))
         _assert_binomial(int(np.sum(~bob_rep.aborted & ~alice_rep.aborted)), trials, expected)
+
+    @pytest.mark.parametrize("t_b,t_a", [(4, 5), (6, 3)])
+    def test_protocol3_joint_abort_against_computational_bob(self, t_b, t_a):
+        # Against a basis-reading Bob an honest Alice fails both checks of a
+        # shared label together, so the joint abort probability depends on J.
+        m, k, trials = 20, 10, 20_000
+        config = CheckConfig(m=m, k_bob=k, k_alice=k, threshold_bob=t_b,
+                             threshold_alice=t_a, trials=trials)
+        bob = BobStrategy.computational_basis()
+        law = checksim.exact_law(config, AliceStrategy.honest(), bob)
+        bob_rep, alice_rep = run_protocol3(config, AliceStrategy.honest(), bob,
+                                           np.random.default_rng(27))
+        either = int(np.sum(bob_rep.aborted | alice_rep.aborted))
+        _assert_binomial(either, trials, 1.0 - law.pass_probability)
+        delivered = bob_rep.tables_delivered
+        assert abs(delivered.mean() - law.tables_delivered) <= \
+            3 * delivered.std() / math.sqrt(trials) + 1e-9
+
+    def test_sufficient_statistics_match_whole_instances(self):
+        # Instance-level oracle: every trial draws its m instances and both
+        # label sets explicitly; the run draws only sufficient statistics.
+        m, k_b, k_a, trials = 12, 5, 6, 6000
+        config = CheckConfig(m=m, k_bob=k_b, k_alice=k_a, threshold_bob=1,
+                             threshold_alice=2, trials=trials)
+        alice, bob = AliceStrategy.honest(), BobStrategy.computational_basis()
+        rng = np.random.default_rng(28)
+        fields = simulate_instances(alice, bob, trials * m, rng)
+        bob_fail = fields["bob_fail"].reshape(trials, m)
+        alice_fail = fields["alice_fail"].reshape(trials, m)
+        bob_labels = rng.random((trials, m)).argsort(axis=1)[:, :k_b]
+        alice_labels = rng.random((trials, m)).argsort(axis=1)[:, :k_a]
+        checked = np.zeros((trials, m), dtype=bool)
+        np.put_along_axis(checked, bob_labels, True, axis=1)
+        np.put_along_axis(checked, alice_labels, True, axis=1)
+        oracle = np.column_stack([np.take_along_axis(bob_fail, bob_labels, axis=1).sum(axis=1),
+                                  np.take_along_axis(alice_fail, alice_labels, axis=1).sum(axis=1),
+                                  m - checked.sum(axis=1)])
+
+        bob_rep, alice_rep = run_protocol3(config, alice, bob, np.random.default_rng(29))
+        aborted = bob_rep.aborted | alice_rep.aborted
+        run = np.column_stack([bob_rep.failures, alice_rep.failures])
+        _assert_same_law(oracle[:, :2], run)
+        # Deliveries are zero on abort, on both sides.
+        oracle_passed = (oracle[:, 0] <= 1) & (oracle[:, 1] <= 2)
+        _assert_same_law(np.where(oracle_passed, oracle[:, 2], 0), bob_rep.tables_delivered)
+        assert np.array_equal(aborted, ~((run[:, 0] <= 1) & (run[:, 1] <= 2)))
+        guessed = round(alice_rep.extras["x_guess_rate"] * trials * m)
+        oracle_guessed = int(fields["x_guess_correct"].sum())
+        table = [[guessed, trials * m - guessed], [oracle_guessed, trials * m - oracle_guessed]]
+        assert stats.chi2_contingency(table).pvalue >= 2.7e-3
+
+
+# A verdict law with all four (bob_fail, alice_fail) cells live, which no
+# strategy pair of the library has; it exercises every conditional binomial.
+_FOUR_CELLS = np.array([[0.4, 0.1], [0.2, 0.3]])
+
+
+def _brute_force_law(fail, m, k_b, k_a, t_b, t_a):
+    """Pass probability and mean deliveries by enumerating every instance's
+    verdicts and every pair of label sets."""
+    verdicts = np.array(list(itertools.product(range(4), repeat=m)))
+    weight = np.prod(fail.ravel()[verdicts], axis=1)
+    bob_fail, alice_fail = verdicts // 2, verdicts % 2
+    passed = delivered = 0.0
+    pairs = list(itertools.product(itertools.combinations(range(m), k_b),
+                                   itertools.combinations(range(m), k_a)))
+    for bob_set, alice_set in pairs:
+        ok = ((bob_fail[:, list(bob_set)].sum(axis=1) <= t_b)
+              & (alice_fail[:, list(alice_set)].sum(axis=1) <= t_a))
+        p_pass = float(weight[ok].sum()) / len(pairs)
+        passed += p_pass
+        delivered += (m - len(set(bob_set) | set(alice_set))) * p_pass
+    return passed, delivered
+
+
+class TestExactLaw:
+    @pytest.mark.parametrize("m,k_b,k_a,t_b,t_a",
+                             [(5, 3, 2, 0, 0), (5, 3, 3, 1, 0), (6, 2, 4, 1, 2), (4, 4, 1, 1, 0)])
+    @pytest.mark.parametrize("pair", ["computational", "phase-noise", "learn-y", "four-cells"])
+    def test_matches_brute_force_enumeration(self, monkeypatch, pair, m, k_b, k_a, t_b, t_a):
+        alice, bob = AliceStrategy.honest(), BobStrategy.computational_basis()
+        if pair == "phase-noise":
+            bob = BobStrategy.phase_noise(0.9)
+        elif pair == "learn-y":
+            alice = AliceStrategy.learn_y()
+        elif pair == "four-cells":
+            monkeypatch.setattr(checksim, "_verdicts",
+                                lambda a, b: (_FOUR_CELLS, np.zeros((2, 2))))
+        fail, _ = checksim._verdicts(alice, bob)
+        config = CheckConfig(m=m, k_bob=k_b, k_alice=k_a, threshold_bob=t_b,
+                             threshold_alice=t_a)
+        law = checksim.exact_law(config, alice, bob)
+        passed, delivered = _brute_force_law(fail, m, k_b, k_a, t_b, t_a)
+        assert law.pass_probability == pytest.approx(passed, abs=1e-12)
+        assert law.tables_delivered == pytest.approx(delivered, abs=1e-12)
+        p_b, p_a = fail[1].sum(), fail[:, 1].sum()
+        assert law.abort_bob == pytest.approx(stats.binom.sf(t_b, k_b, p_b), abs=1e-12)
+        assert law.abort_alice == pytest.approx(stats.binom.sf(t_a, k_a, p_a), abs=1e-12)
+
+    def test_closed_forms(self):
+        m, k, p = 20, 10, math.sin(0.25) ** 2
+        config = CheckConfig(m=m, k_bob=k, k_alice=k)
+        law = checksim.exact_law(config, AliceStrategy.honest(), BobStrategy.phase_noise(0.5))
+        shared = np.arange(k + 1)
+        pmf = stats.hypergeom.pmf(shared, m, k, k)
+        expected = float(np.sum(pmf * (1 - p) ** (2 * k - shared)))
+        assert law.pass_probability == pytest.approx(expected, rel=1e-10)
+        honest = checksim.exact_law(CheckConfig(m=200, k_bob=15, k_alice=25),
+                                    AliceStrategy.honest(), BobStrategy.honest())
+        assert honest.pass_probability == pytest.approx(1.0, abs=1e-12)
+        assert honest.tables_delivered == pytest.approx(200 - 15 - 25 + 15 * 25 / 200, rel=1e-12)
+        # Fractional thresholds resolve against k as in a run.
+        config = CheckConfig(m=10, k_bob=10, threshold_bob=0.25)
+        law = checksim.exact_law(config, AliceStrategy.learn_y())
+        assert law.abort_bob == pytest.approx(stats.binom.sf(2, 10, 0.5), rel=1e-12)
+        assert law.pass_probability == pytest.approx(1.0 - law.abort_bob, rel=1e-12)
+
+    def test_protocol2_is_protocol3_without_sender_checks(self):
+        config = CheckConfig(m=30, k_bob=9, threshold_bob=2, k_alice=5)
+        alice = AliceStrategy.param(CheatParams.from_alpha(0.4))
+        two = checksim.exact_law(config, alice)
+        three = checksim.exact_law(CheckConfig(m=30, k_bob=9, threshold_bob=2), alice,
+                                   BobStrategy.honest())
+        assert two == three
+        assert two.tables_delivered == pytest.approx(21 * two.pass_probability, rel=1e-12)
+
+    def test_all_four_verdict_cells_drawn(self, monkeypatch):
+        monkeypatch.setattr(checksim, "_verdicts",
+                            lambda a, b: (_FOUR_CELLS, np.zeros((2, 2))))
+        trials = 20_000
+        config = CheckConfig(m=15, k_bob=6, k_alice=8, threshold_bob=2, threshold_alice=3,
+                             trials=trials)
+        law = checksim.exact_law(config, AliceStrategy.honest(), BobStrategy.honest())
+        bob_rep, alice_rep = run_protocol3(config, AliceStrategy.honest(), BobStrategy.honest(),
+                                           np.random.default_rng(30))
+        _assert_aborts(bob_rep, law.abort_bob, 0.5)
+        _assert_aborts(alice_rep, law.abort_alice, 0.4)
+        _assert_binomial(int(np.sum(~bob_rep.aborted & ~alice_rep.aborted)), trials,
+                         law.pass_probability)
 
 
 class TestReproducibility:

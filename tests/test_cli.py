@@ -268,6 +268,40 @@ class TestErrorPaths:
         assert code == 3
 
 
+class TestOneParser:
+    """``main`` builds its parser once per process and reuses it."""
+
+    def test_repeated_calls_match_fresh_processes(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the same width
+        out_path = tmp_path / "run.out"
+        runs = [
+            ["table", "--x", "1", "--y", "1", "--n", "4", "--seed", "2"],
+            ["checksim", "--protocol", "3", "--bob", "computational", "--m", "12", "--k", "3",
+             "--k-alice", "4", "--trials", "50", "--seed", "5", "--out", str(out_path)],
+            ["table", "--x", "2", "--y", "0"],
+            ["verify", "prop1", "--samples", "3", "--seed", "1"],
+            ["checksim", "--threshold", "few"],
+            ["--from-manifest", str(out_path) + ".manifest.json"],
+            [],
+            ["checksim", "--help"],
+            ["table", "--x", "0", "--y", "1", "--n", "3"],
+        ]
+        fresh = []
+        for argv in runs:
+            proc = subprocess.run([sys.executable, "-m", "otlab.cli", *argv], capture_output=True,
+                                  text=True, env=_module_env(), timeout=60)
+            fresh.append((proc.returncode, proc.stdout, proc.stderr, out_path.read_bytes()
+                          if out_path.exists() else None))
+        out_path.unlink()
+        in_process = []
+        for argv in runs:
+            code, out, err = _run(capsys, list(argv))
+            in_process.append((code, out, err, out_path.read_bytes()
+                               if out_path.exists() else None))
+        assert [run[0] for run in in_process] == [0, 0, 2, 0, 2, 0, 2, 0, 0]
+        assert in_process == fresh
+
+
 class TestImportCost:
     """Only the jobs that optimize (``verify prop2``, the searches) load scipy."""
 

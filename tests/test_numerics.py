@@ -86,6 +86,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             Ensemble(((0.6, op), (0.6, op)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_ensemble_rejects_non_finite_probabilities(self, bad):
+        op = DensityOperator.from_matrix(np.eye(2) / 2)
+        with pytest.raises(ValueError, match="must be finite"):
+            Ensemble(((bad, op), (0.5, op)))
+
 
 class TestEntropy:
     def test_maximally_mixed_qutrit(self):
