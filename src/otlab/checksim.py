@@ -661,27 +661,23 @@ def run_with_restarts(config: CheckConfig, alice: AliceStrategy, restarts: int,
     }
 
 
-def detection_curve(strategy, k_values, threshold: int, trials: int,
-                    rng: np.random.Generator) -> list:
-    """Abort probability versus number of checks for one cheating strategy.
+def detection_curve(strategy, k_values, threshold: int) -> list:
+    """Exact abort probability versus number of checks for one cheating strategy.
 
-    For an :class:`AliceStrategy` the Bob-checks protocol is run with
-    ``m = k`` (every table checked); for a :class:`BobStrategy` the Alice
-    side of the two-way protocol is used.  Honest strategies give exactly 0.
+    For an :class:`AliceStrategy` the Bob-checks protocol with ``m = k``
+    (every table checked); for a :class:`BobStrategy` the Alice side of the
+    two-way protocol.  Each point is ``1 - exact_law(...).pass_probability``;
+    honest strategies give exactly 0.
     """
-    if trials < 100:
-        raise ValueError("trials must be >= 100 for a meaningful curve")
     curve = []
     for k in k_values:
         k = int(k)
         if isinstance(strategy, AliceStrategy):
-            config = CheckConfig(m=k, k_bob=k, threshold_bob=threshold, trials=trials)
-            report = run_protocol2(config, strategy, rng)
+            law = exact_law(CheckConfig(m=k, k_bob=k, threshold_bob=threshold), strategy)
         else:
-            config = CheckConfig(m=k, k_bob=0, k_alice=k,
-                                 threshold_alice=threshold, trials=trials)
-            _, report = run_protocol3(config, AliceStrategy.honest(), strategy, rng)
-        curve.append((k, report.abort_probability))
+            config = CheckConfig(m=k, k_bob=0, k_alice=k, threshold_alice=threshold)
+            law = exact_law(config, AliceStrategy.honest(), strategy)
+        curve.append((k, 1.0 - law.pass_probability))
     return curve
 
 

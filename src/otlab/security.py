@@ -11,8 +11,9 @@ in the computational basis.  This module computes every security quantity of
 that family in closed form (guessing probabilities, Holevo triples, binary
 entropy tradeoff bounds), reduces arbitrary qutrit measurements on the sign
 states to qubit measurements on a Bloch tetrahedron, evaluates the known
-extremal example measurements, searches for accessible information by
-multi-start hill climbing over rank-1 measurements, and samples the Haar
+extremal example measurements, searches for accessible information by the
+steepest-ascent fixed-point iteration over rank-1 measurements (reporting
+Holevo's optimality conditions at the result), and samples the Haar
 tradeoff curve between the leakage about ``y`` and the table correctness.
 """
 
@@ -408,16 +409,26 @@ def lemma1_reduce(povm3: Povm, params: CheatParams, variant: str = "exact") -> P
     return Povm(2, tuple(images[0]), require_psd=(variant == "psd"))
 
 
+def _example_vectors(alpha, dim: int) -> np.ndarray:
+    """Rows ``[..., 4, dim]``: ``(cos alpha e_0 +- e_a)``, ``(sin alpha e_0 +- e_b)``, over sqrt(2).
+
+    ``(a, b) = (1, 2)`` for a qutrit; ``(4, 8)`` for two qutrits, so that
+    ``e_0, e_a, e_b`` are ``|00>, |11>, |22>``.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    first = np.repeat(np.stack([np.cos(alpha), np.sin(alpha)], axis=-1), 2, axis=-1)
+    axes = np.eye(dim)[[1, 2] if dim == 3 else [4, 8]]
+    rest = np.array([1.0, -1.0, 1.0, -1.0])[:, None] * np.repeat(axes, 2, axis=0)
+    return (first[..., None] * np.eye(dim)[0] + rest) / np.sqrt(2.0)
+
+
 def example1_elements(alpha) -> np.ndarray:
     """Elements ``[..., 4, 3, 3]`` of :func:`example1_povm`, one set per ``alpha``."""
     alpha = np.asarray(alpha, dtype=float)
     outside = ~((alpha >= 0.0) & (alpha <= np.pi / 2 + 1e-12))
     if outside.any():
         raise ValueError(f"alpha {alpha[outside].flat[0]} outside [0, pi/2]")
-    # Rows (cos alpha, +-1, 0) and (sin alpha, 0, +-1), over sqrt(2).
-    first = np.repeat(np.stack([np.cos(alpha), np.sin(alpha)], axis=-1), 2, axis=-1)
-    rest = np.array([[0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=float)
-    vectors = (first[..., None] * np.array([1.0, 0.0, 0.0]) + rest) / np.sqrt(2.0)
+    vectors = _example_vectors(alpha, 3)
     return vectors[..., :, None] * vectors[..., None, :]
 
 
@@ -440,12 +451,9 @@ def example2_povm(alpha: float) -> Povm:
     alpha = float(alpha)
     if not (0.0 <= alpha <= np.pi / 2 + 1e-12):
         raise ValueError(f"alpha {alpha} outside [0, pi/2]")
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    e00, e11, e22 = np.eye(9)[0], np.eye(9)[4], np.eye(9)[8]
-    vectors = [(ca * e00 + e11), (ca * e00 - e11), (sa * e00 + e22), (sa * e00 - e22)]
-    elements = [0.5 * np.outer(v, v) for v in vectors]
-    rest = np.eye(9) - sum(elements)
-    return Povm.from_elements(elements + [rest])
+    vectors = _example_vectors(alpha, 9)
+    elements = vectors[:, :, None] * vectors[:, None, :]
+    return Povm.from_elements(list(elements) + [np.eye(9) - elements.sum(axis=0)])
 
 
 def example3_value(a: float) -> float:
@@ -475,166 +483,140 @@ def example3_value(a: float) -> float:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Settings for the multi-start rank-1 measurement search."""
+    """Random starts and iteration budget of :func:`accessible_info_search`."""
 
     n_starts: int = 32
-    n_elements: int | None = None      # default: clamp(2*dim, 4, 9)
     max_iters: int = 400
-    step0: float = 0.4
-    step_decay: float = 0.7
-    min_step: float = 1e-10
-    stall_limit: int = 30
 
 
 @dataclass(frozen=True, eq=False)
 class SearchResult:
+    """Best measurement found, with Holevo's optimality conditions at it.
+
+    With ``R_k`` the information gradient of element ``Pi_k`` and
+    ``G = sum_k R_k Pi_k`` (Hermitian part), a stationary measurement has
+    ``stationarity = max_k ||Pi_k (G - R_k)||_2 = 0``, and a maximum also
+    has ``min_condition_eig = min_k lambda_min(G - R_k) >= 0``.
+    """
+
     best_value: float
     best_povm: Povm
+    stationarity: float
+    min_condition_eig: float
 
 
-def _mi_of_elements(elements: np.ndarray, states: np.ndarray, priors: np.ndarray) -> float:
-    table = np.einsum("njk,skj->sn", elements, states).real
-    np.clip(table, 0.0, None, out=table)
-    return classical_mutual_information(priors[:, None] * table)
+# Alphas at which the one-parameter example measurements seed the search.
+_SEED_ALPHAS = np.linspace(0.0, np.pi / 2, 5)
 
 
-def _elements_from_frame(vmat: np.ndarray, weights: np.ndarray):
-    """Rank-1 elements from weighted direction rows, normalized to resolve I."""
-    seeds = weights[:, None, None] * (vmat[:, :, None] * vmat[:, None, :])
-    total = seeds.sum(axis=0)
-    w, v = np.linalg.eigh(total)
-    if w.min() < 1e-10:
-        return None
-    inv_sqrt = (v * (w ** -0.5)) @ v.T
-    return np.einsum("ab,nbc,cd->nad", inv_sqrt, seeds, inv_sqrt)
+def _seed_frames(states: np.ndarray, priors: np.ndarray) -> list:
+    """Rank-1 direction rows of the known extremal measurements of the ensemble.
 
-
-def _rank1_split(povm: Povm):
-    """Decompose a POVM into rank-1 direction/weight pairs (a refinement)."""
-    directions, weights = [], []
-    for element in povm.elements:
-        w, v = np.linalg.eigh(element.real)
-        for eig, vec in zip(w, v.T):
-            if eig > 1e-12:
-                directions.append(vec)
-                weights.append(eig)
-    return np.array(directions), np.array(weights)
-
-
-def _plane_basis(dim: int, i: int, j: int) -> Povm:
-    rows = np.eye(dim, dtype=complex)
-    plus = (rows[i] + rows[j]) / np.sqrt(2.0)
-    minus = (rows[i] - rows[j]) / np.sqrt(2.0)
-    others = [rows[k] for k in range(dim) if k not in (i, j)]
-    return Povm.projective([plus, minus] + others)
-
-
-def _seed_povms(ensemble: Ensemble) -> list:
-    dim = ensemble.dim
-    states = ensemble.states
-    seeds = [Povm.projective(np.eye(dim, dtype=complex))]
-    avg = ensemble.average()
-    seeds.append(Povm.projective(np.linalg.eigh(avg.matrix)[1].conj().T))
+    Basis, average-eigenbasis and Helstrom measurements; for a qutrit the
+    three plane bases and :func:`example1_povm`, for two qutrits
+    :func:`example2_povm` (its six-dimensional remainder split into basis
+    rows), both on the alpha grid ``_SEED_ALPHAS``.
+    """
+    dim = states.shape[-1]
+    frames = [np.eye(dim), np.linalg.eigh(np.tensordot(priors, states, 1))[1].T]
     if len(states) == 2:
-        diff = states[0].matrix - states[1].matrix
-        seeds.append(Povm.projective(np.linalg.eigh(diff)[1].conj().T))
+        frames.append(np.linalg.eigh(states[0] - states[1])[1].T)
     if dim == 3:
-        seeds.extend(_plane_basis(3, i, j) for i, j in ((0, 1), (0, 2), (1, 2)))
-        seeds.append(_best_alpha_povm(ensemble, example1_povm))
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            plane = np.eye(3)
+            plane[[i, j]] = np.array([[1.0, 1.0], [1.0, -1.0]]) @ plane[[i, j]] / np.sqrt(2.0)
+            frames.append(plane)
+        frames.extend(_example_vectors(_SEED_ALPHAS, 3))
     if dim == 9:
-        seeds.append(_best_alpha_povm(ensemble, example2_povm))
-    return seeds
+        rest = np.eye(9)[[1, 2, 3, 5, 6, 7]]
+        frames.extend(np.concatenate([v, rest]) for v in _example_vectors(_SEED_ALPHAS, 9))
+    return frames
 
 
-def _best_alpha_povm(ensemble: Ensemble, family) -> Povm:
-    """Optimize the one-parameter measurement family for this ensemble."""
-    from scipy import optimize
+def _frame_statistics(vecs: np.ndarray, states: np.ndarray, priors: np.ndarray):
+    """Information and gradient weights of rank-1 measurements.
 
-    priors = ensemble.probabilities
-    states = np.stack([op.matrix for op in ensemble.states])
+    ``vecs[..., n, d]`` holds the rows ``v_k`` of elements
+    ``Pi_k = v_k v_k^dagger``.  Returns the information ``[...]`` in bits and
+    the weights ``p_i log2(p(k|i) / q_k)`` ``[..., i, n]`` of the gradient
+    ``R_k = sum_i weight_ik rho_i``.  A zero ``p(k|i)`` is floored at the
+    smallest normal float, so its weight is large and negative (it is
+    ``-inf`` in exact arithmetic); an element that never fires gets weight 0.
+    """
+    probs = np.einsum("...na,iab,...nb->...in", vecs.conj(), states, vecs).real
+    probs = np.clip(probs, 0.0, None)
+    joint = priors[:, None] * probs
+    marginal = joint.sum(axis=-2, keepdims=True)
+    fired = marginal > 0.0
+    floored = np.maximum(probs, np.finfo(float).tiny)
+    ratio = np.where(fired, floored / np.where(fired, marginal, 1.0), 1.0)
+    return classical_mutual_information(joint), priors[:, None] * np.log2(ratio)
 
-    def neg(alpha: float) -> float:
-        elements = np.stack(family(float(alpha)).elements)
-        return -_mi_of_elements(elements, states, priors)
 
-    res = optimize.minimize_scalar(neg, bounds=(0.0, np.pi / 2), method="bounded",
-                                   options={"xatol": 1e-10})
-    return family(float(res.x))
+def _normalize(rows: np.ndarray):
+    """Rows ``Lambda^{-1/2} w_k`` with ``Lambda = sum_k w_k w_k^dagger``, and which are valid.
+
+    A frame is valid when the minimum eigenvalue of its ``Lambda`` exceeds
+    1e-10; an invalid frame comes back unnormalized.
+    """
+    lam = np.einsum("...na,...nb->...ab", rows, rows.conj())
+    eig, basis = np.linalg.eigh(lam)
+    valid = eig[..., 0] > 1e-10
+    scale = np.where(valid[..., None], eig, 1.0)[..., None, :] ** -0.5
+    inv_sqrt = (basis * scale) @ np.swapaxes(basis, -1, -2).conj()
+    return np.einsum("...ab,...nb->...na", inv_sqrt, rows), valid
 
 
 def accessible_info_search(ensemble: Ensemble, config: SearchConfig | None = None,
                            rng: np.random.Generator | None = None) -> SearchResult:
-    """Lower-bound the accessible information by multi-start local search.
+    """Lower-bound the accessible information by steepest-ascent iteration.
 
-    The ansatz is a frame of 4-9 real rank-1 directions with positive
-    weights, symmetrically normalized to a resolution of the identity; known
-    extremal measurements (basis measurements, the one-parameter example
-    families, Helstrom bases) are split into rank-1 pieces and seeded into
-    the start set, then each start is refined by accept-if-better
-    perturbations with a shrinking step.  The result is deterministic for a
-    given generator and never exceeds the Holevo quantity of the ensemble.
+    The iteration of Rehacek, Englert and Kaszlikowski (PRA 71, 054303,
+    2005) on rank-1 measurements with ``d^2`` outcomes, enough by Davies'
+    theorem.  Each element ``Pi_k = v_k v_k^dagger`` takes the step
+    ``w_k = (1 + eps R_k) v_k``, ``v_k <- Lambda^{-1/2} w_k`` with
+    ``Lambda = sum_k w_k w_k^dagger`` and the gradient
+    ``R_k = sum_i p_i rho_i log2(p(k|i) / q_k)``.  A step is taken only if it
+    raises the information and ``Lambda`` is well conditioned; otherwise that
+    start's ``eps`` halves.  The starts -- the known extremal measurements,
+    zero-padded to ``d^2`` rows (a zero row stays zero), and
+    ``config.n_starts`` random complex frames -- run in lockstep as one
+    stack.  The result is deterministic for a given generator and never
+    exceeds the Holevo quantity of the ensemble.
     """
     cfg = config or SearchConfig()
     rng = np.random.default_rng(0) if rng is None else rng
-    dim = ensemble.dim
-    n_elem = cfg.n_elements or min(9, max(4, 2 * dim))
     priors = ensemble.probabilities
     states = np.stack([op.matrix for op in ensemble.states])
-
-    def evaluate(vmat, weights):
-        elements = _elements_from_frame(vmat, weights)
-        if elements is None:
-            return None, None
-        return _mi_of_elements(elements, states, priors), elements
-
-    starts = []
-    for seed_povm in _seed_povms(ensemble):
-        starts.append(_rank1_split(seed_povm))
-    for _ in range(cfg.n_starts):
-        vmat = rng.normal(size=(n_elem, dim))
-        vmat /= np.linalg.norm(vmat, axis=1, keepdims=True)
-        starts.append((vmat, np.full(n_elem, dim / n_elem)))
-
-    best_value, best_elements = -1.0, None
-    for vmat0, weights0 in starts:
-        vmat = np.array(vmat0, dtype=float)
-        vmat /= np.linalg.norm(vmat, axis=1, keepdims=True)
-        logw = np.log(np.asarray(weights0, dtype=float))
-        value, elements = evaluate(vmat, np.exp(logw))
-        if value is None:
-            continue
-        step, stall = cfg.step0, 0
-        for _ in range(cfg.max_iters):
-            j = int(rng.integers(len(vmat)))
-            perturb_dir = rng.random() < 0.8
-            if perturb_dir:
-                cand_v = vmat.copy()
-                cand_v[j] = cand_v[j] + step * rng.normal(size=dim)
-                cand_v[j] /= np.linalg.norm(cand_v[j])
-                cand_w = np.exp(logw)
-            else:
-                cand_v = vmat
-                cand_logw = logw.copy()
-                cand_logw[j] += step * rng.normal()
-                cand_w = np.exp(cand_logw)
-            cand_value, cand_elements = evaluate(cand_v, cand_w)
-            if cand_value is not None and cand_value > value + 1e-15:
-                value, elements = cand_value, cand_elements
-                vmat = np.array(cand_v, dtype=float)
-                if not perturb_dir:
-                    logw = cand_logw
-                stall = 0
-            else:
-                stall += 1
-                if stall >= cfg.stall_limit:
-                    stall = 0
-                    step *= cfg.step_decay
-                    if step < cfg.min_step:
-                        break
-        if value > best_value:
-            best_value, best_elements = value, elements
-    povm = Povm.from_elements(list(best_elements))
-    return SearchResult(best_value=float(best_value), best_povm=povm)
+    dim = ensemble.dim
+    seeds = _seed_frames(states, priors)
+    starts = np.zeros((len(seeds) + cfg.n_starts, dim * dim, dim), dtype=complex)
+    for idx, frame in enumerate(seeds):
+        starts[idx, :len(frame)] = frame
+    noise = rng.normal(size=(cfg.n_starts, 2, dim * dim, dim))
+    starts[len(seeds):] = noise[:, 0] + 1j * noise[:, 1]
+    vecs, valid = _normalize(starts)
+    vecs = vecs[valid]
+    info, weights = _frame_statistics(vecs, states, priors)
+    eps = np.ones(len(vecs))
+    for _ in range(cfg.max_iters):
+        grad = np.einsum("sin,iab,snb->sna", weights, states, vecs)
+        cand, valid = _normalize(vecs + eps[:, None, None] * grad)
+        cand_info, cand_weights = _frame_statistics(cand, states, priors)
+        step = valid & (cand_info > info)
+        vecs[step], info[step], weights[step] = cand[step], cand_info[step], cand_weights[step]
+        eps[~step] *= 0.5
+    best = int(np.argmax(info))
+    used = np.any(vecs[best] != 0.0, axis=-1)
+    rows = vecs[best, used]
+    elements = rows[:, :, None] * rows[:, None, :].conj()
+    grads = np.einsum("in,iab->nab", weights[best][:, used], states)
+    total = np.einsum("nab,nbc->ac", grads, elements)
+    gaps = 0.5 * (total + total.conj().T) - grads
+    return SearchResult(
+        best_value=float(info[best]), best_povm=Povm.from_elements(list(elements)),
+        stationarity=float(np.linalg.norm(elements @ gaps, ord=2, axis=(-2, -1)).max()),
+        min_condition_eig=float(np.linalg.eigvalsh(gaps).min()))
 
 
 # ---------------------------------------------------------------------------

@@ -138,16 +138,13 @@ class TestCheatingBob:
 
 class TestDetectionCurve:
     def test_honest_is_flat_zero(self):
-        curve = detection_curve(AliceStrategy.honest(), [1, 5, 10], 0, 2000,
-                                np.random.default_rng(12))
+        curve = detection_curve(AliceStrategy.honest(), [1, 5, 10], 0)
         assert all(p == 0.0 for _, p in curve)
 
     def test_learn_y_matches_geometric_law(self):
-        curve = detection_curve(AliceStrategy.learn_y(), [1, 2, 4, 8], 0, 30_000,
-                                np.random.default_rng(13))
+        curve = detection_curve(AliceStrategy.learn_y(), [1, 2, 4, 8], 0)
         for k, p_abort in curve:
-            expected = 1.0 - 2.0 ** (-k)
-            assert abs(p_abort - expected) <= _binomial_3sigma(expected, 30_000)
+            assert p_abort == pytest.approx(1.0 - 2.0 ** (-k), abs=1e-12)
 
     def test_mix_strategy_thins_the_failure_rate(self):
         phi = 0.4
@@ -155,20 +152,14 @@ class TestDetectionCurve:
             (phi, AliceStrategy.learn_y()),
             (1.0 - phi, AliceStrategy.honest()),
         ])
-        curve = detection_curve(strategy, [2, 6, 12], 0, 30_000, np.random.default_rng(14))
+        curve = detection_curve(strategy, [2, 6, 12], 0)
         for k, p_abort in curve:
-            expected = 1.0 - (1.0 - phi / 2.0) ** k
-            assert abs(p_abort - expected) <= _binomial_3sigma(expected, 30_000)
+            assert p_abort == pytest.approx(1.0 - (1.0 - phi / 2.0) ** k, abs=1e-12)
 
     def test_monotone_for_cheating_bob(self):
-        curve = detection_curve(BobStrategy.computational_basis(), [1, 4, 8], 0, 20_000,
-                                np.random.default_rng(15))
+        curve = detection_curve(BobStrategy.computational_basis(), [1, 4, 8], 0)
         probs = [p for _, p in curve]
         assert probs == sorted(probs)
-
-    def test_requires_enough_trials(self):
-        with pytest.raises(ValueError):
-            detection_curve(AliceStrategy.learn_y(), [1], 0, 10, np.random.default_rng(0))
 
 
 class TestRestartsAndThresholds:

@@ -303,7 +303,10 @@ class TestOneParser:
 
 
 class TestImportCost:
-    """Only the jobs that optimize (``verify prop2``, the searches) load scipy."""
+    """Only ``verify prop2`` and ``max_holevo_sum_search`` load scipy.
+
+    The accessible-information search iterates on arrays and leaves it out.
+    """
 
     @staticmethod
     def _imported(argv):
@@ -319,6 +322,16 @@ class TestImportCost:
         proc = subprocess.run([sys.executable, "-c",
                                "import otlab, sys; assert 'scipy' not in sys.modules"],
                               capture_output=True, text=True, env=_module_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_accessible_info_search_leaves_scipy_out(self):
+        script = ("import sys; from otlab import security; "
+                  "params = security.CheatParams(0.5 ** 0.5, 0.5, 0.5); "
+                  "ens = security.returned_ensemble(params, 'y'); "
+                  "security.accessible_info_search(ens, security.SearchConfig(2, 10)); "
+                  "assert 'scipy' not in sys.modules")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=_module_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("argv", [

@@ -448,8 +448,9 @@ class TestAccessibleInfoSearch:
         assert result.best_value <= holevo(ens) + 1e-9
 
     def test_nine_dim_joint_family(self):
-        # Exploratory two-qutrit route: the entangled analogue measurement is
-        # in the seed set, so the search recovers the one-bit value.
+        # Exploratory two-qutrit route: the entangled analogue measurement
+        # seeds the search on an alpha grid, and the iteration refines alpha
+        # until it recovers the one-bit value.
         alpha = 0.6
         amps = np.zeros(9)
         amps[0] = SQRT_HALF
@@ -466,12 +467,31 @@ class TestAccessibleInfoSearch:
         assert result.best_value <= holevo(ens) + 1e-9
 
     def test_never_exceeds_holevo(self):
+        # Every returned measurement passes the PSD check of Povm, or the
+        # search raises InvalidMeasurementError.
         rng = np.random.default_rng(43)
-        cfg = SearchConfig(n_starts=4, max_iters=80)
-        for _ in range(5):
-            ens = returned_ensemble(_random_params(rng), "y")
-            result = accessible_info_search(ens, cfg, rng)
-            assert result.best_value <= holevo(ens) + 1e-9
+        cfg = SearchConfig(n_starts=2, max_iters=100)
+        for _ in range(30):
+            params = _random_params(rng)
+            for label in ("y", "r", "yxr"):
+                ens = returned_ensemble(params, label)
+                result = accessible_info_search(ens, cfg, rng)
+                assert 0.0 <= result.best_value <= holevo(ens) + 1e-9
+
+    @pytest.mark.parametrize("label", ["y", "r"])
+    def test_holevo_conditions_hold_at_criterion_08_optimum(self, label):
+        ens = returned_ensemble(CheatParams(SQRT_HALF, 0.5, 0.5), label)
+        result = accessible_info_search(ens, rng=np.random.default_rng(46))
+        assert result.stationarity <= 1e-6
+        assert result.min_condition_eig >= -1e-9
+
+    def test_holevo_conditions_flag_an_unconverged_measurement(self):
+        # No iteration: the best seed of the joint family falls short of one bit.
+        ens = returned_ensemble(CheatParams.from_alpha(0.8), "joint")
+        result = accessible_info_search(ens, SearchConfig(n_starts=1, max_iters=0))
+        assert result.best_value < 1.0 - 1e-4
+        assert result.stationarity > 1e-3
+        assert result.min_condition_eig < -1e-3
 
     def test_deterministic_given_seed(self):
         ens = returned_ensemble(CheatParams(SQRT_HALF, 0.5, 0.5), "y")
