@@ -6,19 +6,24 @@ for each sampled label, and Bob aborts when more than ``threshold`` checks
 violate ``a AND b = e XOR f``.  Protocol 3 runs the same check independently
 in both directions (label sets may overlap).
 
-Each instance is modelled exactly: for a given strategy pair the joint
-distribution over all per-instance classical values (hidden bits, measurement
-outcomes, fabricated reports, check verdicts) is enumerated once from the
-protocol's states, gates and measurement operators.  Instances are i.i.d., so
-a trial needs only its sufficient statistics, drawn from that exact table:
-one binomial failure count per side, plus, in protocol 3, the number of
-labels both sides check and those labels' joint verdicts.  The same table
+Each instance is modelled exactly.  A sender is a set of arrays: the prior
+and amplitudes of each state she may prepare, its honest input bit, her
+measurement elements on the returned qutrit and the law of her reported pair
+given each outcome.  A receiver is a set of Kraus operators, one per branch,
+each with his bits ``y, r`` and his guess of her input.  One Born-rule
+contraction of the two gives a strategy pair's exact joint distribution over
+all per-instance classical values (hidden bits, fabricated reports, check
+verdicts), built once per pair.  Instances are i.i.d., so a trial needs
+only its sufficient statistics, drawn from that exact table: one binomial
+failure count per side, plus, in protocol 3, the number of labels both
+sides check and those labels' joint verdicts.  The same table
 gives each run's exact law (:func:`exact_law`), and
 :func:`simulate_instances` draws whole instances as an independent oracle.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -52,8 +57,6 @@ __all__ = [
 EPS_C_MID = 1.0
 EPS_C_A = 0.5
 EPS_C_B = 2.0
-
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,16 @@ class CheckConfig:
         return int(value)
 
 
+def _bit_pairs(value) -> bool:
+    """Whether ``value`` is two pairs of integer 0/1 bits."""
+    try:
+        return len(value) == 2 and all(
+            len(pair) == 2 and all(operator.index(bit) in (0, 1) for bit in pair)
+            for pair in value)
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class AliceStrategy:
     """Sender behavior: preparation, measurement, and check-report policy.
@@ -121,10 +134,19 @@ class AliceStrategy:
             raise ValueError(f"unknown Alice strategy {self.kind!r}")
         if self.kind == "param" and self.params is None:
             raise ValueError("param strategy needs an amplitude triple")
+        if self.report_map is not None:
+            if not _bit_pairs(self.report_map):
+                raise ValueError(f"report_map {self.report_map!r} is not two pairs of 0/1 bits")
+            # Tuples of ints, so that the strategy stays hashable and indexes arrays.
+            object.__setattr__(self, "report_map",
+                               tuple(tuple(int(bit) for bit in pair) for pair in self.report_map))
         if self.kind == "mix":
             if not self.mix:
                 raise ValueError("mix strategy needs components")
-            total = sum(w for w, _ in self.mix)
+            weights = np.array([w for w, _ in self.mix], dtype=float)
+            if not (np.isfinite(weights).all() and (weights >= 0.0).all()):
+                raise ValueError(f"mix weights {weights.tolist()} must be finite and nonnegative")
+            total = weights.sum()
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"mix weights sum to {total}, expected 1")
 
@@ -180,106 +202,79 @@ _FIELDS = ("y", "r", "a_rep", "e_rep", "bob_fail", "alice_fail",
            "x", "e", "honest_alice", "x_guess_correct")
 
 
-def _alice_sources(alice: AliceStrategy):
+def _sender(alice: AliceStrategy):
+    """Sender arrays ``(honest, weights, sent, x, elements, reports)``.
+
+    For each of S prepared states: its prior ``weights[S]``, amplitudes
+    ``sent[S, 3]`` and honest input bit ``x[S]`` (0 for a cheater); Alice's
+    measurement ``elements[S, O, 3, 3]`` of the returned qutrit; and the law
+    ``reports[S, O, 2, 2]`` of her reported pair ``(a, e)`` given its outcome.
+    ``honest`` says whether she holds real input and output bits, against
+    which her check of Bob and his guess of her input are scored.
+    """
     if alice.kind == "honest":
-        return [(0.25, {"x": x, "t": t}, protocol.alice_prepare(x, t).amplitudes)
-                for x in (0, 1) for t in (0, 1)]
+        x, t = np.divmod(np.arange(4), 2)
+        sent = np.array([protocol.alice_prepare(i, j).amplitudes for i, j in zip(x, t)])
+        rows = np.array([protocol.alice_basis(i) for i in x])
+        reports = np.zeros((4, 3, 2, 2))
+        reports[np.arange(4), 0, x, t] = 1.0      # outcome o < 2 outputs e = o XOR t
+        reports[np.arange(4), 1, x, 1 - t] = 1.0
+        reports[np.arange(4), 2, x] = 0.5         # impossible under honesty: a coin
+        elements = rows.conj()[..., :, None] * rows[..., None, :]
+        return True, np.full(4, 0.25), sent, x, elements, reports
+    params = CheatParams.learn_y() if alice.kind == "learn-y" else alice.params
+    sent = np.array([[params.a, params.b, params.c]])
     if alice.kind == "learn-y":
-        psi = np.array([_SQRT_HALF, _SQRT_HALF, 0.0], dtype=complex)
-        return [(1.0, {}, psi)]
-    if alice.kind == "param":
-        p = alice.params
-        return [(1.0, {}, np.array([p.a, p.b, p.c], dtype=complex))]
-    raise ValueError(alice.kind)
+        # Outcomes |+>, |-> of the cheat state's basis read y; |2> reads a coin.
+        rows = np.vstack([sent, sent * [1.0, -1.0, 1.0], [0.0, 0.0, 1.0]])
+        observed = np.zeros((2, 2, 2))            # [observed bit, a, e]
+        if alice.report_map is None:
+            observed[:, 0] = 0.5                  # claim input 0, report a coin
+        else:
+            for bit, (a, e) in enumerate(alice.report_map):
+                observed[bit, a, e] = 1.0
+        reports = np.stack([observed[0], observed[1], observed.mean(axis=0)])
+        elements = rows[:, :, None] * rows[:, None, :]
+    else:
+        elements = example1_elements(float(np.arctan2(params.c, params.b)))
+        reports = np.zeros((4, 2, 2))
+        reports[:2, 0] = 0.5                      # outcomes 0/1 reveal y only: a coin
+        reports[2, 0, 0] = reports[3, 0, 1] = 1.0  # outcomes 2/3 reveal r
+    return False, np.ones(1), sent, np.zeros(1, dtype=int), elements[None], reports[None]
 
 
-def _bob_branches(bob: BobStrategy, psi: np.ndarray):
-    """(prob, info, returned_state) branches for one sent state."""
-    out = []
-    for y in (0, 1):
-        for r in (0, 1):
-            gate = protocol.bob_gate(y, r)
-            if bob.kind == "honest":
-                out.append((0.25, {"y": y, "r": r}, gate @ psi))
-            elif bob.kind == "phase-noise":
-                noise = np.diag([1.0, 1.0, np.exp(1j * bob.angle)])
-                out.append((0.25, {"y": y, "r": r}, noise @ (gate @ psi)))
-            else:  # computational-basis read of the incoming qutrit
-                weights = np.abs(psi) ** 2
-                for g in range(3):
-                    if weights[g] < 1e-15:
-                        continue
-                    collapsed = np.zeros(3, dtype=complex)
-                    collapsed[g] = 1.0
-                    ret = gate @ collapsed
-                    if g < 2:
-                        out.append((0.25 * weights[g], {"y": y, "r": r, "xhat": g}, ret))
-                    else:  # outcome |2> carries no input information: fair guess
-                        for xhat in (0, 1):
-                            out.append((0.125 * weights[g],
-                                        {"y": y, "r": r, "xhat": xhat}, ret))
-    return out
+def _receiver(bob: BobStrategy):
+    """Receiver arrays ``(kraus[B, 3, 3], y[B], r[B], xhat[B])``.
 
-
-def _measure_rows(alice: AliceStrategy, info_a: dict, returned: np.ndarray):
-    """(prob, report_a, report_e, x, e, honest) rows for one returned state."""
-    rows = []
-    if alice.kind == "honest":
-        x, t = info_a["x"], info_a["t"]
-        probs = np.abs(protocol.alice_basis(x) @ returned) ** 2
-        for o in range(3):
-            if probs[o] < 1e-15:
-                continue
-            if o < 2:
-                e = o ^ t
-                rows.append((probs[o], x, e, x, e, 1))
-            else:  # impossible-under-honesty outcome: unbiased output coin
-                for e in (0, 1):
-                    rows.append((0.5 * probs[o], x, e, x, e, 1))
-        return rows
-
-    if alice.kind == "learn-y":
-        basis = np.array([[_SQRT_HALF, _SQRT_HALF, 0.0],
-                          [_SQRT_HALF, -_SQRT_HALF, 0.0],
-                          [0.0, 0.0, 1.0]], dtype=complex)
-        probs = np.abs(basis @ returned) ** 2
-        for o in range(3):
-            if probs[o] < 1e-15:
-                continue
-            observed = ((o,), (1.0,)) if o < 2 else ((0, 1), (0.5, 0.5))
-            for obs, w in zip(*observed):
-                if alice.report_map is not None:
-                    a_rep, e_rep = alice.report_map[obs]
-                    rows.append((probs[o] * w, a_rep, e_rep, 0, 0, 0))
-                else:  # default: claim input 0, report a coin for the output
-                    for e_rep in (0, 1):
-                        rows.append((probs[o] * w * 0.5, 0, e_rep, 0, 0, 0))
-        return rows
-
-    if alice.kind == "param":
-        p = alice.params
-        elements = example1_elements(float(np.arctan2(p.c, p.b)))
-        probs = np.einsum("i,oij,j->o", returned.conj(), elements, returned).real
-        probs = np.clip(probs, 0.0, None)
-        for o in range(4):
-            if probs[o] < 1e-15:
-                continue
-            if o >= 2:  # outcomes 2/3 reveal the receiver's output bit
-                rows.append((probs[o], 0, o - 2, 0, 0, 0))
-            else:       # outcomes 0/1 reveal y only; the output is a blind coin
-                for e_rep in (0, 1):
-                    rows.append((0.5 * probs[o], 0, e_rep, 0, 0, 0))
-        return rows
-
-    raise ValueError(alice.kind)
+    Branch b applies ``kraus[b]`` to the qutrit and outputs the bits
+    ``y[b], r[b]``, each pair with probability 1/4, and the guess ``xhat[b]``
+    of Alice's input (-1 for none).
+    """
+    y, r = np.divmod(np.arange(4), 2)
+    gates = np.array([protocol.bob_gate(i, j) for i, j in zip(y, r)]) / 2.0
+    if bob.kind == "honest":
+        return gates, y, r, np.full(4, -1)
+    if bob.kind == "phase-noise":  # diag(1, 1, e^{i angle}) after the gate
+        noise = np.array([1.0, 1.0, np.exp(1j * bob.angle)])
+        return noise[:, None] * gates, y, r, np.full(4, -1)
+    # Computational-basis read before the gate, one diagonal per branch:
+    # |0> and |1> guess x, while |2> carries no input information and splits
+    # into two fair guesses.
+    reads = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, np.sqrt(0.5)],
+                      [0.0, 0.0, np.sqrt(0.5)]])
+    kraus = (gates[:, None] * reads[:, None, :]).reshape(16, 3, 3)
+    return kraus, np.repeat(y, 4), np.repeat(r, 4), np.tile([0, 1, 0, 1], 4)
 
 
 @lru_cache(maxsize=32)
 def _instance_table(alice: AliceStrategy, bob: BobStrategy):
     """Exact joint distribution of all per-instance classical values.
 
-    A per-instance mix is its components' tables laid end to end, each
-    weighted by its mix weight.  The cache is bounded: seeded ``param`` and
+    The probability of each (state, branch, outcome, report) is
+    ``weights[s] <K_b psi_s| E_so |K_b psi_s> reports[s, o, a, e]``, from the
+    :func:`_sender` and :func:`_receiver` arrays; rows at or below 1e-15 are
+    dropped.  A per-instance mix is its components' tables laid end to end,
+    each weighted by its mix weight.  The cache is bounded: seeded ``param`` and
     ``phase-noise`` runs each bring a new key.
     """
     if alice.kind == "mix":
@@ -287,26 +282,19 @@ def _instance_table(alice: AliceStrategy, bob: BobStrategy):
         probs = np.concatenate([weight * table[0] for weight, table in parts])
         return probs / probs.sum(), {
             name: np.concatenate([table[1][name] for _, table in parts]) for name in _FIELDS}
-    probs = []
-    columns = {name: [] for name in _FIELDS}
-    for p_a, info_a, psi in _alice_sources(alice):
-        for p_b, info_b, returned in _bob_branches(bob, psi):
-            for p_m, a_rep, e_rep, x, e, honest in _measure_rows(alice, info_a, returned):
-                prob = p_a * p_b * p_m
-                if prob <= 0.0:
-                    continue
-                y, r = info_b["y"], info_b["r"]
-                bob_fail = int((a_rep & y) != (e_rep ^ r))
-                alice_fail = int((x & y) != (e ^ r)) if honest else 0
-                xg = int(info_b.get("xhat", -1) == x) if honest else 0
-                probs.append(prob)
-                for name, value in zip(_FIELDS, (y, r, a_rep, e_rep, bob_fail,
-                                                 alice_fail, x, e, honest, xg)):
-                    columns[name].append(value)
-    prob_arr = np.asarray(probs, dtype=float)
-    prob_arr = prob_arr / prob_arr.sum()
-    return prob_arr, {name: np.asarray(vals, dtype=np.int8)
-                      for name, vals in columns.items()}
+    honest, weights, sent, x, elements, reports = _sender(alice)
+    kraus, y, r, xhat = _receiver(bob)
+    returned = np.einsum("bij,sj->sbi", kraus, sent)
+    born = np.einsum("sbi,soij,sbj->sbo", returned.conj(), elements, returned).real
+    probs = weights[:, None, None, None, None] * born[..., None, None] * reports[:, None]
+    keep = probs > 1e-15
+    s, b, _, a, e = np.nonzero(keep)
+    y, r, x = y[b], r[b], x[s]
+    columns = dict(y=y, r=r, a_rep=a, e_rep=e, bob_fail=(a & y) != (e ^ r),
+                   alice_fail=honest & ((x & y) != (e ^ r)), x=x, e=honest * e,
+                   honest_alice=np.full(len(s), honest), x_guess_correct=honest & (xhat[b] == x))
+    probs = probs[keep]
+    return probs / probs.sum(), {name: columns[name].astype(np.int8) for name in _FIELDS}
 
 
 def simulate_instances(alice: AliceStrategy, bob: BobStrategy, n: int,

@@ -13,7 +13,7 @@ inputs with one-time-pad-masked messages.
 :func:`run_honest` runs a batch on bit arrays.  The returned qutrit is an
 eigenstate of Alice's basis, so once ``t`` and ``r`` are drawn the outcome is
 fixed: it is read off the exact Born weights, with no draw for the
-measurement.  :func:`alice_measure` measures one arbitrary returned qutrit.
+measurement.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import InvalidStateError, PureState
+from .numerics import PureState
 
 __all__ = [
     "OneTimeTable",
@@ -30,7 +30,6 @@ __all__ = [
     "alice_prepare",
     "bob_gate",
     "alice_basis",
-    "alice_measure",
     "run_honest",
     "and_eval",
 ]
@@ -102,26 +101,6 @@ def alice_basis(x: int) -> np.ndarray:
     rows[1, 2] = -_SQRT_HALF
     rows[2, 1 - x] = 1.0
     return rows
-
-
-def alice_measure(state, x: int, t: int, rng: np.random.Generator) -> int:
-    """Alice's output bit for one returned qutrit.
-
-    Returns 0 exactly when the measurement outcome matches the state she sent
-    (index ``t``).  The third outcome ``|1-x>`` cannot occur under honest
-    operation; when it does occur the output is an unbiased coin, since
-    nothing in the run gives Alice information to bias the guess.
-    """
-    if not isinstance(state, PureState):
-        state = PureState.from_amplitudes(state)  # raises InvalidStateError if unnormalized
-    if state.dim != 3:
-        raise InvalidStateError(f"expected a qutrit state, got dim {state.dim}")
-    x, t = _check_bit(x, "x"), _check_bit(t, "t")
-    edges = np.cumsum(np.abs(alice_basis(x) @ state.amplitudes) ** 2)
-    idx = int(min(np.searchsorted(edges, rng.random() * edges[-1], side="right"), 2))
-    if idx == 2:
-        return int(rng.integers(0, 2))
-    return idx ^ t
 
 
 def run_honest(x, y, rng: np.random.Generator):

@@ -41,7 +41,6 @@ __all__ = [
     "CheatParams",
     "GuessProbs",
     "HolevoTriple",
-    "TradeoffBoundReport",
     "Theorem3Report",
     "TradeoffCurve",
     "InfoDeltaReport",
@@ -58,7 +57,6 @@ __all__ = [
     "holevo_triple",
     "binary_entropy",
     "tradeoff_bound_margins",
-    "check_tradeoff_bounds",
     "tetrahedron_states",
     "lemma1_images",
     "lemma1_reduce",
@@ -294,36 +292,13 @@ def binary_entropy(delta):
     return -xlog2(delta) - xlog2(1.0 - delta)
 
 
-@dataclass(frozen=True)
-class TradeoffBoundReport:
-    """Margins of the binary-entropy tradeoff bounds for one triple.
-
-    When ``delta = 1 - chi_r < 1/2`` both ``chi_y`` and ``chi_yxr`` are
-    bounded by ``h(delta)``; when ``delta' = 1 - chi_yxr < 1/2`` both
-    ``chi_r`` and ``chi_y`` are bounded by ``h(delta')``.  Margins are
-    ``bound - value`` (nonnegative means the bound holds) and are ``None``
-    where the corresponding delta is >= 1/2 (bound not applicable).
-    """
-
-    triple: HolevoTriple
-    delta: float
-    delta_prime: float
-    margin_chi_y_vs_delta: float | None
-    margin_chi_yxr_vs_delta: float | None
-    margin_chi_r_vs_delta_prime: float | None
-    margin_chi_y_vs_delta_prime: float | None
-
-    def violations(self, tol: float = 1e-9) -> int:
-        margins = [self.margin_chi_y_vs_delta, self.margin_chi_yxr_vs_delta,
-                   self.margin_chi_r_vs_delta_prime, self.margin_chi_y_vs_delta_prime]
-        return sum(1 for m in margins if m is not None and m < -tol)
-
-
 def tradeoff_bound_margins(chi_y, chi_r, chi_yxr) -> np.ndarray:
-    """Margins ``[..., 4]`` of the ``h(delta)`` bounds, NaN where a bound does not apply.
+    """Margins ``[..., 4]`` of the binary-entropy tradeoff bounds.
 
-    In the order of :class:`TradeoffBoundReport`: chi_y and chi_yxr against
-    ``h(1 - chi_r)``, then chi_r and chi_y against ``h(1 - chi_yxr)``.
+    When ``delta = 1 - chi_r < 1/2``, both chi_y and chi_yxr are at most
+    ``h(delta)``; when ``delta' = 1 - chi_yxr < 1/2``, both chi_r and chi_y
+    are at most ``h(delta')``.  The margins are ``bound - value`` in that
+    order, nonnegative where a bound holds and NaN where it does not apply.
     """
     margins = []
     for anchor, others in ((chi_r, (chi_y, chi_yxr)), (chi_yxr, (chi_r, chi_y))):
@@ -332,14 +307,6 @@ def tradeoff_bound_margins(chi_y, chi_r, chi_yxr) -> np.ndarray:
         bound = binary_entropy(np.where(applies, delta, 0.0))
         margins += [np.where(applies, bound - other, np.nan) for other in others]
     return np.stack(margins, axis=-1)
-
-
-def check_tradeoff_bounds(params: CheatParams) -> TradeoffBoundReport:
-    """Evaluate the ``h(delta)`` tradeoff bounds for one amplitude triple."""
-    triple = holevo_triple(params)
-    margins = tradeoff_bound_margins(triple.chi_y, triple.chi_r, triple.chi_yxr)
-    return TradeoffBoundReport(triple, 1.0 - triple.chi_r, 1.0 - triple.chi_yxr,
-                               *(None if np.isnan(m) else float(m) for m in margins))
 
 
 def tetrahedron_states() -> tuple:

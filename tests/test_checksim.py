@@ -520,6 +520,65 @@ class TestExactLaw:
                          law.pass_probability)
 
 
+_REPORT_MAPS = [((a0, e0), (a1, e1))
+                for a0, e0, a1, e1 in itertools.product((0, 1), repeat=4)]
+_TABLE_SENDERS = (
+    [("honest", AliceStrategy.honest()), ("learn-y", AliceStrategy.learn_y()),
+     ("mix", AliceStrategy.per_instance_mix([(0.5, AliceStrategy.learn_y()),
+                                             (0.5, AliceStrategy.honest())]))]
+    + [(f"param-{alpha:.3f}", AliceStrategy.param(CheatParams.from_alpha(alpha)))
+       for alpha in (0.0, 0.4, np.pi / 4, np.pi / 2)]
+    + [("learn-y-%d%d%d%d" % (*report_map[0], *report_map[1]), AliceStrategy.learn_y(report_map))
+       for report_map in _REPORT_MAPS])
+_TABLE_RECEIVERS = (
+    [("honest", BobStrategy.honest()), ("computational", BobStrategy.computational_basis())]
+    + [(f"phase-noise-{angle:.3f}", BobStrategy.phase_noise(angle))
+       for angle in (0.0, 0.6, np.pi)])
+
+
+class TestInstanceTable:
+    """Exact identities of the instance table, for every sender and receiver."""
+
+    @pytest.mark.parametrize("bob_name,bob", _TABLE_RECEIVERS,
+                             ids=[name for name, _ in _TABLE_RECEIVERS])
+    @pytest.mark.parametrize("alice_name,alice", _TABLE_SENDERS,
+                             ids=[name for name, _ in _TABLE_SENDERS])
+    def test_identities(self, alice_name, alice, bob_name, bob):
+        probs, columns = checksim._instance_table(alice, bob)
+        assert (probs > 0.0).all()
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        # Bob's bits are uniform whatever Alice does.
+        cell = np.bincount(2 * columns["y"] + columns["r"], weights=probs, minlength=4)
+        np.testing.assert_allclose(cell, 0.25, rtol=0, atol=1e-12)
+        if alice_name.startswith("learn-y"):
+            # r is a global phase on what she gets back: any report fails half the checks.
+            assert probs @ columns["bob_fail"] == pytest.approx(0.5, abs=1e-12)
+        if alice_name == "honest" and bob_name == "honest":
+            assert np.array_equal(columns["e"] ^ columns["r"], columns["x"] & columns["y"])
+        if alice_name == "honest" and bob_name == "computational":
+            assert probs @ columns["x_guess_correct"] == pytest.approx(0.75, abs=1e-12)
+
+
+class TestStrategyValidation:
+    @pytest.mark.parametrize("weights", [(math.nan, math.nan), (1.5, -0.5), (math.inf, 0.0)])
+    def test_mix_weights_finite_and_nonnegative(self, weights):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            AliceStrategy.per_instance_mix(zip(weights, (AliceStrategy.learn_y(),
+                                                         AliceStrategy.honest())))
+
+    @pytest.mark.parametrize("report_map", [((0, 2), (1, 0)), ((0, 1),), ((0, 1, 0), (1, 0)),
+                                            ((0.0, 1), (1, 0)), 5, "01"])
+    def test_report_map_is_two_bit_pairs(self, report_map):
+        with pytest.raises(ValueError, match="two pairs of 0/1 bits"):
+            AliceStrategy.learn_y(report_map)
+
+    def test_report_map_stored_as_int_tuples(self):
+        strategy = AliceStrategy.learn_y([[True, 0], [np.int64(1), 1]])
+        assert strategy.report_map == ((1, 0), (1, 1))
+        assert strategy == AliceStrategy.learn_y(((1, 0), (1, 1)))
+        assert checksim.exact_law(CheckConfig(m=4, k_bob=4), strategy).fail_bob == 0.5
+
+
 class TestReproducibility:
     def test_reports_are_byte_identical_for_same_seed(self):
         config = CheckConfig(m=15, k_bob=5, trials=500, seed=123)

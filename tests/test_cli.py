@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import otlab
 from otlab import cli, security, verify
 
 
@@ -353,3 +355,10 @@ class TestImportCost:
         code, imported = self._imported(argv)
         assert code == 0
         assert ("scipy" in imported) == loads_scipy
+
+
+def test_package_version_matches_pyproject():
+    """Manifests carry ``otlab.__version__``; the build reads pyproject.toml."""
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    assert project["version"] == otlab.__version__

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from otlab import protocol
-from otlab.numerics import InvalidStateError, PureState
 from otlab.protocol import (
     OneTimeTable,
     alice_basis,
-    alice_measure,
     alice_prepare,
     and_eval,
     bob_gate,
@@ -66,33 +64,7 @@ class TestGate:
 
 
 class TestMeasure:
-    def test_sent_state_gives_zero(self):
-        rng = np.random.default_rng(0)
-        for x in (0, 1):
-            for t in (0, 1):
-                state = alice_prepare(x, t)
-                assert all(alice_measure(state, x, t, rng) == 0 for _ in range(20))
-
-    def test_gated_state_gives_output_one(self):
-        rng = np.random.default_rng(0)
-        state = PureState(3, bob_gate(1, 0) @ alice_prepare(1, 0).amplitudes)
-        assert all(alice_measure(state, 1, 0, rng) == 1 for _ in range(20))
-
-    def test_third_outcome_is_fair_coin(self):
-        rng = np.random.default_rng(21)
-        amps = np.zeros(3, dtype=complex)
-        amps[1] = 1.0  # |1-x> for x = 0
-        state = PureState(3, amps)
-        n = 100_000
-        mean = np.mean([alice_measure(state, 0, 0, rng) for _ in range(n)])
-        assert abs(mean - 0.5) < 3 * 0.5 / np.sqrt(n)
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(InvalidStateError):
-            alice_measure(np.array([1.0, 1.0, 0.0]), 0, 0, np.random.default_rng(0))
-
     def test_exhaustive_deterministic_outcome(self):
-        rng = np.random.default_rng(0)
         for x in (0, 1):
             for t in (0, 1):
                 for y in (0, 1):
@@ -102,8 +74,6 @@ class TestMeasure:
                         idx = int(np.argmax(probs))
                         assert probs[idx] > 1.0 - 1e-12
                         assert idx == t ^ (x & y) ^ r
-                        e = alice_measure(PureState(3, returned), x, t, rng)
-                        assert e == (x & y) ^ r
 
 
 class TestRunHonest:

@@ -21,7 +21,6 @@ from otlab.security import (
     SearchConfig,
     accessible_info_search,
     binary_entropy,
-    check_tradeoff_bounds,
     cheat_state_vectors,
     example1_povm,
     example2_povm,
@@ -38,6 +37,7 @@ from otlab.security import (
     sign_state_information,
     tetrahedron_states,
     theorem3_report,
+    tradeoff_bound_margins,
     tradeoff_curve,
 )
 
@@ -148,6 +148,14 @@ class TestParamsFromTwoQutrit:
         p = params_from_two_qutrit(haar_random_pure(9, np.random.default_rng(5)))
         assert p.squares.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_squares_are_the_sent_qutrits_reduced_diagonal(self):
+        rng = np.random.default_rng(36)
+        for _ in range(200):
+            state = haar_random_pure(9, rng)
+            reduced = numerics.partial_trace(state.projector(), (3, 3), keep=1)
+            np.testing.assert_allclose(params_from_two_qutrit(state).squares,
+                                       np.diag(reduced.matrix).real, rtol=0, atol=1e-12)
+
     def test_unnormalized_rejected(self):
         with pytest.raises(InvalidStateError):
             params_from_two_qutrit(np.ones(9))
@@ -243,21 +251,26 @@ class TestBinaryEntropy:
 
 
 class TestTradeoffBounds:
+    @staticmethod
+    def _margins(params):
+        triple = holevo_triple(params)
+        return triple, tradeoff_bound_margins(triple.chi_y, triple.chi_r, triple.chi_yxr)
+
     def test_honest_is_tight(self):
-        report = check_tradeoff_bounds(CheatParams.honest(0))
-        assert report.delta == pytest.approx(0.0, abs=1e-12)
-        assert report.margin_chi_y_vs_delta == pytest.approx(0.0, abs=1e-10)
+        triple, margins = self._margins(CheatParams.honest(0))
+        assert 1.0 - triple.chi_r == pytest.approx(0.0, abs=1e-12)
+        assert margins[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_delta_dominates_b_squared(self):
         rng = np.random.default_rng(34)
         for _ in range(1000):
             params = _random_params(rng)
-            report = check_tradeoff_bounds(params)
-            assert report.delta >= params.b ** 2 - 1e-10
+            assert 1.0 - holevo_triple(params).chi_r >= params.b ** 2 - 1e-10
 
     def test_sweep_no_violations(self):
         rng = np.random.default_rng(35)
-        assert all(check_tradeoff_bounds(_random_params(rng)).violations() == 0
+        # A bound that does not apply has a NaN margin, which is no violation.
+        assert all(not (self._margins(_random_params(rng))[1] < -1e-9).any()
                    for _ in range(2000))
 
 
