@@ -20,6 +20,6 @@ The package is organized as six modules:
   ``python -m otlab.cli`` runs it once (``from otlab import cli``).
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from . import checksim, numerics, protocol, security, verify  # noqa: F401

@@ -121,7 +121,9 @@ class AliceStrategy:
     ``report_map`` (learn-y only) optionally replaces the default coin report
     with a deterministic map from her binary measurement outcome ``o`` to the
     reported pair ``(a, e) = report_map[o]``; used to exhaust the
-    deterministic report policies in tests.
+    deterministic report policies in tests.  ``params`` belongs to param and
+    ``mix`` (weights and sender strategies) to mix; a field given to a kind
+    that does not use it raises ValueError.
     """
 
     kind: str                               # honest | learn-y | param | mix
@@ -134,6 +136,12 @@ class AliceStrategy:
             raise ValueError(f"unknown Alice strategy {self.kind!r}")
         if self.kind == "param" and self.params is None:
             raise ValueError("param strategy needs an amplitude triple")
+        if self.params is not None and self.kind != "param":
+            raise ValueError(f"params apply only to param, not {self.kind!r}")
+        if self.report_map is not None and self.kind != "learn-y":
+            raise ValueError(f"report_map applies only to learn-y, not {self.kind!r}")
+        if self.mix and self.kind != "mix":
+            raise ValueError(f"mix components apply only to mix, not {self.kind!r}")
         if self.report_map is not None:
             if not _bit_pairs(self.report_map):
                 raise ValueError(f"report_map {self.report_map!r} is not two pairs of 0/1 bits")
@@ -143,6 +151,8 @@ class AliceStrategy:
         if self.kind == "mix":
             if not self.mix:
                 raise ValueError("mix strategy needs components")
+            if not all(isinstance(part, AliceStrategy) for _, part in self.mix):
+                raise ValueError("every mix component must be an AliceStrategy")
             weights = np.array([w for w, _ in self.mix], dtype=float)
             if not (np.isfinite(weights).all() and (weights >= 0.0).all()):
                 raise ValueError(f"mix weights {weights.tolist()} must be finite and nonnegative")
@@ -170,7 +180,8 @@ class AliceStrategy:
 @dataclass(frozen=True)
 class BobStrategy:
     """Receiver behavior: honest gate, input-reading basis measurement, or
-    a phase error of fixed ``angle`` on the |2> component."""
+    a phase error of fixed ``angle`` on the |2> component (a nonzero angle
+    is rejected for the other kinds)."""
 
     kind: str                               # honest | computational | phase-noise
     angle: float = 0.0
@@ -180,6 +191,8 @@ class BobStrategy:
             raise ValueError(f"unknown Bob strategy {self.kind!r}")
         if not np.isfinite(self.angle):
             raise ValueError("angle must be finite")
+        if self.angle != 0.0 and self.kind != "phase-noise":
+            raise ValueError(f"angle applies only to phase-noise, not {self.kind!r}")
 
     @classmethod
     def honest(cls) -> "BobStrategy":

@@ -73,11 +73,34 @@ def _within(a, b, atol: float) -> bool:
     A NaN or infinite entry gives a NaN or infinite difference, which never is.
     """
     with np.errstate(invalid="ignore"):
-        return bool(np.abs(a - b).max() <= atol)
+        return bool(np.abs(a - b).max(initial=0.0) <= atol)
 
 
-def _entropy_bits(probs: np.ndarray) -> float:
-    return float(max(0.0, -np.sum(xlog2(np.clip(probs, 0.0, None)))))
+def _density_spectra(mats) -> np.ndarray:
+    """Spectra ``[..., d]`` of a stack ``[..., d, d]`` of density operators.
+
+    Every matrix must be Hermitian (a NaN or infinite entry never is), have
+    unit trace and no eigenvalue below ``EIG_FLOOR``; the first failure
+    raises :class:`InvalidOperatorError`.  One batched ``eigvalsh`` serves
+    the whole stack.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    if not _within(mats, mats.swapaxes(-1, -2).conj(), HERMITIAN_ATOL):
+        raise InvalidOperatorError("operator is not Hermitian")
+    traces = mats.trace(axis1=-2, axis2=-1)
+    off = np.abs(traces - 1.0) > TRACE_ATOL
+    if off.any():
+        raise InvalidOperatorError(f"trace is {traces[off].flat[0]}, expected 1")
+    eigs = np.linalg.eigvalsh(mats)
+    if eigs.min(initial=0.0) < EIG_FLOOR:
+        raise InvalidOperatorError("operator has a negative eigenvalue beyond tolerance")
+    return eigs
+
+
+def _entropy_bits(spectra):
+    """Shannon entropies ``[...]`` of the distributions ``[..., d]``; a float for one."""
+    bits = np.maximum(0.0, -xlog2(np.clip(spectra, 0.0, None)).sum(axis=-1))
+    return float(bits) if bits.ndim == 0 else bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,24 +131,26 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Hermitian, unit-trace, positive semidefinite ``dim x dim`` operator."""
+    """Hermitian, unit-trace, positive semidefinite ``dim x dim`` operator.
+
+    Validation computes the spectrum, which is kept (read-only) for
+    :meth:`eigenvalues`.  ``_spectrum`` is private to :meth:`from_stack`,
+    which passes the spectra of a stack it validated in one batched pass.
+    """
 
     dim: int
     matrix: np.ndarray
+    _spectrum: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _spectrum):
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (self.dim, self.dim):
             raise ValueError(f"expected a {self.dim}x{self.dim} matrix, got {mat.shape}")
-        if not _within(mat, mat.conj().T, HERMITIAN_ATOL):
-            raise InvalidOperatorError("operator is not Hermitian")
-        tr = np.trace(mat)
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise InvalidOperatorError(f"trace is {tr}, expected 1")
-        if np.linalg.eigvalsh(mat).min() < EIG_FLOOR:
-            raise InvalidOperatorError("operator has a negative eigenvalue beyond tolerance")
+        eigs = _density_spectra(mat) if _spectrum is None else _spectrum
         mat.setflags(write=False)
+        eigs.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "_eigenvalues", eigs)
 
     @classmethod
     def from_matrix(cls, matrix) -> "DensityOperator":
@@ -139,6 +164,16 @@ class DensityOperator:
         return PureState.from_amplitudes(amplitudes).projector()
 
     @classmethod
+    def from_stack(cls, matrices) -> tuple:
+        """Density operators of a stack ``[n, d, d]``, validated in one batched pass."""
+        mats = np.array(matrices, dtype=complex)
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+            raise ValueError(f"expected a stack of square matrices, got shape {mats.shape}")
+        spectra = _density_spectra(mats)
+        return tuple(cls(mats.shape[1], mat, _spectrum=spectrum)
+                     for mat, spectrum in zip(mats, spectra))
+
+    @classmethod
     def mixture(cls, weights, operators) -> "DensityOperator":
         """Convex combination of density operators."""
         weights = np.asarray(weights, dtype=float)
@@ -146,7 +181,8 @@ class DensityOperator:
         return cls.from_matrix(mat)
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+        """The spectrum, ascending, computed once at validation (read-only)."""
+        return self._eigenvalues
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,6 +251,13 @@ class Povm:
         return len(self.elements)
 
 
+def _average(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``sum_i p_i rho_i`` of states ``[..., n, d, d]`` and ``probs[n]``, as one matmul."""
+    d = states.shape[-1]
+    avg = probs[None, :] @ states.reshape(states.shape[:-2] + (d * d,))
+    return avg.reshape(avg.shape[:-2] + (d, d))
+
+
 @dataclass(frozen=True, eq=False)
 class Ensemble:
     """Classical-quantum source: probabilities paired with density operators."""
@@ -255,8 +298,8 @@ class Ensemble:
         return tuple(op for _, op in self.entries)
 
     def average(self) -> DensityOperator:
-        mat = sum(p * op.matrix for p, op in self.entries)
-        return DensityOperator.from_matrix(mat)
+        mats = np.array([op.matrix for op in self.states])
+        return DensityOperator.from_matrix(_average(self.probabilities, mats))
 
 
 def _as_density(rho) -> DensityOperator:
@@ -265,24 +308,45 @@ def _as_density(rho) -> DensityOperator:
     return DensityOperator.from_matrix(rho)
 
 
-def von_neumann_entropy(rho) -> float:
-    """Spectral entropy ``-sum(lambda * log2(lambda))`` of a density operator.
+def _checked(rho):
+    """Matrices and spectra of a :class:`DensityOperator` or of a validated stack.
 
-    Eigenvalues inside the numerical PSD tolerance band are clamped to zero;
-    arrays are validated first, so a non-Hermitian or non-unit-trace input
-    raises :class:`InvalidOperatorError`.
+    An operator gives its matrix and stored spectrum; an array ``[..., d, d]``
+    is validated in one batched pass.
     """
-    rho = _as_density(rho)
-    return _entropy_bits(rho.eigenvalues())
+    if isinstance(rho, DensityOperator):
+        return rho.matrix, rho.eigenvalues()
+    mats = np.asarray(rho, dtype=complex)
+    if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {mats.shape}")
+    return mats, _density_spectra(mats)
 
 
-def trace_distance(rho, sigma) -> float:
-    """Half the trace norm of ``rho - sigma``."""
-    rho, sigma = _as_density(rho), _as_density(sigma)
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    eigs = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
-    return float(0.5 * np.abs(eigs).sum())
+def von_neumann_entropy(rho):
+    """Spectral entropy ``-sum(lambda * log2(lambda))`` of density operators.
+
+    ``rho`` is a :class:`DensityOperator` (its stored spectrum is used), a
+    matrix, or a stack ``[..., d, d]``; a stack gives one value per matrix,
+    otherwise a float.  Eigenvalues inside the numerical PSD tolerance band
+    are clamped to zero; arrays are validated first, so a non-Hermitian or
+    non-unit-trace matrix anywhere in the stack raises
+    :class:`InvalidOperatorError`.
+    """
+    return _entropy_bits(_checked(rho)[1])
+
+
+def trace_distance(rho, sigma):
+    """Half the trace norm of ``rho - sigma``.
+
+    Each argument is a :class:`DensityOperator`, a matrix or a stack
+    ``[..., d, d]``; arrays are validated like :func:`von_neumann_entropy`'s,
+    stacks broadcast and give one distance per pair, otherwise a float.
+    """
+    (rho, _), (sigma, _) = _checked(rho), _checked(sigma)
+    if rho.shape[-1] != sigma.shape[-1]:
+        raise ValueError(f"dimension mismatch: {rho.shape[-1]} vs {sigma.shape[-1]}")
+    dist = np.abs(np.linalg.eigvalsh(rho - sigma)).sum(axis=-1) * 0.5
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def _zero_junk_eigenvalues(w: np.ndarray) -> np.ndarray:
@@ -371,11 +435,28 @@ def mutual_information(ensemble: Ensemble, povm: Povm) -> float:
     return classical_mutual_information(joint)
 
 
-def holevo(ensemble: Ensemble) -> float:
-    """Holevo quantity ``S(avg) - sum p_i S(rho_i)`` of an ensemble."""
-    avg = ensemble.average()
-    conditional = sum(p * von_neumann_entropy(op) for p, op in ensemble.entries)
-    return float(max(0.0, von_neumann_entropy(avg) - conditional))
+def holevo(ensemble):
+    """Holevo quantity ``S(sum_i p_i rho_i) - sum_i p_i S(rho_i)`` in bits.
+
+    ``ensemble`` is an :class:`Ensemble`, whose states' stored spectra are
+    reused, or a stack ``[..., n, d, d]`` of ``n`` equiprobable states,
+    validated in one batched pass.  The average is formed by one matmul and
+    validated as a state; its spectrum is the only one computed beyond the
+    states' own.  A stack gives one value per ensemble, an
+    :class:`Ensemble` a float.
+    """
+    if isinstance(ensemble, Ensemble):
+        probs = ensemble.probabilities
+        spectra = np.array([op.eigenvalues() for op in ensemble.states])
+        average = ensemble.average().eigenvalues()
+    else:
+        states, spectra = _checked(ensemble)
+        if states.ndim < 3 or states.shape[-3] == 0:
+            raise ValueError(f"expected states [..., n >= 1, d, d], got shape {states.shape}")
+        probs = np.full(states.shape[-3], 1.0 / states.shape[-3])
+        average = _density_spectra(_average(probs, states))
+    chi = np.maximum(0.0, _entropy_bits(average) - (probs * _entropy_bits(spectra)).sum(axis=-1))
+    return float(chi) if chi.ndim == 0 else chi
 
 
 def random_density_operator(dim: int, rng: np.random.Generator,

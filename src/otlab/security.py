@@ -49,6 +49,7 @@ __all__ = [
     "MaxHolevoSumResult",
     "RY_ORDER",
     "cheat_state_vectors",
+    "returned_states",
     "returned_ensemble",
     "sign_state_probabilities",
     "sign_state_information",
@@ -165,9 +166,14 @@ class HolevoTriple:
                 raise ValueError(f"{name}={val} outside [0, 1]")
 
 
+def _sign_rows(amplitudes) -> np.ndarray:
+    """Sign states ``[..., 4, 3]`` of amplitude rows ``[..., 3]``, in ``RY_ORDER``."""
+    return _SIGNS * np.asarray(amplitudes, dtype=float)[..., None, :]
+
+
 def cheat_state_vectors(params: CheatParams) -> np.ndarray:
     """The four returned sign states as real rows, in ``RY_ORDER``."""
-    return _SIGNS * np.array([params.a, params.b, params.c])
+    return _sign_rows([params.a, params.b, params.c])
 
 
 def _label_index(label: str, r: int, y: int) -> int:
@@ -180,28 +186,34 @@ def _label_index(label: str, r: int, y: int) -> int:
     raise ValueError(f"unknown label {label!r}")
 
 
-def returned_ensemble(params: CheatParams, label: str) -> Ensemble:
-    """Ensemble of returned states grouped by ``label``.
-
-    ``label`` is one of ``"y"``, ``"r"``, ``"yxr"`` (two equiprobable mixed
-    states, averaged over the hidden bit) or ``"joint"`` (the four pure sign
-    states with probability 1/4 each).
-    """
-    vecs = cheat_state_vectors(params)
-    projectors = [np.outer(v, v) for v in vecs]
-    if label == "joint":
-        return Ensemble.uniform([DensityOperator.from_matrix(p) for p in projectors])
-    groups = {0: [], 1: []}
-    for (r, y), proj in zip(RY_ORDER, projectors):
-        groups[_label_index(label, r, y)].append(proj)
-    ops = [DensityOperator.from_matrix(0.5 * (g[0] + g[1])) for g in (groups[0], groups[1])]
-    return Ensemble.uniform(ops)
-
-
+_LABELS = ("y", "r", "yxr")
 # Weight of each sign state in the joint table of each label and label value:
 # a prior of 1/2 on the value times the 1/2 of each state averaged into it.
 _LABEL_WEIGHTS = 0.25 * np.array([[[_label_index(label, r, y) == value for r, y in RY_ORDER]
-                                   for value in (0, 1)] for label in ("y", "r", "yxr")])
+                                   for value in (0, 1)] for label in _LABELS])
+
+
+def returned_states(amplitudes, label: str) -> np.ndarray:
+    """Returned states ``[..., 2, 3, 3]`` of amplitude rows ``[..., 3]``, grouped by ``label``.
+
+    ``label`` is one of ``"y"``, ``"r"``, ``"yxr"`` (the two equiprobable
+    mixed states of each label value, averaged over the hidden bit) or
+    ``"joint"`` (the four pure sign states in ``RY_ORDER``, ``[..., 4, 3, 3]``).
+    """
+    if label != "joint" and label not in _LABELS:
+        raise ValueError(f"unknown label {label!r}")
+    vecs = _sign_rows(amplitudes)
+    projectors = vecs[..., :, None] * vecs[..., None, :]
+    if label == "joint":
+        return projectors
+    weights = 2.0 * _LABEL_WEIGHTS[_LABELS.index(label)]
+    return np.einsum("gs,...sab->...gab", weights, projectors)
+
+
+def returned_ensemble(params: CheatParams, label: str) -> Ensemble:
+    """Uniform ensemble of :func:`returned_states`, its states validated in one pass."""
+    states = returned_states([params.a, params.b, params.c], label)
+    return Ensemble.uniform(DensityOperator.from_stack(states))
 
 
 def sign_state_probabilities(elements, amplitudes) -> np.ndarray:
@@ -211,7 +223,7 @@ def sign_state_probabilities(elements, amplitudes) -> np.ndarray:
     ``amplitudes[..., 3]`` amplitude rows ``(a, b, c)``; leading axes
     broadcast.
     """
-    states = _SIGNS * np.asarray(amplitudes, dtype=float)[..., None, :]
+    states = _sign_rows(amplitudes)
     return np.einsum("...si,...nij,...sj->...sn", states, elements, states).real
 
 
@@ -508,16 +520,18 @@ def _frame_statistics(vecs: np.ndarray, states: np.ndarray, priors: np.ndarray):
     the weights ``p_i log2(p(k|i) / q_k)`` ``[..., i, n]`` of the gradient
     ``R_k = sum_i weight_ik rho_i``.  A zero ``p(k|i)`` is floored at the
     smallest normal float, so its weight is large and negative (it is
-    ``-inf`` in exact arithmetic); an element that never fires gets weight 0.
+    ``-inf`` in exact arithmetic) but multiplies a zero probability; an
+    element that never fires gets weight 0.  The information is
+    ``sum_ik p(k|i) weight_ik``, each log ratio computed once.
     """
     probs = np.einsum("...na,iab,...nb->...in", vecs.conj(), states, vecs).real
     probs = np.clip(probs, 0.0, None)
-    joint = priors[:, None] * probs
-    marginal = joint.sum(axis=-2, keepdims=True)
+    marginal = (priors[:, None] * probs).sum(axis=-2, keepdims=True)
     fired = marginal > 0.0
     floored = np.maximum(probs, np.finfo(float).tiny)
     ratio = np.where(fired, floored / np.where(fired, marginal, 1.0), 1.0)
-    return classical_mutual_information(joint), priors[:, None] * np.log2(ratio)
+    weights = priors[:, None] * np.log2(ratio)
+    return np.maximum(0.0, np.einsum("...in,...in->...", probs, weights)), weights
 
 
 def _normalize(rows: np.ndarray):
@@ -816,16 +830,10 @@ def holevo_triple_from_nine_dim(state: PureState) -> HolevoTriple:
     if state.dim != 9:
         raise ValueError(f"expected dim 9, got {state.dim}")
     eye3 = np.eye(3, dtype=complex)
-    branch_states = []
-    for r, y in RY_ORDER:
-        gate = np.kron(eye3, protocol.bob_gate(y, r))
-        branch_states.append(PureState(9, gate @ state.amplitudes).projector())
-    values = {}
-    for label in ("y", "r", "yxr"):
-        groups = {0: [], 1: []}
-        for (r, y), op in zip(RY_ORDER, branch_states):
-            groups[_label_index(label, r, y)].append(op)
-        ops = [DensityOperator.mixture([0.5, 0.5], groups[i]) for i in (0, 1)]
-        values[label] = holevo(Ensemble.uniform(ops))
-    return HolevoTriple(chi_y=min(values["y"], 1.0), chi_r=min(values["r"], 1.0),
-                        chi_yxr=min(values["yxr"], 1.0))
+    branches = np.stack([np.kron(eye3, protocol.bob_gate(y, r)) @ state.amplitudes
+                         for r, y in RY_ORDER])
+    projectors = branches[:, :, None] * branches[:, None, :].conj()
+    # Each label's two states average the two branches of each label value.
+    chi_y, chi_r, chi_yxr = np.minimum(
+        holevo(2.0 * np.einsum("lgs,sab->lgab", _LABEL_WEIGHTS, projectors)), 1.0)
+    return HolevoTriple(chi_y=float(chi_y), chi_r=float(chi_r), chi_yxr=float(chi_yxr))

@@ -71,17 +71,17 @@ def test_criterion_03_guessing_probabilities_and_circle():
 def test_criterion_04_holevo_closed_forms_and_tradeoff_bounds():
     rng = substream_rng(404, 1)
     worst_chi, worst_guess = 0.0, 0.0
-    for _ in range(10_000):
-        params = security.CheatParams.from_squares(*rng.dirichlet([1.0, 1.0, 1.0]))
-        triple = security.holevo_triple(params)
-        guesses = security.guess_probs(params)
-        for label, chi, guess in (("y", triple.chi_y, guesses.p_y),
-                                  ("r", triple.chi_r, guesses.p_r),
-                                  ("yxr", triple.chi_yxr, guesses.p_yxr)):
-            ensemble = security.returned_ensemble(params, label)
-            worst_chi = max(worst_chi, abs(chi - numerics.holevo(ensemble)))
-            helstrom = 0.5 * (1.0 + numerics.trace_distance(*ensemble.states))
-            worst_guess = max(worst_guess, abs(guess - helstrom))
+    params = [security.CheatParams.from_squares(*rng.dirichlet([1.0, 1.0, 1.0]))
+              for _ in range(10_000)]
+    amplitudes = np.array([[p.a, p.b, p.c] for p in params])
+    triples = security._triple_from_squares(*(amplitudes ** 2).T)
+    guesses = [security.guess_probs(p) for p in params]
+    for label, chi in zip(("y", "r", "yxr"), triples):
+        guess = np.array([getattr(g, f"p_{label}") for g in guesses])
+        states = security.returned_states(amplitudes, label)
+        worst_chi = max(worst_chi, np.abs(chi - numerics.holevo(states)).max())
+        helstrom = 0.5 * (1.0 + numerics.trace_distance(states[:, 0], states[:, 1]))
+        worst_guess = max(worst_guess, np.abs(guess - helstrom).max())
     assert worst_chi <= 1e-10, f"closed form deviates by {worst_chi:.2e}"
     assert worst_guess <= 1e-10, f"guess probability deviates by {worst_guess:.2e}"
     suite = verify.prop3(100_000, seed=404)

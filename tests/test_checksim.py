@@ -578,6 +578,38 @@ class TestStrategyValidation:
         assert strategy == AliceStrategy.learn_y(((1, 0), (1, 1)))
         assert checksim.exact_law(CheckConfig(m=4, k_bob=4), strategy).fail_bob == 0.5
 
+    @pytest.mark.parametrize("component", ["x", None, 1.0, BobStrategy.honest()])
+    def test_mix_components_are_sender_strategies(self, component):
+        with pytest.raises(ValueError, match="must be an AliceStrategy"):
+            AliceStrategy.per_instance_mix([(0.5, AliceStrategy.honest()), (0.5, component)])
+
+    @pytest.mark.parametrize("fields", [
+        dict(kind="honest", report_map=((0, 1), (1, 0))),
+        dict(kind="param", params=CheatParams.learn_y(), report_map=((0, 1), (1, 0))),
+        dict(kind="mix", mix=((1.0, AliceStrategy.learn_y()),), report_map=((0, 1), (1, 0))),
+        dict(kind="honest", params=CheatParams.learn_y()),
+        dict(kind="learn-y", params=CheatParams.learn_y()),
+        dict(kind="mix", mix=((1.0, AliceStrategy.honest()),), params=CheatParams.learn_y()),
+        dict(kind="honest", mix=((1.0, AliceStrategy.learn_y()),)),
+        dict(kind="learn-y", mix=((1.0, AliceStrategy.learn_y()),)),
+        dict(kind="param", params=CheatParams.learn_y(), mix=((1.0, AliceStrategy.honest()),)),
+    ])
+    def test_sender_fields_outside_their_kind_rejected(self, fields):
+        with pytest.raises(ValueError, match="apply only to|applies only to"):
+            AliceStrategy(**fields)
+
+    @pytest.mark.parametrize("kind", ["honest", "computational"])
+    def test_angle_outside_phase_noise_rejected(self, kind):
+        with pytest.raises(ValueError, match="applies only to phase-noise"):
+            BobStrategy(kind, angle=1.0)
+        assert BobStrategy(kind, angle=0.0) == BobStrategy(kind)
+
+    def test_fields_of_their_own_kind_accepted(self):
+        AliceStrategy.learn_y(((0, 1), (1, 0)))
+        AliceStrategy.param(CheatParams.learn_y())
+        AliceStrategy.per_instance_mix([(1.0, AliceStrategy.honest())])
+        assert BobStrategy.phase_noise(1.0).angle == 1.0
+
 
 class TestReproducibility:
     def test_reports_are_byte_identical_for_same_seed(self):

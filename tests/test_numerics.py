@@ -309,6 +309,107 @@ class TestInformation:
         assert isinstance(classical_mutual_information(tables[1, 1]), float)
 
 
+def _stack_with_ranks(dim, rng, copies=2):
+    """Random density operators of every rank 1..dim, ``copies`` of each, as matrices."""
+    return np.stack([numerics.random_density_operator(dim, rng, rank=rank).matrix
+                     for rank in range(1, dim + 1) for _ in range(copies)])
+
+
+def _defective(kind, dim):
+    """A ``dim x dim`` matrix that fails one density-operator check."""
+    mat = np.eye(dim, dtype=complex) / dim
+    if kind in ("nan", "inf", "-inf"):
+        mat[0, dim - 1] = float(kind)
+    elif kind == "non-hermitian":
+        mat[0, 1] = 0.1
+    elif kind == "off-trace":
+        mat *= 1.01
+    else:  # negative eigenvalue
+        mat = np.diag([1.0 + 1e-8, -1e-8] + [0.0] * (dim - 2)).astype(complex)
+    return mat
+
+
+class TestStacks:
+    @pytest.mark.parametrize("dim", [2, 3, 9])
+    def test_entropy_and_trace_distance_match_per_object(self, dim):
+        rng = np.random.default_rng(60 + dim)
+        rhos, sigmas = _stack_with_ranks(dim, rng), _stack_with_ranks(dim, rng)
+        entropies = von_neumann_entropy(rhos)
+        distances = trace_distance(rhos, sigmas)
+        assert entropies.shape == distances.shape == (len(rhos),)
+        for idx, (rho, sigma) in enumerate(zip(rhos, sigmas)):
+            assert abs(entropies[idx] - von_neumann_entropy(rho)) <= 1e-12
+            assert abs(distances[idx] - trace_distance(rho, sigma)) <= 1e-12
+        # Leading axes and broadcasting: one state against the whole stack.
+        grid = von_neumann_entropy(rhos.reshape(dim, 2, dim, dim))
+        assert np.allclose(grid, entropies.reshape(dim, 2), rtol=0.0, atol=1e-12)
+        against_first = trace_distance(rhos[0], rhos)
+        assert against_first[0] == 0.0
+        assert abs(against_first[-1] - trace_distance(rhos[0], rhos[-1])) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3, 9])
+    def test_holevo_matches_per_object(self, dim):
+        rng = np.random.default_rng(70 + dim)
+        states = _stack_with_ranks(dim, rng, copies=3).reshape(dim, 3, dim, dim)
+        stacked = holevo(states)
+        assert stacked.shape == (dim,)
+        for idx in range(dim):
+            ops = [DensityOperator.from_matrix(m) for m in states[idx]]
+            assert abs(stacked[idx] - holevo(Ensemble.uniform(ops))) <= 1e-12
+        # A nonuniform ensemble: the stored spectra and one average.
+        probs = rng.dirichlet([1.0, 1.0, 1.0])
+        ops = DensityOperator.from_stack(states[0])
+        mixed = sum(p * op.matrix for p, op in zip(probs, ops))
+        direct = von_neumann_entropy(mixed) - sum(p * von_neumann_entropy(op.matrix)
+                                                  for p, op in zip(probs, ops))
+        assert abs(holevo(Ensemble(tuple(zip(probs, ops)))) - direct) <= 1e-12
+
+    def test_holevo_stack_shapes(self):
+        states = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+        assert holevo(states) == pytest.approx(1.0, abs=1e-12)
+        assert holevo(states[None]).shape == (1,)
+        for bad in (states[0], states[:0]):
+            with pytest.raises(ValueError):
+                holevo(bad)
+
+    @pytest.mark.parametrize("dim", [2, 3, 9])
+    def test_stored_spectrum_equals_fresh_eigvalsh(self, dim):
+        rng = np.random.default_rng(80 + dim)
+        mats = _stack_with_ranks(dim, rng)
+        ops = DensityOperator.from_stack(mats) + tuple(map(DensityOperator.from_matrix, mats))
+        for op in ops:
+            assert np.array_equal(op.eigenvalues(), np.linalg.eigvalsh(op.matrix))
+            assert not op.eigenvalues().flags.writeable and not op.matrix.flags.writeable
+            assert op.dim == dim
+        assert np.array_equal(ops[0].matrix, mats[0])
+
+    @pytest.mark.parametrize("kind", ["nan", "inf", "-inf", "non-hermitian", "off-trace",
+                                      "negative"])
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_batched_validation_rejects_any_position(self, kind, position):
+        rng = np.random.default_rng(90)
+        mats = _stack_with_ranks(3, rng, copies=1)
+        bad = _defective(kind, 3)
+        with pytest.raises(InvalidOperatorError):
+            DensityOperator.from_matrix(bad)
+        stack = np.concatenate([mats, mats[:2]])
+        stack[position] = bad
+        with pytest.raises(InvalidOperatorError):
+            DensityOperator.from_stack(stack)
+        with pytest.raises(InvalidOperatorError):
+            von_neumann_entropy(stack.reshape(5, 1, 3, 3))
+        with pytest.raises(InvalidOperatorError):
+            trace_distance(stack, mats[0])
+        with pytest.raises(InvalidOperatorError):
+            holevo(stack)
+
+    def test_stack_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            DensityOperator.from_stack(np.eye(2) / 2)
+        with pytest.raises(ValueError):
+            von_neumann_entropy(np.ones((2, 3)) / 2)
+
+
 class TestRandomPovm:
     def test_valid_and_real_option(self):
         rng = np.random.default_rng(20)

@@ -34,6 +34,7 @@ from otlab.security import (
     max_holevo_sum_search,
     params_from_two_qutrit,
     returned_ensemble,
+    returned_states,
     sign_state_information,
     tetrahedron_states,
     theorem3_report,
@@ -100,6 +101,23 @@ class TestReturnedEnsemble:
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             returned_ensemble(CheatParams.honest(0), "z")
+        with pytest.raises(ValueError, match="unknown label"):
+            returned_states([[SQRT_HALF, 0.0, SQRT_HALF]], "z")
+
+    @pytest.mark.parametrize("label,count", [("y", 2), ("r", 2), ("yxr", 2), ("joint", 4)])
+    def test_returned_states_match_ensemble(self, label, count):
+        rng = np.random.default_rng(31)
+        params = [_random_params(rng) for _ in range(20)] + [CheatParams.honest(1)]
+        amplitudes = np.array([[p.a, p.b, p.c] for p in params])
+        states = returned_states(amplitudes, label)
+        assert states.shape == (len(params), count, 3, 3)
+        for row, p in zip(states, params):
+            ens = returned_ensemble(p, label)
+            assert np.array_equal(ens.probabilities, np.full(count, 1.0 / count))
+            assert np.array_equal(row, np.stack([op.matrix for op in ens.states]))
+        chi = holevo(states)
+        assert np.allclose(chi, [holevo(returned_ensemble(p, label)) for p in params],
+                           rtol=0.0, atol=1e-12)
 
 
 class TestSignStateInformation:
@@ -505,6 +523,16 @@ class TestAccessibleInfoSearch:
         assert result.best_value < 1.0 - 1e-4
         assert result.stationarity > 1e-3
         assert result.min_condition_eig < -1e-3
+
+    @pytest.mark.parametrize("label", ["y", "joint"])
+    def test_value_is_information_of_its_joint_table(self, label):
+        ens = returned_ensemble(CheatParams(SQRT_HALF, 0.5, 0.5), label)
+        result = accessible_info_search(ens, SearchConfig(n_starts=4, max_iters=60),
+                                        np.random.default_rng(47))
+        table = np.array([[np.trace(m @ op.matrix).real for m in result.best_povm.elements]
+                          for op in ens.states])
+        joint = ens.probabilities[:, None] * table
+        assert abs(result.best_value - numerics.classical_mutual_information(joint)) <= 1e-12
 
     def test_deterministic_given_seed(self):
         ens = returned_ensemble(CheatParams(SQRT_HALF, 0.5, 0.5), "y")
