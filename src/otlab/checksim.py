@@ -507,8 +507,10 @@ def _finalize_report(protocol_id, side, config, k, threshold, failures,
     failures = np.asarray(failures)
     aborted = failures > threshold
     if k >= 1:
-        eps = _epsilon(failures, k)
-        leak = _leak(eps, config.c1)
+        # A trial fails at most k checks: evaluate once per possible count.
+        eps_table = _epsilon(np.arange(k + 1), k)
+        eps = eps_table[failures]
+        leak = _leak(eps_table, config.c1)[failures]
     else:
         eps = np.full(failures.shape, np.nan)
         leak = np.full(failures.shape, np.nan)

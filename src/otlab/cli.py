@@ -122,11 +122,11 @@ def run_curve(params: dict) -> int:
     rows.extend(f"{center!r},{value!r}" for center, value in curve.bins)
     csv_payload = "\n".join(rows) + "\n"
 
-    envelope_violations = 0
-    for center, value in curve.bins:
-        left = center - bin_width / 2.0
-        if left >= 0.5 and value > security.binary_entropy(1.0 - left) + 1e-9:
-            envelope_violations += 1
+    centers, values = np.array(curve.bins).T
+    left = centers - bin_width / 2.0
+    upper = left >= 0.5
+    envelope = security.binary_entropy(1.0 - left[upper])
+    envelope_violations = int(np.sum(values[upper] > envelope + 1e-9))
     sq = curve.argmax.squares
     summary = {
         "analytic_max": security.MAX_HOLEVO_SUM,
@@ -356,6 +356,10 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     except ValueError as exc:
         print(f"otlab: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a size too large to allocate is a usage error
+        print(f"otlab: out of memory: {str(exc) or 'the requested size is too large'}",
+              file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"otlab: {exc}", file=sys.stderr)

@@ -58,7 +58,8 @@ class InvalidMeasurementError(ValueError):
 def xlog2(x):
     """Elementwise ``x * log2(x)`` with the ``0 * log 0 = 0`` convention.
 
-    Entries that are not positive (NaN included) give 0.
+    Entries that are not positive (NaN included) give 0.  Such entries send
+    numpy down its slow masked path, so pass only the entries you need.
     """
     arr = np.asarray(x, dtype=float)
     positive = arr > 0.0

@@ -272,9 +272,11 @@ def _triple_from_squares(a2, b2, c2):
     a2 = np.clip(np.asarray(a2, dtype=float), 0.0, 1.0)
     b2 = np.clip(np.asarray(b2, dtype=float), 0.0, 1.0)
     c2 = np.clip(np.asarray(c2, dtype=float), 0.0, 1.0)
-    chi_y = -xlog2(a2) - xlog2(b2) + xlog2(1.0 - c2)
-    chi_r = -xlog2(a2) - xlog2(c2) + xlog2(1.0 - b2)
-    chi_yxr = -xlog2(b2) - xlog2(c2) + xlog2(1.0 - a2)
+    # Six distinct entropy terms, each taken once.
+    la, lb, lc = xlog2(a2), xlog2(b2), xlog2(c2)
+    chi_y = -la - lb + xlog2(1.0 - c2)
+    chi_r = -la - lc + xlog2(1.0 - b2)
+    chi_yxr = -lb - lc + xlog2(1.0 - a2)
     return (np.clip(chi_y, 0.0, None), np.clip(chi_r, 0.0, None),
             np.clip(chi_yxr, 0.0, None))
 
@@ -312,13 +314,16 @@ def tradeoff_bound_margins(chi_y, chi_r, chi_yxr) -> np.ndarray:
     are at most ``h(delta')``.  The margins are ``bound - value`` in that
     order, nonnegative where a bound holds and NaN where it does not apply.
     """
-    margins = []
-    for anchor, others in ((chi_r, (chi_y, chi_yxr)), (chi_yxr, (chi_r, chi_y))):
-        delta = 1.0 - np.asarray(anchor, dtype=float)
+    chi_y, chi_r, chi_yxr = np.broadcast_arrays(
+        *(np.asarray(chi, dtype=float) for chi in (chi_y, chi_r, chi_yxr)))
+    margins = np.full(chi_y.shape + (4,), np.nan)
+    for col, anchor, others in ((0, chi_r, (chi_y, chi_yxr)), (2, chi_yxr, (chi_r, chi_y))):
+        delta = 1.0 - anchor
         applies = (delta >= 0.0) & (delta < 0.5)
-        bound = binary_entropy(np.where(applies, delta, 0.0))
-        margins += [np.where(applies, bound - other, np.nan) for other in others]
-    return np.stack(margins, axis=-1)
+        bound = binary_entropy(delta[applies])
+        for offset, other in enumerate(others):
+            margins[..., col + offset][applies] = bound - other[applies]
+    return margins
 
 
 def tetrahedron_states() -> tuple:
@@ -540,12 +545,12 @@ def _normalize(rows: np.ndarray):
     A frame is valid when the minimum eigenvalue of its ``Lambda`` exceeds
     1e-10; an invalid frame comes back unnormalized.
     """
-    lam = np.einsum("...na,...nb->...ab", rows, rows.conj())
+    lam = np.swapaxes(rows, -1, -2) @ rows.conj()
     eig, basis = np.linalg.eigh(lam)
     valid = eig[..., 0] > 1e-10
     scale = np.where(valid[..., None], eig, 1.0)[..., None, :] ** -0.5
     inv_sqrt = (basis * scale) @ np.swapaxes(basis, -1, -2).conj()
-    return np.einsum("...ab,...nb->...na", inv_sqrt, rows), valid
+    return rows @ np.swapaxes(inv_sqrt, -1, -2), valid
 
 
 def accessible_info_search(ensemble: Ensemble, config: SearchConfig | None = None,
@@ -580,8 +585,11 @@ def accessible_info_search(ensemble: Ensemble, config: SearchConfig | None = Non
     vecs = vecs[valid]
     info, weights = _frame_statistics(vecs, states, priors)
     eps = np.ones(len(vecs))
+    flat_states = states.reshape(len(states), dim * dim)
     for _ in range(cfg.max_iters):
-        grad = np.einsum("sin,iab,snb->sna", weights, states, vecs)
+        # R_k as one matmul, then R_k v_k: faster than one three-operand einsum.
+        r_k = (np.swapaxes(weights, -1, -2) @ flat_states).reshape(vecs.shape + (dim,))
+        grad = np.einsum("snab,snb->sna", r_k, vecs)
         cand, valid = _normalize(vecs + eps[:, None, None] * grad)
         cand_info, cand_weights = _frame_statistics(cand, states, priors)
         step = valid & (cand_info > info)

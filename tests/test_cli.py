@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import otlab
-from otlab import cli, security, verify
+from otlab import checksim, cli, protocol, security, verify
 
 
 def _module_env() -> dict:
@@ -138,6 +139,30 @@ class TestCurve:
         assert out_path.read_text() == text
         assert stdout2 == stdout
 
+    def test_envelope_counts_only_bins_right_of_one_half(self, capsys, monkeypatch):
+        real = security.tradeoff_curve
+        width = 0.125  # exact bin edges k/8
+
+        def curve_with_bins(n_samples, bin_width, rng):
+            curve = real(n_samples, bin_width, rng)
+            bins = []
+            for k in range(8):
+                left = k * width
+                if left < 0.5:  # far above any envelope, but never counted
+                    value = 1.0
+                else:  # above h(1 - left) in the bins k = 4, 6 and 7 only
+                    value = security.binary_entropy(1.0 - left) + (1e-6 if k != 5 else 1e-10)
+                bins.append(((k + 0.5) * width, value))
+            return dataclasses.replace(curve, bins=tuple(bins))
+
+        monkeypatch.setattr(security, "tradeoff_curve", curve_with_bins)
+        code, out, err = _run(capsys, ["curve", "--n-samples", "1000", "--bin-width",
+                                       str(width), "--seed", "9"])
+        summary = json.loads(out.strip().split("\n")[-1])["summary"]
+        assert summary["envelope_violations"] == 3
+        assert summary["max_sum"] <= summary["analytic_max"]
+        assert code == 1 and err == ""
+
     def test_too_few_samples_is_usage_error(self, capsys):
         code, _, err = _run(capsys, ["curve", "--n-samples", "10"])
         assert code == 2
@@ -252,6 +277,31 @@ class TestErrorPaths:
         assert err.startswith("otlab: ")
         assert "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""])
+    @pytest.mark.parametrize("argv,target", [
+        (["curve", "--n-samples", "1000000000000"], (security, "tradeoff_curve")),
+        (["verify", "prop3", "--samples", "1000000000000"], (verify.SUITES, "prop3")),
+        (["table", "--x", "1", "--y", "0", "--n", "1000000000000"], (protocol, "run_honest")),
+        (["checksim", "--trials", "1000000000000"], (checksim, "run_protocol2")),
+    ])
+    def test_oversized_request_exits_2_without_traceback(self, capsys, monkeypatch,
+                                                          argv, target, message):
+        # The library call fails as numpy does when an allocation is refused;
+        # nothing is allocated for real.
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        owner, name = target
+        if isinstance(owner, dict):
+            monkeypatch.setitem(owner, name, refuse)
+        else:
+            monkeypatch.setattr(owner, name, refuse)
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("otlab: out of memory: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [["table", "--x", "1", "--y", "0", "--n", "5"],
                                       ["verify", "prop2", "--samples", "50"]])

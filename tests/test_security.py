@@ -243,6 +243,39 @@ class TestHolevoTriple:
                     holevo(returned_ensemble(params, label)), abs=1e-10)
 
 
+def _nine_term_triple(a2, b2, c2):
+    """The 0.9.0 closed forms, one entropy term per occurrence: the reference."""
+    a2 = np.clip(np.asarray(a2, dtype=float), 0.0, 1.0)
+    b2 = np.clip(np.asarray(b2, dtype=float), 0.0, 1.0)
+    c2 = np.clip(np.asarray(c2, dtype=float), 0.0, 1.0)
+    chi_y = -numerics.xlog2(a2) - numerics.xlog2(b2) + numerics.xlog2(1.0 - c2)
+    chi_r = -numerics.xlog2(a2) - numerics.xlog2(c2) + numerics.xlog2(1.0 - b2)
+    chi_yxr = -numerics.xlog2(b2) - numerics.xlog2(c2) + numerics.xlog2(1.0 - a2)
+    return (np.clip(chi_y, 0.0, None), np.clip(chi_r, 0.0, None),
+            np.clip(chi_yxr, 0.0, None))
+
+
+class TestTripleFromSquares:
+    # Squares of exactly 0 and 1, and clipped round-off just outside [0, 1].
+    EDGES = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.5, 0.0),
+             (0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (1.0 + 1e-16, -1e-17, 0.0)]
+
+    def test_bitwise_equal_to_nine_terms(self):
+        squares = np.vstack([np.random.default_rng(60).dirichlet([1.0, 1.0, 1.0], size=10_000),
+                             self.EDGES])
+        got = security._triple_from_squares(*squares.T)
+        want = _nine_term_triple(*squares.T)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    def test_bitwise_equal_on_scalars(self):
+        for row in self.EDGES + [(0.2, 0.3, 0.5)]:
+            got = security._triple_from_squares(*row)
+            want = _nine_term_triple(*row)
+            assert len(got) == 3
+            assert all(np.asarray(g).tobytes() == np.asarray(w).tobytes()
+                       for g, w in zip(got, want))
+
+
 class TestBinaryEntropy:
     def test_endpoints_and_center(self):
         assert binary_entropy(0.0) == 0.0
@@ -284,6 +317,34 @@ class TestTradeoffBounds:
         for _ in range(1000):
             params = _random_params(rng)
             assert 1.0 - holevo_triple(params).chi_r >= params.b ** 2 - 1e-10
+
+    @staticmethod
+    def _scalar_margins(chi_y, chi_r, chi_yxr):
+        """One element at a time: ``h(1 - anchor) - other`` where the bound applies."""
+        out = []
+        for anchor, others in ((chi_r, (chi_y, chi_yxr)), (chi_yxr, (chi_r, chi_y))):
+            delta = 1.0 - anchor
+            out += [binary_entropy(delta) - other if 0.0 <= delta < 0.5 else np.nan
+                    for other in others]
+        return out
+
+    def test_bitwise_equal_to_scalar_reference(self):
+        rng = np.random.default_rng(61)
+        triples = np.column_stack(security._triple_from_squares(
+            *rng.dirichlet([1.0, 1.0, 1.0], size=10_000).T))
+        # Anchors at delta 0, 1/2, 1/2 - ulp, NaN and negative, in either anchor column.
+        anchors = [1.0, 0.5, 0.5 + np.spacing(0.5), np.nan, 1.0 + 1e-9, 1.5]
+        assert 1.0 - anchors[2] == 0.5 - np.spacing(0.5)
+        edges = [[0.3, anchor, other] for anchor in anchors for other in (0.2, 0.9, anchor)]
+        edges += [[0.3, other, anchor] for _, anchor, other in edges]
+        triples = np.vstack([triples, edges])
+        got = tradeoff_bound_margins(*triples.T)
+        want = np.array([self._scalar_margins(*row) for row in triples.tolist()])
+        assert got.shape == want.shape == (len(triples), 4)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+        assert nan[:10_000].any() and not nan[:10_000].all()
 
     def test_sweep_no_violations(self):
         rng = np.random.default_rng(35)
