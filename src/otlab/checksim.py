@@ -506,11 +506,16 @@ def _finalize_report(protocol_id, side, config, k, threshold, failures,
                      delivered, extras) -> CheckReport:
     failures = np.asarray(failures)
     aborted = failures > threshold
-    if k >= 1:
-        # A trial fails at most k checks: evaluate once per possible count.
-        eps_table = _epsilon(np.arange(k + 1), k)
+    top = int(failures.max(initial=0)) + 1
+    if k >= 1 and top <= failures.size:
+        # Evaluate once per count up to the largest seen, at no more cost
+        # than one evaluation per trial.
+        eps_table = _epsilon(np.arange(top), k)
         eps = eps_table[failures]
         leak = _leak(eps_table, config.c1)[failures]
+    elif k >= 1:
+        eps = _epsilon(failures, k)
+        leak = _leak(eps, config.c1)
     else:
         eps = np.full(failures.shape, np.nan)
         leak = np.full(failures.shape, np.nan)

@@ -272,7 +272,8 @@ def _triple_from_squares(a2, b2, c2):
     a2 = np.clip(np.asarray(a2, dtype=float), 0.0, 1.0)
     b2 = np.clip(np.asarray(b2, dtype=float), 0.0, 1.0)
     c2 = np.clip(np.asarray(c2, dtype=float), 0.0, 1.0)
-    # Six distinct entropy terms, each taken once.
+    # Terms summed in the nine-term order, so results are bitwise those of
+    # taking each xlog2 separately (TestTripleFromSquares checks this).
     la, lb, lc = xlog2(a2), xlog2(b2), xlog2(c2)
     chi_y = -la - lb + xlog2(1.0 - c2)
     chi_r = -la - lc + xlog2(1.0 - b2)

@@ -236,6 +236,17 @@ class TestEstimates:
         assert np.allclose(report.leak_bound_bits, expected_leak)
         assert (report.c_a, report.c_mid, report.c_b) == (0.5, 1.0, 2.0)
 
+    @pytest.mark.parametrize("m,k,trials", [(30, 10, 200), (10**9, 10**9, 3),
+                                            (10**9, 10**8, 5)])
+    def test_report_equals_per_trial_formula(self, m, k, trials):
+        # Bitwise equal to one scalar evaluation per trial, and bounded by the
+        # trial count when k is far larger (no table over all k + 1 counts).
+        config = CheckConfig(m=m, k_bob=k, threshold_bob=k, trials=trials)
+        report = run_protocol2(config, AliceStrategy.learn_y(), np.random.default_rng(17))
+        eps = [epsilon_estimate(int(f), k) for f in report.failures]
+        assert report.est_epsilon.tolist() == eps
+        assert report.leak_bound_bits.tolist() == [leak_bound(e) for e in eps]
+
 
 _MIX_PHI, _ALPHA, _ANGLE = 0.3, 0.7, 1.1
 
