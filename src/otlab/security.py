@@ -32,6 +32,7 @@ from .numerics import (
     Povm,
     PureState,
     classical_mutual_information,
+    dirichlet_blocks,
     holevo,
     trace_distance,
     xlog2,
@@ -317,13 +318,15 @@ def tradeoff_bound_margins(chi_y, chi_r, chi_yxr) -> np.ndarray:
     """
     chi_y, chi_r, chi_yxr = np.broadcast_arrays(
         *(np.asarray(chi, dtype=float) for chi in (chi_y, chi_r, chi_yxr)))
-    margins = np.full(chi_y.shape + (4,), np.nan)
+    margins = np.empty(chi_y.shape + (4,))
     for col, anchor, others in ((0, chi_r, (chi_y, chi_yxr)), (2, chi_yxr, (chi_r, chi_y))):
         delta = 1.0 - anchor
         applies = (delta >= 0.0) & (delta < 0.5)
-        bound = binary_entropy(delta[applies])
+        # A delta where no bound applies (NaN included) is replaced by 0 so
+        # that binary_entropy accepts it; its margins are NaN either way.
+        bound = binary_entropy(np.where(applies, delta, 0.0))
         for offset, other in enumerate(others):
-            margins[..., col + offset][applies] = bound - other[applies]
+            margins[..., col + offset] = np.where(applies, bound - other, np.nan)
     return margins
 
 
@@ -621,46 +624,67 @@ class MaxHolevoSumResult:
     unconstrained_max: float   # free 2-d search over the simplex
 
 
-def _chi_sum_of_squares(a2: float, b2: float) -> float:
+def _chi_sum_of_squares(a2, b2):
+    """``chi_y + chi_r`` at ``(a2, b2, 1 - a2 - b2)``; -inf off the simplex."""
+    a2, b2 = np.broadcast_arrays(np.asarray(a2, dtype=float), np.asarray(b2, dtype=float))
     c2 = 1.0 - a2 - b2
-    if a2 < 0 or b2 < 0 or c2 < -1e-15:
-        return -np.inf
-    chi_y, chi_r, _ = _triple_from_squares(a2, b2, max(c2, 0.0))
-    return float(chi_y + chi_r)
+    chi_y, chi_r, _ = _triple_from_squares(a2, b2, c2)
+    return np.where((a2 >= 0.0) & (b2 >= 0.0) & (c2 >= -1e-15), chi_y + chi_r, -np.inf)
+
+
+# Reciprocal of the golden ratio: each golden-section step keeps this
+# fraction of the bracket and reuses one of its two interior points.
+_INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section_max(f, lo: float, hi: float, xatol: float) -> tuple:
+    """``(x, f(x))`` at the maximum of a unimodal scalar ``f`` on ``[lo, hi]``."""
+    x1, x2 = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > xatol:
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_GOLDEN * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_GOLDEN * (hi - lo)
+            f2 = f(x2)
+    return (x1, f1) if f1 >= f2 else (x2, f2)
+
+
+def _simplex_zoom_max() -> float:
+    """Maximum of ``chi_y + chi_r`` over ``(a^2, b^2)`` by a zooming grid.
+
+    Each round evaluates a ``points x points`` grid in one array pass and
+    recentres a window four grid steps wide on its best point, so the step
+    shrinks tenfold per round.
+    """
+    points, rounds = 41, 12
+    center, half = np.array([0.5, 0.5]), 0.5
+    for _ in range(rounds):
+        offsets = np.linspace(-half, half, points)
+        a2, b2 = center[0] + offsets[:, None], center[1] + offsets[None, :]
+        values = _chi_sum_of_squares(a2, b2)
+        row, col = np.unravel_index(np.argmax(values), values.shape)
+        best = float(values[row, col])
+        center = np.array([a2[row, 0], b2[0, col]])
+        half = 4.0 * half / (points - 1)
+    return best
 
 
 def max_holevo_sum_search() -> MaxHolevoSumResult:
     """Maximize ``chi_y + chi_r`` over amplitude triples.
 
-    Primary route: one-dimensional bounded search along the symmetric slice
-    ``b^2 = c^2`` where the sum reduces to a scalar function of ``b^2``.
-    Cross-check: coarse grid plus Nelder-Mead polish over the free
-    ``(a^2, b^2)`` simplex; the two routes agree to 1e-8.
+    Primary route: golden-section search along the symmetric slice
+    ``b^2 = c^2``, where the sum is a unimodal function of ``b^2``.
+    Cross-check: a zooming grid over the free ``(a^2, b^2)`` simplex; the
+    two routes agree to 1e-8.
     """
-    from scipy import optimize
-
-    def neg_slice(b2: float) -> float:
-        return -_chi_sum_of_squares(1.0 - 2.0 * b2, b2)
-
-    res = optimize.minimize_scalar(neg_slice, bounds=(1e-15, 0.5 - 1e-15),
-                                   method="bounded", options={"xatol": 1e-13})
-    b2_star = float(res.x)
-    constrained = -float(res.fun)
+    b2_star, constrained = _golden_section_max(
+        lambda b2: float(_chi_sum_of_squares(1.0 - 2.0 * b2, b2)), 1e-15, 0.5 - 1e-15, 1e-13)
     argmax = CheatParams.from_squares(1.0 - 2.0 * b2_star, b2_star, b2_star)
-
-    grid = np.linspace(0.01, 0.99, 50)
-    best_grid, best_pt = -np.inf, (0.4, 0.3)
-    for a2 in grid:
-        for b2 in grid:
-            if a2 + b2 >= 1.0:
-                continue
-            val = _chi_sum_of_squares(a2, b2)
-            if val > best_grid:
-                best_grid, best_pt = val, (a2, b2)
-    nm = optimize.minimize(lambda q: -_chi_sum_of_squares(q[0], q[1]), best_pt,
-                           method="Nelder-Mead",
-                           options={"xatol": 1e-12, "fatol": 1e-13, "maxiter": 2000})
-    unconstrained = -float(nm.fun)
+    unconstrained = _simplex_zoom_max()
     return MaxHolevoSumResult(max_sum=constrained, argmax=argmax,
                               constrained_max=constrained, unconstrained_max=unconstrained)
 
@@ -698,26 +722,44 @@ def tradeoff_curve(n_samples: int, bin_width: float = 0.01,
     computed, and the per-bin maximum of ``chi_y`` is recorded over
     left-closed bins ``[k*w, (k+1)*w)`` of ``max(chi_r, chi_yxr) <= 1``; a
     width ``w >= 2**-53`` keeps every ``k`` an exact integer.
+
+    Samples go through in blocks of :func:`numerics.dirichlet_blocks`, drawn
+    in stream order, so the result is that of one draw of all samples: each
+    block fills its rows of ``triples`` and reduces to per-bin maxima, and
+    one final merge combines the blocks' bins.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if not (np.isfinite(bin_width) and bin_width >= 2.0 ** -53):
         raise ValueError("bin_width must be finite and at least 2**-53")
     rng = np.random.default_rng(0) if rng is None else rng
-    squares = rng.dirichlet([3.0, 3.0, 3.0], size=int(n_samples))
-    chi_y, chi_r, chi_yxr = _triple_from_squares(*squares.T)
-    triples = np.column_stack([chi_y, chi_r, chi_yxr])
-    h1 = np.maximum(chi_r, chi_yxr)
-    sums = chi_y + h1
-    arg = int(np.argmax(sums))
-    keys, inverse = np.unique(np.floor(h1 / bin_width).astype(int), return_inverse=True)
+    triples = np.empty((int(n_samples), 3))
+    block_keys, block_maxima = [], []
+    max_sum, argmax_squares, start = -np.inf, None, 0
+    for squares in dirichlet_blocks(rng, [3.0, 3.0, 3.0], int(n_samples)):
+        chi_y, chi_r, chi_yxr = _triple_from_squares(*squares.T)
+        rows = triples[start:start + len(squares)]
+        rows[:, 0], rows[:, 1], rows[:, 2] = chi_y, chi_r, chi_yxr
+        start += len(squares)
+        h1 = np.maximum(chi_r, chi_yxr)
+        sums = chi_y + h1
+        arg = int(np.argmax(sums))
+        # Strictly greater: a tie keeps the earlier block's sample, as one
+        # argmax over all samples would.
+        if sums[arg] > max_sum:
+            max_sum, argmax_squares = float(sums[arg]), squares[arg].copy()
+        keys, inverse = np.unique(np.floor(h1 / bin_width).astype(int), return_inverse=True)
+        maxima = np.full(keys.size, -np.inf)
+        np.maximum.at(maxima, inverse, chi_y)
+        block_keys.append(keys)
+        block_maxima.append(maxima)
+    keys, inverse = np.unique(np.concatenate(block_keys), return_inverse=True)
     maxima = np.full(keys.size, -np.inf)
-    np.maximum.at(maxima, inverse, chi_y)
+    np.maximum.at(maxima, inverse, np.concatenate(block_maxima))
     bins = tuple(((k + 0.5) * bin_width, v) for k, v in zip(keys.tolist(), maxima.tolist()))
     return TradeoffCurve(
         n_samples=int(n_samples), bin_width=float(bin_width), bins=bins,
-        triples=triples, max_sum=float(sums[arg]),
-        argmax=CheatParams.from_squares(*squares[arg]))
+        triples=triples, max_sum=max_sum, argmax=CheatParams.from_squares(*argmax_squares))
 
 
 # ---------------------------------------------------------------------------

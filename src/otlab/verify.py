@@ -30,30 +30,37 @@ def prop1(samples: int, seed: int) -> dict:
             "violations": int(np.any(margins < -1e-9, axis=1).sum())}
 
 
+# Grid over a^2 in [0, 1], with 1/2 on it, that locates the equality locus.
+_LOCUS_GRID = np.linspace(0.0, 1.0, 1001)
+
+
+def _slice_radius(a2):
+    """``(p_r - 1/2)^2 + (p_y - 1/2)^2`` on the slice ``b^2 = c^2 = (1 - a^2)/2``."""
+    a = np.sqrt(a2)
+    b = c = np.sqrt((1.0 - a2) / 2.0)
+    return (a * c) ** 2 + (a * b) ** 2
+
+
 def prop2(samples: int, seed: int) -> dict:
-    """Guessing-probability circle constraints, plus the equality locus."""
-    from scipy.optimize import minimize_scalar
+    """Guessing-probability circle constraints, plus the equality locus.
 
+    On the slice ``b^2 = c^2`` the first constraint's radius is
+    ``a^2 (1 - a^2)``, which meets 1/4 exactly at ``a^2 = 1/2``: that closed
+    form is reported, and one violation is counted if the grid maximum of
+    the radius lies more than one grid step from it.
+    """
     rng = substream_rng(seed, COMPONENTS["verify"], 2)
-    squares = rng.dirichlet([1.0, 1.0, 1.0], size=samples)
-    a, b, c = (np.sqrt(squares[:, i]) for i in range(3))
-    lhs1 = (a * c) ** 2 + (a * b) ** 2
-    lhs2 = (b * c) ** 2 + (a * b) ** 2
-    violations = int(np.sum(lhs1 > 0.25 + 1e-12) + np.sum(lhs2 > 0.25 + 1e-12))
-
-    def neg_radius(a2: float) -> float:
-        p = security.CheatParams.from_squares(a2, (1 - a2) / 2, (1 - a2) / 2)
-        g = security.guess_probs(p)
-        return -((g.p_r - 0.5) ** 2 + (g.p_y - 0.5) ** 2)
-
-    res = minimize_scalar(neg_radius, bounds=(1e-9, 1 - 1e-9), method="bounded",
-                          options={"xatol": 1e-12})
-    return {
-        "equality_a2": float(res.x),
-        "max_lhs": float(max(lhs1.max(), lhs2.max())),
-        "samples": samples,
-        "violations": violations,
-    }
+    max_lhs, violations = -np.inf, 0
+    for squares in numerics.dirichlet_blocks(rng, [1.0, 1.0, 1.0], samples):
+        a, b, c = (np.sqrt(squares[:, i]) for i in range(3))
+        lhs1 = (a * c) ** 2 + (a * b) ** 2
+        lhs2 = (b * c) ** 2 + (a * b) ** 2
+        max_lhs = max(max_lhs, lhs1.max(), lhs2.max())
+        violations += int(np.sum(lhs1 > 0.25 + 1e-12) + np.sum(lhs2 > 0.25 + 1e-12))
+    peak = _LOCUS_GRID[np.argmax(_slice_radius(_LOCUS_GRID))]
+    violations += int(abs(peak - 0.5) > _LOCUS_GRID[1] - _LOCUS_GRID[0])
+    return {"equality_a2": 0.5, "max_lhs": float(max_lhs), "samples": samples,
+            "violations": violations}
 
 
 def prop3(samples: int, seed: int) -> dict:
@@ -62,12 +69,17 @@ def prop3(samples: int, seed: int) -> dict:
     ``min_margin`` is null when no sample has a bound that applies.
     """
     rng = substream_rng(seed, COMPONENTS["verify"], 3)
-    squares = rng.dirichlet([1.0, 1.0, 1.0], size=samples)
-    margins = security.tradeoff_bound_margins(*security._triple_from_squares(*squares.T))
-    margins = margins[~np.isnan(margins)]
-    return {"applicable": margins.size // 2,
-            "min_margin": float(margins.min()) if margins.size else None,
-            "samples": samples, "violations": int(np.sum(margins < -1e-9))}
+    bounded, min_margin, violations = 0, np.nan, 0
+    for squares in numerics.dirichlet_blocks(rng, [1.0, 1.0, 1.0], samples):
+        margins = security.tradeoff_bound_margins(*security._triple_from_squares(*squares.T))
+        # NaN marks a bound that does not apply: it is not counted, fmin
+        # skips it, and it never compares below the tolerance.
+        bounded += int(np.count_nonzero(~np.isnan(margins)))
+        min_margin = np.fmin(min_margin, np.fmin.reduce(margins, axis=None))
+        violations += int(np.count_nonzero(margins < -1e-9))
+    return {"applicable": bounded // 2,
+            "min_margin": None if np.isnan(min_margin) else float(min_margin),
+            "samples": samples, "violations": violations}
 
 
 def _is_measurement(images: np.ndarray) -> np.ndarray:

@@ -358,9 +358,10 @@ class TestOneParser:
 
 
 class TestImportCost:
-    """Only ``verify prop2`` and ``max_holevo_sum_search`` load scipy.
+    """No job loads scipy: the package needs numpy alone at runtime.
 
-    The accessible-information search iterates on arrays and leaves it out.
+    Every verify suite, ``curve``, ``table`` and ``checksim``, the
+    accessible-information search and the maximum search run on arrays.
     """
 
     @staticmethod
@@ -389,6 +390,13 @@ class TestImportCost:
                               env=_module_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
 
+    def test_max_holevo_sum_search_leaves_scipy_out(self):
+        script = ("import sys; from otlab import security; security.max_holevo_sum_search(); "
+                  "assert 'scipy' not in sys.modules")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=_module_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.parametrize("argv", [
         ["table", "--x", "1", "--y", "0", "--n", "5"],
         ["checksim", "--protocol", "3", "--m", "20", "--k", "2", "--k-alice", "2",
@@ -396,18 +404,16 @@ class TestImportCost:
         ["curve", "--n-samples", "1000"],
         ["verify", "prop1", "--samples", "3"],
         ["verify", "lemma1", "--samples", "2"],
+        ["verify", "prop2", "--samples", "50"],
+        ["verify", "prop3", "--samples", "50"],
+        ["verify", "thm3"],
+        ["verify", "infodelta", "--samples", "5"],
+        ["verify", "examples", "--samples", "5"],
     ])
     def test_jobs_without_optimization_leave_scipy_out(self, argv):
         code, imported = self._imported(argv)
         assert code == 0
         assert "otlab" in imported and "scipy" not in imported
-
-    @pytest.mark.parametrize("argv,loads_scipy", [(["verify", "prop2", "--samples", "50"], True),
-                                                  (["verify", "thm3"], False)])
-    def test_optimizing_suites_still_pass(self, argv, loads_scipy):
-        code, imported = self._imported(argv)
-        assert code == 0
-        assert ("scipy" in imported) == loads_scipy
 
 
 def test_package_version_matches_pyproject():

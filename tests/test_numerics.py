@@ -133,6 +133,20 @@ class TestEntropy:
             assert 0.0 <= val <= np.log2(3) + 1e-12
 
 
+class TestDirichletBlocks:
+    B = numerics.DIRICHLET_BLOCK
+
+    @pytest.mark.parametrize("alpha", [(1.0, 1.0, 1.0), (3.0, 3.0, 3.0)])
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 5])
+    def test_blocks_are_one_call_in_order(self, alpha, n):
+        rng, ref = np.random.default_rng(71), np.random.default_rng(71)
+        blocks = list(numerics.dirichlet_blocks(rng, alpha, n))
+        assert [len(block) for block in blocks[:-1]] == [self.B] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1]) <= self.B
+        assert np.concatenate(blocks).tobytes() == ref.dirichlet(alpha, size=n).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class TestTraceDistance:
     def test_identical(self):
         rho = _proj([1, 0, 0])
@@ -363,6 +377,18 @@ class TestStacks:
         direct = von_neumann_entropy(mixed) - sum(p * von_neumann_entropy(op.matrix)
                                                   for p, op in zip(probs, ops))
         assert abs(holevo(Ensemble(tuple(zip(probs, ops)))) - direct) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3, 9])
+    def test_ensemble_holevo_bitwise_equals_validated_average(self, dim):
+        """The reference: the average built and validated as a DensityOperator."""
+        rng = np.random.default_rng(80 + dim)
+        ops = DensityOperator.from_stack(_stack_with_ranks(dim, rng)[:4])
+        ensemble = Ensemble(tuple(zip(rng.dirichlet(np.ones(len(ops))), ops)))
+        spectra = np.array([op.eigenvalues() for op in ops])
+        average = ensemble.average().eigenvalues()
+        want = max(0.0, float(numerics._entropy_bits(average)
+                              - (ensemble.probabilities * numerics._entropy_bits(spectra)).sum()))
+        assert holevo(ensemble) == want
 
     def test_holevo_stack_shapes(self):
         states = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)

@@ -660,6 +660,40 @@ class TestTradeoffCurve:
                          for k in np.unique(indices))
         assert curve.bins == expected
 
+    @staticmethod
+    def _one_shot(n, width, rng):
+        """Bins, triples, max sum and argmax from one draw of all samples: the reference."""
+        squares = rng.dirichlet([3.0, 3.0, 3.0], size=n)
+        chi_y, chi_r, chi_yxr = security._triple_from_squares(*squares.T)
+        h1 = np.maximum(chi_r, chi_yxr)
+        sums = chi_y + h1
+        arg = int(np.argmax(sums))
+        keys, inverse = np.unique(np.floor(h1 / width).astype(int), return_inverse=True)
+        maxima = np.full(keys.size, -np.inf)
+        np.maximum.at(maxima, inverse, chi_y)
+        bins = tuple(((k + 0.5) * width, v) for k, v in zip(keys.tolist(), maxima.tolist()))
+        return (bins, np.column_stack([chi_y, chi_r, chi_yxr]), float(sums[arg]),
+                CheatParams.from_squares(*squares[arg]))
+
+    @pytest.mark.parametrize("width", [0.01, 0.7, 1e-9])
+    def test_blocks_equal_one_shot_reference(self, width):
+        n = 2 * numerics.DIRICHLET_BLOCK + 37
+        curve = tradeoff_curve(n, width, np.random.default_rng(50))
+        bins, triples, max_sum, argmax = self._one_shot(n, width, np.random.default_rng(50))
+        assert curve.bins == bins
+        assert curve.triples.tobytes() == triples.tobytes()
+        assert curve.max_sum == max_sum and curve.argmax == argmax
+
+    def test_tied_maximum_keeps_first_sample(self, monkeypatch):
+        # Every sample has the same sum, so the argmax is the very first one.
+        monkeypatch.setattr(security, "_triple_from_squares", lambda a2, b2, c2: (
+            np.zeros_like(a2), np.full_like(a2, 0.5), np.zeros_like(a2)))
+        n = numerics.DIRICHLET_BLOCK + 3
+        curve = tradeoff_curve(n, 0.01, np.random.default_rng(51))
+        first = np.random.default_rng(51).dirichlet([3.0, 3.0, 3.0])
+        assert curve.argmax == CheatParams.from_squares(*first) and curve.max_sum == 0.5
+        assert curve.bins == ((0.505, 0.0),)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             tradeoff_curve(0)
