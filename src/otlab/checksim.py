@@ -26,6 +26,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -227,8 +228,7 @@ def _sender(alice: AliceStrategy):
     """
     if alice.kind == "honest":
         x, t = np.divmod(np.arange(4), 2)
-        sent = np.array([protocol.alice_prepare(i, j).amplitudes for i, j in zip(x, t)])
-        rows = np.array([protocol.alice_basis(i) for i in x])
+        sent, rows = protocol.SENT.reshape(4, 3), protocol.BASES[x]
         reports = np.zeros((4, 3, 2, 2))
         reports[np.arange(4), 0, x, t] = 1.0      # outcome o < 2 outputs e = o XOR t
         reports[np.arange(4), 1, x, 1 - t] = 1.0
@@ -264,7 +264,8 @@ def _receiver(bob: BobStrategy):
     of Alice's input (-1 for none).
     """
     y, r = np.divmod(np.arange(4), 2)
-    gates = np.array([protocol.bob_gate(i, j) for i, j in zip(y, r)]) / 2.0
+    gates = np.zeros((4, 3, 3), dtype=complex)
+    gates[:, [0, 1, 2], [0, 1, 2]] = protocol.GATES[y, r] / 2.0
     if bob.kind == "honest":
         return gates, y, r, np.full(4, -1)
     if bob.kind == "phase-noise":  # diag(1, 1, e^{i angle}) after the gate
@@ -445,7 +446,7 @@ class CheckReport:
     ``h(min(c1 * eps, 1/2))`` in bits, and the number of delivered
     (unchecked, non-aborted) tables.  ``est_epsilon``/``leak_bound_bits`` are
     NaN when ``k = 0``.  The order-equivalence bracket ``[c_a, c_b]`` around
-    the estimator constant is recorded rather than hidden.
+    the estimator constant is recorded, as class constants, rather than hidden.
     """
 
     protocol_id: int
@@ -461,9 +462,9 @@ class CheckReport:
     tables_delivered: np.ndarray
     abort_probability: float
     abort_ci: tuple
-    c_mid: float = EPS_C_MID
-    c_a: float = EPS_C_A
-    c_b: float = EPS_C_B
+    c_mid: ClassVar[float] = EPS_C_MID
+    c_a: ClassVar[float] = EPS_C_A
+    c_b: ClassVar[float] = EPS_C_B
     c1: float = 1.0
     extras: dict = field(default_factory=dict)
 
@@ -471,9 +472,16 @@ class CheckReport:
     def mean_failures(self) -> float:
         return float(self.failures.mean())
 
-    def to_dict(self, max_records: int | None = None) -> dict:
-        count = self.trials if max_records is None else min(self.trials, max_records)
+    def summary(self) -> dict:
+        """Aggregate of all trials: abort rate with its interval, extras, mean failures."""
+        return {
+            "abort_ci": [float(self.abort_ci[0]), float(self.abort_ci[1])],
+            "abort_probability": float(self.abort_probability),
+            "extras": {key: float(val) for key, val in self.extras.items()},
+            "mean_failures": self.mean_failures,
+        }
 
+    def to_dict(self) -> dict:
         def _num(value):
             return None if np.isnan(value) else float(value)
 
@@ -483,17 +491,14 @@ class CheckReport:
              "failures": int(self.failures[i]),
              "leak_bound_bits": _num(self.leak_bound_bits[i]),
              "tables_delivered": int(self.tables_delivered[i])}
-            for i in range(count)
+            for i in range(self.trials)
         ]
         return {
-            "abort_ci": [float(self.abort_ci[0]), float(self.abort_ci[1])],
-            "abort_probability": float(self.abort_probability),
+            **self.summary(),
             "constants": {"c1": self.c1, "c_a": self.c_a, "c_b": self.c_b,
                           "c_mid": self.c_mid},
-            "extras": {key: float(val) for key, val in self.extras.items()},
             "k": self.k,
             "m": self.m,
-            "mean_failures": self.mean_failures,
             "protocol": self.protocol_id,
             "records": records,
             "side": self.side,
@@ -621,17 +626,12 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
         guessed = sum(int(_binomial(rng, int(n), guess_p[mask].sum() / cell_p[mask].sum()))
                       for n, mask in groups if n)
         extras["x_guess_rate"] = guessed / (trials * m)
-    delivered = m - checked
-    bob_report = _finalize_report(3, "bob", config, k_b, config.resolved_threshold("bob"),
-                                  cells[:, 2] + cells[:, 3] + own_b, delivered, dict(extras))
-    alice_report = _finalize_report(3, "alice", config, k_a,
-                                    config.resolved_threshold("alice"),
-                                    cells[:, 1] + cells[:, 3] + own_a, delivered, dict(extras))
-    # Zero the deliveries whenever the opposite side aborted as well.
-    either = bob_report.aborted | alice_report.aborted
-    for report in (bob_report, alice_report):
-        np.copyto(report.tables_delivered, np.where(either, 0, report.tables_delivered))
-    return bob_report, alice_report
+    failures_b, failures_a = cells[:, 2] + cells[:, 3] + own_b, cells[:, 1] + cells[:, 3] + own_a
+    t_b, t_a = config.resolved_threshold("bob"), config.resolved_threshold("alice")
+    # No table is delivered when either side aborts.
+    delivered = np.where((failures_b > t_b) | (failures_a > t_a), 0, m - checked)
+    return (_finalize_report(3, "bob", config, k_b, t_b, failures_b, delivered, dict(extras)),
+            _finalize_report(3, "alice", config, k_a, t_a, failures_a, delivered, dict(extras)))
 
 
 def run_with_restarts(config: CheckConfig, alice: AliceStrategy, restarts: int,

@@ -198,15 +198,7 @@ def run_checksim(params: dict) -> int:
         bob = _bob_from_params(params)
         bob_report, alice_report = checksim.run_protocol3(config, alice, bob, rng)
         reports = {"alice": alice_report, "bob": bob_report}
-    aggregate = {
-        side: {
-            "abort_ci": [float(r.abort_ci[0]), float(r.abort_ci[1])],
-            "abort_probability": r.abort_probability,
-            "extras": {key: float(val) for key, val in r.extras.items()},
-            "mean_failures": r.mean_failures,
-        }
-        for side, r in reports.items()
-    }
+    aggregate = {side: r.summary() for side, r in reports.items()}
     summary = {"aggregate": aggregate, "protocol": params["protocol"], "seed": seed}
     if params.get("out"):
         full = {"config": {k: v for k, v in params.items() if k != "out"},

@@ -10,10 +10,12 @@ satisfy ``e XOR f = x AND y`` and realize a PR-box style one-time table,
 which :func:`and_eval` then consumes to compute a distributed AND of fresh
 inputs with one-time-pad-masked messages.
 
-:func:`run_honest` runs a batch on bit arrays.  The returned qutrit is an
-eigenstate of Alice's basis, so once ``t`` and ``r`` are drawn the outcome is
-fixed: it is read off the exact Born weights, with no draw for the
-measurement.
+:data:`SENT`, :data:`GATES` and :data:`BASES` hold this encoding as
+read-only tables indexed by bits; :func:`alice_prepare`, :func:`bob_gate` and
+:func:`alice_basis` check their bits and look up.  :func:`run_honest` runs a
+batch on bit arrays.  The returned qutrit is an eigenstate of Alice's basis,
+so once ``t`` and ``r`` are drawn the outcome is fixed: it is read off the
+exact Born weights, with no draw for the measurement.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ import numpy as np
 from .numerics import PureState
 
 __all__ = [
+    "SENT",
+    "GATES",
+    "BASES",
     "OneTimeTable",
     "AndEvalResult",
     "alice_prepare",
@@ -34,16 +39,24 @@ __all__ = [
     "and_eval",
 ]
 
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
 # An honest outcome is certain: Born weights one-hot on outcome 0 or 1 to this.
 _ONE_HOT_TOL = 1e-12
 
 
-def _check_bit(value: int, name: str) -> int:
-    value = int(value)
-    if value not in (0, 1):
-        raise ValueError(f"{name} must be 0 or 1, got {value}")
-    return value
+def _table(rows) -> np.ndarray:
+    """``rows`` as a read-only complex array."""
+    table = np.array(rows, dtype=complex)
+    table.setflags(write=False)
+    return table
+
+
+_S = 1.0 / np.sqrt(2.0)
+#: ``SENT[x, t]``: amplitudes of the sent state ``(|x> + (-1)^t |2>)/sqrt(2)``.
+SENT = _table([[[_S, 0, _S], [_S, 0, -_S]], [[0, _S, _S], [0, _S, -_S]]])
+#: ``GATES[y, r]``: diagonal of Bob's phase gate ``diag((-1)^r, (-1)^(y+r), 1)``.
+GATES = _table([[[1, 1, 1], [-1, -1, 1]], [[1, -1, 1], [-1, 1, 1]]])
+#: ``BASES[x]``: rows of Alice's analysis basis, ``SENT[x, 0]``, ``SENT[x, 1]``, ``|1-x>``.
+BASES = _table([[*SENT[0], [0, 1, 0]], [*SENT[1], [1, 0, 0]]])
 
 
 def _bits(value, name: str) -> np.ndarray:
@@ -78,29 +91,18 @@ class AndEvalResult:
 
 
 def alice_prepare(x: int, t: int) -> PureState:
-    """Sent state ``(|x> + (-1)^t |2>)/sqrt(2)``; amplitudes are machine constants."""
-    x, t = _check_bit(x, "x"), _check_bit(t, "t")
-    amps = np.zeros(3, dtype=complex)
-    amps[x] = _SQRT_HALF
-    amps[2] = -_SQRT_HALF if t else _SQRT_HALF
-    return PureState(3, amps)
+    """Sent state ``SENT[x, t]`` for bits ``x`` and ``t``."""
+    return PureState(3, SENT[_bits(x, "x"), _bits(t, "t")])
 
 
 def bob_gate(y: int, r: int) -> np.ndarray:
-    """Diagonal phase gate ``diag((-1)^r, (-1)^(y+r), 1)``."""
-    y, r = _check_bit(y, "y"), _check_bit(r, "r")
-    return np.diag([(-1.0) ** r, (-1.0) ** (y + r), 1.0]).astype(complex)
+    """Phase gate ``diag(GATES[y, r])`` for bits ``y`` and ``r``."""
+    return np.diag(GATES[_bits(y, "y"), _bits(r, "r")])
 
 
 def alice_basis(x: int) -> np.ndarray:
-    """Rows of Alice's three-outcome analysis basis for input ``x``."""
-    x = _check_bit(x, "x")
-    rows = np.zeros((3, 3), dtype=complex)
-    rows[0, x] = rows[1, x] = _SQRT_HALF
-    rows[0, 2] = _SQRT_HALF
-    rows[1, 2] = -_SQRT_HALF
-    rows[2, 1 - x] = 1.0
-    return rows
+    """Rows ``BASES[x]`` of Alice's analysis basis for bit ``x``, read-only."""
+    return BASES[_bits(x, "x")]
 
 
 def run_honest(x, y, rng: np.random.Generator):
@@ -116,12 +118,8 @@ def run_honest(x, y, rng: np.random.Generator):
     x, y = np.broadcast_arrays(np.atleast_1d(_bits(x, "x")), np.atleast_1d(_bits(y, "y")))
     t = rng.integers(0, 2, size=x.shape)
     r = rng.integers(0, 2, size=x.shape)
-    # The four sent states, four gate diagonals and two bases, indexed by their bits.
-    sent = np.array([[alice_prepare(i, j).amplitudes for j in (0, 1)] for i in (0, 1)])
-    gates = np.array([[np.diag(bob_gate(i, j)) for j in (0, 1)] for i in (0, 1)])
-    bases = np.array([alice_basis(i) for i in (0, 1)])
-    returned = gates[y, r] * sent[x, t]
-    weights = np.abs(np.einsum("...ij,...j->...i", bases[x], returned)) ** 2
+    returned = GATES[y, r] * SENT[x, t]
+    weights = np.abs(np.einsum("...ij,...j->...i", BASES[x], returned)) ** 2
     outcome = np.argmax(weights[..., :2], axis=-1)
     if np.abs(weights - (outcome[..., None] == np.arange(3))).max() > _ONE_HOT_TOL:
         raise RuntimeError("third or uncertain measurement outcome in an honest run")

@@ -76,7 +76,8 @@ __all__ = [
 
 # (r, y) enumeration order used for all four-state families in this module.
 RY_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
-_SIGNS = np.array([[1, 1, 1], [1, -1, 1], [-1, -1, 1], [-1, 1, 1]], dtype=float)
+# The phase gate's diagonals in RY_ORDER: the sign state of (r, y) is GATES[y, r] * (a, b, c).
+_SIGNS = np.array([protocol.GATES[y, r].real for r, y in RY_ORDER])
 
 # Bloch signs of the tetrahedron images, one row per (r, y) in RY_ORDER.
 _TETRA_SIGNS = np.array([[1, 1, 1], [-1, -1, 1], [1, -1, -1], [-1, 1, -1]], dtype=float)
@@ -110,9 +111,8 @@ class CheatParams:
 
     @classmethod
     def honest(cls, x: int) -> "CheatParams":
-        """Effective triple of an honest sender with input bit ``x``."""
-        s = 1.0 / np.sqrt(2.0)
-        return cls(s, 0.0, s) if int(x) == 0 else cls(0.0, s, s)
+        """Effective triple of an honest sender with input bit ``x``: her t = 0 state."""
+        return cls(*protocol.alice_prepare(x, 0).amplitudes.real.tolist())
 
     @classmethod
     def learn_y(cls) -> "CheatParams":

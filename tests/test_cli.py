@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -220,6 +221,31 @@ class TestChecksim:
         manifest_path = Path(str(out_path) + ".manifest.json")
         _run(capsys, ["--from-manifest", str(manifest_path)])
         assert out_path.read_text() == first
+
+
+
+# sha256 of stdout, recorded with otlab 0.10.0.  A refactor that moves no payload
+# byte and no RNG stream keeps these; one that does bumps __version__ and re-records.
+_PAYLOAD_PINS = [
+    ("table --x 0 --y 0 --n 64 --seed 7",
+     "3681634b0e67d0d4a069f6f9cd3eed56fdeaaa87ad215c86d8ec13cc99d9db82"),
+    ("table --x 0 --y 1 --n 64 --seed 7",
+     "4ad832679f16390f0ebc49a3314ba8348d774b0a77c9ca719c4d8227d179e3a6"),
+    ("table --x 1 --y 0 --n 64 --seed 7",
+     "6508e39f4acb180951082441bba84ceccb4ecad467f3dd0f8503c09c58ee9edf"),
+    ("table --x 1 --y 1 --n 64 --seed 7",
+     "96b51d65ccb1ed382c7b76940c3e6bd927997883f56b233486469c17d300126b"),
+    ("checksim --protocol 3 --bob computational --m 30 --k 5 --k-alice 7 --threshold 1 "
+     "--threshold-alice 2 --trials 300 --seed 11",
+     "69dcfb8759b5d18b3d51183bf481cd4034058b7f0a6039cdd651f88650ada498"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", _PAYLOAD_PINS, ids=[a for a, _ in _PAYLOAD_PINS])
+def test_payload_matches_recorded_digest(capsys, argv, digest):
+    code, out, _ = _run(capsys, argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestErrorPaths:

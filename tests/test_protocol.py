@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from otlab import protocol
+from otlab import protocol, security
 from otlab.protocol import (
     OneTimeTable,
     alice_basis,
@@ -37,6 +37,23 @@ class TestPrepare:
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
             alice_prepare(2, 0)
+
+
+def test_per_bit_functions_reject_fractions_instead_of_truncating():
+    calls = [lambda: alice_prepare(0.5, 1.9), lambda: bob_gate(0.7, 0),
+             lambda: alice_basis(1.2), lambda: security.CheatParams.honest(5)]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            call()
+
+
+@pytest.mark.parametrize("name", ["SENT", "GATES", "BASES"])
+def test_encoding_tables_are_read_only(name):
+    table = getattr(protocol, name)
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        table.reshape(-1)[0] = 0.0
 
 
 class TestGate:
@@ -109,10 +126,8 @@ class TestRunHonest:
 
     @pytest.mark.parametrize("phase", [np.pi / 2, 1e-5])
     def test_uncertain_outcome_raises(self, monkeypatch, phase):
-        def leaky_gate(y, r):
-            return bob_gate(y, r) @ np.diag([1.0, 1.0, np.exp(1j * phase)])
-
-        monkeypatch.setattr(protocol, "bob_gate", leaky_gate)
+        leaky_gates = protocol.GATES * [1.0, 1.0, np.exp(1j * phase)]
+        monkeypatch.setattr(protocol, "GATES", leaky_gates)
         with pytest.raises(RuntimeError):
             run_honest([0, 1], [1, 1], np.random.default_rng(30))
 
