@@ -152,36 +152,35 @@ def run_curve(params: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def _alice_from_params(params: dict) -> checksim.AliceStrategy:
-    name = params["alice"]
-    if name == "param":
-        if params.get("alpha") is not None:
-            triple = security.CheatParams.from_alpha(params["alpha"])
-        elif all(params.get(key) is not None for key in ("a", "b", "c")):
-            triple = security.CheatParams(params["a"], params["b"], params["c"])
-        else:
-            raise ValueError("--alice param needs --alpha or all of --a --b --c")
-        return checksim.AliceStrategy.param(triple)
+    """The sender strategy of the flags; a triple or mix flag it does not use is rejected."""
+    name, alpha = params["alice"], params.get("alpha")
+    abc = [params.get(key) for key in ("a", "b", "c")]
+    if alpha is not None and any(v is not None for v in abc):
+        raise ValueError("--alpha excludes --a --b --c")
+    if name != "mix" and params.get("phi", 0.5) != 0.5:
+        raise ValueError("--phi applies to --alice mix only")
+    triple, mix = None, ()
+    if alpha is not None:
+        triple = security.CheatParams.from_alpha(alpha)
+    elif all(v is not None for v in abc):
+        triple = security.CheatParams(*abc)
+    elif name == "param" or any(v is not None for v in abc):
+        raise ValueError("a cheat triple needs --alpha or all of --a --b --c")
     if name == "mix":
         phi = params.get("phi", 0.5)
         if not (0.0 <= phi <= 1.0):
             raise ValueError("phi must be in [0, 1]")
-        return checksim.AliceStrategy.per_instance_mix([
-            (phi, checksim.AliceStrategy.learn_y()),
-            (1.0 - phi, checksim.AliceStrategy.honest()),
-        ])
-    return checksim.AliceStrategy(kind=name)  # honest or learn-y
-
-
-def _bob_from_params(params: dict) -> checksim.BobStrategy:
-    name = params["bob"]
-    return checksim.BobStrategy(kind=name, angle=params["angle"] if name == "phase-noise" else 0.0)
+        mix = ((phi, checksim.AliceStrategy.learn_y()), (1.0 - phi, checksim.AliceStrategy.honest()))
+    # The strategy rejects a triple given to a kind other than param.
+    return checksim.AliceStrategy(kind=name, params=triple, mix=mix)
 
 
 def run_checksim(params: dict) -> int:
     seed = params["seed"]
     if params["protocol"] == 2:
         # Protocol 2 has an honest receiver and no sender-side check.
-        for key, flag, unused in (("bob", "--bob", "honest"), ("k_alice", "--k-alice", 0),
+        for key, flag, unused in (("bob", "--bob", "honest"), ("angle", "--angle", 0.0),
+                                  ("k_alice", "--k-alice", 0),
                                   ("threshold_alice", "--threshold-alice", 0)):
             if params.get(key, unused) != unused:
                 raise ValueError(f"{flag} applies to --protocol 3 only")
@@ -195,7 +194,8 @@ def run_checksim(params: dict) -> int:
     if params["protocol"] == 2:
         reports = {"bob": checksim.run_protocol2(config, alice, rng)}
     else:
-        bob = _bob_from_params(params)
+        # The strategy rejects a nonzero angle for a kind other than phase-noise.
+        bob = checksim.BobStrategy(kind=params["bob"], angle=params["angle"])
         bob_report, alice_report = checksim.run_protocol3(config, alice, bob, rng)
         reports = {"alice": alice_report, "bob": bob_report}
     aggregate = {side: r.summary() for side, r in reports.items()}

@@ -19,6 +19,7 @@ __all__ = [
     "PureState",
     "DensityOperator",
     "Povm",
+    "is_measurement",
     "Ensemble",
     "von_neumann_entropy",
     "trace_distance",
@@ -83,15 +84,6 @@ def dirichlet_blocks(rng: np.random.Generator, alpha, n: int):
         yield rng.dirichlet(alpha, size=min(DIRICHLET_BLOCK, n - start))
 
 
-def _within(a, b, atol: float) -> bool:
-    """Every entry of ``a - b`` is at most ``atol`` in modulus.
-
-    A NaN or infinite entry gives a NaN or infinite difference, which never is.
-    """
-    with np.errstate(invalid="ignore"):
-        return bool(np.abs(a - b).max(initial=0.0) <= atol)
-
-
 def _density_spectra(mats) -> np.ndarray:
     """Spectra ``[..., d]`` of a stack ``[..., d, d]`` of density operators.
 
@@ -101,7 +93,9 @@ def _density_spectra(mats) -> np.ndarray:
     the whole stack.
     """
     mats = np.asarray(mats, dtype=complex)
-    if not _within(mats, mats.swapaxes(-1, -2).conj(), HERMITIAN_ATOL):
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
+        asymmetry = np.abs(mats - mats.swapaxes(-1, -2).conj()).max(initial=0.0)
+    if not asymmetry <= HERMITIAN_ATOL:
         raise InvalidOperatorError("operator is not Hermitian")
     traces = mats.trace(axis1=-2, axis2=-1)
     off = np.abs(traces - 1.0) > TRACE_ATOL
@@ -189,16 +183,36 @@ class DensityOperator:
         return tuple(cls(mats.shape[1], mat, _spectrum=spectrum)
                      for mat, spectrum in zip(mats, spectra))
 
-    @classmethod
-    def mixture(cls, weights, operators) -> "DensityOperator":
-        """Convex combination of density operators."""
-        weights = np.asarray(weights, dtype=float)
-        mat = sum(w * op.matrix for w, op in zip(weights, operators))
-        return cls.from_matrix(mat)
-
     def eigenvalues(self) -> np.ndarray:
         """The spectrum, ascending, computed once at validation (read-only)."""
         return self._eigenvalues
+
+
+def is_measurement(elements):
+    """Per measurement of a stack ``[..., n, d, d]``: Hermitian elements summing to the identity.
+
+    Gives a bool array ``[...]``, or a bool for one measurement ``[n, d, d]``.
+    Positivity is not checked.  A NaN or infinite entry never passes.
+    """
+    elements = np.asarray(elements, dtype=complex)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
+        asymmetry = np.abs(elements - elements.swapaxes(-1, -2).conj()).max(
+            axis=(-3, -2, -1), initial=0.0)
+        incompleteness = np.abs(elements.sum(axis=-3) - np.eye(elements.shape[-1])).max(
+            axis=(-2, -1), initial=0.0)
+    ok = (asymmetry <= HERMITIAN_ATOL) & (incompleteness <= COMPLETENESS_ATOL)
+    return bool(ok) if ok.ndim == 0 else ok
+
+
+def _element_stack(elements) -> np.ndarray:
+    """A copy of ``elements`` as a complex stack ``[n >= 1, d, d]``."""
+    try:
+        elems = np.array(elements, dtype=complex)
+    except ValueError:  # a ragged list: elements of mismatched shapes
+        raise InvalidMeasurementError("elements have mismatched shapes") from None
+    if elems.ndim != 3 or elems.shape[0] == 0 or elems.shape[1] != elems.shape[2]:
+        raise InvalidMeasurementError(f"expected elements [n >= 1, d, d], got {elems.shape}")
+    return elems
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,49 +225,40 @@ class Povm:
     restricted state family without being physical on all states; the
     resulting object still satisfies Hermiticity and completeness and
     reports its actual minimum eigenvalue via :attr:`min_eigenvalue`.
+    The elements are validated in one batched pass (:func:`is_measurement`
+    and one ``eigvalsh``) and kept as one read-only array ``[n, dim, dim]``.
     """
 
     dim: int
-    elements: tuple
+    elements: np.ndarray
     require_psd: InitVar[bool] = True
 
     def __post_init__(self, require_psd: bool):
-        elems = []
-        min_eig = np.inf
-        for idx, element in enumerate(self.elements):
-            mat = np.asarray(element, dtype=complex)
-            if mat.shape != (self.dim, self.dim):
-                raise InvalidMeasurementError(
-                    f"element {idx} has shape {mat.shape}, expected ({self.dim}, {self.dim})")
-            if not _within(mat, mat.conj().T, HERMITIAN_ATOL):
-                raise InvalidMeasurementError(f"element {idx} is not Hermitian")
-            eig_min = float(np.linalg.eigvalsh(mat).min())
-            min_eig = min(min_eig, eig_min)
-            if require_psd and eig_min < EIG_FLOOR:
-                raise InvalidMeasurementError(
-                    f"element {idx} has negative eigenvalue {eig_min:.3e}")
-            mat.setflags(write=False)
-            elems.append(mat)
-        if not elems:
-            raise InvalidMeasurementError("POVM needs at least one element")
-        total = sum(elems)
-        if not _within(total, np.eye(self.dim), COMPLETENESS_ATOL):
-            raise InvalidMeasurementError("elements do not sum to the identity")
-        object.__setattr__(self, "elements", tuple(elems))
-        object.__setattr__(self, "_min_eigenvalue", min_eig)
+        elems = _element_stack(self.elements)
+        if elems.shape[1:] != (self.dim, self.dim):
+            raise InvalidMeasurementError(
+                f"elements have shape {elems.shape[1:]}, expected ({self.dim}, {self.dim})")
+        if not is_measurement(elems):
+            raise InvalidMeasurementError("elements are not Hermitian or do not sum to the identity")
+        element_min = np.linalg.eigvalsh(elems).min(axis=-1)
+        idx = int(np.argmin(element_min))
+        if require_psd and element_min[idx] < EIG_FLOOR:
+            raise InvalidMeasurementError(
+                f"element {idx} has negative eigenvalue {element_min[idx]:.3e}")
+        elems.setflags(write=False)
+        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "_min_eigenvalue", float(element_min[idx]))
 
     @classmethod
     def from_elements(cls, elements, require_psd: bool = True) -> "Povm":
-        elems = [np.asarray(e, dtype=complex) for e in elements]
-        if not elems:
-            raise InvalidMeasurementError("POVM needs at least one element")
-        return cls(elems[0].shape[0], tuple(elems), require_psd=require_psd)
+        elems = _element_stack(elements)
+        return cls(elems.shape[-1], elems, require_psd=require_psd)
 
     @classmethod
     def projective(cls, basis_rows) -> "Povm":
         """Rank-1 projectors onto the rows of an orthonormal basis matrix."""
         rows = np.asarray(basis_rows, dtype=complex)
-        return cls.from_elements([np.outer(v, v.conj()) for v in rows])
+        return cls.from_elements(rows[:, :, None] * rows[:, None, :].conj())
 
     @property
     def min_eigenvalue(self) -> float:
@@ -456,23 +461,21 @@ def holevo(ensemble):
 
     ``ensemble`` is an :class:`Ensemble`, whose states' stored spectra are
     reused, or a stack ``[..., n, d, d]`` of ``n`` equiprobable states,
-    validated in one batched pass.  The average is formed by one matmul;
-    its spectrum is the only one computed beyond the states' own.  A stack's
-    average is validated as a state; an :class:`Ensemble`'s, a convex
-    combination of validated states, is not validated again.  A stack gives
-    one value per ensemble, an :class:`Ensemble` a float.
+    validated in one batched pass.  The average is formed by one matmul and
+    its spectrum, the only one computed beyond the states' own, by one plain
+    ``eigvalsh``: a convex combination of validated states is not validated
+    again.  A stack gives one value per ensemble, an :class:`Ensemble` a float.
     """
     if isinstance(ensemble, Ensemble):
         probs = ensemble.probabilities
         spectra = np.array([op.eigenvalues() for op in ensemble.states])
-        mats = np.array([op.matrix for op in ensemble.states])
-        average = np.linalg.eigvalsh(_average(probs, mats))
+        states = np.array([op.matrix for op in ensemble.states])
     else:
         states, spectra = _checked(ensemble)
         if states.ndim < 3 or states.shape[-3] == 0:
             raise ValueError(f"expected states [..., n >= 1, d, d], got shape {states.shape}")
         probs = np.full(states.shape[-3], 1.0 / states.shape[-3])
-        average = _density_spectra(_average(probs, states))
+    average = np.linalg.eigvalsh(_average(probs, states))
     chi = np.maximum(0.0, _entropy_bits(average) - (probs * _entropy_bits(spectra)).sum(axis=-1))
     return float(chi) if chi.ndim == 0 else chi
 
@@ -496,9 +499,11 @@ def random_povm_elements(dim: int, n_elements: int, rng: np.random.Generator,
     If 100 draws in a row give an ill-conditioned sum, the last draw gets a
     multiple of the identity as one more element, so ``n = n_elements + 1``.
     """
+    rank = dim if rank is None else rank
     if n_elements < 1:
         raise ValueError("need at least one element")
-    rank = dim if rank is None else rank
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
     # Reject ill-conditioned frames so the normalized elements stay exact
     # to machine precision (low-rank seeds can nearly miss a direction).
     for _ in range(100):
@@ -519,4 +524,4 @@ def random_povm_elements(dim: int, n_elements: int, rng: np.random.Generator,
 def random_povm(dim: int, n_elements: int, rng: np.random.Generator,
                 real: bool = False, rank: int | None = None) -> Povm:
     """Validated :class:`Povm` of :func:`random_povm_elements` (same draws)."""
-    return Povm.from_elements(list(random_povm_elements(dim, n_elements, rng, real, rank)))
+    return Povm.from_elements(random_povm_elements(dim, n_elements, rng, real, rank))

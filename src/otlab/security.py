@@ -59,6 +59,7 @@ __all__ = [
     "holevo_triple",
     "binary_entropy",
     "tradeoff_bound_margins",
+    "TETRAHEDRON",
     "tetrahedron_states",
     "lemma1_images",
     "lemma1_reduce",
@@ -330,18 +331,25 @@ def tradeoff_bound_margins(chi_y, chi_r, chi_yxr) -> np.ndarray:
     return margins
 
 
-def tetrahedron_states() -> tuple:
-    """Four pure qubit states on a regular Bloch tetrahedron, in ``RY_ORDER``.
+def _tetrahedron() -> np.ndarray:
+    """Density matrices ``[4, 2, 2]`` of Bloch vectors ``_TETRA_SIGNS / sqrt(3)``, read-only."""
+    ex, ey, ez = (_TETRA_SIGNS / np.sqrt(3.0)).T
+    bloch = np.stack([ez, ex - 1j * ey, ex + 1j * ey, -ez], axis=-1).reshape(4, 2, 2)
+    states = 0.5 * (np.eye(2) + bloch)
+    states.setflags(write=False)
+    return states
 
-    These are the fixed images of the four sign states under the dimension
-    reduction in :func:`lemma1_reduce`; their pairwise Hilbert-Schmidt
-    overlaps all equal 1/3 and their average is the maximally mixed qubit.
-    """
-    out = []
-    for ex, ey, ez in _TETRA_SIGNS / np.sqrt(3.0):
-        bloch = np.array([[ez, ex - 1j * ey], [ex + 1j * ey, -ez]])
-        out.append(DensityOperator.from_matrix(0.5 * (np.eye(2) + bloch)))
-    return tuple(out)
+
+#: Four pure qubit states on a regular Bloch tetrahedron ``[4, 2, 2]``, in
+#: ``RY_ORDER``: the fixed images of the four sign states under the dimension
+#: reduction in :func:`lemma1_reduce`.  Their pairwise Hilbert-Schmidt
+#: overlaps all equal 1/3 and their average is the maximally mixed qubit.
+TETRAHEDRON = _tetrahedron()
+
+
+def tetrahedron_states() -> tuple:
+    """The states of :data:`TETRAHEDRON` as density operators, validated in one pass."""
+    return DensityOperator.from_stack(TETRAHEDRON)
 
 
 def lemma1_images(elements, amplitudes, variant: str = "exact") -> np.ndarray:
@@ -393,17 +401,21 @@ def lemma1_reduce(povm3: Povm, params: CheatParams, variant: str = "exact") -> P
     """
     if povm3.dim != 3:
         raise InvalidMeasurementError(f"expected a qutrit POVM, got dim {povm3.dim}")
-    images = lemma1_images(np.stack(povm3.elements), [[params.a, params.b, params.c]], variant)
-    return Povm(2, tuple(images[0]), require_psd=(variant == "psd"))
+    images = lemma1_images(povm3.elements, [[params.a, params.b, params.c]], variant)
+    return Povm(2, images[0], require_psd=(variant == "psd"))
 
 
 def _example_vectors(alpha, dim: int) -> np.ndarray:
     """Rows ``[..., 4, dim]``: ``(cos alpha e_0 +- e_a)``, ``(sin alpha e_0 +- e_b)``, over sqrt(2).
 
     ``(a, b) = (1, 2)`` for a qutrit; ``(4, 8)`` for two qutrits, so that
-    ``e_0, e_a, e_b`` are ``|00>, |11>, |22>``.
+    ``e_0, e_a, e_b`` are ``|00>, |11>, |22>``.  Every alpha must lie in
+    ``[0, pi/2]``.
     """
     alpha = np.asarray(alpha, dtype=float)
+    outside = ~((alpha >= 0.0) & (alpha <= np.pi / 2 + 1e-12))
+    if outside.any():
+        raise ValueError(f"alpha {alpha[outside].flat[0]} outside [0, pi/2]")
     first = np.repeat(np.stack([np.cos(alpha), np.sin(alpha)], axis=-1), 2, axis=-1)
     axes = np.eye(dim)[[1, 2] if dim == 3 else [4, 8]]
     rest = np.array([1.0, -1.0, 1.0, -1.0])[:, None] * np.repeat(axes, 2, axis=0)
@@ -412,10 +424,6 @@ def _example_vectors(alpha, dim: int) -> np.ndarray:
 
 def example1_elements(alpha) -> np.ndarray:
     """Elements ``[..., 4, 3, 3]`` of :func:`example1_povm`, one set per ``alpha``."""
-    alpha = np.asarray(alpha, dtype=float)
-    outside = ~((alpha >= 0.0) & (alpha <= np.pi / 2 + 1e-12))
-    if outside.any():
-        raise ValueError(f"alpha {alpha[outside].flat[0]} outside [0, pi/2]")
     vectors = _example_vectors(alpha, 3)
     return vectors[..., :, None] * vectors[..., None, :]
 
@@ -436,12 +444,9 @@ def example2_povm(alpha: float) -> Povm:
     Four rank-1 elements supported on span{|00>, |11>, |22>} plus the
     projector onto the six-dimensional orthocomplement.
     """
-    alpha = float(alpha)
-    if not (0.0 <= alpha <= np.pi / 2 + 1e-12):
-        raise ValueError(f"alpha {alpha} outside [0, pi/2]")
-    vectors = _example_vectors(alpha, 9)
+    vectors = _example_vectors(float(alpha), 9)
     elements = vectors[:, :, None] * vectors[:, None, :]
-    return Povm.from_elements(list(elements) + [np.eye(9) - elements.sum(axis=0)])
+    return Povm.from_elements(np.concatenate([elements, [np.eye(9) - elements.sum(axis=0)]]))
 
 
 def example3_value(a: float) -> float:
@@ -607,7 +612,7 @@ def accessible_info_search(ensemble: Ensemble, config: SearchConfig | None = Non
     total = np.einsum("nab,nbc->ac", grads, elements)
     gaps = 0.5 * (total + total.conj().T) - grads
     return SearchResult(
-        best_value=float(info[best]), best_povm=Povm.from_elements(list(elements)),
+        best_value=float(info[best]), best_povm=Povm.from_elements(elements),
         stationarity=float(np.linalg.norm(elements @ gaps, ord=2, axis=(-2, -1)).max()),
         min_condition_eig=float(np.linalg.eigvalsh(gaps).min()))
 
@@ -786,22 +791,14 @@ class Theorem3Report:
     lhs_eq18: float
 
 
-def _honest_average_state(x: int) -> DensityOperator:
-    ops = [protocol.alice_prepare(x, t).projector() for t in (0, 1)]
-    return DensityOperator.mixture([0.5, 0.5], ops)
-
-
 def theorem3_report() -> Theorem3Report:
     """Compute the inequality extreme points from first principles."""
-    rho0 = _honest_average_state(0)
-    rho1 = _honest_average_state(1)
-    p_b = 0.5 * (1.0 + trace_distance(rho0, rho1))
-
-    # Average over the +/- pair of y-extracting cheat states: diag(1,1,0)/2.
-    sqrt_half = 1.0 / np.sqrt(2.0)
-    cheat_ops = [DensityOperator.from_pure([sqrt_half, s * sqrt_half, 0.0]) for s in (1, -1)]
-    cheat_avg = DensityOperator.mixture([0.5, 0.5], cheat_ops)
-    p_b_prime = 0.5 * (1.0 + trace_distance(rho0, cheat_avg))
+    # Two-state averages of the honest sent states SENT[x, t] over t, for
+    # x = 0 and 1, and of the +/- pair of y-extracting cheat states (the
+    # learn-y sign states of (r, y) = (0, 0) and (0, 1)): diag(1,1,0)/2.
+    pairs = np.concatenate([protocol.SENT, [cheat_state_vectors(CheatParams.learn_y())[:2]]])
+    averages = 0.5 * np.einsum("pti,ptj->pij", pairs, pairs.conj())
+    p_b, p_b_prime = (0.5 * (1.0 + trace_distance(averages[0], averages[1:]))).tolist()
 
     p_ay = guess_probs(CheatParams.honest(0)).p_y        # certain of r
     p_ar = guess_probs(CheatParams.learn_y()).p_r        # certain of y

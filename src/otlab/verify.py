@@ -82,13 +82,6 @@ def prop3(samples: int, seed: int) -> dict:
             "samples": samples, "violations": violations}
 
 
-def _is_measurement(images: np.ndarray) -> np.ndarray:
-    """Per row of ``images[p, n, d, d]``: Hermitian elements summing to the identity."""
-    asymmetry = np.abs(images - np.conj(np.swapaxes(images, -1, -2))).max(axis=(1, 2, 3))
-    incompleteness = np.abs(images.sum(axis=1) - np.eye(images.shape[-1])).max(axis=(1, 2))
-    return (asymmetry <= numerics.HERMITIAN_ATOL) & (incompleteness <= numerics.COMPLETENESS_ATOL)
-
-
 def lemma1(samples: int, seed: int, params_per_povm: int = 10) -> dict:
     """Qubit reduction: exact statistics preservation and the one-bit cap.
 
@@ -98,7 +91,6 @@ def lemma1(samples: int, seed: int, params_per_povm: int = 10) -> dict:
     psd images are not a bona fide POVM.
     """
     rng = substream_rng(seed, COMPONENTS["verify"], 4)
-    tetra = np.stack([op.matrix for op in security.tetrahedron_states()])
     max_dev, max_mi, violations = 0.0, 0.0, 0
     for _ in range(samples):
         n_out = int(rng.integers(3, 8))
@@ -107,18 +99,18 @@ def lemma1(samples: int, seed: int, params_per_povm: int = 10) -> dict:
         elements = numerics.random_povm_elements(3, n_out, rng, real=True, rank=rank)
         amplitudes = np.sqrt(rng.dirichlet([1.0, 1.0, 1.0], size=params_per_povm))
         exact = security.lemma1_images(elements, amplitudes, "exact")
-        probs2 = np.einsum("pnjk,skj->psn", exact, tetra).real
+        probs2 = np.einsum("pnjk,skj->psn", exact, security.TETRAHEDRON).real
         dev = np.abs(security.sign_state_probabilities(elements, amplitudes) - probs2).max(
             axis=(1, 2))
         joint_mi = numerics.classical_mutual_information(0.25 * probs2)
         max_dev = max(max_dev, float(dev.max()))
         max_mi = max(max_mi, float(joint_mi.max()))
         violations += int(np.sum((dev > 1e-10) | (joint_mi > 1.0 + 1e-9)
-                                 | ~_is_measurement(exact)))
+                                 | ~numerics.is_measurement(exact)))
         # The psd variant must always be a bona fide POVM.
         psd = security.lemma1_images(elements, amplitudes, "psd")
         min_eig = np.linalg.eigvalsh(psd).min(axis=(1, 2))
-        violations += int(np.sum((min_eig < numerics.EIG_FLOOR) | ~_is_measurement(psd)))
+        violations += int(np.sum((min_eig < numerics.EIG_FLOOR) | ~numerics.is_measurement(psd)))
     return {"max_joint_mi": max_mi, "max_statistics_deviation": max_dev,
             "samples": samples, "violations": violations}
 

@@ -238,6 +238,10 @@ _PAYLOAD_PINS = [
     ("checksim --protocol 3 --bob computational --m 30 --k 5 --k-alice 7 --threshold 1 "
      "--threshold-alice 2 --trials 300 --seed 11",
      "69dcfb8759b5d18b3d51183bf481cd4034058b7f0a6039cdd651f88650ada498"),
+    ("verify thm3 --seed 7",
+     "b6971ba032f3223572425c5f954cb138b3ca7b9000f7402f5efd46612c313dcf"),
+    ("verify lemma1 --samples 20 --seed 7",
+     "8ec15c00d6894bf246b74d01522d300f93a9c578b8a40741e586bfae7921700c"),
 ]
 
 
@@ -269,6 +273,17 @@ class TestErrorPaths:
         ["checksim", "--protocol", "2", "--k-alice", "3"],
         ["checksim", "--protocol", "2", "--threshold-alice", "1"],
         ["checksim", "--alice", "param", "--a", "nan", "--b", "0.5", "--c", "0.5"],
+        # Strategy flags the chosen strategy does not use.
+        ["checksim", "--protocol", "3", "--bob", "honest", "--angle", "0.7"],
+        ["checksim", "--protocol", "3", "--bob", "computational", "--angle", "0.7"],
+        ["checksim", "--protocol", "2", "--angle", "0.7"],
+        ["checksim", "--alice", "learn-y", "--alpha", "0.3"],
+        ["checksim", "--alice", "honest", "--a", "0.6", "--b", "0.8", "--c", "0"],
+        ["checksim", "--alice", "honest", "--a", "0.6"],
+        ["checksim", "--alice", "learn-y", "--phi", "0.9"],
+        ["checksim", "--alice", "param", "--alpha", "0.5", "--a", "1", "--b", "0", "--c", "0"],
+        ["checksim", "--alice", "mix", "--alpha", "0.5", "--a", "1", "--b", "0", "--c", "0"],
+        ["checksim", "--alice", "mix", "--alpha", "0.5"],
         ["checksim", "--threshold", "nan"],
         ["checksim", "--threshold", "1.5"],
         ["checksim", "--threshold", "few"],

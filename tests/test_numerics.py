@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -436,7 +438,88 @@ class TestStacks:
             von_neumann_entropy(np.ones((2, 3)) / 2)
 
 
+def _measurement_with(kind, position, dim=3, n=5):
+    """Elements ``[n, dim, dim]`` of a measurement whose element ``position`` fails one check.
+
+    A ``negative`` element keeps the sum at the identity, so it fails only
+    the positivity check.
+    """
+    elements = np.stack([np.eye(dim, dtype=complex) / n] * n)
+    bad = elements[position]
+    if kind in ("nan", "inf", "-inf"):
+        bad[0, 0] = float(kind)
+    elif kind == "non-hermitian":
+        bad[0, 1] = 0.1
+    elif kind == "incomplete":
+        bad *= 1.01
+    else:  # negative eigenvalue, moved from the next element
+        bad[1, 1] -= 1.0 / n + 1e-8
+        elements[(position + 1) % n][1, 1] += 1.0 / n + 1e-8
+    return elements
+
+
+class TestMeasurementStacks:
+    @pytest.mark.parametrize("kind", ["nan", "inf", "-inf", "non-hermitian", "incomplete",
+                                      "negative"])
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_batched_validation_rejects_any_position(self, kind, position):
+        elements = _measurement_with(kind, position)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidMeasurementError):
+                Povm.from_elements(elements)
+            if kind == "negative":
+                quasi = Povm.from_elements(elements, require_psd=False)
+                assert quasi.min_eigenvalue == pytest.approx(-1e-8, abs=1e-12)
+            else:
+                with pytest.raises(InvalidMeasurementError):
+                    Povm.from_elements(elements, require_psd=False)
+                assert not numerics.is_measurement(elements)
+
+    def test_mismatched_shapes_rejected(self):
+        for elements in ([np.eye(2), np.zeros((3, 3))], [], np.eye(3), np.ones((2, 2, 3))):
+            with pytest.raises(InvalidMeasurementError):
+                Povm.from_elements(elements)
+        with pytest.raises(InvalidMeasurementError):
+            Povm(2, np.stack([np.eye(3)]))
+
+    def test_elements_are_one_read_only_stack(self):
+        source = random_povm_elements(3, 4, np.random.default_rng(95))
+        povm = Povm.from_elements(source)
+        assert isinstance(povm.elements, np.ndarray) and povm.elements.shape == (4, 3, 3)
+        assert not povm.elements.flags.writeable
+        assert np.array_equal(povm.elements, source) and source.flags.writeable
+        assert len(povm) == 4 and povm.dim == 3
+
+    def test_is_measurement_on_stack_agrees_with_povm(self):
+        rng = np.random.default_rng(96)
+        kinds = ["nan", "inf", "-inf", "non-hermitian", "incomplete", "negative", None]
+        stack = np.stack([random_povm_elements(3, 5, rng) if kind is None
+                          else _measurement_with(kind, int(rng.integers(5)))
+                          for kind in kinds for _ in range(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdicts = numerics.is_measurement(stack)
+            assert verdicts.shape == (len(stack),)
+            assert numerics.is_measurement(stack.reshape(7, 2, 5, 3, 3)).shape == (7, 2)
+            for elements, ok in zip(stack, verdicts):
+                try:
+                    Povm.from_elements(elements, require_psd=False)
+                    accepted = True
+                except InvalidMeasurementError:
+                    accepted = False
+                assert accepted == ok
+        assert verdicts.tolist() == [False] * 10 + [True] * 4
+
+
 class TestRandomPovm:
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_rank_below_one_rejected(self, rank):
+        with pytest.raises(ValueError, match="rank"):
+            random_povm_elements(3, 4, np.random.default_rng(0), rank=rank)
+        with pytest.raises(ValueError, match="rank"):
+            random_povm(3, 4, np.random.default_rng(0), rank=rank)
+
     def test_valid_and_real_option(self):
         rng = np.random.default_rng(20)
         for real in (False, True):

@@ -354,6 +354,14 @@ class TestTradeoffBounds:
 
 
 class TestTetrahedron:
+    def test_stack_is_read_only_and_backs_the_states(self):
+        stack = security.TETRAHEDRON
+        assert stack.shape == (4, 2, 2) and stack.dtype == complex
+        # C order keeps lemma1's einsum summing in the order its payload was recorded with.
+        assert stack.flags.c_contiguous and not stack.flags.writeable
+        for op, mat in zip(tetrahedron_states(), stack):
+            assert np.array_equal(op.matrix, mat)
+
     def test_pure_and_centered(self):
         states = tetrahedron_states()
         total = sum(op.matrix for op in states)
@@ -489,6 +497,13 @@ class TestExample2:
             assert len(povm) == 5
             assert povm.is_psd
             assert np.allclose(sum(povm.elements), np.eye(9), atol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [-0.1, 2.0, np.nan, np.inf])
+    def test_domain(self, alpha):
+        with pytest.raises(ValueError, match="outside"):
+            example2_povm(alpha)
+        with pytest.raises(ValueError, match="outside"):
+            security.example1_elements(np.array([0.5, alpha]))
 
     def test_extracts_one_bit_from_entangled_family(self):
         alpha = 0.6
