@@ -8,8 +8,8 @@ Subcommands::
     otlab checksim  --protocol 2|3 [strategy/config flags] [--out FILE]
 
 Every subcommand honors ``--seed`` (fallback: the OTLAB_SEED environment
-variable, then a fixed default); identical invocations produce identical
-bytes.  When ``--out`` is given a manifest JSON is written alongside the
+variable, then a fixed default), an integer in ``[0, 2**64)``; identical
+invocations produce identical bytes.  When ``--out`` is given a manifest JSON is written alongside the
 output, and ``otlab --from-manifest FILE`` reproduces the run exactly.
 Exit codes: 0 success, 1 property violation, 2 usage error, 3 I/O error.
 """
@@ -26,19 +26,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, checksim, protocol, security, verify
-from .seeding import COMPONENTS, substream_rng
+from .seeding import COMPONENTS, master_seed, substream_rng
 
 DEFAULT_SEED = 7
 EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_IO = 0, 1, 2, 3
 
 
 def _resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("OTLAB_SEED")
-    if env is not None:
-        return int(env)
-    return DEFAULT_SEED
+    if value is None:
+        value = os.environ.get("OTLAB_SEED", DEFAULT_SEED)
+    return master_seed(value)
 
 
 def _dumps(obj) -> str:

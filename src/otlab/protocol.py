@@ -14,8 +14,10 @@ inputs with one-time-pad-masked messages.
 read-only tables indexed by bits; :func:`alice_prepare`, :func:`bob_gate` and
 :func:`alice_basis` check their bits and look up.  :func:`run_honest` runs a
 batch on bit arrays.  The returned qutrit is an eigenstate of Alice's basis,
-so once ``t`` and ``r`` are drawn the outcome is fixed: it is read off the
-exact Born weights, with no draw for the measurement.
+so the four bits ``(x, y, t, r)`` fix the outcome, with no draw for the
+measurement.  Each call computes the exact Born law of all 16 combinations
+once, raises RuntimeError unless every one is one-hot on outcome 0 or 1, and
+gives each run the outcome of its combination.
 """
 
 from __future__ import annotations
@@ -111,18 +113,21 @@ def run_honest(x, y, rng: np.random.Generator):
     Returns ``(table, t, r, outcome)``: a :class:`OneTimeTable` of int arrays
     with ``f = r``, Alice's coins ``t``, Bob's output bits ``r``, and the
     measured analysis-vector index ``outcome = t XOR (x AND y) XOR r``, with
-    ``e = outcome XOR t``.  The draws are all of ``t``, then all of ``r``.
-    Raises RuntimeError if any run's Born weights are not one-hot on
-    outcome 0 or 1, which no honest run allows.
+    ``e = outcome XOR t``.  The draws are all of ``t``, then all of ``r``;
+    an empty batch draws nothing.  The outcomes come from the exact Born law
+    of the 16 combinations ``(x, y, t, r)``, computed once per call.  Raises
+    RuntimeError if any combination's weights are not one-hot on outcome 0
+    or 1, which the honest protocol never allows.
     """
     x, y = np.broadcast_arrays(np.atleast_1d(_bits(x, "x")), np.atleast_1d(_bits(y, "y")))
+    # weights[x, y, t, r, i] = |<BASES[x, i]| GATES[y, r] * SENT[x, t]>|^2.
+    weights = np.abs(np.einsum("xij,yrj,xtj->xytri", BASES, GATES, SENT)) ** 2
+    outcomes = np.argmax(weights[..., :2], axis=-1)
+    if np.abs(weights - (outcomes[..., None] == np.arange(3))).max() > _ONE_HOT_TOL:
+        raise RuntimeError("third or uncertain measurement outcome in an honest run")
     t = rng.integers(0, 2, size=x.shape)
     r = rng.integers(0, 2, size=x.shape)
-    returned = GATES[y, r] * SENT[x, t]
-    weights = np.abs(np.einsum("...ij,...j->...i", BASES[x], returned)) ** 2
-    outcome = np.argmax(weights[..., :2], axis=-1)
-    if np.abs(weights - (outcome[..., None] == np.arange(3))).max() > _ONE_HOT_TOL:
-        raise RuntimeError("third or uncertain measurement outcome in an honest run")
+    outcome = outcomes[x, y, t, r]
     table = OneTimeTable(x=x, y=y, e=outcome ^ t, f=r)
     return table, t, r, outcome
 

@@ -9,14 +9,20 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
 #: First substream key of each command line subcommand.
 COMPONENTS = {"table": 1, "verify": 2, "curve": 3, "checksim": 4}
 
 
+def master_seed(seed) -> int:
+    """``seed`` as an int in ``[0, 2**64)``; ValueError outside it, never folded inside."""
+    seed = int(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def substream_rng(seed: int, *key: int) -> np.random.Generator:
     """Generator for the substream named by ``key`` under a master seed."""
-    seq = np.random.SeedSequence(entropy=int(seed) & _MASK64,
+    seq = np.random.SeedSequence(entropy=master_seed(seed),
                                  spawn_key=tuple(int(k) for k in key))
     return np.random.default_rng(seq)

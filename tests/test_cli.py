@@ -74,6 +74,14 @@ class TestTable:
         summary = json.loads(out.strip().split("\n")[-1])["summary"]
         assert summary["seed"] == 321
 
+    @pytest.mark.parametrize("argv", [["table", "--x", "0", "--y", "0", "--n", "10"],
+                                      ["verify", "thm3"]])
+    def test_env_seed_out_of_range_is_usage_error(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("OTLAB_SEED", "-1")
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == "otlab: seed must be in [0, 2**64), got -1\n"
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite,samples", [
@@ -242,6 +250,11 @@ _PAYLOAD_PINS = [
      "b6971ba032f3223572425c5f954cb138b3ca7b9000f7402f5efd46612c313dcf"),
     ("verify lemma1 --samples 20 --seed 7",
      "8ec15c00d6894bf246b74d01522d300f93a9c578b8a40741e586bfae7921700c"),
+    # The largest and smallest table jobs of the benchmark.
+    ("table --x 1 --y 1 --n 1750 --seed 9191",
+     "490c87988472b11450d5395063b4219eac00da7780ccd4e2598fb584bfc8acc7"),
+    ("table --x 0 --y 0 --n 1000 --seed 31337",
+     "c9a49f19c6d6b000e43c5c8a1a80f0e7d4364dfe3a5fbd792a1609c4c62f10f3"),
 ]
 
 
@@ -307,6 +320,12 @@ class TestErrorPaths:
         ["--from-manifest", {"subcommand": "verify", "parameters": {
             "suite": "-h", "samples": 5, "seed": 1, "out": None}}],
         ["curve", "--n-samples", "1000", "--bin-width", "1e-300"],
+        # Seeds outside [0, 2**64), which would alias seeds inside it.
+        ["table", "--x", "1", "--y", "1", "--n", "64", "--seed", "18446744073709551616"],
+        ["table", "--x", "1", "--y", "1", "--n", "64", "--seed", "-1"],
+        ["verify", "thm3", "--seed", "-1"],
+        ["--from-manifest", {"subcommand": "table", "parameters": {
+            "x": 1, "y": 0, "n": 5, "seed": -1, "out": None}}],
     ])
     def test_rejected_inputs_exit_2_without_traceback(self, capsys, tmp_path, argv):
         if argv[0] == "--from-manifest":

@@ -10,6 +10,7 @@ from otlab.protocol import (
     bob_gate,
     run_honest,
 )
+from otlab.seeding import COMPONENTS, substream_rng
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -130,6 +131,71 @@ class TestRunHonest:
         monkeypatch.setattr(protocol, "GATES", leaky_gates)
         with pytest.raises(RuntimeError):
             run_honest([0, 1], [1, 1], np.random.default_rng(30))
+
+
+def _per_run_reference(x, y, rng):
+    """Honest runs with one Born contraction per run: the oracle of ``run_honest``."""
+    x, y = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=np.int64)),
+                               np.atleast_1d(np.asarray(y, dtype=np.int64)))
+    t = rng.integers(0, 2, size=x.shape)
+    r = rng.integers(0, 2, size=x.shape)
+    returned = protocol.GATES[y, r] * protocol.SENT[x, t]
+    weights = np.abs(np.einsum("...ij,...j->...i", protocol.BASES[x], returned)) ** 2
+    outcome = np.argmax(weights[..., :2], axis=-1)
+    return OneTimeTable(x=x, y=y, e=outcome ^ t, f=r), t, r, outcome
+
+
+def _bits_of(n, seed):
+    return np.random.default_rng(seed).integers(2, size=n)
+
+
+@pytest.mark.parametrize("x,y", [
+    *[(_bits_of(n, n), _bits_of(n, n + 1)) for n in (1, 5, 2000)],
+    (1, _bits_of(7, 3)),
+    (_bits_of(7, 4), 0),
+    (_bits_of(2, 5)[:, None], _bits_of(3, 6)[None, :]),
+], ids=["n=1", "n=5", "n=2000", "scalar-x", "scalar-y", "broadcast-2x1-1x3"])
+def test_run_honest_matches_per_run_contraction_bit_for_bit(x, y):
+    got = run_honest(x, y, substream_rng(9191, COMPONENTS["table"]))
+    want = _per_run_reference(x, y, substream_rng(9191, COMPONENTS["table"]))
+    pairs = [(getattr(got[0], k), getattr(want[0], k)) for k in "efxy"]
+    pairs += list(zip(got[1:], want[1:]))
+    for have, expected in pairs:
+        assert have.dtype == expected.dtype
+        assert have.shape == expected.shape
+        assert np.array_equal(have, expected)
+
+
+def test_run_honest_does_no_per_run_contraction(monkeypatch):
+    # Every contraction's operands stay within the 16 (x, y, t, r) combinations
+    # of 3x3 work, however many runs the call makes.
+    sizes = []
+    einsum = np.einsum
+
+    def recording(subscripts, *operands, **kwargs):
+        sizes.extend(np.size(op) for op in operands)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", recording)
+    n = 10_000
+    table, *_ = run_honest(np.ones(n, dtype=int), 1, np.random.default_rng(32))
+    assert table.correlation_ok.all() and table.e.shape == (n,)
+    assert sizes and max(sizes) <= 16 * 3 * 3
+
+
+def test_empty_batch_returns_empty_arrays_and_draws_nothing():
+    rng = np.random.default_rng(33)
+    state = rng.bit_generator.state
+    table, t, r, outcome = run_honest(np.array([], dtype=int), 0, rng)
+    for arr in (table.x, table.y, table.e, table.f, t, r, outcome):
+        assert arr.shape == (0,) and arr.dtype == np.int64
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_substream_rejects_seeds_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="seed must be in"):
+        substream_rng(seed, COMPONENTS["table"])
 
 
 class TestAndEval:
