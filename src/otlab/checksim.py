@@ -75,7 +75,6 @@ class CheckConfig:
     k_alice: int = 0
     threshold_alice: float = 0
     trials: int = 1
-    seed: int = 0
     c1: float = 1.0
 
     def __post_init__(self):
@@ -87,7 +86,7 @@ class CheckConfig:
                 raise ValueError(f"{name}={k} outside [0, m={self.m}]")
         for name in ("threshold_bob", "threshold_alice"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
+            if not 0 <= value < np.inf:   # NaN fails too; any int passes
                 raise ValueError(f"{name} must be finite and nonnegative")
             if isinstance(value, float) and not value.is_integer() and value >= 1.0:
                 raise ValueError(f"fractional {name} must lie in [0, 1)")
@@ -428,8 +427,6 @@ def exact_law(config: CheckConfig, alice: AliceStrategy,
 # ---------------------------------------------------------------------------
 
 def _wilson_ci(successes: int, n: int, z: float = 1.96) -> tuple:
-    if n == 0:
-        return (0.0, 1.0)
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -441,12 +438,13 @@ def _wilson_ci(successes: int, n: int, z: float = 1.96) -> tuple:
 class CheckReport:
     """Outcome of a Monte Carlo run of one side's checking.
 
-    Per-trial arrays carry the failure count, abort flag, failure-rate
-    estimate ``c_mid * (failures + 1) / k`` clipped to [0, 1], the leak bound
-    ``h(min(c1 * eps, 1/2))`` in bits, and the number of delivered
-    (unchecked, non-aborted) tables.  ``est_epsilon``/``leak_bound_bits`` are
-    NaN when ``k = 0``.  The order-equivalence bracket ``[c_a, c_b]`` around
-    the estimator constant is recorded, as class constants, rather than hidden.
+    Keeps what the run drew: per-trial arrays of the failure count, the abort
+    flag and the number of delivered (unchecked, non-aborted) tables, and the
+    abort rate with its Wilson interval.  The per-trial failure-rate estimate
+    ``est_epsilon`` and leak bound ``leak_bound_bits`` are derived from the
+    failure counts when read.  The order-equivalence bracket ``[c_a, c_b]``
+    around the estimator constant is recorded, as class constants, rather
+    than hidden.
     """
 
     protocol_id: int
@@ -457,8 +455,6 @@ class CheckReport:
     trials: int
     failures: np.ndarray
     aborted: np.ndarray
-    est_epsilon: np.ndarray
-    leak_bound_bits: np.ndarray
     tables_delivered: np.ndarray
     abort_probability: float
     abort_ci: tuple
@@ -467,6 +463,19 @@ class CheckReport:
     c_b: ClassVar[float] = EPS_C_B
     c1: float = 1.0
     extras: dict = field(default_factory=dict)
+
+    @property
+    def est_epsilon(self) -> np.ndarray:
+        """Per-trial ``c_mid * (failures + 1) / k`` clipped to [0, 1]; NaN when ``k = 0``."""
+        if self.k == 0:
+            return np.full(self.failures.shape, np.nan)
+        return _epsilon(self.failures, self.k)
+
+    @property
+    def leak_bound_bits(self) -> np.ndarray:
+        """Per-trial leak bound ``h(min(c1 * eps, 1/2))`` in bits; NaN when ``k = 0``."""
+        eps = self.est_epsilon
+        return eps if self.k == 0 else _leak(eps, self.c1)
 
     @property
     def mean_failures(self) -> float:
@@ -485,11 +494,12 @@ class CheckReport:
         def _num(value):
             return None if np.isnan(value) else float(value)
 
+        eps, leak = self.est_epsilon, self.leak_bound_bits
         records = [
             {"aborted": bool(self.aborted[i]),
-             "est_epsilon": _num(self.est_epsilon[i]),
+             "est_epsilon": _num(eps[i]),
              "failures": int(self.failures[i]),
-             "leak_bound_bits": _num(self.leak_bound_bits[i]),
+             "leak_bound_bits": _num(leak[i]),
              "tables_delivered": int(self.tables_delivered[i])}
             for i in range(self.trials)
         ]
@@ -509,26 +519,11 @@ class CheckReport:
 
 def _finalize_report(protocol_id, side, config, k, threshold, failures,
                      delivered, extras) -> CheckReport:
-    failures = np.asarray(failures)
     aborted = failures > threshold
-    top = int(failures.max(initial=0)) + 1
-    if k >= 1 and top <= failures.size:
-        # Evaluate once per count up to the largest seen, at no more cost
-        # than one evaluation per trial.
-        eps_table = _epsilon(np.arange(top), k)
-        eps = eps_table[failures]
-        leak = _leak(eps_table, config.c1)[failures]
-    elif k >= 1:
-        eps = _epsilon(failures, k)
-        leak = _leak(eps, config.c1)
-    else:
-        eps = np.full(failures.shape, np.nan)
-        leak = np.full(failures.shape, np.nan)
-    delivered = np.where(aborted, 0, delivered)
     return CheckReport(
         protocol_id=protocol_id, side=side, m=config.m, k=k, threshold=threshold,
-        trials=config.trials, failures=failures, aborted=aborted, est_epsilon=eps,
-        leak_bound_bits=leak, tables_delivered=delivered,
+        trials=config.trials, failures=failures, aborted=aborted,
+        tables_delivered=np.where(aborted, 0, delivered),
         abort_probability=float(aborted.mean()),
         abort_ci=_wilson_ci(int(aborted.sum()), len(aborted)),
         c1=config.c1, extras=extras)
@@ -561,18 +556,18 @@ def _split(rng, n: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
 
 def run_protocol2(config: CheckConfig, alice: AliceStrategy,
-                  rng: np.random.Generator | None = None) -> CheckReport:
+                  rng: np.random.Generator) -> CheckReport:
     """Bob checks Alice: generate m tables, sample k_bob labels, count failures.
 
     A check of label j fails when Alice's reported pair ``(a_j, e_j)``
     violates ``a_j AND b_j = e_j XOR f_j`` against Bob's true values; Bob
-    aborts a trial when failures exceed his threshold.  The report carries
+    aborts a trial when failures exceed his threshold.  The report derives
     the failure-rate estimate and leak bound for the delivered tables.
 
     Instances are i.i.d., so a trial's failure count is drawn directly as
-    ``Bin(k_bob, p)``, with ``p`` the exact per-check failure probability.
+    ``Bin(k_bob, p)``, with ``p`` the exact per-check failure probability,
+    from the caller's Generator ``rng``.
     """
-    rng = np.random.default_rng(config.seed) if rng is None else rng
     fail, _ = _verdicts(alice, BobStrategy.honest())
     failures = _binomial(rng, config.k_bob, fail[1].sum(), size=config.trials)
     delivered = np.full(config.trials, config.m - config.k_bob)
@@ -581,7 +576,7 @@ def run_protocol2(config: CheckConfig, alice: AliceStrategy,
 
 
 def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
-                  rng: np.random.Generator | None = None):
+                  rng: np.random.Generator):
     """Both parties check: returns ``(bob_report, alice_report)``.
 
     Per trial one table batch is shared; Bob samples ``k_bob`` labels and
@@ -591,15 +586,14 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
     zero when either side aborts.  Against a cheating Alice her own check is
     vacuous (she has no honest values) and never aborts.
 
-    Instances are i.i.d., so a trial draws its sufficient statistics only:
-    the number of labels both sides check,
+    Instances are i.i.d., so a trial draws its sufficient statistics only,
+    from the caller's Generator ``rng``: the number of labels both sides check,
     ``J ~ Hypergeometric(k_alice, m - k_alice, k_bob)``; the joint verdicts
     of those J labels, which can fail both checks together; and one binomial
     failure count for each side's own ``k - J`` labels.  Against a
     computational-basis Bob the input-guess total is drawn as one binomial
     per group of instances sharing a verdict, unchecked instances included.
     """
-    rng = np.random.default_rng(config.seed) if rng is None else rng
     m, k_b, k_a, trials = config.m, config.k_bob, config.k_alice, config.trials
     fail, guess = _verdicts(alice, bob)
     if 0 < k_a < m and 0 < k_b < m:
@@ -635,20 +629,19 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
 
 
 def run_with_restarts(config: CheckConfig, alice: AliceStrategy, restarts: int,
-                      rng: np.random.Generator | None = None) -> dict:
+                      rng: np.random.Generator) -> dict:
     """Model a budget of protocol restarts after aborted runs.
 
-    Restarted runs use fresh randomness and the receiver's hidden bits are
-    independent across them, so a cheater cannot correlate attempts; the
-    overall probability of slipping past the checks grows at most additively
-    with the budget.  Runs ``restarts`` independent one-sided check protocols
-    per trial and returns the measured any-attempt pass probability next to
-    the additive bound ``restarts * single_run_pass`` and the exact
-    ``1 - (1 - p_pass)^restarts``.
+    Restarted runs draw fresh randomness from the caller's Generator ``rng``
+    and the receiver's hidden bits are independent across them, so a cheater
+    cannot correlate attempts; the overall probability of slipping past the
+    checks grows at most additively with the budget.  Runs ``restarts``
+    independent one-sided check protocols per trial and returns the measured
+    any-attempt pass probability next to the additive bound
+    ``restarts * single_run_pass`` and the exact ``1 - (1 - p_pass)^restarts``.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    rng = np.random.default_rng(config.seed) if rng is None else rng
     passed_any = np.zeros(config.trials, dtype=bool)
     single_pass_total = 0.0
     for _ in range(restarts):

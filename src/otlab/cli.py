@@ -185,7 +185,7 @@ def run_checksim(params: dict) -> int:
         m=params["m"], k_bob=params["k"], threshold_bob=params["threshold"],
         k_alice=params.get("k_alice", 0),
         threshold_alice=params.get("threshold_alice", 0),
-        trials=params["trials"], seed=seed, c1=params.get("c1", 1.0))
+        trials=params["trials"], c1=params.get("c1", 1.0))
     alice = _alice_from_params(params)
     rng = substream_rng(seed, COMPONENTS["checksim"])
     if params["protocol"] == 2:
@@ -349,6 +349,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a size too large to allocate is a usage error
         print(f"otlab: out of memory: {str(exc) or 'the requested size is too large'}",
               file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as exc:  # a size beyond numpy's 64-bit integers
+        print(f"otlab: size too large: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"otlab: {exc}", file=sys.stderr)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from otlab import checksim
+from otlab import checksim, cli
 from otlab.checksim import (
     AliceStrategy,
     BobStrategy,
@@ -35,6 +35,18 @@ class TestConfig:
     def test_trials_positive(self):
         with pytest.raises(ValueError):
             CheckConfig(m=10, k_bob=5, trials=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1, -0.5])
+    @pytest.mark.parametrize("name", ["threshold_bob", "threshold_alice"])
+    def test_threshold_domain(self, name, value):
+        with pytest.raises(ValueError):
+            CheckConfig(m=10, k_bob=5, **{name: value})
+
+    @pytest.mark.parametrize("value", [2**63, 2**64, 10**23])
+    def test_huge_integer_thresholds_accepted(self, value):
+        config = CheckConfig(m=10, k_bob=5, k_alice=5, threshold_bob=value,
+                             threshold_alice=value)
+        assert config.resolved_threshold("bob") == config.resolved_threshold("alice") == value
 
 
 class TestHonestRuns:
@@ -181,7 +193,8 @@ class TestRestartsAndThresholds:
     def test_restart_budget_validated(self):
         config = CheckConfig(m=2, k_bob=2, trials=100)
         with pytest.raises(ValueError):
-            checksim.run_with_restarts(config, AliceStrategy.learn_y(), 0)
+            checksim.run_with_restarts(config, AliceStrategy.learn_y(), 0,
+                                       np.random.default_rng(0))
 
     def test_fractional_threshold_resolves_against_k(self):
         config = CheckConfig(m=20, k_bob=10, threshold_bob=0.25)
@@ -235,6 +248,40 @@ class TestEstimates:
         expected_leak = [binary_entropy(min(e, 0.5)) for e in expected_eps]
         assert np.allclose(report.leak_bound_bits, expected_leak)
         assert (report.c_a, report.c_mid, report.c_b) == (0.5, 1.0, 2.0)
+
+    def test_estimates_computed_only_when_read(self, monkeypatch, capsys):
+        # A run keeps what it drew; its estimates are derived from the failure
+        # counts when a report is read, so runs and summaries compute none.
+        reached, epsilon = [], checksim._epsilon
+
+        def guard(name):
+            def refuse(*args):
+                reached.append(name)
+                raise AssertionError(f"{name} called")
+            return refuse
+
+        monkeypatch.setattr(checksim, "_epsilon", guard("_epsilon"))
+        monkeypatch.setattr(checksim, "_leak", guard("_leak"))
+        report = run_protocol2(CheckConfig(m=30, k_bob=10, trials=200),
+                               AliceStrategy.learn_y(), np.random.default_rng(18))
+        pair = run_protocol3(CheckConfig(m=30, k_bob=10, k_alice=10, trials=200),
+                             AliceStrategy.honest(), BobStrategy.computational_basis(),
+                             np.random.default_rng(18))
+        for each in (report, *pair):
+            each.summary()
+        for argv in (["checksim", "--alice", "learn-y", "--trials", "200"],
+                     ["checksim", "--protocol", "3", "--bob", "computational", "--m", "30",
+                      "--k", "10", "--k-alice", "10", "--trials", "200"]):
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert reached == []
+        for read in (lambda: report.est_epsilon, lambda: report.leak_bound_bits, report.to_dict):
+            with pytest.raises(AssertionError, match="_epsilon called"):
+                read()
+        monkeypatch.setattr(checksim, "_epsilon", epsilon)
+        with pytest.raises(AssertionError, match="_leak called"):
+            report.leak_bound_bits
+        assert reached == ["_epsilon"] * 3 + ["_leak"]
 
     @pytest.mark.parametrize("m,k,trials", [(30, 10, 200), (10**9, 10**9, 3),
                                             (10**9, 10**8, 5)])
@@ -624,22 +671,25 @@ class TestStrategyValidation:
 
 class TestReproducibility:
     def test_reports_are_byte_identical_for_same_seed(self):
-        config = CheckConfig(m=15, k_bob=5, trials=500, seed=123)
-        a = run_protocol2(config, AliceStrategy.learn_y())
-        b = run_protocol2(config, AliceStrategy.learn_y())
+        config = CheckConfig(m=15, k_bob=5, trials=500)
+        a = run_protocol2(config, AliceStrategy.learn_y(), np.random.default_rng(123))
+        b = run_protocol2(config, AliceStrategy.learn_y(), np.random.default_rng(123))
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
     def test_protocol3_reproducible(self):
-        config = CheckConfig(m=12, k_bob=4, k_alice=4, trials=300, seed=9)
-        a = run_protocol3(config, AliceStrategy.honest(), BobStrategy.phase_noise(0.3))
-        b = run_protocol3(config, AliceStrategy.honest(), BobStrategy.phase_noise(0.3))
+        config = CheckConfig(m=12, k_bob=4, k_alice=4, trials=300)
+        a = run_protocol3(config, AliceStrategy.honest(), BobStrategy.phase_noise(0.3),
+                          np.random.default_rng(9))
+        b = run_protocol3(config, AliceStrategy.honest(), BobStrategy.phase_noise(0.3),
+                          np.random.default_rng(9))
         for left, right in zip(a, b):
             assert json.dumps(left.to_dict(), sort_keys=True) == \
                 json.dumps(right.to_dict(), sort_keys=True)
 
     def test_delivered_tables_protocol3(self):
-        config = CheckConfig(m=10, k_bob=3, k_alice=3, trials=200, seed=5)
-        bob_rep, alice_rep = run_protocol3(config, AliceStrategy.honest(), BobStrategy.honest())
+        config = CheckConfig(m=10, k_bob=3, k_alice=3, trials=200)
+        bob_rep, alice_rep = run_protocol3(config, AliceStrategy.honest(), BobStrategy.honest(),
+                                           np.random.default_rng(5))
         # No aborts: delivered = m - |union of checked labels| in [m-6, m-3].
         assert np.all(bob_rep.tables_delivered >= 4)
         assert np.all(bob_rep.tables_delivered <= 7)

@@ -217,6 +217,20 @@ class TestChecksim:
         assert payload["reports"]["bob"]["threshold"] == 5
         assert payload["config"]["threshold"] == 0.25
 
+    # Any nonnegative integer is a threshold, however large.
+    @pytest.mark.parametrize("argv", [
+        ["checksim", "--protocol", "2", "--alice", "learn-y", "--threshold",
+         "100000000000000000000000"],
+        ["checksim", "--protocol", "3", "--bob", "computational", "--k-alice", "20",
+         "--threshold-alice", "100000000000000000000000"],
+    ])
+    def test_huge_threshold_never_aborts(self, capsys, argv):
+        code, out, _ = _run(capsys, argv + ["--trials", "50"])
+        assert code == 0
+        aggregate = json.loads(out)["summary"]["aggregate"]
+        side = "bob" if "--threshold" in argv else "alice"
+        assert aggregate[side]["abort_probability"] == 0.0
+
     def test_output_file_reproducible(self, capsys, tmp_path):
         out_path = tmp_path / "check.json"
         argv = ["checksim", "--protocol", "2", "--alice", "param", "--alpha", "0.6",
@@ -255,6 +269,12 @@ _PAYLOAD_PINS = [
      "490c87988472b11450d5395063b4219eac00da7780ccd4e2598fb584bfc8acc7"),
     ("table --x 0 --y 0 --n 1000 --seed 31337",
      "c9a49f19c6d6b000e43c5c8a1a80f0e7d4364dfe3a5fbd792a1609c4c62f10f3"),
+    # A checks-sparse and a checks-dense protocol 2 job of the benchmark.
+    ("checksim --protocol 2 --alice learn-y --m 200 --k 20 --threshold 1 --trials 4000 "
+     "--seed 9191",
+     "9f0f87804553e9dfd7db55907710912c51cc3dfd186663e465ea5ba4d9dda6d0"),
+    ("checksim --protocol 2 --alice mix --phi 0.5 --m 12 --k 12 --trials 5000 --seed 31337",
+     "f7b03b3c8c66b33f2badbb8ca20293c38b868abd1aa06bb391d94780fd4b53ca"),
 ]
 
 
@@ -263,6 +283,27 @@ def test_payload_matches_recorded_digest(capsys, argv, digest):
     code, out, _ = _run(capsys, argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Full checksim payloads, per-trial estimates included: a fractional threshold
+# with c1 != 1, and a protocol 3 run whose Bob side checks nothing (k = 0), so
+# its records hold null estimates.
+_OUT_PINS = [
+    ("checksim --protocol 2 --alice param --alpha 0.7 --m 50 --k 25 --threshold 0.1 "
+     "--c1 1.7 --trials 300 --seed 5",
+     "e3b52fd347868b5ec371375a8168495f146a85743d7ec4ab083903d9fc3fa7b7"),
+    ("checksim --protocol 3 --bob computational --m 30 --k 0 --k-alice 7 "
+     "--threshold-alice 2 --trials 300 --seed 11",
+     "114a6e85afee99e8a5eed7974330466a43c91792703ab666ffc14beee555b7c9"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", _OUT_PINS, ids=[a for a, _ in _OUT_PINS])
+def test_out_payload_matches_recorded_digest(capsys, tmp_path, argv, digest):
+    out_path = tmp_path / "payload.json"
+    code, _, _ = _run(capsys, argv.split() + ["--out", str(out_path)])
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
 class TestErrorPaths:
@@ -326,6 +367,13 @@ class TestErrorPaths:
         ["verify", "thm3", "--seed", "-1"],
         ["--from-manifest", {"subcommand": "table", "parameters": {
             "x": 1, "y": 0, "n": 5, "seed": -1, "out": None}}],
+        # Sizes beyond numpy's 64-bit integers.
+        ["checksim", "--alice", "learn-y", "--m", "9223372036854775808",
+         "--k", "9223372036854775808", "--trials", "2"],
+        ["checksim", "--protocol", "3", "--m", "99999999999999999999999", "--k", "3",
+         "--k-alice", "4", "--trials", "2"],
+        ["checksim", "--protocol", "3", "--bob", "computational", "--m", "9223372036854775807",
+         "--k", "0", "--k-alice", "4", "--trials", "2"],
     ])
     def test_rejected_inputs_exit_2_without_traceback(self, capsys, tmp_path, argv):
         if argv[0] == "--from-manifest":
@@ -334,7 +382,7 @@ class TestErrorPaths:
             argv = ["--from-manifest", str(path)]
         code, out, err = _run(capsys, argv)
         assert code == 2
-        assert err.startswith("otlab: ")
+        assert err.startswith("otlab: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert out == ""
 
