@@ -530,11 +530,35 @@ def _finalize_report(protocol_id, side, config, k, threshold, failures,
 
 
 def _binomial(rng, n, p, size=None):
-    """``Bin(n, p)`` draws; nothing is drawn when ``p`` is 0 or 1."""
-    if 0.0 < p < 1.0:
+    """``Bin(n, p)`` draws; nothing is drawn when ``p`` is 0 or 1 or every ``n`` is 0."""
+    if 0.0 < p < 1.0 and np.any(n):
         return rng.binomial(n, p, size)
     return np.broadcast_to(np.asarray(n) * int(p >= 1.0),
                            np.shape(n) if size is None else size).astype(np.int64)
+
+
+_INT64_MAX = 2**63 - 1
+
+
+def _big_binomial(rng, n: int, p: float) -> int:
+    """``Bin(n, p)`` for a Python int ``n``, drawn in int64-sized pieces.
+
+    A count that fits in int64 is one draw; a larger one is the sum of
+    draws of at most ``2**63 - 1`` each.
+    """
+    total = 0
+    while n > 0:
+        piece = min(n, _INT64_MAX)
+        total += int(_binomial(rng, piece, p))
+        n -= piece
+    return total
+
+
+def _exact_sum(counts: np.ndarray) -> int:
+    """Sum of nonnegative int64 ``counts`` as a Python int, exact past int64."""
+    if counts.size and int(counts.max()) > _INT64_MAX // counts.size:
+        return sum(counts.tolist())  # the int64 sum could wrap
+    return int(counts.sum())
 
 
 def _split(rng, n: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -598,26 +622,32 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
     fail, guess = _verdicts(alice, bob)
     if 0 < k_a < m and 0 < k_b < m:
         shared = rng.hypergeometric(k_a, m - k_a, k_b, size=trials)
+        overlap = shared
     else:  # a side checks no label or every label: the overlap is fixed
-        shared = np.full(trials, k_a * k_b // m)
+        overlap = k_a * k_b // m
+        shared = np.full(trials, overlap)
     cells = _split(rng, shared, fail.ravel())   # columns: verdicts 00, 01, 10, 11
-    own_b = _binomial(rng, k_b - shared, fail[1].sum())
-    own_a = _binomial(rng, k_a - shared, fail[:, 1].sum())
+    # A fixed overlap gives each side one scalar count of own labels.
+    own_b = _binomial(rng, k_b - overlap, fail[1].sum(), size=trials)
+    own_a = _binomial(rng, k_a - overlap, fail[:, 1].sum(), size=trials)
     checked = k_b + k_a - shared
     extras = {}
     if bob.kind == "computational" and alice.kind == "honest":
         # Given what is known of an instance's verdicts (both for a shared
         # label, one for a side's own, none unchecked), its guess is a coin
-        # of the conditional probability: one binomial per group.
+        # of the conditional probability: one binomial per group.  Group sizes
+        # are Python ints, since a group's labels over all trials can pass int64.
         bob_fails, alice_fails = np.divmod(np.arange(4), 2)
-        groups = [(cells[:, c].sum(), np.arange(4) == c) for c in range(4)]
-        groups += [(own_b.sum(), bob_fails == 1),
-                   ((k_b - shared - own_b).sum(), bob_fails == 0),
-                   (own_a.sum(), alice_fails == 1),
-                   ((k_a - shared - own_a).sum(), alice_fails == 0),
-                   (trials * m - checked.sum(), bob_fails >= 0)]
+        groups = [(_exact_sum(cells[:, c]), np.arange(4) == c) for c in range(4)]
+        shared_total = sum(n for n, _ in groups)
+        own_b_total, own_a_total = _exact_sum(own_b), _exact_sum(own_a)
+        groups += [(own_b_total, bob_fails == 1),
+                   (trials * k_b - shared_total - own_b_total, bob_fails == 0),
+                   (own_a_total, alice_fails == 1),
+                   (trials * k_a - shared_total - own_a_total, alice_fails == 0),
+                   (trials * (m - k_a - k_b) + shared_total, bob_fails >= 0)]
         cell_p, guess_p = fail.ravel(), guess.ravel()
-        guessed = sum(int(_binomial(rng, int(n), guess_p[mask].sum() / cell_p[mask].sum()))
+        guessed = sum(_big_binomial(rng, n, guess_p[mask].sum() / cell_p[mask].sum())
                       for n, mask in groups if n)
         extras["x_guess_rate"] = guessed / (trials * m)
     failures_b, failures_a = cells[:, 2] + cells[:, 3] + own_b, cells[:, 1] + cells[:, 3] + own_a

@@ -12,12 +12,13 @@ inputs with one-time-pad-masked messages.
 
 :data:`SENT`, :data:`GATES` and :data:`BASES` hold this encoding as
 read-only tables indexed by bits; :func:`alice_prepare`, :func:`bob_gate` and
-:func:`alice_basis` check their bits and look up.  :func:`run_honest` runs a
-batch on bit arrays.  The returned qutrit is an eigenstate of Alice's basis,
-so the four bits ``(x, y, t, r)`` fix the outcome, with no draw for the
-measurement.  Each call computes the exact Born law of all 16 combinations
-once, raises RuntimeError unless every one is one-hot on outcome 0 or 1, and
-gives each run the outcome of its combination.
+:func:`alice_basis` check their bits and look up.  The returned qutrit is an
+eigenstate of Alice's basis, so the four bits ``(x, y, t, r)`` fix the
+outcome, with no draw for the measurement.  :data:`OUTCOMES`, a fourth
+read-only table, holds that outcome for each of the 16 combinations; it is
+computed from the exact Born law at import, which raises RuntimeError unless
+every combination is one-hot on outcome 0 or 1.  :func:`run_honest` runs a
+batch on bit arrays and gives each run the outcome of its combination.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "SENT",
     "GATES",
     "BASES",
+    "OUTCOMES",
     "OneTimeTable",
     "AndEvalResult",
     "alice_prepare",
@@ -59,6 +61,25 @@ SENT = _table([[[_S, 0, _S], [_S, 0, -_S]], [[0, _S, _S], [0, _S, -_S]]])
 GATES = _table([[[1, 1, 1], [-1, -1, 1]], [[1, -1, 1], [-1, 1, 1]]])
 #: ``BASES[x]``: rows of Alice's analysis basis, ``SENT[x, 0]``, ``SENT[x, 1]``, ``|1-x>``.
 BASES = _table([[*SENT[0], [0, 1, 0]], [*SENT[1], [1, 0, 0]]])
+
+
+def _outcome_law(bases, gates, sent) -> np.ndarray:
+    """Read-only ``[2, 2, 2, 2]`` outcome of each ``(x, y, t, r)`` under the Born law.
+
+    Raises RuntimeError unless every combination's weights are one-hot on
+    outcome 0 or 1, which the honest protocol never allows.
+    """
+    # weights[x, y, t, r, i] = |<bases[x, i]| gates[y, r] * sent[x, t]>|^2.
+    weights = np.abs(np.einsum("xij,yrj,xtj->xytri", bases, gates, sent)) ** 2
+    outcomes = np.argmax(weights[..., :2], axis=-1)
+    if np.abs(weights - (outcomes[..., None] == np.arange(3))).max() > _ONE_HOT_TOL:
+        raise RuntimeError("third or uncertain measurement outcome in an honest run")
+    outcomes.setflags(write=False)
+    return outcomes
+
+
+#: ``OUTCOMES[x, y, t, r]``: index of Alice's certain outcome, ``t XOR (x AND y) XOR r``.
+OUTCOMES = _outcome_law(BASES, GATES, SENT)
 
 
 def _bits(value, name: str) -> np.ndarray:
@@ -114,20 +135,14 @@ def run_honest(x, y, rng: np.random.Generator):
     with ``f = r``, Alice's coins ``t``, Bob's output bits ``r``, and the
     measured analysis-vector index ``outcome = t XOR (x AND y) XOR r``, with
     ``e = outcome XOR t``.  The draws are all of ``t``, then all of ``r``;
-    an empty batch draws nothing.  The outcomes come from the exact Born law
-    of the 16 combinations ``(x, y, t, r)``, computed once per call.  Raises
-    RuntimeError if any combination's weights are not one-hot on outcome 0
-    or 1, which the honest protocol never allows.
+    an empty batch draws nothing.  Each outcome is looked up in
+    :data:`OUTCOMES`, the exact Born law of the 16 combinations
+    ``(x, y, t, r)`` computed at import.
     """
     x, y = np.broadcast_arrays(np.atleast_1d(_bits(x, "x")), np.atleast_1d(_bits(y, "y")))
-    # weights[x, y, t, r, i] = |<BASES[x, i]| GATES[y, r] * SENT[x, t]>|^2.
-    weights = np.abs(np.einsum("xij,yrj,xtj->xytri", BASES, GATES, SENT)) ** 2
-    outcomes = np.argmax(weights[..., :2], axis=-1)
-    if np.abs(weights - (outcomes[..., None] == np.arange(3))).max() > _ONE_HOT_TOL:
-        raise RuntimeError("third or uncertain measurement outcome in an honest run")
     t = rng.integers(0, 2, size=x.shape)
     r = rng.integers(0, 2, size=x.shape)
-    outcome = outcomes[x, y, t, r]
+    outcome = OUTCOMES[x, y, t, r]
     table = OneTimeTable(x=x, y=y, e=outcome ^ t, f=r)
     return table, t, r, outcome
 

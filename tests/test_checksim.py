@@ -694,3 +694,68 @@ class TestReproducibility:
         assert np.all(bob_rep.tables_delivered >= 4)
         assert np.all(bob_rep.tables_delivered <= 7)
         assert np.array_equal(bob_rep.tables_delivered, alice_rep.tables_delivered)
+
+
+def _binomial_before(rng, n, p, size=None):
+    """``checksim._binomial`` as it was before zero counts were skipped."""
+    if 0.0 < p < 1.0:
+        return rng.binomial(n, p, size)
+    return np.broadcast_to(np.asarray(n) * int(p >= 1.0),
+                           np.shape(n) if size is None else size).astype(np.int64)
+
+
+def _run_protocol3_before(config, alice, bob, rng):
+    """``run_protocol3`` as it was, with a per-trial own-label draw even at a fixed overlap."""
+    m, k_b, k_a, trials = config.m, config.k_bob, config.k_alice, config.trials
+    fail, guess = checksim._verdicts(alice, bob)
+    if 0 < k_a < m and 0 < k_b < m:
+        shared = rng.hypergeometric(k_a, m - k_a, k_b, size=trials)
+    else:
+        shared = np.full(trials, k_a * k_b // m)
+    cells = checksim._split(rng, shared, fail.ravel())
+    own_b = _binomial_before(rng, k_b - shared, fail[1].sum())
+    own_a = _binomial_before(rng, k_a - shared, fail[:, 1].sum())
+    checked = k_b + k_a - shared
+    extras = {}
+    if bob.kind == "computational" and alice.kind == "honest":
+        bob_fails, alice_fails = np.divmod(np.arange(4), 2)
+        groups = [(cells[:, c].sum(), np.arange(4) == c) for c in range(4)]
+        groups += [(own_b.sum(), bob_fails == 1),
+                   ((k_b - shared - own_b).sum(), bob_fails == 0),
+                   (own_a.sum(), alice_fails == 1),
+                   ((k_a - shared - own_a).sum(), alice_fails == 0),
+                   (trials * m - checked.sum(), bob_fails >= 0)]
+        cell_p, guess_p = fail.ravel(), guess.ravel()
+        guessed = sum(int(_binomial_before(rng, int(n),
+                                           guess_p[mask].sum() / cell_p[mask].sum()))
+                      for n, mask in groups if n)
+        extras["x_guess_rate"] = guessed / (trials * m)
+    failures_b, failures_a = cells[:, 2] + cells[:, 3] + own_b, cells[:, 1] + cells[:, 3] + own_a
+    t_b, t_a = config.resolved_threshold("bob"), config.resolved_threshold("alice")
+    delivered = np.where((failures_b > t_b) | (failures_a > t_a), 0, m - checked)
+    return (checksim._finalize_report(3, "bob", config, k_b, t_b, failures_b, delivered,
+                                      dict(extras)),
+            checksim._finalize_report(3, "alice", config, k_a, t_a, failures_a, delivered,
+                                      dict(extras)))
+
+
+@pytest.mark.parametrize("sizes", [dict(m=20, k_bob=0, k_alice=7),
+                                   dict(m=12, k_bob=5, k_alice=12),
+                                   dict(m=30, k_bob=5, k_alice=7)],
+                         ids=["k_bob=0", "k_alice=m", "random-overlap"])
+@pytest.mark.parametrize("alice,bob", [
+    (AliceStrategy.honest(), BobStrategy.computational_basis()),
+    (AliceStrategy.honest(), BobStrategy.phase_noise(0.7)),
+    (AliceStrategy.learn_y(), BobStrategy.honest()),
+], ids=["computational", "phase-noise", "learn-y"])
+def test_protocol3_draws_match_per_trial_own_label_draws(sizes, alice, bob):
+    # A fixed overlap draws each side's own failures with one scalar count, and
+    # a zero count draws nothing; reports and the stream left behind are unchanged.
+    config = CheckConfig(**sizes, threshold_bob=1, threshold_alice=1, trials=400)
+    got_rng, want_rng = np.random.default_rng(77), np.random.default_rng(77)
+    got = run_protocol3(config, alice, bob, got_rng)
+    want = _run_protocol3_before(config, alice, bob, want_rng)
+    for have, expected in zip(got, want):
+        assert json.dumps(have.to_dict(), sort_keys=True) == \
+            json.dumps(expected.to_dict(), sort_keys=True)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state

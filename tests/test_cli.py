@@ -231,6 +231,21 @@ class TestChecksim:
         side = "bob" if "--threshold" in argv else "alice"
         assert aggregate[side]["abort_probability"] == 0.0
 
+    # Every size fits in int64, but the labels of all trials in one group do
+    # not: input guesses are counted in Python ints and drawn in pieces.
+    @pytest.mark.parametrize("m,k_alice,trials", [
+        ("4611686018427387904", "4", "3"),
+        ("9223372036854775807", "4", "2"),
+        ("4611686018427387904", "4611686018427387904", "3"),  # Alice's own labels
+    ])
+    def test_protocol3_guess_groups_beyond_int64(self, capsys, m, k_alice, trials):
+        code, out, err = _run(capsys, ["checksim", "--protocol", "3", "--bob", "computational",
+                                       "--m", m, "--k", "0", "--k-alice", k_alice,
+                                       "--trials", trials])
+        assert code == 0 and err == ""
+        for report in json.loads(out)["summary"]["aggregate"].values():
+            assert 0.0 <= report["extras"]["x_guess_rate"] <= 1.0
+
     def test_output_file_reproducible(self, capsys, tmp_path):
         out_path = tmp_path / "check.json"
         argv = ["checksim", "--protocol", "2", "--alice", "param", "--alpha", "0.6",
@@ -285,10 +300,27 @@ def test_payload_matches_recorded_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# Full checksim payloads, per-trial estimates included: a fractional threshold
-# with c1 != 1, and a protocol 3 run whose Bob side checks nothing (k = 0), so
-# its records hold null estimates.
+# Full --out payloads: checksim's, per-trial estimates included, for a
+# fractional threshold with c1 != 1 and for a protocol 3 run whose Bob side
+# checks nothing (k = 0), so its records hold null estimates; and table's for
+# every (x, y) at one run and at the benchmark's largest size.
 _OUT_PINS = [
+    ("table --x 0 --y 0 --n 1 --seed 2718",
+     "8df403904bc88a4f3bd069853a0bf0e652938f9523df6d83d34342c4b20a811f"),
+    ("table --x 0 --y 0 --n 1750 --seed 2718",
+     "a3f93c87b79ba90439faf365595cdb9887cf32b1a5f52fc66a1aef1af0192691"),
+    ("table --x 0 --y 1 --n 1 --seed 2718",
+     "0ebcd95c79f9ed7cd685384b23d0d2fa1e96c9f2dbfacee5eb73b0d1f731bf30"),
+    ("table --x 0 --y 1 --n 1750 --seed 2718",
+     "8fdbeb6b59d54b510d7ce3681785d5a251fd8e28fcc94ed87f048261f0ab9144"),
+    ("table --x 1 --y 0 --n 1 --seed 2718",
+     "193592edc5fd6afd0b02a06ab5c012823550b8759742d4901fdf78cf5d24915c"),
+    ("table --x 1 --y 0 --n 1750 --seed 2718",
+     "e0c95e8c026c6831fef0e9dbaa615596c31a61269a8ef87abf41437f935c93c7"),
+    ("table --x 1 --y 1 --n 1 --seed 2718",
+     "2f5ba6aeb6e2a5900a26aa7e1f846a8cc8f82b3d547891115f38acff4d423ca0"),
+    ("table --x 1 --y 1 --n 1750 --seed 2718",
+     "aab162b443d4c39f6a11fccb8e588ffa79804a06590a11191119e9bee4d5f5e4"),
     ("checksim --protocol 2 --alice param --alpha 0.7 --m 50 --k 25 --threshold 0.1 "
      "--c1 1.7 --trials 300 --seed 5",
      "e3b52fd347868b5ec371375a8168495f146a85743d7ec4ab083903d9fc3fa7b7"),
@@ -372,8 +404,6 @@ class TestErrorPaths:
          "--k", "9223372036854775808", "--trials", "2"],
         ["checksim", "--protocol", "3", "--m", "99999999999999999999999", "--k", "3",
          "--k-alice", "4", "--trials", "2"],
-        ["checksim", "--protocol", "3", "--bob", "computational", "--m", "9223372036854775807",
-         "--k", "0", "--k-alice", "4", "--trials", "2"],
     ])
     def test_rejected_inputs_exit_2_without_traceback(self, capsys, tmp_path, argv):
         if argv[0] == "--from-manifest":
@@ -463,6 +493,44 @@ class TestOneParser:
                                if out_path.exists() else None))
         assert [run[0] for run in in_process] == [0, 0, 2, 0, 2, 0, 2, 0, 0]
         assert in_process == fresh
+
+
+class _TopLevelParse(Exception):
+    """Raised by the patched top-level parser; ``main`` lets it through."""
+
+
+class TestSubcommandParse:
+    """A line that starts with a subcommand never reaches the top-level parser."""
+
+    @staticmethod
+    def _refuse_top_level(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise _TopLevelParse
+
+        parser = cli._parser()
+        monkeypatch.setattr(parser, "parse_args", refuse)
+        monkeypatch.setattr(parser, "parse_known_args", refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--x", "1", "--y", "0", "--n", "5", "--seed", "3"],
+        ["verify", "prop1", "--samples", "3", "--seed", "1"],
+        ["curve", "--n-samples", "1000", "--seed", "2"],
+        ["checksim", "--protocol", "3", "--bob", "computational", "--m", "12", "--k", "3",
+         "--k-alice", "4", "--trials", "20", "--seed", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_subcommand_output_unchanged_without_top_level_parse(self, capsys, monkeypatch,
+                                                                 argv):
+        unpatched = _run(capsys, argv)
+        self._refuse_top_level(monkeypatch)
+        assert _run(capsys, argv) == unpatched
+
+    @pytest.mark.parametrize("argv", [["--from-manifest", "run.manifest.json"], [],
+                                      ["--help"], ["tabel", "--x", "1"]],
+                             ids=["from-manifest", "empty", "help", "unknown"])
+    def test_other_lines_reach_top_level_parser(self, monkeypatch, argv):
+        self._refuse_top_level(monkeypatch)
+        with pytest.raises(_TopLevelParse):
+            cli.main(argv)
 
 
 class TestImportCost:

@@ -126,11 +126,10 @@ class TestRunHonest:
         assert run_honest(0, 0, rng)[0].e.shape == (1,)
 
     @pytest.mark.parametrize("phase", [np.pi / 2, 1e-5])
-    def test_uncertain_outcome_raises(self, monkeypatch, phase):
+    def test_uncertain_outcome_raises(self, phase):
         leaky_gates = protocol.GATES * [1.0, 1.0, np.exp(1j * phase)]
-        monkeypatch.setattr(protocol, "GATES", leaky_gates)
         with pytest.raises(RuntimeError):
-            run_honest([0, 1], [1, 1], np.random.default_rng(30))
+            protocol._outcome_law(protocol.BASES, leaky_gates, protocol.SENT)
 
 
 def _per_run_reference(x, y, rng):
@@ -167,20 +166,34 @@ def test_run_honest_matches_per_run_contraction_bit_for_bit(x, y):
 
 
 def test_run_honest_does_no_per_run_contraction(monkeypatch):
-    # Every contraction's operands stay within the 16 (x, y, t, r) combinations
-    # of 3x3 work, however many runs the call makes.
-    sizes = []
+    # The Born law is contracted once, at import: a call only looks outcomes up.
+    calls = []
     einsum = np.einsum
 
     def recording(subscripts, *operands, **kwargs):
-        sizes.extend(np.size(op) for op in operands)
+        calls.append(subscripts)
         return einsum(subscripts, *operands, **kwargs)
 
     monkeypatch.setattr(np, "einsum", recording)
     n = 10_000
     table, *_ = run_honest(np.ones(n, dtype=int), 1, np.random.default_rng(32))
     assert table.correlation_ok.all() and table.e.shape == (n,)
-    assert sizes and max(sizes) <= 16 * 3 * 3
+    assert calls == []
+
+
+def test_outcome_table_is_read_only():
+    assert not protocol.OUTCOMES.flags.writeable
+    with pytest.raises(ValueError):
+        protocol.OUTCOMES[1, 1, 0, 0] = 0
+
+
+def test_outcome_table_matches_per_run_reference():
+    x, y = np.indices((2, 2)).reshape(2, -1).repeat(64, axis=1)
+    _, t, r, outcome = _per_run_reference(x, y, np.random.default_rng(34))
+    # The batch holds all 16 (x, y, t, r) combinations.
+    assert len(set(zip(x.tolist(), y.tolist(), t.tolist(), r.tolist()))) == 16
+    assert protocol.OUTCOMES.shape == (2, 2, 2, 2)
+    assert np.array_equal(protocol.OUTCOMES[x, y, t, r], outcome)
 
 
 def test_empty_batch_returns_empty_arrays_and_draws_nothing():

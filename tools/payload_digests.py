@@ -3,10 +3,12 @@
 For every CLI job of rounds 0 and 1 of the four workloads, at each given
 seed (default 9191 and 31337), prints the exit code, the sha256 of stdout
 and the argv.  Each checksim job of round 0 is also rerun with ``--out`` and
-``--c1 1.7``, and the sha256 of its payload file is printed.  The otlab and
-perfbench imported are the ones in this script's checkout, and files are
-written only to a temporary directory.  Two commits give the same payloads
-when their outputs are identical::
+``--c1 1.7``, and the sha256 of its payload file is printed; each table job
+of round 0 is rerun with ``--out``, and the sha256 of its payload file and of
+its manifest are printed.  The otlab and perfbench imported are the ones in
+this script's checkout, and files are written only to a temporary directory,
+under a relative name so that manifests do not depend on it.  Two commits
+give the same payloads when their outputs are identical::
 
     python tools/payload_digests.py > before.txt   # in one checkout
     python tools/payload_digests.py > after.txt    # in the other
@@ -42,8 +44,24 @@ def _run(argv: list) -> tuple:
     return code, out.getvalue()
 
 
+def _file_digest(path: Path) -> str:
+    """sha256 of a file the run wrote, which is then removed."""
+    if not path.exists():
+        return "no-file"
+    digest = _sha256(path.read_bytes())
+    path.unlink()
+    return digest
+
+
+# Flags added to the round-0 jobs rerun with ``--out``.
+_OUT_FLAGS = {"checksim": ["--c1", "1.7"], "table": []}
+
+
 def digests(seeds, directory: Path):
-    """Lines ``code sha256 argv``, and ``code sha256 --out argv`` for payload files."""
+    """Lines ``code sha256 argv``, ``code sha256 --out argv`` for payload files
+    and ``code sha256 --manifest argv`` for table manifests."""
+    payload = Path("payload.out")  # relative to ``directory``
+    manifest = Path(f"{payload}.manifest.json")
     for seed in seeds:
         for workload in WORKLOADS:
             for index in (0, 1):
@@ -53,12 +71,14 @@ def digests(seeds, directory: Path):
                     argv = job["argv"]
                     code, stdout = _run(argv)
                     yield f"{code} {_sha256(stdout.encode())} {' '.join(argv)}"
-                    if index == 0 and argv[0] == "checksim":
-                        path = directory / "payload.json"
-                        code, _ = _run([*argv, "--c1", "1.7", "--out", str(path)])
-                        digest = _sha256(path.read_bytes()) if path.exists() else "no-file"
-                        yield f"{code} {digest} --out {' '.join(argv)}"
-                        path.unlink(missing_ok=True)
+                    if index == 0 and argv[0] in _OUT_FLAGS:
+                        with contextlib.chdir(directory):
+                            code, _ = _run([*argv, *_OUT_FLAGS[argv[0]], "--out", str(payload)])
+                            files = {"--out": _file_digest(payload),
+                                     "--manifest": _file_digest(manifest)}
+                        shown = ("--out", "--manifest") if argv[0] == "table" else ("--out",)
+                        for flag in shown:
+                            yield f"{code} {files[flag]} {flag} {' '.join(argv)}"
 
 
 def main(argv=None) -> int:
