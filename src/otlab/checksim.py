@@ -630,7 +630,7 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
     # A fixed overlap gives each side one scalar count of own labels.
     own_b = _binomial(rng, k_b - overlap, fail[1].sum(), size=trials)
     own_a = _binomial(rng, k_a - overlap, fail[:, 1].sum(), size=trials)
-    checked = k_b + k_a - shared
+    checked = (k_b - shared) + k_a   # at most m, where k_b + k_a can pass int64
     extras = {}
     if bob.kind == "computational" and alice.kind == "honest":
         # Given what is known of an instance's verdicts (both for a shared

@@ -33,6 +33,8 @@ __all__ = [
     "dirichlet_blocks",
     "random_povm",
     "random_povm_elements",
+    "draw_povm_seeds",
+    "normalize_povm_seeds",
     "random_density_operator",
 ]
 
@@ -281,7 +283,12 @@ def _average(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Classical-quantum source: probabilities paired with density operators."""
+    """Classical-quantum source: probabilities paired with density operators.
+
+    The probabilities ``[n]``, the state matrices ``[n, d, d]`` and their
+    spectra ``[n, d]`` are stacked once, at construction, and kept as
+    read-only arrays.
+    """
 
     entries: tuple
 
@@ -299,6 +306,12 @@ class Ensemble:
         dims = {op.dim for _, op in entries}
         if len(dims) != 1:
             raise ValueError(f"mixed dimensions in ensemble: {sorted(dims)}")
+        matrices = np.array([op.matrix for _, op in entries])
+        spectra = np.array([op.eigenvalues() for _, op in entries])
+        for name, arr in (("probabilities", probs), ("matrices", matrices),
+                          ("spectra", spectra)):
+            arr.setflags(write=False)
+            object.__setattr__(self, f"_{name}", arr)
         object.__setattr__(self, "entries", entries)
 
     @classmethod
@@ -312,15 +325,25 @@ class Ensemble:
 
     @property
     def probabilities(self) -> np.ndarray:
-        return np.array([p for p, _ in self.entries])
+        """The probabilities ``[n]`` (read-only)."""
+        return self._probabilities
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """The states' matrices ``[n, d, d]`` (read-only)."""
+        return self._matrices
+
+    @property
+    def spectra(self) -> np.ndarray:
+        """The states' stored spectra ``[n, d]``, ascending (read-only)."""
+        return self._spectra
 
     @property
     def states(self) -> tuple:
         return tuple(op for _, op in self.entries)
 
     def average(self) -> DensityOperator:
-        mats = np.array([op.matrix for op in self.states])
-        return DensityOperator.from_matrix(_average(self.probabilities, mats))
+        return DensityOperator.from_matrix(_average(self.probabilities, self.matrices))
 
 
 def _as_density(rho) -> DensityOperator:
@@ -449,10 +472,9 @@ def mutual_information(ensemble: Ensemble, povm: Povm) -> float:
     if povm.dim != ensemble.dim:
         raise InvalidMeasurementError(
             f"POVM dim {povm.dim} does not match ensemble dim {ensemble.dim}")
-    probs = ensemble.probabilities
-    table = np.array([[np.trace(m @ op.matrix).real for m in povm.elements]
-                      for op in ensemble.states])
-    joint = probs[:, None] * np.clip(table, 0.0, None)
+    # table[s, n] = Tr(M_n rho_s), for every state and element at once.
+    table = np.einsum("nij,sji->sn", povm.elements, ensemble.matrices).real
+    joint = ensemble.probabilities[:, None] * np.clip(table, 0.0, None)
     return classical_mutual_information(joint)
 
 
@@ -467,9 +489,7 @@ def holevo(ensemble):
     again.  A stack gives one value per ensemble, an :class:`Ensemble` a float.
     """
     if isinstance(ensemble, Ensemble):
-        probs = ensemble.probabilities
-        spectra = np.array([op.eigenvalues() for op in ensemble.states])
-        states = np.array([op.matrix for op in ensemble.states])
+        probs, spectra, states = ensemble.probabilities, ensemble.spectra, ensemble.matrices
     else:
         states, spectra = _checked(ensemble)
         if states.ndim < 3 or states.shape[-3] == 0:
@@ -489,15 +509,16 @@ def random_density_operator(dim: int, rng: np.random.Generator,
     return DensityOperator.from_matrix(mat / np.trace(mat).real)
 
 
-def random_povm_elements(dim: int, n_elements: int, rng: np.random.Generator,
-                         real: bool = False, rank: int | None = None) -> np.ndarray:
-    """Elements ``[n, dim, dim]`` of a random POVM, by symmetric normalization.
+def draw_povm_seeds(dim: int, n_elements: int, rng: np.random.Generator,
+                    real: bool = False, rank: int | None = None) -> tuple:
+    """The draws of :func:`random_povm_elements`: seeds ``[n, dim, dim]`` and ``eigh`` of their sum.
 
-    Each element starts as a random PSD seed ``x x^dagger`` with ``x`` of
-    shape ``(dim, rank)`` (default rank: full); ``real=True`` draws real
-    ``x``.  The seeds are conjugated by the inverse square root of their sum.
-    If 100 draws in a row give an ill-conditioned sum, the last draw gets a
-    multiple of the identity as one more element, so ``n = n_elements + 1``.
+    Each seed is a random PSD ``x x^dagger`` with ``x`` of shape
+    ``(dim, rank)`` (default rank: full); ``real=True`` draws real ``x``.
+    A draw whose sum is ill-conditioned is drawn again; if 100 draws in a row
+    are, the last one gets a multiple of the identity as one more seed, so
+    ``n = n_elements + 1``.  Gives ``(seeds, w, v)`` for
+    :func:`normalize_povm_seeds`.
     """
     rank = dim if rank is None else rank
     if n_elements < 1:
@@ -517,8 +538,29 @@ def random_povm_elements(dim: int, n_elements: int, rng: np.random.Generator,
     else:
         seeds = np.concatenate([seeds, [0.01 * float(w.max()) * np.eye(dim)]])
         w, v = np.linalg.eigh(seeds.sum(axis=0))
-    inv_sqrt = (v * (w ** -0.5)) @ v.conj().T
+    return seeds, w, v
+
+
+def normalize_povm_seeds(seeds, w, v) -> np.ndarray:
+    """POVM elements ``[..., n, d, d]``: seeds conjugated by the inverse square root of their sum.
+
+    ``seeds[..., n, d, d]`` with ``w[..., d]``, ``v[..., d, d]`` the ``eigh``
+    of their sum, as :func:`draw_povm_seeds` gives them; leading axes stack
+    measurements of the same size, each normalized as it would be alone.
+    """
+    inv_sqrt = (v * (w[..., None, :] ** -0.5)) @ np.conj(np.swapaxes(v, -1, -2))
+    inv_sqrt = inv_sqrt[..., None, :, :]
     return (inv_sqrt @ seeds @ inv_sqrt).astype(complex, copy=False)
+
+
+def random_povm_elements(dim: int, n_elements: int, rng: np.random.Generator,
+                         real: bool = False, rank: int | None = None) -> np.ndarray:
+    """Elements ``[n, dim, dim]`` of a random POVM, by symmetric normalization.
+
+    The seeds of :func:`draw_povm_seeds` (same arguments, same draws),
+    normalized by :func:`normalize_povm_seeds`.
+    """
+    return normalize_povm_seeds(*draw_povm_seeds(dim, n_elements, rng, real, rank))
 
 
 def random_povm(dim: int, n_elements: int, rng: np.random.Generator,

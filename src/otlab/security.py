@@ -292,9 +292,13 @@ def holevo_triple(params: CheatParams) -> HolevoTriple:
     the eigendecomposition-based Holevo quantity of
     :func:`returned_ensemble` to 1e-10.
     """
-    a2, b2, c2 = params.squares
-    chi_y, chi_r, chi_yxr = _triple_from_squares(a2, b2, c2)
-    return HolevoTriple(chi_y=float(chi_y), chi_r=float(chi_r), chi_yxr=float(chi_yxr))
+    # The six entropy terms of _triple_from_squares in one xlog2 and then in
+    # Python floats, in its order (bitwise equal, TestHolevoTriple checks):
+    # numpy's per-call cost on 0-d values would dominate otherwise.
+    a2, b2, c2 = (min(max(s, 0.0), 1.0) for s in (params.a ** 2, params.b ** 2, params.c ** 2))
+    la, lb, lc, ma, mb, mc = xlog2([a2, b2, c2, 1.0 - a2, 1.0 - b2, 1.0 - c2]).tolist()
+    return HolevoTriple(chi_y=max(-la - lb + mc, 0.0), chi_r=max(-la - lc + mb, 0.0),
+                        chi_yxr=max(-lb - lc + ma, 0.0))
 
 
 def binary_entropy(delta):
@@ -353,7 +357,10 @@ def tetrahedron_states() -> tuple:
 
 
 def lemma1_images(elements, amplitudes, variant: str = "exact") -> np.ndarray:
-    """Qubit images ``[p, n, 2, 2]`` of elements ``[n, 3, 3]`` for amplitude rows ``[p, 3]``.
+    """Qubit images ``[..., p, n, 2, 2]`` of elements ``[..., n, 3, 3]`` for rows ``[..., p, 3]``.
+
+    Leading axes (a sample axis, say) broadcast: each of the ``p`` amplitude
+    rows ``(a, b, c)`` maps each of the ``n`` elements.
 
     Each element's real part ``M`` (the imaginary antisymmetric part changes
     no probability on the real sign states), with diagonal ``(f, g, h)`` and
@@ -375,10 +382,13 @@ def lemma1_images(elements, amplitudes, variant: str = "exact") -> np.ndarray:
     """
     if variant not in ("exact", "psd"):
         raise ValueError(f"unknown variant {variant!r}")
-    real = np.asarray(elements).real  # drops i*(antisymmetric) exactly; stays symmetric PSD
-    a, b, c = np.asarray(amplitudes, dtype=float).T[:, :, None]
-    f, g, h = real[:, 0, 0], real[:, 1, 1], real[:, 2, 2]
-    u, v, w = real[:, 0, 1], real[:, 0, 2], real[:, 1, 2]
+    # The real part drops i*(antisymmetric) exactly and stays symmetric PSD;
+    # its entries get a unit p axis and the amplitudes a unit n axis.
+    real = np.asarray(elements).real[..., None, :, :, :]
+    amps = np.asarray(amplitudes, dtype=float)[..., None]
+    a, b, c = amps[..., 0, :], amps[..., 1, :], amps[..., 2, :]
+    f, g, h = real[..., 0, 0], real[..., 1, 1], real[..., 2, 2]
+    u, v, w = real[..., 0, 1], real[..., 0, 2], real[..., 1, 2]
     base = a * a * f + b * b * g + c * c * h
     if variant == "exact":
         scale, (x, y, z) = 2.0 * np.sqrt(3.0), (a * b * u, b * c * w, a * c * v)
@@ -582,7 +592,7 @@ def accessible_info_search(ensemble: Ensemble, config: SearchConfig | None = Non
     cfg = config or SearchConfig()
     rng = np.random.default_rng(0) if rng is None else rng
     priors = ensemble.probabilities
-    states = np.stack([op.matrix for op in ensemble.states])
+    states = ensemble.matrices
     dim = ensemble.dim
     seeds = _seed_frames(states, priors)
     starts = np.zeros((len(seeds) + cfg.n_starts, dim * dim, dim), dtype=complex)

@@ -16,14 +16,44 @@ from . import numerics, security
 from .seeding import COMPONENTS, substream_rng
 
 
+# Samples per block of the prop1 and lemma1 sweeps.  A block's samples are
+# drawn one at a time, in stream order, and then evaluated in batched passes;
+# a long sweep holds one block's draws and arrays (a few MB), not all of them.
+SAMPLE_BLOCK = 512
+
+
+def _povm_batches(rng: np.random.Generator, samples: int, draw):
+    """Random POVMs of ``samples`` calls of ``draw(rng)``, stacked by size.
+
+    ``draw`` makes one sample's draws and gives the ``(seeds, w, v)`` of
+    :func:`numerics.draw_povm_seeds` and an array of its other draws.  Per
+    block of up to ``SAMPLE_BLOCK`` samples and per POVM size ``n``, yields
+    the normalized elements ``[s, n, d, d]`` and the other draws stacked
+    ``[s, ...]``.  Stacks hold one size each, so every sample is evaluated
+    on arrays of the shapes it would have alone.
+    """
+    for start in range(0, samples, SAMPLE_BLOCK):
+        by_size = {}
+        for _ in range(min(SAMPLE_BLOCK, samples - start)):
+            povm, other = draw(rng)
+            by_size.setdefault(len(povm[0]), []).append((povm, other))
+        for group in by_size.values():
+            seeds, w, v = (np.stack(part) for part in zip(*(povm for povm, _ in group)))
+            yield (numerics.normalize_povm_seeds(seeds, w, v),
+                   np.stack([other for _, other in group]))
+
+
 def prop1(samples: int, seed: int) -> dict:
     """Same-measurement information sums stay below one bit."""
+
+    def draw(rng):
+        squares = rng.dirichlet([1.0, 1.0, 1.0])
+        return numerics.draw_povm_seeds(3, int(rng.integers(3, 8)), rng, rank=1), squares
+
     rng = substream_rng(seed, COMPONENTS["verify"], 1)
-    info = np.empty((samples, 3))
-    for i in range(samples):
-        amplitudes = np.sqrt(rng.dirichlet([1.0, 1.0, 1.0]))
-        elements = numerics.random_povm_elements(3, int(rng.integers(3, 8)), rng, rank=1)
-        info[i] = security.sign_state_information(elements, amplitudes)
+    # Rows come grouped by POVM size, not in sample order; the report does not depend on it.
+    info = np.concatenate([security.sign_state_information(elements, np.sqrt(squares))
+                           for elements, squares in _povm_batches(rng, samples, draw)])
     i_y, i_r, i_yxr = info.T
     margins = 1.0 - (i_y[:, None] + np.column_stack([i_r, i_yxr, np.maximum(i_r, i_yxr)]))
     return {"min_margin": float(margins.min()), "samples": samples,
@@ -90,18 +120,22 @@ def lemma1(samples: int, seed: int, params_per_povm: int = 10) -> dict:
     the sign state, or are not Hermitian and complete, and one more if its
     psd images are not a bona fide POVM.
     """
-    rng = substream_rng(seed, COMPONENTS["verify"], 4)
-    max_dev, max_mi, violations = 0.0, 0.0, 0
-    for _ in range(samples):
+
+    def draw(rng):
         n_out = int(rng.integers(3, 8))
         # Rank-1 outcomes are the informative extreme; mix them with full rank.
         rank = 1 if rng.random() < 0.5 else 3
-        elements = numerics.random_povm_elements(3, n_out, rng, real=True, rank=rank)
-        amplitudes = np.sqrt(rng.dirichlet([1.0, 1.0, 1.0], size=params_per_povm))
-        exact = security.lemma1_images(elements, amplitudes, "exact")
-        probs2 = np.einsum("pnjk,skj->psn", exact, security.TETRAHEDRON).real
-        dev = np.abs(security.sign_state_probabilities(elements, amplitudes) - probs2).max(
-            axis=(1, 2))
+        povm = numerics.draw_povm_seeds(3, n_out, rng, real=True, rank=rank)
+        return povm, rng.dirichlet([1.0, 1.0, 1.0], size=params_per_povm)
+
+    rng = substream_rng(seed, COMPONENTS["verify"], 4)
+    max_dev, max_mi, violations = 0.0, 0.0, 0
+    for elements, squares in _povm_batches(rng, samples, draw):
+        amplitudes = np.sqrt(squares)                                   # [s, p, 3]
+        exact = security.lemma1_images(elements, amplitudes, "exact")  # [s, p, n, 2, 2]
+        probs2 = np.einsum("...pnjk,skj->...psn", exact, security.TETRAHEDRON).real
+        probs3 = security.sign_state_probabilities(elements[:, None], amplitudes)  # [s, p, 4, n]
+        dev = np.abs(probs3 - probs2).max(axis=(-2, -1))
         joint_mi = numerics.classical_mutual_information(0.25 * probs2)
         max_dev = max(max_dev, float(dev.max()))
         max_mi = max(max_mi, float(joint_mi.max()))
@@ -109,7 +143,7 @@ def lemma1(samples: int, seed: int, params_per_povm: int = 10) -> dict:
                                  | ~numerics.is_measurement(exact)))
         # The psd variant must always be a bona fide POVM.
         psd = security.lemma1_images(elements, amplitudes, "psd")
-        min_eig = np.linalg.eigvalsh(psd).min(axis=(1, 2))
+        min_eig = np.linalg.eigvalsh(psd).min(axis=(-2, -1))
         violations += int(np.sum((min_eig < numerics.EIG_FLOOR) | ~numerics.is_measurement(psd)))
     return {"max_joint_mi": max_mi, "max_statistics_deviation": max_dev,
             "samples": samples, "violations": violations}

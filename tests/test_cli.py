@@ -246,6 +246,15 @@ class TestChecksim:
         for report in json.loads(out)["summary"]["aggregate"].values():
             assert 0.0 <= report["extras"]["x_guess_rate"] <= 1.0
 
+    def test_protocol3_check_counts_summing_beyond_int64(self, capsys):
+        # k_bob + k_alice passes 2**63 - 1; the labels checked by either side never pass m.
+        code, out, err = _run(capsys, ["checksim", "--protocol", "3",
+                                       "--m", "9223372036854775807",
+                                       "--k", "9223372036854775807", "--k-alice", "4",
+                                       "--trials", "2"])
+        assert code == 0 and err == ""
+        assert set(json.loads(out)["summary"]["aggregate"]) == {"alice", "bob"}
+
     def test_output_file_reproducible(self, capsys, tmp_path):
         out_path = tmp_path / "check.json"
         argv = ["checksim", "--protocol", "2", "--alice", "param", "--alpha", "0.6",

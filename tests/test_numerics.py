@@ -307,6 +307,35 @@ class TestInformation:
             povm = random_povm(3, int(rng.integers(2, 6)), rng)
             assert mutual_information(ens, povm) <= holevo(ens) + 1e-9
 
+    def test_ensemble_arrays_are_built_once_and_read_only(self):
+        rng = np.random.default_rng(22)
+        ops = [numerics.random_density_operator(3, rng, rank=rank) for rank in (1, 2, 3)]
+        ens = Ensemble(tuple(zip((0.5, 0.3, 0.2), ops)))
+        for name in ("probabilities", "matrices", "spectra"):
+            arr = getattr(ens, name)
+            assert arr is getattr(ens, name) and not arr.flags.writeable
+        assert ens.probabilities.tolist() == [0.5, 0.3, 0.2]
+        assert np.array_equal(ens.matrices, np.stack([op.matrix for op in ops]))
+        assert np.array_equal(ens.spectra, np.stack([op.eigenvalues() for op in ops]))
+        average = sum(p * op.matrix for p, op in zip((0.5, 0.3, 0.2), ops))
+        assert np.allclose(ens.average().matrix, average, rtol=0, atol=1e-15)
+
+    def test_mutual_information_matches_trace_loop(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            n_states = int(rng.integers(1, 5))
+            ops = [numerics.random_density_operator(3, rng, rank=int(rng.integers(1, 4)))
+                   for _ in range(n_states)]
+            probs = rng.dirichlet(np.ones(n_states))
+            ens = Ensemble(tuple(zip(probs / probs.sum(), ops)))
+            povm = random_povm(3, int(rng.integers(1, 8)), rng)
+            # The per-entry table Tr(M rho), one matrix product at a time: the reference.
+            table = np.array([[np.trace(m @ op.matrix).real for m in povm.elements]
+                              for op in ens.states])
+            joint = ens.probabilities[:, None] * np.clip(table, 0.0, None)
+            assert mutual_information(ens, povm) == pytest.approx(
+                classical_mutual_information(joint), rel=0, abs=1e-12)
+
     def test_classical_mi_bounds(self):
         joint = np.array([[0.5, 0.0], [0.0, 0.5]])
         assert classical_mutual_information(joint) == pytest.approx(1.0)

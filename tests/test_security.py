@@ -242,6 +242,18 @@ class TestHolevoTriple:
                 assert value == pytest.approx(
                     holevo(returned_ensemble(params, label)), abs=1e-10)
 
+    def test_bitwise_equal_to_array_closed_forms(self):
+        rng = np.random.default_rng(34)
+        rows = np.vstack([rng.dirichlet([1.0, 1.0, 1.0], size=20_000),
+                          [(1.0, 0.0, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5)]])
+        params = [CheatParams.from_squares(*row) for row in rows]
+        # Amplitudes whose squares pass 1 or 0 by round-off are clipped first.
+        params += [CheatParams(1.0 + 4e-13, 0.0, 0.0), CheatParams(0.6, 0.8, -1e-13)]
+        got = np.array([[t.chi_y, t.chi_r, t.chi_yxr] for t in map(holevo_triple, params)])
+        want = np.column_stack(security._triple_from_squares(
+            *np.array([p.squares for p in params]).T))
+        assert got.tobytes() == want.tobytes()
+
 
 def _nine_term_triple(a2, b2, c2):
     """The 0.9.0 closed forms, one entropy term per occurrence: the reference."""
@@ -455,6 +467,16 @@ class TestLemma1Reduce:
         assert images.shape == (8, 5, 2, 2)
         for row, params in zip(images, triples):
             assert np.array_equal(row, np.stack(lemma1_reduce(povm, params, variant).elements))
+
+    @pytest.mark.parametrize("variant", ["exact", "psd"])
+    def test_images_take_a_leading_sample_axis(self, variant):
+        rng = np.random.default_rng(44)
+        elements = np.stack([np.stack(random_povm(3, 5, rng).elements) for _ in range(4)])
+        amplitudes = np.sqrt(rng.dirichlet([1.0, 1.0, 1.0], size=(4, 6)))
+        images = lemma1_images(elements, amplitudes, variant)
+        assert images.shape == (4, 6, 5, 2, 2)
+        for i in range(4):
+            assert np.array_equal(images[i], lemma1_images(elements[i], amplitudes[i], variant))
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,18 @@
-"""Digests of the CLI payloads of the benchmark's first two rounds.
+"""Digests of the payloads of the benchmark's first two rounds.
 
 For every CLI job of rounds 0 and 1 of the four workloads, at each given
 seed (default 9191 and 31337), prints the exit code, the sha256 of stdout
 and the argv.  Each checksim job of round 0 is also rerun with ``--out`` and
 ``--c1 1.7``, and the sha256 of its payload file is printed; each table job
 of round 0 is rerun with ``--out``, and the sha256 of its payload file and of
-its manifest are printed.  The otlab and perfbench imported are the ones in
-this script's checkout, and files are written only to a temporary directory,
-under a relative name so that manifests do not depend on it.  Two commits
-give the same payloads when their outputs are identical::
+its manifest are printed.  Each library job of rounds 0 and 1 prints the
+sha256 of its JSON result, encoded with sorted keys as the benchmark encodes
+it, and ``verify prop1`` and ``verify lemma1`` at the default ``--samples
+200`` print their stdout sha256 at each seed.  The otlab and perfbench
+imported are the ones in this script's checkout, and files are written only
+to a temporary directory, under a relative name so that manifests do not
+depend on it.  Two commits give the same payloads when their outputs are
+identical::
 
     python tools/payload_digests.py > before.txt   # in one checkout
     python tools/payload_digests.py > after.txt    # in the other
@@ -21,6 +25,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -29,7 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from otlab import cli  # noqa: E402
-from perfbench.workloads import WORKLOADS, round_jobs  # noqa: E402
+from perfbench.workloads import WORKLOADS, round_jobs, run_library  # noqa: E402
 
 
 def _sha256(data: bytes) -> str:
@@ -58,8 +63,9 @@ _OUT_FLAGS = {"checksim": ["--c1", "1.7"], "table": []}
 
 
 def digests(seeds, directory: Path):
-    """Lines ``code sha256 argv``, ``code sha256 --out argv`` for payload files
-    and ``code sha256 --manifest argv`` for table manifests."""
+    """Lines ``code sha256 argv``, ``code sha256 --out argv`` for payload files,
+    ``code sha256 --manifest argv`` for table manifests and ``library sha256
+    call spec`` for library jobs."""
     payload = Path("payload.out")  # relative to ``directory``
     manifest = Path(f"{payload}.manifest.json")
     for seed in seeds:
@@ -67,7 +73,10 @@ def digests(seeds, directory: Path):
             for index in (0, 1):
                 for job in round_jobs(workload, seed, index):
                     if "argv" not in job:
-                        continue  # a library job, not a CLI run
+                        text = json.dumps(run_library(job), sort_keys=True)
+                        spec = json.dumps(job["spec"], sort_keys=True)
+                        yield f"library {_sha256(text.encode())} {job['call']} {spec}"
+                        continue
                     argv = job["argv"]
                     code, stdout = _run(argv)
                     yield f"{code} {_sha256(stdout.encode())} {' '.join(argv)}"
@@ -79,6 +88,10 @@ def digests(seeds, directory: Path):
                         shown = ("--out", "--manifest") if argv[0] == "table" else ("--out",)
                         for flag in shown:
                             yield f"{code} {files[flag]} {flag} {' '.join(argv)}"
+        for suite in ("prop1", "lemma1"):
+            argv = ["verify", suite, "--seed", str(seed)]
+            code, stdout = _run(argv)
+            yield f"{code} {_sha256(stdout.encode())} {' '.join(argv)}"
 
 
 def main(argv=None) -> int:
