@@ -336,17 +336,26 @@ def _verdicts(alice: AliceStrategy, bob: BobStrategy):
 # Exact law of a run
 # ---------------------------------------------------------------------------
 
-def _log_factorials(n: int) -> np.ndarray:
-    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
+def _from_ratios(ratios: np.ndarray) -> np.ndarray:
+    """A law on consecutive values from its ratios ``pmf(j + 1) / pmf(j)``, normalized.
+
+    The ratios of a log-concave law fall with j, so the products taken outward
+    from its mode, whose weight is 1, only shrink: none overflows, and each
+    term's relative error grows by a few ulps per ratio, whatever the
+    population.  Time and memory are linear in the support.
+    """
+    mode = np.count_nonzero(ratios > 1.0)
+    w = np.concatenate((np.cumprod(1.0 / ratios[mode - 1::-1])[::-1] if mode else [],
+                        [1.0], np.cumprod(ratios[mode:])))
+    return w / w.sum()
 
 
 def _binomial_pmf(k: int, p: float) -> np.ndarray:
     """``P(Bin(k, p) = j)`` for j = 0..k."""
-    j = np.arange(k + 1)
     if not 0.0 < p < 1.0:
-        return (j == (k if p >= 1.0 else 0)).astype(float)
-    lf = _log_factorials(k)
-    return np.exp(lf[k] - lf[j] - lf[k - j] + j * np.log(p) + (k - j) * np.log1p(-p))
+        return (np.arange(k + 1) == (k if p >= 1.0 else 0)).astype(float)
+    j = np.arange(k)
+    return _from_ratios((k - j) / (j + 1.0) * (p / (1.0 - p)))
 
 
 def _binomial_cdf(k: int, p: float, counts: np.ndarray) -> np.ndarray:
@@ -355,12 +364,14 @@ def _binomial_cdf(k: int, p: float, counts: np.ndarray) -> np.ndarray:
 
 
 def _shared_pmf(m: int, k_a: int, k_b: int) -> tuple:
-    """Support and probabilities of ``J ~ Hypergeometric(k_a, m - k_a, k_b)``."""
-    j = np.arange(max(0, k_a + k_b - m), min(k_a, k_b) + 1)
-    lf = _log_factorials(m)
-    log_p = (lf[k_a] - lf[j] - lf[k_a - j] + lf[m - k_a] - lf[k_b - j]
-             - lf[m - k_a - k_b + j] - lf[m] + lf[k_b] + lf[m - k_b])
-    return j, np.exp(log_p)
+    """Support and probabilities of ``J ~ Hypergeometric(k_a, m - k_a, k_b)``.
+
+    From the ratios ``pmf(j + 1) / pmf(j) = (k_a - j)(k_b - j) / ((j + 1)(m - k_a
+    - k_b + j + 1))``, each factor an exact int64.
+    """
+    shared = np.arange(max(0, k_a + k_b - m), min(k_a, k_b) + 1)
+    j = shared[:-1]
+    return shared, _from_ratios((k_a - j) / (j + 1.0) * ((k_b - j) / ((m - k_a - k_b + 1) + j)))
 
 
 @dataclass(frozen=True)
@@ -402,8 +413,10 @@ def exact_law(config: CheckConfig, alice: AliceStrategy,
     p_b, p_a = float(fail[1].sum()), float(fail[:, 1].sum())
     passing = np.zeros((t_b + 1, t_a + 1))
     passing[0, 0] = 1.0
-    labels = pass_probability = delivered = 0.0
-    for j, weight in zip(*_shared_pmf(m, k_a, k_b)):
+    labels = 0
+    shared, weights = _shared_pmf(m, k_a, k_b)
+    passed = np.empty(len(shared))
+    for i, j in enumerate(shared):
         while labels < j:
             step = fail[0, 0] * passing
             step[1:] += fail[1, 0] * passing[:-1]
@@ -412,14 +425,16 @@ def exact_law(config: CheckConfig, alice: AliceStrategy,
             passing, labels = step, labels + 1
         own_b = _binomial_cdf(k_b - j, p_b, t_b - np.arange(t_b + 1))
         own_a = _binomial_cdf(k_a - j, p_a, t_a - np.arange(t_a + 1))
-        passed = float(weight * (own_b @ passing @ own_a))
-        pass_probability += passed
-        delivered += (m - k_b - k_a + j) * passed
+        passed[i] = min(1.0, own_b @ passing @ own_a)
+    # Means over J's law, so that a pass probability of 1 at every J sums to exactly 1.
+    total = weights.sum()
+    pass_probability = (weights * passed).sum() / total
+    delivered = (((m - k_b - k_a) + shared) * weights * passed).sum() / total
     return ExactLaw(
         fail_bob=p_b, fail_alice=p_a,
-        abort_bob=float(_binomial_pmf(k_b, p_b)[t_b + 1:].sum()),
-        abort_alice=float(_binomial_pmf(k_a, p_a)[t_a + 1:].sum()),
-        pass_probability=pass_probability, tables_delivered=float(delivered))
+        abort_bob=min(1.0, float(_binomial_pmf(k_b, p_b)[t_b + 1:].sum())),
+        abort_alice=min(1.0, float(_binomial_pmf(k_a, p_a)[t_a + 1:].sum())),
+        pass_probability=float(pass_probability), tables_delivered=float(delivered))
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +552,46 @@ def _binomial(rng, n, p, size=None):
                            np.shape(n) if size is None else size).astype(np.int64)
 
 
+def _iid(rng, support: np.ndarray, pmf: np.ndarray, trials: int) -> np.ndarray:
+    """``trials`` i.i.d. draws of ``pmf`` over ``support``.
+
+    Drawn as their multinomial histogram, expanded and shuffled into a
+    uniformly random order: the same law as one draw per trial, for one
+    binomial draw per support value and one shuffle.
+    """
+    draws = np.repeat(support, rng.multinomial(trials, pmf / pmf.sum()))
+    rng.shuffle(draws)
+    return draws
+
+
+def _binomials(rng, n, p: float, trials: int) -> np.ndarray:
+    """``trials`` independent ``Bin(n, p)`` draws, ``n`` one count or one per trial.
+
+    One count whose support, ``n + 1`` values, fits in the trials is drawn by
+    :func:`_iid`; counts that vary per trial, or a support larger than the
+    trials, are drawn one per trial.
+    """
+    if np.ndim(n) == 0 and 0.0 < p < 1.0 and 0 < n < trials:
+        return _iid(rng, np.arange(n + 1), _binomial_pmf(n, p), trials)
+    return _binomial(rng, n, p, size=trials)
+
+
+# numpy's hypergeometric sampler needs both populations below this.
+_NUMPY_HYPERGEOMETRIC_MAX = 10**9
+
+
+def _shared_labels(rng, m: int, k_a: int, k_b: int, trials: int) -> np.ndarray:
+    """``trials`` draws of ``J ~ Hypergeometric(k_a, m - k_a, k_b)``, with ``0 < k_a, k_b < m``.
+
+    By :func:`_iid` when J's support fits in the trials, or when numpy's
+    per-trial sampler cannot take the populations; else one draw per trial.
+    """
+    support = min(k_a, k_b) - max(0, k_a + k_b - m) + 1
+    if support <= trials or max(k_a, m - k_a) >= _NUMPY_HYPERGEOMETRIC_MAX:
+        return _iid(rng, *_shared_pmf(m, k_a, k_b), trials)
+    return rng.hypergeometric(k_a, m - k_a, k_b, size=trials)
+
+
 _INT64_MAX = 2**63 - 1
 
 
@@ -590,10 +645,11 @@ def run_protocol2(config: CheckConfig, alice: AliceStrategy,
 
     Instances are i.i.d., so a trial's failure count is drawn directly as
     ``Bin(k_bob, p)``, with ``p`` the exact per-check failure probability,
-    from the caller's Generator ``rng``.
+    from the caller's Generator ``rng``; all trials' counts at once, by
+    :func:`_binomials`.
     """
     fail, _ = _verdicts(alice, BobStrategy.honest())
-    failures = _binomial(rng, config.k_bob, fail[1].sum(), size=config.trials)
+    failures = _binomials(rng, config.k_bob, fail[1].sum(), config.trials)
     delivered = np.full(config.trials, config.m - config.k_bob)
     return _finalize_report(2, "bob", config, config.k_bob, config.resolved_threshold("bob"),
                             failures, delivered, {})
@@ -614,22 +670,25 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
     from the caller's Generator ``rng``: the number of labels both sides check,
     ``J ~ Hypergeometric(k_alice, m - k_alice, k_bob)``; the joint verdicts
     of those J labels, which can fail both checks together; and one binomial
-    failure count for each side's own ``k - J`` labels.  Against a
+    failure count for each side's own ``k - J`` labels.  J, and the own
+    counts when the overlap is fixed, have one law in every trial and are
+    drawn as shuffled histograms (:func:`_iid`) where their support allows;
+    the verdicts and the own counts given a random J, one per trial.  Against a
     computational-basis Bob the input-guess total is drawn as one binomial
     per group of instances sharing a verdict, unchecked instances included.
     """
     m, k_b, k_a, trials = config.m, config.k_bob, config.k_alice, config.trials
     fail, guess = _verdicts(alice, bob)
     if 0 < k_a < m and 0 < k_b < m:
-        shared = rng.hypergeometric(k_a, m - k_a, k_b, size=trials)
+        shared = _shared_labels(rng, m, k_a, k_b, trials)
         overlap = shared
     else:  # a side checks no label or every label: the overlap is fixed
         overlap = k_a * k_b // m
         shared = np.full(trials, overlap)
     cells = _split(rng, shared, fail.ravel())   # columns: verdicts 00, 01, 10, 11
     # A fixed overlap gives each side one scalar count of own labels.
-    own_b = _binomial(rng, k_b - overlap, fail[1].sum(), size=trials)
-    own_a = _binomial(rng, k_a - overlap, fail[:, 1].sum(), size=trials)
+    own_b = _binomials(rng, k_b - overlap, fail[1].sum(), trials)
+    own_a = _binomials(rng, k_a - overlap, fail[:, 1].sum(), trials)
     checked = (k_b - shared) + k_a   # at most m, where k_b + k_a can pass int64
     extras = {}
     if bob.kind == "computational" and alice.kind == "honest":

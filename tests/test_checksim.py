@@ -1,6 +1,8 @@
 import itertools
 import math
 import json
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -577,8 +579,70 @@ class TestExactLaw:
         _assert_binomial(int(np.sum(~bob_rep.aborted & ~alice_rep.aborted)), trials,
                          law.pass_probability)
 
+    @pytest.mark.parametrize("p", [0.5, 0.3, 0.01, 0.9, 1e-9, 1.0 - 1e-9])
+    def test_binomial_pmf_matches_exact_fractions(self, p):
+        exact_p = Fraction(p)
+        for k in range(41):
+            want = [math.comb(k, j) * exact_p**j * (1 - exact_p) ** (k - j)
+                    for j in range(k + 1)]
+            _assert_matches_fractions(checksim._binomial_pmf(k, p), want)
 
-_REPORT_MAPS = [((a0, e0), (a1, e1))
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 12, 23])
+    def test_shared_pmf_matches_exact_fractions(self, m):
+        for k_a, k_b in itertools.product(range(m + 1), repeat=2):
+            _assert_shared_pmf_exact(m, k_a, k_b)
+
+    @pytest.mark.parametrize("m,k_a,k_b", [(10**12, 20, 20), (2**62, 20, 13),
+                                           (2**63 - 1, 2**63 - 5, 2**63 - 6),
+                                           (10**6, 60, 300)])
+    def test_shared_pmf_needs_only_its_support(self, m, k_a, k_b):
+        # Populations far beyond any array: only the support is built.
+        _assert_shared_pmf_exact(m, k_a, k_b)
+
+    def test_probabilities_lie_in_unit_interval(self):
+        senders = [AliceStrategy.honest(), AliceStrategy.learn_y(),
+                   AliceStrategy.param(CheatParams.from_alpha(0.7))]
+        receivers = [BobStrategy.honest(), BobStrategy.computational_basis(),
+                     BobStrategy.phase_noise(1.1)]
+        for m in (1, 2, 5, 10, 30, 200):
+            for k_b, k_a in itertools.product(sorted({0, 1, m // 3, m}), sorted({0, 1, m // 2, m})):
+                for t_b, t_a in ((0, 0), (1, 2), (m, m)):
+                    config = CheckConfig(m=m, k_bob=k_b, k_alice=k_a, threshold_bob=t_b,
+                                         threshold_alice=t_a)
+                    for alice, bob in itertools.product(senders, receivers):
+                        law = checksim.exact_law(config, alice, bob)
+                        probabilities = [law.fail_bob, law.fail_alice, law.abort_bob,
+                                         law.abort_alice, law.pass_probability]
+                        assert all(0.0 <= q <= 1.0 for q in probabilities), (config, law)
+                        assert 0.0 <= law.tables_delivered <= m
+                    honest = checksim.exact_law(config, AliceStrategy.honest(),
+                                                BobStrategy.honest())
+                    assert honest.pass_probability == 1.0, config
+                    one_sided = replace(config, k_alice=0, threshold_alice=0)
+                    assert checksim.exact_law(one_sided, AliceStrategy.honest()) \
+                        .pass_probability == 1.0, config
+
+
+def _assert_shared_pmf_exact(m, k_a, k_b):
+    """``_shared_pmf`` has J's support and, on it, the exact hypergeometric law."""
+    support, pmf = checksim._shared_pmf(m, k_a, k_b)
+    assert support.tolist() == list(range(max(0, k_a + k_b - m), min(k_a, k_b) + 1))
+    _assert_matches_fractions(pmf, [
+        Fraction(math.comb(k_a, j) * math.comb(m - k_a, k_b - j), math.comb(m, k_b))
+        for j in support.tolist()])
+
+
+def _assert_matches_fractions(pmf, want):
+    """``pmf`` equals the exact probabilities ``want`` to a relative 1e-13."""
+    assert len(pmf) == len(want)
+    for got, exact in zip(pmf.tolist(), want):
+        if exact < Fraction(1, 10**300):   # beyond float's normal range
+            assert got <= 1e-290
+        else:
+            assert abs(Fraction(got) - exact) <= Fraction(1, 10**13) * exact, (got, float(exact))
+
+
+_REPORT_MAPS =[((a0, e0), (a1, e1))
                 for a0, e0, a1, e1 in itertools.product((0, 1), repeat=4)]
 _TABLE_SENDERS = (
     [("honest", AliceStrategy.honest()), ("learn-y", AliceStrategy.learn_y()),
@@ -696,49 +760,6 @@ class TestReproducibility:
         assert np.array_equal(bob_rep.tables_delivered, alice_rep.tables_delivered)
 
 
-def _binomial_before(rng, n, p, size=None):
-    """``checksim._binomial`` as it was before zero counts were skipped."""
-    if 0.0 < p < 1.0:
-        return rng.binomial(n, p, size)
-    return np.broadcast_to(np.asarray(n) * int(p >= 1.0),
-                           np.shape(n) if size is None else size).astype(np.int64)
-
-
-def _run_protocol3_before(config, alice, bob, rng):
-    """``run_protocol3`` as it was, with a per-trial own-label draw even at a fixed overlap."""
-    m, k_b, k_a, trials = config.m, config.k_bob, config.k_alice, config.trials
-    fail, guess = checksim._verdicts(alice, bob)
-    if 0 < k_a < m and 0 < k_b < m:
-        shared = rng.hypergeometric(k_a, m - k_a, k_b, size=trials)
-    else:
-        shared = np.full(trials, k_a * k_b // m)
-    cells = checksim._split(rng, shared, fail.ravel())
-    own_b = _binomial_before(rng, k_b - shared, fail[1].sum())
-    own_a = _binomial_before(rng, k_a - shared, fail[:, 1].sum())
-    checked = k_b + k_a - shared
-    extras = {}
-    if bob.kind == "computational" and alice.kind == "honest":
-        bob_fails, alice_fails = np.divmod(np.arange(4), 2)
-        groups = [(cells[:, c].sum(), np.arange(4) == c) for c in range(4)]
-        groups += [(own_b.sum(), bob_fails == 1),
-                   ((k_b - shared - own_b).sum(), bob_fails == 0),
-                   (own_a.sum(), alice_fails == 1),
-                   ((k_a - shared - own_a).sum(), alice_fails == 0),
-                   (trials * m - checked.sum(), bob_fails >= 0)]
-        cell_p, guess_p = fail.ravel(), guess.ravel()
-        guessed = sum(int(_binomial_before(rng, int(n),
-                                           guess_p[mask].sum() / cell_p[mask].sum()))
-                      for n, mask in groups if n)
-        extras["x_guess_rate"] = guessed / (trials * m)
-    failures_b, failures_a = cells[:, 2] + cells[:, 3] + own_b, cells[:, 1] + cells[:, 3] + own_a
-    t_b, t_a = config.resolved_threshold("bob"), config.resolved_threshold("alice")
-    delivered = np.where((failures_b > t_b) | (failures_a > t_a), 0, m - checked)
-    return (checksim._finalize_report(3, "bob", config, k_b, t_b, failures_b, delivered,
-                                      dict(extras)),
-            checksim._finalize_report(3, "alice", config, k_a, t_a, failures_a, delivered,
-                                      dict(extras)))
-
-
 @pytest.mark.parametrize("sizes", [dict(m=20, k_bob=0, k_alice=7),
                                    dict(m=12, k_bob=5, k_alice=12),
                                    dict(m=30, k_bob=5, k_alice=7)],
@@ -748,14 +769,71 @@ def _run_protocol3_before(config, alice, bob, rng):
     (AliceStrategy.honest(), BobStrategy.phase_noise(0.7)),
     (AliceStrategy.learn_y(), BobStrategy.honest()),
 ], ids=["computational", "phase-noise", "learn-y"])
-def test_protocol3_draws_match_per_trial_own_label_draws(sizes, alice, bob):
-    # A fixed overlap draws each side's own failures with one scalar count, and
-    # a zero count draws nothing; reports and the stream left behind are unchanged.
-    config = CheckConfig(**sizes, threshold_bob=1, threshold_alice=1, trials=400)
-    got_rng, want_rng = np.random.default_rng(77), np.random.default_rng(77)
-    got = run_protocol3(config, alice, bob, got_rng)
-    want = _run_protocol3_before(config, alice, bob, want_rng)
-    for have, expected in zip(got, want):
-        assert json.dumps(have.to_dict(), sort_keys=True) == \
-            json.dumps(expected.to_dict(), sort_keys=True)
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+def test_protocol3_draws_follow_the_exact_law(sizes, alice, bob):
+    # Fixed and random overlaps: each side's aborts and failures, and the
+    # joint pass, against exact_law by exact binomial tests.
+    trials = 20_000
+    config = CheckConfig(**sizes, threshold_bob=1, threshold_alice=1, trials=trials)
+    law = checksim.exact_law(config, alice, bob)
+    bob_rep, alice_rep = run_protocol3(config, alice, bob, np.random.default_rng(77))
+    for report, abort, p in ((bob_rep, law.abort_bob, law.fail_bob),
+                             (alice_rep, law.abort_alice, law.fail_alice)):
+        if report.k == 0:
+            assert not report.failures.any() and not report.aborted.any()
+        else:
+            _assert_aborts(report, abort, p)
+    _assert_binomial(int(np.sum(~bob_rep.aborted & ~alice_rep.aborted)), trials,
+                     law.pass_probability)
+
+
+# Two-sided p-value of a 5-sigma deviation of a normal variable.
+_P_5SIGMA = math.erfc(5.0 / math.sqrt(2.0))
+
+
+class TestIid:
+    @pytest.mark.parametrize("support,pmf,trials", [
+        (np.arange(21), checksim._binomial_pmf(20, 0.3), 4000),
+        (np.arange(3, 9), np.array([1e-9, 0.2, 0.3, 0.1, 0.4 - 1e-9, 0.0]), 5000),
+        (np.array([7]), np.array([1.0]), 10),
+    ], ids=["binomial", "sparse", "one-value"])
+    def test_shuffled_multinomial_histogram(self, support, pmf, trials):
+        draws = checksim._iid(np.random.default_rng(41), support, pmf, trials)
+        counts = np.random.default_rng(41).multinomial(trials, pmf / pmf.sum())
+        # A permutation of its multinomial counts, laid out in trial order.
+        assert draws.shape == (trials,)
+        assert np.array_equal(np.sort(draws), np.repeat(support, counts))
+        for value, p in zip(support, pmf / pmf.sum()):
+            count = int(np.sum(draws == value))
+            if p == 0.0:
+                assert count == 0
+            else:
+                assert stats.binomtest(count, trials, p).pvalue >= _P_5SIGMA, (value, count, p)
+        if len(support) > 1:  # shuffled: both halves of the trials share one law
+            _assert_same_law(draws[:trials // 2], draws[trials // 2:])
+
+    @pytest.mark.parametrize("k,trials,histogram", [(20, 21, True), (20, 20, False),
+                                                    (0, 5, False)])
+    def test_protocol2_histogram_only_when_support_fits(self, monkeypatch, k, trials,
+                                                        histogram):
+        calls = []
+        real = checksim._iid
+        monkeypatch.setattr(checksim, "_iid", lambda *args: calls.append(1) or real(*args))
+        config = CheckConfig(m=40, k_bob=k, threshold_bob=40, trials=trials)
+        report = run_protocol2(config, AliceStrategy.learn_y(), np.random.default_rng(3))
+        assert len(calls) == int(histogram)
+        assert report.failures.shape == (trials,) and report.failures.max() <= k
+
+    @pytest.mark.parametrize("m,k_a,trials,histogram", [
+        (40, 5, 6, True), (40, 5, 5, False),
+        # numpy's sampler takes no population of 10**9 or more, so any support goes.
+        (10**12, 5, 2, True),
+    ])
+    def test_shared_labels_histogram(self, monkeypatch, m, k_a, trials, histogram):
+        calls = []
+        real = checksim._iid
+        monkeypatch.setattr(checksim, "_iid", lambda *args: calls.append(args[1]) or real(*args))
+        shared = checksim._shared_labels(np.random.default_rng(4), m, k_a, 5, trials)
+        assert (len(calls) == 1) == histogram
+        if histogram:
+            assert calls[0].tolist() == list(range(6))
+        assert shared.shape == (trials,) and 0 <= shared.min() and shared.max() <= 5

@@ -255,6 +255,21 @@ class TestChecksim:
         assert code == 0 and err == ""
         assert set(json.loads(out)["summary"]["aggregate"]) == {"alice", "bob"}
 
+    # Populations that numpy's hypergeometric sampler refuses (it needs both
+    # below 10**9): J's law is built on its support alone.
+    @pytest.mark.parametrize("m,bob,trials", [
+        ("1000000000000", "honest", "100"),
+        ("4611686018427387904", "honest", "100"),
+        ("1000000000000", "computational", "2"),   # support larger than the trials
+    ])
+    def test_protocol3_random_overlap_beyond_numpy_populations(self, capsys, m, bob, trials):
+        argv = ["checksim", "--protocol", "3", "--bob", bob, "--m", m, "--k", "20",
+                "--k-alice", "20", "--trials", trials, "--seed", "3"]
+        code, out, err = _run(capsys, argv)
+        assert code == 0 and err == ""
+        assert set(json.loads(out)["summary"]["aggregate"]) == {"alice", "bob"}
+        assert _run(capsys, argv) == (code, out, err)
+
     def test_output_file_reproducible(self, capsys, tmp_path):
         out_path = tmp_path / "check.json"
         argv = ["checksim", "--protocol", "2", "--alice", "param", "--alpha", "0.6",
@@ -270,8 +285,9 @@ class TestChecksim:
 
 
 
-# sha256 of stdout, recorded with otlab 0.10.0.  A refactor that moves no payload
-# byte and no RNG stream keeps these; one that does bumps __version__ and re-records.
+# sha256 of stdout: the checksim digests recorded with otlab 0.11.0, the others
+# with 0.10.0 and unchanged since.  A refactor that moves no payload byte and no
+# RNG stream keeps these; one that does bumps __version__ and re-records.
 _PAYLOAD_PINS = [
     ("table --x 0 --y 0 --n 64 --seed 7",
      "3681634b0e67d0d4a069f6f9cd3eed56fdeaaa87ad215c86d8ec13cc99d9db82"),
@@ -283,7 +299,7 @@ _PAYLOAD_PINS = [
      "96b51d65ccb1ed382c7b76940c3e6bd927997883f56b233486469c17d300126b"),
     ("checksim --protocol 3 --bob computational --m 30 --k 5 --k-alice 7 --threshold 1 "
      "--threshold-alice 2 --trials 300 --seed 11",
-     "69dcfb8759b5d18b3d51183bf481cd4034058b7f0a6039cdd651f88650ada498"),
+     "30d210a4df6c2e90a9a2faaeb13dc9aa44475d057c35dd329c62bccbe47081af"),
     ("verify thm3 --seed 7",
      "b6971ba032f3223572425c5f954cb138b3ca7b9000f7402f5efd46612c313dcf"),
     ("verify lemma1 --samples 20 --seed 7",
@@ -296,9 +312,9 @@ _PAYLOAD_PINS = [
     # A checks-sparse and a checks-dense protocol 2 job of the benchmark.
     ("checksim --protocol 2 --alice learn-y --m 200 --k 20 --threshold 1 --trials 4000 "
      "--seed 9191",
-     "9f0f87804553e9dfd7db55907710912c51cc3dfd186663e465ea5ba4d9dda6d0"),
+     "530e782ad2deb1240b7cf8eef51339ceb25c4ae3bdc5e6f1850194019806ed34"),
     ("checksim --protocol 2 --alice mix --phi 0.5 --m 12 --k 12 --trials 5000 --seed 31337",
-     "f7b03b3c8c66b33f2badbb8ca20293c38b868abd1aa06bb391d94780fd4b53ca"),
+     "4a29c4d4f3191f0812a7fcfa46dd6b1be798e1da979c46e289665d8ce1e6135e"),
 ]
 
 
@@ -332,10 +348,10 @@ _OUT_PINS = [
      "aab162b443d4c39f6a11fccb8e588ffa79804a06590a11191119e9bee4d5f5e4"),
     ("checksim --protocol 2 --alice param --alpha 0.7 --m 50 --k 25 --threshold 0.1 "
      "--c1 1.7 --trials 300 --seed 5",
-     "e3b52fd347868b5ec371375a8168495f146a85743d7ec4ab083903d9fc3fa7b7"),
+     "22e6126b94137a0ed480a82ca885ceef65a1d3e27fdfd86074cc588606767ab4"),
     ("checksim --protocol 3 --bob computational --m 30 --k 0 --k-alice 7 "
      "--threshold-alice 2 --trials 300 --seed 11",
-     "114a6e85afee99e8a5eed7974330466a43c91792703ab666ffc14beee555b7c9"),
+     "ff276eb65d757d9bd0a3778a193d4bf8970065fa11689bc4ce5527daa73a6da0"),
 ]
 
 
