@@ -44,10 +44,7 @@ __all__ = [
     "run_protocol2",
     "run_protocol3",
     "detection_curve",
-    "run_with_restarts",
     "suggested_check_count",
-    "epsilon_estimate",
-    "leak_bound",
     "EPS_C_MID",
     "EPS_C_A",
     "EPS_C_B",
@@ -402,7 +399,8 @@ def exact_law(config: CheckConfig, alice: AliceStrategy,
     Given J shared labels, their (Bob, Alice) failure counts are built up one
     label at a time over the joint verdicts, kept only where both pass, and
     each side's own ``k - J`` labels enter through a binomial distribution
-    function.
+    function.  A budget of ``R`` independent restarts after aborted runs
+    passes at least once with probability ``1 - (1 - pass_probability)^R``.
     """
     if bob is None:
         config, bob = replace(config, k_alice=0, threshold_alice=0), BobStrategy.honest()
@@ -717,40 +715,6 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
             _finalize_report(3, "alice", config, k_a, t_a, failures_a, delivered, dict(extras)))
 
 
-def run_with_restarts(config: CheckConfig, alice: AliceStrategy, restarts: int,
-                      rng: np.random.Generator) -> dict:
-    """Model a budget of protocol restarts after aborted runs.
-
-    Restarted runs draw fresh randomness from the caller's Generator ``rng``
-    and the receiver's hidden bits are independent across them, so a cheater
-    cannot correlate attempts; the overall probability of slipping past the
-    checks grows at most additively with the budget.  Runs ``restarts``
-    independent one-sided check protocols per trial and returns the measured
-    any-attempt pass probability next to the additive bound
-    ``restarts * single_run_pass`` and the exact ``1 - (1 - p_pass)^restarts``.
-    """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    passed_any = np.zeros(config.trials, dtype=bool)
-    single_pass_total = 0.0
-    for _ in range(restarts):
-        report = run_protocol2(config, alice, rng)
-        passed = ~report.aborted
-        single_pass_total += float(passed.mean())
-        passed_any |= passed
-    single = single_pass_total / restarts
-    exact_single = exact_law(config, alice).pass_probability
-    return {
-        "additive_pass_bound": min(1.0, restarts * single),
-        "exact_overall_pass_probability": 1.0 - (1.0 - exact_single) ** restarts,
-        "exact_single_run_pass_probability": exact_single,
-        "overall_pass_probability": float(passed_any.mean()),
-        "restarts": restarts,
-        "single_run_pass_probability": single,
-        "trials": config.trials,
-    }
-
-
 def detection_curve(strategy, k_values, threshold: int) -> list:
     """Exact abort probability versus number of checks for one cheating strategy.
 
@@ -772,13 +736,7 @@ def detection_curve(strategy, k_values, threshold: int) -> list:
 
 
 def suggested_check_count(tables_needed: int) -> int:
-    """Default number of checks for a target count of delivered tables.
-
-    The per-table leak bound shrinks like h(1/k), so k must grow strictly
-    faster than the table budget; k = ceil(L^1.1) keeps the expected number
-    of unsafe delivered tables below one while the overhead ratio stays
-    sublinear.  Callers wanting a different security level pass their own k.
-    """
+    """The default number of checks for ``tables_needed`` tables: ``ceil(tables_needed ** 1.1)``."""
     if tables_needed < 1:
         raise ValueError("tables_needed must be >= 1")
     return int(np.ceil(tables_needed ** 1.1))
@@ -793,20 +751,3 @@ def _leak(est_epsilon, c1):
     """Per-table information cap ``h(min(c1 * eps, 1/2))`` in bits."""
     return binary_entropy(np.minimum(c1 * est_epsilon, 0.5))
 
-
-def epsilon_estimate(failures: int, k: int) -> float:
-    """Failure-rate estimate ``(failures + 1) / k`` clipped to [0, 1]."""
-    if k < 1:
-        raise ValueError("estimate undefined for k < 1")
-    if failures < 0:
-        raise ValueError("failures must be nonnegative")
-    return float(_epsilon(failures, k))
-
-
-def leak_bound(est_epsilon: float, c1: float = 1.0) -> float:
-    """Per-table information cap ``h(min(c1 * eps, 1/2))`` in bits."""
-    if not (0.0 <= est_epsilon <= 1.0):
-        raise ValueError(f"est_epsilon {est_epsilon} outside [0, 1]")
-    if c1 <= 0:
-        raise ValueError("c1 must be positive")
-    return float(_leak(est_epsilon, c1))

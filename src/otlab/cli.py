@@ -122,29 +122,23 @@ def run_curve(params: dict) -> int:
     rows.extend(f"{center!r},{value!r}" for center, value in curve.bins)
     csv_payload = "\n".join(rows) + "\n"
 
-    centers, values = np.array(curve.bins).T
-    left = centers - bin_width / 2.0
-    upper = left >= 0.5
-    envelope = security.binary_entropy(1.0 - left[upper])
-    envelope_violations = int(np.sum(values[upper] > envelope + 1e-9))
     sq = curve.argmax.squares
     summary = {
         "analytic_max": security.MAX_HOLEVO_SUM,
         "argmax": {"a2": float(sq[0]), "b2": float(sq[1]), "c2": float(sq[2])},
         "bin_width": bin_width,
-        "envelope_violations": envelope_violations,
+        "envelope_violations": curve.envelope_violations,
         "max_sum": curve.max_sum,
         "n_bins": len(curve.bins),
         "n_samples": n_samples,
         "seed": seed,
     }
-    violations = envelope_violations + int(curve.max_sum > security.MAX_HOLEVO_SUM + 1e-6)
     if params.get("out"):
         _write_with_manifest(Path(params["out"]), csv_payload, "curve", params)
     else:
         sys.stdout.write(csv_payload)
     print(_dumps({"summary": summary}))
-    return EXIT_OK if violations == 0 else EXIT_VIOLATION
+    return EXIT_OK if curve.violations == 0 else EXIT_VIOLATION
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--bob", choices=("honest", "computational", "phase-noise"),
                          default="honest", help="receiver strategy (protocol 3 only)")
     p_check.add_argument("--alpha", type=float, default=None,
-                         help="parameter of the extremal cheat family")
+                         help="parameter of the extremal cheat family, in [0, pi/2]")
     p_check.add_argument("--a", type=float, default=None)
     p_check.add_argument("--b", type=float, default=None)
     p_check.add_argument("--c", type=float, default=None)

@@ -172,10 +172,6 @@ class DensityOperator:
         return cls(mat.shape[0], mat)
 
     @classmethod
-    def from_pure(cls, amplitudes) -> "DensityOperator":
-        return PureState.from_amplitudes(amplitudes).projector()
-
-    @classmethod
     def from_stack(cls, matrices) -> tuple:
         """Density operators of a stack ``[n, d, d]``, validated in one batched pass."""
         mats = np.array(matrices, dtype=complex)
@@ -219,23 +215,17 @@ def _element_stack(elements) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Finite measurement: Hermitian elements summing to the identity.
+    """Finite measurement: Hermitian, positive semidefinite elements summing to the identity.
 
-    By default every element must also be positive semidefinite (min
-    eigenvalue >= -1e-10).  ``require_psd=False`` skips only that check and
-    is used for affine measurement images that reproduce statistics of a
-    restricted state family without being physical on all states; the
-    resulting object still satisfies Hermiticity and completeness and
-    reports its actual minimum eigenvalue via :attr:`min_eigenvalue`.
-    The elements are validated in one batched pass (:func:`is_measurement`
-    and one ``eigvalsh``) and kept as one read-only array ``[n, dim, dim]``.
+    An element's eigenvalues may dip to -1e-10, as numerical drift.  The
+    elements are validated in one batched pass (:func:`is_measurement` and
+    one ``eigvalsh``) and kept as one read-only array ``[n, dim, dim]``.
     """
 
     dim: int
     elements: np.ndarray
-    require_psd: InitVar[bool] = True
 
-    def __post_init__(self, require_psd: bool):
+    def __post_init__(self):
         elems = _element_stack(self.elements)
         if elems.shape[1:] != (self.dim, self.dim):
             raise InvalidMeasurementError(
@@ -244,31 +234,22 @@ class Povm:
             raise InvalidMeasurementError("elements are not Hermitian or do not sum to the identity")
         element_min = np.linalg.eigvalsh(elems).min(axis=-1)
         idx = int(np.argmin(element_min))
-        if require_psd and element_min[idx] < EIG_FLOOR:
+        if element_min[idx] < EIG_FLOOR:
             raise InvalidMeasurementError(
                 f"element {idx} has negative eigenvalue {element_min[idx]:.3e}")
         elems.setflags(write=False)
         object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "_min_eigenvalue", float(element_min[idx]))
 
     @classmethod
-    def from_elements(cls, elements, require_psd: bool = True) -> "Povm":
+    def from_elements(cls, elements) -> "Povm":
         elems = _element_stack(elements)
-        return cls(elems.shape[-1], elems, require_psd=require_psd)
+        return cls(elems.shape[-1], elems)
 
     @classmethod
     def projective(cls, basis_rows) -> "Povm":
         """Rank-1 projectors onto the rows of an orthonormal basis matrix."""
         rows = np.asarray(basis_rows, dtype=complex)
         return cls.from_elements(rows[:, :, None] * rows[:, None, :].conj())
-
-    @property
-    def min_eigenvalue(self) -> float:
-        return self._min_eigenvalue
-
-    @property
-    def is_psd(self) -> bool:
-        return self._min_eigenvalue >= EIG_FLOOR
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -28,7 +28,6 @@ from . import protocol
 from .numerics import (
     DensityOperator,
     Ensemble,
-    InvalidMeasurementError,
     Povm,
     PureState,
     classical_mutual_information,
@@ -60,9 +59,7 @@ __all__ = [
     "binary_entropy",
     "tradeoff_bound_margins",
     "TETRAHEDRON",
-    "tetrahedron_states",
     "lemma1_images",
-    "lemma1_reduce",
     "example1_elements",
     "example1_povm",
     "example2_povm",
@@ -123,9 +120,10 @@ class CheatParams:
 
     @classmethod
     def from_alpha(cls, alpha: float) -> "CheatParams":
-        """One-parameter extremal family ``(1, cos(alpha), sin(alpha))/sqrt(2)``."""
+        """Extremal family ``(1, cos(alpha), sin(alpha))/sqrt(2)``, ``alpha`` in ``[0, pi/2]``."""
         if not np.isfinite(alpha):
             raise ValueError(f"alpha {alpha} must be finite")
+        _quarter_turn(alpha)
         s = 1.0 / np.sqrt(2.0)
         return cls(s, float(np.cos(alpha)) * s, float(np.sin(alpha)) * s)
 
@@ -346,14 +344,9 @@ def _tetrahedron() -> np.ndarray:
 
 #: Four pure qubit states on a regular Bloch tetrahedron ``[4, 2, 2]``, in
 #: ``RY_ORDER``: the fixed images of the four sign states under the dimension
-#: reduction in :func:`lemma1_reduce`.  Their pairwise Hilbert-Schmidt
+#: reduction in :func:`lemma1_images`.  Their pairwise Hilbert-Schmidt
 #: overlaps all equal 1/3 and their average is the maximally mixed qubit.
 TETRAHEDRON = _tetrahedron()
-
-
-def tetrahedron_states() -> tuple:
-    """The states of :data:`TETRAHEDRON` as density operators, validated in one pass."""
-    return DensityOperator.from_stack(TETRAHEDRON)
 
 
 def lemma1_images(elements, amplitudes, variant: str = "exact") -> np.ndarray:
@@ -403,16 +396,13 @@ def lemma1_images(elements, amplitudes, variant: str = "exact") -> np.ndarray:
     return images
 
 
-def lemma1_reduce(povm3: Povm, params: CheatParams, variant: str = "exact") -> Povm:
-    """Map a qutrit POVM to a qubit measurement over the tetrahedron images.
-
-    The images of :func:`lemma1_images` as a ``Povm``; the exact variant
-    skips the PSD check and reports its true minimum eigenvalue.
-    """
-    if povm3.dim != 3:
-        raise InvalidMeasurementError(f"expected a qutrit POVM, got dim {povm3.dim}")
-    images = lemma1_images(povm3.elements, [[params.a, params.b, params.c]], variant)
-    return Povm(2, images[0], require_psd=(variant == "psd"))
+def _quarter_turn(alpha) -> np.ndarray:
+    """``alpha`` as a float array; ValueError unless every entry lies in ``[0, pi/2 + 1e-12]``."""
+    alpha = np.asarray(alpha, dtype=float)
+    outside = ~((alpha >= 0.0) & (alpha <= np.pi / 2 + 1e-12))
+    if outside.any():
+        raise ValueError(f"alpha {alpha[outside].flat[0]} outside [0, pi/2]")
+    return alpha
 
 
 def _example_vectors(alpha, dim: int) -> np.ndarray:
@@ -422,10 +412,7 @@ def _example_vectors(alpha, dim: int) -> np.ndarray:
     ``e_0, e_a, e_b`` are ``|00>, |11>, |22>``.  Every alpha must lie in
     ``[0, pi/2]``.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    outside = ~((alpha >= 0.0) & (alpha <= np.pi / 2 + 1e-12))
-    if outside.any():
-        raise ValueError(f"alpha {alpha[outside].flat[0]} outside [0, pi/2]")
+    alpha = _quarter_turn(alpha)
     first = np.repeat(np.stack([np.cos(alpha), np.sin(alpha)], axis=-1), 2, axis=-1)
     axes = np.eye(dim)[[1, 2] if dim == 3 else [4, 8]]
     rest = np.array([1.0, -1.0, 1.0, -1.0])[:, None] * np.repeat(axes, 2, axis=0)
@@ -722,6 +709,19 @@ class TradeoffCurve:
     @property
     def h2(self) -> np.ndarray:
         return self.triples[:, 0]
+
+    @property
+    def envelope_violations(self) -> int:
+        """Bins with left edge ``l >= 1/2`` whose maximum ``chi_y`` exceeds ``h(1 - l) + 1e-9``."""
+        centers, values = np.array(self.bins).T
+        left = centers - self.bin_width / 2.0
+        upper = left >= 0.5
+        return int(np.sum(values[upper] > binary_entropy(1.0 - left[upper]) + 1e-9))
+
+    @property
+    def violations(self) -> int:
+        """:attr:`envelope_violations`, plus one if ``max_sum > MAX_HOLEVO_SUM + 1e-6``."""
+        return self.envelope_violations + int(self.max_sum > MAX_HOLEVO_SUM + 1e-6)
 
 
 def tradeoff_curve(n_samples: int, bin_width: float = 0.01,

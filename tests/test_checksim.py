@@ -14,8 +14,6 @@ from otlab.checksim import (
     BobStrategy,
     CheckConfig,
     detection_curve,
-    epsilon_estimate,
-    leak_bound,
     run_protocol2,
     run_protocol3,
     simulate_instances,
@@ -177,27 +175,6 @@ class TestDetectionCurve:
 
 
 class TestRestartsAndThresholds:
-    def test_restart_budget_accumulates_additively(self):
-        config = CheckConfig(m=3, k_bob=3, trials=20_000)
-        result = checksim.run_with_restarts(config, AliceStrategy.learn_y(), 4,
-                                            np.random.default_rng(19))
-        single = 2.0 ** -3
-        overall_expected = 1.0 - (1.0 - single) ** 4
-        assert result["exact_single_run_pass_probability"] == pytest.approx(single, rel=1e-12)
-        assert result["exact_overall_pass_probability"] == \
-            pytest.approx(overall_expected, rel=1e-12)
-        assert abs(result["single_run_pass_probability"] - single) <= \
-            _binomial_3sigma(single, 4 * 20_000)
-        assert abs(result["overall_pass_probability"] - overall_expected) <= \
-            _binomial_3sigma(overall_expected, 20_000)
-        assert result["overall_pass_probability"] <= result["additive_pass_bound"] + 1e-12
-
-    def test_restart_budget_validated(self):
-        config = CheckConfig(m=2, k_bob=2, trials=100)
-        with pytest.raises(ValueError):
-            checksim.run_with_restarts(config, AliceStrategy.learn_y(), 0,
-                                       np.random.default_rng(0))
-
     def test_fractional_threshold_resolves_against_k(self):
         config = CheckConfig(m=20, k_bob=10, threshold_bob=0.25)
         assert config.resolved_threshold("bob") == 2
@@ -222,25 +199,34 @@ class TestEstimates:
         with pytest.raises(ValueError):
             checksim.suggested_check_count(0)
 
+    @staticmethod
+    def _report(failures, k, c1=1.0):
+        config = CheckConfig(m=k, k_bob=k, threshold_bob=k, trials=len(failures), c1=c1)
+        return checksim._finalize_report(2, "bob", config, k, k, np.array(failures), 0, {})
+
     def test_epsilon_examples(self):
-        assert epsilon_estimate(0, 100) == pytest.approx(0.01)
-        assert epsilon_estimate(4, 100) == pytest.approx(0.05)
-        assert epsilon_estimate(100, 100) == 1.0  # clipped
+        report = self._report([0, 4, 100], 100)
+        assert report.est_epsilon == pytest.approx([0.01, 0.05, 1.0])  # the last clipped
 
     def test_epsilon_domain(self):
-        with pytest.raises(ValueError):
-            epsilon_estimate(0, 0)
+        # Undefined without checks: NaN, and null in the JSON records.
+        _, report = run_protocol3(CheckConfig(m=10, k_bob=5, trials=3), AliceStrategy.honest(),
+                                  BobStrategy.honest(), np.random.default_rng(0))
+        assert report.k == 0
+        assert np.isnan(report.est_epsilon).all() and np.isnan(report.leak_bound_bits).all()
+        assert {record["est_epsilon"] for record in report.to_dict()["records"]} == {None}
 
     def test_leak_bound(self):
-        assert leak_bound(0.0) == 0.0
-        assert leak_bound(0.01) == pytest.approx(binary_entropy(0.01), abs=1e-12)
-        assert leak_bound(0.9) == pytest.approx(1.0, abs=1e-12)  # clipped at h(1/2)
+        leak = self._report([0, 89], 100).leak_bound_bits
+        assert leak[0] == pytest.approx(binary_entropy(0.01), abs=1e-12)
+        assert leak[1] == pytest.approx(1.0, abs=1e-12)  # clipped at h(1/2)
+        halved = self._report([0], 100, c1=0.5).leak_bound_bits
+        assert halved[0] == pytest.approx(binary_entropy(0.005), abs=1e-12)
 
     def test_leak_bound_domain(self):
-        with pytest.raises(ValueError):
-            leak_bound(1.5)
-        with pytest.raises(ValueError):
-            leak_bound(0.1, c1=0.0)
+        for c1 in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="c1"):
+                CheckConfig(m=10, k_bob=5, c1=c1)
 
     def test_report_records_estimator(self):
         config = CheckConfig(m=30, k_bob=10, threshold_bob=30, trials=200)
@@ -292,9 +278,9 @@ class TestEstimates:
         # trial count when k is far larger (no table over all k + 1 counts).
         config = CheckConfig(m=m, k_bob=k, threshold_bob=k, trials=trials)
         report = run_protocol2(config, AliceStrategy.learn_y(), np.random.default_rng(17))
-        eps = [epsilon_estimate(int(f), k) for f in report.failures]
+        eps = [float(np.clip((int(f) + 1.0) / k, 0.0, 1.0)) for f in report.failures]
         assert report.est_epsilon.tolist() == eps
-        assert report.leak_bound_bits.tolist() == [leak_bound(e) for e in eps]
+        assert report.leak_bound_bits.tolist() == [binary_entropy(min(e, 0.5)) for e in eps]
 
 
 _MIX_PHI, _ALPHA, _ANGLE = 0.3, 0.7, 1.1

@@ -441,6 +441,12 @@ class TestErrorPaths:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("alpha", ["2", "-0.5"])
+    def test_alpha_outside_quarter_turn_names_alpha(self, capsys, alpha):
+        code, out, err = _run(capsys, ["checksim", "--alice", "param", "--alpha", alpha])
+        assert code == 2 and out == ""
+        assert err == f"otlab: alpha {float(alpha)} outside [0, pi/2]\n"
+
     @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""])
     @pytest.mark.parametrize("argv,target", [
         (["curve", "--n-samples", "1000"], (security, "tradeoff_curve")),

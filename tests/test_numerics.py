@@ -65,11 +65,10 @@ class TestValidation:
 
     def test_povm_positivity(self):
         bad = [np.diag([1.5, 1.0, 1.0]), np.diag([-0.5, 0.0, 0.0])]
-        with pytest.raises(InvalidMeasurementError):
+        # Hermitian and complete: only positivity rejects it.
+        assert numerics.is_measurement(bad)
+        with pytest.raises(InvalidMeasurementError, match="negative eigenvalue -5.000e-01"):
             Povm.from_elements(bad)
-        quasi = Povm.from_elements(bad, require_psd=False)
-        assert not quasi.is_psd
-        assert quasi.min_eigenvalue == pytest.approx(-0.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.inf])
     @pytest.mark.parametrize("entry", [(0, 0), (1, 2)])
@@ -498,11 +497,9 @@ class TestMeasurementStacks:
             with pytest.raises(InvalidMeasurementError):
                 Povm.from_elements(elements)
             if kind == "negative":
-                quasi = Povm.from_elements(elements, require_psd=False)
-                assert quasi.min_eigenvalue == pytest.approx(-1e-8, abs=1e-12)
+                assert numerics.is_measurement(elements)
+                assert np.linalg.eigvalsh(elements).min() == pytest.approx(-1e-8, abs=1e-12)
             else:
-                with pytest.raises(InvalidMeasurementError):
-                    Povm.from_elements(elements, require_psd=False)
                 assert not numerics.is_measurement(elements)
 
     def test_mismatched_shapes_rejected(self):
@@ -533,11 +530,12 @@ class TestMeasurementStacks:
             assert numerics.is_measurement(stack.reshape(7, 2, 5, 3, 3)).shape == (7, 2)
             for elements, ok in zip(stack, verdicts):
                 try:
-                    Povm.from_elements(elements, require_psd=False)
+                    Povm.from_elements(elements)
                     accepted = True
                 except InvalidMeasurementError:
                     accepted = False
-                assert accepted == ok
+                # A Povm is a measurement whose elements are also PSD.
+                assert accepted == (ok and np.linalg.eigvalsh(elements).min() >= numerics.EIG_FLOOR)
         assert verdicts.tolist() == [False] * 10 + [True] * 4
 
 

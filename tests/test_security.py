@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from otlab import numerics, protocol, security
 from otlab.numerics import (
     DensityOperator,
     Ensemble,
-    InvalidMeasurementError,
     InvalidStateError,
     Povm,
     PureState,
@@ -30,13 +31,11 @@ from otlab.security import (
     holevo_triple_from_nine_dim,
     infodelta_check,
     lemma1_images,
-    lemma1_reduce,
     max_holevo_sum_search,
     params_from_two_qutrit,
     returned_ensemble,
     returned_states,
     sign_state_information,
-    tetrahedron_states,
     theorem3_report,
     tradeoff_bound_margins,
     tradeoff_curve,
@@ -64,6 +63,15 @@ class TestCheatParams:
     def test_non_finite_alpha_rejected(self, alpha):
         with pytest.raises(ValueError, match="finite"):
             CheatParams.from_alpha(alpha)
+
+    @pytest.mark.parametrize("alpha", [-0.5, -1e-9, np.pi / 2 + 1e-9, 2.0])
+    def test_alpha_outside_quarter_turn_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha .* outside \[0, pi/2\]"):
+            CheatParams.from_alpha(alpha)
+
+    def test_alpha_endpoints_accepted(self):
+        assert CheatParams.from_alpha(0.0).c == 0.0
+        assert CheatParams.from_alpha(np.pi / 2 + 1e-12).a == pytest.approx(SQRT_HALF)
 
     def test_alpha_family(self):
         p = CheatParams.from_alpha(0.3)
@@ -371,18 +379,18 @@ class TestTetrahedron:
         assert stack.shape == (4, 2, 2) and stack.dtype == complex
         # C order keeps lemma1's einsum summing in the order its payload was recorded with.
         assert stack.flags.c_contiguous and not stack.flags.writeable
-        for op, mat in zip(tetrahedron_states(), stack):
+        for op, mat in zip(DensityOperator.from_stack(stack), stack):
             assert np.array_equal(op.matrix, mat)
 
     def test_pure_and_centered(self):
-        states = tetrahedron_states()
+        states = DensityOperator.from_stack(security.TETRAHEDRON)
         total = sum(op.matrix for op in states)
         assert np.allclose(total / 4.0, np.eye(2) / 2.0, atol=1e-12)
         for op in states:
             assert np.trace(op.matrix @ op.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     def test_pairwise_overlaps(self):
-        states = tetrahedron_states()
+        states = DensityOperator.from_stack(security.TETRAHEDRON)
         for i in range(4):
             for j in range(i + 1, 4):
                 hs = np.trace(states[i].matrix @ states[j].matrix).real
@@ -391,15 +399,19 @@ class TestTetrahedron:
                 assert f * f == pytest.approx(1.0 / 3.0, abs=1e-10)
 
 
+def _reduce(povm, params, variant="exact"):
+    """The qubit images ``[n, 2, 2]`` of one POVM for one amplitude triple."""
+    return lemma1_images(povm.elements, [[params.a, params.b, params.c]], variant)[0]
+
+
 class TestLemma1Reduce:
-    def _stat_deviation(self, povm, reduced, params):
+    def _stat_deviation(self, povm, images, params):
         states = cheat_state_vectors(params)
-        tetra = tetrahedron_states()
         worst = 0.0
-        for i, vec in enumerate(states):
-            for element, image in zip(povm.elements, reduced.elements):
+        for vec, tetra in zip(states, security.TETRAHEDRON):
+            for element, image in zip(povm.elements, images):
                 p3 = float(vec @ element.real @ vec)
-                p2 = float(np.trace(image @ tetra[i].matrix).real)
+                p2 = float(np.trace(image @ tetra).real)
                 worst = max(worst, abs(p3 - p2))
         return worst
 
@@ -407,26 +419,26 @@ class TestLemma1Reduce:
         povm = Povm.projective(np.eye(3, dtype=complex))
         params = _random_params(np.random.default_rng(36))
         for variant in ("exact", "psd"):
-            reduced = lemma1_reduce(povm, params, variant=variant)
-            for image, weight in zip(reduced.elements, params.squares):
+            images = _reduce(povm, params, variant)
+            for image, weight in zip(images, params.squares):
                 assert np.allclose(image, weight * np.eye(2), atol=1e-12)
-            assert self._stat_deviation(povm, reduced, params) < 1e-12
+            assert self._stat_deviation(povm, images, params) < 1e-12
 
     def test_exact_variant_preserves_statistics(self):
         rng = np.random.default_rng(37)
         for _ in range(100):
             params = _random_params(rng)
             povm = random_povm(3, int(rng.integers(3, 7)), rng, real=True)
-            reduced = lemma1_reduce(povm, params, variant="exact")
-            assert self._stat_deviation(povm, reduced, params) < 1e-10
-            total = sum(reduced.elements)
-            assert np.allclose(total, np.eye(2), atol=1e-10)
+            images = _reduce(povm, params)
+            assert numerics.is_measurement(images)
+            assert self._stat_deviation(povm, images, params) < 1e-10
+            assert np.allclose(images.sum(axis=0), np.eye(2), atol=1e-10)
 
     def test_example1_povm_statistics_preserved(self):
         alpha = 0.9
         params = CheatParams.from_alpha(alpha)
-        reduced = lemma1_reduce(example1_povm(alpha), params, variant="exact")
-        assert self._stat_deviation(example1_povm(alpha), reduced, params) < 1e-10
+        images = _reduce(example1_povm(alpha), params)
+        assert self._stat_deviation(example1_povm(alpha), images, params) < 1e-10
 
     def test_complex_parts_are_irrelevant(self):
         # Imaginary antisymmetric parts contribute nothing on the sign states.
@@ -444,17 +456,17 @@ class TestLemma1Reduce:
         rng = np.random.default_rng(39)
         for _ in range(200):
             povm = random_povm(3, int(rng.integers(2, 7)), rng, real=False)
-            reduced = lemma1_reduce(povm, _random_params(rng), variant="psd")
-            assert reduced.is_psd
-            assert np.allclose(sum(reduced.elements), np.eye(2), atol=1e-10)
+            images = _reduce(povm, _random_params(rng), "psd")
+            assert numerics.is_measurement(images)
+            assert np.linalg.eigvalsh(images).min() >= numerics.EIG_FLOOR
+            assert np.allclose(images.sum(axis=0), np.eye(2), atol=1e-10)
 
     def test_reduced_joint_information_capped_at_one_bit(self):
         rng = np.random.default_rng(40)
-        tetra = np.stack([op.matrix for op in tetrahedron_states()])
         for _ in range(300):
             povm = random_povm(3, int(rng.integers(3, 7)), rng, real=True)
-            reduced = lemma1_reduce(povm, _random_params(rng), variant="exact")
-            probs = np.einsum("njk,skj->sn", np.stack(reduced.elements), tetra).real
+            images = _reduce(povm, _random_params(rng))
+            probs = np.einsum("njk,skj->sn", images, security.TETRAHEDRON).real
             assert numerics.classical_mutual_information(0.25 * probs) <= 1.0 + 1e-9
 
     @pytest.mark.parametrize("variant", ["exact", "psd"])
@@ -466,7 +478,7 @@ class TestLemma1Reduce:
                                variant)
         assert images.shape == (8, 5, 2, 2)
         for row, params in zip(images, triples):
-            assert np.array_equal(row, np.stack(lemma1_reduce(povm, params, variant).elements))
+            assert np.array_equal(row, _reduce(povm, params, variant))
 
     @pytest.mark.parametrize("variant", ["exact", "psd"])
     def test_images_take_a_leading_sample_axis(self, variant):
@@ -481,11 +493,6 @@ class TestLemma1Reduce:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             lemma1_images(np.stack([np.eye(3)]), [[1.0, 0.0, 0.0]], variant="other")
-
-    def test_wrong_dimension_rejected(self):
-        qubit_povm = Povm.projective(np.eye(2, dtype=complex))
-        with pytest.raises(InvalidMeasurementError):
-            lemma1_reduce(qubit_povm, CheatParams.honest(0))
 
 
 class TestExample1:
@@ -517,7 +524,7 @@ class TestExample2:
             povm = example2_povm(alpha)
             assert povm.dim == 9
             assert len(povm) == 5
-            assert povm.is_psd
+            assert np.linalg.eigvalsh(povm.elements).min() >= numerics.EIG_FLOOR
             assert np.allclose(sum(povm.elements), np.eye(9), atol=1e-12)
 
     @pytest.mark.parametrize("alpha", [-0.1, 2.0, np.nan, np.inf])
@@ -565,8 +572,8 @@ class TestExample3:
 
 class TestAccessibleInfoSearch:
     def test_orthogonal_pair_reaches_one_bit(self):
-        ens = Ensemble.uniform([DensityOperator.from_pure([1, 0, 0]),
-                                DensityOperator.from_pure([0, 1, 0])])
+        ens = Ensemble.uniform([PureState.from_amplitudes([1, 0, 0]).projector(),
+                                PureState.from_amplitudes([0, 1, 0]).projector()])
         result = accessible_info_search(ens, rng=np.random.default_rng(41))
         assert result.best_value == pytest.approx(1.0, abs=1e-6)
 
@@ -597,7 +604,7 @@ class TestAccessibleInfoSearch:
 
     def test_never_exceeds_holevo(self):
         # Every returned measurement passes the PSD check of Povm, or the
-        # search raises InvalidMeasurementError.
+        # search raises numerics.InvalidMeasurementError.
         rng = np.random.default_rng(43)
         cfg = SearchConfig(n_starts=2, max_iters=100)
         for _ in range(30):
@@ -696,6 +703,24 @@ class TestTradeoffCurve:
         expected = tuple(((int(k) + 0.5) * width, float(curve.h2[indices == k].max()))
                          for k in np.unique(indices))
         assert curve.bins == expected
+
+    @pytest.mark.parametrize("seed,width", [(51, 0.01), (52, 0.02), (53, 0.5)])
+    def test_violations_equal_per_bin_loop(self, seed, width):
+        curve = tradeoff_curve(3000, width, np.random.default_rng(seed))
+        # Lifted copies push some bins over the envelope and max_sum over its maximum.
+        counts = []
+        for lift in (0.0, 0.1, 1.0):
+            lifted = dataclasses.replace(curve, max_sum=curve.max_sum + lift,
+                                         bins=tuple((c, v + lift) for c, v in curve.bins))
+            envelope = 0
+            for center, value in lifted.bins:
+                left = center - width / 2.0
+                if left >= 0.5 and value > binary_entropy(1.0 - left) + 1e-9:
+                    envelope += 1
+            assert lifted.envelope_violations == envelope
+            assert lifted.violations == envelope + int(lifted.max_sum > MAX_HOLEVO_SUM + 1e-6)
+            counts.append(lifted.violations)
+        assert counts[0] == 0 < counts[1] <= counts[2]
 
     @staticmethod
     def _one_shot(n, width, rng):
