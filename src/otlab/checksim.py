@@ -18,12 +18,12 @@ only its sufficient statistics, drawn from that exact table: one binomial
 failure count per side, plus, in protocol 3, the number of labels both
 sides check and those labels' joint verdicts.  The same table
 gives each run's exact law (:func:`exact_law`), and
-:func:`simulate_instances` draws whole instances as an independent oracle.
+:func:`simulate_instances`, which draws whole instances from it, is the
+instance-level oracle of the sufficient-statistic draws.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import ClassVar
@@ -101,31 +101,16 @@ class CheckConfig:
         return int(value)
 
 
-def _bit_pairs(value) -> bool:
-    """Whether ``value`` is two pairs of integer 0/1 bits."""
-    try:
-        return len(value) == 2 and all(
-            len(pair) == 2 and all(operator.index(bit) in (0, 1) for bit in pair)
-            for pair in value)
-    except TypeError:
-        return False
-
-
 @dataclass(frozen=True)
 class AliceStrategy:
     """Sender behavior: preparation, measurement, and check-report policy.
 
-    ``report_map`` (learn-y only) optionally replaces the default coin report
-    with a deterministic map from her binary measurement outcome ``o`` to the
-    reported pair ``(a, e) = report_map[o]``; used to exhaust the
-    deterministic report policies in tests.  ``params`` belongs to param and
-    ``mix`` (weights and sender strategies) to mix; a field given to a kind
-    that does not use it raises ValueError.
+    ``params`` belongs to param and ``mix`` (weights and sender strategies)
+    to mix; a field given to a kind that does not use it raises ValueError.
     """
 
     kind: str                               # honest | learn-y | param | mix
     params: CheatParams | None = None
-    report_map: tuple | None = None
     mix: tuple = ()                         # ((weight, AliceStrategy), ...)
 
     def __post_init__(self):
@@ -135,16 +120,8 @@ class AliceStrategy:
             raise ValueError("param strategy needs an amplitude triple")
         if self.params is not None and self.kind != "param":
             raise ValueError(f"params apply only to param, not {self.kind!r}")
-        if self.report_map is not None and self.kind != "learn-y":
-            raise ValueError(f"report_map applies only to learn-y, not {self.kind!r}")
         if self.mix and self.kind != "mix":
             raise ValueError(f"mix components apply only to mix, not {self.kind!r}")
-        if self.report_map is not None:
-            if not _bit_pairs(self.report_map):
-                raise ValueError(f"report_map {self.report_map!r} is not two pairs of 0/1 bits")
-            # Tuples of ints, so that the strategy stays hashable and indexes arrays.
-            object.__setattr__(self, "report_map",
-                               tuple(tuple(int(bit) for bit in pair) for pair in self.report_map))
         if self.kind == "mix":
             if not self.mix:
                 raise ValueError("mix strategy needs components")
@@ -162,8 +139,8 @@ class AliceStrategy:
         return cls(kind="honest")
 
     @classmethod
-    def learn_y(cls, report_map: tuple | None = None) -> "AliceStrategy":
-        return cls(kind="learn-y", report_map=report_map)
+    def learn_y(cls) -> "AliceStrategy":
+        return cls(kind="learn-y")
 
     @classmethod
     def param(cls, params: CheatParams) -> "AliceStrategy":
@@ -236,13 +213,8 @@ def _sender(alice: AliceStrategy):
     if alice.kind == "learn-y":
         # Outcomes |+>, |-> of the cheat state's basis read y; |2> reads a coin.
         rows = np.vstack([sent, sent * [1.0, -1.0, 1.0], [0.0, 0.0, 1.0]])
-        observed = np.zeros((2, 2, 2))            # [observed bit, a, e]
-        if alice.report_map is None:
-            observed[:, 0] = 0.5                  # claim input 0, report a coin
-        else:
-            for bit, (a, e) in enumerate(alice.report_map):
-                observed[bit, a, e] = 1.0
-        reports = np.stack([observed[0], observed[1], observed.mean(axis=0)])
+        reports = np.zeros((3, 2, 2))
+        reports[:, 0] = 0.5                       # claim input 0, report a coin
         elements = rows[:, :, None] * rows[:, None, :]
     else:
         elements = example1_elements(float(np.arctan2(params.c, params.b)))
@@ -607,13 +579,6 @@ def _big_binomial(rng, n: int, p: float) -> int:
     return total
 
 
-def _exact_sum(counts: np.ndarray) -> int:
-    """Sum of nonnegative int64 ``counts`` as a Python int, exact past int64."""
-    if counts.size and int(counts.max()) > _INT64_MAX // counts.size:
-        return sum(counts.tolist())  # the int64 sum could wrap
-    return int(counts.sum())
-
-
 def _split(rng, n: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Multinomial counts ``[len(n), len(cells)]`` of ``n`` draws over ``cells``.
 
@@ -672,8 +637,9 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
     counts when the overlap is fixed, have one law in every trial and are
     drawn as shuffled histograms (:func:`_iid`) where their support allows;
     the verdicts and the own counts given a random J, one per trial.  Against a
-    computational-basis Bob the input-guess total is drawn as one binomial
-    per group of instances sharing a verdict, unchecked instances included.
+    computational-basis Bob each instance's input guess is right with
+    probability 3/4 whatever its verdicts, so the total over all ``trials * m``
+    instances is one binomial of that exact marginal, the run's last draw.
     """
     m, k_b, k_a, trials = config.m, config.k_bob, config.k_alice, config.trials
     fail, guess = _verdicts(alice, bob)
@@ -690,22 +656,10 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
     checked = (k_b - shared) + k_a   # at most m, where k_b + k_a can pass int64
     extras = {}
     if bob.kind == "computational" and alice.kind == "honest":
-        # Given what is known of an instance's verdicts (both for a shared
-        # label, one for a side's own, none unchecked), its guess is a coin
-        # of the conditional probability: one binomial per group.  Group sizes
-        # are Python ints, since a group's labels over all trials can pass int64.
-        bob_fails, alice_fails = np.divmod(np.arange(4), 2)
-        groups = [(_exact_sum(cells[:, c]), np.arange(4) == c) for c in range(4)]
-        shared_total = sum(n for n, _ in groups)
-        own_b_total, own_a_total = _exact_sum(own_b), _exact_sum(own_a)
-        groups += [(own_b_total, bob_fails == 1),
-                   (trials * k_b - shared_total - own_b_total, bob_fails == 0),
-                   (own_a_total, alice_fails == 1),
-                   (trials * k_a - shared_total - own_a_total, alice_fails == 0),
-                   (trials * (m - k_a - k_b) + shared_total, bob_fails >= 0)]
-        cell_p, guess_p = fail.ravel(), guess.ravel()
-        guessed = sum(_big_binomial(rng, n, guess_p[mask].sum() / cell_p[mask].sum())
-                      for n, mask in groups if n)
+        # Each instance's guess is right with probability 3/4 whatever its
+        # verdicts (``guess`` is 3/4 of ``fail`` in every cell), so the
+        # total over all trials is one binomial, drawn last.
+        guessed = _big_binomial(rng, trials * m, float(guess.sum() / fail.sum()))
         extras["x_guess_rate"] = guessed / (trials * m)
     failures_b, failures_a = cells[:, 2] + cells[:, 3] + own_b, cells[:, 1] + cells[:, 3] + own_a
     t_b, t_a = config.resolved_threshold("bob"), config.resolved_threshold("alice")

@@ -146,7 +146,7 @@ class DensityOperator:
     """Hermitian, unit-trace, positive semidefinite ``dim x dim`` operator.
 
     Validation computes the spectrum, which is kept (read-only) for
-    :meth:`eigenvalues`.  ``_spectrum`` is private to :meth:`from_stack`,
+    :meth:`eigenvalues`.  ``_spectrum`` is private to :attr:`Ensemble.states`,
     which passes the spectra of a stack it validated in one batched pass.
     """
 
@@ -170,16 +170,6 @@ class DensityOperator:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
         return cls(mat.shape[0], mat)
-
-    @classmethod
-    def from_stack(cls, matrices) -> tuple:
-        """Density operators of a stack ``[n, d, d]``, validated in one batched pass."""
-        mats = np.array(matrices, dtype=complex)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise ValueError(f"expected a stack of square matrices, got shape {mats.shape}")
-        spectra = _density_spectra(mats)
-        return tuple(cls(mats.shape[1], mat, _spectrum=spectrum)
-                     for mat, spectrum in zip(mats, spectra))
 
     def eigenvalues(self) -> np.ndarray:
         """The spectrum, ascending, computed once at validation (read-only)."""
@@ -262,66 +252,56 @@ def _average(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
     return avg.reshape(avg.shape[:-2] + (d, d))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Ensemble:
-    """Classical-quantum source: probabilities paired with density operators.
+    """Classical-quantum source: probabilities ``[n]`` paired with ``n`` density operators.
 
-    The probabilities ``[n]``, the state matrices ``[n, d, d]`` and their
-    spectra ``[n, d]`` are stacked once, at construction, and kept as
-    read-only arrays.
+    ``states`` is a stack ``[n, d, d]`` or a sequence of matrices or
+    :class:`DensityOperator` s, validated in one batched pass.  Only the
+    probabilities ``[n]``, the matrices ``[n, d, d]`` and their spectra
+    ``[n, d]`` are kept, as read-only arrays; :attr:`states` views them.
     """
 
-    entries: tuple
+    probabilities: np.ndarray
+    matrices: np.ndarray
+    spectra: np.ndarray
 
-    def __post_init__(self):
-        entries = tuple((float(p), op) for p, op in self.entries)
-        if not entries:
-            raise ValueError("ensemble needs at least one entry")
-        probs = np.array([p for p, _ in entries])
+    def __init__(self, probabilities, states):
+        if not isinstance(states, np.ndarray):
+            states = [op.matrix if isinstance(op, DensityOperator) else op for op in states]
+        matrices = np.array(states, dtype=complex)
+        if matrices.ndim != 3 or matrices.shape[0] == 0 or matrices.shape[1] != matrices.shape[2]:
+            raise ValueError(f"expected states [n >= 1, d, d], got shape {matrices.shape}")
+        probs = np.array(probabilities, dtype=float)
+        if probs.shape != matrices.shape[:1]:
+            raise ValueError(f"{probs.size} probabilities for {len(matrices)} states")
         if not np.isfinite(probs).all():
             raise ValueError("ensemble probabilities must be finite")
         if probs.min() < -NORM_ATOL:
             raise ValueError("ensemble probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > NORM_ATOL:
             raise ValueError(f"probabilities sum to {probs.sum()}, expected 1")
-        dims = {op.dim for _, op in entries}
-        if len(dims) != 1:
-            raise ValueError(f"mixed dimensions in ensemble: {sorted(dims)}")
-        matrices = np.array([op.matrix for _, op in entries])
-        spectra = np.array([op.eigenvalues() for _, op in entries])
-        for name, arr in (("probabilities", probs), ("matrices", matrices),
-                          ("spectra", spectra)):
+        spectra = _density_spectra(matrices)
+        for name, arr in (("probabilities", probs), ("matrices", matrices), ("spectra", spectra)):
             arr.setflags(write=False)
-            object.__setattr__(self, f"_{name}", arr)
-        object.__setattr__(self, "entries", entries)
+            object.__setattr__(self, name, arr)
 
     @classmethod
-    def uniform(cls, operators) -> "Ensemble":
-        ops = list(operators)
-        return cls(tuple((1.0 / len(ops), op) for op in ops))
+    def uniform(cls, states) -> "Ensemble":
+        """Equiprobable ``states``, in any form the constructor takes."""
+        if not isinstance(states, np.ndarray):
+            states = list(states)
+        return cls(np.ones(len(states)) / len(states), states)
 
     @property
     def dim(self) -> int:
-        return self.entries[0][1].dim
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """The probabilities ``[n]`` (read-only)."""
-        return self._probabilities
-
-    @property
-    def matrices(self) -> np.ndarray:
-        """The states' matrices ``[n, d, d]`` (read-only)."""
-        return self._matrices
-
-    @property
-    def spectra(self) -> np.ndarray:
-        """The states' stored spectra ``[n, d]``, ascending (read-only)."""
-        return self._spectra
+        return self.matrices.shape[-1]
 
     @property
     def states(self) -> tuple:
-        return tuple(op for _, op in self.entries)
+        """Read-only :class:`DensityOperator` views of the matrices, carrying the stored spectra."""
+        return tuple(DensityOperator(self.dim, mat, _spectrum=spectrum)
+                     for mat, spectrum in zip(self.matrices, self.spectra))
 
     def average(self) -> DensityOperator:
         return DensityOperator.from_matrix(_average(self.probabilities, self.matrices))

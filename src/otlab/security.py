@@ -26,7 +26,6 @@ import numpy as np
 
 from . import protocol
 from .numerics import (
-    DensityOperator,
     Ensemble,
     Povm,
     PureState,
@@ -212,8 +211,7 @@ def returned_states(amplitudes, label: str) -> np.ndarray:
 
 def returned_ensemble(params: CheatParams, label: str) -> Ensemble:
     """Uniform ensemble of :func:`returned_states`, its states validated in one pass."""
-    states = returned_states([params.a, params.b, params.c], label)
-    return Ensemble.uniform(DensityOperator.from_stack(states))
+    return Ensemble.uniform(returned_states([params.a, params.b, params.c], label))
 
 
 def sign_state_probabilities(elements, amplitudes) -> np.ndarray:

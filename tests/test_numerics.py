@@ -85,13 +85,13 @@ class TestValidation:
     def test_ensemble_probabilities(self):
         op = _proj([1, 0, 0])
         with pytest.raises(ValueError):
-            Ensemble(((0.6, op), (0.6, op)))
+            Ensemble((0.6, 0.6), (op, op))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_ensemble_rejects_non_finite_probabilities(self, bad):
         op = DensityOperator.from_matrix(np.eye(2) / 2)
         with pytest.raises(ValueError, match="must be finite"):
-            Ensemble(((bad, op), (0.5, op)))
+            Ensemble((bad, 0.5), (op, op))
 
 
 class TestEntropy:
@@ -291,7 +291,7 @@ class TestInformation:
             mutual_information(ens, povm)
 
     def test_holevo_single_state(self):
-        ens = Ensemble(((1.0, _proj([1, 0, 0])),))
+        ens = Ensemble((1.0,), (_proj([1, 0, 0]),))
         assert holevo(ens) == 0.0
 
     def test_holevo_orthogonal_pair(self):
@@ -309,7 +309,7 @@ class TestInformation:
     def test_ensemble_arrays_are_built_once_and_read_only(self):
         rng = np.random.default_rng(22)
         ops = [numerics.random_density_operator(3, rng, rank=rank) for rank in (1, 2, 3)]
-        ens = Ensemble(tuple(zip((0.5, 0.3, 0.2), ops)))
+        ens = Ensemble((0.5, 0.3, 0.2), ops)
         for name in ("probabilities", "matrices", "spectra"):
             arr = getattr(ens, name)
             assert arr is getattr(ens, name) and not arr.flags.writeable
@@ -319,6 +319,46 @@ class TestInformation:
         average = sum(p * op.matrix for p, op in zip((0.5, 0.3, 0.2), ops))
         assert np.allclose(ens.average().matrix, average, rtol=0, atol=1e-15)
 
+    def test_stack_and_operators_give_identical_arrays(self):
+        rng = np.random.default_rng(24)
+        ops = [numerics.random_density_operator(3, rng, rank=rank) for rank in (1, 2, 3)]
+        probs = (0.5, 0.3, 0.2)
+        stack = np.stack([op.matrix for op in ops])
+        reference = Ensemble(probs, ops)
+        for ens in (Ensemble(probs, stack), Ensemble(probs, list(stack))):
+            for name in ("probabilities", "matrices", "spectra"):
+                assert np.array_equal(getattr(ens, name), getattr(reference, name))
+            assert not np.shares_memory(ens.matrices, stack)
+
+    def test_states_are_read_only_views_with_the_stored_spectra(self):
+        rng = np.random.default_rng(25)
+        ens = Ensemble.uniform([numerics.random_density_operator(3, rng, rank=rank)
+                                for rank in (1, 2, 3)])
+        states = ens.states
+        assert len(states) == 3 and all(op.dim == ens.dim == 3 for op in states)
+        for op, mat, spectrum in zip(states, ens.matrices, ens.spectra):
+            assert np.shares_memory(op.matrix, ens.matrices)
+            assert np.array_equal(op.matrix, mat) and np.array_equal(op.eigenvalues(), spectrum)
+            assert not op.matrix.flags.writeable and not op.eigenvalues().flags.writeable
+
+    @pytest.mark.parametrize("probs,states", [
+        ((), ()),
+        ((0.5, 0.5), (np.eye(2) / 2,)),
+        ((1.0,), (np.eye(2) / 2, np.eye(2) / 2)),
+        ((1.0,), np.eye(2) / 2),
+        ((0.5, 0.5), [[0.5, 0.0], [0.0, 0.5]]),
+        ((1.0,), np.ones((1, 2, 3)) / 2),
+        ((0.5, 0.5), (np.eye(2) / 2, np.eye(3) / 3)),
+    ], ids=["empty", "extra-probability", "extra-state", "bare-matrix", "bare-matrix-rows",
+            "non-square", "mixed-dimensions"])
+    def test_ensemble_shapes_rejected(self, probs, states):
+        with pytest.raises(ValueError):
+            Ensemble(probs, states)
+
+    def test_empty_uniform_ensemble_rejected(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            Ensemble.uniform([])
+
     def test_mutual_information_matches_trace_loop(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
@@ -326,7 +366,7 @@ class TestInformation:
             ops = [numerics.random_density_operator(3, rng, rank=int(rng.integers(1, 4)))
                    for _ in range(n_states)]
             probs = rng.dirichlet(np.ones(n_states))
-            ens = Ensemble(tuple(zip(probs / probs.sum(), ops)))
+            ens = Ensemble(probs / probs.sum(), ops)
             povm = random_povm(3, int(rng.integers(1, 8)), rng)
             # The per-entry table Tr(M rho), one matrix product at a time: the reference.
             table = np.array([[np.trace(m @ op.matrix).real for m in povm.elements]
@@ -402,18 +442,18 @@ class TestStacks:
             assert abs(stacked[idx] - holevo(Ensemble.uniform(ops))) <= 1e-12
         # A nonuniform ensemble: the stored spectra and one average.
         probs = rng.dirichlet([1.0, 1.0, 1.0])
-        ops = DensityOperator.from_stack(states[0])
+        ops = Ensemble.uniform(states[0]).states
         mixed = sum(p * op.matrix for p, op in zip(probs, ops))
         direct = von_neumann_entropy(mixed) - sum(p * von_neumann_entropy(op.matrix)
                                                   for p, op in zip(probs, ops))
-        assert abs(holevo(Ensemble(tuple(zip(probs, ops)))) - direct) <= 1e-12
+        assert abs(holevo(Ensemble(probs, ops)) - direct) <= 1e-12
 
     @pytest.mark.parametrize("dim", [2, 3, 9])
     def test_ensemble_holevo_bitwise_equals_validated_average(self, dim):
         """The reference: the average built and validated as a DensityOperator."""
         rng = np.random.default_rng(80 + dim)
-        ops = DensityOperator.from_stack(_stack_with_ranks(dim, rng)[:4])
-        ensemble = Ensemble(tuple(zip(rng.dirichlet(np.ones(len(ops))), ops)))
+        ops = Ensemble.uniform(_stack_with_ranks(dim, rng)[:4]).states
+        ensemble = Ensemble(rng.dirichlet(np.ones(len(ops))), ops)
         spectra = np.array([op.eigenvalues() for op in ops])
         average = ensemble.average().eigenvalues()
         want = max(0.0, float(numerics._entropy_bits(average)
@@ -432,7 +472,7 @@ class TestStacks:
     def test_stored_spectrum_equals_fresh_eigvalsh(self, dim):
         rng = np.random.default_rng(80 + dim)
         mats = _stack_with_ranks(dim, rng)
-        ops = DensityOperator.from_stack(mats) + tuple(map(DensityOperator.from_matrix, mats))
+        ops = Ensemble.uniform(mats).states + tuple(map(DensityOperator.from_matrix, mats))
         for op in ops:
             assert np.array_equal(op.eigenvalues(), np.linalg.eigvalsh(op.matrix))
             assert not op.eigenvalues().flags.writeable and not op.matrix.flags.writeable
@@ -451,7 +491,7 @@ class TestStacks:
         stack = np.concatenate([mats, mats[:2]])
         stack[position] = bad
         with pytest.raises(InvalidOperatorError):
-            DensityOperator.from_stack(stack)
+            Ensemble.uniform(stack)
         with pytest.raises(InvalidOperatorError):
             von_neumann_entropy(stack.reshape(5, 1, 3, 3))
         with pytest.raises(InvalidOperatorError):
@@ -461,7 +501,7 @@ class TestStacks:
 
     def test_stack_shapes_rejected(self):
         with pytest.raises(ValueError):
-            DensityOperator.from_stack(np.eye(2) / 2)
+            Ensemble.uniform(np.eye(2) / 2)
         with pytest.raises(ValueError):
             von_neumann_entropy(np.ones((2, 3)) / 2)
 

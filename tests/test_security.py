@@ -5,7 +5,6 @@ import pytest
 
 from otlab import numerics, protocol, security
 from otlab.numerics import (
-    DensityOperator,
     Ensemble,
     InvalidStateError,
     Povm,
@@ -126,6 +125,23 @@ class TestReturnedEnsemble:
         chi = holevo(states)
         assert np.allclose(chi, [holevo(returned_ensemble(p, label)) for p in params],
                            rtol=0.0, atol=1e-12)
+
+    def test_validated_in_one_pass_without_operator_objects(self, monkeypatch):
+        calls = {"spectra": 0, "operators": 0}
+        spectra, post_init = numerics._density_spectra, numerics.DensityOperator.__post_init__
+
+        def counted_spectra(mats):
+            calls["spectra"] += 1
+            return spectra(mats)
+
+        def counted_post_init(self, _spectrum):
+            calls["operators"] += 1
+            post_init(self, _spectrum)
+
+        monkeypatch.setattr(numerics, "_density_spectra", counted_spectra)
+        monkeypatch.setattr(numerics.DensityOperator, "__post_init__", counted_post_init)
+        returned_ensemble(CheatParams(SQRT_HALF, 0.5, 0.5), "joint")
+        assert calls == {"spectra": 1, "operators": 0}
 
 
 class TestSignStateInformation:
@@ -379,18 +395,18 @@ class TestTetrahedron:
         assert stack.shape == (4, 2, 2) and stack.dtype == complex
         # C order keeps lemma1's einsum summing in the order its payload was recorded with.
         assert stack.flags.c_contiguous and not stack.flags.writeable
-        for op, mat in zip(DensityOperator.from_stack(stack), stack):
+        for op, mat in zip(Ensemble.uniform(stack).states, stack):
             assert np.array_equal(op.matrix, mat)
 
     def test_pure_and_centered(self):
-        states = DensityOperator.from_stack(security.TETRAHEDRON)
+        states = Ensemble.uniform(security.TETRAHEDRON).states
         total = sum(op.matrix for op in states)
         assert np.allclose(total / 4.0, np.eye(2) / 2.0, atol=1e-12)
         for op in states:
             assert np.trace(op.matrix @ op.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     def test_pairwise_overlaps(self):
-        states = DensityOperator.from_stack(security.TETRAHEDRON)
+        states = Ensemble.uniform(security.TETRAHEDRON).states
         for i in range(4):
             for j in range(i + 1, 4):
                 hs = np.trace(states[i].matrix @ states[j].matrix).real
