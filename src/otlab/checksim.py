@@ -45,25 +45,17 @@ __all__ = [
     "run_protocol3",
     "detection_curve",
     "suggested_check_count",
-    "EPS_C_MID",
-    "EPS_C_A",
-    "EPS_C_B",
 ]
-
-# Estimator constant for est_epsilon = C_MID * (failures + 1) / k, with the
-# order-equivalence bracket [C_A, C_B] surfaced in every report.
-EPS_C_MID = 1.0
-EPS_C_A = 0.5
-EPS_C_B = 2.0
 
 
 @dataclass(frozen=True)
 class CheckConfig:
     """Run geometry: tables generated, labels checked, thresholds, trials.
 
-    Thresholds are maximum tolerated failure counts.  An integer is an
-    absolute count; a float in [0, 1) is interpreted as a fraction of the
-    checked labels (``floor(t * k)``).
+    ``m``, ``k_bob``, ``k_alice`` and ``trials`` are integers (Python or
+    numpy, not bool).  Thresholds are maximum tolerated failure counts.  An
+    integer is an absolute count; a float in [0, 1) is interpreted as a
+    fraction of the checked labels (``floor(t * k)``).
     """
 
     m: int
@@ -75,6 +67,10 @@ class CheckConfig:
     c1: float = 1.0
 
     def __post_init__(self):
+        for name in ("m", "k_bob", "k_alice", "trials"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         for name in ("k_bob", "k_alice"):
@@ -371,8 +367,7 @@ def exact_law(config: CheckConfig, alice: AliceStrategy,
     Given J shared labels, their (Bob, Alice) failure counts are built up one
     label at a time over the joint verdicts, kept only where both pass, and
     each side's own ``k - J`` labels enter through a binomial distribution
-    function.  A budget of ``R`` independent restarts after aborted runs
-    passes at least once with probability ``1 - (1 - pass_probability)^R``.
+    function.
     """
     if bob is None:
         config, bob = replace(config, k_alice=0, threshold_alice=0), BobStrategy.honest()
@@ -411,25 +406,18 @@ def exact_law(config: CheckConfig, alice: AliceStrategy,
 # Check protocols
 # ---------------------------------------------------------------------------
 
-def _wilson_ci(successes: int, n: int, z: float = 1.96) -> tuple:
-    phat = successes / n
-    denom = 1.0 + z * z / n
-    center = (phat + z * z / (2 * n)) / denom
-    half = z * np.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
-
-
 @dataclass(frozen=True, eq=False)
 class CheckReport:
     """Outcome of a Monte Carlo run of one side's checking.
 
-    Keeps what the run drew: per-trial arrays of the failure count, the abort
-    flag and the number of delivered (unchecked, non-aborted) tables, and the
-    abort rate with its Wilson interval.  The per-trial failure-rate estimate
-    ``est_epsilon`` and leak bound ``leak_bound_bits`` are derived from the
-    failure counts when read.  The order-equivalence bracket ``[c_a, c_b]``
-    around the estimator constant is recorded, as class constants, rather
-    than hidden.
+    Keeps only what the run drew, per trial the failure count and the number
+    of delivered (unchecked, non-aborted) tables, with its side's geometry.
+    Everything else is derived from the failure counts when read: the trial
+    count, the abort flags (more failures than ``threshold``), the abort rate
+    with its Wilson interval, the failure-rate estimate ``est_epsilon`` and
+    the leak bound ``leak_bound_bits``.  The order-equivalence bracket
+    ``[c_a, c_b]`` around the estimator constant is recorded, as class
+    constants, rather than hidden.
     """
 
     protocol_id: int
@@ -437,30 +425,48 @@ class CheckReport:
     m: int
     k: int
     threshold: int
-    trials: int
     failures: np.ndarray
-    aborted: np.ndarray
     tables_delivered: np.ndarray
-    abort_probability: float
-    abort_ci: tuple
-    c_mid: ClassVar[float] = EPS_C_MID
-    c_a: ClassVar[float] = EPS_C_A
-    c_b: ClassVar[float] = EPS_C_B
     c1: float = 1.0
     extras: dict = field(default_factory=dict)
+    c_mid: ClassVar[float] = 1.0
+    c_a: ClassVar[float] = 0.5
+    c_b: ClassVar[float] = 2.0
+
+    @property
+    def trials(self) -> int:
+        return len(self.failures)
+
+    @property
+    def aborted(self) -> np.ndarray:
+        """Per-trial abort flag: more failures than ``threshold``."""
+        return self.failures > self.threshold
+
+    @property
+    def abort_probability(self) -> float:
+        return np.count_nonzero(self.aborted) / self.trials
+
+    @property
+    def abort_ci(self) -> tuple:
+        """95% Wilson interval of the abort rate."""
+        n, z, phat = self.trials, 1.96, self.abort_probability
+        denom = 1.0 + z * z / n
+        center = (phat + z * z / (2 * n)) / denom
+        half = z * np.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
+        return (max(0.0, center - half), min(1.0, center + half))
 
     @property
     def est_epsilon(self) -> np.ndarray:
         """Per-trial ``c_mid * (failures + 1) / k`` clipped to [0, 1]; NaN when ``k = 0``."""
         if self.k == 0:
             return np.full(self.failures.shape, np.nan)
-        return _epsilon(self.failures, self.k)
+        return np.clip(self.c_mid * (self.failures + 1.0) / self.k, 0.0, 1.0)
 
     @property
     def leak_bound_bits(self) -> np.ndarray:
         """Per-trial leak bound ``h(min(c1 * eps, 1/2))`` in bits; NaN when ``k = 0``."""
         eps = self.est_epsilon
-        return eps if self.k == 0 else _leak(eps, self.c1)
+        return eps if self.k == 0 else binary_entropy(np.minimum(self.c1 * eps, 0.5))
 
     @property
     def mean_failures(self) -> float:
@@ -469,8 +475,8 @@ class CheckReport:
     def summary(self) -> dict:
         """Aggregate of all trials: abort rate with its interval, extras, mean failures."""
         return {
-            "abort_ci": [float(self.abort_ci[0]), float(self.abort_ci[1])],
-            "abort_probability": float(self.abort_probability),
+            "abort_ci": [float(bound) for bound in self.abort_ci],
+            "abort_probability": self.abort_probability,
             "extras": {key: float(val) for key, val in self.extras.items()},
             "mean_failures": self.mean_failures,
         }
@@ -479,14 +485,12 @@ class CheckReport:
         def _num(value):
             return None if np.isnan(value) else float(value)
 
-        eps, leak = self.est_epsilon, self.leak_bound_bits
         records = [
-            {"aborted": bool(self.aborted[i]),
-             "est_epsilon": _num(eps[i]),
-             "failures": int(self.failures[i]),
-             "leak_bound_bits": _num(leak[i]),
-             "tables_delivered": int(self.tables_delivered[i])}
-            for i in range(self.trials)
+            {"aborted": bool(aborted), "est_epsilon": _num(eps), "failures": int(failures),
+             "leak_bound_bits": _num(leak), "tables_delivered": int(delivered)}
+            for aborted, eps, failures, leak, delivered in zip(
+                self.aborted, self.est_epsilon, self.failures, self.leak_bound_bits,
+                self.tables_delivered)
         ]
         return {
             **self.summary(),
@@ -498,28 +502,8 @@ class CheckReport:
             "records": records,
             "side": self.side,
             "threshold": self.threshold,
-            "trials": self.trials,
+            "trials": len(records),
         }
-
-
-def _finalize_report(protocol_id, side, config, k, threshold, failures,
-                     delivered, extras) -> CheckReport:
-    aborted = failures > threshold
-    return CheckReport(
-        protocol_id=protocol_id, side=side, m=config.m, k=k, threshold=threshold,
-        trials=config.trials, failures=failures, aborted=aborted,
-        tables_delivered=np.where(aborted, 0, delivered),
-        abort_probability=float(aborted.mean()),
-        abort_ci=_wilson_ci(int(aborted.sum()), len(aborted)),
-        c1=config.c1, extras=extras)
-
-
-def _binomial(rng, n, p, size=None):
-    """``Bin(n, p)`` draws; nothing is drawn when ``p`` is 0 or 1 or every ``n`` is 0."""
-    if 0.0 < p < 1.0 and np.any(n):
-        return rng.binomial(n, p, size)
-    return np.broadcast_to(np.asarray(n) * int(p >= 1.0),
-                           np.shape(n) if size is None else size).astype(np.int64)
 
 
 def _iid(rng, support: np.ndarray, pmf: np.ndarray, trials: int) -> np.ndarray:
@@ -537,13 +521,16 @@ def _iid(rng, support: np.ndarray, pmf: np.ndarray, trials: int) -> np.ndarray:
 def _binomials(rng, n, p: float, trials: int) -> np.ndarray:
     """``trials`` independent ``Bin(n, p)`` draws, ``n`` one count or one per trial.
 
-    One count whose support, ``n + 1`` values, fits in the trials is drawn by
+    Nothing is drawn when ``p`` is 0 or 1 or every ``n`` is 0.  One count
+    whose support, ``n + 1`` values, fits in the trials is drawn by
     :func:`_iid`; counts that vary per trial, or a support larger than the
     trials, are drawn one per trial.
     """
-    if np.ndim(n) == 0 and 0.0 < p < 1.0 and 0 < n < trials:
+    if not (0.0 < p < 1.0 and np.any(n)):
+        return np.broadcast_to(np.asarray(n) * int(p >= 1.0), trials).astype(np.int64)
+    if np.ndim(n) == 0 and n < trials:
         return _iid(rng, np.arange(n + 1), _binomial_pmf(n, p), trials)
-    return _binomial(rng, n, p, size=trials)
+    return rng.binomial(n, p, trials)
 
 
 # numpy's hypergeometric sampler needs both populations below this.
@@ -574,7 +561,7 @@ def _big_binomial(rng, n: int, p: float) -> int:
     total = 0
     while n > 0:
         piece = min(n, _INT64_MAX)
-        total += int(_binomial(rng, piece, p))
+        total += int(rng.binomial(piece, p))
         n -= piece
     return total
 
@@ -590,7 +577,7 @@ def _split(rng, n: np.ndarray, cells: np.ndarray) -> np.ndarray:
     live = np.flatnonzero(cells) if n.any() else np.flatnonzero(cells)[-1:]
     left, mass = n, float(cells.sum())
     for c in live[:-1]:
-        counts[:, c] = _binomial(rng, left, min(1.0, cells[c] / mass))
+        counts[:, c] = _binomials(rng, left, min(1.0, cells[c] / mass), len(left))
         left = left - counts[:, c]
         mass -= cells[c]
     counts[:, live[-1]] = left
@@ -613,9 +600,11 @@ def run_protocol2(config: CheckConfig, alice: AliceStrategy,
     """
     fail, _ = _verdicts(alice, BobStrategy.honest())
     failures = _binomials(rng, config.k_bob, fail[1].sum(), config.trials)
-    delivered = np.full(config.trials, config.m - config.k_bob)
-    return _finalize_report(2, "bob", config, config.k_bob, config.resolved_threshold("bob"),
-                            failures, delivered, {})
+    threshold = config.resolved_threshold("bob")
+    delivered = np.full(config.trials, config.m - config.k_bob)   # object past int64
+    delivered[failures > threshold] = 0
+    return CheckReport(2, "bob", config.m, config.k_bob, threshold, failures, delivered,
+                       config.c1)
 
 
 def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
@@ -665,8 +654,8 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
     t_b, t_a = config.resolved_threshold("bob"), config.resolved_threshold("alice")
     # No table is delivered when either side aborts.
     delivered = np.where((failures_b > t_b) | (failures_a > t_a), 0, m - checked)
-    return (_finalize_report(3, "bob", config, k_b, t_b, failures_b, delivered, dict(extras)),
-            _finalize_report(3, "alice", config, k_a, t_a, failures_a, delivered, dict(extras)))
+    return (CheckReport(3, "bob", m, k_b, t_b, failures_b, delivered, config.c1, dict(extras)),
+            CheckReport(3, "alice", m, k_a, t_a, failures_a, delivered, config.c1, dict(extras)))
 
 
 def detection_curve(strategy, k_values, threshold: int) -> list:
@@ -694,14 +683,4 @@ def suggested_check_count(tables_needed: int) -> int:
     if tables_needed < 1:
         raise ValueError("tables_needed must be >= 1")
     return int(np.ceil(tables_needed ** 1.1))
-
-
-def _epsilon(failures, k):
-    """Failure-rate estimate ``c_mid * (failures + 1) / k`` clipped to [0, 1]."""
-    return np.clip(EPS_C_MID * (np.asarray(failures) + 1.0) / k, 0.0, 1.0)
-
-
-def _leak(est_epsilon, c1):
-    """Per-table information cap ``h(min(c1 * eps, 1/2))`` in bits."""
-    return binary_entropy(np.minimum(c1 * est_epsilon, 0.5))
 

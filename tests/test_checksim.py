@@ -13,6 +13,7 @@ from otlab.checksim import (
     AliceStrategy,
     BobStrategy,
     CheckConfig,
+    CheckReport,
     detection_curve,
     run_protocol2,
     run_protocol3,
@@ -41,6 +42,33 @@ class TestConfig:
     def test_threshold_domain(self, name, value):
         with pytest.raises(ValueError):
             CheckConfig(m=10, k_bob=5, **{name: value})
+
+    @pytest.mark.parametrize("value", [10.5, 10.0, math.inf, math.nan, True, np.bool_(True),
+                                       "10", None])
+    @pytest.mark.parametrize("name", ["m", "k_bob", "k_alice", "trials"])
+    def test_sizes_must_be_integers(self, name, value):
+        sizes = dict(m=10, k_bob=5, k_alice=5, trials=2)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            CheckConfig(**{**sizes, name: value})
+
+    @pytest.mark.parametrize("to_int", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_sizes_accepted(self, to_int):
+        config = CheckConfig(m=to_int(10), k_bob=to_int(5), k_alice=to_int(5),
+                             trials=to_int(3))
+        bob, alice = run_protocol3(config, AliceStrategy.honest(), BobStrategy.honest(),
+                                   np.random.default_rng(5))
+        assert bob.trials == alice.trials == 3
+        assert bob.tables_delivered.tolist() == alice.tables_delivered.tolist()
+
+    def test_sizes_beyond_int64_accepted(self):
+        huge = 2**64
+        config = CheckConfig(m=huge, k_bob=huge - 1, k_alice=0, trials=2**70)
+        assert (config.m, config.k_bob, config.trials) == (huge, huge - 1, 2**70)
+        config = CheckConfig(m=2**70, k_bob=5, threshold_bob=1, trials=40)
+        report = run_protocol2(config, AliceStrategy.learn_y(), np.random.default_rng(6))
+        delivered = [record["tables_delivered"] for record in report.to_dict()["records"]]
+        assert delivered == [0 if f > 1 else 2**70 - 5 for f in report.failures]
+        assert 0 < delivered.count(0) < 40
 
     @pytest.mark.parametrize("value", [2**63, 2**64, 10**23])
     def test_huge_integer_thresholds_accepted(self, value):
@@ -219,8 +247,8 @@ class TestEstimates:
 
     @staticmethod
     def _report(failures, k, c1=1.0):
-        config = CheckConfig(m=k, k_bob=k, threshold_bob=k, trials=len(failures), c1=c1)
-        return checksim._finalize_report(2, "bob", config, k, k, np.array(failures), 0, {})
+        return CheckReport(2, "bob", m=k, k=k, threshold=k, failures=np.array(failures),
+                           tables_delivered=np.zeros(len(failures), dtype=int), c1=c1)
 
     def test_epsilon_examples(self):
         report = self._report([0, 4, 100], 100)
@@ -258,16 +286,16 @@ class TestEstimates:
     def test_estimates_computed_only_when_read(self, monkeypatch, capsys):
         # A run keeps what it drew; its estimates are derived from the failure
         # counts when a report is read, so runs and summaries compute none.
-        reached, epsilon = [], checksim._epsilon
+        reached, epsilon = [], CheckReport.est_epsilon
 
         def guard(name):
-            def refuse(*args):
+            def refuse(report):
                 reached.append(name)
-                raise AssertionError(f"{name} called")
-            return refuse
+                raise AssertionError(f"{name} read")
+            return property(refuse)
 
-        monkeypatch.setattr(checksim, "_epsilon", guard("_epsilon"))
-        monkeypatch.setattr(checksim, "_leak", guard("_leak"))
+        monkeypatch.setattr(CheckReport, "est_epsilon", guard("est_epsilon"))
+        monkeypatch.setattr(CheckReport, "leak_bound_bits", guard("leak_bound_bits"))
         report = run_protocol2(CheckConfig(m=30, k_bob=10, trials=200),
                                AliceStrategy.learn_y(), np.random.default_rng(18))
         pair = run_protocol3(CheckConfig(m=30, k_bob=10, k_alice=10, trials=200),
@@ -281,24 +309,59 @@ class TestEstimates:
             assert cli.main(argv) == 0
         capsys.readouterr()
         assert reached == []
-        for read in (lambda: report.est_epsilon, lambda: report.leak_bound_bits, report.to_dict):
-            with pytest.raises(AssertionError, match="_epsilon called"):
+        for read in (lambda: report.est_epsilon, report.to_dict):
+            with pytest.raises(AssertionError, match="est_epsilon read"):
                 read()
-        monkeypatch.setattr(checksim, "_epsilon", epsilon)
-        with pytest.raises(AssertionError, match="_leak called"):
+        with pytest.raises(AssertionError, match="leak_bound_bits read"):
             report.leak_bound_bits
-        assert reached == ["_epsilon"] * 3 + ["_leak"]
+        monkeypatch.setattr(CheckReport, "est_epsilon", epsilon)
+        with pytest.raises(AssertionError, match="leak_bound_bits read"):
+            report.to_dict()
+        assert reached == ["est_epsilon"] * 2 + ["leak_bound_bits"] * 2
+
+    def test_to_dict_reads_abort_flags_once_for_all_records(self, monkeypatch):
+        # One read for all records, not one per record: per record would be
+        # quadratic in the trials.
+        reads, flags = [], CheckReport.aborted
+
+        def counted(report):
+            reads.append(1)
+            return flags.fget(report)
+
+        monkeypatch.setattr(CheckReport, "aborted", property(counted))
+        config = CheckConfig(m=30, k_bob=10, threshold_bob=4, trials=500)
+        report = run_protocol2(config, AliceStrategy.learn_y(), np.random.default_rng(19))
+        report.summary()
+        in_summary = len(reads)
+        reads.clear()
+        records = report.to_dict()["records"]
+        assert len(reads) == in_summary + 1
+        assert [record["aborted"] for record in records] == flags.fget(report).tolist()
 
     @pytest.mark.parametrize("m,k,trials", [(30, 10, 200), (10**9, 10**9, 3),
                                             (10**9, 10**8, 5)])
     def test_report_equals_per_trial_formula(self, m, k, trials):
         # Bitwise equal to one scalar evaluation per trial, and bounded by the
         # trial count when k is far larger (no table over all k + 1 counts).
-        config = CheckConfig(m=m, k_bob=k, threshold_bob=k, trials=trials)
+        threshold = k // 2   # learn-y fails half its checks: both verdicts occur
+        config = CheckConfig(m=m, k_bob=k, threshold_bob=threshold, trials=trials)
         report = run_protocol2(config, AliceStrategy.learn_y(), np.random.default_rng(17))
         eps = [float(np.clip((int(f) + 1.0) / k, 0.0, 1.0)) for f in report.failures]
         assert report.est_epsilon.tolist() == eps
         assert report.leak_bound_bits.tolist() == [binary_entropy(min(e, 0.5)) for e in eps]
+        aborted = [int(f) > threshold for f in report.failures]
+        assert report.aborted.tolist() == aborted
+        assert report.tables_delivered.tolist() == [0 if a else m - k for a in aborted]
+        assert report.trials == trials
+        assert report.abort_probability == sum(aborted) / trials
+        # The 95% Wilson interval, one scalar evaluation.
+        z, phat = 1.96, sum(aborted) / trials
+        denom = 1.0 + z * z / trials
+        center = (phat + z * z / (2 * trials)) / denom
+        half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
+        assert report.abort_ci == (max(0.0, center - half), min(1.0, center + half))
+        if trials > 100:
+            assert 0 < sum(aborted) < trials
 
 
 _MIX_PHI, _ALPHA, _ANGLE = 0.3, 0.7, 1.1
