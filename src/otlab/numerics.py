@@ -115,61 +115,60 @@ def _entropy_bits(spectra):
     return float(bits) if bits.ndim == 0 else bits
 
 
+def _frozen(values) -> np.ndarray:
+    """``values`` as a read-only complex array: a read-only complex input itself, else a copy."""
+    if isinstance(values, np.ndarray) and values.dtype == complex and not values.flags.writeable:
+        return values
+    arr = np.array(values, dtype=complex)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Unit vector in a ``dim``-dimensional complex Hilbert space."""
+    """Unit vector: ``PureState(amplitudes)`` keeps a flat read-only copy, ``dim`` long."""
 
-    dim: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if self.dim < 1 or amps.shape != (self.dim,):
-            raise ValueError(f"expected {self.dim} amplitudes, got shape {amps.shape}")
+        amps = _frozen(np.reshape(self.amplitudes, -1))
         if abs(np.linalg.norm(amps) - 1.0) > NORM_ATOL:
             raise InvalidStateError("state vector is not normalized")
-        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @classmethod
-    def from_amplitudes(cls, amplitudes) -> "PureState":
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        return cls(dim=amps.size, amplitudes=amps)
+    @property
+    def dim(self) -> int:
+        return self.amplitudes.shape[0]
 
     def projector(self) -> "DensityOperator":
-        mat = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityOperator(self.dim, mat)
+        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Hermitian, unit-trace, positive semidefinite ``dim x dim`` operator.
+    """Hermitian, unit-trace, positive semidefinite operator ``dim x dim``.
 
+    ``DensityOperator(matrix)`` keeps a read-only copy of the square matrix.
     Validation computes the spectrum, which is kept (read-only) for
     :meth:`eigenvalues`.  ``_spectrum`` is private to :attr:`Ensemble.states`,
     which passes the spectra of a stack it validated in one batched pass.
     """
 
-    dim: int
     matrix: np.ndarray
     _spectrum: InitVar[np.ndarray | None] = None
 
     def __post_init__(self, _spectrum):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (self.dim, self.dim):
-            raise ValueError(f"expected a {self.dim}x{self.dim} matrix, got {mat.shape}")
+        mat = _frozen(self.matrix)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
         eigs = _density_spectra(mat) if _spectrum is None else _spectrum
-        mat.setflags(write=False)
         eigs.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "_eigenvalues", eigs)
 
-    @classmethod
-    def from_matrix(cls, matrix) -> "DensityOperator":
-        mat = np.asarray(matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        return cls(mat.shape[0], mat)
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
         """The spectrum, ascending, computed once at validation (read-only)."""
@@ -207,19 +206,16 @@ def _element_stack(elements) -> np.ndarray:
 class Povm:
     """Finite measurement: Hermitian, positive semidefinite elements summing to the identity.
 
-    An element's eigenvalues may dip to -1e-10, as numerical drift.  The
-    elements are validated in one batched pass (:func:`is_measurement` and
-    one ``eigvalsh``) and kept as one read-only array ``[n, dim, dim]``.
+    An element's eigenvalues may dip to -1e-10, as numerical drift.
+    ``Povm(elements)`` validates the elements in one batched pass
+    (:func:`is_measurement` and one ``eigvalsh``) and keeps one read-only
+    copy ``[n, dim, dim]`` of them.
     """
 
-    dim: int
     elements: np.ndarray
 
     def __post_init__(self):
         elems = _element_stack(self.elements)
-        if elems.shape[1:] != (self.dim, self.dim):
-            raise InvalidMeasurementError(
-                f"elements have shape {elems.shape[1:]}, expected ({self.dim}, {self.dim})")
         if not is_measurement(elems):
             raise InvalidMeasurementError("elements are not Hermitian or do not sum to the identity")
         element_min = np.linalg.eigvalsh(elems).min(axis=-1)
@@ -230,16 +226,15 @@ class Povm:
         elems.setflags(write=False)
         object.__setattr__(self, "elements", elems)
 
-    @classmethod
-    def from_elements(cls, elements) -> "Povm":
-        elems = _element_stack(elements)
-        return cls(elems.shape[-1], elems)
+    @property
+    def dim(self) -> int:
+        return self.elements.shape[-1]
 
     @classmethod
     def projective(cls, basis_rows) -> "Povm":
         """Rank-1 projectors onto the rows of an orthonormal basis matrix."""
         rows = np.asarray(basis_rows, dtype=complex)
-        return cls.from_elements(rows[:, :, None] * rows[:, None, :].conj())
+        return cls(rows[:, :, None] * rows[:, None, :].conj())
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -300,17 +295,15 @@ class Ensemble:
     @property
     def states(self) -> tuple:
         """Read-only :class:`DensityOperator` views of the matrices, carrying the stored spectra."""
-        return tuple(DensityOperator(self.dim, mat, _spectrum=spectrum)
+        return tuple(DensityOperator(mat, _spectrum=spectrum)
                      for mat, spectrum in zip(self.matrices, self.spectra))
 
     def average(self) -> DensityOperator:
-        return DensityOperator.from_matrix(_average(self.probabilities, self.matrices))
+        return DensityOperator(_average(self.probabilities, self.matrices))
 
 
 def _as_density(rho) -> DensityOperator:
-    if isinstance(rho, DensityOperator):
-        return rho
-    return DensityOperator.from_matrix(rho)
+    return rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
 
 
 def _checked(rho):
@@ -385,11 +378,14 @@ def fidelity(rho, sigma) -> float:
 def partial_trace(state, dims, keep: int) -> DensityOperator:
     """Reduce a bipartite density operator to one factor.
 
-    ``dims = (d1, d2)`` declares the tensor factorization (first factor is
-    the slow index) and ``keep`` selects the subsystem (0 or 1) to retain.
+    The integers ``dims = (d1, d2)`` declare the tensor factorization (first
+    factor is the slow index) and ``keep`` selects the subsystem (0 or 1) to
+    retain.
     """
     rho = _as_density(state)
-    d1, d2 = int(dims[0]), int(dims[1])
+    d1, d2 = dims
+    if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in dims):
+        raise ValueError(f"factor sizes must be integers, not {dims!r}")
     if d1 * d2 != rho.dim:
         raise ValueError(f"declared factors {d1}x{d2} do not match dim {rho.dim}")
     if keep not in (0, 1):
@@ -399,7 +395,7 @@ def partial_trace(state, dims, keep: int) -> DensityOperator:
         reduced = np.einsum("abcb->ac", blocks)
     else:
         reduced = np.einsum("abad->bd", blocks)
-    return DensityOperator.from_matrix(reduced)
+    return DensityOperator(reduced)
 
 
 def haar_random_pure(dim: int, rng: np.random.Generator) -> PureState:
@@ -407,7 +403,7 @@ def haar_random_pure(dim: int, rng: np.random.Generator) -> PureState:
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return PureState.from_amplitudes(z / np.linalg.norm(z))
+    return PureState(z / np.linalg.norm(z))
 
 
 def classical_mutual_information(joint):
@@ -465,9 +461,11 @@ def random_density_operator(dim: int, rng: np.random.Generator,
                             rank: int | None = None) -> DensityOperator:
     """Random mixed state from a normalized Wishart matrix."""
     rank = dim if rank is None else rank
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
     x = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     mat = x @ x.conj().T
-    return DensityOperator.from_matrix(mat / np.trace(mat).real)
+    return DensityOperator(mat / np.trace(mat).real)
 
 
 def draw_povm_seeds(dim: int, n_elements: int, rng: np.random.Generator,
@@ -527,4 +525,4 @@ def random_povm_elements(dim: int, n_elements: int, rng: np.random.Generator,
 def random_povm(dim: int, n_elements: int, rng: np.random.Generator,
                 real: bool = False, rank: int | None = None) -> Povm:
     """Validated :class:`Povm` of :func:`random_povm_elements` (same draws)."""
-    return Povm.from_elements(random_povm_elements(dim, n_elements, rng, real, rank))
+    return Povm(random_povm_elements(dim, n_elements, rng, real, rank))

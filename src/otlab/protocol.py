@@ -115,7 +115,7 @@ class AndEvalResult:
 
 def alice_prepare(x: int, t: int) -> PureState:
     """Sent state ``SENT[x, t]`` for bits ``x`` and ``t``."""
-    return PureState(3, SENT[_bits(x, "x"), _bits(t, "t")])
+    return PureState(SENT[_bits(x, "x"), _bits(t, "t")])
 
 
 def bob_gate(y: int, r: int) -> np.ndarray:

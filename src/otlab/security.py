@@ -247,7 +247,7 @@ def params_from_two_qutrit(state) -> CheatParams:
     entangled-state ensembles.
     """
     if not isinstance(state, PureState):
-        state = PureState.from_amplitudes(state)
+        state = PureState(state)
     if state.dim != 9:
         raise ValueError(f"expected a two-qutrit state (dim 9), got dim {state.dim}")
     amps = state.amplitudes.reshape(3, 3)  # [withheld, sent]
@@ -430,7 +430,7 @@ def example1_povm(alpha: float) -> Povm:
     ``cos^2(alpha)`` bits about y and ``sin^2(alpha)`` bits about r, summing
     to exactly one bit.
     """
-    return Povm.from_elements(example1_elements(float(alpha)))
+    return Povm(example1_elements(float(alpha)))
 
 
 def example2_povm(alpha: float) -> Povm:
@@ -441,7 +441,7 @@ def example2_povm(alpha: float) -> Povm:
     """
     vectors = _example_vectors(float(alpha), 9)
     elements = vectors[:, :, None] * vectors[:, None, :]
-    return Povm.from_elements(np.concatenate([elements, [np.eye(9) - elements.sum(axis=0)]]))
+    return Povm(np.concatenate([elements, [np.eye(9) - elements.sum(axis=0)]]))
 
 
 def example3_value(a: float) -> float:
@@ -607,7 +607,7 @@ def accessible_info_search(ensemble: Ensemble, config: SearchConfig | None = Non
     total = np.einsum("nab,nbc->ac", grads, elements)
     gaps = 0.5 * (total + total.conj().T) - grads
     return SearchResult(
-        best_value=float(info[best]), best_povm=Povm.from_elements(elements),
+        best_value=float(info[best]), best_povm=Povm(elements),
         stationarity=float(np.linalg.norm(elements @ gaps, ord=2, axis=(-2, -1)).max()),
         min_condition_eig=float(np.linalg.eigvalsh(gaps).min()))
 

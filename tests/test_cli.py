@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import otlab
 from otlab import checksim, cli, protocol, security, verify
 
 
@@ -627,7 +626,8 @@ class TestImportCost:
 
 
 def test_package_version_matches_pyproject():
-    """Manifests carry ``otlab.__version__``; the build reads pyproject.toml."""
+    """Manifests carry ``otlab.__version__``, the one place the build reads the version from."""
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as handle:
-        project = tomllib.load(handle)["project"]
-    assert project["version"] == otlab.__version__
+        config = tomllib.load(handle)
+    assert "version" in config["project"]["dynamic"] and "version" not in config["project"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "otlab.__version__"}

@@ -29,7 +29,7 @@ SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 def _proj(vec):
     vec = np.asarray(vec, dtype=complex)
-    return DensityOperator.from_matrix(np.outer(vec, vec.conj()))
+    return DensityOperator(np.outer(vec, vec.conj()))
 
 
 def _random_mixed_pair(rng, dim=3):
@@ -40,35 +40,35 @@ def _random_mixed_pair(rng, dim=3):
 class TestValidation:
     def test_pure_state_norm(self):
         with pytest.raises(InvalidStateError):
-            PureState.from_amplitudes([1.0, 1.0, 0.0])
-        state = PureState.from_amplitudes([SQRT_HALF, SQRT_HALF, 0.0])
+            PureState([1.0, 1.0, 0.0])
+        state = PureState([SQRT_HALF, SQRT_HALF, 0.0])
         assert state.dim == 3
 
     def test_density_rejects_non_hermitian(self):
         mat = np.array([[0.5, 0.5], [0.0, 0.5]])
         with pytest.raises(InvalidOperatorError):
-            DensityOperator.from_matrix(mat)
+            DensityOperator(mat)
 
     def test_density_rejects_wrong_trace(self):
         with pytest.raises(InvalidOperatorError):
-            DensityOperator.from_matrix(np.eye(2))
+            DensityOperator(np.eye(2))
 
     def test_density_eigenvalue_floor(self):
         # Drift inside the tolerance band is accepted, genuine negativity is not.
-        DensityOperator.from_matrix(np.diag([1.0 + 5e-11, 0.0, -5e-11]))
+        DensityOperator(np.diag([1.0 + 5e-11, 0.0, -5e-11]))
         with pytest.raises(InvalidOperatorError):
-            DensityOperator.from_matrix(np.diag([1.00000001, 0.0, -1e-8]))
+            DensityOperator(np.diag([1.00000001, 0.0, -1e-8]))
 
     def test_povm_completeness(self):
         with pytest.raises(InvalidMeasurementError):
-            Povm.from_elements([np.eye(3) * 0.5])
+            Povm([np.eye(3) * 0.5])
 
     def test_povm_positivity(self):
         bad = [np.diag([1.5, 1.0, 1.0]), np.diag([-0.5, 0.0, 0.0])]
         # Hermitian and complete: only positivity rejects it.
         assert numerics.is_measurement(bad)
         with pytest.raises(InvalidMeasurementError, match="negative eigenvalue -5.000e-01"):
-            Povm.from_elements(bad)
+            Povm(bad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.inf])
     @pytest.mark.parametrize("entry", [(0, 0), (1, 2)])
@@ -76,11 +76,24 @@ class TestValidation:
         mat = np.diag([0.5, 0.5, 0.0]).astype(complex)
         mat[entry] = bad
         with pytest.raises(InvalidOperatorError):
-            DensityOperator.from_matrix(mat)
+            DensityOperator(mat)
         elements = [np.diag([1.0, 0.0, 0.0]).astype(complex), np.diag([0.0, 1.0, 1.0])]
         elements[0][entry] = bad
         with pytest.raises(InvalidMeasurementError):
-            Povm.from_elements(elements)
+            Povm(elements)
+
+    def test_objects_keep_their_own_read_only_copy(self):
+        amps = np.array([1.0, 0.0, 0.0], dtype=complex)
+        mat = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        elements = np.stack([mat, np.eye(3) - mat])
+        objects = [(PureState(amps), "amplitudes", amps), (DensityOperator(mat), "matrix", mat),
+                   (Povm(elements), "elements", elements), (Ensemble.uniform([mat]), "matrices", mat)]
+        for obj, field, source in objects:
+            kept = getattr(obj, field)
+            want = kept.copy()
+            assert source.flags.writeable and not kept.flags.writeable
+            source[...] = 5
+            assert np.array_equal(kept, want)
 
     def test_ensemble_probabilities(self):
         op = _proj([1, 0, 0])
@@ -89,28 +102,28 @@ class TestValidation:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_ensemble_rejects_non_finite_probabilities(self, bad):
-        op = DensityOperator.from_matrix(np.eye(2) / 2)
+        op = DensityOperator(np.eye(2) / 2)
         with pytest.raises(ValueError, match="must be finite"):
             Ensemble((bad, 0.5), (op, op))
 
 
 class TestEntropy:
     def test_maximally_mixed_qutrit(self):
-        rho = DensityOperator.from_matrix(np.eye(3) / 3)
+        rho = DensityOperator(np.eye(3) / 3)
         assert von_neumann_entropy(rho) == pytest.approx(np.log2(3), abs=1e-12)
 
     def test_pure_projector(self):
         assert von_neumann_entropy(_proj([SQRT_HALF, 0, SQRT_HALF])) == pytest.approx(0.0, abs=1e-12)
 
     def test_dyadic_spectrum(self):
-        rho = DensityOperator.from_matrix(np.diag([0.5, 0.25, 0.25]))
+        rho = DensityOperator(np.diag([0.5, 0.25, 0.25]))
         assert von_neumann_entropy(rho) == pytest.approx(1.5, abs=1e-12)
 
     def test_matches_shannon_on_random_diagonals(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
             probs = rng.dirichlet([1.0, 1.0, 1.0])
-            rho = DensityOperator.from_matrix(np.diag(probs))
+            rho = DensityOperator(np.diag(probs))
             shannon = -np.sum(numerics.xlog2(probs))
             assert abs(von_neumann_entropy(rho) - shannon) < 1e-10
 
@@ -154,8 +167,8 @@ class TestTraceDistance:
         assert trace_distance(rho, rho) == 0.0
 
     def test_half_for_overlapping_mixtures(self):
-        rho = DensityOperator.from_matrix(np.diag([0.5, 0.0, 0.5]))
-        sigma = DensityOperator.from_matrix(np.diag([0.0, 0.5, 0.5]))
+        rho = DensityOperator(np.diag([0.5, 0.0, 0.5]))
+        sigma = DensityOperator(np.diag([0.0, 0.5, 0.5]))
         assert trace_distance(rho, sigma) == pytest.approx(0.5, abs=1e-12)
 
     def test_orthogonal_pure_pair_max(self):
@@ -237,6 +250,14 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(_proj([1, 0, 0]), (2, 2), keep=0)
 
+    def test_factor_sizes_must_be_integers(self):
+        mixed = DensityOperator(np.eye(9) / 9)
+        for dims in ((3.7, 3), (3, 3.0), (True, 9), (np.float64(3), 3)):
+            with pytest.raises(ValueError, match="integers"):
+                partial_trace(mixed, dims, keep=0)
+        reduced = partial_trace(mixed, (np.int64(3), 3), keep=0)
+        assert np.allclose(reduced.matrix, np.eye(3) / 3, atol=1e-12)
+
 
 class TestHaar:
     def test_deterministic_and_normalized(self):
@@ -281,7 +302,7 @@ class TestInformation:
 
     def test_trivial_measurement(self):
         ens = Ensemble.uniform([_proj([1, 0, 0]), _proj([0, 1, 0])])
-        povm = Povm.from_elements([np.eye(3)])
+        povm = Povm([np.eye(3)])
         assert mutual_information(ens, povm) == 0.0
 
     def test_dimension_mismatch(self):
@@ -438,7 +459,7 @@ class TestStacks:
         stacked = holevo(states)
         assert stacked.shape == (dim,)
         for idx in range(dim):
-            ops = [DensityOperator.from_matrix(m) for m in states[idx]]
+            ops = [DensityOperator(m) for m in states[idx]]
             assert abs(stacked[idx] - holevo(Ensemble.uniform(ops))) <= 1e-12
         # A nonuniform ensemble: the stored spectra and one average.
         probs = rng.dirichlet([1.0, 1.0, 1.0])
@@ -472,7 +493,7 @@ class TestStacks:
     def test_stored_spectrum_equals_fresh_eigvalsh(self, dim):
         rng = np.random.default_rng(80 + dim)
         mats = _stack_with_ranks(dim, rng)
-        ops = Ensemble.uniform(mats).states + tuple(map(DensityOperator.from_matrix, mats))
+        ops = Ensemble.uniform(mats).states + tuple(map(DensityOperator, mats))
         for op in ops:
             assert np.array_equal(op.eigenvalues(), np.linalg.eigvalsh(op.matrix))
             assert not op.eigenvalues().flags.writeable and not op.matrix.flags.writeable
@@ -487,7 +508,7 @@ class TestStacks:
         mats = _stack_with_ranks(3, rng, copies=1)
         bad = _defective(kind, 3)
         with pytest.raises(InvalidOperatorError):
-            DensityOperator.from_matrix(bad)
+            DensityOperator(bad)
         stack = np.concatenate([mats, mats[:2]])
         stack[position] = bad
         with pytest.raises(InvalidOperatorError):
@@ -535,7 +556,7 @@ class TestMeasurementStacks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidMeasurementError):
-                Povm.from_elements(elements)
+                Povm(elements)
             if kind == "negative":
                 assert numerics.is_measurement(elements)
                 assert np.linalg.eigvalsh(elements).min() == pytest.approx(-1e-8, abs=1e-12)
@@ -545,13 +566,11 @@ class TestMeasurementStacks:
     def test_mismatched_shapes_rejected(self):
         for elements in ([np.eye(2), np.zeros((3, 3))], [], np.eye(3), np.ones((2, 2, 3))):
             with pytest.raises(InvalidMeasurementError):
-                Povm.from_elements(elements)
-        with pytest.raises(InvalidMeasurementError):
-            Povm(2, np.stack([np.eye(3)]))
+                Povm(elements)
 
     def test_elements_are_one_read_only_stack(self):
         source = random_povm_elements(3, 4, np.random.default_rng(95))
-        povm = Povm.from_elements(source)
+        povm = Povm(source)
         assert isinstance(povm.elements, np.ndarray) and povm.elements.shape == (4, 3, 3)
         assert not povm.elements.flags.writeable
         assert np.array_equal(povm.elements, source) and source.flags.writeable
@@ -570,7 +589,7 @@ class TestMeasurementStacks:
             assert numerics.is_measurement(stack.reshape(7, 2, 5, 3, 3)).shape == (7, 2)
             for elements, ok in zip(stack, verdicts):
                 try:
-                    Povm.from_elements(elements)
+                    Povm(elements)
                     accepted = True
                 except InvalidMeasurementError:
                     accepted = False
@@ -586,6 +605,8 @@ class TestRandomPovm:
             random_povm_elements(3, 4, np.random.default_rng(0), rank=rank)
         with pytest.raises(ValueError, match="rank"):
             random_povm(3, 4, np.random.default_rng(0), rank=rank)
+        with pytest.raises(ValueError, match="rank"):
+            numerics.random_density_operator(3, np.random.default_rng(0), rank=rank)
 
     def test_valid_and_real_option(self):
         rng = np.random.default_rng(20)

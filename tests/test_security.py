@@ -559,7 +559,7 @@ class TestExample2:
         ops = []
         for r, y in security.RY_ORDER:
             gate = np.kron(np.eye(3), protocol.bob_gate(y, r))
-            ops.append(PureState(9, gate @ amps).projector())
+            ops.append(PureState(gate @ amps).projector())
         ens = Ensemble.uniform(ops)
         assert mutual_information(ens, example2_povm(alpha)) == pytest.approx(1.0, abs=1e-10)
 
@@ -588,8 +588,8 @@ class TestExample3:
 
 class TestAccessibleInfoSearch:
     def test_orthogonal_pair_reaches_one_bit(self):
-        ens = Ensemble.uniform([PureState.from_amplitudes([1, 0, 0]).projector(),
-                                PureState.from_amplitudes([0, 1, 0]).projector()])
+        ens = Ensemble.uniform([PureState([1, 0, 0]).projector(),
+                                PureState([0, 1, 0]).projector()])
         result = accessible_info_search(ens, rng=np.random.default_rng(41))
         assert result.best_value == pytest.approx(1.0, abs=1e-6)
 
@@ -611,7 +611,7 @@ class TestAccessibleInfoSearch:
         ops = []
         for r, y in security.RY_ORDER:
             gate = np.kron(np.eye(3), protocol.bob_gate(y, r))
-            ops.append(PureState(9, gate @ amps).projector())
+            ops.append(PureState(gate @ amps).projector())
         ens = Ensemble.uniform(ops)
         cfg = SearchConfig(n_starts=4, max_iters=80)
         result = accessible_info_search(ens, cfg, np.random.default_rng(50))
