@@ -14,12 +14,15 @@ each with his bits ``y, r`` and his guess of her input.  One Born-rule
 contraction of the two gives a strategy pair's exact joint distribution over
 all per-instance classical values (hidden bits, fabricated reports, check
 verdicts), built once per pair.  Instances are i.i.d., so a trial needs
-only its sufficient statistics, drawn from that exact table: one binomial
-failure count per side, plus, in protocol 3, the number of labels both
-sides check and those labels' joint verdicts.  The same table
-gives each run's exact law (:func:`exact_law`), and
-:func:`simulate_instances`, which draws whole instances from it, is the
-instance-level oracle of the sufficient-statistic draws.
+only its sufficient statistics, drawn from that exact table: in protocol 2
+one binomial failure count; in protocol 3 the number J of labels both sides
+check and each side's failure count.  Alice's check fails only where Bob's
+does, so protocol 3 draws ``(J, F_b)`` and then ``F_a`` given them as two
+multinomial histograms of their exact joint law where that table is small
+next to the trials.  The same table gives each run's exact law
+(:func:`exact_law`), and :func:`simulate_instances`, which draws whole
+instances from it, is the instance-level oracle of the sufficient-statistic
+draws.
 """
 
 from __future__ import annotations
@@ -302,25 +305,32 @@ def _verdicts(alice: AliceStrategy, bob: BobStrategy):
 # ---------------------------------------------------------------------------
 
 def _from_ratios(ratios: np.ndarray) -> np.ndarray:
-    """A law on consecutive values from its ratios ``pmf(j + 1) / pmf(j)``, normalized.
+    """Laws on consecutive values from their ratios ``pmf(j + 1) / pmf(j)``, normalized.
 
-    The ratios of a log-concave law fall with j, so the products taken outward
-    from its mode, whose weight is 1, only shrink: none overflows, and each
-    term's relative error grows by a few ulps per ratio, whatever the
-    population.  Time and memory are linear in the support.
+    One law per row of ``ratios`` (its last axis); a ratio of 0 ends a law's
+    support, so a row may be shorter than the array.  The ratios of a
+    log-concave law fall with j, so those above 1 lead to its mode, whose
+    weight is 1, and the products taken outward from it only shrink: none
+    overflows, and each term's relative error grows by a few ulps per ratio,
+    whatever the population.  Time and memory are linear in the support.
     """
-    mode = np.count_nonzero(ratios > 1.0)
-    w = np.concatenate((np.cumprod(1.0 / ratios[mode - 1::-1])[::-1] if mode else [],
-                        [1.0], np.cumprod(ratios[mode:])))
-    return w / w.sum()
+    w = np.ones(ratios.shape[:-1] + (ratios.shape[-1] + 1,))
+    np.cumprod(np.minimum(ratios, 1.0), axis=-1, out=w[..., 1:])
+    w[..., :-1] *= np.cumprod(1.0 / np.maximum(ratios[..., ::-1], 1.0), axis=-1)[..., ::-1]
+    return w / w.sum(axis=-1, keepdims=True)
 
 
-def _binomial_pmf(k: int, p: float) -> np.ndarray:
-    """``P(Bin(k, p) = j)`` for j = 0..k."""
+def _binomial_pmf(k, p: float) -> np.ndarray:
+    """``P(Bin(k, p) = j)`` for j = 0..k.
+
+    For an array of counts, one row per count over j = 0..max(k), zero past
+    each row's own count: all rows in one vectorized pass.
+    """
+    k = np.asarray(k)
+    j = np.arange(k.max() + 1)
     if not 0.0 < p < 1.0:
-        return (np.arange(k + 1) == (k if p >= 1.0 else 0)).astype(float)
-    j = np.arange(k)
-    return _from_ratios((k - j) / (j + 1.0) * (p / (1.0 - p)))
+        return (j == np.where(p >= 1.0, k, 0)[..., None]).astype(float)
+    return _from_ratios(np.maximum(k[..., None] - j[:-1], 0) / (j[:-1] + 1.0) * (p / (1.0 - p)))
 
 
 def _binomial_cdf(k: int, p: float, counts: np.ndarray) -> np.ndarray:
@@ -566,22 +576,87 @@ def _big_binomial(rng, n: int, p: float) -> int:
     return total
 
 
-def _split(rng, n: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Multinomial counts ``[len(n), len(cells)]`` of ``n`` draws over ``cells``.
+def _split(rng, n, cells: np.ndarray, trials: int) -> np.ndarray:
+    """Multinomial counts ``[trials, len(cells)]`` of ``n`` draws over ``cells``.
 
-    Drawn as conditional binomials over the nonzero cells; the last of them
-    takes the remainder, so a single nonzero cell, or ``n`` all zero, draws
-    nothing.
+    ``n`` is one count or one per trial.  Drawn as conditional binomials over
+    the nonzero cells (:func:`_binomials`, so one count's first cell is a
+    histogram); the last of them takes the remainder, so a single nonzero
+    cell, or ``n`` all zero, draws nothing.
     """
-    counts = np.zeros((len(n), len(cells)), dtype=np.int64)
-    live = np.flatnonzero(cells) if n.any() else np.flatnonzero(cells)[-1:]
+    counts = np.zeros((trials, len(cells)), dtype=np.int64)
+    live = np.flatnonzero(cells) if np.any(n) else np.flatnonzero(cells)[-1:]
     left, mass = n, float(cells.sum())
     for c in live[:-1]:
-        counts[:, c] = _binomials(rng, left, min(1.0, cells[c] / mass), len(left))
+        counts[:, c] = _binomials(rng, left, min(1.0, cells[c] / mass), trials)
         left = left - counts[:, c]
         mass -= cells[c]
     counts[:, live[-1]] = left
     return counts
+
+
+def _shifts(pmf: np.ndarray, shifts: int, size: int) -> np.ndarray:
+    """``out[..., s, j] = pmf[..., j - s]`` for s < ``shifts`` and j < ``size``, 0 off ``pmf``.
+
+    Right-multiplying a law of s by it convolves that law with ``pmf``.
+    """
+    padded = np.zeros(pmf.shape[:-1] + (size + 1,))
+    padded[..., :pmf.shape[-1]] = pmf
+    index = np.arange(size) - np.arange(shifts)[:, None]
+    return padded[..., np.where(index < 0, size, index)]
+
+
+def _joint_table(fail: np.ndarray, shared: np.ndarray, weights: np.ndarray,
+                 k_b: int, k_a: int) -> np.ndarray:
+    """Exact law ``[G, k_b + 1, k_a + 1]`` of a protocol-3 trial's ``(J, F_b, F_a)``.
+
+    ``shared`` and ``weights`` are J's support and law, ``fail`` the verdict
+    law with ``fail[0, 1] == 0`` (Alice's check fails only where Bob's does).
+    Given J, Bob's failures on the shared labels are ``U ~ Bin(J, p_b)`` and on
+    his own ``Bin(k_b - J, p_b)``; Alice's are ``Bin(U, q)``, with ``q =
+    fail[1, 1] / p_b``, plus ``Bin(k_a - J, p_a)`` on hers.  Per J, the table
+    is ``h(J)`` times the matrix chain over u and Alice's shared failures s:
+    Bob's own law shifted by u, ``Bin(J, p_b)``, ``Bin(u, q)``, and Alice's
+    own law shifted by s.  Each set of binomial rows is one vectorized call.
+    """
+    p_b, p_a, g, top = float(fail[1].sum()), float(fail[1, 1]), len(shared), int(shared.max())
+    rows = _binomial_pmf(np.concatenate([k_b - shared, shared]), p_b)
+    bob = _shifts(rows[:g], top + 1, k_b + 1) * rows[g:, :top + 1, None]    # [G, u, F_b]
+    alice = _shifts(_binomial_pmf(k_a - shared, p_a), top + 1, k_a + 1)      # [G, s, F_a]
+    thinning = _binomial_pmf(np.arange(top + 1), p_a / p_b)                  # [u, s]
+    return weights[:, None, None] * (np.swapaxes(bob, 1, 2) @ thinning @ alice)
+
+
+# Largest joint table, in cells per trial, that run_protocol3 draws from.  The
+# table costs a few float arrays of its size and a binomial per occupied cell
+# and F_a value; the per-trial path, three binomial draws per trial.  Timed on
+# a 2-core x86 host at k = k_alice = 20, 40 and 80, the table was the faster
+# below 5 to 7 cells per trial (m = 200, k = 20, 4000 trials: 2.3 cells, 0.57
+# of the per-trial time), so 4 keeps it faster with memory a few times the
+# per-trial arrays'.
+_TABLE_CELLS_PER_TRIAL = 4
+
+
+def _joint_draw(rng, fail: np.ndarray, m: int, k_b: int, k_a: int, trials: int) -> tuple:
+    """``trials`` i.i.d. draws of ``(J, F_b, F_a)`` from :func:`_joint_table`.
+
+    Two multinomial histograms: of ``(J, F_b)``, whose law is ``h(J) Bin(k_b,
+    p_b)`` since Bob's verdicts do not depend on which labels Alice checks,
+    then of ``F_a`` in each occupied ``(J, F_b)`` cell, all cells in one
+    batched draw.  Trials in one cell are exchangeable, so one shuffle of the
+    expanded cells puts them in trial order.
+    """
+    shared, weights = _shared_pmf(m, k_a, k_b)
+    table = _joint_table(fail, shared, weights, k_b, k_a).reshape(-1, k_a + 1)
+    first = table.sum(axis=1)
+    counts = rng.multinomial(trials, first / first.sum())
+    occupied = np.flatnonzero(counts)
+    cells = rng.multinomial(counts[occupied], table[occupied] / first[occupied, None])
+    draws = np.repeat(np.arange(cells.size), cells.ravel())
+    rng.shuffle(draws)
+    cell, failures_a = np.divmod(draws, k_a + 1)
+    j, failures_b = np.divmod(occupied[cell], k_b + 1)
+    return shared[j], failures_b, failures_a
 
 
 def run_protocol2(config: CheckConfig, alice: AliceStrategy,
@@ -619,29 +694,40 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
     vacuous (she has no honest values) and never aborts.
 
     Instances are i.i.d., so a trial draws its sufficient statistics only,
-    from the caller's Generator ``rng``: the number of labels both sides check,
-    ``J ~ Hypergeometric(k_alice, m - k_alice, k_bob)``; the joint verdicts
-    of those J labels, which can fail both checks together; and one binomial
-    failure count for each side's own ``k - J`` labels.  J, and the own
-    counts when the overlap is fixed, have one law in every trial and are
-    drawn as shuffled histograms (:func:`_iid`) where their support allows;
-    the verdicts and the own counts given a random J, one per trial.  Against a
+    from the caller's Generator ``rng``: the number J of labels both sides
+    check, ``J ~ Hypergeometric(k_alice, m - k_alice, k_bob)`` (fixed when a
+    side checks no label or every label), and each side's failure count.
+    When both sides check, Alice's check never fails alone (``fail[0, 1] ==
+    0``, as for every strategy pair of the library), Bob's can fail, and the
+    exact table of ``(J, F_b, F_a)`` has at most ``_TABLE_CELLS_PER_TRIAL``
+    cells per trial, they are drawn by :func:`_joint_draw`: two multinomial
+    histograms and one shuffle.  Otherwise J is drawn first, then the joint
+    verdicts of the J shared labels as conditional binomials (per trial under
+    a random J), then one binomial failure count for each side's own ``k - J``
+    labels; a statistic with one law in every trial is drawn as a shuffled
+    histogram (:func:`_iid`) where its support allows.  Against a
     computational-basis Bob each instance's input guess is right with
     probability 3/4 whatever its verdicts, so the total over all ``trials * m``
     instances is one binomial of that exact marginal, the run's last draw.
     """
     m, k_b, k_a, trials = config.m, config.k_bob, config.k_alice, config.trials
     fail, guess = _verdicts(alice, bob)
-    if 0 < k_a < m and 0 < k_b < m:
-        shared = _shared_labels(rng, m, k_a, k_b, trials)
-        overlap = shared
-    else:  # a side checks no label or every label: the overlap is fixed
-        overlap = k_a * k_b // m
-        shared = np.full(trials, overlap)
-    cells = _split(rng, shared, fail.ravel())   # columns: verdicts 00, 01, 10, 11
-    # A fixed overlap gives each side one scalar count of own labels.
-    own_b = _binomials(rng, k_b - overlap, fail[1].sum(), trials)
-    own_a = _binomials(rng, k_a - overlap, fail[:, 1].sum(), trials)
+    p_b, p_a = fail[1].sum(), fail[:, 1].sum()
+    support = min(k_a, k_b) - max(0, k_a + k_b - m) + 1
+    if (k_a > 0 and k_b > 0 and fail[0, 1] == 0.0 and p_b > 0.0
+            and support * (k_b + 1) * (k_a + 1) <= _TABLE_CELLS_PER_TRIAL * trials):
+        shared, failures_b, failures_a = _joint_draw(rng, fail, m, k_b, k_a, trials)
+    else:
+        if 0 < k_a < m and 0 < k_b < m:
+            shared = _shared_labels(rng, m, k_a, k_b, trials)
+            overlap = shared
+        else:  # a side checks no label or every label: the overlap is fixed
+            overlap = k_a * k_b // m
+            shared = np.full(trials, overlap)
+        cells = _split(rng, overlap, fail.ravel(), trials)   # columns: verdicts 00, 01, 10, 11
+        # A fixed overlap gives each side one scalar count of own labels.
+        failures_b = cells[:, 2] + cells[:, 3] + _binomials(rng, k_b - overlap, p_b, trials)
+        failures_a = cells[:, 1] + cells[:, 3] + _binomials(rng, k_a - overlap, p_a, trials)
     checked = (k_b - shared) + k_a   # at most m, where k_b + k_a can pass int64
     extras = {}
     if bob.kind == "computational" and alice.kind == "honest":
@@ -650,7 +736,6 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
         # total over all trials is one binomial, drawn last.
         guessed = _big_binomial(rng, trials * m, float(guess.sum() / fail.sum()))
         extras["x_guess_rate"] = guessed / (trials * m)
-    failures_b, failures_a = cells[:, 2] + cells[:, 3] + own_b, cells[:, 1] + cells[:, 3] + own_a
     t_b, t_a = config.resolved_threshold("bob"), config.resolved_threshold("alice")
     # No table is delivered when either side aborts.
     delivered = np.where((failures_b > t_b) | (failures_a > t_a), 0, m - checked)

@@ -910,3 +910,161 @@ class TestIid:
         if histogram:
             assert calls[0].tolist() == list(range(6))
         assert shared.shape == (trials,) and 0 <= shared.min() and shared.max() <= 5
+
+
+# Senders and receivers of the library, with parameter sweeps: the premise of
+# the joint-table draw, Alice's check fails only where Bob's does.
+_PREMISE_SENDERS = (
+    [AliceStrategy.honest(), AliceStrategy.learn_y()]
+    + [AliceStrategy.param(CheatParams.from_alpha(alpha))
+       for alpha in (0.0, 0.2, 0.4, 0.7, np.pi / 4, 1.2, np.pi / 2)]
+    + [AliceStrategy.per_instance_mix([(phi, AliceStrategy.learn_y()),
+                                       (1.0 - phi, AliceStrategy.honest())])
+       for phi in (0.1, 0.5, 0.9)]
+    + [AliceStrategy.per_instance_mix([(0.4, AliceStrategy.param(CheatParams.from_alpha(0.7))),
+                                       (0.6, AliceStrategy.honest())])])
+_PREMISE_RECEIVERS = (
+    [BobStrategy.honest(), BobStrategy.computational_basis()]
+    + [BobStrategy.phase_noise(angle) for angle in (-3.0, -2.0, -1.0, -0.3, 0.5, 1.1, 3.0)])
+
+_MIX = AliceStrategy.per_instance_mix([(_MIX_PHI, AliceStrategy.learn_y()),
+                                       (1.0 - _MIX_PHI, AliceStrategy.honest())])
+# Strategy pairs with one, two and three live verdict cells.
+_JOINT_PAIRS = [
+    ("honest-computational", AliceStrategy.honest(), BobStrategy.computational_basis()),
+    ("honest-phase-noise", AliceStrategy.honest(), BobStrategy.phase_noise(0.9)),
+    ("mix-computational", _MIX, BobStrategy.computational_basis()),
+    ("learn-y-honest", AliceStrategy.learn_y(), BobStrategy.honest()),
+]
+
+
+def _joint_table(alice, bob, m, k_b, k_a):
+    fail, _ = checksim._verdicts(alice, bob)
+    shared, weights = checksim._shared_pmf(m, k_a, k_b)
+    return shared, checksim._joint_table(fail, shared, weights, k_b, k_a)
+
+
+def _count_calls(monkeypatch, name):
+    """Record each call of the checksim function ``name``; returns the list."""
+    calls, real = [], getattr(checksim, name)
+    monkeypatch.setattr(checksim, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+class TestJointTable:
+    @pytest.mark.parametrize("bob", _PREMISE_RECEIVERS,
+                             ids=lambda b: f"{b.kind}{b.angle:+.1f}" if b.angle else b.kind)
+    @pytest.mark.parametrize("alice", _PREMISE_SENDERS, ids=lambda a: a.kind)
+    def test_alice_fails_only_where_bob_fails(self, alice, bob):
+        fail, _ = checksim._verdicts(alice, bob)
+        assert fail[0, 1] == 0.0
+
+    @pytest.mark.parametrize("m,k_b,k_a,t_b,t_a",
+                             [(5, 3, 2, 0, 0), (5, 3, 3, 1, 0), (6, 2, 4, 1, 2), (4, 4, 1, 1, 0),
+                              (5, 2, 5, 1, 1)])
+    @pytest.mark.parametrize("name,alice,bob", _JOINT_PAIRS, ids=[p[0] for p in _JOINT_PAIRS])
+    def test_matches_exact_law_and_brute_force(self, name, alice, bob, m, k_b, k_a, t_b, t_a):
+        shared, table = _joint_table(alice, bob, m, k_b, k_a)
+        passing = table[:, :t_b + 1, :t_a + 1].sum(axis=(1, 2))
+        delivered = ((m - k_b - k_a + shared) * passing).sum()
+        config = CheckConfig(m=m, k_bob=k_b, k_alice=k_a, threshold_bob=t_b, threshold_alice=t_a)
+        law = checksim.exact_law(config, alice, bob)
+        assert passing.sum() == pytest.approx(law.pass_probability, abs=1e-12)
+        assert delivered == pytest.approx(law.tables_delivered, abs=1e-12)
+        fail, _ = checksim._verdicts(alice, bob)
+        brute_passed, brute_delivered = _brute_force_law(fail, m, k_b, k_a, t_b, t_a)
+        assert passing.sum() == pytest.approx(brute_passed, abs=1e-12)
+        assert delivered == pytest.approx(brute_delivered, abs=1e-12)
+
+    @pytest.mark.parametrize("name,alice,bob", _JOINT_PAIRS, ids=[p[0] for p in _JOINT_PAIRS])
+    def test_matches_exact_law_at_sparse_geometry(self, name, alice, bob):
+        m, k = 200, 20
+        shared, table = _joint_table(alice, bob, m, k, k)
+        assert table.sum() == pytest.approx(1.0, abs=1e-12)
+        fail, _ = checksim._verdicts(alice, bob)
+        # Bob's failures are Bin(k, p_b) whatever J, and Alice's Bin(k, p_a).
+        np.testing.assert_allclose(table.sum(axis=(0, 2)),
+                                   stats.binom.pmf(np.arange(k + 1), k, fail[1].sum()), atol=1e-12)
+        np.testing.assert_allclose(table.sum(axis=(0, 1)),
+                                   stats.binom.pmf(np.arange(k + 1), k, fail[1, 1]), atol=1e-12)
+        for t_b, t_a in ((0, 0), (1, 2), (2, 1), (k, k)):
+            config = CheckConfig(m=m, k_bob=k, k_alice=k, threshold_bob=t_b, threshold_alice=t_a)
+            law = checksim.exact_law(config, alice, bob)
+            passing = table[:, :t_b + 1, :t_a + 1].sum(axis=(1, 2))
+            assert passing.sum() == pytest.approx(law.pass_probability, abs=1e-12)
+            assert ((m - 2 * k + shared) * passing).sum() == \
+                pytest.approx(law.tables_delivered, abs=1e-12)
+
+    def test_binomial_rows_match_one_count_at_a_time(self):
+        for p in (0.0, 0.3, 0.5, 1e-9, 1.0):
+            counts = np.array([0, 3, 7, 2, 7])
+            rows = checksim._binomial_pmf(counts, p)
+            assert rows.shape == (5, 8)
+            for row, k in zip(rows, counts):
+                np.testing.assert_allclose(row[:k + 1], checksim._binomial_pmf(k, p),
+                                           rtol=1e-14, atol=0)
+                assert not row[k + 1:].any()
+
+    def test_histogram_and_per_trial_paths_share_one_law(self, monkeypatch):
+        # The mix law has three live verdict cells, so Alice's shared failures
+        # are a thinning of Bob's.
+        config = CheckConfig(m=30, k_bob=5, k_alice=7, threshold_bob=1, threshold_alice=1,
+                             trials=20_000)
+        bob = BobStrategy.computational_basis()
+        assert np.count_nonzero(checksim._verdicts(_MIX, bob)[0]) == 3
+        joint = _count_calls(monkeypatch, "_joint_draw")
+        samples = []
+        for seed, cells_per_trial in ((31, checksim._TABLE_CELLS_PER_TRIAL), (32, 0)):
+            monkeypatch.setattr(checksim, "_TABLE_CELLS_PER_TRIAL", cells_per_trial)
+            bob_rep, alice_rep = run_protocol3(config, _MIX, bob, np.random.default_rng(seed))
+            samples.append(np.column_stack([bob_rep.failures, alice_rep.failures,
+                                            bob_rep.tables_delivered]))
+        assert len(joint) == 1
+        _assert_same_law(*samples)
+
+    @pytest.mark.parametrize("case,trials,histogram", [
+        # m = 30, k = 5, k_alice = 7: 6 * 6 * 8 = 288 cells.
+        ("computational", 72, True), ("computational", 71, False),
+        ("mix", 72, True), ("honest", 5000, False), ("four-cells", 5000, False),
+        ("k_bob=0", 5000, False),
+    ])
+    def test_histogram_only_when_the_table_fits(self, monkeypatch, case, trials, histogram):
+        alice, bob, k_b = AliceStrategy.honest(), BobStrategy.computational_basis(), 5
+        if case == "mix":
+            alice = _MIX
+        elif case == "honest":   # Bob's check never fails: p_b = 0
+            bob = BobStrategy.honest()
+        elif case == "four-cells":   # Alice's check can fail alone
+            monkeypatch.setattr(checksim, "_verdicts",
+                                lambda a, b: (_FOUR_CELLS, np.zeros((2, 2))))
+        elif case == "k_bob=0":
+            k_b = 0
+        calls = _count_calls(monkeypatch, "_joint_draw")
+        config = CheckConfig(m=30, k_bob=k_b, k_alice=7, threshold_bob=1, threshold_alice=1,
+                             trials=trials)
+        bob_rep, alice_rep = run_protocol3(config, alice, bob, np.random.default_rng(32))
+        assert len(calls) == int(histogram)
+        assert bob_rep.failures.shape == alice_rep.failures.shape == (trials,)
+        assert bob_rep.failures.max() <= k_b and alice_rep.failures.max() <= 7
+
+    @pytest.mark.parametrize("k_b,trials,iid,joint", [
+        # m = k_alice = 12, k_bob = 5: J = 5 in every trial, 1 * 6 * 13 = 78 cells.
+        (5, 20, 0, 1),
+        # The table does not fit: J's verdicts draw from the scalar overlap, as
+        # a histogram when J < trials, and so do Alice's own 7 labels.
+        (5, 19, 2, 0), (5, 6, 1, 0), (5, 5, 0, 0),
+        # Bob checks nothing: only Alice's own labels are drawn.
+        (0, 300, 1, 0),
+    ])
+    def test_fixed_overlap_draws_histograms(self, monkeypatch, k_b, trials, iid, joint):
+        iid_calls = _count_calls(monkeypatch, "_iid")
+        joint_calls = _count_calls(monkeypatch, "_joint_draw")
+        config = CheckConfig(m=12, k_bob=k_b, k_alice=12, threshold_bob=1, threshold_alice=2,
+                             trials=trials)
+        bob_rep, alice_rep = run_protocol3(config, AliceStrategy.honest(),
+                                           BobStrategy.computational_basis(),
+                                           np.random.default_rng(33))
+        assert (len(iid_calls), len(joint_calls)) == (iid, joint)
+        assert bob_rep.failures.shape == (trials,) and bob_rep.failures.max() <= k_b
+        # An honest Alice fails the shared labels together with Bob.
+        assert (alice_rep.failures >= bob_rep.failures).all()

@@ -287,9 +287,10 @@ class TestChecksim:
 # sha256 of stdout: the checksim digests recorded with otlab 0.11.0, the others
 # with 0.10.0 and unchanged since, except the two ``--bob computational`` pins
 # (this stdout one and the ``--out`` one below), re-recorded with 0.12.0 when
-# the input-guess total became one binomial draw.  A refactor that moves no
-# payload byte and no RNG stream keeps these; one that does bumps __version__
-# and re-records.
+# the input-guess total became one binomial draw, and this stdout one again
+# with 0.13.0, when random-overlap runs began drawing (J, F_b, F_a) as two
+# histograms of their joint law.  A refactor that moves no payload byte and no
+# RNG stream keeps these; one that does bumps __version__ and re-records.
 _PAYLOAD_PINS = [
     ("table --x 0 --y 0 --n 64 --seed 7",
      "3681634b0e67d0d4a069f6f9cd3eed56fdeaaa87ad215c86d8ec13cc99d9db82"),
@@ -301,7 +302,7 @@ _PAYLOAD_PINS = [
      "96b51d65ccb1ed382c7b76940c3e6bd927997883f56b233486469c17d300126b"),
     ("checksim --protocol 3 --bob computational --m 30 --k 5 --k-alice 7 --threshold 1 "
      "--threshold-alice 2 --trials 300 --seed 11",
-     "49076d44abab2c97b9ba941b2b01772635bee17cce6380629ed735bd8aa97cf0"),
+     "93e30292f9a1499dd05beb3d081d3fb00641a47bd9f4814c489cf99cbe6e2c2b"),
     ("verify thm3 --seed 7",
      "b6971ba032f3223572425c5f954cb138b3ca7b9000f7402f5efd46612c313dcf"),
     ("verify lemma1 --samples 20 --seed 7",
