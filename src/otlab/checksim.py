@@ -19,16 +19,20 @@ one binomial failure count; in protocol 3 the number J of labels both sides
 check and each side's failure count.  Alice's check fails only where Bob's
 does, so protocol 3 draws ``(J, F_b)`` and then ``F_a`` given them as two
 multinomial histograms of their exact joint law where that table is small
-next to the trials.  The same table gives each run's exact law
-(:func:`exact_law`), and :func:`simulate_instances`, which draws whole
-instances from it, is the instance-level oracle of the sufficient-statistic
-draws.
+next to the trials.  A histogram leaves its trials grouped by value, which
+no summary of a run can see: a run's last draw is a seed for its trial
+order, and its :class:`CheckReport` permutes the trials only when a
+per-trial value is read.  The one place a run shuffles is where two arrays
+drawn independently of each other meet in one trial (protocol 3 at a fixed
+overlap).  The same table gives each run's exact law (:func:`exact_law`),
+and :func:`simulate_instances`, which draws whole instances from it, is the
+instance-level oracle of the sufficient-statistic draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -51,14 +55,19 @@ __all__ = [
 ]
 
 
+_FLOAT = (float, np.floating)
+_REAL = (int, np.integer) + _FLOAT   # np.bool_ is neither
+
+
 @dataclass(frozen=True)
 class CheckConfig:
     """Run geometry: tables generated, labels checked, thresholds, trials.
 
     ``m``, ``k_bob``, ``k_alice`` and ``trials`` are integers (Python or
-    numpy, not bool).  Thresholds are maximum tolerated failure counts.  An
-    integer is an absolute count; a float in [0, 1) is interpreted as a
-    fraction of the checked labels (``floor(t * k)``).
+    numpy, not bool); thresholds and ``c1`` are real numbers (integers or
+    floats, Python or numpy, not bool).  Thresholds are maximum tolerated
+    failure counts.  An integer is an absolute count; a float in [0, 1) is
+    interpreted as a fraction of the checked labels (``floor(t * k)``).
     """
 
     m: int
@@ -80,11 +89,15 @@ class CheckConfig:
             k = getattr(self, name)
             if not (0 <= k <= self.m):
                 raise ValueError(f"{name}={k} outside [0, m={self.m}]")
+        for name in ("threshold_bob", "threshold_alice", "c1"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, _REAL):
+                raise ValueError(f"{name} must be a real number, not {value!r}")
         for name in ("threshold_bob", "threshold_alice"):
             value = getattr(self, name)
             if not 0 <= value < np.inf:   # NaN fails too; any int passes
                 raise ValueError(f"{name} must be finite and nonnegative")
-            if isinstance(value, float) and not value.is_integer() and value >= 1.0:
+            if isinstance(value, _FLOAT) and not value.is_integer() and value >= 1.0:
                 raise ValueError(f"fractional {name} must lie in [0, 1)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -95,7 +108,7 @@ class CheckConfig:
         """Absolute failure threshold for one side, resolving fractions of k."""
         value = self.threshold_bob if side == "bob" else self.threshold_alice
         k = self.k_bob if side == "bob" else self.k_alice
-        if isinstance(value, float) and 0.0 < value < 1.0:
+        if isinstance(value, _FLOAT) and 0.0 < value < 1.0:
             return int(np.floor(value * k))
         return int(value)
 
@@ -416,18 +429,46 @@ def exact_law(config: CheckConfig, alice: AliceStrategy,
 # Check protocols
 # ---------------------------------------------------------------------------
 
+def _trial_permutation(seed: int, trials: int) -> np.ndarray:
+    """A uniformly random order of ``trials`` trials, from a 64-bit ``seed``."""
+    return np.random.default_rng(seed).permutation(trials)
+
+
+class _TrialOrder:
+    """A run's trial order: its permutation is computed when first read, then kept.
+
+    Protocol 3's two reports share one, so trial i is the same trial on both
+    sides.
+    """
+
+    def __init__(self, seed: int, trials: int):
+        self.seed, self.trials = seed, trials
+
+    @cached_property
+    def permutation(self) -> np.ndarray:
+        return _trial_permutation(self.seed, self.trials)
+
+
 @dataclass(frozen=True, eq=False)
 class CheckReport:
     """Outcome of a Monte Carlo run of one side's checking.
 
     Keeps only what the run drew, per trial the failure count and the number
-    of delivered (unchecked, non-aborted) tables, with its side's geometry.
-    Everything else is derived from the failure counts when read: the trial
-    count, the abort flags (more failures than ``threshold``), the abort rate
-    with its Wilson interval, the failure-rate estimate ``est_epsilon`` and
-    the leak bound ``leak_bound_bits``.  The order-equivalence bracket
-    ``[c_a, c_b]`` around the estimator constant is recorded, as class
-    constants, rather than hidden.
+    of delivered (unchecked, non-aborted) tables, in the order they were
+    drawn (``drawn_failures``, ``drawn_delivered``), with its side's geometry
+    and the run's trial ``order``.  A run may draw its i.i.d. trials grouped
+    by value, so the per-trial values (``failures``, ``tables_delivered``,
+    ``aborted``, ``est_epsilon``, ``leak_bound_bits`` and :meth:`to_dict`'s
+    records) are read through that uniformly random order; ``order=None``
+    reads them as drawn.  :meth:`summary` reads the drawn arrays: its counts
+    and integer sums do not depend on the order, so a run that is only
+    summarized computes no permutation.  Everything else is derived from the
+    failure counts when read: the trial count, the abort flags (more
+    failures than ``threshold``), the abort rate with its Wilson interval,
+    the failure-rate estimate ``est_epsilon`` and the leak bound
+    ``leak_bound_bits``.  The order-equivalence bracket ``[c_a, c_b]``
+    around the estimator constant is recorded, as class constants, rather
+    than hidden.
     """
 
     protocol_id: int
@@ -435,17 +476,31 @@ class CheckReport:
     m: int
     k: int
     threshold: int
-    failures: np.ndarray
-    tables_delivered: np.ndarray
+    drawn_failures: np.ndarray
+    drawn_delivered: np.ndarray
     c1: float = 1.0
     extras: dict = field(default_factory=dict)
+    order: _TrialOrder | None = None
     c_mid: ClassVar[float] = 1.0
     c_a: ClassVar[float] = 0.5
     c_b: ClassVar[float] = 2.0
 
+    def _in_trial_order(self, drawn: np.ndarray) -> np.ndarray:
+        return drawn if self.order is None else drawn[self.order.permutation]
+
+    @property
+    def failures(self) -> np.ndarray:
+        """Per-trial failure count, in trial order."""
+        return self._in_trial_order(self.drawn_failures)
+
+    @property
+    def tables_delivered(self) -> np.ndarray:
+        """Per-trial delivered tables, in trial order."""
+        return self._in_trial_order(self.drawn_delivered)
+
     @property
     def trials(self) -> int:
-        return len(self.failures)
+        return len(self.drawn_failures)
 
     @property
     def aborted(self) -> np.ndarray:
@@ -454,7 +509,7 @@ class CheckReport:
 
     @property
     def abort_probability(self) -> float:
-        return np.count_nonzero(self.aborted) / self.trials
+        return np.count_nonzero(self.drawn_failures > self.threshold) / self.trials
 
     @property
     def abort_ci(self) -> tuple:
@@ -480,7 +535,7 @@ class CheckReport:
 
     @property
     def mean_failures(self) -> float:
-        return float(self.failures.mean())
+        return float(self.drawn_failures.mean())
 
     def summary(self) -> dict:
         """Aggregate of all trials: abort rate with its interval, extras, mean failures."""
@@ -517,15 +572,14 @@ class CheckReport:
 
 
 def _iid(rng, support: np.ndarray, pmf: np.ndarray, trials: int) -> np.ndarray:
-    """``trials`` i.i.d. draws of ``pmf`` over ``support``.
+    """``trials`` i.i.d. draws of ``pmf`` over ``support``, grouped by value.
 
-    Drawn as their multinomial histogram, expanded and shuffled into a
-    uniformly random order: the same law as one draw per trial, for one
-    binomial draw per support value and one shuffle.
+    Drawn as their multinomial histogram, expanded in support order: the
+    same law as one draw per trial up to the order of the trials, which the
+    run's :class:`CheckReport` draws when it is read, for one binomial draw
+    per support value.
     """
-    draws = np.repeat(support, rng.multinomial(trials, pmf / pmf.sum()))
-    rng.shuffle(draws)
-    return draws
+    return np.repeat(support, rng.multinomial(trials, pmf / pmf.sum()))
 
 
 def _binomials(rng, n, p: float, trials: int) -> np.ndarray:
@@ -638,13 +692,13 @@ _TABLE_CELLS_PER_TRIAL = 4
 
 
 def _joint_draw(rng, fail: np.ndarray, m: int, k_b: int, k_a: int, trials: int) -> tuple:
-    """``trials`` i.i.d. draws of ``(J, F_b, F_a)`` from :func:`_joint_table`.
+    """``trials`` i.i.d. draws of ``(J, F_b, F_a)`` from :func:`_joint_table`, grouped by value.
 
     Two multinomial histograms: of ``(J, F_b)``, whose law is ``h(J) Bin(k_b,
     p_b)`` since Bob's verdicts do not depend on which labels Alice checks,
     then of ``F_a`` in each occupied ``(J, F_b)`` cell, all cells in one
-    batched draw.  Trials in one cell are exchangeable, so one shuffle of the
-    expanded cells puts them in trial order.
+    batched draw.  The cells are expanded in table order, each trial's three
+    values side by side; the trial order is the report's (:class:`CheckReport`).
     """
     shared, weights = _shared_pmf(m, k_a, k_b)
     table = _joint_table(fail, shared, weights, k_b, k_a).reshape(-1, k_a + 1)
@@ -653,7 +707,6 @@ def _joint_draw(rng, fail: np.ndarray, m: int, k_b: int, k_a: int, trials: int) 
     occupied = np.flatnonzero(counts)
     cells = rng.multinomial(counts[occupied], table[occupied] / first[occupied, None])
     draws = np.repeat(np.arange(cells.size), cells.ravel())
-    rng.shuffle(draws)
     cell, failures_a = np.divmod(draws, k_a + 1)
     j, failures_b = np.divmod(occupied[cell], k_b + 1)
     return shared[j], failures_b, failures_a
@@ -671,15 +724,16 @@ def run_protocol2(config: CheckConfig, alice: AliceStrategy,
     Instances are i.i.d., so a trial's failure count is drawn directly as
     ``Bin(k_bob, p)``, with ``p`` the exact per-check failure probability,
     from the caller's Generator ``rng``; all trials' counts at once, by
-    :func:`_binomials`.
+    :func:`_binomials`, and then the seed of the report's trial order.
     """
     fail, _ = _verdicts(alice, BobStrategy.honest())
     failures = _binomials(rng, config.k_bob, fail[1].sum(), config.trials)
     threshold = config.resolved_threshold("bob")
     delivered = np.full(config.trials, config.m - config.k_bob)   # object past int64
     delivered[failures > threshold] = 0
+    order = _TrialOrder(rng.bit_generator.random_raw(), config.trials)
     return CheckReport(2, "bob", config.m, config.k_bob, threshold, failures, delivered,
-                       config.c1)
+                       config.c1, order=order)
 
 
 def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
@@ -701,14 +755,18 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
     0``, as for every strategy pair of the library), Bob's can fail, and the
     exact table of ``(J, F_b, F_a)`` has at most ``_TABLE_CELLS_PER_TRIAL``
     cells per trial, they are drawn by :func:`_joint_draw`: two multinomial
-    histograms and one shuffle.  Otherwise J is drawn first, then the joint
-    verdicts of the J shared labels as conditional binomials (per trial under
-    a random J), then one binomial failure count for each side's own ``k - J``
-    labels; a statistic with one law in every trial is drawn as a shuffled
-    histogram (:func:`_iid`) where its support allows.  Against a
+    histograms.  Otherwise J is drawn first, then the joint verdicts of the J
+    shared labels as conditional binomials (per trial under a random J), then
+    one binomial failure count for each side's own ``k - J`` labels; a
+    statistic with one law in every trial is drawn as a histogram grouped by
+    value (:func:`_iid`) where its support allows.  At a fixed overlap the
+    shared verdicts and a side's own failures are drawn independently of
+    each other, each possibly grouped by value, so where both vary the own
+    failures are shuffled: the run's one shuffle.  Against a
     computational-basis Bob each instance's input guess is right with
-    probability 3/4 whatever its verdicts, so the total over all ``trials * m``
-    instances is one binomial of that exact marginal, the run's last draw.
+    probability 3/4 whatever its verdicts, so the total over all ``trials *
+    m`` instances is one binomial of that exact marginal.  The run's last
+    draw is the seed of the trial order that its two reports share.
     """
     m, k_b, k_a, trials = config.m, config.k_bob, config.k_alice, config.trials
     fail, guess = _verdicts(alice, bob)
@@ -726,21 +784,33 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
             shared = np.full(trials, overlap)
         cells = _split(rng, overlap, fail.ravel(), trials)   # columns: verdicts 00, 01, 10, 11
         # A fixed overlap gives each side one scalar count of own labels.
-        failures_b = cells[:, 2] + cells[:, 3] + _binomials(rng, k_b - overlap, p_b, trials)
-        failures_a = cells[:, 1] + cells[:, 3] + _binomials(rng, k_a - overlap, p_a, trials)
+        own_b = _binomials(rng, k_b - overlap, p_b, trials)
+        own_a = _binomials(rng, k_a - overlap, p_a, trials)
+        if np.ndim(overlap) == 0 and overlap > 0 and np.count_nonzero(fail) > 1:
+            # The shared verdicts vary, and so may a side's own failures,
+            # drawn independently of them and each grouped by value: pair
+            # them at random.
+            for own, n, p in ((own_b, k_b - overlap, p_b), (own_a, k_a - overlap, p_a)):
+                if n > 0 and 0.0 < p < 1.0:
+                    rng.shuffle(own)
+        failures_b = cells[:, 2] + cells[:, 3] + own_b
+        failures_a = cells[:, 1] + cells[:, 3] + own_a
     checked = (k_b - shared) + k_a   # at most m, where k_b + k_a can pass int64
     extras = {}
     if bob.kind == "computational" and alice.kind == "honest":
         # Each instance's guess is right with probability 3/4 whatever its
         # verdicts (``guess`` is 3/4 of ``fail`` in every cell), so the
-        # total over all trials is one binomial, drawn last.
+        # total over all trials is one binomial, drawn after the verdicts.
         guessed = _big_binomial(rng, trials * m, float(guess.sum() / fail.sum()))
         extras["x_guess_rate"] = guessed / (trials * m)
+    order = _TrialOrder(rng.bit_generator.random_raw(), trials)
     t_b, t_a = config.resolved_threshold("bob"), config.resolved_threshold("alice")
     # No table is delivered when either side aborts.
     delivered = np.where((failures_b > t_b) | (failures_a > t_a), 0, m - checked)
-    return (CheckReport(3, "bob", m, k_b, t_b, failures_b, delivered, config.c1, dict(extras)),
-            CheckReport(3, "alice", m, k_a, t_a, failures_a, delivered, config.c1, dict(extras)))
+    return (CheckReport(3, "bob", m, k_b, t_b, failures_b, delivered, config.c1, dict(extras),
+                        order),
+            CheckReport(3, "alice", m, k_a, t_a, failures_a, delivered, config.c1, dict(extras),
+                        order))
 
 
 def detection_curve(strategy, k_values, threshold: int) -> list:

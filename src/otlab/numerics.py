@@ -230,12 +230,6 @@ class Povm:
     def dim(self) -> int:
         return self.elements.shape[-1]
 
-    @classmethod
-    def projective(cls, basis_rows) -> "Povm":
-        """Rank-1 projectors onto the rows of an orthonormal basis matrix."""
-        rows = np.asarray(basis_rows, dtype=complex)
-        return cls(rows[:, :, None] * rows[:, None, :].conj())
-
     def __len__(self) -> int:
         return len(self.elements)
 

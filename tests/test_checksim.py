@@ -51,6 +51,21 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             CheckConfig(**{**sizes, name: value})
 
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "1", "0.5", None, 1j,
+                                       complex(0.5, 0.0), np.complex128(0.5)])
+    @pytest.mark.parametrize("name", ["threshold_bob", "threshold_alice", "c1"])
+    def test_thresholds_and_c1_must_be_real_numbers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            CheckConfig(m=10, k_bob=8, k_alice=8, **{name: value})
+
+    @pytest.mark.parametrize("value,resolved", [(np.int64(3), 3), (np.uint8(3), 3), (3.0, 3),
+                                                (0.25, 2), (np.float64(0.25), 2),
+                                                (np.float32(0.25), 2)])
+    def test_numpy_real_thresholds_accepted(self, value, resolved):
+        config = CheckConfig(m=10, k_bob=8, k_alice=8, threshold_bob=value,
+                             threshold_alice=value, c1=value)
+        assert config.resolved_threshold("bob") == config.resolved_threshold("alice") == resolved
+
     @pytest.mark.parametrize("to_int", [np.int64, np.int32, np.uint8])
     def test_numpy_integer_sizes_accepted(self, to_int):
         config = CheckConfig(m=to_int(10), k_bob=to_int(5), k_alice=to_int(5),
@@ -247,8 +262,8 @@ class TestEstimates:
 
     @staticmethod
     def _report(failures, k, c1=1.0):
-        return CheckReport(2, "bob", m=k, k=k, threshold=k, failures=np.array(failures),
-                           tables_delivered=np.zeros(len(failures), dtype=int), c1=c1)
+        return CheckReport(2, "bob", m=k, k=k, threshold=k, drawn_failures=np.array(failures),
+                           drawn_delivered=np.zeros(len(failures), dtype=int), c1=c1)
 
     def test_epsilon_examples(self):
         report = self._report([0, 4, 100], 100)
@@ -872,17 +887,23 @@ class TestIid:
     def test_shuffled_multinomial_histogram(self, support, pmf, trials):
         draws = checksim._iid(np.random.default_rng(41), support, pmf, trials)
         counts = np.random.default_rng(41).multinomial(trials, pmf / pmf.sum())
-        # A permutation of its multinomial counts, laid out in trial order.
-        assert draws.shape == (trials,)
-        assert np.array_equal(np.sort(draws), np.repeat(support, counts))
+        # Its multinomial counts, laid out in support order.
+        assert np.array_equal(draws, np.repeat(support, counts))
         for value, p in zip(support, pmf / pmf.sum()):
             count = int(np.sum(draws == value))
             if p == 0.0:
                 assert count == 0
             else:
                 assert stats.binomtest(count, trials, p).pvalue >= _P_5SIGMA, (value, count, p)
+        # A report reads them in its trial order, a permutation of the draws.
+        k = int(support.max())
+        report = CheckReport(2, "bob", m=k, k=k, threshold=k, drawn_failures=draws,
+                             drawn_delivered=np.zeros(trials, dtype=int),
+                             order=checksim._TrialOrder(42, trials))
+        failures = report.failures
+        assert np.array_equal(np.sort(failures), draws)
         if len(support) > 1:  # shuffled: both halves of the trials share one law
-            _assert_same_law(draws[:trials // 2], draws[trials // 2:])
+            _assert_same_law(failures[:trials // 2], failures[trials // 2:])
 
     @pytest.mark.parametrize("k,trials,histogram", [(20, 21, True), (20, 20, False),
                                                     (0, 5, False)])
@@ -1068,3 +1089,79 @@ class TestJointTable:
         assert bob_rep.failures.shape == (trials,) and bob_rep.failures.max() <= k_b
         # An honest Alice fails the shared labels together with Bob.
         assert (alice_rep.failures >= bob_rep.failures).all()
+
+
+class TestPairing:
+    # A fixed overlap off the joint table: Bob checks every label (or Alice
+    # does), so the shared verdicts and one side's own failures are two
+    # arrays drawn independently of each other, each as a histogram.  Each
+    # trial must pair them at random, else the side's failure count loses
+    # its binomial law while every histogram keeps its own.
+    @pytest.mark.parametrize("k_b,k_a", [(50, 30), (30, 50)], ids=["k_bob=m", "k_alice=m"])
+    def test_independent_draws_pair_at_random(self, monkeypatch, k_b, k_a):
+        m, trials, runs = 50, 100, 200
+        alice, bob = AliceStrategy.honest(), BobStrategy.phase_noise(1.2)
+        config = CheckConfig(m=m, k_bob=k_b, k_alice=k_a, trials=trials)
+        joint = _count_calls(monkeypatch, "_joint_draw")
+        rng = np.random.default_rng(61)
+        samples = []
+        for _ in range(runs):
+            bob_rep, alice_rep = run_protocol3(config, alice, bob, rng)
+            samples.append(np.column_stack([bob_rep.failures, alice_rep.failures,
+                                            bob_rep.tables_delivered]))
+        assert not joint
+        samples = np.concatenate(samples)
+        n = len(samples)
+        p = math.sin(0.6) ** 2
+        for column, k in ((0, k_b), (1, k_a)):
+            # Mean and variance of Bin(k, p), each within 5 standard errors.
+            mean, var = k * p, k * p * (1 - p)
+            fourth = var * (1 + 3 * (k - 2) * p * (1 - p))   # fourth central moment
+            counts = samples[:, column]
+            assert abs(counts.mean() - mean) <= 5 * math.sqrt(var / n)
+            var_se = math.sqrt((fourth - var * var * (n - 3) / (n - 1)) / n)
+            assert abs(counts.var(ddof=1) - var) <= 5 * var_se, (column, counts.var(ddof=1), var)
+        # The joint law: both sides pass, at thresholds around each side's
+        # mean, as often as exact_law says; every label is checked, so no
+        # table is ever delivered.
+        assert not samples[:, 2].any()
+        for t_b in np.round(k_b * p + np.array([-3.0, 0.0, 3.0])).astype(int):
+            for t_a in np.round(k_a * p + np.array([-3.0, 0.0, 3.0])).astype(int):
+                law = checksim.exact_law(replace(config, threshold_bob=int(t_b),
+                                                 threshold_alice=int(t_a)), alice, bob)
+                assert law.tables_delivered == 0.0
+                passed = int(np.sum((samples[:, 0] <= t_b) & (samples[:, 1] <= t_a)))
+                assert stats.binomtest(passed, n, law.pass_probability).pvalue >= _P_5SIGMA, \
+                    (t_b, t_a, passed / n, law.pass_probability)
+
+
+class TestTrialOrder:
+    @pytest.mark.parametrize("sizes", [dict(m=30, k_bob=5, k_alice=7, trials=500),
+                                       # 51 * 31 cells: off the joint table, paired at random.
+                                       dict(m=50, k_bob=50, k_alice=30, trials=300),
+                                       dict(m=20, k_bob=0, k_alice=7, trials=500)],
+                             ids=["joint-table", "fixed-overlap", "k_bob=0"])
+    def test_protocol3_reports_share_one_order(self, monkeypatch, sizes):
+        calls = _count_calls(monkeypatch, "_trial_permutation")
+        config = CheckConfig(**sizes, threshold_bob=1, threshold_alice=1)
+        bob_rep, alice_rep = run_protocol3(config, AliceStrategy.honest(),
+                                           BobStrategy.computational_basis(),
+                                           np.random.default_rng(71))
+        bob_rep.summary(), alice_rep.summary()
+        assert not calls
+        assert bob_rep.order is alice_rep.order
+        assert np.array_equal(bob_rep.tables_delivered, alice_rep.tables_delivered)
+        aborted = bob_rep.aborted | alice_rep.aborted
+        assert np.array_equal(aborted, bob_rep.tables_delivered == 0) and aborted.any()
+        bob_rep.to_dict(), alice_rep.to_dict()
+        assert len(calls) == 1
+
+    def test_summary_reads_the_drawn_order(self):
+        config = CheckConfig(m=12, k_bob=12, threshold_bob=3, trials=2000)
+        report = run_protocol2(config, AliceStrategy.learn_y(), np.random.default_rng(72))
+        assert np.array_equal(report.drawn_failures, np.sort(report.drawn_failures))
+        assert not np.array_equal(report.failures, report.drawn_failures)
+        in_order = replace(report, drawn_failures=report.failures,
+                           drawn_delivered=report.tables_delivered, order=None)
+        assert in_order.summary() == report.summary()
+        assert in_order.to_dict() == report.to_dict()

@@ -289,8 +289,11 @@ class TestChecksim:
 # (this stdout one and the ``--out`` one below), re-recorded with 0.12.0 when
 # the input-guess total became one binomial draw, and this stdout one again
 # with 0.13.0, when random-overlap runs began drawing (J, F_b, F_a) as two
-# histograms of their joint law.  A refactor that moves no payload byte and no
-# RNG stream keeps these; one that does bumps __version__ and re-records.
+# histograms of their joint law, and with 0.14.0, when that draw stopped
+# shuffling before the input-guess total.  The two checksim --out pins were
+# re-recorded with 0.14.0 too, when trial order became the report's.  A
+# refactor that moves no payload byte and no RNG stream keeps these; one that
+# does bumps __version__ and re-records.
 _PAYLOAD_PINS = [
     ("table --x 0 --y 0 --n 64 --seed 7",
      "3681634b0e67d0d4a069f6f9cd3eed56fdeaaa87ad215c86d8ec13cc99d9db82"),
@@ -302,7 +305,7 @@ _PAYLOAD_PINS = [
      "96b51d65ccb1ed382c7b76940c3e6bd927997883f56b233486469c17d300126b"),
     ("checksim --protocol 3 --bob computational --m 30 --k 5 --k-alice 7 --threshold 1 "
      "--threshold-alice 2 --trials 300 --seed 11",
-     "93e30292f9a1499dd05beb3d081d3fb00641a47bd9f4814c489cf99cbe6e2c2b"),
+     "7c61f17b55e449fbaeee53f8c5e53a9e995b7097739c86b8670b7a45dc968c2b"),
     ("verify thm3 --seed 7",
      "b6971ba032f3223572425c5f954cb138b3ca7b9000f7402f5efd46612c313dcf"),
     ("verify lemma1 --samples 20 --seed 7",
@@ -351,10 +354,10 @@ _OUT_PINS = [
      "aab162b443d4c39f6a11fccb8e588ffa79804a06590a11191119e9bee4d5f5e4"),
     ("checksim --protocol 2 --alice param --alpha 0.7 --m 50 --k 25 --threshold 0.1 "
      "--c1 1.7 --trials 300 --seed 5",
-     "22e6126b94137a0ed480a82ca885ceef65a1d3e27fdfd86074cc588606767ab4"),
+     "dac9fc178cab53027c1ddc2196f70b4db08c9acfd58362158cb2b6cf1a17feac"),
     ("checksim --protocol 3 --bob computational --m 30 --k 0 --k-alice 7 "
      "--threshold-alice 2 --trials 300 --seed 11",
-     "86580d07bbf4f8b39f5e7628880ca7a6c9de1f1ff964d92b3d40470d30ce37e0"),
+     "dbd78c25b5334a1a77051c0dc05aed5fbfa3039fc076c47690d6bd2cf4dc8fe6"),
 ]
 
 
@@ -364,6 +367,22 @@ def test_out_payload_matches_recorded_digest(capsys, tmp_path, argv, digest):
     code, _, _ = _run(capsys, argv.split() + ["--out", str(out_path)])
     assert code == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
+_CHECKSIM_PINS = [argv for argv, _ in _PAYLOAD_PINS + _OUT_PINS if argv.startswith("checksim")]
+
+
+@pytest.mark.parametrize("argv", _CHECKSIM_PINS)
+def test_checksim_stdout_does_not_depend_on_out(capsys, monkeypatch, tmp_path, argv):
+    # Only --out reads per-trial values, so only it puts the trials in order.
+    calls, real = [], checksim._trial_permutation
+    monkeypatch.setattr(checksim, "_trial_permutation",
+                        lambda *args: calls.append(args) or real(*args))
+    alone = _run(capsys, argv.split())
+    assert not calls
+    with_out = _run(capsys, argv.split() + ["--out", str(tmp_path / "payload.json")])
+    assert len(calls) == 1
+    assert with_out == alone and alone[0] == 0
 
 
 class TestErrorPaths:

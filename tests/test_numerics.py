@@ -297,7 +297,7 @@ class TestHaar:
 class TestInformation:
     def test_perfect_discrimination(self):
         ens = Ensemble.uniform([_proj([1, 0, 0]), _proj([0, 1, 0])])
-        povm = Povm.projective(np.eye(3, dtype=complex))
+        povm = Povm([np.diag(row) for row in np.eye(3, dtype=complex)])
         assert mutual_information(ens, povm) == pytest.approx(1.0, abs=1e-12)
 
     def test_trivial_measurement(self):
@@ -307,7 +307,7 @@ class TestInformation:
 
     def test_dimension_mismatch(self):
         ens = Ensemble.uniform([_proj([1, 0])])
-        povm = Povm.projective(np.eye(3, dtype=complex))
+        povm = Povm([np.diag(row) for row in np.eye(3, dtype=complex)])
         with pytest.raises(InvalidMeasurementError):
             mutual_information(ens, povm)
 

@@ -432,7 +432,7 @@ class TestLemma1Reduce:
         return worst
 
     def test_computational_basis_reduces_to_weighted_identity(self):
-        povm = Povm.projective(np.eye(3, dtype=complex))
+        povm = Povm([np.diag(row) for row in np.eye(3, dtype=complex)])
         params = _random_params(np.random.default_rng(36))
         for variant in ("exact", "psd"):
             images = _reduce(povm, params, variant)
