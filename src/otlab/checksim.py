@@ -449,6 +449,15 @@ class _TrialOrder:
         return _trial_permutation(self.seed, self.trials)
 
 
+def _wilson_interval(phat: float, n: int) -> tuple:
+    """95% Wilson interval of a rate ``phat`` observed in ``n`` trials."""
+    z = 1.96
+    denom = 1.0 + z * z / n
+    center = (phat + z * z / (2 * n)) / denom
+    half = z * np.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
+    return (max(0.0, center - half), min(1.0, center + half))
+
+
 @dataclass(frozen=True, eq=False)
 class CheckReport:
     """Outcome of a Monte Carlo run of one side's checking.
@@ -514,11 +523,7 @@ class CheckReport:
     @property
     def abort_ci(self) -> tuple:
         """95% Wilson interval of the abort rate."""
-        n, z, phat = self.trials, 1.96, self.abort_probability
-        denom = 1.0 + z * z / n
-        center = (phat + z * z / (2 * n)) / denom
-        half = z * np.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
-        return (max(0.0, center - half), min(1.0, center + half))
+        return _wilson_interval(self.abort_probability, self.trials)
 
     @property
     def est_epsilon(self) -> np.ndarray:
@@ -535,13 +540,16 @@ class CheckReport:
 
     @property
     def mean_failures(self) -> float:
-        return float(self.drawn_failures.mean())
+        # Summed in float64, as ndarray.mean sums: an int64 sum would wrap
+        # once trials * k reaches 2**63.
+        return float(self.drawn_failures.sum(dtype=np.float64)) / self.trials
 
     def summary(self) -> dict:
         """Aggregate of all trials: abort rate with its interval, extras, mean failures."""
+        phat = self.abort_probability
         return {
-            "abort_ci": [float(bound) for bound in self.abort_ci],
-            "abort_probability": self.abort_probability,
+            "abort_ci": [float(bound) for bound in _wilson_interval(phat, self.trials)],
+            "abort_probability": phat,
             "extras": {key: float(val) for key, val in self.extras.items()},
             "mean_failures": self.mean_failures,
         }
@@ -757,7 +765,8 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
     cells per trial, they are drawn by :func:`_joint_draw`: two multinomial
     histograms.  Otherwise J is drawn first, then the joint verdicts of the J
     shared labels as conditional binomials (per trial under a random J), then
-    one binomial failure count for each side's own ``k - J`` labels; a
+    one binomial failure count for each side's own ``k - J`` labels (only
+    the checking side's, when a side checks no label); a
     statistic with one law in every trial is drawn as a histogram grouped by
     value (:func:`_iid`) where its support allows.  At a fixed overlap the
     shared verdicts and a side's own failures are drawn independently of
@@ -782,19 +791,26 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
         else:  # a side checks no label or every label: the overlap is fixed
             overlap = k_a * k_b // m
             shared = np.full(trials, overlap)
-        cells = _split(rng, overlap, fail.ravel(), trials)   # columns: verdicts 00, 01, 10, 11
-        # A fixed overlap gives each side one scalar count of own labels.
-        own_b = _binomials(rng, k_b - overlap, p_b, trials)
-        own_a = _binomials(rng, k_a - overlap, p_a, trials)
-        if np.ndim(overlap) == 0 and overlap > 0 and np.count_nonzero(fail) > 1:
-            # The shared verdicts vary, and so may a side's own failures,
-            # drawn independently of them and each grouped by value: pair
-            # them at random.
-            for own, n, p in ((own_b, k_b - overlap, p_b), (own_a, k_a - overlap, p_a)):
-                if n > 0 and 0.0 < p < 1.0:
-                    rng.shuffle(own)
-        failures_b = cells[:, 2] + cells[:, 3] + own_b
-        failures_a = cells[:, 1] + cells[:, 3] + own_a
+        if np.ndim(overlap) == 0 and overlap == 0:
+            # A side checks no label: no label is shared and that side has no
+            # failures, so only the other side's own failures are drawn.
+            zeros = np.zeros(trials, dtype=np.int64)
+            failures_b = _binomials(rng, k_b, p_b, trials) if k_b else zeros
+            failures_a = _binomials(rng, k_a, p_a, trials) if k_a else zeros
+        else:
+            cells = _split(rng, overlap, fail.ravel(), trials)   # verdicts 00, 01, 10, 11
+            # A fixed overlap gives each side one scalar count of own labels.
+            own_b = _binomials(rng, k_b - overlap, p_b, trials)
+            own_a = _binomials(rng, k_a - overlap, p_a, trials)
+            if np.ndim(overlap) == 0 and np.count_nonzero(fail) > 1:
+                # The shared verdicts vary, and so may a side's own failures,
+                # drawn independently of them and each grouped by value: pair
+                # them at random.
+                for own, n, p in ((own_b, k_b - overlap, p_b), (own_a, k_a - overlap, p_a)):
+                    if n > 0 and 0.0 < p < 1.0:
+                        rng.shuffle(own)
+            failures_b = cells[:, 2] + cells[:, 3] + own_b
+            failures_a = cells[:, 1] + cells[:, 3] + own_a
     checked = (k_b - shared) + k_a   # at most m, where k_b + k_a can pass int64
     extras = {}
     if bob.kind == "computational" and alice.kind == "honest":

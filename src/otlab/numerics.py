@@ -95,9 +95,8 @@ def _density_spectra(mats) -> np.ndarray:
     the whole stack.
     """
     mats = np.asarray(mats, dtype=complex)
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
-        asymmetry = np.abs(mats - mats.swapaxes(-1, -2).conj()).max(initial=0.0)
-    if not asymmetry <= HERMITIAN_ATOL:
+    if not (np.isfinite(mats).all()
+            and np.abs(mats - mats.swapaxes(-1, -2).conj()).max(initial=0.0) <= HERMITIAN_ATOL):
         raise InvalidOperatorError("operator is not Hermitian")
     traces = mats.trace(axis1=-2, axis2=-1)
     off = np.abs(traces - 1.0) > TRACE_ATOL
@@ -111,7 +110,7 @@ def _density_spectra(mats) -> np.ndarray:
 
 def _entropy_bits(spectra):
     """Shannon entropies ``[...]`` of the distributions ``[..., d]``; a float for one."""
-    bits = np.maximum(0.0, -xlog2(np.clip(spectra, 0.0, None)).sum(axis=-1))
+    bits = np.maximum(0.0, -xlog2(np.maximum(spectra, 0.0)).sum(axis=-1))
     return float(bits) if bits.ndim == 0 else bits
 
 
@@ -268,8 +267,9 @@ class Ensemble:
             raise ValueError("ensemble probabilities must be finite")
         if probs.min() < -NORM_ATOL:
             raise ValueError("ensemble probabilities must be nonnegative")
-        if abs(probs.sum() - 1.0) > NORM_ATOL:
-            raise ValueError(f"probabilities sum to {probs.sum()}, expected 1")
+        total = probs.sum()
+        if abs(total - 1.0) > NORM_ATOL:
+            raise ValueError(f"probabilities sum to {total}, expected 1")
         spectra = _density_spectra(matrices)
         for name, arr in (("probabilities", probs), ("matrices", matrices), ("spectra", spectra)):
             arr.setflags(write=False)

@@ -19,6 +19,7 @@ tradeoff curve between the leakage about ``y`` and the table correctness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -92,7 +93,7 @@ class CheatParams:
     c: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.a, self.b, self.c])):
+        if not all(math.isfinite(v) for v in (self.a, self.b, self.c)):
             raise ValueError(f"amplitudes ({self.a}, {self.b}, {self.c}) must be finite")
         for name in ("a", "b", "c"):
             if getattr(self, name) < -1e-12:
@@ -103,8 +104,8 @@ class CheatParams:
 
     @classmethod
     def from_squares(cls, a2: float, b2: float, c2: float) -> "CheatParams":
-        vals = np.sqrt(np.clip([a2, b2, c2], 0.0, None))
-        return cls(float(vals[0]), float(vals[1]), float(vals[2]))
+        # A square at or below 0 (negative drift) clamps to 0; NaN stays NaN and is rejected.
+        return cls(*(math.sqrt(0.0 if s <= 0.0 else s) for s in (a2, b2, c2)))
 
     @classmethod
     def honest(cls, x: int) -> "CheatParams":
@@ -190,6 +191,8 @@ _LABELS = ("y", "r", "yxr")
 # a prior of 1/2 on the value times the 1/2 of each state averaged into it.
 _LABEL_WEIGHTS = 0.25 * np.array([[[_label_index(label, r, y) == value for r, y in RY_ORDER]
                                    for value in (0, 1)] for label in _LABELS])
+# Weight of each sign state in each label value's returned state, per label.
+_STATE_WEIGHTS = dict(zip(_LABELS, 2.0 * _LABEL_WEIGHTS))
 
 
 def returned_states(amplitudes, label: str) -> np.ndarray:
@@ -199,13 +202,13 @@ def returned_states(amplitudes, label: str) -> np.ndarray:
     mixed states of each label value, averaged over the hidden bit) or
     ``"joint"`` (the four pure sign states in ``RY_ORDER``, ``[..., 4, 3, 3]``).
     """
-    if label != "joint" and label not in _LABELS:
+    weights = _STATE_WEIGHTS.get(label)
+    if weights is None and label != "joint":
         raise ValueError(f"unknown label {label!r}")
     vecs = _sign_rows(amplitudes)
     projectors = vecs[..., :, None] * vecs[..., None, :]
-    if label == "joint":
+    if weights is None:
         return projectors
-    weights = 2.0 * _LABEL_WEIGHTS[_LABELS.index(label)]
     return np.einsum("gs,...sab->...gab", weights, projectors)
 
 
@@ -521,6 +524,10 @@ def _seed_frames(states: np.ndarray, priors: np.ndarray) -> list:
     return frames
 
 
+# Smallest normal float: the floor of a zero outcome probability.
+_TINY = np.finfo(float).tiny
+
+
 def _frame_statistics(vecs: np.ndarray, states: np.ndarray, priors: np.ndarray):
     """Information and gradient weights of rank-1 measurements.
 
@@ -534,10 +541,10 @@ def _frame_statistics(vecs: np.ndarray, states: np.ndarray, priors: np.ndarray):
     ``sum_ik p(k|i) weight_ik``, each log ratio computed once.
     """
     probs = np.einsum("...na,iab,...nb->...in", vecs.conj(), states, vecs).real
-    probs = np.clip(probs, 0.0, None)
+    probs = np.maximum(probs, 0.0)
     marginal = (priors[:, None] * probs).sum(axis=-2, keepdims=True)
     fired = marginal > 0.0
-    floored = np.maximum(probs, np.finfo(float).tiny)
+    floored = np.maximum(probs, _TINY)
     ratio = np.where(fired, floored / np.where(fired, marginal, 1.0), 1.0)
     weights = priors[:, None] * np.log2(ratio)
     return np.maximum(0.0, np.einsum("...in,...in->...", probs, weights)), weights
@@ -597,7 +604,9 @@ def accessible_info_search(ensemble: Ensemble, config: SearchConfig | None = Non
         cand, valid = _normalize(vecs + eps[:, None, None] * grad)
         cand_info, cand_weights = _frame_statistics(cand, states, priors)
         step = valid & (cand_info > info)
-        vecs[step], info[step], weights[step] = cand[step], cand_info[step], cand_weights[step]
+        np.copyto(vecs, cand, where=step[:, None, None])
+        np.copyto(info, cand_info, where=step)
+        np.copyto(weights, cand_weights, where=step[:, None, None])
         eps[~step] *= 0.5
     best = int(np.argmax(info))
     used = np.any(vecs[best] != 0.0, axis=-1)
@@ -737,9 +746,14 @@ def tradeoff_curve(n_samples: int, bin_width: float = 0.01,
     width ``w >= 2**-53`` keeps every ``k`` an exact integer.
 
     Samples go through in blocks of :func:`numerics.dirichlet_blocks`, drawn
-    in stream order, so the result is that of one draw of all samples: each
-    block fills its rows of ``triples`` and reduces to per-bin maxima, and
-    one final merge combines the blocks' bins.
+    in stream order, so the result is that of one draw of all samples.
+    Each block fills its rows of ``triples`` and, while the ``floor(1/w) +
+    1`` bins that cover [0, 1] number at most ``n_samples``, takes its
+    per-bin maxima into one dense array indexed by ``k``, grown to the
+    largest ``k`` a block reaches (``max(chi_r, chi_yxr)`` can round a few
+    ulps above 1).  With more bins than samples, the occupied bins are
+    found by one sort of all the samples' ``k`` instead.  Either way each
+    bin holds the maximum of the same samples, so the bins are the same.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -747,7 +761,8 @@ def tradeoff_curve(n_samples: int, bin_width: float = 0.01,
         raise ValueError("bin_width must be finite and at least 2**-53")
     rng = np.random.default_rng(0) if rng is None else rng
     triples = np.empty((int(n_samples), 3))
-    block_keys, block_maxima = [], []
+    dense = math.floor(1.0 / bin_width) + 1 <= n_samples
+    maxima = np.full(0, -np.inf)
     max_sum, argmax_squares, start = -np.inf, None, 0
     for squares in dirichlet_blocks(rng, [3.0, 3.0, 3.0], int(n_samples)):
         chi_y, chi_r, chi_yxr = _triple_from_squares(*squares.T)
@@ -761,14 +776,20 @@ def tradeoff_curve(n_samples: int, bin_width: float = 0.01,
         # argmax over all samples would.
         if sums[arg] > max_sum:
             max_sum, argmax_squares = float(sums[arg]), squares[arg].copy()
+        if dense:
+            keys = np.floor(h1 / bin_width).astype(int)
+            top = int(keys.max()) + 1
+            if top > maxima.size:
+                maxima = np.concatenate([maxima, np.full(top - maxima.size, -np.inf)])
+            np.maximum.at(maxima, keys, chi_y)
+    if dense:
+        keys = np.flatnonzero(maxima > -np.inf)
+        maxima = maxima[keys]
+    else:
+        h1 = np.maximum(triples[:, 1], triples[:, 2])
         keys, inverse = np.unique(np.floor(h1 / bin_width).astype(int), return_inverse=True)
         maxima = np.full(keys.size, -np.inf)
-        np.maximum.at(maxima, inverse, chi_y)
-        block_keys.append(keys)
-        block_maxima.append(maxima)
-    keys, inverse = np.unique(np.concatenate(block_keys), return_inverse=True)
-    maxima = np.full(keys.size, -np.inf)
-    np.maximum.at(maxima, inverse, np.concatenate(block_maxima))
+        np.maximum.at(maxima, inverse, triples[:, 0])
     bins = tuple(((k + 0.5) * bin_width, v) for k, v in zip(keys.tolist(), maxima.tolist()))
     return TradeoffCurve(
         n_samples=int(n_samples), bin_width=float(bin_width), bins=bins,

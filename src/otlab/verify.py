@@ -1,9 +1,9 @@
 """Property sweeps behind ``otlab verify``, one function per suite.
 
-Each suite takes a sample count and a master seed, draws from its own
-substream, checks one family of claims of the single-instance analysis on
-arrays, and returns a JSON-ready report.  Its ``violations`` entry counts
-the failed checks; a failed check is counted, never raised.
+Each suite takes a sample count and a master seed, draws what it samples
+from its own substream, checks one family of claims of the single-instance
+analysis on arrays, and returns a JSON-ready report.  Its ``violations``
+entry counts the failed checks; a failed check is counted, never raised.
 """
 
 from __future__ import annotations
@@ -74,22 +74,21 @@ def _slice_radius(a2):
 def prop2(samples: int, seed: int) -> dict:
     """Guessing-probability circle constraints, plus the equality locus.
 
-    On the slice ``b^2 = c^2`` the first constraint's radius is
-    ``a^2 (1 - a^2)``, which meets 1/4 exactly at ``a^2 = 1/2``: that closed
-    form is reported, and one violation is counted if the grid maximum of
-    the radius lies more than one grid step from it.
+    With ``a^2 + b^2 + c^2 = 1`` the two constraints' left sides,
+    ``(ac)^2 + (ab)^2`` and ``(bc)^2 + (ab)^2``, are exactly ``a^2 (1 - a^2)``
+    and ``b^2 (1 - b^2)``, so no triple needs sampling: the identity
+    ``x (1 - x)`` is evaluated on ``_LOCUS_GRID``, and its maximum, 1/4 at
+    ``x = 1/2``, is ``max_lhs``.  A grid point above ``1/4 + 1e-12`` counts
+    one violation.  On the slice ``b^2 = c^2`` the first left side meets 1/4
+    exactly at ``a^2 = 1/2``: that closed form is reported, and one violation
+    is counted if the grid maximum of the slice radius lies more than one
+    grid step from it.  ``samples`` is echoed, and nothing is drawn.
     """
-    rng = substream_rng(seed, COMPONENTS["verify"], 2)
-    max_lhs, violations = -np.inf, 0
-    for squares in numerics.dirichlet_blocks(rng, [1.0, 1.0, 1.0], samples):
-        a, b, c = (np.sqrt(squares[:, i]) for i in range(3))
-        lhs1 = (a * c) ** 2 + (a * b) ** 2
-        lhs2 = (b * c) ** 2 + (a * b) ** 2
-        max_lhs = max(max_lhs, lhs1.max(), lhs2.max())
-        violations += int(np.sum(lhs1 > 0.25 + 1e-12) + np.sum(lhs2 > 0.25 + 1e-12))
+    lhs = _LOCUS_GRID * (1.0 - _LOCUS_GRID)
+    violations = int(np.count_nonzero(lhs > 0.25 + 1e-12))
     peak = _LOCUS_GRID[np.argmax(_slice_radius(_LOCUS_GRID))]
     violations += int(abs(peak - 0.5) > _LOCUS_GRID[1] - _LOCUS_GRID[0])
-    return {"equality_a2": 0.5, "max_lhs": float(max_lhs), "samples": samples,
+    return {"equality_a2": 0.5, "max_lhs": float(lhs.max()), "samples": samples,
             "violations": violations}
 
 

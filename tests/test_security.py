@@ -739,19 +739,55 @@ class TestTradeoffCurve:
         assert counts[0] == 0 < counts[1] <= counts[2]
 
     @staticmethod
-    def _one_shot(n, width, rng):
-        """Bins, triples, max sum and argmax from one draw of all samples: the reference."""
-        squares = rng.dirichlet([3.0, 3.0, 3.0], size=n)
-        chi_y, chi_r, chi_yxr = security._triple_from_squares(*squares.T)
-        h1 = np.maximum(chi_r, chi_yxr)
-        sums = chi_y + h1
-        arg = int(np.argmax(sums))
+    def _bins_of(triples, width):
+        """Bins of all samples' triples ``[n, 3]`` at once: the reference."""
+        h1 = np.maximum(triples[:, 1], triples[:, 2])
         keys, inverse = np.unique(np.floor(h1 / width).astype(int), return_inverse=True)
         maxima = np.full(keys.size, -np.inf)
-        np.maximum.at(maxima, inverse, chi_y)
-        bins = tuple(((k + 0.5) * width, v) for k, v in zip(keys.tolist(), maxima.tolist()))
-        return (bins, np.column_stack([chi_y, chi_r, chi_yxr]), float(sums[arg]),
+        np.maximum.at(maxima, inverse, triples[:, 0])
+        return tuple(((k + 0.5) * width, v) for k, v in zip(keys.tolist(), maxima.tolist()))
+
+    @classmethod
+    def _one_shot(cls, n, width, rng):
+        """Bins, triples, max sum and argmax from one draw of all samples: the reference."""
+        squares = rng.dirichlet([3.0, 3.0, 3.0], size=n)
+        triples = np.column_stack(security._triple_from_squares(*squares.T))
+        sums = triples[:, 0] + np.maximum(triples[:, 1], triples[:, 2])
+        arg = int(np.argmax(sums))
+        return (cls._bins_of(triples, width), triples, float(sums[arg]),
                 CheatParams.from_squares(*squares[arg]))
+
+    # Squares whose max(chi_r, chi_yxr) rounds to 1 + 2**-52.
+    _ABOVE_ONE = (0.4999999999999998, 5.551115123125783e-17, 0.4999999999999998)
+
+    # The widths' bins that cover [0, 1] number floor(1/w) + 1: 3, 4, 101 and
+    # 2.  At the last width the sample above 1 falls in bin 2, past them.
+    @pytest.mark.parametrize("width", [0.5, 1 / 3, 0.01, float(np.nextafter(0.5, 1.0))])
+    @pytest.mark.parametrize("path", ["sparse", "dense"])
+    def test_both_bin_paths_equal_reference(self, monkeypatch, width, path):
+        n_bins = int(np.floor(1.0 / width)) + 1
+        n = n_bins - 1 if path == "sparse" else n_bins
+        blocks = security.dirichlet_blocks
+
+        def first_above_one(rng, alpha, size):
+            for index, block in enumerate(blocks(rng, alpha, size)):
+                if index == 0:
+                    block[0] = self._ABOVE_ONE
+                yield block
+
+        monkeypatch.setattr(security, "dirichlet_blocks", first_above_one)
+        sorts, unique = [], np.unique
+
+        def counted_unique(*args, **kwargs):
+            sorts.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted_unique)
+        curve = tradeoff_curve(n, width, np.random.default_rng(54))
+        monkeypatch.undo()
+        assert len(sorts) == (path == "sparse")
+        assert curve.h1[0] > 1.0
+        assert curve.bins == self._bins_of(curve.triples, width)
 
     @pytest.mark.parametrize("width", [0.01, 0.7, 1e-9])
     def test_blocks_equal_one_shot_reference(self, width):

@@ -10,8 +10,8 @@ N = 2 * numerics.DIRICHLET_BLOCK + 37
 class _Inflated:
     """A generator whose Dirichlet rows are scaled by 1.6.
 
-    Many inflated rows break the circle constraints and the tradeoff
-    bounds, so the violation counts of the block sweeps are not all zero.
+    Many inflated rows break the tradeoff bounds, so the violation counts
+    of the block sweeps are not all zero.
     """
 
     def __init__(self, rng):
@@ -24,15 +24,6 @@ class _Inflated:
 def _squares(seed, suite, inflate):
     rng = seeding.substream_rng(seed, seeding.COMPONENTS["verify"], suite)
     return (_Inflated(rng) if inflate else rng).dirichlet([1.0, 1.0, 1.0], size=N)
-
-
-def _prop2_one_shot(squares):
-    """``max_lhs`` and the sample violations from all samples at once: the reference."""
-    a, b, c = (np.sqrt(squares[:, i]) for i in range(3))
-    lhs1 = (a * c) ** 2 + (a * b) ** 2
-    lhs2 = (b * c) ** 2 + (a * b) ** 2
-    return (float(max(lhs1.max(), lhs2.max())),
-            int(np.sum(lhs1 > 0.25 + 1e-12) + np.sum(lhs2 > 0.25 + 1e-12)))
 
 
 def _prop3_one_shot(squares):
@@ -53,14 +44,6 @@ def inflate(request, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [7, 404])
-def test_prop2_blocks_equal_one_shot_reference(inflate, seed):
-    report = verify.prop2(N, seed)
-    max_lhs, violations = _prop2_one_shot(_squares(seed, 2, inflate))
-    assert (report["max_lhs"], report["violations"]) == (max_lhs, violations)
-    assert (violations > 0) == inflate
-
-
-@pytest.mark.parametrize("seed", [7, 404])
 def test_prop3_blocks_equal_one_shot_reference(inflate, seed):
     report = verify.prop3(N, seed)
     assert report == _prop3_one_shot(_squares(seed, 3, inflate))
@@ -68,8 +51,26 @@ def test_prop3_blocks_equal_one_shot_reference(inflate, seed):
 
 
 def test_prop2_reports_the_closed_form_locus():
-    report = verify.prop2(1000, 7)
-    assert report["equality_a2"] == 0.5 and report["violations"] == 0
+    # Both left sides are x (1 - x) at x = a^2 or b^2: the report is that
+    # identity on the locus grid, whatever the seed and the sample count.
+    grid = verify._LOCUS_GRID
+    closed_form = {"equality_a2": 0.5, "max_lhs": float(np.max(grid * (1.0 - grid))),
+                   "violations": 0}
+    for samples, seed in [(1000, 7), (1, 0), (100_000, 303), (N, 2**64 - 1)]:
+        assert verify.prop2(samples, seed) == {**closed_form, "samples": samples}
+    assert closed_form["max_lhs"] == 0.25
+
+
+class _Refusing:
+    """A generator that raises on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the generator's {name} was used")
+
+
+def test_prop2_draws_nothing(monkeypatch):
+    monkeypatch.setattr(verify, "substream_rng", lambda *key: _Refusing())
+    assert verify.prop2(N, 7)["violations"] == 0
 
 
 def test_prop2_counts_a_misplaced_locus(monkeypatch):
