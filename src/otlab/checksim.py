@@ -17,16 +17,16 @@ verdicts), built once per pair.  Instances are i.i.d., so a trial needs
 only its sufficient statistics, drawn from that exact table: in protocol 2
 one binomial failure count; in protocol 3 the number J of labels both sides
 check and each side's failure count.  Alice's check fails only where Bob's
-does, so protocol 3 draws ``(J, F_b)`` and then ``F_a`` given them as two
-multinomial histograms of their exact joint law where that table is small
-next to the trials.  A histogram leaves its trials grouped by value, which
-no summary of a run can see: a run's last draw is a seed for its trial
-order, and its :class:`CheckReport` permutes the trials only when a
-per-trial value is read.  The one place a run shuffles is where two arrays
-drawn independently of each other meet in one trial (protocol 3 at a fixed
-overlap).  The same table gives each run's exact law (:func:`exact_law`),
-and :func:`simulate_instances`, which draws whole instances from it, is the
-instance-level oracle of the sufficient-statistic draws.
+does, so her failures on the shared labels are a thinning of his there:
+protocol 3 draws ``(J, F_b, F_a)`` as two multinomial histograms of their
+exact joint law where that table is small next to the trials, and else as
+a chain of binomials, one per trial.  A histogram leaves its trials grouped
+by value, which no summary of a run can see: a run's last draw is a seed for
+its trial order, and its :class:`CheckReport` permutes the trials only when
+a per-trial value is read, so no run shuffles.  The same table gives each
+run's exact law (:func:`exact_law`), and :func:`simulate_instances`, which
+draws whole instances from it, is the instance-level oracle of the
+sufficient-statistic draws.
 """
 
 from __future__ import annotations
@@ -101,7 +101,11 @@ class CheckConfig:
                 raise ValueError(f"fractional {name} must lie in [0, 1)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not (np.isfinite(self.c1) and self.c1 > 0):
+        try:
+            finite = 0.0 < float(self.c1) < np.inf
+        except OverflowError:   # an integer past the float range
+            finite = False
+        if not finite:
             raise ValueError("c1 must be positive and finite")
 
     def resolved_threshold(self, side: str) -> int:
@@ -284,9 +288,12 @@ def _instance_table(alice: AliceStrategy, bob: BobStrategy):
     keep = probs > 1e-15
     s, b, _, a, e = np.nonzero(keep)
     y, r, x = y[b], r[b], x[s]
-    columns = dict(y=y, r=r, a_rep=a, e_rep=e, bob_fail=(a & y) != (e ^ r),
-                   alice_fail=honest & ((x & y) != (e ^ r)), x=x, e=honest * e,
-                   honest_alice=np.full(len(s), honest), x_guess_correct=honest & (xhat[b] == x))
+    # Alice checks ``x AND y = e XOR r``: an honest sender reports a = x, so her
+    # check fails exactly where Bob's does; a cheater, holding no input, never fails.
+    bob_fail = (a & y) != (e ^ r)
+    columns = dict(y=y, r=r, a_rep=a, e_rep=e, bob_fail=bob_fail, alice_fail=honest & bob_fail,
+                   x=x, e=honest * e, honest_alice=np.full(len(s), honest),
+                   x_guess_correct=honest & (xhat[b] == x))
     probs = probs[keep]
     return probs / probs.sum(), {name: columns[name].astype(np.int8) for name in _FIELDS}
 
@@ -305,6 +312,8 @@ def _verdicts(alice: AliceStrategy, bob: BobStrategy):
     Returns ``(fail, guess)``, both ``[2, 2]`` and indexed ``[bob_fail,
     alice_fail]``: ``fail`` holds each verdict pair's probability and
     ``guess`` that probability jointly with a correct guess of Alice's input.
+    Alice's check fails only where Bob's does (:func:`_instance_table`):
+    ``fail[0, 1]`` is 0, and so is ``fail[1, 0]`` against an honest Alice.
     """
     probs, columns = _instance_table(alice, bob)
     cell = 2 * columns["bob_fail"] + columns["alice_fail"]
@@ -357,7 +366,8 @@ def _shared_pmf(m: int, k_a: int, k_b: int) -> tuple:
     From the ratios ``pmf(j + 1) / pmf(j) = (k_a - j)(k_b - j) / ((j + 1)(m - k_a
     - k_b + j + 1))``, each factor an exact int64.
     """
-    shared = np.arange(max(0, k_a + k_b - m), min(k_a, k_b) + 1)
+    low = max(0, k_a + k_b - m)
+    shared = low + np.arange(min(k_a, k_b) - low + 1)   # np.arange(low, 2**63) is float64
     j = shared[:-1]
     return shared, _from_ratios((k_a - j) / (j + 1.0) * ((k_b - j) / ((m - k_a - k_b + 1) + j)))
 
@@ -610,10 +620,11 @@ _NUMPY_HYPERGEOMETRIC_MAX = 10**9
 
 
 def _shared_labels(rng, m: int, k_a: int, k_b: int, trials: int) -> np.ndarray:
-    """``trials`` draws of ``J ~ Hypergeometric(k_a, m - k_a, k_b)``, with ``0 < k_a, k_b < m``.
+    """``trials`` draws of ``J ~ Hypergeometric(k_a, m - k_a, k_b)``.
 
-    By :func:`_iid` when J's support fits in the trials, or when numpy's
-    per-trial sampler cannot take the populations; else one draw per trial.
+    By :func:`_iid` when J's support fits in the trials (a J fixed by a side
+    that checks every label draws nothing), or when numpy's per-trial sampler
+    cannot take the populations; else one draw per trial.
     """
     support = min(k_a, k_b) - max(0, k_a + k_b - m) + 1
     if support <= trials or max(k_a, m - k_a) >= _NUMPY_HYPERGEOMETRIC_MAX:
@@ -638,25 +649,6 @@ def _big_binomial(rng, n: int, p: float) -> int:
     return total
 
 
-def _split(rng, n, cells: np.ndarray, trials: int) -> np.ndarray:
-    """Multinomial counts ``[trials, len(cells)]`` of ``n`` draws over ``cells``.
-
-    ``n`` is one count or one per trial.  Drawn as conditional binomials over
-    the nonzero cells (:func:`_binomials`, so one count's first cell is a
-    histogram); the last of them takes the remainder, so a single nonzero
-    cell, or ``n`` all zero, draws nothing.
-    """
-    counts = np.zeros((trials, len(cells)), dtype=np.int64)
-    live = np.flatnonzero(cells) if np.any(n) else np.flatnonzero(cells)[-1:]
-    left, mass = n, float(cells.sum())
-    for c in live[:-1]:
-        counts[:, c] = _binomials(rng, left, min(1.0, cells[c] / mass), trials)
-        left = left - counts[:, c]
-        mass -= cells[c]
-    counts[:, live[-1]] = left
-    return counts
-
-
 def _shifts(pmf: np.ndarray, shifts: int, size: int) -> np.ndarray:
     """``out[..., s, j] = pmf[..., j - s]`` for s < ``shifts`` and j < ``size``, 0 off ``pmf``.
 
@@ -673,7 +665,8 @@ def _joint_table(fail: np.ndarray, shared: np.ndarray, weights: np.ndarray,
     """Exact law ``[G, k_b + 1, k_a + 1]`` of a protocol-3 trial's ``(J, F_b, F_a)``.
 
     ``shared`` and ``weights`` are J's support and law, ``fail`` the verdict
-    law with ``fail[0, 1] == 0`` (Alice's check fails only where Bob's does).
+    law of :func:`_verdicts`, whose ``fail[0, 1]`` is 0 by construction:
+    Alice's check fails only where Bob's does.
     Given J, Bob's failures on the shared labels are ``U ~ Bin(J, p_b)`` and on
     his own ``Bin(k_b - J, p_b)``; Alice's are ``Bin(U, q)``, with ``q =
     fail[1, 1] / p_b``, plus ``Bin(k_a - J, p_a)`` on hers.  Per J, the table
@@ -757,66 +750,42 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
 
     Instances are i.i.d., so a trial draws its sufficient statistics only,
     from the caller's Generator ``rng``: the number J of labels both sides
-    check, ``J ~ Hypergeometric(k_alice, m - k_alice, k_bob)`` (fixed when a
-    side checks no label or every label), and each side's failure count.
-    When both sides check, Alice's check never fails alone (``fail[0, 1] ==
-    0``, as for every strategy pair of the library), Bob's can fail, and the
-    exact table of ``(J, F_b, F_a)`` has at most ``_TABLE_CELLS_PER_TRIAL``
-    cells per trial, they are drawn by :func:`_joint_draw`: two multinomial
-    histograms.  Otherwise J is drawn first, then the joint verdicts of the J
-    shared labels as conditional binomials (per trial under a random J), then
-    one binomial failure count for each side's own ``k - J`` labels (only
-    the checking side's, when a side checks no label); a
-    statistic with one law in every trial is drawn as a histogram grouped by
-    value (:func:`_iid`) where its support allows.  At a fixed overlap the
-    shared verdicts and a side's own failures are drawn independently of
-    each other, each possibly grouped by value, so where both vary the own
-    failures are shuffled: the run's one shuffle.  Against a
-    computational-basis Bob each instance's input guess is right with
-    probability 3/4 whatever its verdicts, so the total over all ``trials *
-    m`` instances is one binomial of that exact marginal.  The run's last
-    draw is the seed of the trial order that its two reports share.
+    check, ``J ~ Hypergeometric(k_alice, m - k_alice, k_bob)``, and each
+    side's failure count.  Alice's check fails only where Bob's does
+    (:func:`_verdicts`), so of the J shared labels Bob fails ``U ~ Bin(J,
+    p_b)`` and Alice ``Bin(U, q)``, with ``q = fail[1, 1] / p_b`` (1 against
+    an honest Alice).  When a side checks no label, none is shared and only
+    the other side's count is drawn (:func:`_binomials`).  When both check,
+    Bob's check can fail and the exact table of ``(J, F_b, F_a)`` has at most
+    ``_TABLE_CELLS_PER_TRIAL`` cells per trial, it is drawn as two multinomial
+    histograms (:func:`_joint_draw`).  Otherwise the chain is drawn link by
+    link, per trial: J, U, ``F_b = U + Bin(k_bob - J, p_b)`` and ``F_a =
+    Bin(U, q) + Bin(k_alice - J, p_a)``.  Against a computational-basis Bob
+    each instance's input guess is right with probability 3/4 whatever its
+    verdicts, so the total over all ``trials * m`` instances is one binomial
+    of that exact marginal.  The run's last draw is the seed of the trial
+    order that its two reports share.
     """
     m, k_b, k_a, trials = config.m, config.k_bob, config.k_alice, config.trials
     fail, guess = _verdicts(alice, bob)
-    p_b, p_a = fail[1].sum(), fail[:, 1].sum()
+    p_b, p_a = fail[1].sum(), fail[1, 1]
     support = min(k_a, k_b) - max(0, k_a + k_b - m) + 1
-    if (k_a > 0 and k_b > 0 and fail[0, 1] == 0.0 and p_b > 0.0
-            and support * (k_b + 1) * (k_a + 1) <= _TABLE_CELLS_PER_TRIAL * trials):
+    if k_a == 0 or k_b == 0:
+        shared = np.zeros(trials, dtype=np.int64)
+        failures_b = _binomials(rng, k_b, p_b, trials)
+        failures_a = _binomials(rng, k_a, p_a, trials)
+    elif p_b > 0.0 and support * (k_b + 1) * (k_a + 1) <= _TABLE_CELLS_PER_TRIAL * trials:
         shared, failures_b, failures_a = _joint_draw(rng, fail, m, k_b, k_a, trials)
     else:
-        if 0 < k_a < m and 0 < k_b < m:
-            shared = _shared_labels(rng, m, k_a, k_b, trials)
-            overlap = shared
-        else:  # a side checks no label or every label: the overlap is fixed
-            overlap = k_a * k_b // m
-            shared = np.full(trials, overlap)
-        if np.ndim(overlap) == 0 and overlap == 0:
-            # A side checks no label: no label is shared and that side has no
-            # failures, so only the other side's own failures are drawn.
-            zeros = np.zeros(trials, dtype=np.int64)
-            failures_b = _binomials(rng, k_b, p_b, trials) if k_b else zeros
-            failures_a = _binomials(rng, k_a, p_a, trials) if k_a else zeros
-        else:
-            cells = _split(rng, overlap, fail.ravel(), trials)   # verdicts 00, 01, 10, 11
-            # A fixed overlap gives each side one scalar count of own labels.
-            own_b = _binomials(rng, k_b - overlap, p_b, trials)
-            own_a = _binomials(rng, k_a - overlap, p_a, trials)
-            if np.ndim(overlap) == 0 and np.count_nonzero(fail) > 1:
-                # The shared verdicts vary, and so may a side's own failures,
-                # drawn independently of them and each grouped by value: pair
-                # them at random.
-                for own, n, p in ((own_b, k_b - overlap, p_b), (own_a, k_a - overlap, p_a)):
-                    if n > 0 and 0.0 < p < 1.0:
-                        rng.shuffle(own)
-            failures_b = cells[:, 2] + cells[:, 3] + own_b
-            failures_a = cells[:, 1] + cells[:, 3] + own_a
+        shared = _shared_labels(rng, m, k_a, k_b, trials)
+        u = _binomials(rng, shared, p_b, trials)
+        failures_b = u + _binomials(rng, k_b - shared, p_b, trials)
+        failures_a = _binomials(rng, u, p_a / p_b if p_b > 0.0 else 0.0, trials)
+        failures_a += _binomials(rng, k_a - shared, p_a, trials)
     checked = (k_b - shared) + k_a   # at most m, where k_b + k_a can pass int64
     extras = {}
     if bob.kind == "computational" and alice.kind == "honest":
-        # Each instance's guess is right with probability 3/4 whatever its
-        # verdicts (``guess`` is 3/4 of ``fail`` in every cell), so the
-        # total over all trials is one binomial, drawn after the verdicts.
+        # ``guess`` is 3/4 of ``fail`` in every cell: one binomial, after the verdicts.
         guessed = _big_binomial(rng, trials * m, float(guess.sum() / fail.sum()))
         extras["x_guess_rate"] = guessed / (trials * m)
     order = _TrialOrder(rng.bit_generator.random_raw(), trials)

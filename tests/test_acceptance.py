@@ -64,8 +64,8 @@ def test_criterion_03_guessing_probabilities_and_circle():
     assert suite["violations"] == 0
     assert suite["max_lhs"] <= 0.25 + 1e-12
     assert abs(suite["equality_a2"] - 0.5) <= 1e-6
-    _report(3, "P_B = P_B' = 3/4 from trace distances; circle bound clean on 1e5 "
-               f"samples, equality at a^2 = {suite['equality_a2']:.8f}")
+    _report(3, "P_B = P_B' = 3/4 from trace distances; circle bound clean as x(1 - x) "
+               f"on the locus grid, equality at a^2 = {suite['equality_a2']:.8f}")
 
 
 def test_criterion_04_holevo_closed_forms_and_tradeoff_bounds():

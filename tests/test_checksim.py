@@ -58,6 +58,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{name} must be a real number"):
             CheckConfig(m=10, k_bob=8, k_alice=8, **{name: value})
 
+    # Integers past the float range included: c1 must convert to a finite float.
+    @pytest.mark.parametrize("value", [10**400, -(10**400), math.inf, math.nan, 0, -1.5],
+                             ids=["1e400", "-1e400", "inf", "nan", "0", "-1.5"])
+    def test_c1_domain(self, value):
+        with pytest.raises(ValueError, match="^c1 must be positive and finite"):
+            CheckConfig(m=5, k_bob=2, c1=value)
+
     @pytest.mark.parametrize("value,resolved", [(np.int64(3), 3), (np.uint8(3), 3), (3.0, 3),
                                                 (0.25, 2), (np.float64(0.25), 2),
                                                 (np.float32(0.25), 2)])
@@ -647,20 +654,6 @@ class TestExactLaw:
         assert two == three
         assert two.tables_delivered == pytest.approx(21 * two.pass_probability, rel=1e-12)
 
-    def test_all_four_verdict_cells_drawn(self, monkeypatch):
-        monkeypatch.setattr(checksim, "_verdicts",
-                            lambda a, b: (_FOUR_CELLS, np.zeros((2, 2))))
-        trials = 20_000
-        config = CheckConfig(m=15, k_bob=6, k_alice=8, threshold_bob=2, threshold_alice=3,
-                             trials=trials)
-        law = checksim.exact_law(config, AliceStrategy.honest(), BobStrategy.honest())
-        bob_rep, alice_rep = run_protocol3(config, AliceStrategy.honest(), BobStrategy.honest(),
-                                           np.random.default_rng(30))
-        _assert_aborts(bob_rep, law.abort_bob, 0.5)
-        _assert_aborts(alice_rep, law.abort_alice, 0.4)
-        _assert_binomial(int(np.sum(~bob_rep.aborted & ~alice_rep.aborted)), trials,
-                         law.pass_probability)
-
     @pytest.mark.parametrize("p", [0.5, 0.3, 0.01, 0.9, 1e-9, 1.0 - 1e-9])
     def test_binomial_pmf_matches_exact_fractions(self, p):
         exact_p = Fraction(p)
@@ -676,6 +669,7 @@ class TestExactLaw:
 
     @pytest.mark.parametrize("m,k_a,k_b", [(10**12, 20, 20), (2**62, 20, 13),
                                            (2**63 - 1, 2**63 - 5, 2**63 - 6),
+                                           (2**63, 2**63 - 1, 2**63 - 1),
                                            (10**6, 60, 300)])
     def test_shared_pmf_needs_only_its_support(self, m, k_a, k_b):
         # Populations far beyond any array: only the support is built.
@@ -972,6 +966,19 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+class _NoShuffle:
+    """A Generator whose ``shuffle`` and ``permutation`` raise: a run must
+    not reorder its draws with the caller's stream."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def __getattr__(self, name):
+        if name in ("shuffle", "permutation"):
+            raise AssertionError(f"run drew rng.{name}")
+        return getattr(self._rng, name)
+
+
 class TestJointTable:
     @pytest.mark.parametrize("bob", _PREMISE_RECEIVERS,
                              ids=lambda b: f"{b.kind}{b.angle:+.1f}" if b.angle else b.kind)
@@ -979,6 +986,13 @@ class TestJointTable:
     def test_alice_fails_only_where_bob_fails(self, alice, bob):
         fail, _ = checksim._verdicts(alice, bob)
         assert fail[0, 1] == 0.0
+        # Column for column: an honest sender's check fails where Bob's does,
+        # a cheater's never, and both are her check ``x AND y = e XOR r``.
+        _, columns = checksim._instance_table(alice, bob)
+        honest, alice_fail = columns["honest_alice"], columns["alice_fail"]
+        assert np.array_equal(alice_fail, honest & columns["bob_fail"])
+        x, y, e, r = (columns[name] for name in ("x", "y", "e", "r"))
+        assert np.array_equal(alice_fail, honest & ((x & y) != (e ^ r)))
 
     @pytest.mark.parametrize("m,k_b,k_a,t_b,t_a",
                              [(5, 3, 2, 0, 0), (5, 3, 3, 1, 0), (6, 2, 4, 1, 2), (4, 4, 1, 1, 0),
@@ -1046,8 +1060,7 @@ class TestJointTable:
     @pytest.mark.parametrize("case,trials,histogram", [
         # m = 30, k = 5, k_alice = 7: 6 * 6 * 8 = 288 cells.
         ("computational", 72, True), ("computational", 71, False),
-        ("mix", 72, True), ("honest", 5000, False), ("four-cells", 5000, False),
-        ("k_bob=0", 5000, False),
+        ("mix", 72, True), ("honest", 5000, False), ("k_bob=0", 5000, False),
     ])
     def test_histogram_only_when_the_table_fits(self, monkeypatch, case, trials, histogram):
         alice, bob, k_b = AliceStrategy.honest(), BobStrategy.computational_basis(), 5
@@ -1055,9 +1068,6 @@ class TestJointTable:
             alice = _MIX
         elif case == "honest":   # Bob's check never fails: p_b = 0
             bob = BobStrategy.honest()
-        elif case == "four-cells":   # Alice's check can fail alone
-            monkeypatch.setattr(checksim, "_verdicts",
-                                lambda a, b: (_FOUR_CELLS, np.zeros((2, 2))))
         elif case == "k_bob=0":
             k_b = 0
         calls = _count_calls(monkeypatch, "_joint_draw")
@@ -1071,10 +1081,10 @@ class TestJointTable:
     @pytest.mark.parametrize("k_b,trials,iid,joint", [
         # m = k_alice = 12, k_bob = 5: J = 5 in every trial, 1 * 6 * 13 = 78 cells.
         (5, 20, 0, 1),
-        # The table does not fit: J's verdicts draw from the scalar overlap, as
-        # a histogram when J < trials, and so do Alice's own 7 labels.
-        (5, 19, 2, 0), (5, 6, 1, 0), (5, 5, 0, 0),
-        # Bob checks nothing: only Alice's own labels are drawn.
+        # The table does not fit: J is a one-value histogram, and the rest of
+        # the chain is drawn per trial.
+        (5, 19, 1, 0), (5, 6, 1, 0), (5, 5, 1, 0),
+        # Bob checks nothing: only Alice's failures are drawn, as one histogram.
         (0, 300, 1, 0),
     ])
     def test_fixed_overlap_draws_histograms(self, monkeypatch, k_b, trials, iid, joint):
@@ -1084,8 +1094,10 @@ class TestJointTable:
                              trials=trials)
         bob_rep, alice_rep = run_protocol3(config, AliceStrategy.honest(),
                                            BobStrategy.computational_basis(),
-                                           np.random.default_rng(33))
+                                           _NoShuffle(np.random.default_rng(33)))
         assert (len(iid_calls), len(joint_calls)) == (iid, joint)
+        if iid and k_b:
+            assert iid_calls[0][1].tolist() == [5]
         assert bob_rep.failures.shape == (trials,) and bob_rep.failures.max() <= k_b
         # An honest Alice fails the shared labels together with Bob.
         assert (alice_rep.failures >= bob_rep.failures).all()
@@ -1093,10 +1105,9 @@ class TestJointTable:
 
 class TestPairing:
     # A fixed overlap off the joint table: Bob checks every label (or Alice
-    # does), so the shared verdicts and one side's own failures are two
-    # arrays drawn independently of each other, each as a histogram.  Each
-    # trial must pair them at random, else the side's failure count loses
-    # its binomial law while every histogram keeps its own.
+    # does), so each side's failure count sums its shared failures and its own
+    # ones.  Both must be drawn for the same trial, else the count loses its
+    # binomial law while each summand keeps its own.
     @pytest.mark.parametrize("k_b,k_a", [(50, 30), (30, 50)], ids=["k_bob=m", "k_alice=m"])
     def test_independent_draws_pair_at_random(self, monkeypatch, k_b, k_a):
         m, trials, runs = 50, 100, 200
@@ -1137,7 +1148,7 @@ class TestPairing:
 
 class TestTrialOrder:
     @pytest.mark.parametrize("sizes", [dict(m=30, k_bob=5, k_alice=7, trials=500),
-                                       # 51 * 31 cells: off the joint table, paired at random.
+                                       # 51 * 31 cells: off the joint table.
                                        dict(m=50, k_bob=50, k_alice=30, trials=300),
                                        dict(m=20, k_bob=0, k_alice=7, trials=500)],
                              ids=["joint-table", "fixed-overlap", "k_bob=0"])

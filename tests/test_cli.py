@@ -291,9 +291,11 @@ class TestChecksim:
 # with 0.13.0, when random-overlap runs began drawing (J, F_b, F_a) as two
 # histograms of their joint law, and with 0.14.0, when that draw stopped
 # shuffling before the input-guess total.  The two checksim --out pins were
-# re-recorded with 0.14.0 too, when trial order became the report's.  A
-# refactor that moves no payload byte and no RNG stream keeps these; one that
-# does bumps __version__ and re-records.
+# re-recorded with 0.14.0 too, when trial order became the report's.  The two
+# protocol-3 pins off the joint table whose checks can fail were recorded with
+# 0.16.0, when that path became one binomial chain.  A refactor that moves no
+# payload byte and no RNG stream keeps these; one that does bumps __version__
+# and re-records.
 _PAYLOAD_PINS = [
     ("table --x 0 --y 0 --n 64 --seed 7",
      "3681634b0e67d0d4a069f6f9cd3eed56fdeaaa87ad215c86d8ec13cc99d9db82"),
@@ -306,6 +308,14 @@ _PAYLOAD_PINS = [
     ("checksim --protocol 3 --bob computational --m 30 --k 5 --k-alice 7 --threshold 1 "
      "--threshold-alice 2 --trials 300 --seed 11",
      "7c61f17b55e449fbaeee53f8c5e53a9e995b7097739c86b8670b7a45dc968c2b"),
+    # Off the joint table, both sides' checks can fail: a random overlap (288
+    # cells for 50 trials) and a fixed one (Bob checks every label).
+    ("checksim --protocol 3 --bob computational --m 30 --k 5 --k-alice 7 --threshold 1 "
+     "--threshold-alice 1 --trials 50 --seed 5",
+     "4d8274016786d130d386b52fb363381cc913852016eb6ab18185bcf83532902d"),
+    ("checksim --protocol 3 --bob phase-noise --angle 1.2 --m 50 --k 50 --k-alice 30 "
+     "--threshold 1 --threshold-alice 1 --trials 300 --seed 5",
+     "415d55672521922138a2c72102c7311033cf82f0d381c00a2c0099e5f77ba70d"),
     ("verify thm3 --seed 7",
      "b6971ba032f3223572425c5f954cb138b3ca7b9000f7402f5efd46612c313dcf"),
     ("verify lemma1 --samples 20 --seed 7",
@@ -385,6 +395,18 @@ def test_checksim_stdout_does_not_depend_on_out(capsys, monkeypatch, tmp_path, a
     assert with_out == alone and alone[0] == 0
 
 
+# Sizes beyond numpy's 64-bit integers; in the last, J's support ends at
+# 2**63 - 1 (a numpy arange that stops at 2**63 is float64).
+_BEYOND_INT64 = [
+    ["checksim", "--alice", "learn-y", "--m", "9223372036854775808",
+     "--k", "9223372036854775808", "--trials", "2"],
+    ["checksim", "--protocol", "3", "--m", "99999999999999999999999", "--k", "3",
+     "--k-alice", "4", "--trials", "2"],
+    ["checksim", "--protocol", "3", "--m", "9223372036854775808", "--k", "9223372036854775807",
+     "--k-alice", "9223372036854775807", "--trials", "2"],
+]
+
+
 class TestErrorPaths:
     def test_missing_subcommand(self, capsys):
         code, _, _ = _run(capsys, [])
@@ -446,11 +468,7 @@ class TestErrorPaths:
         ["verify", "thm3", "--seed", "-1"],
         ["--from-manifest", {"subcommand": "table", "parameters": {
             "x": 1, "y": 0, "n": 5, "seed": -1, "out": None}}],
-        # Sizes beyond numpy's 64-bit integers.
-        ["checksim", "--alice", "learn-y", "--m", "9223372036854775808",
-         "--k", "9223372036854775808", "--trials", "2"],
-        ["checksim", "--protocol", "3", "--m", "99999999999999999999999", "--k", "3",
-         "--k-alice", "4", "--trials", "2"],
+        *_BEYOND_INT64,
     ])
     def test_rejected_inputs_exit_2_without_traceback(self, capsys, tmp_path, argv):
         if argv[0] == "--from-manifest":
@@ -462,6 +480,8 @@ class TestErrorPaths:
         assert err.startswith("otlab: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert out == ""
+        if argv in _BEYOND_INT64:
+            assert err.startswith("otlab: size too large: ")
 
     @pytest.mark.parametrize("alpha", ["2", "-0.5"])
     def test_alpha_outside_quarter_turn_names_alpha(self, capsys, alpha):
