@@ -4,7 +4,9 @@ Protocol 2: the parties generate ``m`` one-time tables, Bob samples ``k``
 labels uniformly without replacement, Alice reveals her (input, output) pair
 for each sampled label, and Bob aborts when more than ``threshold`` checks
 violate ``a AND b = e XOR f``.  Protocol 3 runs the same check independently
-in both directions (label sets may overlap).
+in both directions (label sets may overlap).  So protocol 2 is protocol 3
+with an honest receiver whom Alice never checks, and its runs and exact law
+are computed as such.
 
 Each instance is modelled exactly.  A sender is a set of arrays: the prior
 and amplitudes of each state she may prepare, its honest input bit, her
@@ -14,9 +16,9 @@ each with his bits ``y, r`` and his guess of her input.  One Born-rule
 contraction of the two gives a strategy pair's exact joint distribution over
 all per-instance classical values (hidden bits, fabricated reports, check
 verdicts), built once per pair.  Instances are i.i.d., so a trial needs
-only its sufficient statistics, drawn from that exact table: in protocol 2
-one binomial failure count; in protocol 3 the number J of labels both sides
-check and each side's failure count.  Alice's check fails only where Bob's
+only its sufficient statistics, drawn from that exact table: the number J of
+labels both sides check and each side's failure count, a single binomial
+count when one side checks nothing.  Alice's check fails only where Bob's
 does, so her failures on the shared labels are a thinning of his there:
 protocol 3 draws ``(J, F_b, F_a)`` as two multinomial histograms of their
 exact joint law where that table is small next to the trials, and else as
@@ -50,7 +52,6 @@ __all__ = [
     "exact_law",
     "run_protocol2",
     "run_protocol3",
-    "detection_curve",
     "suggested_check_count",
 ]
 
@@ -603,13 +604,14 @@ def _iid(rng, support: np.ndarray, pmf: np.ndarray, trials: int) -> np.ndarray:
 def _binomials(rng, n, p: float, trials: int) -> np.ndarray:
     """``trials`` independent ``Bin(n, p)`` draws, ``n`` one count or one per trial.
 
-    Nothing is drawn when ``p`` is 0 or 1 or every ``n`` is 0.  One count
+    Nothing is drawn when ``p`` is 0 or 1 or every ``n`` is 0; a count of
+    ``n`` failures past int64 raises OverflowError, as a draw would.  One count
     whose support, ``n + 1`` values, fits in the trials is drawn by
     :func:`_iid`; counts that vary per trial, or a support larger than the
     trials, are drawn one per trial.
     """
     if not (0.0 < p < 1.0 and np.any(n)):
-        return np.broadcast_to(np.asarray(n) * int(p >= 1.0), trials).astype(np.int64)
+        return np.full(trials, n * int(p >= 1.0), dtype=np.int64)
     if np.ndim(n) == 0 and n < trials:
         return _iid(rng, np.arange(n + 1), _binomial_pmf(n, p), trials)
     return rng.binomial(n, p, trials)
@@ -713,6 +715,52 @@ def _joint_draw(rng, fail: np.ndarray, m: int, k_b: int, k_a: int, trials: int) 
     return shared[j], failures_b, failures_a
 
 
+def _check_run(protocol_id: int, config: CheckConfig, k_a: int, t_a: int,
+               alice: AliceStrategy, bob: BobStrategy, rng: np.random.Generator):
+    """One run of :func:`run_protocol3` with Alice checking ``k_a`` labels at threshold ``t_a``.
+
+    Returns Bob's report alone for protocol 2, whose receiver is never
+    checked, and ``(bob_report, alice_report)`` for protocol 3.
+    """
+    m, k_b, trials = config.m, config.k_bob, config.trials
+    t_b = config.resolved_threshold("bob")
+    fail, guess = _verdicts(alice, bob)
+    p_b, p_a = fail[1].sum(), fail[1, 1]
+    if k_a == 0 or k_b == 0:
+        # A side that checks no label shares none, draws nothing and never
+        # aborts; the count of labels checked stays a scalar, exact past int64.
+        k, p, t = (k_b, p_b, t_b) if k_b else (k_a, p_a, t_a)
+        failures, none = _binomials(rng, k, p, trials), np.zeros(trials, dtype=np.int64)
+        failures_b, failures_a = (failures, none) if k_b else (none, failures)
+        passed, checked = failures <= t, k
+    else:
+        support = min(k_a, k_b) - max(0, k_a + k_b - m) + 1
+        if p_b > 0.0 and support * (k_b + 1) * (k_a + 1) <= _TABLE_CELLS_PER_TRIAL * trials:
+            shared, failures_b, failures_a = _joint_draw(rng, fail, m, k_b, k_a, trials)
+        else:
+            shared = _shared_labels(rng, m, k_a, k_b, trials)
+            u = _binomials(rng, shared, p_b, trials)
+            failures_b = u + _binomials(rng, k_b - shared, p_b, trials)
+            failures_a = _binomials(rng, u, p_a / p_b if p_b > 0.0 else 0.0, trials)
+            failures_a += _binomials(rng, k_a - shared, p_a, trials)
+        passed = (failures_b <= t_b) & (failures_a <= t_a)
+        checked = (k_b - shared) + k_a   # at most m, where k_b + k_a can pass int64
+    extras = {}
+    if bob.kind == "computational" and alice.kind == "honest":
+        # ``guess`` is 3/4 of ``fail`` in every cell: one binomial, after the verdicts.
+        guessed = _big_binomial(rng, trials * m, float(guess.sum() / fail.sum()))
+        extras["x_guess_rate"] = guessed / (trials * m)
+    order = _TrialOrder(rng.bit_generator.random_raw(), trials)
+    # No table is delivered when either side aborts; an object array past int64.
+    delivered = passed * np.asarray(m - checked)
+    bob_report = CheckReport(protocol_id, "bob", m, k_b, t_b, failures_b, delivered, config.c1,
+                             dict(extras), order)
+    if protocol_id == 2:
+        return bob_report
+    return bob_report, CheckReport(3, "alice", m, k_a, t_a, failures_a, delivered, config.c1,
+                                   dict(extras), order)
+
+
 def run_protocol2(config: CheckConfig, alice: AliceStrategy,
                   rng: np.random.Generator) -> CheckReport:
     """Bob checks Alice: generate m tables, sample k_bob labels, count failures.
@@ -722,19 +770,11 @@ def run_protocol2(config: CheckConfig, alice: AliceStrategy,
     aborts a trial when failures exceed his threshold.  The report derives
     the failure-rate estimate and leak bound for the delivered tables.
 
-    Instances are i.i.d., so a trial's failure count is drawn directly as
-    ``Bin(k_bob, p)``, with ``p`` the exact per-check failure probability,
-    from the caller's Generator ``rng``; all trials' counts at once, by
-    :func:`_binomials`, and then the seed of the report's trial order.
+    This is :func:`run_protocol3` with an honest receiver whom Alice never
+    checks (``k_alice`` and ``threshold_alice`` ignored): the same draws from
+    ``rng``, and its Bob report.
     """
-    fail, _ = _verdicts(alice, BobStrategy.honest())
-    failures = _binomials(rng, config.k_bob, fail[1].sum(), config.trials)
-    threshold = config.resolved_threshold("bob")
-    delivered = np.full(config.trials, config.m - config.k_bob)   # object past int64
-    delivered[failures > threshold] = 0
-    order = _TrialOrder(rng.bit_generator.random_raw(), config.trials)
-    return CheckReport(2, "bob", config.m, config.k_bob, threshold, failures, delivered,
-                       config.c1, order=order)
+    return _check_run(2, config, 0, 0, alice, BobStrategy.honest(), rng)
 
 
 def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
@@ -754,9 +794,11 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
     side's failure count.  Alice's check fails only where Bob's does
     (:func:`_verdicts`), so of the J shared labels Bob fails ``U ~ Bin(J,
     p_b)`` and Alice ``Bin(U, q)``, with ``q = fail[1, 1] / p_b`` (1 against
-    an honest Alice).  When a side checks no label, none is shared and only
-    the other side's count is drawn (:func:`_binomials`).  When both check,
-    Bob's check can fail and the exact table of ``(J, F_b, F_a)`` has at most
+    an honest Alice).  When a side checks no label, none is shared, only the
+    other side's count is drawn (:func:`_binomials`) and the side that checks
+    nothing never aborts: with ``k_alice = 0`` and an honest ``bob`` this is
+    :func:`run_protocol2`, draw for draw.  When both check, Bob's check can
+    fail and the exact table of ``(J, F_b, F_a)`` has at most
     ``_TABLE_CELLS_PER_TRIAL`` cells per trial, it is drawn as two multinomial
     histograms (:func:`_joint_draw`).  Otherwise the chain is drawn link by
     link, per trial: J, U, ``F_b = U + Bin(k_bob - J, p_b)`` and ``F_a =
@@ -766,56 +808,8 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
     of that exact marginal.  The run's last draw is the seed of the trial
     order that its two reports share.
     """
-    m, k_b, k_a, trials = config.m, config.k_bob, config.k_alice, config.trials
-    fail, guess = _verdicts(alice, bob)
-    p_b, p_a = fail[1].sum(), fail[1, 1]
-    support = min(k_a, k_b) - max(0, k_a + k_b - m) + 1
-    if k_a == 0 or k_b == 0:
-        shared = np.zeros(trials, dtype=np.int64)
-        failures_b = _binomials(rng, k_b, p_b, trials)
-        failures_a = _binomials(rng, k_a, p_a, trials)
-    elif p_b > 0.0 and support * (k_b + 1) * (k_a + 1) <= _TABLE_CELLS_PER_TRIAL * trials:
-        shared, failures_b, failures_a = _joint_draw(rng, fail, m, k_b, k_a, trials)
-    else:
-        shared = _shared_labels(rng, m, k_a, k_b, trials)
-        u = _binomials(rng, shared, p_b, trials)
-        failures_b = u + _binomials(rng, k_b - shared, p_b, trials)
-        failures_a = _binomials(rng, u, p_a / p_b if p_b > 0.0 else 0.0, trials)
-        failures_a += _binomials(rng, k_a - shared, p_a, trials)
-    checked = (k_b - shared) + k_a   # at most m, where k_b + k_a can pass int64
-    extras = {}
-    if bob.kind == "computational" and alice.kind == "honest":
-        # ``guess`` is 3/4 of ``fail`` in every cell: one binomial, after the verdicts.
-        guessed = _big_binomial(rng, trials * m, float(guess.sum() / fail.sum()))
-        extras["x_guess_rate"] = guessed / (trials * m)
-    order = _TrialOrder(rng.bit_generator.random_raw(), trials)
-    t_b, t_a = config.resolved_threshold("bob"), config.resolved_threshold("alice")
-    # No table is delivered when either side aborts.
-    delivered = np.where((failures_b > t_b) | (failures_a > t_a), 0, m - checked)
-    return (CheckReport(3, "bob", m, k_b, t_b, failures_b, delivered, config.c1, dict(extras),
-                        order),
-            CheckReport(3, "alice", m, k_a, t_a, failures_a, delivered, config.c1, dict(extras),
-                        order))
-
-
-def detection_curve(strategy, k_values, threshold: int) -> list:
-    """Exact abort probability versus number of checks for one cheating strategy.
-
-    For an :class:`AliceStrategy` the Bob-checks protocol with ``m = k``
-    (every table checked); for a :class:`BobStrategy` the Alice side of the
-    two-way protocol.  Each point is ``1 - exact_law(...).pass_probability``;
-    honest strategies give exactly 0.
-    """
-    curve = []
-    for k in k_values:
-        k = int(k)
-        if isinstance(strategy, AliceStrategy):
-            law = exact_law(CheckConfig(m=k, k_bob=k, threshold_bob=threshold), strategy)
-        else:
-            config = CheckConfig(m=k, k_bob=0, k_alice=k, threshold_alice=threshold)
-            law = exact_law(config, AliceStrategy.honest(), strategy)
-        curve.append((k, 1.0 - law.pass_probability))
-    return curve
+    return _check_run(3, config, config.k_alice, config.resolved_threshold("alice"),
+                      alice, bob, rng)
 
 
 def suggested_check_count(tables_needed: int) -> int:

@@ -14,7 +14,6 @@ from otlab.checksim import (
     BobStrategy,
     CheckConfig,
     CheckReport,
-    detection_curve,
     run_protocol2,
     run_protocol3,
     simulate_instances,
@@ -91,6 +90,20 @@ class TestConfig:
         delivered = [record["tables_delivered"] for record in report.to_dict()["records"]]
         assert delivered == [0 if f > 1 else 2**70 - 5 for f in report.failures]
         assert 0 < delivered.count(0) < 40
+
+    @pytest.mark.parametrize("k_bob,k_alice", [(0, 4), (4, 0)])
+    def test_one_checking_side_beyond_int64(self, k_bob, k_alice):
+        # The side that checks nothing shares no label, so m - 4 tables go
+        # unchecked, a count past int64.
+        config = CheckConfig(m=2**70, k_bob=k_bob, k_alice=k_alice, threshold_bob=1,
+                             threshold_alice=1, trials=40)
+        reports = run_protocol3(config, AliceStrategy.honest(),
+                                BobStrategy.phase_noise(np.pi / 2), np.random.default_rng(7))
+        failures = reports[0].failures if k_bob else reports[1].failures
+        for report in reports:
+            delivered = [record["tables_delivered"] for record in report.to_dict()["records"]]
+            assert delivered == [0 if f > 1 else 2**70 - 4 for f in failures]
+            assert 0 < delivered.count(0) < 40
 
     @pytest.mark.parametrize("value", [2**63, 2**64, 10**23])
     def test_huge_integer_thresholds_accepted(self, value):
@@ -216,30 +229,25 @@ class TestCheatingBob:
             assert abs(rate - expected) <= _binomial_3sigma(max(expected, 1e-6), 40_000) + 1e-9
 
 
-class TestDetectionCurve:
-    def test_honest_is_flat_zero(self):
-        curve = detection_curve(AliceStrategy.honest(), [1, 5, 10], 0)
-        assert all(p == 0.0 for _, p in curve)
-
-    def test_learn_y_matches_geometric_law(self):
-        curve = detection_curve(AliceStrategy.learn_y(), [1, 2, 4, 8], 0)
-        for k, p_abort in curve:
-            assert p_abort == pytest.approx(1.0 - 2.0 ** (-k), abs=1e-12)
-
-    def test_mix_strategy_thins_the_failure_rate(self):
-        phi = 0.4
-        strategy = AliceStrategy.per_instance_mix([
-            (phi, AliceStrategy.learn_y()),
-            (1.0 - phi, AliceStrategy.honest()),
-        ])
-        curve = detection_curve(strategy, [2, 6, 12], 0)
-        for k, p_abort in curve:
-            assert p_abort == pytest.approx(1.0 - (1.0 - phi / 2.0) ** k, abs=1e-12)
-
-    def test_monotone_for_cheating_bob(self):
-        curve = detection_curve(BobStrategy.computational_basis(), [1, 4, 8], 0)
-        probs = [p for _, p in curve]
-        assert probs == sorted(probs)
+@pytest.mark.parametrize("m,k,trials", [(12, 12, 5000), (200, 20, 4000), (2**70, 5, 40)],
+                         ids=["dense", "sparse", "beyond-int64"])
+@pytest.mark.parametrize("alice", [
+    AliceStrategy.honest(), AliceStrategy.learn_y(),
+    AliceStrategy.param(CheatParams.from_alpha(0.7)),
+    AliceStrategy.per_instance_mix([(0.4, AliceStrategy.learn_y()),
+                                    (0.6, AliceStrategy.honest())]),
+], ids=["honest", "learn-y", "param", "mix"])
+def test_protocol2_is_protocol3_with_an_honest_unchecked_receiver(alice, m, k, trials):
+    config = CheckConfig(m=m, k_bob=k, threshold_bob=1, k_alice=3, threshold_alice=2,
+                         trials=trials)
+    two = run_protocol2(config, alice, np.random.default_rng(81))
+    three, _ = run_protocol3(replace(config, k_alice=0, threshold_alice=0), alice,
+                             BobStrategy.honest(), np.random.default_rng(81))
+    assert np.array_equal(two.drawn_failures, three.drawn_failures)
+    assert np.array_equal(two.drawn_delivered, three.drawn_delivered)
+    assert two.order.seed == three.order.seed
+    assert two.summary() == three.summary()
+    assert {**two.to_dict(), "protocol": 3} == three.to_dict()
 
 
 class TestRestartsAndThresholds:
@@ -645,6 +653,29 @@ class TestExactLaw:
         assert law.abort_bob == pytest.approx(stats.binom.sf(2, 10, 0.5), rel=1e-12)
         assert law.pass_probability == pytest.approx(1.0 - law.abort_bob, rel=1e-12)
 
+    # Abort probability when every table is checked, ``1 - pass_probability``
+    # at m = k: of Bob's check of a sender, or of Alice's check of a receiver.
+    @pytest.mark.parametrize("alice,bob,ks,expected,tolerance", [
+        (AliceStrategy.honest(), None, [1, 5, 10], lambda k: 0.0, 0.0),
+        (AliceStrategy.learn_y(), None, [1, 2, 4, 8], lambda k: 1.0 - 2.0 ** -k, 1e-12),
+        (AliceStrategy.per_instance_mix([(0.4, AliceStrategy.learn_y()),
+                                         (0.6, AliceStrategy.honest())]),
+         None, [2, 6, 12], lambda k: 1.0 - (1.0 - 0.4 / 2.0) ** k, 1e-12),
+        (AliceStrategy.honest(), BobStrategy.computational_basis(), [1, 4, 8], None, None),
+    ], ids=["honest", "learn-y", "mix", "computational-bob"])
+    def test_detection_curve(self, alice, bob, ks, expected, tolerance):
+        curve = []
+        for k in ks:
+            if bob is None:
+                law = checksim.exact_law(CheckConfig(m=k, k_bob=k), alice)
+            else:
+                law = checksim.exact_law(CheckConfig(m=k, k_bob=0, k_alice=k), alice, bob)
+            curve.append(1.0 - law.pass_probability)
+        if expected is None:   # monotone in k
+            assert curve == sorted(curve)
+        else:
+            assert curve == pytest.approx([expected(k) for k in ks], abs=tolerance)
+
     def test_protocol2_is_protocol3_without_sender_checks(self):
         config = CheckConfig(m=30, k_bob=9, threshold_bob=2, k_alice=5)
         alice = AliceStrategy.param(CheatParams.from_alpha(0.4))
@@ -910,6 +941,11 @@ class TestIid:
         report = run_protocol2(config, AliceStrategy.learn_y(), np.random.default_rng(3))
         assert len(calls) == int(histogram)
         assert report.failures.shape == (trials,) and report.failures.max() <= k
+
+    def test_certain_failures_past_int64_refused(self):
+        # A failure probability of 1 draws nothing: its count is refused as a draw's would be.
+        with pytest.raises(OverflowError):
+            checksim._binomials(np.random.default_rng(0), 2**63, 1.0, 3)
 
     @pytest.mark.parametrize("m,k_a,trials,histogram", [
         (40, 5, 6, True), (40, 5, 5, False),

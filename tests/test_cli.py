@@ -245,6 +245,15 @@ class TestChecksim:
         for report in json.loads(out)["summary"]["aggregate"].values():
             assert 0.0 <= report["extras"]["x_guess_rate"] <= 1.0
 
+    # One side checks nothing: the m - 4 tables it leaves unchecked pass int64.
+    @pytest.mark.parametrize("k,k_alice", [("0", "4"), ("4", "0")])
+    def test_protocol3_one_checking_side_beyond_int64(self, capsys, k, k_alice):
+        code, out, err = _run(capsys, ["checksim", "--protocol", "3",
+                                       "--m", "99999999999999999999999", "--k", k,
+                                       "--k-alice", k_alice, "--trials", "2"])
+        assert code == 0 and err == ""
+        assert set(json.loads(out)["summary"]["aggregate"]) == {"alice", "bob"}
+
     def test_protocol3_check_counts_summing_beyond_int64(self, capsys):
         # k_bob + k_alice passes 2**63 - 1; the labels checked by either side never pass m.
         code, out, err = _run(capsys, ["checksim", "--protocol", "3",
@@ -395,7 +404,7 @@ def test_checksim_stdout_does_not_depend_on_out(capsys, monkeypatch, tmp_path, a
     assert with_out == alone and alone[0] == 0
 
 
-# Sizes beyond numpy's 64-bit integers; in the last, J's support ends at
+# Sizes beyond numpy's 64-bit integers; in the third, J's support ends at
 # 2**63 - 1 (a numpy arange that stops at 2**63 is float64).
 _BEYOND_INT64 = [
     ["checksim", "--alice", "learn-y", "--m", "9223372036854775808",
@@ -404,6 +413,10 @@ _BEYOND_INT64 = [
      "--k-alice", "4", "--trials", "2"],
     ["checksim", "--protocol", "3", "--m", "9223372036854775808", "--k", "9223372036854775807",
      "--k-alice", "9223372036854775807", "--trials", "2"],
+    # A phase error of pi fails every check of Alice's: 2**63 failures per trial.
+    ["checksim", "--protocol", "3", "--bob", "phase-noise", "--angle", "3.141592653589793",
+     "--m", "9223372036854775808", "--k", "0", "--k-alice", "9223372036854775808",
+     "--trials", "2"],
 ]
 
 
