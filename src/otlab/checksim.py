@@ -307,20 +307,24 @@ def simulate_instances(alice: AliceStrategy, bob: BobStrategy, n: int,
     return {name: vals[idx] for name, vals in columns.items()}
 
 
+@lru_cache(maxsize=32)
 def _verdicts(alice: AliceStrategy, bob: BobStrategy):
     """Exact law of one instance's two check verdicts, from its table.
 
-    Returns ``(fail, guess)``, both ``[2, 2]`` and indexed ``[bob_fail,
-    alice_fail]``: ``fail`` holds each verdict pair's probability and
-    ``guess`` that probability jointly with a correct guess of Alice's input.
-    Alice's check fails only where Bob's does (:func:`_instance_table`):
+    Returns ``(fail, guess)``, both read-only ``[2, 2]`` arrays indexed
+    ``[bob_fail, alice_fail]``: ``fail`` holds each verdict pair's probability
+    and ``guess`` that probability jointly with a correct guess of Alice's
+    input.  Alice's check fails only where Bob's does (:func:`_instance_table`):
     ``fail[0, 1]`` is 0, and so is ``fail[1, 0]`` against an honest Alice.
+    Cached per strategy pair, bounded like the table.
     """
     probs, columns = _instance_table(alice, bob)
     cell = 2 * columns["bob_fail"] + columns["alice_fail"]
     fail = np.bincount(cell, weights=probs, minlength=4)
     guess = np.bincount(cell, weights=probs * columns["x_guess_correct"], minlength=4)
-    return fail.reshape(2, 2), guess.reshape(2, 2)
+    fail, guess = fail.reshape(2, 2), guess.reshape(2, 2)
+    fail.flags.writeable = guess.flags.writeable = False
+    return fail, guess
 
 
 # ---------------------------------------------------------------------------
@@ -610,9 +614,10 @@ def _binomials(rng, n, p: float, trials: int) -> np.ndarray:
     :func:`_iid`; counts that vary per trial, or a support larger than the
     trials, are drawn one per trial.
     """
-    if not (0.0 < p < 1.0 and np.any(n)):
+    scalar = np.ndim(n) == 0
+    if not (0.0 < p < 1.0 and (n != 0 if scalar else np.any(n))):
         return np.full(trials, n * int(p >= 1.0), dtype=np.int64)
-    if np.ndim(n) == 0 and n < trials:
+    if scalar and n < trials:
         return _iid(rng, np.arange(n + 1), _binomial_pmf(n, p), trials)
     return rng.binomial(n, p, trials)
 

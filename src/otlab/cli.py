@@ -212,7 +212,22 @@ _HANDLERS = {"table": run_table, "verify": run_verify,
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises a usage error as ``ValueError``, reported like every other one."""
+    """Raises a usage error as ``ValueError``, reported like every other one.
+
+    Keeps the flag table that ``_read_flags`` reads: every Action its
+    ``add_argument`` calls returned, in call order, and the Action of each
+    option string.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.actions, self.flags = [], {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.actions.append(action)
+        self.flags.update(dict.fromkeys(action.option_strings, action))
+        return action
 
     def error(self, message):
         raise ValueError(message)
@@ -286,21 +301,67 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _read_flags(parser: _Parser, words, preset: dict):
+    """The namespace ``parser`` gives ``words`` over ``preset``, or None.
+
+    Reads ``words`` off the parser's flag table when every word is an exact
+    flag followed by a value that does not start with ``-``, or one of the
+    parser's positionals, every value passes its Action's ``type`` and
+    ``choices``, and every required Action is given.  Every other dest takes
+    its default, as in argparse.  Any other line gives None.
+    """
+    positionals = iter([action for action in parser.actions if not action.option_strings])
+    seen = {}
+    words = iter(words)
+    for word in words:
+        if word[:1] == "-":
+            action, text = parser.flags.get(word), next(words, "-")
+        else:
+            action, text = next(positionals, None), word
+        # A flag the table reads takes one value: help takes none, so argparse reads it.
+        if action is None or action.nargs is not None or text[:1] == "-":
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        seen[action] = value
+    fields = dict(preset)
+    for action in parser.actions:
+        if action.required and action not in seen:
+            return None
+        if action.default is not argparse.SUPPRESS:
+            fields.setdefault(action.dest, action.default)
+    fields.update((action.dest, value) for action, value in seen.items())
+    return argparse.Namespace(**fields)
+
+
 def _parse(argv) -> argparse.Namespace:
     """The namespace the top-level parser gives ``argv``, at a fraction of its cost.
 
-    A command line that starts with a subcommand goes straight to that
-    subcommand's parser, with the same namespace, output and errors as the
-    top-level pass, which hands the parser the same words.  Only
-    ``--from-manifest``, ``--help``, an empty line and unknown words reach the
-    top-level parser.
+    A command line that starts with a subcommand is read off that
+    subcommand's flag table (``_read_flags``) when every other word is an
+    exact flag followed by a value that does not start with ``-``, or
+    ``verify``'s suite, every value passes its flag's type and choices, and
+    no required flag is missing.  Any other such line goes to the
+    subcommand's own parser, with the same namespace, output and errors as
+    the top-level pass, which hands the parser the same words: help,
+    abbreviations, ``--flag=value``, ``--``, dash-led values, unknown words
+    and usage errors.  Only ``--from-manifest``, ``--help``, an empty line
+    and unknown subcommands reach the top-level parser.
     """
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     sub = parser.subcommands.get(argv[0]) if argv else None
     if sub is None:
         return parser.parse_args(argv)
-    return sub.parse_args(argv[1:], argparse.Namespace(from_manifest=None, subcommand=argv[0]))
+    preset = {"from_manifest": None, "subcommand": argv[0]}
+    namespace = _read_flags(sub, argv[1:], preset)
+    if namespace is None:
+        namespace = sub.parse_args(argv[1:], argparse.Namespace(**preset))
+    return namespace
 
 
 def _params_from_args(args: argparse.Namespace) -> dict:

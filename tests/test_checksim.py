@@ -809,6 +809,22 @@ class TestInstanceTable:
         if alice_name == "honest" and bob_name == "computational":
             assert probs @ columns["x_guess_correct"] == pytest.approx(0.75, abs=1e-12)
 
+    @pytest.mark.parametrize("alice,bob", [
+        (AliceStrategy.honest(), BobStrategy.computational_basis()),
+        (AliceStrategy.per_instance_mix([(0.3, AliceStrategy.learn_y()),
+                                         (0.7, AliceStrategy.honest())]),
+         BobStrategy.phase_noise(0.8)),
+    ], ids=["honest-computational", "mix-phase-noise"])
+    def test_verdicts_are_cached_read_only_bincounts(self, alice, bob):
+        probs, columns = checksim._instance_table.__wrapped__(alice, bob)
+        cell = 2 * columns["bob_fail"] + columns["alice_fail"]
+        fresh = (np.bincount(cell, weights=probs, minlength=4),
+                 np.bincount(cell, weights=probs * columns["x_guess_correct"], minlength=4))
+        first, again = checksim._verdicts(alice, bob), checksim._verdicts(alice, bob)
+        for cached, repeated, expected in zip(first, again, fresh):
+            assert repeated is cached and not cached.flags.writeable
+            assert cached.shape == (2, 2) and cached.tobytes() == expected.tobytes()
+
 
 class TestStrategyValidation:
     @pytest.mark.parametrize("weights", [(math.nan, math.nan), (1.5, -0.5), (math.inf, 0.0)])
@@ -944,8 +960,23 @@ class TestIid:
 
     def test_certain_failures_past_int64_refused(self):
         # A failure probability of 1 draws nothing: its count is refused as a draw's would be.
-        with pytest.raises(OverflowError):
-            checksim._binomials(np.random.default_rng(0), 2**63, 1.0, 3)
+        for n in (2**63, 2**70):
+            with pytest.raises(OverflowError):
+                checksim._binomials(np.random.default_rng(0), n, 1.0, 3)
+
+    @pytest.mark.parametrize("n,p,expected", [
+        (5, 0.0, [0, 0, 0]), (5, 1.0, [5, 5, 5]), (0, 0.3, [0, 0, 0]),
+        (np.int64(0), 0.3, [0, 0, 0]), (2**70, 0.0, [0, 0, 0]),
+        (np.array([2, 0, 7]), 0.0, [0, 0, 0]), (np.array([2, 0, 7]), 1.0, [2, 0, 7]),
+        (np.zeros(3, dtype=np.int64), 0.3, [0, 0, 0]),
+    ], ids=["scalar-p0", "scalar-p1", "scalar-zero", "numpy-scalar-zero", "past-int64-p0",
+            "array-p0", "array-p1", "array-zeros"])
+    def test_no_draw_paths_leave_the_stream_untouched(self, n, p, expected):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        counts = checksim._binomials(rng, n, p, 3)
+        assert counts.dtype == np.int64 and counts.tolist() == expected
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("m,k_a,trials,histogram", [
         (40, 5, 6, True), (40, 5, 5, False),

@@ -1,5 +1,8 @@
+import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otlab import checksim, cli, protocol, security, verify
 
@@ -582,20 +587,90 @@ class TestOneParser:
 
 
 class _TopLevelParse(Exception):
-    """Raised by the patched top-level parser; ``main`` lets it through."""
+    """Raised by a patched parser; ``main`` lets it through."""
+
+
+# Each subcommand's exact flags with values valid for them; a generated line
+# also takes odd values, abbreviated flags, ``=`` forms, help and ``--``.
+_LINE_FLAGS = {
+    "table": {"--x": ["0", "1"], "--y": ["0", "1"], "--n": ["5", "1500"], "--seed": ["3"],
+              "--out": ["run.out"]},
+    "verify": {"--samples": ["3", "100000"], "--seed": ["3"], "--out": ["run.out"]},
+    "curve": {"--n-samples": ["1000"], "--bin-width": ["0.01", "1e-2"], "--seed": ["3"],
+              "--out": ["run.out"]},
+    "checksim": {"--protocol": ["2", "3"], "--alice": ["honest", "learn-y", "param", "mix"],
+                 "--bob": ["honest", "computational", "phase-noise"], "--alpha": ["0.7"],
+                 "--a": ["0.6"], "--b": ["0.5"], "--c": ["0.4"], "--phi": ["0.5"],
+                 "--angle": ["1.2"], "--m": ["20"], "--k": ["5"], "--k-bob": ["5"],
+                 "--k-alice": ["4"], "--threshold": ["0", "0.25"], "--threshold-alice": ["1"],
+                 "--trials": ["50"], "--c1": ["1.7"], "--seed": ["3"], "--out": ["run.out"]},
+}
+_ODD_VALUES = ["", "few", "1.5", "2", " 7", "nan", "1_000", "-0.5", "-1", "-", "--", "-h",
+               "prop1", "honest"]
+_LINES = settings(derandomize=True, deadline=None, database=None, max_examples=300)
+
+
+@st.composite
+def _lines(draw, name):
+    """A ``name`` line: flag groups and, for ``verify``, suites before, between or after them."""
+    flags = _LINE_FLAGS[name]
+    clean = draw(st.booleans())  # exact flags with valid values only
+    groups = []
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=8)):
+        odd = not clean and draw(st.integers(0, 3)) == 0
+        value = draw(st.sampled_from(_ODD_VALUES if odd else flags[flag]))
+        form = "exact" if clean else draw(st.sampled_from(
+            ["exact"] * 8 + ["abbreviated", "equals", "bare", "unknown", "help", "separator"]))
+        if form == "abbreviated" and len(flag) > 3:
+            groups.append([flag[:draw(st.integers(3, len(flag) - 1))], value])
+        elif form == "equals":
+            groups.append([f"{flag}={value}"])
+        elif form == "bare":
+            groups.append([flag])
+        elif form == "unknown":
+            groups.append(["--bogus", value])
+        elif form == "help":
+            groups.append([draw(st.sampled_from(["--help", "-h"]))])
+        elif form == "separator":
+            groups.append(["--"])
+        else:
+            groups.append([flag, value])
+    if name == "verify":
+        suites = [*verify.SUITES] if clean else [*verify.SUITES, "nonsense", "", "-x"]
+        for _ in range(1 if clean else draw(st.sampled_from([0, 1, 1, 2]))):
+            groups.insert(draw(st.integers(0, len(groups))), [draw(st.sampled_from(suites))])
+    return [word for group in groups for word in group]
+
+
+def _argparse_reads(sub, words, preset):
+    """``vars`` of the namespace argparse gives ``words``, or None if it raises or prints help."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return vars(sub.parse_args(words, argparse.Namespace(**preset)))
+    except (ValueError, SystemExit):
+        return None
 
 
 class TestSubcommandParse:
-    """A line that starts with a subcommand never reaches the top-level parser."""
+    """A line that starts with a subcommand never reaches the top-level parser.
+
+    A well-formed one is read off the subcommand's flag table and reaches no
+    argparse parser; the table gives argparse's namespace, and gives nothing
+    where argparse fails or prints help.
+    """
 
     @staticmethod
-    def _refuse_top_level(monkeypatch):
+    def _refuse_top_level(monkeypatch, parsers=None):
         def refuse(*args, **kwargs):
             raise _TopLevelParse
 
+        for parser in parsers or [cli._parser()]:
+            monkeypatch.setattr(parser, "parse_args", refuse)
+            monkeypatch.setattr(parser, "parse_known_args", refuse)
+
+    def _refuse_argparse(self, monkeypatch):
         parser = cli._parser()
-        monkeypatch.setattr(parser, "parse_args", refuse)
-        monkeypatch.setattr(parser, "parse_known_args", refuse)
+        self._refuse_top_level(monkeypatch, [parser, *parser.subcommands.values()])
 
     @pytest.mark.parametrize("argv", [
         ["table", "--x", "1", "--y", "0", "--n", "5", "--seed", "3"],
@@ -617,6 +692,62 @@ class TestSubcommandParse:
         self._refuse_top_level(monkeypatch)
         with pytest.raises(_TopLevelParse):
             cli.main(argv)
+
+    # The benchmark's line shapes: one per subcommand, and one per strategy
+    # flag set of its checksim jobs (protocol 2 with no strategy parameter,
+    # --alpha and --phi; protocol 3 with no receiver parameter and --angle).
+    @pytest.mark.parametrize("argv", [
+        ["table", "--x", "1", "--y", "0", "--n", "1500", "--seed", "1804289383"],
+        ["verify", "prop3", "--samples", "100000", "--seed", "846930886"],
+        ["verify", "thm3", "--seed", "1681692777"],
+        ["curve", "--n-samples", "100000", "--bin-width", "0.01", "--seed", "1714636915"],
+        ["checksim", "--protocol", "2", "--alice", "learn-y", "--m", "200", "--k", "20",
+         "--threshold", "1", "--trials", "4000", "--seed", "1957747793"],
+        ["checksim", "--protocol", "2", "--alice", "param", "--m", "7", "--k", "7",
+         "--threshold", "0", "--trials", "5000", "--alpha", "0.8402035217810826",
+         "--seed", "424238335"],
+        ["checksim", "--protocol", "2", "--alice", "mix", "--m", "200", "--k", "20",
+         "--threshold", "2", "--trials", "4000", "--phi", "0.5", "--seed", "719885386"],
+        ["checksim", "--protocol", "3", "--alice", "honest", "--m", "200", "--k", "20",
+         "--threshold", "2", "--trials", "4000", "--bob", "computational", "--k-alice", "20",
+         "--threshold-alice", "0", "--seed", "1649760492"],
+        ["checksim", "--protocol", "3", "--alice", "honest", "--m", "12", "--k", "0",
+         "--threshold", "0", "--trials", "5000", "--angle", "1.9021614531013163",
+         "--bob", "phase-noise", "--k-alice", "12", "--threshold-alice", "0",
+         "--seed", "596516649"],
+    ], ids=["table", "verify-samples", "verify", "curve", "p2-learn-y", "p2-alpha", "p2-phi",
+            "p3-computational", "p3-angle"])
+    def test_benchmark_lines_take_the_table_path(self, monkeypatch, argv):
+        preset = {"from_manifest": None, "subcommand": argv[0]}
+        expected = _argparse_reads(cli._parser().subcommands[argv[0]], argv[1:], preset)
+        assert expected is not None
+        self._refuse_argparse(monkeypatch)
+        assert vars(cli._parse(argv)) == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["checksim", "--help"], ["table", "-h"], ["checksim", "--tri", "5"],
+        ["checksim", "--trials=5"], ["verify", "--", "prop1"], ["verify", "prop1", "prop2"],
+        ["checksim", "--protocol", "3", "--bob", "phase-noise", "--angle", "-0.5"],
+        ["table", "--x", "1"], ["table", "--x", "2", "--y", "0"], ["checksim", "--m"],
+        ["checksim", "--m", "few"], ["checksim", "--bogus", "1"], ["curve", "extra"],
+    ], ids=["help", "h", "abbreviated", "equals", "separator", "two-suites", "dash-led-value",
+            "missing-required", "bad-choice", "missing-value", "bad-type", "unknown-flag",
+            "unknown-word"])
+    def test_other_subcommand_lines_reach_argparse(self, monkeypatch, argv):
+        self._refuse_argparse(monkeypatch)
+        with pytest.raises(_TopLevelParse):
+            cli.main(argv)
+
+    @_LINES
+    @pytest.mark.parametrize("name", sorted(_LINE_FLAGS))
+    @given(data=st.data())
+    def test_table_gives_argparse_namespace_or_nothing(self, name, data):
+        words = data.draw(_lines(name))
+        preset = {"from_manifest": None, "subcommand": name}
+        table = cli._read_flags(cli._parser().subcommands[name], words, preset)
+        reference = _argparse_reads(cli._parser().subcommands[name], words, preset)
+        # Compared by repr, so that a NaN value (``--a nan``) equals itself.
+        assert table is None or repr(vars(table)) == repr(reference)
 
 
 class TestImportCost:
