@@ -15,20 +15,18 @@ given each outcome.  A receiver is a set of Kraus operators, one per branch,
 each with his bits ``y, r`` and his guess of her input.  One Born-rule
 contraction of the two gives a strategy pair's exact joint distribution over
 all per-instance classical values (hidden bits, fabricated reports, check
-verdicts), built once per pair.  Instances are i.i.d., so a trial needs
-only its sufficient statistics, drawn from that exact table: the number J of
-labels both sides check and each side's failure count, a single binomial
-count when one side checks nothing.  Alice's check fails only where Bob's
-does, so her failures on the shared labels are a thinning of his there:
-protocol 3 draws ``(J, F_b, F_a)`` as two multinomial histograms of their
-exact joint law where that table is small next to the trials, and else as
-a chain of binomials, one per trial.  A histogram leaves its trials grouped
-by value, which no summary of a run can see: a run's last draw is a seed for
-its trial order, and its :class:`CheckReport` permutes the trials only when
-a per-trial value is read, so no run shuffles.  The same table gives each
-run's exact law (:func:`exact_law`), and :func:`simulate_instances`, which
-draws whole instances from it, is the instance-level oracle of the
-sufficient-statistic draws.
+verdicts), built once per pair.  Alice's check fails only where Bob's does,
+so three of its numbers are the whole law of a check: the chances ``p_b``
+and ``p_a`` that Bob's and Alice's checks fail, and the rate of right
+guesses of her input.  Instances are i.i.d., so a trial needs only its
+sufficient statistics: the number J of labels both sides check, Bob's
+failures ``U ~ Bin(J, p_b)`` on them, Alice's ``Bin(U, q)`` with ``q = p_a /
+p_b``, and each side's failures on its own labels.  Runs draw this chain,
+as multinomial histograms of its exact law or one binomial per link and
+trial, and :func:`exact_law` sums it.  No summary of a run depends on the
+order of its trials, so none shuffles: a :class:`CheckReport` permutes them
+only when a per-trial value is read.  :func:`simulate_instances` draws whole
+instances from the table, the oracle of the sufficient-statistic draws.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ __all__ = [
     "exact_law",
     "run_protocol2",
     "run_protocol3",
-    "suggested_check_count",
 ]
 
 
@@ -308,23 +305,24 @@ def simulate_instances(alice: AliceStrategy, bob: BobStrategy, n: int,
 
 
 @lru_cache(maxsize=32)
-def _verdicts(alice: AliceStrategy, bob: BobStrategy):
-    """Exact law of one instance's two check verdicts, from its table.
-
-    Returns ``(fail, guess)``, both read-only ``[2, 2]`` arrays indexed
-    ``[bob_fail, alice_fail]``: ``fail`` holds each verdict pair's probability
-    and ``guess`` that probability jointly with a correct guess of Alice's
-    input.  Alice's check fails only where Bob's does (:func:`_instance_table`):
-    ``fail[0, 1]`` is 0, and so is ``fail[1, 0]`` against an honest Alice.
+def _verdicts(alice: AliceStrategy, bob: BobStrategy) -> tuple:
+    """``(p_b, p_a, guess_rate)``: the chances that Bob's and Alice's checks
+    of an instance fail, and that Bob guesses her input right (over the
+    table's total, which may be one ulp off 1).  Alice's check fails only where
+    Bob's does (:func:`_instance_table`), so this is the whole verdict law.
     Cached per strategy pair, bounded like the table.
     """
     probs, columns = _instance_table(alice, bob)
     cell = 2 * columns["bob_fail"] + columns["alice_fail"]
     fail = np.bincount(cell, weights=probs, minlength=4)
     guess = np.bincount(cell, weights=probs * columns["x_guess_correct"], minlength=4)
-    fail, guess = fail.reshape(2, 2), guess.reshape(2, 2)
-    fail.flags.writeable = guess.flags.writeable = False
-    return fail, guess
+    _, _, bob_only, both = fail
+    return float(bob_only + both), float(both), float(guess.sum() / fail.sum())
+
+
+def _thinning_rate(p_b: float, p_a: float) -> float:
+    """``q = p_a / p_b``, the chance that Alice's check fails where Bob's does; 0 if his cannot."""
+    return p_a / p_b if p_b > 0.0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +358,9 @@ def _binomial_pmf(k, p: float) -> np.ndarray:
     return _from_ratios(np.maximum(k[..., None] - j[:-1], 0) / (j[:-1] + 1.0) * (p / (1.0 - p)))
 
 
-def _binomial_cdf(k: int, p: float, counts: np.ndarray) -> np.ndarray:
-    """``P(Bin(k, p) <= c)`` for each nonnegative ``c`` in ``counts``."""
-    return np.cumsum(_binomial_pmf(k, p))[np.minimum(counts, k)]
+def _within(k: int, p: float, t: int, n: int) -> np.ndarray:
+    """``P(Bin(k, p) <= t - v)`` for v = 0..n-1, with ``n <= t + 1``."""
+    return np.cumsum(_binomial_pmf(k, p)[:t + 1])[np.minimum(t - np.arange(n), k)]
 
 
 def _shared_pmf(m: int, k_a: int, k_b: int) -> tuple:
@@ -382,11 +380,10 @@ class ExactLaw:
     """Exact law of one trial of a check run.
 
     ``fail_bob``/``fail_alice`` are the per-check failure probabilities of
-    Bob's and Alice's checks.  A side's failure count is ``Bin(k, p)``
-    whatever the overlap of the label sets, so its abort probability is a
-    binomial tail.  ``pass_probability`` (neither side aborts) and
-    ``tables_delivered`` (expected, zero on abort) are sums over the
-    hypergeometric number of labels both sides check.
+    Bob's and Alice's checks.  A side's failure count is ``Bin(k, p)`` whatever
+    the overlap of the label sets, so its abort probability is a binomial tail.
+    ``pass_probability`` (neither side aborts) and ``tables_delivered``
+    (expected, zero on abort) are sums over J, the labels both sides check.
     """
 
     fail_bob: float
@@ -402,37 +399,32 @@ def exact_law(config: CheckConfig, alice: AliceStrategy,
     """Exact law of :func:`run_protocol3`, or of :func:`run_protocol2` without ``bob``.
 
     Protocol 2 is protocol 3 with an honest receiver who is never checked.
-    Given J shared labels, their (Bob, Alice) failure counts are built up one
-    label at a time over the joint verdicts, kept only where both pass, and
-    each side's own ``k - J`` labels enter through a binomial distribution
-    function.
+    Per J shared labels, it sums the chain the runs draw (:func:`_joint_table`)
+    over passing counts only: ``Bin(J, p_b)`` times the chance that Bob's own
+    labels fail at most ``t_b - u``, then the ``[u, s]`` thinning ``Bin(u, q)``,
+    then the chance that Alice's own fail at most ``t_a - s``.
     """
     if bob is None:
         config, bob = replace(config, k_alice=0, threshold_alice=0), BobStrategy.honest()
-    fail, _ = _verdicts(alice, bob)
+    p_b, p_a, _ = _verdicts(alice, bob)
     m, k_b, k_a = config.m, config.k_bob, config.k_alice
     t_b = min(config.resolved_threshold("bob"), k_b)
     t_a = min(config.resolved_threshold("alice"), k_a)
-    p_b, p_a = float(fail[1].sum()), float(fail[:, 1].sum())
-    passing = np.zeros((t_b + 1, t_a + 1))
-    passing[0, 0] = 1.0
-    labels = 0
-    shared, weights = _shared_pmf(m, k_a, k_b)
-    passed = np.empty(len(shared))
-    for i, j in enumerate(shared):
-        while labels < j:
-            step = fail[0, 0] * passing
-            step[1:] += fail[1, 0] * passing[:-1]
-            step[:, 1:] += fail[0, 1] * passing[:, :-1]
-            step[1:, 1:] += fail[1, 1] * passing[:-1, :-1]
-            passing, labels = step, labels + 1
-        own_b = _binomial_cdf(k_b - j, p_b, t_b - np.arange(t_b + 1))
-        own_a = _binomial_cdf(k_a - j, p_a, t_a - np.arange(t_a + 1))
-        passed[i] = min(1.0, own_b @ passing @ own_a)
-    # Means over J's law, so that a pass probability of 1 at every J sums to exactly 1.
+    # A side that checks no label shares none, as in a run (and m may pass int64).
+    shared, weights = _shared_pmf(m, k_a, k_b) if k_a and k_b else (np.zeros(1, int), np.ones(1))
+    top = min(int(shared.max()), t_b)   # Bob passes only with u <= t_b, Alice with s <= t_a
+    thinning = _binomial_pmf(np.arange(top + 1), _thinning_rate(p_b, p_a))[:, :t_a + 1]
+    passed = np.zeros(len(shared))
+    for i in np.flatnonzero(weights):   # a J of probability 0 adds nothing
+        j = int(shared[i])
+        u = min(j, t_b) + 1
+        bob_passes = _binomial_pmf(j, p_b)[:u] * _within(k_b - j, p_b, t_b, u)
+        alice_passes = _within(k_a - j, p_a, t_a, thinning.shape[1])
+        passed[i] = min(1.0, bob_passes @ thinning[:u] @ alice_passes)
+    # Means over J's law, so that passing at every J sums to exactly 1; in floats past int64.
     total = weights.sum()
     pass_probability = (weights * passed).sum() / total
-    delivered = (((m - k_b - k_a) + shared) * weights * passed).sum() / total
+    delivered = (((m - k_b - k_a) + shared.astype(float)) * weights * passed).sum() / total
     return ExactLaw(
         fail_bob=p_b, fail_alice=p_a,
         abort_bob=min(1.0, float(_binomial_pmf(k_b, p_b)[t_b + 1:].sum())),
@@ -667,25 +659,23 @@ def _shifts(pmf: np.ndarray, shifts: int, size: int) -> np.ndarray:
     return padded[..., np.where(index < 0, size, index)]
 
 
-def _joint_table(fail: np.ndarray, shared: np.ndarray, weights: np.ndarray,
+def _joint_table(p_b: float, p_a: float, shared: np.ndarray, weights: np.ndarray,
                  k_b: int, k_a: int) -> np.ndarray:
     """Exact law ``[G, k_b + 1, k_a + 1]`` of a protocol-3 trial's ``(J, F_b, F_a)``.
 
-    ``shared`` and ``weights`` are J's support and law, ``fail`` the verdict
-    law of :func:`_verdicts`, whose ``fail[0, 1]`` is 0 by construction:
-    Alice's check fails only where Bob's does.
-    Given J, Bob's failures on the shared labels are ``U ~ Bin(J, p_b)`` and on
-    his own ``Bin(k_b - J, p_b)``; Alice's are ``Bin(U, q)``, with ``q =
-    fail[1, 1] / p_b``, plus ``Bin(k_a - J, p_a)`` on hers.  Per J, the table
-    is ``h(J)`` times the matrix chain over u and Alice's shared failures s:
-    Bob's own law shifted by u, ``Bin(J, p_b)``, ``Bin(u, q)``, and Alice's
-    own law shifted by s.  Each set of binomial rows is one vectorized call.
+    ``shared`` and ``weights`` are J's support and law, ``p_b`` and ``p_a``
+    those of :func:`_verdicts`.  Given J, Bob's failures on the shared labels
+    are ``U ~ Bin(J, p_b)`` and on his own ``Bin(k_b - J, p_b)``; Alice's are
+    ``Bin(U, q)`` plus ``Bin(k_a - J, p_a)`` on hers.  Per J, the table is
+    ``h(J)`` times the matrix chain over u and Alice's shared failures s: Bob's
+    own law shifted by u, ``Bin(J, p_b)``, ``Bin(u, q)``, and Alice's own law
+    shifted by s.  Each set of binomial rows is one vectorized call.
     """
-    p_b, p_a, g, top = float(fail[1].sum()), float(fail[1, 1]), len(shared), int(shared.max())
+    g, top = len(shared), int(shared.max())
     rows = _binomial_pmf(np.concatenate([k_b - shared, shared]), p_b)
     bob = _shifts(rows[:g], top + 1, k_b + 1) * rows[g:, :top + 1, None]    # [G, u, F_b]
     alice = _shifts(_binomial_pmf(k_a - shared, p_a), top + 1, k_a + 1)      # [G, s, F_a]
-    thinning = _binomial_pmf(np.arange(top + 1), p_a / p_b)                  # [u, s]
+    thinning = _binomial_pmf(np.arange(top + 1), _thinning_rate(p_b, p_a))  # [u, s]
     return weights[:, None, None] * (np.swapaxes(bob, 1, 2) @ thinning @ alice)
 
 
@@ -699,7 +689,7 @@ def _joint_table(fail: np.ndarray, shared: np.ndarray, weights: np.ndarray,
 _TABLE_CELLS_PER_TRIAL = 4
 
 
-def _joint_draw(rng, fail: np.ndarray, m: int, k_b: int, k_a: int, trials: int) -> tuple:
+def _joint_draw(rng, p_b: float, p_a: float, m: int, k_b: int, k_a: int, trials: int) -> tuple:
     """``trials`` i.i.d. draws of ``(J, F_b, F_a)`` from :func:`_joint_table`, grouped by value.
 
     Two multinomial histograms: of ``(J, F_b)``, whose law is ``h(J) Bin(k_b,
@@ -709,7 +699,7 @@ def _joint_draw(rng, fail: np.ndarray, m: int, k_b: int, k_a: int, trials: int) 
     values side by side; the trial order is the report's (:class:`CheckReport`).
     """
     shared, weights = _shared_pmf(m, k_a, k_b)
-    table = _joint_table(fail, shared, weights, k_b, k_a).reshape(-1, k_a + 1)
+    table = _joint_table(p_b, p_a, shared, weights, k_b, k_a).reshape(-1, k_a + 1)
     first = table.sum(axis=1)
     counts = rng.multinomial(trials, first / first.sum())
     occupied = np.flatnonzero(counts)
@@ -729,8 +719,7 @@ def _check_run(protocol_id: int, config: CheckConfig, k_a: int, t_a: int,
     """
     m, k_b, trials = config.m, config.k_bob, config.trials
     t_b = config.resolved_threshold("bob")
-    fail, guess = _verdicts(alice, bob)
-    p_b, p_a = fail[1].sum(), fail[1, 1]
+    p_b, p_a, guess_rate = _verdicts(alice, bob)
     if k_a == 0 or k_b == 0:
         # A side that checks no label shares none, draws nothing and never
         # aborts; the count of labels checked stays a scalar, exact past int64.
@@ -741,19 +730,19 @@ def _check_run(protocol_id: int, config: CheckConfig, k_a: int, t_a: int,
     else:
         support = min(k_a, k_b) - max(0, k_a + k_b - m) + 1
         if p_b > 0.0 and support * (k_b + 1) * (k_a + 1) <= _TABLE_CELLS_PER_TRIAL * trials:
-            shared, failures_b, failures_a = _joint_draw(rng, fail, m, k_b, k_a, trials)
+            shared, failures_b, failures_a = _joint_draw(rng, p_b, p_a, m, k_b, k_a, trials)
         else:
             shared = _shared_labels(rng, m, k_a, k_b, trials)
             u = _binomials(rng, shared, p_b, trials)
             failures_b = u + _binomials(rng, k_b - shared, p_b, trials)
-            failures_a = _binomials(rng, u, p_a / p_b if p_b > 0.0 else 0.0, trials)
+            failures_a = _binomials(rng, u, _thinning_rate(p_b, p_a), trials)
             failures_a += _binomials(rng, k_a - shared, p_a, trials)
         passed = (failures_b <= t_b) & (failures_a <= t_a)
         checked = (k_b - shared) + k_a   # at most m, where k_b + k_a can pass int64
     extras = {}
     if bob.kind == "computational" and alice.kind == "honest":
-        # ``guess`` is 3/4 of ``fail`` in every cell: one binomial, after the verdicts.
-        guessed = _big_binomial(rng, trials * m, float(guess.sum() / fail.sum()))
+        # Right with probability 3/4 whatever the verdicts: one binomial, after them.
+        guessed = _big_binomial(rng, trials * m, guess_rate)
         extras["x_guess_rate"] = guessed / (trials * m)
     order = _TrialOrder(rng.bit_generator.random_raw(), trials)
     # No table is delivered when either side aborts; an object array past int64.
@@ -793,33 +782,22 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
     zero when either side aborts.  Against a cheating Alice her own check is
     vacuous (she has no honest values) and never aborts.
 
-    Instances are i.i.d., so a trial draws its sufficient statistics only,
-    from the caller's Generator ``rng``: the number J of labels both sides
-    check, ``J ~ Hypergeometric(k_alice, m - k_alice, k_bob)``, and each
-    side's failure count.  Alice's check fails only where Bob's does
-    (:func:`_verdicts`), so of the J shared labels Bob fails ``U ~ Bin(J,
-    p_b)`` and Alice ``Bin(U, q)``, with ``q = fail[1, 1] / p_b`` (1 against
-    an honest Alice).  When a side checks no label, none is shared, only the
+    A trial draws only its sufficient statistics (module docstring), from the
+    caller's Generator ``rng``: ``J ~ Hypergeometric(k_alice, m - k_alice,
+    k_bob)``, and the chain ``U ~ Bin(J, p_b)``, ``F_b = U + Bin(k_bob - J,
+    p_b)``, ``F_a = Bin(U, q) + Bin(k_alice - J, p_a)`` (q is 1 against an
+    honest Alice).  When a side checks no label, none is shared, only the
     other side's count is drawn (:func:`_binomials`) and the side that checks
     nothing never aborts: with ``k_alice = 0`` and an honest ``bob`` this is
     :func:`run_protocol2`, draw for draw.  When both check, Bob's check can
     fail and the exact table of ``(J, F_b, F_a)`` has at most
     ``_TABLE_CELLS_PER_TRIAL`` cells per trial, it is drawn as two multinomial
-    histograms (:func:`_joint_draw`).  Otherwise the chain is drawn link by
-    link, per trial: J, U, ``F_b = U + Bin(k_bob - J, p_b)`` and ``F_a =
-    Bin(U, q) + Bin(k_alice - J, p_a)``.  Against a computational-basis Bob
-    each instance's input guess is right with probability 3/4 whatever its
-    verdicts, so the total over all ``trials * m`` instances is one binomial
-    of that exact marginal.  The run's last draw is the seed of the trial
-    order that its two reports share.
+    histograms (:func:`_joint_draw`); otherwise link by link, per trial.
+    Against a computational-basis Bob each instance's input guess is right
+    with probability 3/4 whatever its verdicts, so the total over all
+    ``trials * m`` instances is one binomial of that exact marginal.  The
+    run's last draw is the seed of the trial order that its two reports share.
     """
     return _check_run(3, config, config.k_alice, config.resolved_threshold("alice"),
                       alice, bob, rng)
-
-
-def suggested_check_count(tables_needed: int) -> int:
-    """The default number of checks for ``tables_needed`` tables: ``ceil(tables_needed ** 1.1)``."""
-    if tables_needed < 1:
-        raise ValueError("tables_needed must be >= 1")
-    return int(np.ceil(tables_needed ** 1.1))
 

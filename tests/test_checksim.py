@@ -25,6 +25,17 @@ def _binomial_3sigma(p, n):
     return 3.0 * np.sqrt(max(p * (1 - p), 1e-12) / n)
 
 
+def _verdict_cells(alice, bob, table=checksim._instance_table):
+    """``(fail, guess)``, bincounted from the pair's instance table: the law of
+    one instance's verdicts as a ``[bob_fail, alice_fail]`` array, and that law
+    jointly with a right guess of Alice's input."""
+    probs, columns = table(alice, bob)
+    cell = 2 * columns["bob_fail"] + columns["alice_fail"]
+    fail = np.bincount(cell, weights=probs, minlength=4)
+    guess = np.bincount(cell, weights=probs * columns["x_guess_correct"], minlength=4)
+    return fail.reshape(2, 2), guess.reshape(2, 2)
+
+
 class TestConfig:
     def test_k_bounds(self):
         with pytest.raises(ValueError):
@@ -205,9 +216,9 @@ class TestCheatingBob:
 
     def test_input_guess_is_independent_of_the_verdicts(self):
         # run_protocol3 draws the guess total as one binomial of this rate.
-        fail, guess = checksim._verdicts(AliceStrategy.honest(),
-                                         BobStrategy.computational_basis())
-        rate = guess.sum() / fail.sum()
+        alice, bob = AliceStrategy.honest(), BobStrategy.computational_basis()
+        fail, guess = _verdict_cells(alice, bob)
+        rate = checksim._verdicts(alice, bob)[2]
         assert rate == 0.75
         assert np.array_equal(guess, rate * fail)
 
@@ -269,12 +280,6 @@ class TestRestartsAndThresholds:
 
 
 class TestEstimates:
-    def test_suggested_check_count_superlinear(self):
-        assert checksim.suggested_check_count(1) == 1
-        assert checksim.suggested_check_count(1000) == int(np.ceil(1000 ** 1.1))
-        with pytest.raises(ValueError):
-            checksim.suggested_check_count(0)
-
     @staticmethod
     def _report(failures, k, c1=1.0):
         return CheckReport(2, "bob", m=k, k=k, threshold=k, drawn_failures=np.array(failures),
@@ -588,14 +593,10 @@ class TestAgainstExact:
         assert stats.chi2_contingency(table).pvalue >= 2.7e-3
 
 
-# A verdict law with all four (bob_fail, alice_fail) cells live, which no
-# strategy pair of the library has; it exercises every conditional binomial.
-_FOUR_CELLS = np.array([[0.4, 0.1], [0.2, 0.3]])
-
-
 def _brute_force_law(fail, m, k_b, k_a, t_b, t_a):
     """Pass probability and mean deliveries by enumerating every instance's
-    verdicts and every pair of label sets."""
+    verdicts and every pair of label sets; ``fail`` is the ``[bob_fail,
+    alice_fail]`` verdict law of :func:`_verdict_cells`."""
     verdicts = np.array(list(itertools.product(range(4), repeat=m)))
     weight = np.prod(fail.ravel()[verdicts], axis=1)
     bob_fail, alice_fail = verdicts // 2, verdicts % 2
@@ -611,20 +612,90 @@ def _brute_force_law(fail, m, k_b, k_a, t_b, t_a):
     return passed, delivered
 
 
+def _label_by_label_law(fail, m, k_b, k_a, t_b, t_a):
+    """Pass probability and mean deliveries, exactly, in Fractions.
+
+    Given J shared labels, their (Bob, Alice) failure counts are built up one
+    label at a time over the four-cell verdict law ``fail`` of
+    :func:`_verdict_cells`, kept only where both pass; each side's own ``k -
+    J`` labels enter through a binomial distribution function, and J through
+    its hypergeometric law.
+    """
+    fail = [[Fraction(float(cell)) for cell in row] for row in fail]
+    p_b, p_a = sum(fail[1]), fail[0][1] + fail[1][1]
+
+    def within(k, p, t):   # P(Bin(k, p) <= t)
+        return sum(math.comb(k, i) * p**i * (1 - p) ** (k - i) for i in range(min(t, k) + 1))
+
+    passing, passed, delivered = {(0, 0): Fraction(1)}, Fraction(0), Fraction(0)
+    for j in range(min(k_a, k_b) + 1):
+        if j:
+            step = {}
+            for (u, s), weight in passing.items():
+                for f_b, f_a in itertools.product((0, 1), repeat=2):
+                    if u + f_b <= t_b and s + f_a <= t_a:
+                        key = (u + f_b, s + f_a)
+                        step[key] = step.get(key, 0) + weight * fail[f_b][f_a]
+            passing = step
+        shared = Fraction(math.comb(k_a, j) * math.comb(m - k_a, k_b - j), math.comb(m, k_b))
+        given = sum(weight * within(k_b - j, p_b, t_b - u) * within(k_a - j, p_a, t_a - s)
+                    for (u, s), weight in passing.items())
+        passed += shared * given
+        delivered += shared * given * (m - k_b - k_a + j)
+    return passed, delivered
+
+
 class TestExactLaw:
+    # An independent exact oracle past brute-force sizes: m = 200, and a
+    # geometry whose label sets must overlap (k_a + k_b > m, so J >= 8).
+    @pytest.mark.parametrize("m,k_b,k_a,t_b,t_a", [(200, 20, 20, 2, 1), (200, 20, 20, 0, 3),
+                                                   (30, 20, 18, 3, 2)])
+    @pytest.mark.parametrize("alice,bob", [
+        (AliceStrategy.honest(), BobStrategy.computational_basis()),
+        (AliceStrategy.honest(), BobStrategy.phase_noise(0.4)),
+        (AliceStrategy.learn_y(), BobStrategy.honest()),
+        (AliceStrategy.per_instance_mix([(0.3, AliceStrategy.learn_y()),
+                                         (0.7, AliceStrategy.honest())]),
+         BobStrategy.computational_basis()),
+    ], ids=["honest-computational", "honest-phase-noise", "learn-y", "mix-computational"])
+    def test_matches_label_by_label_fractions(self, alice, bob, m, k_b, k_a, t_b, t_a):
+        config = CheckConfig(m=m, k_bob=k_b, k_alice=k_a, threshold_bob=t_b,
+                             threshold_alice=t_a)
+        law = checksim.exact_law(config, alice, bob)
+        passed, delivered = _label_by_label_law(_verdict_cells(alice, bob)[0],
+                                                m, k_b, k_a, t_b, t_a)
+        assert law.pass_probability == pytest.approx(float(passed), rel=1e-12, abs=1e-12)
+        assert law.tables_delivered == pytest.approx(float(delivered), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("k_bob,k_alice", [(5, 0), (0, 4)], ids=["protocol-2", "k_bob=0"])
+    def test_one_checking_side_beyond_int64(self, k_bob, k_alice):
+        # The side that checks nothing shares no label, as in a run, so m
+        # - k tables go unchecked, a count past int64.
+        m = 2**70
+        if k_alice:
+            config = CheckConfig(m=m, k_bob=0, k_alice=k_alice, threshold_alice=1)
+            law = checksim.exact_law(config, AliceStrategy.honest(),
+                                     BobStrategy.phase_noise(np.pi / 2))
+            expected = 5 / 16   # P(Bin(4, 1/2) <= 1), at sin(pi/4)**2 one ulp under 1/2
+            assert law.pass_probability == pytest.approx(expected, rel=1e-15)
+        else:
+            config = CheckConfig(m=m, k_bob=k_bob, threshold_bob=1)
+            law = checksim.exact_law(config, AliceStrategy.learn_y())
+            expected = 0.1875   # P(Bin(5, 1/2) <= 1)
+            assert law.pass_probability == expected
+        assert law.tables_delivered == pytest.approx((m - k_bob - k_alice) * expected,
+                                                     rel=1e-15)
+
     @pytest.mark.parametrize("m,k_b,k_a,t_b,t_a",
                              [(5, 3, 2, 0, 0), (5, 3, 3, 1, 0), (6, 2, 4, 1, 2), (4, 4, 1, 1, 0)])
-    @pytest.mark.parametrize("pair", ["computational", "phase-noise", "learn-y", "four-cells"])
-    def test_matches_brute_force_enumeration(self, monkeypatch, pair, m, k_b, k_a, t_b, t_a):
+    @pytest.mark.parametrize("pair", ["computational", "phase-noise", "learn-y"])
+    def test_matches_brute_force_enumeration(self, pair, m, k_b, k_a, t_b, t_a):
         alice, bob = AliceStrategy.honest(), BobStrategy.computational_basis()
         if pair == "phase-noise":
             bob = BobStrategy.phase_noise(0.9)
         elif pair == "learn-y":
             alice = AliceStrategy.learn_y()
-        elif pair == "four-cells":
-            monkeypatch.setattr(checksim, "_verdicts",
-                                lambda a, b: (_FOUR_CELLS, np.zeros((2, 2))))
-        fail, _ = checksim._verdicts(alice, bob)
+        fail, _ = _verdict_cells(alice, bob)
         config = CheckConfig(m=m, k_bob=k_b, k_alice=k_a, threshold_bob=t_b,
                              threshold_alice=t_a)
         law = checksim.exact_law(config, alice, bob)
@@ -816,14 +887,13 @@ class TestInstanceTable:
          BobStrategy.phase_noise(0.8)),
     ], ids=["honest-computational", "mix-phase-noise"])
     def test_verdicts_are_cached_read_only_bincounts(self, alice, bob):
-        probs, columns = checksim._instance_table.__wrapped__(alice, bob)
-        cell = 2 * columns["bob_fail"] + columns["alice_fail"]
-        fresh = (np.bincount(cell, weights=probs, minlength=4),
-                 np.bincount(cell, weights=probs * columns["x_guess_correct"], minlength=4))
+        # Bitwise the spellings that read them off the [2, 2] bincounts of a
+        # fresh table: fail[1].sum(), fail[1, 1] and guess.sum() / fail.sum().
+        fail, guess = _verdict_cells(alice, bob, checksim._instance_table.__wrapped__)
         first, again = checksim._verdicts(alice, bob), checksim._verdicts(alice, bob)
-        for cached, repeated, expected in zip(first, again, fresh):
-            assert repeated is cached and not cached.flags.writeable
-            assert cached.shape == (2, 2) and cached.tobytes() == expected.tobytes()
+        assert again is first and all(type(value) is float for value in first)
+        expected = (fail[1].sum(), fail[1, 1], guess.sum() / fail.sum())
+        assert [value.hex() for value in first] == [float(value).hex() for value in expected]
 
 
 class TestStrategyValidation:
@@ -1021,9 +1091,9 @@ _JOINT_PAIRS = [
 
 
 def _joint_table(alice, bob, m, k_b, k_a):
-    fail, _ = checksim._verdicts(alice, bob)
+    p_b, p_a, _ = checksim._verdicts(alice, bob)
     shared, weights = checksim._shared_pmf(m, k_a, k_b)
-    return shared, checksim._joint_table(fail, shared, weights, k_b, k_a)
+    return shared, checksim._joint_table(p_b, p_a, shared, weights, k_b, k_a)
 
 
 def _count_calls(monkeypatch, name):
@@ -1051,8 +1121,11 @@ class TestJointTable:
                              ids=lambda b: f"{b.kind}{b.angle:+.1f}" if b.angle else b.kind)
     @pytest.mark.parametrize("alice", _PREMISE_SENDERS, ids=lambda a: a.kind)
     def test_alice_fails_only_where_bob_fails(self, alice, bob):
-        fail, _ = checksim._verdicts(alice, bob)
+        fail, _ = _verdict_cells(alice, bob)
         assert fail[0, 1] == 0.0
+        # So Bob's and Alice's failure probabilities are a row and a cell, bitwise.
+        assert checksim._verdicts(alice, bob)[:2] == (fail[1].sum(), fail[1, 1])
+        assert fail[:, 1].sum() == fail[1, 1]
         # Column for column: an honest sender's check fails where Bob's does,
         # a cheater's never, and both are her check ``x AND y = e XOR r``.
         _, columns = checksim._instance_table(alice, bob)
@@ -1073,7 +1146,7 @@ class TestJointTable:
         law = checksim.exact_law(config, alice, bob)
         assert passing.sum() == pytest.approx(law.pass_probability, abs=1e-12)
         assert delivered == pytest.approx(law.tables_delivered, abs=1e-12)
-        fail, _ = checksim._verdicts(alice, bob)
+        fail, _ = _verdict_cells(alice, bob)
         brute_passed, brute_delivered = _brute_force_law(fail, m, k_b, k_a, t_b, t_a)
         assert passing.sum() == pytest.approx(brute_passed, abs=1e-12)
         assert delivered == pytest.approx(brute_delivered, abs=1e-12)
@@ -1083,12 +1156,12 @@ class TestJointTable:
         m, k = 200, 20
         shared, table = _joint_table(alice, bob, m, k, k)
         assert table.sum() == pytest.approx(1.0, abs=1e-12)
-        fail, _ = checksim._verdicts(alice, bob)
+        p_b, p_a, _ = checksim._verdicts(alice, bob)
         # Bob's failures are Bin(k, p_b) whatever J, and Alice's Bin(k, p_a).
         np.testing.assert_allclose(table.sum(axis=(0, 2)),
-                                   stats.binom.pmf(np.arange(k + 1), k, fail[1].sum()), atol=1e-12)
+                                   stats.binom.pmf(np.arange(k + 1), k, p_b), atol=1e-12)
         np.testing.assert_allclose(table.sum(axis=(0, 1)),
-                                   stats.binom.pmf(np.arange(k + 1), k, fail[1, 1]), atol=1e-12)
+                                   stats.binom.pmf(np.arange(k + 1), k, p_a), atol=1e-12)
         for t_b, t_a in ((0, 0), (1, 2), (2, 1), (k, k)):
             config = CheckConfig(m=m, k_bob=k, k_alice=k, threshold_bob=t_b, threshold_alice=t_a)
             law = checksim.exact_law(config, alice, bob)
@@ -1113,7 +1186,7 @@ class TestJointTable:
         config = CheckConfig(m=30, k_bob=5, k_alice=7, threshold_bob=1, threshold_alice=1,
                              trials=20_000)
         bob = BobStrategy.computational_basis()
-        assert np.count_nonzero(checksim._verdicts(_MIX, bob)[0]) == 3
+        assert np.count_nonzero(_verdict_cells(_MIX, bob)[0]) == 3
         joint = _count_calls(monkeypatch, "_joint_draw")
         samples = []
         for seed, cells_per_trial in ((31, checksim._TABLE_CELLS_PER_TRIAL), (32, 0)):
