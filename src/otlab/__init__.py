@@ -3,8 +3,8 @@
 The package is organized as six modules:
 
 - :mod:`otlab.numerics`  -- dense small-dimension operator algebra and
-  information-theoretic primitives (entropy, trace distance, fidelity,
-  Holevo quantity, mutual information, Haar sampling).
+  information-theoretic primitives (trace distance, Holevo quantity, mutual
+  information, random POVM draws).
 - :mod:`otlab.protocol`  -- the exact two-qutrit-communication protocol that
   produces one-time tables, plus the classical AND evaluation that consumes
   them.

@@ -367,12 +367,15 @@ def _shared_pmf(m: int, k_a: int, k_b: int) -> tuple:
     """Support and probabilities of ``J ~ Hypergeometric(k_a, m - k_a, k_b)``.
 
     From the ratios ``pmf(j + 1) / pmf(j) = (k_a - j)(k_b - j) / ((j + 1)(m - k_a
-    - k_b + j + 1))``, each factor an exact int64.
+    - k_b + j + 1))``, each factor an exact int64 while ``m`` fits in int64;
+    past it, ``m - k_a - k_b + j + 1`` is summed in float.
     """
     low = max(0, k_a + k_b - m)
     shared = low + np.arange(min(k_a, k_b) - low + 1)   # np.arange(low, 2**63) is float64
     j = shared[:-1]
-    return shared, _from_ratios((k_a - j) / (j + 1.0) * ((k_b - j) / ((m - k_a - k_b + 1) + j)))
+    first = max(m - k_a - k_b + 1, 1)   # m - k_a - k_b + low + 1, at most m
+    rest = (first if m <= _INT64_MAX else float(first)) + np.arange(len(j))
+    return shared, _from_ratios((k_a - j) / (j + 1.0) * ((k_b - j) / rest))
 
 
 @dataclass(frozen=True)
@@ -738,7 +741,8 @@ def _check_run(protocol_id: int, config: CheckConfig, k_a: int, t_a: int,
             failures_a = _binomials(rng, u, _thinning_rate(p_b, p_a), trials)
             failures_a += _binomials(rng, k_a - shared, p_a, trials)
         passed = (failures_b <= t_b) & (failures_a <= t_a)
-        checked = (k_b - shared) + k_a   # at most m, where k_b + k_a can pass int64
+        # At most m, where k_b + k_a can pass int64; in Python ints when m does.
+        checked = (k_b - (shared.astype(object) if m > _INT64_MAX else shared)) + k_a
     extras = {}
     if bob.kind == "computational" and alice.kind == "honest":
         # Right with probability 3/4 whatever the verdicts: one binomial, after them.

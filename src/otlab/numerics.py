@@ -1,9 +1,9 @@
-"""Dense complex operator algebra and information primitives for dims <= 9.
+"""Dense complex operator algebra and information primitives for small dimensions.
 
 Everything here runs on exact dense Hermitian eigendecompositions; the
-largest Hilbert space in this package is two qutrits (dimension 9), so cubic
-solvers are the right tool and no sparsity or precision tricks are needed.
-All entropic quantities are in bits.
+protocol's Hilbert space is one qutrit, so cubic solvers are the right tool
+and no sparsity or precision tricks are needed.  All entropic quantities are
+in bits.
 """
 
 from __future__ import annotations
@@ -21,21 +21,14 @@ __all__ = [
     "Povm",
     "is_measurement",
     "Ensemble",
-    "von_neumann_entropy",
     "trace_distance",
-    "fidelity",
-    "partial_trace",
-    "haar_random_pure",
     "mutual_information",
     "holevo",
     "classical_mutual_information",
     "xlog2",
     "dirichlet_blocks",
-    "random_povm",
-    "random_povm_elements",
     "draw_povm_seeds",
     "normalize_povm_seeds",
-    "random_density_operator",
 ]
 
 NORM_ATOL = 1e-12
@@ -138,9 +131,6 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
-
-    def projector(self) -> "DensityOperator":
-        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,13 +282,6 @@ class Ensemble:
         return tuple(DensityOperator(mat, _spectrum=spectrum)
                      for mat, spectrum in zip(self.matrices, self.spectra))
 
-    def average(self) -> DensityOperator:
-        return DensityOperator(_average(self.probabilities, self.matrices))
-
-
-def _as_density(rho) -> DensityOperator:
-    return rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
-
 
 def _checked(rho):
     """Matrices and spectra of a :class:`DensityOperator` or of a validated stack.
@@ -314,90 +297,19 @@ def _checked(rho):
     return mats, _density_spectra(mats)
 
 
-def von_neumann_entropy(rho):
-    """Spectral entropy ``-sum(lambda * log2(lambda))`` of density operators.
-
-    ``rho`` is a :class:`DensityOperator` (its stored spectrum is used), a
-    matrix, or a stack ``[..., d, d]``; a stack gives one value per matrix,
-    otherwise a float.  Eigenvalues inside the numerical PSD tolerance band
-    are clamped to zero; arrays are validated first, so a non-Hermitian or
-    non-unit-trace matrix anywhere in the stack raises
-    :class:`InvalidOperatorError`.
-    """
-    return _entropy_bits(_checked(rho)[1])
-
-
 def trace_distance(rho, sigma):
     """Half the trace norm of ``rho - sigma``.
 
     Each argument is a :class:`DensityOperator`, a matrix or a stack
-    ``[..., d, d]``; arrays are validated like :func:`von_neumann_entropy`'s,
-    stacks broadcast and give one distance per pair, otherwise a float.
+    ``[..., d, d]``; arrays are validated first, so a non-Hermitian or
+    non-unit-trace matrix anywhere raises :class:`InvalidOperatorError`.
+    Stacks broadcast and give one distance per pair, otherwise a float.
     """
     (rho, _), (sigma, _) = _checked(rho), _checked(sigma)
     if rho.shape[-1] != sigma.shape[-1]:
         raise ValueError(f"dimension mismatch: {rho.shape[-1]} vs {sigma.shape[-1]}")
     dist = np.abs(np.linalg.eigvalsh(rho - sigma)).sum(axis=-1) * 0.5
     return float(dist) if dist.ndim == 0 else dist
-
-
-def _zero_junk_eigenvalues(w: np.ndarray) -> np.ndarray:
-    """Clamp eigenvalue noise to exactly 0 so square roots stay clean.
-
-    Eigenvalues of rank-deficient PSD matrices come back as O(eps) junk;
-    taking sqrt would inflate them to O(1e-8), so anything below 1e-13
-    relative to the spectral radius is treated as an exact zero.
-    """
-    w = np.clip(w, 0.0, None)
-    w[w < 1e-13 * max(1.0, float(w.max(initial=0.0)))] = 0.0
-    return w
-
-
-def fidelity(rho, sigma) -> float:
-    """Uhlmann fidelity ``Tr sqrt(sqrt(rho) sigma sqrt(rho))``.
-
-    Equals ``|<psi|phi>|`` on pure inputs.  With the trace distance it obeys
-    ``D <= sqrt(1 - F^2)`` on every pair.
-    """
-    rho, sigma = _as_density(rho), _as_density(sigma)
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    w, v = np.linalg.eigh(rho.matrix)
-    sqrt_rho = (v * np.sqrt(_zero_junk_eigenvalues(w))) @ v.conj().T
-    inner = sqrt_rho @ sigma.matrix @ sqrt_rho
-    eigs = _zero_junk_eigenvalues(np.linalg.eigvalsh(inner))
-    return float(min(1.0, np.sqrt(eigs).sum()))
-
-
-def partial_trace(state, dims, keep: int) -> DensityOperator:
-    """Reduce a bipartite density operator to one factor.
-
-    The integers ``dims = (d1, d2)`` declare the tensor factorization (first
-    factor is the slow index) and ``keep`` selects the subsystem (0 or 1) to
-    retain.
-    """
-    rho = _as_density(state)
-    d1, d2 = dims
-    if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in dims):
-        raise ValueError(f"factor sizes must be integers, not {dims!r}")
-    if d1 * d2 != rho.dim:
-        raise ValueError(f"declared factors {d1}x{d2} do not match dim {rho.dim}")
-    if keep not in (0, 1):
-        raise ValueError("keep must be 0 or 1")
-    blocks = rho.matrix.reshape(d1, d2, d1, d2)
-    if keep == 0:
-        reduced = np.einsum("abcb->ac", blocks)
-    else:
-        reduced = np.einsum("abad->bd", blocks)
-    return DensityOperator(reduced)
-
-
-def haar_random_pure(dim: int, rng: np.random.Generator) -> PureState:
-    """Haar-distributed pure state: normalized i.i.d. complex Gaussians."""
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return PureState(z / np.linalg.norm(z))
 
 
 def classical_mutual_information(joint):
@@ -451,20 +363,9 @@ def holevo(ensemble):
     return float(chi) if chi.ndim == 0 else chi
 
 
-def random_density_operator(dim: int, rng: np.random.Generator,
-                            rank: int | None = None) -> DensityOperator:
-    """Random mixed state from a normalized Wishart matrix."""
-    rank = dim if rank is None else rank
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-    x = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    mat = x @ x.conj().T
-    return DensityOperator(mat / np.trace(mat).real)
-
-
 def draw_povm_seeds(dim: int, n_elements: int, rng: np.random.Generator,
                     real: bool = False, rank: int | None = None) -> tuple:
-    """The draws of :func:`random_povm_elements`: seeds ``[n, dim, dim]`` and ``eigh`` of their sum.
+    """The draws of a random POVM: seeds ``[n, dim, dim]`` and ``eigh`` of their sum.
 
     Each seed is a random PSD ``x x^dagger`` with ``x`` of shape
     ``(dim, rank)`` (default rank: full); ``real=True`` draws real ``x``.
@@ -505,18 +406,3 @@ def normalize_povm_seeds(seeds, w, v) -> np.ndarray:
     inv_sqrt = inv_sqrt[..., None, :, :]
     return (inv_sqrt @ seeds @ inv_sqrt).astype(complex, copy=False)
 
-
-def random_povm_elements(dim: int, n_elements: int, rng: np.random.Generator,
-                         real: bool = False, rank: int | None = None) -> np.ndarray:
-    """Elements ``[n, dim, dim]`` of a random POVM, by symmetric normalization.
-
-    The seeds of :func:`draw_povm_seeds` (same arguments, same draws),
-    normalized by :func:`normalize_povm_seeds`.
-    """
-    return normalize_povm_seeds(*draw_povm_seeds(dim, n_elements, rng, real, rank))
-
-
-def random_povm(dim: int, n_elements: int, rng: np.random.Generator,
-                real: bool = False, rank: int | None = None) -> Povm:
-    """Validated :class:`Povm` of :func:`random_povm_elements` (same draws)."""
-    return Povm(random_povm_elements(dim, n_elements, rng, real, rank))

@@ -29,10 +29,8 @@ from . import protocol
 from .numerics import (
     Ensemble,
     Povm,
-    PureState,
     classical_mutual_information,
     dirichlet_blocks,
-    holevo,
     trace_distance,
     xlog2,
 )
@@ -53,7 +51,6 @@ __all__ = [
     "returned_ensemble",
     "sign_state_probabilities",
     "sign_state_information",
-    "params_from_two_qutrit",
     "guess_probs",
     "holevo_triple",
     "binary_entropy",
@@ -62,7 +59,6 @@ __all__ = [
     "lemma1_images",
     "example1_elements",
     "example1_povm",
-    "example2_povm",
     "example3_value",
     "accessible_info_search",
     "max_holevo_sum_search",
@@ -121,8 +117,6 @@ class CheatParams:
     @classmethod
     def from_alpha(cls, alpha: float) -> "CheatParams":
         """Extremal family ``(1, cos(alpha), sin(alpha))/sqrt(2)``, ``alpha`` in ``[0, pi/2]``."""
-        if not np.isfinite(alpha):
-            raise ValueError(f"alpha {alpha} must be finite")
         _quarter_turn(alpha)
         s = 1.0 / np.sqrt(2.0)
         return cls(s, float(np.cos(alpha)) * s, float(np.sin(alpha)) * s)
@@ -237,25 +231,6 @@ def sign_state_information(elements, amplitudes) -> np.ndarray:
     """
     probs = sign_state_probabilities(elements, amplitudes)
     return classical_mutual_information(np.einsum("lgs,...sn->...lgn", _LABEL_WEIGHTS, probs))
-
-
-def params_from_two_qutrit(state) -> CheatParams:
-    """Effective amplitude triple of an entangled two-qutrit input.
-
-    The sent qutrit is the second tensor factor.  A control unitary on the
-    withheld qutrit (conditioned on the sent one) commutes with every
-    receiver gate and orthonormalizes the withheld components, so the triple
-    is exactly the square root of the diagonal of the reduced operator on
-    the sent qutrit, and its Holevo triple equals that of the full
-    entangled-state ensembles.
-    """
-    if not isinstance(state, PureState):
-        state = PureState(state)
-    if state.dim != 9:
-        raise ValueError(f"expected a two-qutrit state (dim 9), got dim {state.dim}")
-    amps = state.amplitudes.reshape(3, 3)  # [withheld, sent]
-    squares = (np.abs(amps) ** 2).sum(axis=0)
-    return CheatParams.from_squares(*squares)
 
 
 def guess_probs(params: CheatParams) -> GuessProbs:
@@ -406,23 +381,20 @@ def _quarter_turn(alpha) -> np.ndarray:
     return alpha
 
 
-def _example_vectors(alpha, dim: int) -> np.ndarray:
-    """Rows ``[..., 4, dim]``: ``(cos alpha e_0 +- e_a)``, ``(sin alpha e_0 +- e_b)``, over sqrt(2).
+def _example_vectors(alpha) -> np.ndarray:
+    """Qutrit rows ``[..., 4, 3]``: ``cos alpha e_0 +- e_1`` and ``sin alpha e_0 +- e_2``.
 
-    ``(a, b) = (1, 2)`` for a qutrit; ``(4, 8)`` for two qutrits, so that
-    ``e_0, e_a, e_b`` are ``|00>, |11>, |22>``.  Every alpha must lie in
-    ``[0, pi/2]``.
+    Each row is over sqrt(2).  Every alpha must lie in ``[0, pi/2]``.
     """
     alpha = _quarter_turn(alpha)
     first = np.repeat(np.stack([np.cos(alpha), np.sin(alpha)], axis=-1), 2, axis=-1)
-    axes = np.eye(dim)[[1, 2] if dim == 3 else [4, 8]]
-    rest = np.array([1.0, -1.0, 1.0, -1.0])[:, None] * np.repeat(axes, 2, axis=0)
-    return (first[..., None] * np.eye(dim)[0] + rest) / np.sqrt(2.0)
+    rest = np.array([1.0, -1.0, 1.0, -1.0])[:, None] * np.repeat(np.eye(3)[1:], 2, axis=0)
+    return (first[..., None] * np.eye(3)[0] + rest) / np.sqrt(2.0)
 
 
 def example1_elements(alpha) -> np.ndarray:
     """Elements ``[..., 4, 3, 3]`` of :func:`example1_povm`, one set per ``alpha``."""
-    vectors = _example_vectors(alpha, 3)
+    vectors = _example_vectors(alpha)
     return vectors[..., :, None] * vectors[..., None, :]
 
 
@@ -434,17 +406,6 @@ def example1_povm(alpha: float) -> Povm:
     to exactly one bit.
     """
     return Povm(example1_elements(float(alpha)))
-
-
-def example2_povm(alpha: float) -> Povm:
-    """Two-qutrit analogue of :func:`example1_povm` on the diagonal subspace.
-
-    Four rank-1 elements supported on span{|00>, |11>, |22>} plus the
-    projector onto the six-dimensional orthocomplement.
-    """
-    vectors = _example_vectors(float(alpha), 9)
-    elements = vectors[:, :, None] * vectors[:, None, :]
-    return Povm(np.concatenate([elements, [np.eye(9) - elements.sum(axis=0)]]))
 
 
 def example3_value(a: float) -> float:
@@ -503,10 +464,11 @@ _SEED_ALPHAS = np.linspace(0.0, np.pi / 2, 5)
 def _seed_frames(states: np.ndarray, priors: np.ndarray) -> list:
     """Rank-1 direction rows of the known extremal measurements of the ensemble.
 
-    Basis, average-eigenbasis and Helstrom measurements; for a qutrit the
-    three plane bases and :func:`example1_povm`, for two qutrits
-    :func:`example2_povm` (its six-dimensional remainder split into basis
-    rows), both on the alpha grid ``_SEED_ALPHAS``.
+    Basis, average-eigenbasis and Helstrom measurements; for a qutrit also
+    the three plane bases and :func:`example1_povm` on the alpha grid
+    ``_SEED_ALPHAS``.  No other dimension has seeds of its own: an entangled
+    two-qutrit input acts as the qutrit amplitude triple of its sent
+    qutrit's reduced diagonal (:func:`tradeoff_curve`).
     """
     dim = states.shape[-1]
     frames = [np.eye(dim), np.linalg.eigh(np.tensordot(priors, states, 1))[1].T]
@@ -517,10 +479,7 @@ def _seed_frames(states: np.ndarray, priors: np.ndarray) -> list:
             plane = np.eye(3)
             plane[[i, j]] = np.array([[1.0, 1.0], [1.0, -1.0]]) @ plane[[i, j]] / np.sqrt(2.0)
             frames.append(plane)
-        frames.extend(_example_vectors(_SEED_ALPHAS, 3))
-    if dim == 9:
-        rest = np.eye(9)[[1, 2, 3, 5, 6, 7]]
-        frames.extend(np.concatenate([v, rest]) for v in _example_vectors(_SEED_ALPHAS, 9))
+        frames.extend(_example_vectors(_SEED_ALPHAS))
     return frames
 
 
@@ -735,12 +694,14 @@ def tradeoff_curve(n_samples: int, bin_width: float = 0.01,
                    rng: np.random.Generator | None = None) -> TradeoffCurve:
     """Sample the Holevo tradeoff curve from Haar-random two-qutrit inputs.
 
-    A sample enters only through its amplitude triple, the square root of
-    the diagonal of its reduced operator on the sent qutrit (see
-    :func:`params_from_two_qutrit`).  That diagonal is drawn from its exact
-    law: each entry sums three squared moduli of i.i.d. complex Gaussians
-    over the withheld qutrit, a Gamma(3) variable, so the normalized
-    diagonal is Dirichlet(3, 3, 3).  Its closed-form Holevo triple is
+    A sender who keeps one qutrit of an entangled pair and sends the other
+    gains nothing over a single qutrit: a control unitary on the kept qutrit
+    commutes with every receiver gate, so the input acts exactly as the
+    amplitude triple whose squares are the diagonal of the sent qutrit's
+    reduced operator.  A sample enters only through that diagonal, drawn
+    from its exact law: each entry sums three squared moduli of i.i.d.
+    complex Gaussians over the kept qutrit, a Gamma(3) variable, so the
+    normalized diagonal is Dirichlet(3, 3, 3).  Its closed-form Holevo triple is
     computed, and the per-bin maximum of ``chi_y`` is recorded over
     left-closed bins ``[k*w, (k+1)*w)`` of ``max(chi_r, chi_yxr) <= 1``; a
     width ``w >= 2**-53`` keeps every ``k`` an exact integer.
@@ -896,21 +857,3 @@ def infodelta_check(grid: Iterable[float]) -> InfoDeltaReport:
         terminal_margin=(1.0 - 2.0 * delta) - line5,
         identity_residual=np.maximum(np.abs(line1 - line3), np.abs(line4 - line5)))
 
-
-def holevo_triple_from_nine_dim(state: PureState) -> HolevoTriple:
-    """Holevo triple computed directly in the two-qutrit space.
-
-    The receiver's gate acts on the sent (second) factor; the withheld
-    factor rides along.  This is the eigendecomposition-based oracle for the
-    closed-form route through :func:`params_from_two_qutrit`.
-    """
-    if state.dim != 9:
-        raise ValueError(f"expected dim 9, got {state.dim}")
-    eye3 = np.eye(3, dtype=complex)
-    branches = np.stack([np.kron(eye3, protocol.bob_gate(y, r)) @ state.amplitudes
-                         for r, y in RY_ORDER])
-    projectors = branches[:, :, None] * branches[:, None, :].conj()
-    # Each label's two states average the two branches of each label value.
-    chi_y, chi_r, chi_yxr = np.minimum(
-        holevo(2.0 * np.einsum("lgs,sab->lgab", _LABEL_WEIGHTS, projectors)), 1.0)
-    return HolevoTriple(chi_y=float(chi_y), chi_r=float(chi_r), chi_yxr=float(chi_yxr))

@@ -116,6 +116,17 @@ class TestConfig:
             assert delivered == [0 if f > 1 else 2**70 - 4 for f in failures]
             assert 0 < delivered.count(0) < 40
 
+    def test_both_checking_sides_beyond_int64(self):
+        # Both sides check at m = 2**70: J's law and the m - 9 unchecked tables
+        # (the sides share no label but with probability about 2**-66) pass int64.
+        config = CheckConfig(m=2**70, k_bob=5, k_alice=4, threshold_bob=1, trials=40)
+        bob, alice = run_protocol3(config, AliceStrategy.learn_y(), BobStrategy.honest(),
+                                   np.random.default_rng(8))
+        for report in (bob, alice):
+            delivered = [record["tables_delivered"] for record in report.to_dict()["records"]]
+            assert delivered == [0 if f > 1 else 2**70 - 9 for f in bob.failures]
+            assert 0 < delivered.count(0) < 40
+
     @pytest.mark.parametrize("value", [2**63, 2**64, 10**23])
     def test_huge_integer_thresholds_accepted(self, value):
         config = CheckConfig(m=10, k_bob=5, k_alice=5, threshold_bob=value,
@@ -685,6 +696,12 @@ class TestExactLaw:
             assert law.pass_probability == expected
         assert law.tables_delivered == pytest.approx((m - k_bob - k_alice) * expected,
                                                      rel=1e-15)
+
+    def test_both_checking_sides_beyond_int64(self):
+        config = CheckConfig(m=2**70, k_bob=5, k_alice=4, threshold_bob=1)
+        law = checksim.exact_law(config, AliceStrategy.learn_y(), BobStrategy.honest())
+        assert law.pass_probability == 0.1875   # P(Bin(5, 1/2) <= 1); Alice's check never fails
+        assert law.tables_delivered == pytest.approx((2**70 - 9) * 0.1875, rel=1e-15)
 
     @pytest.mark.parametrize("m,k_b,k_a,t_b,t_a",
                              [(5, 3, 2, 0, 0), (5, 3, 3, 1, 0), (6, 2, 4, 1, 2), (4, 4, 1, 1, 0)])

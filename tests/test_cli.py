@@ -259,6 +259,24 @@ class TestChecksim:
         assert code == 0 and err == ""
         assert set(json.loads(out)["summary"]["aggregate"]) == {"alice", "bob"}
 
+    # Both sides check: J's law and the tables left unchecked pass int64.  In
+    # the last, J's support ends at 2**63 - 1 (a numpy arange that stops at
+    # 2**63 is float64) and the labels checked can number 2**63.
+    @pytest.mark.parametrize("m,k,k_alice", [
+        ("1180591620717411303424", "4", "4"),
+        ("99999999999999999999999", "3", "4"),
+        ("9223372036854775808", "9223372036854775807", "9223372036854775807"),
+    ], ids=["2**70", "10**23", "2**63"])
+    def test_protocol3_both_checking_sides_beyond_int64(self, capsys, tmp_path, m, k, k_alice):
+        argv = ["checksim", "--protocol", "3", "--m", m, "--k", k, "--k-alice", k_alice,
+                "--trials", "3"]
+        for extra in ([], ["--out", str(tmp_path / "payload.json")]):
+            code, out, err = _run(capsys, argv + extra)
+            assert code == 0 and err == ""
+            assert set(json.loads(out)["summary"]["aggregate"]) == {"alice", "bob"}
+        records = json.loads((tmp_path / "payload.json").read_text())["reports"]["bob"]["records"]
+        assert len(records) == 3
+
     def test_protocol3_check_counts_summing_beyond_int64(self, capsys):
         # k_bob + k_alice passes 2**63 - 1; the labels checked by either side never pass m.
         code, out, err = _run(capsys, ["checksim", "--protocol", "3",
@@ -409,18 +427,19 @@ def test_checksim_stdout_does_not_depend_on_out(capsys, monkeypatch, tmp_path, a
     assert with_out == alone and alone[0] == 0
 
 
-# Sizes beyond numpy's 64-bit integers; in the third, J's support ends at
-# 2**63 - 1 (a numpy arange that stops at 2**63 is float64).
+# Failure counts beyond numpy's 64-bit integers, which no binomial draw takes,
+# with one side checking and with both.
 _BEYOND_INT64 = [
     ["checksim", "--alice", "learn-y", "--m", "9223372036854775808",
      "--k", "9223372036854775808", "--trials", "2"],
-    ["checksim", "--protocol", "3", "--m", "99999999999999999999999", "--k", "3",
-     "--k-alice", "4", "--trials", "2"],
-    ["checksim", "--protocol", "3", "--m", "9223372036854775808", "--k", "9223372036854775807",
-     "--k-alice", "9223372036854775807", "--trials", "2"],
     # A phase error of pi fails every check of Alice's: 2**63 failures per trial.
     ["checksim", "--protocol", "3", "--bob", "phase-noise", "--angle", "3.141592653589793",
      "--m", "9223372036854775808", "--k", "0", "--k-alice", "9223372036854775808",
+     "--trials", "2"],
+    ["checksim", "--protocol", "3", "--alice", "learn-y", "--m", "9223372036854775808",
+     "--k", "9223372036854775808", "--k-alice", "4", "--trials", "2"],
+    ["checksim", "--protocol", "3", "--bob", "phase-noise", "--angle", "3.141592653589793",
+     "--m", "9223372036854775808", "--k", "4", "--k-alice", "9223372036854775808",
      "--trials", "2"],
 ]
 

@@ -111,7 +111,7 @@ def _prop1_per_sample(rng, samples):
     for i in range(samples):
         amplitudes = np.sqrt(rng.dirichlet([1.0, 1.0, 1.0]))
         n_out = int(rng.integers(3, 8))
-        elements = numerics.random_povm_elements(3, n_out, rng, rank=1)
+        elements = numerics.normalize_povm_seeds(*numerics.draw_povm_seeds(3, n_out, rng, rank=1))
         info[i] = security.sign_state_information(elements, amplitudes)
         sizes.append((n_out, len(elements)))
     i_y, i_r, i_yxr = info.T
@@ -129,7 +129,8 @@ def _lemma1_per_sample(rng, samples, params_per_povm=10):
     for _ in range(samples):
         n_out = int(rng.integers(3, 8))
         rank = 1 if rng.random() < 0.5 else 3
-        elements = numerics.random_povm_elements(3, n_out, rng, real=True, rank=rank)
+        elements = numerics.normalize_povm_seeds(
+            *numerics.draw_povm_seeds(3, n_out, rng, real=True, rank=rank))
         amplitudes = np.sqrt(rng.dirichlet([1.0, 1.0, 1.0], size=params_per_povm))
         exact = security.lemma1_images(elements, amplitudes, "exact")
         probs2 = np.einsum("pnjk,skj->psn", exact, security.TETRAHEDRON).real
