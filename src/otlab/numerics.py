@@ -79,13 +79,11 @@ def dirichlet_blocks(rng: np.random.Generator, alpha, n: int):
         yield rng.dirichlet(alpha, size=min(DIRICHLET_BLOCK, n - start))
 
 
-def _density_spectra(mats) -> np.ndarray:
-    """Spectra ``[..., d]`` of a stack ``[..., d, d]`` of density operators.
+def _unit_trace_hermitian(mats) -> np.ndarray:
+    """``mats`` as a complex stack ``[..., d, d]``, checked Hermitian and of unit trace.
 
-    Every matrix must be Hermitian (a NaN or infinite entry never is), have
-    unit trace and no eigenvalue below ``EIG_FLOOR``; the first failure
-    raises :class:`InvalidOperatorError`.  One batched ``eigvalsh`` serves
-    the whole stack.
+    A NaN or infinite entry is never Hermitian.  The first failure raises
+    :class:`InvalidOperatorError`.
     """
     mats = np.asarray(mats, dtype=complex)
     if not (np.isfinite(mats).all()
@@ -95,10 +93,24 @@ def _density_spectra(mats) -> np.ndarray:
     off = np.abs(traces - 1.0) > TRACE_ATOL
     if off.any():
         raise InvalidOperatorError(f"trace is {traces[off].flat[0]}, expected 1")
-    eigs = np.linalg.eigvalsh(mats)
+    return mats
+
+
+def _above_floor(eigs) -> np.ndarray:
+    """``eigs``, unless an eigenvalue lies below ``EIG_FLOOR``: then :class:`InvalidOperatorError`."""
     if eigs.min(initial=0.0) < EIG_FLOOR:
         raise InvalidOperatorError("operator has a negative eigenvalue beyond tolerance")
     return eigs
+
+
+def _density_spectra(mats) -> np.ndarray:
+    """Spectra ``[..., d]`` of a stack ``[..., d, d]`` of density operators.
+
+    Every matrix must be Hermitian, have unit trace and no eigenvalue below
+    ``EIG_FLOOR``; the first failure raises :class:`InvalidOperatorError`.
+    One batched ``eigvalsh`` serves the whole stack.
+    """
+    return _above_floor(np.linalg.eigvalsh(_unit_trace_hermitian(mats)))
 
 
 def _entropy_bits(spectra):
@@ -140,7 +152,7 @@ class DensityOperator:
     ``DensityOperator(matrix)`` keeps a read-only copy of the square matrix.
     Validation computes the spectrum, which is kept (read-only) for
     :meth:`eigenvalues`.  ``_spectrum`` is private to :attr:`Ensemble.states`,
-    which passes the spectra of a stack it validated in one batched pass.
+    which passes the spectra it stores.
     """
 
     matrix: np.ndarray
@@ -230,19 +242,36 @@ def _average(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
     return avg.reshape(avg.shape[:-2] + (d, d))
 
 
+def _spectra_with_average(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Spectra ``[..., n + 1, d]`` of states ``[..., n, d, d]`` and, last, of their average.
+
+    One ``eigvalsh`` serves the states and the average.  A state's
+    eigenvalue below ``EIG_FLOOR`` raises :class:`InvalidOperatorError`; the
+    average, a convex combination of the states, is not checked.
+    """
+    stack = np.concatenate([states, _average(probs, states)[..., None, :, :]], axis=-3)
+    eigs = np.linalg.eigvalsh(stack)
+    _above_floor(eigs[..., :-1, :])
+    return eigs
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class Ensemble:
     """Classical-quantum source: probabilities ``[n]`` paired with ``n`` density operators.
 
     ``states`` is a stack ``[n, d, d]`` or a sequence of matrices or
-    :class:`DensityOperator` s, validated in one batched pass.  Only the
-    probabilities ``[n]``, the matrices ``[n, d, d]`` and their spectra
-    ``[n, d]`` are kept, as read-only arrays; :attr:`states` views them.
+    :class:`DensityOperator` s.  Only the probabilities ``[n]``, the
+    matrices ``[n, d, d]``, their spectra ``[n, d]`` and the spectrum
+    ``[d]`` of their average are kept, as read-only arrays; :attr:`states`
+    views them.  After the probability, Hermiticity and trace checks, one
+    ``eigvalsh`` gives the states' spectra, checked against ``EIG_FLOOR``,
+    and the average's.
     """
 
     probabilities: np.ndarray
     matrices: np.ndarray
     spectra: np.ndarray
+    average_spectrum: np.ndarray
 
     def __init__(self, probabilities, states):
         if not isinstance(states, np.ndarray):
@@ -260,8 +289,13 @@ class Ensemble:
         total = probs.sum()
         if abs(total - 1.0) > NORM_ATOL:
             raise ValueError(f"probabilities sum to {total}, expected 1")
-        spectra = _density_spectra(matrices)
-        for name, arr in (("probabilities", probs), ("matrices", matrices), ("spectra", spectra)):
+        self._store(probs, _unit_trace_hermitian(matrices))
+
+    def _store(self, probs: np.ndarray, matrices: np.ndarray) -> None:
+        """Keep ``probs[n]``, complex ``matrices[n, d, d]`` and their spectra, read-only."""
+        eigs = _spectra_with_average(probs, matrices)
+        for name, arr in (("probabilities", probs), ("matrices", matrices), ("_eigenvalues", eigs),
+                          ("spectra", eigs[:-1]), ("average_spectrum", eigs[-1])):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -281,6 +315,19 @@ class Ensemble:
         """Read-only :class:`DensityOperator` views of the matrices, carrying the stored spectra."""
         return tuple(DensityOperator(mat, _spectrum=spectrum)
                      for mat, spectrum in zip(self.matrices, self.spectra))
+
+
+def _valid_ensemble(probabilities, states) -> Ensemble:
+    """:class:`Ensemble` of states ``[n, d, d]`` that are density operators by construction.
+
+    For callers that build ``states`` from inputs already validated: the
+    probability, Hermiticity and trace checks are skipped, and only the
+    states' spectra are checked against ``EIG_FLOOR``.  The states are kept
+    as complex copies, as the public constructor keeps them.
+    """
+    ensemble = object.__new__(Ensemble)
+    ensemble._store(np.array(probabilities, dtype=float), np.array(states, dtype=complex))
+    return ensemble
 
 
 def _checked(rho):
@@ -344,22 +391,23 @@ def mutual_information(ensemble: Ensemble, povm: Povm) -> float:
 def holevo(ensemble):
     """Holevo quantity ``S(sum_i p_i rho_i) - sum_i p_i S(rho_i)`` in bits.
 
-    ``ensemble`` is an :class:`Ensemble`, whose states' stored spectra are
-    reused, or a stack ``[..., n, d, d]`` of ``n`` equiprobable states,
-    validated in one batched pass.  The average is formed by one matmul and
-    its spectrum, the only one computed beyond the states' own, by one plain
-    ``eigvalsh``: a convex combination of validated states is not validated
-    again.  A stack gives one value per ensemble, an :class:`Ensemble` a float.
+    ``ensemble`` is an :class:`Ensemble`, whose stored spectra (its states'
+    and its average's) are reused with no ``eigvalsh``, or a stack
+    ``[..., n, d, d]`` of ``n`` equiprobable states.  A stack is validated
+    as the :class:`Ensemble` constructor validates its states, and one
+    ``eigvalsh`` gives the states' and the averages' spectra.  A stack
+    gives one value per ensemble, an :class:`Ensemble` a float.
     """
     if isinstance(ensemble, Ensemble):
-        probs, spectra, states = ensemble.probabilities, ensemble.spectra, ensemble.matrices
+        probs, eigs = ensemble.probabilities, ensemble._eigenvalues
     else:
-        states, spectra = _checked(ensemble)
-        if states.ndim < 3 or states.shape[-3] == 0:
+        states = np.asarray(ensemble, dtype=complex)
+        if states.ndim < 3 or states.shape[-3] == 0 or states.shape[-1] != states.shape[-2]:
             raise ValueError(f"expected states [..., n >= 1, d, d], got shape {states.shape}")
         probs = np.full(states.shape[-3], 1.0 / states.shape[-3])
-    average = np.linalg.eigvalsh(_average(probs, states))
-    chi = np.maximum(0.0, _entropy_bits(average) - (probs * _entropy_bits(spectra)).sum(axis=-1))
+        eigs = _spectra_with_average(probs, _unit_trace_hermitian(states))
+    entropies = _entropy_bits(eigs)
+    chi = np.maximum(0.0, entropies[..., -1] - (probs * entropies[..., :-1]).sum(axis=-1))
     return float(chi) if chi.ndim == 0 else chi
 
 

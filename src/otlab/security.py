@@ -29,6 +29,7 @@ from . import protocol
 from .numerics import (
     Ensemble,
     Povm,
+    _valid_ensemble,
     classical_mutual_information,
     dirichlet_blocks,
     trace_distance,
@@ -207,8 +208,14 @@ def returned_states(amplitudes, label: str) -> np.ndarray:
 
 
 def returned_ensemble(params: CheatParams, label: str) -> Ensemble:
-    """Uniform ensemble of :func:`returned_states`, its states validated in one pass."""
-    return Ensemble.uniform(returned_states([params.a, params.b, params.c], label))
+    """Uniform ensemble of :func:`returned_states`.
+
+    The states of a validated triple are density operators by construction,
+    so they are not checked again: one ``eigvalsh`` gives their spectra and
+    their average's, and only the spectra are checked against the floor.
+    """
+    states = returned_states([params.a, params.b, params.c], label)
+    return _valid_ensemble(np.ones(len(states)) / len(states), states)
 
 
 def sign_state_probabilities(elements, amplitudes) -> np.ndarray:

@@ -159,7 +159,7 @@ def thm3(samples: int, seed: int) -> dict:
 def infodelta(samples: int, seed: int) -> dict:
     """Strict small-delta information chain on a grid in (0, 0.1)."""
     report = security.infodelta_check(np.linspace(0.001, 0.099, max(2, samples)))
-    return {"min_margin": report.min_margin, "samples": report.delta.size,
+    return {"min_margin": report.min_margin, "samples": samples,
             "violations": int(np.sum(~report.point_ok))}
 
 

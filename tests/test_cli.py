@@ -98,6 +98,13 @@ class TestVerify:
         assert report["violations"] == 0
         assert code == 0
 
+    @pytest.mark.parametrize("samples", [1, 3])
+    @pytest.mark.parametrize("suite", sorted(verify.SUITES))
+    def test_samples_echo_the_request(self, capsys, suite, samples):
+        code, out, _ = _run(capsys, ["verify", suite, "--samples", str(samples), "--seed", "5"])
+        assert code == 0
+        assert json.loads(out)["samples"] == samples
+
     def test_prop3_without_applicable_bound_reports_null_margin(self, capsys):
         code, out, _ = _run(capsys, ["verify", "prop3", "--samples", "1", "--seed", "5"])
         assert code == 0

@@ -426,6 +426,17 @@ class TestStacks:
             trace_distance(np.ones((2, 3)) / 2, np.eye(3) / 3)
 
 
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_library_built_ensemble_still_rejects_a_negative_eigenvalue(position):
+    stack = _stack_with_ranks(3, np.random.default_rng(91), copies=1)
+    stack = np.concatenate([stack, stack[:2]])
+    ensemble = numerics._valid_ensemble(np.full(5, 0.2), stack)
+    assert np.array_equal(ensemble.spectra, Ensemble.uniform(stack).spectra)
+    stack[position] = _defective("negative", 3)
+    with pytest.raises(InvalidOperatorError, match="negative eigenvalue"):
+        numerics._valid_ensemble(np.full(5, 0.2), stack)
+
+
 def _measurement_with(kind, position, dim=3, n=5):
     """Elements ``[n, dim, dim]`` of a measurement whose element ``position`` fails one check.
 

@@ -161,22 +161,49 @@ class TestReturnedEnsemble:
         assert np.allclose(chi, [holevo(returned_ensemble(p, label)) for p in params],
                            rtol=0.0, atol=1e-12)
 
-    def test_validated_in_one_pass_without_operator_objects(self, monkeypatch):
-        calls = {"spectra": 0, "operators": 0}
-        spectra, post_init = numerics._density_spectra, numerics.DensityOperator.__post_init__
+    @pytest.mark.parametrize("label", ["y", "r", "yxr", "joint"])
+    def test_one_eigvalsh_per_ensemble_without_operator_objects(self, monkeypatch, label):
+        calls = {}
+        eigvalsh, post_init = np.linalg.eigvalsh, numerics.DensityOperator.__post_init__
 
-        def counted_spectra(mats):
-            calls["spectra"] += 1
-            return spectra(mats)
+        def counted_eigvalsh(mats):
+            calls["eigvalsh"] += 1
+            return eigvalsh(mats)
 
         def counted_post_init(self, _spectrum):
             calls["operators"] += 1
             post_init(self, _spectrum)
 
-        monkeypatch.setattr(numerics, "_density_spectra", counted_spectra)
+        params = CheatParams(SQRT_HALF, 0.5, 0.5)
+        states = returned_states([params.a, params.b, params.c], label)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
         monkeypatch.setattr(numerics.DensityOperator, "__post_init__", counted_post_init)
-        returned_ensemble(CheatParams(SQRT_HALF, 0.5, 0.5), "joint")
-        assert calls == {"spectra": 1, "operators": 0}
+        for build in (lambda: returned_ensemble(params, label),
+                      lambda: Ensemble.uniform(states),
+                      lambda: states[None]):
+            calls.update(eigvalsh=0, operators=0)
+            holevo(build())
+            assert calls == {"eigvalsh": 1, "operators": 0}
+
+    @pytest.mark.parametrize("label", ["y", "r", "yxr", "joint"])
+    def test_bitwise_equals_validated_ensemble(self, label):
+        rng = np.random.default_rng(32)
+        params = [_random_params(rng) for _ in range(1000)]
+        params += [CheatParams.honest(0), CheatParams.honest(1), CheatParams.learn_y()]
+        amplitudes = np.array([[p.a, p.b, p.c] for p in params])
+        stacked = holevo(returned_states(amplitudes, label))
+        for p, chi in zip(params, stacked):
+            ens = returned_ensemble(p, label)
+            ref = Ensemble.uniform(returned_states([p.a, p.b, p.c], label))
+            assert ens.matrices.dtype == ref.matrices.dtype == complex
+            for name in ("probabilities", "matrices", "spectra", "average_spectrum"):
+                assert np.array_equal(getattr(ens, name), getattr(ref, name)), name
+                assert not getattr(ens, name).flags.writeable
+            # The spectra of one eigvalsh per matrix, as they were computed apart.
+            assert np.array_equal(ens.spectra, np.linalg.eigvalsh(ref.matrices))
+            average = numerics._average(ref.probabilities, ref.matrices)
+            assert np.array_equal(ens.average_spectrum, np.linalg.eigvalsh(average))
+            assert holevo(ens) == holevo(ref) == chi
 
 
 class TestSignStateInformation:
