@@ -9,24 +9,28 @@ with an honest receiver whom Alice never checks, and its runs and exact law
 are computed as such.
 
 Each instance is modelled exactly.  A sender is a set of arrays: the prior
-and amplitudes of each state she may prepare, its honest input bit, her
-measurement elements on the returned qutrit and the law of her reported pair
-given each outcome.  A receiver is a set of Kraus operators, one per branch,
-each with his bits ``y, r`` and his guess of her input.  One Born-rule
-contraction of the two gives a strategy pair's exact joint distribution over
-all per-instance classical values (hidden bits, fabricated reports, check
-verdicts), built once per pair.  Alice's check fails only where Bob's does,
-so three of its numbers are the whole law of a check: the chances ``p_b``
-and ``p_a`` that Bob's and Alice's checks fail, and the rate of right
-guesses of her input.  Instances are i.i.d., so a trial needs only its
-sufficient statistics: the number J of labels both sides check, Bob's
-failures ``U ~ Bin(J, p_b)`` on them, Alice's ``Bin(U, q)`` with ``q = p_a /
-p_b``, and each side's failures on its own labels.  Runs draw this chain,
-as multinomial histograms of its exact law or one binomial per link and
-trial, and :func:`exact_law` sums it.  No summary of a run depends on the
-order of its trials, so none shuffles: a :class:`CheckReport` permutes them
-only when a per-trial value is read.  :func:`simulate_instances` draws whole
-instances from the table, the oracle of the sufficient-statistic draws.
+and amplitudes of each state she may prepare, its honest input bit, the
+bras of her rank-1 measurement elements on the returned qutrit and the law
+of her reported pair given each outcome.  A receiver is a set of diagonal
+Kraus operators, one per branch, each with his bits ``y, r`` and his guess
+of her input.  Alice's check fails only where Bob's does, and only if she
+is honest, so two numbers are the whole law of a check: the chances ``p_b``
+and ``p_a`` that Bob's and Alice's checks fail.  One amplitude contraction
+of a strategy pair's arrays gives them, summed against weights of the
+report law and the check that depend only on the strategies' kinds.
+Against a computational-basis Bob, an honest Alice's input is guessed right
+with probability 3/4 whatever the verdicts.  Instances are i.i.d., so a
+trial needs only its sufficient statistics: the number J of labels both
+sides check, Bob's failures ``U ~ Bin(J, p_b)`` on them, Alice's ``Bin(U,
+q)`` with ``q = p_a / p_b``, and each side's failures on its own labels.
+Runs draw this chain, as multinomial histograms of its exact law or one
+binomial per link and trial, and :func:`exact_law` sums it.  No summary of
+a run depends on the order of its trials, so none shuffles: a
+:class:`CheckReport` permutes them only when a per-trial value is read.
+:func:`simulate_instances` draws whole instances from the pair's exact
+joint distribution over all per-instance classical values
+(:func:`_instance_table`), the oracle of the verdicts and of the
+sufficient-statistic draws.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import protocol
-from .security import CheatParams, binary_entropy, example1_elements
+from .security import CheatParams, _quarter_turn, binary_entropy
 
 __all__ = [
     "CheckConfig",
@@ -203,63 +207,88 @@ _FIELDS = ("y", "r", "a_rep", "e_rep", "bob_fail", "alice_fail",
            "x", "e", "honest_alice", "x_guess_correct")
 
 
-def _sender(alice: AliceStrategy):
-    """Sender arrays ``(honest, weights, sent, x, elements, reports)``.
+@lru_cache(maxsize=None)
+def _sender_law(kind: str) -> tuple:
+    """``(honest, weights, x, reports)`` of a ``kind`` sender, whatever her parameter.
 
-    For each of S prepared states: its prior ``weights[S]``, amplitudes
-    ``sent[S, 3]`` and honest input bit ``x[S]`` (0 for a cheater); Alice's
-    measurement ``elements[S, O, 3, 3]`` of the returned qutrit; and the law
-    ``reports[S, O, 2, 2]`` of her reported pair ``(a, e)`` given its outcome.
-    ``honest`` says whether she holds real input and output bits, against
-    which her check of Bob and his guess of her input are scored.
+    For each of S states she may prepare: its prior ``weights[S]`` and
+    honest input bit ``x[S]`` (0 for a cheater), and the law ``reports[S, O,
+    2, 2]`` of her reported pair ``(a, e)`` given each outcome of her
+    measurement.  ``honest`` says whether she holds real input and output
+    bits, against which her check of Bob and his guess of her input are
+    scored.  Cached per kind; the arrays are shared, so no caller writes them.
     """
-    if alice.kind == "honest":
+    if kind == "honest":
         x, t = np.divmod(np.arange(4), 2)
-        sent, rows = protocol.SENT.reshape(4, 3), protocol.BASES[x]
         reports = np.zeros((4, 3, 2, 2))
         reports[np.arange(4), 0, x, t] = 1.0      # outcome o < 2 outputs e = o XOR t
         reports[np.arange(4), 1, x, 1 - t] = 1.0
         reports[np.arange(4), 2, x] = 0.5         # impossible under honesty: a coin
-        elements = rows.conj()[..., :, None] * rows[..., None, :]
-        return True, np.full(4, 0.25), sent, x, elements, reports
+        return True, np.full(4, 0.25), x, reports
+    if kind == "learn-y":
+        reports = np.zeros((1, 3, 2, 2))
+        reports[0, :, 0] = 0.5                    # claim input 0, report a coin
+    else:
+        reports = np.zeros((1, 4, 2, 2))
+        reports[0, :2, 0] = 0.5                   # outcomes 0/1 reveal y only: a coin
+        reports[0, 2, 0, 0] = reports[0, 3, 0, 1] = 1.0  # outcomes 2/3 reveal r
+    return False, np.ones(1), np.zeros(1, dtype=int), reports
+
+
+def _sender(alice: AliceStrategy):
+    """Sender arrays ``(honest, weights, sent, x, rows, reports)``.
+
+    :func:`_sender_law`'s arrays with the two that depend on her parameter:
+    the amplitudes ``sent[S, 3]`` of each state she may prepare, and her
+    measurement of the returned qutrit as the bras ``rows[S, O, 3]`` of its
+    rank-1 elements, ``E_so = |v_so><v_so|`` with ``rows[s, o, i] = <v_so|i>``.
+    """
+    honest, weights, x, reports = _sender_law(alice.kind)
+    if alice.kind == "honest":
+        return honest, weights, protocol.SENT.reshape(4, 3), x, protocol.BASES[x], reports
     params = CheatParams.learn_y() if alice.kind == "learn-y" else alice.params
     sent = np.array([[params.a, params.b, params.c]])
     if alice.kind == "learn-y":
         # Outcomes |+>, |-> of the cheat state's basis read y; |2> reads a coin.
         rows = np.vstack([sent, sent * [1.0, -1.0, 1.0], [0.0, 0.0, 1.0]])
-        reports = np.zeros((3, 2, 2))
-        reports[:, 0] = 0.5                       # claim input 0, report a coin
-        elements = rows[:, :, None] * rows[:, None, :]
     else:
-        elements = example1_elements(float(np.arctan2(params.c, params.b)))
-        reports = np.zeros((4, 2, 2))
-        reports[:2, 0] = 0.5                      # outcomes 0/1 reveal y only: a coin
-        reports[2, 0, 0] = reports[3, 0, 1] = 1.0  # outcomes 2/3 reveal r
-    return False, np.ones(1), sent, np.zeros(1, dtype=int), elements[None], reports[None]
+        # Example 1's measurement at alpha = atan2(c, b): the rows of
+        # security.example1_elements, bit for bit, without its stacking.
+        alpha = _quarter_turn(np.arctan2(params.c, params.b))
+        cos, sin = np.cos(alpha), np.sin(alpha)
+        rows = np.array([[cos, 1.0, 0.0], [cos, -1.0, 0.0],
+                         [sin, 0.0, 1.0], [sin, 0.0, -1.0]]) / np.sqrt(2.0)
+    return honest, weights, sent, x, rows[None], reports
 
 
-def _receiver(bob: BobStrategy):
-    """Receiver arrays ``(kraus[B, 3, 3], y[B], r[B], xhat[B])``.
-
-    Branch b applies ``kraus[b]`` to the qutrit and outputs the bits
-    ``y[b], r[b]``, each pair with probability 1/4, and the guess ``xhat[b]``
-    of Alice's input (-1 for none).
-    """
+@lru_cache(maxsize=None)
+def _receiver_branches(kind: str) -> tuple:
+    """:func:`_receiver`'s arrays for a ``kind`` receiver at angle 0, cached per kind."""
     y, r = np.divmod(np.arange(4), 2)
-    gates = np.zeros((4, 3, 3), dtype=complex)
-    gates[:, [0, 1, 2], [0, 1, 2]] = protocol.GATES[y, r] / 2.0
-    if bob.kind == "honest":
+    gates = protocol.GATES[y, r] / 2.0
+    if kind != "computational":
         return gates, y, r, np.full(4, -1)
-    if bob.kind == "phase-noise":  # diag(1, 1, e^{i angle}) after the gate
-        noise = np.array([1.0, 1.0, np.exp(1j * bob.angle)])
-        return noise[:, None] * gates, y, r, np.full(4, -1)
     # Computational-basis read before the gate, one diagonal per branch:
     # |0> and |1> guess x, while |2> carries no input information and splits
     # into two fair guesses.
     reads = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, np.sqrt(0.5)],
                       [0.0, 0.0, np.sqrt(0.5)]])
-    kraus = (gates[:, None] * reads[:, None, :]).reshape(16, 3, 3)
-    return kraus, np.repeat(y, 4), np.repeat(r, 4), np.tile([0, 1, 0, 1], 4)
+    diagonals = (gates[:, None] * reads).reshape(16, 3)
+    return diagonals, np.repeat(y, 4), np.repeat(r, 4), np.tile([0, 1, 0, 1], 4)
+
+
+def _receiver(bob: BobStrategy):
+    """Receiver arrays ``(diagonals[B, 3], y[B], r[B], xhat[B])``.
+
+    Branch b applies the diagonal Kraus operator ``diag(diagonals[b])`` to
+    the qutrit and outputs the bits ``y[b], r[b]``, each pair with
+    probability 1/4, and the guess ``xhat[b]`` of Alice's input (-1 for
+    none).  Only the diagonals of a phase-noise receiver depend on his angle.
+    """
+    diagonals, y, r, xhat = _receiver_branches(bob.kind)
+    if bob.kind == "phase-noise":  # diag(1, 1, e^{i angle}) after the gate
+        diagonals = np.array([1.0, 1.0, np.exp(1j * bob.angle)]) * diagonals
+    return diagonals, y, r, xhat
 
 
 @lru_cache(maxsize=32)
@@ -267,20 +296,23 @@ def _instance_table(alice: AliceStrategy, bob: BobStrategy):
     """Exact joint distribution of all per-instance classical values.
 
     The probability of each (state, branch, outcome, report) is
-    ``weights[s] <K_b psi_s| E_so |K_b psi_s> reports[s, o, a, e]``, from the
-    :func:`_sender` and :func:`_receiver` arrays; rows at or below 1e-15 are
-    dropped.  A per-instance mix is its components' tables laid end to end,
-    each weighted by its mix weight.  The cache is bounded: seeded ``param`` and
-    ``phase-noise`` runs each bring a new key.
+    ``weights[s] |<v_so|K_b psi_s>|^2 reports[s, o, a, e]``, from the
+    :func:`_sender` and :func:`_receiver` arrays, computed as
+    ``<K_b psi_s| E_so |K_b psi_s>`` over the 3x3 elements ``E_so =
+    |v_so><v_so|``; rows at or below 1e-15 are dropped.  A per-instance mix
+    is its components' tables laid end to end, each weighted by its mix
+    weight.  It is the law behind :func:`simulate_instances` and the oracle
+    of :func:`_verdicts`; the cache is bounded.
     """
     if alice.kind == "mix":
         parts = [(weight, _instance_table(sub, bob)) for weight, sub in alice.mix]
         probs = np.concatenate([weight * table[0] for weight, table in parts])
         return probs / probs.sum(), {
             name: np.concatenate([table[1][name] for _, table in parts]) for name in _FIELDS}
-    honest, weights, sent, x, elements, reports = _sender(alice)
-    kraus, y, r, xhat = _receiver(bob)
-    returned = np.einsum("bij,sj->sbi", kraus, sent)
+    honest, weights, sent, x, rows, reports = _sender(alice)
+    diagonals, y, r, xhat = _receiver(bob)
+    returned = diagonals * sent[:, None, :]                          # K_b psi_s, [S, B, 3]
+    elements = rows.conj()[..., :, None] * rows[..., None, :]
     born = np.einsum("sbi,soij,sbj->sbo", returned.conj(), elements, returned).real
     probs = weights[:, None, None, None, None] * born[..., None, None] * reports[:, None]
     keep = probs > 1e-15
@@ -304,20 +336,57 @@ def simulate_instances(alice: AliceStrategy, bob: BobStrategy, n: int,
     return {name: vals[idx] for name, vals in columns.items()}
 
 
+@lru_cache(maxsize=None)
+def _check_weights(alice_kind: str, bob_kind: str) -> np.ndarray:
+    """``[3, S * O * B]``: per (state, outcome, branch) of a pair of these
+    kinds, the state's prior, the probability of each report the outcome
+    allows, and the chance that the report fails Bob's check.
+
+    The check ``a AND y = e XOR r`` fails for the report ``(a, e)`` given
+    the branch's bits ``y, r``; the chance sums the report law over the
+    failing pairs.  Every report an outcome allows has the same probability,
+    1 or 1/2.  None of this depends on the sender's amplitudes or the
+    receiver's angle, so it is built once per kind pair.
+    """
+    _, weights, _, reports = _sender_law(alice_kind)
+    _, y, r, _ = _receiver_branches(bob_kind)
+    a, e = np.divmod(np.arange(4), 2)
+    fails = (a[:, None] & y) != (e[:, None] ^ r)                     # [(a, e), B]
+    laws = reports.reshape(*reports.shape[:2], 4)                    # [S, O, (a, e)]
+    shape = laws.shape[:2] + (len(y),)
+    return np.stack([np.broadcast_to(weights[:, None, None], shape),
+                     np.broadcast_to(laws.max(axis=-1)[..., None], shape),
+                     laws @ fails]).reshape(3, -1)
+
+
 @lru_cache(maxsize=32)
 def _verdicts(alice: AliceStrategy, bob: BobStrategy) -> tuple:
-    """``(p_b, p_a, guess_rate)``: the chances that Bob's and Alice's checks
-    of an instance fail, and that Bob guesses her input right (over the
-    table's total, which may be one ulp off 1).  Alice's check fails only where
-    Bob's does (:func:`_instance_table`), so this is the whole verdict law.
-    Cached per strategy pair, bounded like the table.
+    """``(p_b, p_a)``: the chances that Bob's and Alice's checks of an instance fail.
+
+    One contraction of the :func:`_sender` and :func:`_receiver` arrays,
+    with no instance table: the Born weight of (state s, outcome o, branch
+    b) is ``|amp[s, o, b]|^2``, ``amp = sum_i rows[s, o, i] diagonals[b, i]
+    sent[s, i]``.  Weighted by the state's prior, these cells are summed
+    against :func:`_check_weights`' failure chances and normalized by their
+    total, as :func:`_instance_table` is; a cell whose reports fall at or
+    below the table's 1e-15 cut is dropped, as the table drops them.
+    Alice's check fails only where Bob's does, and only if she is honest, so
+    ``p_a`` is ``p_b`` for an honest sender and 0 for a cheater.  A mix's
+    pair is its components' pairs averaged by the mix weights.  Cached per
+    strategy pair, as Python floats.
     """
-    probs, columns = _instance_table(alice, bob)
-    cell = 2 * columns["bob_fail"] + columns["alice_fail"]
-    fail = np.bincount(cell, weights=probs, minlength=4)
-    guess = np.bincount(cell, weights=probs * columns["x_guess_correct"], minlength=4)
-    _, _, bob_only, both = fail
-    return float(bob_only + both), float(both), float(guess.sum() / fail.sum())
+    if alice.kind == "mix":
+        weights = np.array([weight for weight, _ in alice.mix])
+        parts = np.array([_verdicts(sub, bob) for _, sub in alice.mix])
+        p_b, p_a = weights @ parts / weights.sum()
+        return float(p_b), float(p_a)
+    honest, _, sent, _, rows, _ = _sender(alice)
+    amp = (rows * sent[:, None, :]) @ _receiver(bob)[0].T            # [S, O, B]
+    prior, share, chance = _check_weights(alice.kind, bob.kind)
+    cells = (amp.real ** 2 + amp.imag ** 2).ravel() * prior
+    cells *= cells * share > 1e-15
+    p_b = float((cells * chance).sum() / cells.sum())
+    return p_b, p_b if honest else 0.0
 
 
 def _thinning_rate(p_b: float, p_a: float) -> float:
@@ -409,7 +478,7 @@ def exact_law(config: CheckConfig, alice: AliceStrategy,
     """
     if bob is None:
         config, bob = replace(config, k_alice=0, threshold_alice=0), BobStrategy.honest()
-    p_b, p_a, _ = _verdicts(alice, bob)
+    p_b, p_a = _verdicts(alice, bob)
     m, k_b, k_a = config.m, config.k_bob, config.k_alice
     t_b = min(config.resolved_threshold("bob"), k_b)
     t_a = min(config.resolved_threshold("alice"), k_a)
@@ -713,6 +782,12 @@ def _joint_draw(rng, p_b: float, p_a: float, m: int, k_b: int, k_a: int, trials:
     return shared[j], failures_b, failures_a
 
 
+# Against a computational-basis Bob, an honest Alice's input is guessed
+# right with probability 3/4 in every verdict cell: |0> and |1> read it, and
+# |2> splits into two fair guesses.  The paper's 3/4; no other pair reads it.
+_INPUT_GUESS_RATE = 0.75
+
+
 def _check_run(protocol_id: int, config: CheckConfig, k_a: int, t_a: int,
                alice: AliceStrategy, bob: BobStrategy, rng: np.random.Generator):
     """One run of :func:`run_protocol3` with Alice checking ``k_a`` labels at threshold ``t_a``.
@@ -722,7 +797,7 @@ def _check_run(protocol_id: int, config: CheckConfig, k_a: int, t_a: int,
     """
     m, k_b, trials = config.m, config.k_bob, config.trials
     t_b = config.resolved_threshold("bob")
-    p_b, p_a, guess_rate = _verdicts(alice, bob)
+    p_b, p_a = _verdicts(alice, bob)
     if k_a == 0 or k_b == 0:
         # A side that checks no label shares none, draws nothing and never
         # aborts; the count of labels checked stays a scalar, exact past int64.
@@ -745,8 +820,7 @@ def _check_run(protocol_id: int, config: CheckConfig, k_a: int, t_a: int,
         checked = (k_b - (shared.astype(object) if m > _INT64_MAX else shared)) + k_a
     extras = {}
     if bob.kind == "computational" and alice.kind == "honest":
-        # Right with probability 3/4 whatever the verdicts: one binomial, after them.
-        guessed = _big_binomial(rng, trials * m, guess_rate)
+        guessed = _big_binomial(rng, trials * m, _INPUT_GUESS_RATE)
         extras["x_guess_rate"] = guessed / (trials * m)
     order = _TrialOrder(rng.bit_generator.random_raw(), trials)
     # No table is delivered when either side aborts; an object array past int64.

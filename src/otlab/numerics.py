@@ -114,8 +114,12 @@ def _density_spectra(mats) -> np.ndarray:
 
 
 def _entropy_bits(spectra):
-    """Shannon entropies ``[...]`` of the distributions ``[..., d]``; a float for one."""
-    bits = np.maximum(0.0, -xlog2(np.maximum(spectra, 0.0)).sum(axis=-1))
+    """Shannon entropies ``[...]`` of the distributions ``[..., d]``; a float for one.
+
+    Entries that are not positive (NaN included) add nothing, as in :func:`xlog2`.
+    """
+    safe = np.where(spectra > 0.0, spectra, 1.0)
+    bits = np.maximum(0.0, -(safe * np.log2(safe)).sum(axis=-1))
     return float(bits) if bits.ndim == 0 else bits
 
 

@@ -229,7 +229,7 @@ class TestCheatingBob:
         # run_protocol3 draws the guess total as one binomial of this rate.
         alice, bob = AliceStrategy.honest(), BobStrategy.computational_basis()
         fail, guess = _verdict_cells(alice, bob)
-        rate = checksim._verdicts(alice, bob)[2]
+        rate = checksim._INPUT_GUESS_RATE
         assert rate == 0.75
         assert np.array_equal(guess, rate * fail)
 
@@ -897,20 +897,113 @@ class TestInstanceTable:
         if alice_name == "honest" and bob_name == "computational":
             assert probs @ columns["x_guess_correct"] == pytest.approx(0.75, abs=1e-12)
 
-    @pytest.mark.parametrize("alice,bob", [
-        (AliceStrategy.honest(), BobStrategy.computational_basis()),
-        (AliceStrategy.per_instance_mix([(0.3, AliceStrategy.learn_y()),
-                                         (0.7, AliceStrategy.honest())]),
-         BobStrategy.phase_noise(0.8)),
-    ], ids=["honest-computational", "mix-phase-noise"])
-    def test_verdicts_are_cached_read_only_bincounts(self, alice, bob):
-        # Bitwise the spellings that read them off the [2, 2] bincounts of a
-        # fresh table: fail[1].sum(), fail[1, 1] and guess.sum() / fail.sum().
-        fail, guess = _verdict_cells(alice, bob, checksim._instance_table.__wrapped__)
-        first, again = checksim._verdicts(alice, bob), checksim._verdicts(alice, bob)
-        assert again is first and all(type(value) is float for value in first)
-        expected = (fail[1].sum(), fail[1, 1], guess.sum() / fail.sum())
-        assert [value.hex() for value in first] == [float(value).hex() for value in expected]
+
+def _assert_table_verdict(got, want, *context):
+    """``got`` within 4 ulps of the table's ``want``, in ulps of ``max(want, 1/2)``.
+
+    The table's Born weights are 3x3 sums whose terms cancel, so their
+    round-off is a few ulps of the terms, not of a small failure chance (at
+    a phase of 0.0132 the table reads 512 ulps off ``sin^2(0.0066)``, the
+    kernel 2).
+    """
+    assert abs(got - want) <= 4 * np.spacing(max(want, 0.5)), (*context, got, want)
+
+
+def _receiver_id(bob):
+    return f"{bob.kind}{bob.angle:+.3f}" if bob.kind == "phase-noise" else bob.kind
+
+
+# Every sender kind: param on a grid of squares (multiples of 1/4) and mixes
+# at several cheating fractions; every receiver kind: phase noise at 0, +-pi
+# and a grid.
+_VERDICT_SENDERS = (
+    [("honest", AliceStrategy.honest()), ("learn-y", AliceStrategy.learn_y())]
+    + [(f"param-{i}{j}{4 - i - j}",
+        AliceStrategy.param(CheatParams.from_squares(i / 4, j / 4, (4 - i - j) / 4)))
+       for i in range(5) for j in range(5 - i)]
+    + [(f"mix-{phi}", AliceStrategy.per_instance_mix([(phi, AliceStrategy.learn_y()),
+                                                       (1.0 - phi, AliceStrategy.honest())]))
+       for phi in (0.0, 0.1, 0.3, 0.5, 0.9, 1.0)]
+    + [("mix-param", AliceStrategy.per_instance_mix(
+        [(0.4, AliceStrategy.param(CheatParams.from_alpha(0.7))), (0.6, AliceStrategy.honest())]))])
+_VERDICT_RECEIVERS = (
+    [BobStrategy.honest(), BobStrategy.computational_basis()]
+    + [BobStrategy.phase_noise(angle)
+       for angle in (0.0, np.pi, -np.pi, -3.0, -2.0, -1.0, -0.3, 0.5, 0.8, 1.1, 3.0)])
+
+
+class TestVerdicts:
+    """The verdict kernel against its oracle, the instance table, and the closed forms."""
+
+    @pytest.mark.parametrize("bob", _VERDICT_RECEIVERS, ids=_receiver_id)
+    def test_kernel_agrees_with_the_table(self, bob):
+        for name, alice in _VERDICT_SENDERS:
+            fail, _ = _verdict_cells(alice, bob, checksim._instance_table.__wrapped__)
+            first, again = checksim._verdicts(alice, bob), checksim._verdicts(alice, bob)
+            assert again is first and [type(value) for value in first] == [float, float]
+            p_b, p_a = first
+            _assert_table_verdict(p_b, fail[1].sum(), name, "p_b")
+            _assert_table_verdict(p_a, fail[1, 1], name, "p_a")
+            if alice.kind == "honest":
+                # So the thinning rate is exactly 1, and no draw path moves.
+                assert p_a == p_b
+                assert p_b == 0.0 or checksim._thinning_rate(p_b, p_a) == 1.0
+
+    @pytest.mark.parametrize("bob", _VERDICT_RECEIVERS, ids=_receiver_id)
+    def test_exact_values(self, bob):
+        # r is a global phase on what a learn-y sender gets back, whatever Bob does.
+        assert checksim._verdicts(AliceStrategy.learn_y(), bob) == (0.5, 0.0)
+        if bob.kind != "computational" and bob.angle == 0.0:
+            assert checksim._verdicts(AliceStrategy.honest(), bob) == (0.0, 0.0)
+
+    def test_param_closed_form(self):
+        rng = np.random.default_rng(61)
+        squares = [(i / 4, j / 4, (4 - i - j) / 4) for i in range(5) for j in range(5 - i)]
+        for a2, b2, c2 in squares + list(rng.dirichlet([1.0, 1.0, 1.0], 500)):
+            params = CheatParams.from_squares(a2, b2, c2)
+            a, b, c = params.a, params.b, params.c
+            theta = math.atan2(c, b)
+            want = ((a * math.cos(theta)) ** 2 + b ** 2) / 2 + (a * math.sin(theta) - c) ** 2 / 2
+            p_b, p_a = checksim._verdicts(AliceStrategy.param(params), BobStrategy.honest())
+            assert abs(p_b - want) <= 1e-15 and p_a == 0.0, (a2, b2, c2)
+        for alpha in np.linspace(0.0, np.pi / 2, 101):
+            p_b, _ = checksim._verdicts(AliceStrategy.param(CheatParams.from_alpha(alpha)),
+                                        BobStrategy.honest())
+            assert abs(p_b - math.cos(alpha) ** 2 / 2) <= 1e-15, alpha
+
+    def test_phase_noise_closed_form(self):
+        for angle in np.linspace(-2 * np.pi, 2 * np.pi, 401):
+            p_b, p_a = checksim._verdicts(AliceStrategy.honest(), BobStrategy.phase_noise(angle))
+            assert abs(p_b - math.sin(angle / 2) ** 2) <= 1e-15 and p_a == p_b, angle
+
+    def test_mix_closed_form(self):
+        for angle in (0.0, 0.7, np.pi):
+            noise = math.sin(angle / 2) ** 2
+            for phi in np.linspace(0.0, 1.0, 21):
+                mix = AliceStrategy.per_instance_mix([(phi, AliceStrategy.learn_y()),
+                                                      (1.0 - phi, AliceStrategy.honest())])
+                p_b, p_a = checksim._verdicts(mix, BobStrategy.phase_noise(angle))
+                assert abs(p_b - (phi / 2 + (1 - phi) * noise)) <= 1e-15, (angle, phi)
+                assert abs(p_a - (1 - phi) * noise) <= 1e-15, (angle, phi)
+
+    def test_check_runs_build_no_instance_table(self, monkeypatch):
+        def refuse(alice, bob):
+            raise AssertionError(f"instance table of {alice.kind} x {bob.kind} built")
+
+        monkeypatch.setattr(checksim, "_instance_table", refuse)
+        checksim._verdicts.cache_clear()
+        config = CheckConfig(m=30, k_bob=10, k_alice=10, threshold_bob=2, trials=50)
+        rng = np.random.default_rng(62)
+        param = AliceStrategy.param(CheatParams.from_alpha(0.61))
+        noise = BobStrategy.phase_noise(0.83)
+        mix = AliceStrategy.per_instance_mix([(0.3, AliceStrategy.learn_y()),
+                                              (0.7, AliceStrategy.honest())])
+        assert run_protocol2(config, param, rng).trials == 50
+        assert checksim.exact_law(config, param).fail_bob > 0.0
+        for alice in (AliceStrategy.honest(), mix):
+            bob_report, alice_report = run_protocol3(config, alice, noise, rng)
+            assert bob_report.trials == alice_report.trials == 50
+            assert checksim.exact_law(config, alice, noise).fail_alice > 0.0
 
 
 class TestStrategyValidation:
@@ -1108,7 +1201,7 @@ _JOINT_PAIRS = [
 
 
 def _joint_table(alice, bob, m, k_b, k_a):
-    p_b, p_a, _ = checksim._verdicts(alice, bob)
+    p_b, p_a = checksim._verdicts(alice, bob)
     shared, weights = checksim._shared_pmf(m, k_a, k_b)
     return shared, checksim._joint_table(p_b, p_a, shared, weights, k_b, k_a)
 
@@ -1140,8 +1233,13 @@ class TestJointTable:
     def test_alice_fails_only_where_bob_fails(self, alice, bob):
         fail, _ = _verdict_cells(alice, bob)
         assert fail[0, 1] == 0.0
-        # So Bob's and Alice's failure probabilities are a row and a cell, bitwise.
-        assert checksim._verdicts(alice, bob)[:2] == (fail[1].sum(), fail[1, 1])
+        # The kernel's verdicts are that row and that cell, to the table's
+        # round-off; Alice's is exactly Bob's for an honest sender, 0 for a cheater.
+        p_b, p_a = checksim._verdicts(alice, bob)
+        _assert_table_verdict(p_b, fail[1].sum())
+        _assert_table_verdict(p_a, fail[1, 1])
+        if alice.kind != "mix":
+            assert p_a == (p_b if alice.kind == "honest" else 0.0)
         assert fail[:, 1].sum() == fail[1, 1]
         # Column for column: an honest sender's check fails where Bob's does,
         # a cheater's never, and both are her check ``x AND y = e XOR r``.
@@ -1173,7 +1271,7 @@ class TestJointTable:
         m, k = 200, 20
         shared, table = _joint_table(alice, bob, m, k, k)
         assert table.sum() == pytest.approx(1.0, abs=1e-12)
-        p_b, p_a, _ = checksim._verdicts(alice, bob)
+        p_b, p_a = checksim._verdicts(alice, bob)
         # Bob's failures are Bin(k, p_b) whatever J, and Alice's Bin(k, p_a).
         np.testing.assert_allclose(table.sum(axis=(0, 2)),
                                    stats.binom.pmf(np.arange(k + 1), k, p_b), atol=1e-12)

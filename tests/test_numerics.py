@@ -150,6 +150,22 @@ class TestEntropy:
         masked[x > 0] = x[x > 0] * np.log2(x[x > 0])
         assert np.array_equal(numerics.xlog2(x), masked)
 
+    def test_entropy_bits_bitwise_equal_to_the_clamped_form(self):
+        # One mask in place of the clamp and xlog2's own mask: the same bits.
+        def clamped(spectra):
+            bits = np.maximum(0.0, -numerics.xlog2(np.maximum(spectra, 0.0)).sum(axis=-1))
+            return float(bits) if bits.ndim == 0 else bits
+
+        rng = np.random.default_rng(14)
+        specials = np.array([np.nan, 0.0, -0.0, -1e-17, -5e-324, 5e-324, 1e-300])
+        for shape in [(3,), (4, 3), (2, 5, 3), (20000, 4, 3)]:
+            spectra = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+            odd = rng.random(shape) < 0.2
+            spectra[odd] = rng.choice(specials, size=odd.sum())
+            got, want = numerics._entropy_bits(spectra), clamped(spectra)
+            assert type(got) is type(want)
+            assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
     def test_range(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
