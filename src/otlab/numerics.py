@@ -8,7 +8,7 @@ in bits.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,12 +59,15 @@ class InvalidMeasurementError(ValueError):
 def xlog2(x):
     """Elementwise ``x * log2(x)`` with the ``0 * log 0 = 0`` convention.
 
-    Entries that are not positive (NaN included) give 0: they are replaced
-    by 1, whose ``1 * log2(1)`` is exactly 0.
+    Entries that are not positive (NaN included) give exactly 0: the
+    logarithm and the product are taken at the positive entries only, into
+    an array of zeros.
     """
     arr = np.asarray(x, dtype=float)
-    safe = np.where(arr > 0.0, arr, 1.0)
-    out = safe * np.log2(safe)
+    positive = arr > 0.0
+    out = np.zeros(arr.shape)
+    np.log2(arr, out=out, where=positive)
+    np.multiply(out, arr, out=out, where=positive)
     return float(out) if out.ndim == 0 else out
 
 
@@ -155,21 +158,30 @@ class DensityOperator:
 
     ``DensityOperator(matrix)`` keeps a read-only copy of the square matrix.
     Validation computes the spectrum, which is kept (read-only) for
-    :meth:`eigenvalues`.  ``_spectrum`` is private to :attr:`Ensemble.states`,
-    which passes the spectra it stores.
+    :meth:`eigenvalues`.
     """
 
     matrix: np.ndarray
-    _spectrum: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, _spectrum):
+    def __post_init__(self):
         mat = _frozen(self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        eigs = _density_spectra(mat) if _spectrum is None else _spectrum
+        eigs = _density_spectra(mat)
         eigs.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "_eigenvalues", eigs)
+
+    @classmethod
+    def _view(cls, matrix: np.ndarray, spectrum: np.ndarray) -> "DensityOperator":
+        """An operator of a read-only matrix and its read-only spectrum, both validated already.
+
+        Private to :attr:`Ensemble.states`: nothing is copied or checked.
+        """
+        op = object.__new__(cls)
+        object.__setattr__(op, "matrix", matrix)
+        object.__setattr__(op, "_eigenvalues", spectrum)
+        return op
 
     @property
     def dim(self) -> int:
@@ -246,17 +258,22 @@ def _average(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
     return avg.reshape(avg.shape[:-2] + (d, d))
 
 
-def _spectra_with_average(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Spectra ``[..., n + 1, d]`` of states ``[..., n, d, d]`` and, last, of their average.
+def _spectra_with_average(probs: np.ndarray, states: np.ndarray) -> tuple:
+    """Stack ``[..., n + 1, d, d]`` of states ``[..., n, d, d]`` and their average, and its spectra.
 
-    One ``eigvalsh`` serves the states and the average.  A state's
-    eigenvalue below ``EIG_FLOOR`` raises :class:`InvalidOperatorError`; the
-    average, a convex combination of the states, is not checked.
+    The states are copied once, into a new complex stack, whose last slot
+    takes their average; one ``eigvalsh`` of the stack gives the spectra
+    ``[..., n + 1, d]``.  A state's eigenvalue below ``EIG_FLOOR`` raises
+    :class:`InvalidOperatorError`; the average, a convex combination of the
+    states, is not checked.
     """
-    stack = np.concatenate([states, _average(probs, states)[..., None, :, :]], axis=-3)
+    n = states.shape[-3]
+    stack = np.empty(states.shape[:-3] + (n + 1,) + states.shape[-2:], dtype=complex)
+    stack[..., :n, :, :] = states
+    stack[..., n, :, :] = _average(probs, stack[..., :n, :, :])
     eigs = np.linalg.eigvalsh(stack)
-    _above_floor(eigs[..., :-1, :])
-    return eigs
+    _above_floor(eigs[..., :n, :])
+    return stack, eigs
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -267,9 +284,10 @@ class Ensemble:
     :class:`DensityOperator` s.  Only the probabilities ``[n]``, the
     matrices ``[n, d, d]``, their spectra ``[n, d]`` and the spectrum
     ``[d]`` of their average are kept, as read-only arrays; :attr:`states`
-    views them.  After the probability, Hermiticity and trace checks, one
-    ``eigvalsh`` gives the states' spectra, checked against ``EIG_FLOOR``,
-    and the average's.
+    views them.  After the probability, Hermiticity and trace checks, the
+    states are copied once, into a stack with room for their average, and
+    one ``eigvalsh`` of it gives the states' spectra, checked against
+    ``EIG_FLOOR``, and the average's.
     """
 
     probabilities: np.ndarray
@@ -280,7 +298,7 @@ class Ensemble:
     def __init__(self, probabilities, states):
         if not isinstance(states, np.ndarray):
             states = [op.matrix if isinstance(op, DensityOperator) else op for op in states]
-        matrices = np.array(states, dtype=complex)
+        matrices = np.asarray(states, dtype=complex)
         if matrices.ndim != 3 or matrices.shape[0] == 0 or matrices.shape[1] != matrices.shape[2]:
             raise ValueError(f"expected states [n >= 1, d, d], got shape {matrices.shape}")
         probs = np.array(probabilities, dtype=float)
@@ -295,11 +313,12 @@ class Ensemble:
             raise ValueError(f"probabilities sum to {total}, expected 1")
         self._store(probs, _unit_trace_hermitian(matrices))
 
-    def _store(self, probs: np.ndarray, matrices: np.ndarray) -> None:
-        """Keep ``probs[n]``, complex ``matrices[n, d, d]`` and their spectra, read-only."""
-        eigs = _spectra_with_average(probs, matrices)
-        for name, arr in (("probabilities", probs), ("matrices", matrices), ("_eigenvalues", eigs),
-                          ("spectra", eigs[:-1]), ("average_spectrum", eigs[-1])):
+    def _store(self, probs: np.ndarray, states: np.ndarray) -> None:
+        """Keep ``probs[n]``, a complex copy of ``states[n, d, d]`` and their spectra, read-only."""
+        stack, eigs = _spectra_with_average(probs, states)
+        for name, arr in (("probabilities", probs), ("matrices", stack[:-1]),
+                          ("_eigenvalues", eigs), ("spectra", eigs[:-1]),
+                          ("average_spectrum", eigs[-1])):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -316,9 +335,11 @@ class Ensemble:
 
     @property
     def states(self) -> tuple:
-        """Read-only :class:`DensityOperator` views of the matrices, carrying the stored spectra."""
-        return tuple(DensityOperator(mat, _spectrum=spectrum)
-                     for mat, spectrum in zip(self.matrices, self.spectra))
+        """Read-only :class:`DensityOperator` views of the matrices, carrying the stored spectra.
+
+        The views are built as they are, without validation or ``eigvalsh``.
+        """
+        return tuple(map(DensityOperator._view, self.matrices, self.spectra))
 
 
 def _valid_ensemble(probabilities, states) -> Ensemble:
@@ -327,10 +348,10 @@ def _valid_ensemble(probabilities, states) -> Ensemble:
     For callers that build ``states`` from inputs already validated: the
     probability, Hermiticity and trace checks are skipped, and only the
     states' spectra are checked against ``EIG_FLOOR``.  The states are kept
-    as complex copies, as the public constructor keeps them.
+    as a complex copy, as the public constructor keeps them.
     """
     ensemble = object.__new__(Ensemble)
-    ensemble._store(np.array(probabilities, dtype=float), np.array(states, dtype=complex))
+    ensemble._store(np.array(probabilities, dtype=float), np.asarray(states))
     return ensemble
 
 
@@ -409,7 +430,7 @@ def holevo(ensemble):
         if states.ndim < 3 or states.shape[-3] == 0 or states.shape[-1] != states.shape[-2]:
             raise ValueError(f"expected states [..., n >= 1, d, d], got shape {states.shape}")
         probs = np.full(states.shape[-3], 1.0 / states.shape[-3])
-        eigs = _spectra_with_average(probs, _unit_trace_hermitian(states))
+        _, eigs = _spectra_with_average(probs, _unit_trace_hermitian(states))
     entropies = _entropy_bits(eigs)
     chi = np.maximum(0.0, entropies[..., -1] - (probs * entropies[..., :-1]).sum(axis=-1))
     return float(chi) if chi.ndim == 0 else chi

@@ -211,8 +211,10 @@ def returned_ensemble(params: CheatParams, label: str) -> Ensemble:
     """Uniform ensemble of :func:`returned_states`.
 
     The states of a validated triple are density operators by construction,
-    so they are not checked again: one ``eigvalsh`` gives their spectra and
-    their average's, and only the spectra are checked against the floor.
+    so they are not checked again.  They are copied once, into one complex
+    stack with a last slot for their average; one ``eigvalsh`` of it gives
+    their spectra and their average's, and only the states' spectra are
+    checked against the floor.
     """
     states = returned_states([params.a, params.b, params.c], label)
     return _valid_ensemble(np.ones(len(states)) / len(states), states)
@@ -256,13 +258,16 @@ def _triple_from_squares(a2, b2, c2):
     b2 = np.clip(np.asarray(b2, dtype=float), 0.0, 1.0)
     c2 = np.clip(np.asarray(c2, dtype=float), 0.0, 1.0)
     # Terms summed in the nine-term order, so results are bitwise those of
-    # taking each xlog2 separately (TestTripleFromSquares checks this).
+    # taking each xlog2 separately (TestTripleFromSquares checks this); on
+    # arrays the sums go in place.
     la, lb, lc = xlog2(a2), xlog2(b2), xlog2(c2)
-    chi_y = -la - lb + xlog2(1.0 - c2)
-    chi_r = -la - lc + xlog2(1.0 - b2)
-    chi_yxr = -lb - lc + xlog2(1.0 - a2)
-    return (np.clip(chi_y, 0.0, None), np.clip(chi_r, 0.0, None),
-            np.clip(chi_yxr, 0.0, None))
+    chis = []
+    for first, second, rest in ((la, lb, c2), (la, lc, b2), (lb, lc, a2)):
+        chi = -first
+        chi -= second
+        chi += xlog2(1.0 - rest)
+        chis.append(np.clip(chi, 0.0, None))
+    return tuple(chis)
 
 
 def holevo_triple(params: CheatParams) -> HolevoTriple:
@@ -294,26 +299,32 @@ def binary_entropy(delta):
     return -xlog2(delta) - xlog2(1.0 - delta)
 
 
-def tradeoff_bound_margins(chi_y, chi_r, chi_yxr) -> np.ndarray:
-    """Margins ``[..., 4]`` of the binary-entropy tradeoff bounds.
+def tradeoff_bound_margins(chi_y, chi_r, chi_yxr) -> tuple:
+    """Margins of the binary-entropy tradeoff bounds, on the rows where they apply.
 
-    When ``delta = 1 - chi_r < 1/2``, both chi_y and chi_yxr are at most
-    ``h(delta)``; when ``delta' = 1 - chi_yxr < 1/2``, both chi_r and chi_y
-    are at most ``h(delta')``.  The margins are ``bound - value`` in that
-    order, nonnegative where a bound holds and NaN where it does not apply.
+    When ``delta = 1 - chi_r`` lies in [0, 1/2), both chi_y and chi_yxr are
+    at most ``h(delta)``; when ``delta' = 1 - chi_yxr`` does, both chi_r and
+    chi_y are at most ``h(delta')``.  Gives one pair ``(rows, margins)`` per
+    anchor, chi_r's first: ``rows`` indexes the flattened broadcast inputs
+    where the anchor's bound applies (never where it is NaN), and
+    ``margins[len(rows), 2]`` holds ``bound - value`` there, in the order
+    above, nonnegative where the bound holds.  ``binary_entropy`` is taken
+    of those rows' deltas only.
     """
-    chi_y, chi_r, chi_yxr = np.broadcast_arrays(
-        *(np.asarray(chi, dtype=float) for chi in (chi_y, chi_r, chi_yxr)))
-    margins = np.empty(chi_y.shape + (4,))
-    for col, anchor, others in ((0, chi_r, (chi_y, chi_yxr)), (2, chi_yxr, (chi_r, chi_y))):
-        delta = 1.0 - anchor
-        applies = (delta >= 0.0) & (delta < 0.5)
-        # A delta where no bound applies (NaN included) is replaced by 0 so
-        # that binary_entropy accepts it; its margins are NaN either way.
-        bound = binary_entropy(np.where(applies, delta, 0.0))
-        for offset, other in enumerate(others):
-            margins[..., col + offset] = np.where(applies, bound - other, np.nan)
-    return margins
+    chi_y, chi_r, chi_yxr = (chi.ravel() for chi in np.broadcast_arrays(
+        *(np.asarray(chi, dtype=float) for chi in (chi_y, chi_r, chi_yxr))))
+    out = []
+    for anchor, others in ((chi_r, (chi_y, chi_yxr)), (chi_yxr, (chi_r, chi_y))):
+        # 0 <= 1 - anchor < 1/2 exactly when 1/2 < anchor <= 1: the difference
+        # is exact for anchors in [1/2, 2] (Sterbenz) and rounds to at least
+        # 1/2 below them.
+        rows = np.flatnonzero((anchor > 0.5) & (anchor <= 1.0))
+        bound = binary_entropy(1.0 - anchor.take(rows))
+        margins = np.empty((rows.size, 2))
+        for col, other in enumerate(others):
+            np.subtract(bound, other.take(rows), out=margins[:, col])
+        out.append((rows, margins))
+    return tuple(out)
 
 
 def _tetrahedron() -> np.ndarray:

@@ -95,18 +95,21 @@ def prop2(samples: int, seed: int) -> dict:
 def prop3(samples: int, seed: int) -> dict:
     """Binary-entropy tradeoff bounds over random amplitude triples.
 
-    ``min_margin`` is null when no sample has a bound that applies.
+    Per block of Dirichlet triples, reduces the margins that
+    :func:`security.tradeoff_bound_margins` gives on the rows where a bound
+    applies: ``applicable`` counts (sample, anchor) pairs with a bound,
+    ``min_margin`` is their smallest margin (null when there is none) and
+    ``violations`` counts margins below -1e-9.
     """
     rng = substream_rng(seed, COMPONENTS["verify"], 3)
-    bounded, min_margin, violations = 0, np.nan, 0
+    applicable, min_margin, violations = 0, np.nan, 0
     for squares in numerics.dirichlet_blocks(rng, [1.0, 1.0, 1.0], samples):
-        margins = security.tradeoff_bound_margins(*security._triple_from_squares(*squares.T))
-        # NaN marks a bound that does not apply: it is not counted, fmin
-        # skips it, and it never compares below the tolerance.
-        bounded += int(np.count_nonzero(~np.isnan(margins)))
-        min_margin = np.fmin(min_margin, np.fmin.reduce(margins, axis=None))
-        violations += int(np.count_nonzero(margins < -1e-9))
-    return {"applicable": bounded // 2,
+        triple = security._triple_from_squares(*squares.T)
+        for rows, margins in security.tradeoff_bound_margins(*triple):
+            applicable += rows.size
+            min_margin = np.fmin.reduce(margins, axis=None, initial=min_margin)
+            violations += int(np.count_nonzero(margins < -1e-9))
+    return {"applicable": applicable,
             "min_margin": None if np.isnan(min_margin) else float(min_margin),
             "samples": samples, "violations": violations}
 

@@ -150,6 +150,22 @@ class TestEntropy:
         masked[x > 0] = x[x > 0] * np.log2(x[x > 0])
         assert np.array_equal(numerics.xlog2(x), masked)
 
+    def test_xlog2_bitwise_equal_to_the_replaced_form(self):
+        # The earlier form replaced non-positive entries by 1 before the product.
+        def replaced(x):
+            safe = np.where(x > 0.0, x, 1.0)
+            return safe * np.log2(safe)
+
+        rng = np.random.default_rng(15)
+        specials = np.array([np.nan, 0.0, -0.0, -1e-17, -5e-324, 5e-324, 1e-300, 1.0,
+                             -np.inf, np.inf])
+        for size in (1, 7, 64, 3848, 8192, 100_003):
+            x = rng.random(size) ** rng.uniform(0.1, 20.0)
+            x[rng.integers(0, size, size=max(1, size // 50))] = rng.choice(
+                specials, size=max(1, size // 50))
+            for arr in (x, x[::3], x[:size - size % 2].reshape(-1, 2).T, 1.0 - x):
+                assert numerics.xlog2(arr).tobytes() == replaced(arr).tobytes()
+
     def test_entropy_bits_bitwise_equal_to_the_clamped_form(self):
         # One mask in place of the clamp and xlog2's own mask: the same bits.
         def clamped(spectra):
@@ -280,6 +296,24 @@ class TestInformation:
         for op, mat, spectrum in zip(states, ens.matrices, ens.spectra):
             assert np.shares_memory(op.matrix, ens.matrices)
             assert np.array_equal(op.matrix, mat) and np.array_equal(op.eigenvalues(), spectrum)
+            assert not op.matrix.flags.writeable and not op.eigenvalues().flags.writeable
+
+    def test_states_make_no_eigvalsh_call_and_validate_nothing(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        ens = Ensemble((0.5, 0.3, 0.2), [_random_density(3, rng, rank=rank) for rank in (1, 2, 3)])
+
+        def refused(*args, **kwargs):
+            raise AssertionError("Ensemble.states computed or validated something")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        monkeypatch.setattr(numerics.DensityOperator, "__post_init__", refused)
+        monkeypatch.setattr(numerics, "_density_spectra", refused)
+        states = ens.states
+        assert len(states) == 3 and all(type(op) is DensityOperator for op in states)
+        for i, op in enumerate(states):
+            assert op.matrix.base is ens.matrices.base and op.eigenvalues().base is ens.spectra.base
+            assert op.matrix.tobytes() == ens.matrices[i].tobytes()
+            assert op.eigenvalues().tobytes() == ens.spectra[i].tobytes()
             assert not op.matrix.flags.writeable and not op.eigenvalues().flags.writeable
 
     @pytest.mark.parametrize("probs,states", [

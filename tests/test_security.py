@@ -170,9 +170,9 @@ class TestReturnedEnsemble:
             calls["eigvalsh"] += 1
             return eigvalsh(mats)
 
-        def counted_post_init(self, _spectrum):
+        def counted_post_init(self):
             calls["operators"] += 1
-            post_init(self, _spectrum)
+            post_init(self)
 
         params = CheatParams(SQRT_HALF, 0.5, 0.5)
         states = returned_states([params.a, params.b, params.c], label)
@@ -184,6 +184,29 @@ class TestReturnedEnsemble:
             calls.update(eigvalsh=0, operators=0)
             holevo(build())
             assert calls == {"eigvalsh": 1, "operators": 0}
+
+    @pytest.mark.parametrize("label", ["y", "r", "yxr", "joint"])
+    def test_one_complex_stack_holds_the_states_and_their_average(self, monkeypatch, label):
+        stacks = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(mats):
+            stacks.append(mats)
+            return eigvalsh(mats)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the states were concatenated")
+
+        params = CheatParams(SQRT_HALF, 0.5, 0.5)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        monkeypatch.setattr(np, "concatenate", refused)
+        ens = returned_ensemble(params, label)
+        (stack,) = stacks
+        n = len(ens.matrices)
+        assert stack.dtype == complex and stack.shape == (n + 1, 3, 3)
+        # The stored matrices are the stack's first n slots, not a copy of them.
+        assert ens.matrices.base is stack and np.shares_memory(ens.matrices, stack[:n])
+        assert np.array_equal(stack[n], np.tensordot(ens.probabilities, ens.matrices, 1))
 
     @pytest.mark.parametrize("label", ["y", "r", "yxr", "joint"])
     def test_bitwise_equals_validated_ensemble(self, label):
@@ -366,9 +389,19 @@ class TestBinaryEntropy:
 
 class TestTradeoffBounds:
     @staticmethod
-    def _margins(params):
+    def _dense(chi_y, chi_r, chi_yxr):
+        """The kernel's margins scattered into ``[n, 4]``, NaN where no bound applies."""
+        n = np.broadcast(chi_y, chi_r, chi_yxr).size
+        dense = np.full((n, 4), np.nan)
+        for col, (rows, margins) in zip((0, 2), tradeoff_bound_margins(chi_y, chi_r, chi_yxr)):
+            assert rows.dtype.kind == "i" and margins.shape == (rows.size, 2)
+            assert np.all(np.diff(rows) > 0)
+            dense[rows, col:col + 2] = margins
+        return dense
+
+    def _margins(self, params):
         triple = holevo_triple(params)
-        return triple, tradeoff_bound_margins(triple.chi_y, triple.chi_r, triple.chi_yxr)
+        return triple, self._dense(triple.chi_y, triple.chi_r, triple.chi_yxr)[0]
 
     def test_honest_is_tight(self):
         triple, margins = self._margins(CheatParams.honest(0))
@@ -391,23 +424,40 @@ class TestTradeoffBounds:
                     for other in others]
         return out
 
+    # Anchors at delta 0, 1/2, 1/2 - ulp, NaN and negative, and around the
+    # exact-difference range [1/2, 2] of 1 - anchor.
+    ANCHORS = [1.0, 0.5, 0.5 + np.spacing(0.5), np.nan, 1.0 + 1e-9, 1.5,
+               0.5 - np.spacing(0.5) / 2, 1.0 - np.spacing(1.0) / 2, 1.0 + np.spacing(1.0),
+               0.25, 2.0, 2.5, 5e-324, 0.0, -0.0, -1.0, np.inf, -np.inf]
+
     def test_bitwise_equal_to_scalar_reference(self):
         rng = np.random.default_rng(61)
         triples = np.column_stack(security._triple_from_squares(
             *rng.dirichlet([1.0, 1.0, 1.0], size=10_000).T))
-        # Anchors at delta 0, 1/2, 1/2 - ulp, NaN and negative, in either anchor column.
-        anchors = [1.0, 0.5, 0.5 + np.spacing(0.5), np.nan, 1.0 + 1e-9, 1.5]
-        assert 1.0 - anchors[2] == 0.5 - np.spacing(0.5)
-        edges = [[0.3, anchor, other] for anchor in anchors for other in (0.2, 0.9, anchor)]
+        assert 1.0 - self.ANCHORS[2] == 0.5 - np.spacing(0.5)
+        # Each edge anchor in either anchor column, against ordinary, NaN and equal others.
+        edges = [[0.3, anchor, other] for anchor in self.ANCHORS
+                 for other in (0.2, 0.9, np.nan, anchor)]
         edges += [[0.3, other, anchor] for _, anchor, other in edges]
         triples = np.vstack([triples, edges])
-        got = tradeoff_bound_margins(*triples.T)
+        got = self._dense(*triples.T)
         want = np.array([self._scalar_margins(*row) for row in triples.tolist()])
         assert got.shape == want.shape == (len(triples), 4)
+        assert got.tobytes() == want.tobytes()
         nan = np.isnan(want)
-        assert np.array_equal(np.isnan(got), nan)
-        assert got[~nan].tobytes() == want[~nan].tobytes()
         assert nan[:10_000].any() and not nan[:10_000].all()
+        # Both anchors apply, and neither does, on some rows.
+        assert (~nan[:, [0, 2]]).all(axis=1).any() and nan[:, [0, 2]].all(axis=1).any()
+
+    def test_broadcast_and_scalar_inputs(self):
+        chi = np.array([[0.3], [0.8]])
+        rows, margins = tradeoff_bound_margins(0.1, chi, np.array([0.95, 0.2, 0.7]))[0]
+        assert rows.tolist() == [3, 4, 5]
+        assert margins.tobytes() == np.array(
+            [[binary_entropy(1.0 - 0.8) - other for other in (0.1, value)]
+             for value in (0.95, 0.2, 0.7)]).tobytes()
+        (rows_r, margins_r), (rows_x, margins_x) = tradeoff_bound_margins(0.1, 0.2, 0.3)
+        assert rows_r.size == rows_x.size == margins_r.size == margins_x.size == 0
 
     def test_sweep_no_violations(self):
         rng = np.random.default_rng(35)

@@ -21,14 +21,31 @@ class _Inflated:
         return 1.6 * self.rng.dirichlet(alpha, size=size)
 
 
-def _squares(seed, suite, inflate):
+def _squares(seed, suite, inflate, n=N):
     rng = seeding.substream_rng(seed, seeding.COMPONENTS["verify"], suite)
-    return (_Inflated(rng) if inflate else rng).dirichlet([1.0, 1.0, 1.0], size=N)
+    return (_Inflated(rng) if inflate else rng).dirichlet([1.0, 1.0, 1.0], size=n)
+
+
+def _nan_margins(chi_y, chi_r, chi_yxr):
+    """Margins ``[n, 4]`` of the tradeoff bounds, NaN where a bound does not apply.
+
+    The dense form of ``security.tradeoff_bound_margins``, which gives the
+    applicable rows only: columns 0-1 are chi_r's bound less chi_y and
+    chi_yxr, columns 2-3 chi_yxr's bound less chi_r and chi_y.
+    """
+    margins = np.empty((len(chi_y), 4))
+    for col, anchor, others in ((0, chi_r, (chi_y, chi_yxr)), (2, chi_yxr, (chi_r, chi_y))):
+        delta = 1.0 - anchor
+        applies = (delta >= 0.0) & (delta < 0.5)
+        bound = security.binary_entropy(np.where(applies, delta, 0.0))
+        for offset, other in enumerate(others):
+            margins[:, col + offset] = np.where(applies, bound - other, np.nan)
+    return margins
 
 
 def _prop3_one_shot(squares):
     """The prop3 report from one [n, 4] margin array: the reference."""
-    margins = security.tradeoff_bound_margins(*security._triple_from_squares(*squares.T))
+    margins = _nan_margins(*security._triple_from_squares(*squares.T))
     margins = margins[~np.isnan(margins)]
     return {"applicable": margins.size // 2,
             "min_margin": float(margins.min()) if margins.size else None,
@@ -48,6 +65,36 @@ def test_prop3_blocks_equal_one_shot_reference(inflate, seed):
     report = verify.prop3(N, seed)
     assert report == _prop3_one_shot(_squares(seed, 3, inflate))
     assert (report["violations"] > 0) == inflate
+
+
+@pytest.mark.parametrize("n", [1, 37, numerics.DIRICHLET_BLOCK, numerics.DIRICHLET_BLOCK + 1, N])
+def test_prop3_equals_one_shot_reference_at_block_edges(inflate, n):
+    for seed in (1, 99):
+        assert verify.prop3(n, seed) == _prop3_one_shot(_squares(seed, 3, inflate, n))
+
+
+def test_prop3_takes_entropies_of_the_applicable_deltas_only(inflate, monkeypatch):
+    seen = []
+
+    def recorded(delta):
+        seen.append(np.array(delta))
+        return binary_entropy(delta)
+
+    binary_entropy = security.binary_entropy
+    monkeypatch.setattr(security, "binary_entropy", recorded)
+    verify.prop3(N, 7)
+    want = []
+    squares = _squares(7, 3, inflate)
+    for start in range(0, N, numerics.DIRICHLET_BLOCK):
+        _, chi_r, chi_yxr = security._triple_from_squares(
+            *squares[start:start + numerics.DIRICHLET_BLOCK].T)
+        for anchor in (chi_r, chi_yxr):
+            delta = 1.0 - anchor
+            want.append(delta[(delta >= 0.0) & (delta < 0.5)])
+    assert len(seen) == len(want) == 6
+    assert all(got.tobytes() == w.tobytes() for got, w in zip(seen, want))
+    # The dense form took the entropy of all 2 N deltas.
+    assert 0 < sum(w.size for w in want) < 2 * N
 
 
 def test_prop2_reports_the_closed_form_locus():
