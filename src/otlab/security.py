@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -675,16 +676,35 @@ def max_holevo_sum_search() -> MaxHolevoSumResult:
                               constrained_max=constrained, unconstrained_max=unconstrained)
 
 
+def _curve_blocks(rng: np.random.Generator, n: int):
+    """Each block of ``n`` Dirichlet(3, 3, 3) squares, with its closed-form triple."""
+    for squares in dirichlet_blocks(rng, [3.0, 3.0, 3.0], n):
+        yield squares, _triple_from_squares(*squares.T)
+
+
 @dataclass(frozen=True, eq=False)
 class TradeoffCurve:
-    """Binned maxima of chi_y against max(chi_r, chi_yxr) over Haar samples."""
+    """Binned maxima of chi_y against max(chi_r, chi_yxr) over Haar samples.
+
+    Holds no per-sample array: ``rng_state`` is the bit-generator state the
+    samples were drawn from, and :attr:`triples` replays them from it on
+    first read.
+    """
 
     n_samples: int
     bin_width: float
     bins: tuple                 # ((center, max_h2), ...) sorted, empty bins omitted
-    triples: np.ndarray         # (n, 3): chi_y, chi_r, chi_yxr per sample
     max_sum: float              # max over samples of chi_y + max(chi_r, chi_yxr)
     argmax: CheatParams
+    rng_state: dict             # bit_generator.state before the first sample
+
+    @cached_property
+    def triples(self) -> np.ndarray:
+        """``[n, 3]``: chi_y, chi_r, chi_yxr per sample, replayed from ``rng_state``."""
+        bit_generator = getattr(np.random, self.rng_state["bit_generator"])()
+        bit_generator.state = self.rng_state
+        return np.concatenate([np.column_stack(triple) for _, triple in
+                               _curve_blocks(np.random.Generator(bit_generator), self.n_samples)])
 
     @property
     def h1(self) -> np.ndarray:
@@ -694,7 +714,7 @@ class TradeoffCurve:
     def h2(self) -> np.ndarray:
         return self.triples[:, 0]
 
-    @property
+    @cached_property
     def envelope_violations(self) -> int:
         """Bins with left edge ``l >= 1/2`` whose maximum ``chi_y`` exceeds ``h(1 - l) + 1e-9``."""
         centers, values = np.array(self.bins).T
@@ -722,32 +742,35 @@ def tradeoff_curve(n_samples: int, bin_width: float = 0.01,
     normalized diagonal is Dirichlet(3, 3, 3).  Its closed-form Holevo triple is
     computed, and the per-bin maximum of ``chi_y`` is recorded over
     left-closed bins ``[k*w, (k+1)*w)`` of ``max(chi_r, chi_yxr) <= 1``; a
-    width ``w >= 2**-53`` keeps every ``k`` an exact integer.
+    width ``w >= 2**-53`` keeps every ``k`` an exact integer.  ``n_samples``
+    is an integer (Python or numpy, not bool) in [1, 2**63 - 1].
 
     Samples go through in blocks of :func:`numerics.dirichlet_blocks`, drawn
-    in stream order, so the result is that of one draw of all samples.
-    Each block fills its rows of ``triples`` and, while the ``floor(1/w) +
-    1`` bins that cover [0, 1] number at most ``n_samples``, takes its
-    per-bin maxima into one dense array indexed by ``k``, grown to the
-    largest ``k`` a block reaches (``max(chi_r, chi_yxr)`` can round a few
-    ulps above 1).  With more bins than samples, the occupied bins are
-    found by one sort of all the samples' ``k`` instead.  Either way each
-    bin holds the maximum of the same samples, so the bins are the same.
+    in stream order, so the result is that of one draw of all samples, and
+    no block is kept.  While the ``floor(1/w) + 1`` bins that cover [0, 1]
+    number at most ``n_samples``, each block takes its per-bin maxima into
+    one dense array indexed by ``k``, grown to the largest ``k`` a block
+    reaches (``max(chi_r, chi_yxr)`` can round a few ulps above 1), so
+    memory is that of one block.  With more bins than samples, each
+    sample's ``k`` and ``chi_y`` are kept and the occupied bins are found
+    by one sort of the ``k`` instead.  Either way each bin holds the
+    maximum of the same samples, so the bins are the same.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    if (isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer))
+            or not 1 <= int(n_samples) <= 2**63 - 1):
+        raise ValueError(f"n_samples must be an integer in [1, 2**63 - 1], not {n_samples!r}")
     if not (np.isfinite(bin_width) and bin_width >= 2.0 ** -53):
         raise ValueError("bin_width must be finite and at least 2**-53")
+    n = int(n_samples)
     rng = np.random.default_rng(0) if rng is None else rng
-    triples = np.empty((int(n_samples), 3))
-    dense = math.floor(1.0 / bin_width) + 1 <= n_samples
-    maxima = np.full(0, -np.inf)
+    rng_state = rng.bit_generator.state
+    dense = math.floor(1.0 / bin_width) + 1 <= n
+    if dense:
+        maxima = np.full(0, -np.inf)
+    else:
+        sample_keys, sample_chi_y = np.empty(n, dtype=int), np.empty(n)
     max_sum, argmax_squares, start = -np.inf, None, 0
-    for squares in dirichlet_blocks(rng, [3.0, 3.0, 3.0], int(n_samples)):
-        chi_y, chi_r, chi_yxr = _triple_from_squares(*squares.T)
-        rows = triples[start:start + len(squares)]
-        rows[:, 0], rows[:, 1], rows[:, 2] = chi_y, chi_r, chi_yxr
-        start += len(squares)
+    for squares, (chi_y, chi_r, chi_yxr) in _curve_blocks(rng, n):
         h1 = np.maximum(chi_r, chi_yxr)
         sums = chi_y + h1
         arg = int(np.argmax(sums))
@@ -755,24 +778,27 @@ def tradeoff_curve(n_samples: int, bin_width: float = 0.01,
         # argmax over all samples would.
         if sums[arg] > max_sum:
             max_sum, argmax_squares = float(sums[arg]), squares[arg].copy()
+        keys = np.floor(h1 / bin_width).astype(int)
         if dense:
-            keys = np.floor(h1 / bin_width).astype(int)
             top = int(keys.max()) + 1
             if top > maxima.size:
                 maxima = np.concatenate([maxima, np.full(top - maxima.size, -np.inf)])
             np.maximum.at(maxima, keys, chi_y)
+        else:
+            stop = start + len(squares)
+            sample_keys[start:stop], sample_chi_y[start:stop] = keys, chi_y
+            start = stop
     if dense:
         keys = np.flatnonzero(maxima > -np.inf)
         maxima = maxima[keys]
     else:
-        h1 = np.maximum(triples[:, 1], triples[:, 2])
-        keys, inverse = np.unique(np.floor(h1 / bin_width).astype(int), return_inverse=True)
+        keys, inverse = np.unique(sample_keys, return_inverse=True)
         maxima = np.full(keys.size, -np.inf)
-        np.maximum.at(maxima, inverse, triples[:, 0])
+        np.maximum.at(maxima, inverse, sample_chi_y)
     bins = tuple(((k + 0.5) * bin_width, v) for k, v in zip(keys.tolist(), maxima.tolist()))
     return TradeoffCurve(
-        n_samples=int(n_samples), bin_width=float(bin_width), bins=bins,
-        triples=triples, max_sum=max_sum, argmax=CheatParams.from_squares(*argmax_squares))
+        n_samples=n, bin_width=float(bin_width), bins=bins, max_sum=max_sum,
+        argmax=CheatParams.from_squares(*argmax_squares), rng_state=rng_state)
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,15 @@ class TestCurve:
         assert code == 2
         assert "n_samples" in err
 
+    def test_samples_beyond_int64_are_usage_error(self):
+        # In a child process with a timeout: an unchecked count would draw forever.
+        proc = subprocess.run([sys.executable, "-m", "otlab.cli", "curve", "--n-samples",
+                               str(2**63)], capture_output=True, text=True,
+                              env=_module_env(), timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("otlab: n_samples") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
 
 class TestChecksim:
     def test_honest_runs_clean(self, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -777,6 +778,14 @@ class TestTradeoffCurve:
             counts.append(lifted.violations)
         assert counts[0] == 0 < counts[1] <= counts[2]
 
+    def test_envelope_is_computed_once(self, monkeypatch):
+        curve = tradeoff_curve(3000, 0.01, np.random.default_rng(51))
+        calls, entropy = [], security.binary_entropy
+        monkeypatch.setattr(security, "binary_entropy",
+                            lambda delta: calls.append(delta) or entropy(delta))
+        assert curve.envelope_violations == curve.violations == 0
+        assert len(calls) == 1
+
     @staticmethod
     def _bins_of(triples, width):
         """Bins of all samples' triples ``[n, 3]`` at once: the reference."""
@@ -823,10 +832,12 @@ class TestTradeoffCurve:
 
         monkeypatch.setattr(np, "unique", counted_unique)
         curve = tradeoff_curve(n, width, np.random.default_rng(54))
+        # Read while patched: the triples are replayed through the patched blocks.
+        h1, triples = curve.h1, curve.triples
         monkeypatch.undo()
         assert len(sorts) == (path == "sparse")
-        assert curve.h1[0] > 1.0
-        assert curve.bins == self._bins_of(curve.triples, width)
+        assert h1[0] > 1.0
+        assert curve.bins == self._bins_of(triples, width)
 
     @pytest.mark.parametrize("width", [0.01, 0.7, 1e-9])
     def test_blocks_equal_one_shot_reference(self, width):
@@ -846,6 +857,47 @@ class TestTradeoffCurve:
         first = np.random.default_rng(51).dirichlet([3.0, 3.0, 3.0])
         assert curve.argmax == CheatParams.from_squares(*first) and curve.max_sum == 0.5
         assert curve.bins == ((0.505, 0.0),)
+
+    def test_memory_is_one_block_not_one_row_per_sample(self):
+        # The [n, 3] triples alone would take 24 MB at 10**6 samples.
+        rng = np.random.default_rng(55)
+        tracemalloc.start()
+        try:
+            tradeoff_curve(10**6, 0.01, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_triples_replay_one_shot_and_leave_the_stream_as_one_draw(self):
+        n = 2 * numerics.DIRICHLET_BLOCK + 37
+        rng, reference = np.random.default_rng(56), np.random.default_rng(56)
+        curve = tradeoff_curve(n, 0.01, rng)
+        _, triples, _, _ = self._one_shot(n, 0.01, reference)
+        after = rng.bit_generator.state
+        assert after == reference.bit_generator.state
+        assert curve.triples.tobytes() == triples.tobytes()
+        assert curve.triples is curve.triples
+        assert rng.bit_generator.state == after  # the replay draws from its own generator
+
+    def test_replace_keeps_the_replayed_samples(self):
+        curve = tradeoff_curve(3000, 0.01, np.random.default_rng(57))
+        lifted = dataclasses.replace(curve, max_sum=curve.max_sum + 1.0)
+        assert lifted.triples.tobytes() == curve.triples.tobytes()
+        assert lifted.bins == curve.bins and lifted.argmax == curve.argmax
+        assert lifted.violations == curve.violations + 1
+
+    @pytest.mark.parametrize("n_samples", [0, -1, 2**63, np.uint64(2**63), 2.5, 3.0,
+                                           np.float64(3.0), True, False, np.True_, "10", None])
+    def test_sample_count_must_be_an_integer_in_range(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            tradeoff_curve(n_samples)
+
+    @pytest.mark.parametrize("n_samples", [1, np.int64(5), np.uint8(7)])
+    def test_numpy_sample_counts_are_accepted(self, n_samples):
+        curve = tradeoff_curve(n_samples, 0.5, np.random.default_rng(58))
+        assert type(curve.n_samples) is int and curve.n_samples == n_samples
+        assert curve.triples.shape == (n_samples, 3)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
