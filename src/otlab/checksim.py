@@ -26,7 +26,8 @@ q)`` with ``q = p_a / p_b``, and each side's failures on its own labels.
 Runs draw this chain, as multinomial histograms of its exact law or one
 binomial per link and trial, and :func:`exact_law` sums it.  No summary of
 a run depends on the order of its trials, so none shuffles: a
-:class:`CheckReport` permutes them only when a per-trial value is read.
+:class:`CheckReport` keeps the drawn cells with their counts, and expands
+and permutes them only when a per-trial value is read.
 :func:`simulate_instances` draws whole instances from the pair's exact
 joint distribution over all per-instance classical values
 (:func:`_instance_table`), the oracle of the verdicts and of the
@@ -541,22 +542,24 @@ def _wilson_interval(phat: float, n: int) -> tuple:
 class CheckReport:
     """Outcome of a Monte Carlo run of one side's checking.
 
-    Keeps only what the run drew, per trial the failure count and the number
-    of delivered (unchecked, non-aborted) tables, in the order they were
-    drawn (``drawn_failures``, ``drawn_delivered``), with its side's geometry
-    and the run's trial ``order``.  A run may draw its i.i.d. trials grouped
-    by value, so the per-trial values (``failures``, ``tables_delivered``,
-    ``aborted``, ``est_epsilon``, ``leak_bound_bits`` and :meth:`to_dict`'s
-    records) are read through that uniformly random order; ``order=None``
-    reads them as drawn.  :meth:`summary` reads the drawn arrays: its counts
-    and integer sums do not depend on the order, so a run that is only
-    summarized computes no permutation.  Everything else is derived from the
-    failure counts when read: the trial count, the abort flags (more
-    failures than ``threshold``), the abort rate with its Wilson interval,
-    the failure-rate estimate ``est_epsilon`` and the leak bound
-    ``leak_bound_bits``.  The order-equivalence bracket ``[c_a, c_b]``
-    around the estimator constant is recorded, as class constants, rather
-    than hidden.
+    Keeps the run's histogram as it was drawn: its cells, each with the
+    side's failure count (``drawn_failures``) and the number of delivered
+    (unchecked, non-aborted) tables (``drawn_delivered``), and the number of
+    trials in each (``counts``), with its side's geometry and the run's trial
+    ``order``.  A run drawn one trial at a time has one cell per trial, each
+    counted once.  :meth:`summary`, ``trials``, ``abort_probability`` and
+    ``mean_failures`` read the counts: none depends on the order of the
+    trials, so a run that is only summarized holds memory of its cells, not
+    of its trials, and computes no permutation.  The per-trial values
+    (``failures``, ``tables_delivered``, ``aborted``, ``est_epsilon``,
+    ``leak_bound_bits`` and :meth:`to_dict`'s records) expand the cells in
+    order, each repeated by its count, and read the trials through the
+    uniformly random ``order``; ``order=None`` reads them as expanded.  A
+    trial aborts with more failures than ``threshold``; its failure-rate
+    estimate ``est_epsilon`` and leak bound ``leak_bound_bits`` follow from
+    its failure count.  The order-equivalence bracket ``[c_a, c_b]`` around
+    the estimator constant is recorded, as class constants, rather than
+    hidden.
     """
 
     protocol_id: int
@@ -566,6 +569,7 @@ class CheckReport:
     threshold: int
     drawn_failures: np.ndarray
     drawn_delivered: np.ndarray
+    counts: np.ndarray
     c1: float = 1.0
     extras: dict = field(default_factory=dict)
     order: _TrialOrder | None = None
@@ -573,31 +577,33 @@ class CheckReport:
     c_a: ClassVar[float] = 0.5
     c_b: ClassVar[float] = 2.0
 
-    def _in_trial_order(self, drawn: np.ndarray) -> np.ndarray:
-        return drawn if self.order is None else drawn[self.order.permutation]
+    def _per_trial(self, per_cell: np.ndarray) -> np.ndarray:
+        """One value per cell, expanded to one per trial, in trial order."""
+        expanded = np.repeat(per_cell, self.counts)
+        return expanded if self.order is None else expanded[self.order.permutation]
 
     @property
     def failures(self) -> np.ndarray:
         """Per-trial failure count, in trial order."""
-        return self._in_trial_order(self.drawn_failures)
+        return self._per_trial(self.drawn_failures)
 
     @property
     def tables_delivered(self) -> np.ndarray:
         """Per-trial delivered tables, in trial order."""
-        return self._in_trial_order(self.drawn_delivered)
+        return self._per_trial(self.drawn_delivered)
 
-    @property
+    @cached_property
     def trials(self) -> int:
-        return len(self.drawn_failures)
+        return int(self.counts.sum())
 
     @property
     def aborted(self) -> np.ndarray:
         """Per-trial abort flag: more failures than ``threshold``."""
-        return self.failures > self.threshold
+        return self._per_trial(self.drawn_failures > self.threshold)
 
     @property
     def abort_probability(self) -> float:
-        return np.count_nonzero(self.drawn_failures > self.threshold) / self.trials
+        return int(self.counts @ (self.drawn_failures > self.threshold)) / self.trials
 
     @property
     def abort_ci(self) -> tuple:
@@ -608,8 +614,9 @@ class CheckReport:
     def est_epsilon(self) -> np.ndarray:
         """Per-trial ``c_mid * (failures + 1) / k`` clipped to [0, 1]; NaN when ``k = 0``."""
         if self.k == 0:
-            return np.full(self.failures.shape, np.nan)
-        return np.clip(self.c_mid * (self.failures + 1.0) / self.k, 0.0, 1.0)
+            return np.full(self.trials, np.nan)
+        eps = np.clip(self.c_mid * (self.drawn_failures + 1.0) / self.k, 0.0, 1.0)
+        return self._per_trial(eps)
 
     @property
     def leak_bound_bits(self) -> np.ndarray:
@@ -619,9 +626,12 @@ class CheckReport:
 
     @property
     def mean_failures(self) -> float:
-        # Summed in float64, as ndarray.mean sums: an int64 sum would wrap
-        # once trials * k reaches 2**63.
-        return float(self.drawn_failures.sum(dtype=np.float64)) / self.trials
+        # The exact integer sum over the cells, divided once: the float64 sum
+        # of the failures while it stays below 2**53, and no int64 wrap past 2**63.
+        failures, counts = self.drawn_failures, self.counts
+        if int(failures.max()) * self.trials > _INT64_MAX:
+            failures, counts = failures.astype(object), counts.astype(object)
+        return int(failures @ counts) / self.trials
 
     def summary(self) -> dict:
         """Aggregate of all trials: abort rate with its interval, extras, mean failures."""
@@ -658,31 +668,51 @@ class CheckReport:
         }
 
 
-def _iid(rng, support: np.ndarray, pmf: np.ndarray, trials: int) -> np.ndarray:
-    """``trials`` i.i.d. draws of ``pmf`` over ``support``, grouped by value.
+def _iid(rng, support: np.ndarray, pmf: np.ndarray, trials: int) -> tuple:
+    """``trials`` i.i.d. draws of ``pmf`` over ``support``, as cells and counts.
 
-    Drawn as their multinomial histogram, expanded in support order: the
-    same law as one draw per trial up to the order of the trials, which the
-    run's :class:`CheckReport` draws when it is read, for one binomial draw
-    per support value.
+    Drawn as their multinomial histogram: returns ``support`` and the number
+    of trials at each value, in support order.  The same law as one draw per
+    trial up to the order of the trials, which the run's :class:`CheckReport`
+    draws when it is read, for one binomial draw per support value.
     """
-    return np.repeat(support, rng.multinomial(trials, pmf / pmf.sum()))
+    return support, rng.multinomial(trials, pmf / pmf.sum())
+
+
+def _broadcast(value: int, size: int) -> np.ndarray:
+    """``size`` copies of the int64 ``value``, a read-only view of one element.
+
+    A run drawn one trial at a time counts each trial once, as ``_broadcast(1, trials)``.
+    """
+    return np.ndarray((size,), np.int64, np.int64(value).tobytes(), strides=(0,))
+
+
+def _binomial_cells(rng, n: int, p: float, trials: int) -> tuple:
+    """``trials`` independent ``Bin(n, p)`` draws of one count ``n``, as cells and counts.
+
+    Nothing is drawn when ``p`` is 0 or 1 or ``n`` is 0: one cell holds every
+    trial, and a count of ``n`` failures past int64 raises OverflowError, as a
+    draw would.  A support, ``n + 1`` values, that fits in the trials is drawn
+    by :func:`_iid`; a larger one is drawn one per trial, each trial its own cell.
+    """
+    if not (0.0 < p < 1.0 and n != 0):
+        return np.full(1, n * int(p >= 1.0), dtype=np.int64), np.full(1, trials, dtype=np.int64)
+    if n < trials:
+        return _iid(rng, np.arange(n + 1), _binomial_pmf(n, p), trials)
+    return rng.binomial(n, p, trials), _broadcast(1, trials)
 
 
 def _binomials(rng, n, p: float, trials: int) -> np.ndarray:
-    """``trials`` independent ``Bin(n, p)`` draws, ``n`` one count or one per trial.
+    """``trials`` independent ``Bin(n, p)`` draws, in draw order, ``n`` one count or one per trial.
 
-    Nothing is drawn when ``p`` is 0 or 1 or every ``n`` is 0; a count of
-    ``n`` failures past int64 raises OverflowError, as a draw would.  One count
-    whose support, ``n + 1`` values, fits in the trials is drawn by
-    :func:`_iid`; counts that vary per trial, or a support larger than the
-    trials, are drawn one per trial.
+    One count is drawn as :func:`_binomial_cells` draws it, then expanded.
+    Counts that vary per trial are drawn one per trial, and nothing is drawn
+    when ``p`` is 0 or 1 or every ``n`` is 0.
     """
-    scalar = np.ndim(n) == 0
-    if not (0.0 < p < 1.0 and (n != 0 if scalar else np.any(n))):
+    if np.ndim(n) == 0:
+        return np.repeat(*_binomial_cells(rng, n, p, trials))
+    if not (0.0 < p < 1.0 and np.any(n)):
         return np.full(trials, n * int(p >= 1.0), dtype=np.int64)
-    if scalar and n < trials:
-        return _iid(rng, np.arange(n + 1), _binomial_pmf(n, p), trials)
     return rng.binomial(n, p, trials)
 
 
@@ -690,17 +720,22 @@ def _binomials(rng, n, p: float, trials: int) -> np.ndarray:
 _NUMPY_HYPERGEOMETRIC_MAX = 10**9
 
 
-def _shared_labels(rng, m: int, k_a: int, k_b: int, trials: int) -> np.ndarray:
-    """``trials`` draws of ``J ~ Hypergeometric(k_a, m - k_a, k_b)``.
+def _shared_cells(rng, m: int, k_a: int, k_b: int, trials: int) -> tuple:
+    """``trials`` draws of ``J ~ Hypergeometric(k_a, m - k_a, k_b)``, as cells and counts.
 
     By :func:`_iid` when J's support fits in the trials (a J fixed by a side
     that checks every label draws nothing), or when numpy's per-trial sampler
-    cannot take the populations; else one draw per trial.
+    cannot take the populations; else one draw per trial, each its own cell.
     """
     support = min(k_a, k_b) - max(0, k_a + k_b - m) + 1
     if support <= trials or max(k_a, m - k_a) >= _NUMPY_HYPERGEOMETRIC_MAX:
         return _iid(rng, *_shared_pmf(m, k_a, k_b), trials)
-    return rng.hypergeometric(k_a, m - k_a, k_b, size=trials)
+    return rng.hypergeometric(k_a, m - k_a, k_b, size=trials), _broadcast(1, trials)
+
+
+def _shared_labels(rng, m: int, k_a: int, k_b: int, trials: int) -> np.ndarray:
+    """:func:`_shared_cells`' draws, one per trial, in draw order."""
+    return np.repeat(*_shared_cells(rng, m, k_a, k_b, trials))
 
 
 _INT64_MAX = 2**63 - 1
@@ -723,12 +758,15 @@ def _big_binomial(rng, n: int, p: float) -> int:
 def _shifts(pmf: np.ndarray, shifts: int, size: int) -> np.ndarray:
     """``out[..., s, j] = pmf[..., j - s]`` for s < ``shifts`` and j < ``size``, 0 off ``pmf``.
 
-    Right-multiplying a law of s by it convolves that law with ``pmf``.
+    Right-multiplying a law of s by it convolves that law with ``pmf``.  A
+    view of one copy of the rows, each after ``shifts - 1`` zeros and padded
+    with zeros to ``size``: its window s starts s places before ``pmf``.
     """
-    padded = np.zeros(pmf.shape[:-1] + (size + 1,))
-    padded[..., :pmf.shape[-1]] = pmf
-    index = np.arange(size) - np.arange(shifts)[:, None]
-    return padded[..., np.where(index < 0, size, index)]
+    padded = np.zeros(pmf.shape[:-1] + (shifts - 1 + size,))
+    padded[..., shifts - 1:shifts - 1 + pmf.shape[-1]] = pmf
+    step = padded.strides[-1]
+    return np.ndarray(pmf.shape[:-1] + (shifts, size), padded.dtype, padded, (shifts - 1) * step,
+                      padded.strides[:-1] + (-step, step))
 
 
 def _joint_table(p_b: float, p_a: float, shared: np.ndarray, weights: np.ndarray,
@@ -741,45 +779,61 @@ def _joint_table(p_b: float, p_a: float, shared: np.ndarray, weights: np.ndarray
     ``Bin(U, q)`` plus ``Bin(k_a - J, p_a)`` on hers.  Per J, the table is
     ``h(J)`` times the matrix chain over u and Alice's shared failures s: Bob's
     own law shifted by u, ``Bin(J, p_b)``, ``Bin(u, q)``, and Alice's own law
-    shifted by s.  Each set of binomial rows is one vectorized call.
+    shifted by s.  Each set of binomial rows is one vectorized call.  The
+    thinning is the identity when ``q = 1`` (an honest Alice), and is then
+    skipped.  Alice's own-label rows are Bob's when ``(k_a, p_a) = (k_b,
+    p_b)``, unless the overlap is forced (``k_a + k_b > m``): her own call's
+    rows are then narrower, and a row's normalizing sum may round otherwise
+    at another width.
     """
     g, top = len(shared), int(shared.max())
     rows = _binomial_pmf(np.concatenate([k_b - shared, shared]), p_b)
-    bob = _shifts(rows[:g], top + 1, k_b + 1) * rows[g:, :top + 1, None]    # [G, u, F_b]
-    alice = _shifts(_binomial_pmf(k_a - shared, p_a), top + 1, k_a + 1)      # [G, s, F_a]
-    thinning = _binomial_pmf(np.arange(top + 1), _thinning_rate(p_b, p_a))  # [u, s]
-    return weights[:, None, None] * (np.swapaxes(bob, 1, 2) @ thinning @ alice)
+    own = rows[:g]
+    bob = _shifts(own, top + 1, k_b + 1) * rows[g:, :top + 1, None]            # [G, u, F_b]
+    if (k_a, p_a) != (k_b, p_b) or own.shape[1] != k_a - shared[0] + 1:
+        own = _binomial_pmf(k_a - shared, p_a)
+    # In C order: a strided operand sends the product off BLAS, whose sums may round otherwise.
+    alice = np.ascontiguousarray(_shifts(own, top + 1, k_a + 1))              # [G, s, F_a]
+    q = _thinning_rate(p_b, p_a)
+    chain = np.swapaxes(bob, 1, 2)
+    if q == 1.0:   # ``x @ I`` is ``x`` in C order: every term it adds is an exact zero
+        chain = np.ascontiguousarray(chain)
+    else:
+        chain = chain @ _binomial_pmf(np.arange(top + 1), q)                  # [u, s] thinning
+    return weights[:, None, None] * (chain @ alice)
 
 
 # Largest joint table, in cells per trial, that run_protocol3 draws from.  The
 # table costs a few float arrays of its size and a binomial per occupied cell
-# and F_a value; the per-trial path, three binomial draws per trial.  Timed on
-# a 2-core x86 host at k = k_alice = 20, 40 and 80, the table was the faster
-# below 5 to 7 cells per trial (m = 200, k = 20, 4000 trials: 2.3 cells, 0.57
-# of the per-trial time), so 4 keeps it faster with memory a few times the
-# per-trial arrays'.
+# and F_a value; the per-trial path, three binomial draws per trial.  Timed
+# with both reports' summaries on a 2-core x86 host at k = k_alice = 20, 40
+# and 80 (m = 10 k), the table was the faster below 10 to 12 cells per trial
+# (m = 200, k = 20, 4000 trials: 2.3 cells, 0.38 of the per-trial time).  The
+# constant picks the draw path, and so the stream: 4 keeps the table faster,
+# with temporaries a few times the per-trial arrays'.
 _TABLE_CELLS_PER_TRIAL = 4
 
 
 def _joint_draw(rng, p_b: float, p_a: float, m: int, k_b: int, k_a: int, trials: int) -> tuple:
-    """``trials`` i.i.d. draws of ``(J, F_b, F_a)`` from :func:`_joint_table`, grouped by value.
+    """``trials`` i.i.d. draws of ``(J, F_b, F_a)`` from :func:`_joint_table`, as cells and counts.
 
     Two multinomial histograms: of ``(J, F_b)``, whose law is ``h(J) Bin(k_b,
     p_b)`` since Bob's verdicts do not depend on which labels Alice checks,
     then of ``F_a`` in each occupied ``(J, F_b)`` cell, all cells in one
-    batched draw.  The cells are expanded in table order, each trial's three
-    values side by side; the trial order is the report's (:class:`CheckReport`).
+    batched draw.  Returns each occupied ``(J, F_b, F_a)`` cell's three values
+    and its count, in table order; the trial order is the report's
+    (:class:`CheckReport`).
     """
     shared, weights = _shared_pmf(m, k_a, k_b)
     table = _joint_table(p_b, p_a, shared, weights, k_b, k_a).reshape(-1, k_a + 1)
     first = table.sum(axis=1)
     counts = rng.multinomial(trials, first / first.sum())
     occupied = np.flatnonzero(counts)
-    cells = rng.multinomial(counts[occupied], table[occupied] / first[occupied, None])
-    draws = np.repeat(np.arange(cells.size), cells.ravel())
-    cell, failures_a = np.divmod(draws, k_a + 1)
-    j, failures_b = np.divmod(occupied[cell], k_b + 1)
-    return shared[j], failures_b, failures_a
+    counts = rng.multinomial(counts[occupied], table[occupied] / first[occupied, None]).ravel()
+    cell = np.flatnonzero(counts)
+    row, failures_a = np.divmod(cell, k_a + 1)
+    j, failures_b = np.divmod(occupied[row], k_b + 1)
+    return shared[j], failures_b, failures_a, counts[cell]
 
 
 # Against a computational-basis Bob, an honest Alice's input is guessed
@@ -802,19 +856,27 @@ def _check_run(protocol_id: int, config: CheckConfig, k_a: int, t_a: int,
         # A side that checks no label shares none, draws nothing and never
         # aborts; the count of labels checked stays a scalar, exact past int64.
         k, p, t = (k_b, p_b, t_b) if k_b else (k_a, p_a, t_a)
-        failures, none = _binomials(rng, k, p, trials), np.zeros(trials, dtype=np.int64)
+        failures, counts = _binomial_cells(rng, k, p, trials)
+        none = _broadcast(0, len(failures))
         failures_b, failures_a = (failures, none) if k_b else (none, failures)
         passed, checked = failures <= t, k
     else:
         support = min(k_a, k_b) - max(0, k_a + k_b - m) + 1
         if p_b > 0.0 and support * (k_b + 1) * (k_a + 1) <= _TABLE_CELLS_PER_TRIAL * trials:
-            shared, failures_b, failures_a = _joint_draw(rng, p_b, p_a, m, k_b, k_a, trials)
+            shared, failures_b, failures_a, counts = _joint_draw(rng, p_b, p_a, m, k_b, k_a,
+                                                                 trials)
+        elif p_b == 0.0:
+            # Alice's check fails only where Bob's does, so neither can fail:
+            # J is all the chain draws, and its cells are the run's.
+            shared, counts = _shared_cells(rng, m, k_a, k_b, trials)
+            failures_b = failures_a = _broadcast(0, len(shared))
         else:
             shared = _shared_labels(rng, m, k_a, k_b, trials)
             u = _binomials(rng, shared, p_b, trials)
             failures_b = u + _binomials(rng, k_b - shared, p_b, trials)
             failures_a = _binomials(rng, u, _thinning_rate(p_b, p_a), trials)
             failures_a += _binomials(rng, k_a - shared, p_a, trials)
+            counts = _broadcast(1, trials)
         passed = (failures_b <= t_b) & (failures_a <= t_a)
         # At most m, where k_b + k_a can pass int64; in Python ints when m does.
         checked = (k_b - (shared.astype(object) if m > _INT64_MAX else shared)) + k_a
@@ -823,14 +885,14 @@ def _check_run(protocol_id: int, config: CheckConfig, k_a: int, t_a: int,
         guessed = _big_binomial(rng, trials * m, _INPUT_GUESS_RATE)
         extras["x_guess_rate"] = guessed / (trials * m)
     order = _TrialOrder(rng.bit_generator.random_raw(), trials)
-    # No table is delivered when either side aborts; an object array past int64.
+    # Per cell; no table is delivered when either side aborts; an object array past int64.
     delivered = passed * np.asarray(m - checked)
-    bob_report = CheckReport(protocol_id, "bob", m, k_b, t_b, failures_b, delivered, config.c1,
-                             dict(extras), order)
+    bob_report = CheckReport(protocol_id, "bob", m, k_b, t_b, failures_b, delivered, counts,
+                             config.c1, dict(extras), order)
     if protocol_id == 2:
         return bob_report
-    return bob_report, CheckReport(3, "alice", m, k_a, t_a, failures_a, delivered, config.c1,
-                                   dict(extras), order)
+    return bob_report, CheckReport(3, "alice", m, k_a, t_a, failures_a, delivered, counts,
+                                   config.c1, dict(extras), order)
 
 
 def run_protocol2(config: CheckConfig, alice: AliceStrategy,
@@ -870,7 +932,8 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
     :func:`run_protocol2`, draw for draw.  When both check, Bob's check can
     fail and the exact table of ``(J, F_b, F_a)`` has at most
     ``_TABLE_CELLS_PER_TRIAL`` cells per trial, it is drawn as two multinomial
-    histograms (:func:`_joint_draw`); otherwise link by link, per trial.
+    histograms (:func:`_joint_draw`); when Bob's check cannot fail, neither
+    can Alice's, and only J is drawn; otherwise link by link, per trial.
     Against a computational-basis Bob each instance's input guess is right
     with probability 3/4 whatever its verdicts, so the total over all
     ``trials * m`` instances is one binomial of that exact marginal.  The

@@ -1,6 +1,7 @@
 import itertools
 import math
 import json
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -294,7 +295,8 @@ class TestEstimates:
     @staticmethod
     def _report(failures, k, c1=1.0):
         return CheckReport(2, "bob", m=k, k=k, threshold=k, drawn_failures=np.array(failures),
-                           drawn_delivered=np.zeros(len(failures), dtype=int), c1=c1)
+                           drawn_delivered=np.zeros(len(failures), dtype=int),
+                           counts=np.ones(len(failures), dtype=int), c1=c1)
 
     def test_epsilon_examples(self):
         report = self._report([0, 4, 100], 100)
@@ -1106,9 +1108,11 @@ class TestIid:
         (np.array([7]), np.array([1.0]), 10),
     ], ids=["binomial", "sparse", "one-value"])
     def test_shuffled_multinomial_histogram(self, support, pmf, trials):
-        draws = checksim._iid(np.random.default_rng(41), support, pmf, trials)
+        cells, cell_counts = checksim._iid(np.random.default_rng(41), support, pmf, trials)
         counts = np.random.default_rng(41).multinomial(trials, pmf / pmf.sum())
         # Its multinomial counts, laid out in support order.
+        assert np.array_equal(cells, support) and np.array_equal(cell_counts, counts)
+        draws = np.repeat(cells, cell_counts)
         assert np.array_equal(draws, np.repeat(support, counts))
         for value, p in zip(support, pmf / pmf.sum()):
             count = int(np.sum(draws == value))
@@ -1118,8 +1122,8 @@ class TestIid:
                 assert stats.binomtest(count, trials, p).pvalue >= _P_5SIGMA, (value, count, p)
         # A report reads them in its trial order, a permutation of the draws.
         k = int(support.max())
-        report = CheckReport(2, "bob", m=k, k=k, threshold=k, drawn_failures=draws,
-                             drawn_delivered=np.zeros(trials, dtype=int),
+        report = CheckReport(2, "bob", m=k, k=k, threshold=k, drawn_failures=cells,
+                             drawn_delivered=np.zeros(len(cells), dtype=int), counts=cell_counts,
                              order=checksim._TrialOrder(42, trials))
         failures = report.failures
         assert np.array_equal(np.sort(failures), draws)
@@ -1428,6 +1432,194 @@ class TestTrialOrder:
         assert np.array_equal(report.drawn_failures, np.sort(report.drawn_failures))
         assert not np.array_equal(report.failures, report.drawn_failures)
         in_order = replace(report, drawn_failures=report.failures,
-                           drawn_delivered=report.tables_delivered, order=None)
+                           drawn_delivered=report.tables_delivered,
+                           counts=np.ones(report.trials, dtype=int), order=None)
         assert in_order.summary() == report.summary()
         assert in_order.to_dict() == report.to_dict()
+
+
+def _fancy_index_joint_table(p_b, p_a, shared, weights, k_b, k_a):
+    """The joint table as one fancy-indexed copy per shift matrix, with the
+    thinning always multiplied: the construction the table must match bit for bit."""
+    def shifts(pmf, count, size):
+        padded = np.zeros(pmf.shape[:-1] + (size + 1,))
+        padded[..., :pmf.shape[-1]] = pmf
+        index = np.arange(size) - np.arange(count)[:, None]
+        return padded[..., np.where(index < 0, size, index)]
+
+    g, top = len(shared), int(shared.max())
+    rows = checksim._binomial_pmf(np.concatenate([k_b - shared, shared]), p_b)
+    bob = shifts(rows[:g], top + 1, k_b + 1) * rows[g:, :top + 1, None]
+    alice = shifts(checksim._binomial_pmf(k_a - shared, p_a), top + 1, k_a + 1)
+    thinning = checksim._binomial_pmf(np.arange(top + 1), checksim._thinning_rate(p_b, p_a))
+    return weights[:, None, None] * (np.swapaxes(bob, 1, 2) @ thinning @ alice)
+
+
+_TABLE_SENDERS = [AliceStrategy.honest(), AliceStrategy.learn_y(),
+                  AliceStrategy.param(CheatParams.from_alpha(0.7)), _MIX]
+_TABLE_RECEIVERS = [BobStrategy.honest(), BobStrategy.computational_basis(),
+                    BobStrategy.phase_noise(0.9)]
+
+
+class TestJointTableConstruction:
+    # A forced overlap narrows Alice's own rows, whose sums then round otherwise
+    # at 10, 7, 7 against phase noise and at 24, 15, 15 against a basis read.
+    @pytest.mark.parametrize("m,k_b,k_a", [(200, 20, 20), (30, 5, 7), (12, 5, 12), (50, 40, 3),
+                                           (40, 25, 25), (10, 7, 7), (24, 15, 15), (9, 9, 9)],
+                             ids=["sparse", "k_a>k_b", "k_a=m", "k_b>k_a", "forced-overlap",
+                                  "forced-overlap-7", "forced-overlap-15", "m=k"])
+    @pytest.mark.parametrize("bob", _TABLE_RECEIVERS, ids=lambda b: b.kind)
+    @pytest.mark.parametrize("alice", _TABLE_SENDERS, ids=lambda a: a.kind)
+    def test_bitwise_equal_to_fancy_index_construction(self, alice, bob, m, k_b, k_a):
+        p_b, p_a = checksim._verdicts(alice, bob)
+        shared, weights = checksim._shared_pmf(m, k_a, k_b)
+        table = checksim._joint_table(p_b, p_a, shared, weights, k_b, k_a)
+        assert np.array_equal(table, _fancy_index_joint_table(p_b, p_a, shared, weights, k_b, k_a))
+
+    def test_thinning_covers_rates_off_zero_and_one(self):
+        q = {(a.kind, b.kind): checksim._thinning_rate(*checksim._verdicts(a, b))
+             for a in _TABLE_SENDERS for b in _TABLE_RECEIVERS}
+        assert q[("honest", "computational")] == 1.0 and q[("learn-y", "computational")] == 0.0
+        assert 0.0 < q[("mix", "computational")] < 1.0 and 0.0 < q[("mix", "phase-noise")] < 1.0
+
+    def test_shifts_is_a_view_of_one_padded_stack(self):
+        pmf = checksim._binomial_pmf(np.array([3, 0, 2]), 0.3)
+        out = checksim._shifts(pmf, 3, 5)
+        assert out.shape == (3, 3, 5) and not out.flags.owndata
+        for s, j in itertools.product(range(3), range(5)):
+            expected = pmf[:, j - s] if 0 <= j - s < pmf.shape[1] else 0.0
+            assert np.array_equal(out[:, s, j], np.broadcast_to(expected, 3))
+
+
+def _expanded(report):
+    """The same report with its cells expanded, one count-one cell per trial."""
+    return replace(report, drawn_failures=np.repeat(report.drawn_failures, report.counts),
+                   drawn_delivered=np.repeat(report.drawn_delivered, report.counts),
+                   counts=np.ones(report.trials, dtype=np.int64))
+
+
+def _assert_reads_equal(report, other):
+    assert report.trials == other.trials
+    assert report.summary() == other.summary()
+    for name in ("failures", "tables_delivered", "aborted", "est_epsilon", "leak_bound_bits"):
+        mine, theirs = getattr(report, name), getattr(other, name)
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs, equal_nan=True), name
+    assert json.dumps(report.to_dict()) == json.dumps(other.to_dict())
+
+
+# One run per draw path: (protocol, config, alice, bob, histogram).
+_DRAW_PATHS = {
+    "single-side-histogram": (2, dict(m=40, k_bob=20, threshold_bob=9, trials=300),
+                              AliceStrategy.learn_y(), None, True),
+    "single-side-per-trial": (2, dict(m=40, k_bob=20, threshold_bob=9, trials=15),
+                              AliceStrategy.learn_y(), None, False),
+    "joint": (3, dict(m=30, k_bob=5, k_alice=7, threshold_bob=1, threshold_alice=1, trials=500),
+              _MIX, BobStrategy.computational_basis(), True),
+    "chain": (3, dict(m=50, k_bob=50, k_alice=30, threshold_bob=15, threshold_alice=9,
+                      trials=300), AliceStrategy.honest(), BobStrategy.phase_noise(1.2), False),
+    "no-failure-chain": (3, dict(m=30, k_bob=5, k_alice=7, threshold_bob=1, trials=500),
+                         AliceStrategy.honest(), BobStrategy.honest(), True),
+}
+
+
+def _run_path(name, rng):
+    protocol, sizes, alice, bob, _ = _DRAW_PATHS[name]
+    config = CheckConfig(**sizes, c1=1.7)
+    if protocol == 2:
+        return (run_protocol2(config, alice, rng),)
+    return run_protocol3(config, alice, bob, rng)
+
+
+class TestHistogramReport:
+    @pytest.mark.parametrize("name", list(_DRAW_PATHS))
+    def test_cells_read_as_their_count_one_expansion(self, name, monkeypatch):
+        joint = _count_calls(monkeypatch, "_joint_draw")
+        reports = _run_path(name, np.random.default_rng(91))
+        assert len(joint) == int(name == "joint")
+        histogram = _DRAW_PATHS[name][-1]
+        for report in reports:
+            assert (len(report.drawn_failures) < report.trials) == histogram
+            if not histogram:   # one cell per trial, counted once in one element of memory
+                assert report.counts.strides == (0,) and not report.counts.flags.writeable
+            _assert_reads_equal(report, _expanded(report))
+        if len(reports) == 2:   # protocol 3's reports share the cells and their counts
+            bob_rep, alice_rep = reports
+            assert bob_rep.counts is alice_rep.counts
+            assert bob_rep.drawn_delivered is alice_rep.drawn_delivered
+
+    @pytest.mark.parametrize("k_b,k_a", [(0, 20), (20, 0)], ids=["k_bob=0", "k_alice=0"])
+    def test_side_that_checks_nothing_reads_zeros(self, k_b, k_a):
+        reports = run_protocol3(CheckConfig(m=40, k_bob=k_b, k_alice=k_a, trials=300),
+                                AliceStrategy.honest(), BobStrategy.phase_noise(0.9),
+                                np.random.default_rng(92))
+        for report in reports:
+            assert len(report.drawn_failures) < report.trials
+            if report.k == 0:   # one zero, in the memory of one element
+                assert not report.drawn_failures.any() and report.drawn_failures.strides == (0,)
+            _assert_reads_equal(report, _expanded(report))
+
+    @pytest.mark.parametrize("sizes", [dict(m=10, k_bob=0, k_alice=5, trials=300),
+                                       dict(m=10, k_bob=5, k_alice=0, trials=300)],
+                             ids=["k_bob=0", "k_alice=0"])
+    def test_estimates_at_k0_compute_no_permutation(self, monkeypatch, sizes):
+        calls = _count_calls(monkeypatch, "_trial_permutation")
+        reports = run_protocol3(CheckConfig(**sizes), AliceStrategy.honest(),
+                                BobStrategy.computational_basis(), np.random.default_rng(93))
+        report = next(r for r in reports if r.k == 0)
+        eps, leak = report.est_epsilon, report.leak_bound_bits
+        assert not calls
+        assert eps.shape == leak.shape == (300,)
+        assert np.isnan(eps).all() and np.isnan(leak).all()
+        report.failures
+        assert len(calls) == 1
+
+    def test_mean_failures_exact_past_int64(self):
+        # Each cell's failures times its count passes 2**63, and so does their sum.
+        failures = np.array([2**40 - 1, 7, 2**40 - 3])
+        counts = np.array([2**30, 5, 2**29])
+        report = CheckReport(2, "bob", m=2**41, k=2**40 - 1, threshold=0,
+                             drawn_failures=failures, drawn_delivered=np.zeros(3, dtype=int),
+                             counts=counts)
+        total = sum(int(f) * int(c) for f, c in zip(failures, counts))
+        assert total > 2**64
+        assert report.trials == 2**30 + 5 + 2**29
+        assert report.mean_failures == total / report.trials   # correctly rounded
+        assert report.mean_failures == float(Fraction(total, report.trials))
+        assert report.abort_probability == 1.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mean_failures_bitwise_the_float_sum_below_2_53(self, seed):
+        rng = np.random.default_rng(seed)
+        failures = rng.integers(0, 2**20, size=40)
+        counts = rng.integers(0, 2**25, size=40)
+        counts[0] = max(counts[0], 1)
+        report = CheckReport(2, "bob", m=2**20, k=2**20, threshold=2**19,
+                             drawn_failures=failures, drawn_delivered=np.zeros(40, dtype=int),
+                             counts=counts)
+        assert report.trials * 2**20 < 2**53
+        # The float64 sum of the expanded failures, by parts: exact while below 2**53.
+        expected = float(sum(float(f) * float(c) for f, c in zip(failures, counts)))
+        assert report.mean_failures == expected / report.trials
+
+    @pytest.mark.parametrize("case", ["p2-learn-y", "p3-computational", "p3-honest"])
+    def test_summary_only_run_holds_no_memory_per_trial(self, case):
+        config = CheckConfig(m=200, k_bob=20, k_alice=20, threshold_bob=1, threshold_alice=1,
+                             trials=10**7)
+        if case == "p2-learn-y":
+            def run(cfg):
+                return (run_protocol2(cfg, AliceStrategy.learn_y(), np.random.default_rng(94)),)
+        else:
+            bob = BobStrategy(kind=case.split("-")[1])
+
+            def run(cfg):
+                return run_protocol3(cfg, AliceStrategy.honest(), bob, np.random.default_rng(94))
+        run(replace(config, trials=1000))   # warm the per-pair caches
+        tracemalloc.start()
+        try:
+            summaries = [report.summary() for report in run(config)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One int64 array per trial would take 80 MB.
+        assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
+        assert all(s["mean_failures"] <= 20.0 for s in summaries)
