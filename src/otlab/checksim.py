@@ -24,10 +24,10 @@ trial needs only its sufficient statistics: the number J of labels both
 sides check, Bob's failures ``U ~ Bin(J, p_b)`` on them, Alice's ``Bin(U,
 q)`` with ``q = p_a / p_b``, and each side's failures on its own labels.
 Runs draw this chain, as multinomial histograms of its exact law or one
-binomial per link and trial, and :func:`exact_law` sums it.  No summary of
-a run depends on the order of its trials, so none shuffles: a
-:class:`CheckReport` keeps the drawn cells with their counts, and expands
-and permutes them only when a per-trial value is read.
+binomial per link and trial, and :func:`exact_law` sums it.  The trials of
+a run are exchangeable, so their order carries nothing and none is drawn: a
+:class:`CheckReport` is the run's histogram, its drawn cells with their
+counts, and writes each cell once.
 :func:`simulate_instances` draws whole instances from the pair's exact
 joint distribution over all per-instance classical values
 (:func:`_instance_table`), the oracle of the verdicts and of the
@@ -292,16 +292,27 @@ def _receiver(bob: BobStrategy):
     return diagonals, y, r, xhat
 
 
+def _born(sent: np.ndarray, rows: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
+    """Born weights ``[S, O, B]`` of (state s, outcome o, branch b): ``|amp[s, o, b]|^2``.
+
+    ``amp = sum_i rows[s, o, i] diagonals[b, i] sent[s, i] = <v_so|K_b psi_s>``,
+    one contraction of the :func:`_sender` and :func:`_receiver` arrays, so a
+    small weight is computed to a few ulps of itself, not of the terms of a
+    3x3 sum that cancel.
+    """
+    amp = (rows * sent[:, None, :]) @ diagonals.T
+    return amp.real ** 2 + amp.imag ** 2
+
+
 @lru_cache(maxsize=32)
 def _instance_table(alice: AliceStrategy, bob: BobStrategy):
     """Exact joint distribution of all per-instance classical values.
 
     The probability of each (state, branch, outcome, report) is
-    ``weights[s] |<v_so|K_b psi_s>|^2 reports[s, o, a, e]``, from the
-    :func:`_sender` and :func:`_receiver` arrays, computed as
-    ``<K_b psi_s| E_so |K_b psi_s>`` over the 3x3 elements ``E_so =
-    |v_so><v_so|``; rows at or below 1e-15 are dropped.  A per-instance mix
-    is its components' tables laid end to end, each weighted by its mix
+    ``weights[s] |<v_so|K_b psi_s>|^2 reports[s, o, a, e]``, the
+    :func:`_sender` arrays times :func:`_born`'s weights, as in
+    :func:`_verdicts`; rows at or below 1e-15 are dropped.  A per-instance
+    mix is its components' tables laid end to end, each weighted by its mix
     weight.  It is the law behind :func:`simulate_instances` and the oracle
     of :func:`_verdicts`; the cache is bounded.
     """
@@ -312,9 +323,7 @@ def _instance_table(alice: AliceStrategy, bob: BobStrategy):
             name: np.concatenate([table[1][name] for _, table in parts]) for name in _FIELDS}
     honest, weights, sent, x, rows, reports = _sender(alice)
     diagonals, y, r, xhat = _receiver(bob)
-    returned = diagonals * sent[:, None, :]                          # K_b psi_s, [S, B, 3]
-    elements = rows.conj()[..., :, None] * rows[..., None, :]
-    born = np.einsum("sbi,soij,sbj->sbo", returned.conj(), elements, returned).real
+    born = np.swapaxes(_born(sent, rows, diagonals), 1, 2)             # [S, B, O]
     probs = weights[:, None, None, None, None] * born[..., None, None] * reports[:, None]
     keep = probs > 1e-15
     s, b, _, a, e = np.nonzero(keep)
@@ -364,10 +373,8 @@ def _check_weights(alice_kind: str, bob_kind: str) -> np.ndarray:
 def _verdicts(alice: AliceStrategy, bob: BobStrategy) -> tuple:
     """``(p_b, p_a)``: the chances that Bob's and Alice's checks of an instance fail.
 
-    One contraction of the :func:`_sender` and :func:`_receiver` arrays,
-    with no instance table: the Born weight of (state s, outcome o, branch
-    b) is ``|amp[s, o, b]|^2``, ``amp = sum_i rows[s, o, i] diagonals[b, i]
-    sent[s, i]``.  Weighted by the state's prior, these cells are summed
+    :func:`_born`'s weights, with no instance table.  Weighted by the
+    state's prior, these cells of (state, outcome, branch) are summed
     against :func:`_check_weights`' failure chances and normalized by their
     total, as :func:`_instance_table` is; a cell whose reports fall at or
     below the table's 1e-15 cut is dropped, as the table drops them.
@@ -382,9 +389,8 @@ def _verdicts(alice: AliceStrategy, bob: BobStrategy) -> tuple:
         p_b, p_a = weights @ parts / weights.sum()
         return float(p_b), float(p_a)
     honest, _, sent, _, rows, _ = _sender(alice)
-    amp = (rows * sent[:, None, :]) @ _receiver(bob)[0].T            # [S, O, B]
     prior, share, chance = _check_weights(alice.kind, bob.kind)
-    cells = (amp.real ** 2 + amp.imag ** 2).ravel() * prior
+    cells = _born(sent, rows, _receiver(bob)[0]).ravel() * prior
     cells *= cells * share > 1e-15
     p_b = float((cells * chance).sum() / cells.sum())
     return p_b, p_b if honest else 0.0
@@ -509,26 +515,6 @@ def exact_law(config: CheckConfig, alice: AliceStrategy,
 # Check protocols
 # ---------------------------------------------------------------------------
 
-def _trial_permutation(seed: int, trials: int) -> np.ndarray:
-    """A uniformly random order of ``trials`` trials, from a 64-bit ``seed``."""
-    return np.random.default_rng(seed).permutation(trials)
-
-
-class _TrialOrder:
-    """A run's trial order: its permutation is computed when first read, then kept.
-
-    Protocol 3's two reports share one, so trial i is the same trial on both
-    sides.
-    """
-
-    def __init__(self, seed: int, trials: int):
-        self.seed, self.trials = seed, trials
-
-    @cached_property
-    def permutation(self) -> np.ndarray:
-        return _trial_permutation(self.seed, self.trials)
-
-
 def _wilson_interval(phat: float, n: int) -> tuple:
     """95% Wilson interval of a rate ``phat`` observed in ``n`` trials."""
     z = 1.96
@@ -542,24 +528,20 @@ def _wilson_interval(phat: float, n: int) -> tuple:
 class CheckReport:
     """Outcome of a Monte Carlo run of one side's checking.
 
-    Keeps the run's histogram as it was drawn: its cells, each with the
-    side's failure count (``drawn_failures``) and the number of delivered
-    (unchecked, non-aborted) tables (``drawn_delivered``), and the number of
-    trials in each (``counts``), with its side's geometry and the run's trial
-    ``order``.  A run drawn one trial at a time has one cell per trial, each
-    counted once.  :meth:`summary`, ``trials``, ``abort_probability`` and
-    ``mean_failures`` read the counts: none depends on the order of the
-    trials, so a run that is only summarized holds memory of its cells, not
-    of its trials, and computes no permutation.  The per-trial values
-    (``failures``, ``tables_delivered``, ``aborted``, ``est_epsilon``,
-    ``leak_bound_bits`` and :meth:`to_dict`'s records) expand the cells in
-    order, each repeated by its count, and read the trials through the
-    uniformly random ``order``; ``order=None`` reads them as expanded.  A
-    trial aborts with more failures than ``threshold``; its failure-rate
-    estimate ``est_epsilon`` and leak bound ``leak_bound_bits`` follow from
-    its failure count.  The order-equivalence bracket ``[c_a, c_b]`` around
-    the estimator constant is recorded, as class constants, rather than
-    hidden.
+    The trials of a run are exchangeable, so the report is the run's
+    histogram as it was drawn: its cells, each with the side's failure count
+    (``drawn_failures``) and the number of delivered (unchecked,
+    non-aborted) tables (``drawn_delivered``), and the number of trials in
+    each (``counts``), with its side's geometry.  A run drawn one trial at a
+    time has one cell per trial, each counted once.  :meth:`summary`,
+    ``trials``, ``abort_probability`` and ``mean_failures`` read the counts,
+    and :meth:`to_dict` writes each cell once, with its count: a cell aborts
+    with more failures than ``threshold``, and its failure-rate estimate
+    ``est_epsilon`` and leak bound ``leak_bound_bits`` follow from its
+    failure count.  Protocol 3's two reports share their cells, so cell i of
+    each holds the same trials.  The order-equivalence bracket ``[c_a,
+    c_b]`` around the estimator constant is recorded, as class constants,
+    rather than hidden.
     """
 
     protocol_id: int
@@ -572,34 +554,13 @@ class CheckReport:
     counts: np.ndarray
     c1: float = 1.0
     extras: dict = field(default_factory=dict)
-    order: _TrialOrder | None = None
     c_mid: ClassVar[float] = 1.0
     c_a: ClassVar[float] = 0.5
     c_b: ClassVar[float] = 2.0
 
-    def _per_trial(self, per_cell: np.ndarray) -> np.ndarray:
-        """One value per cell, expanded to one per trial, in trial order."""
-        expanded = np.repeat(per_cell, self.counts)
-        return expanded if self.order is None else expanded[self.order.permutation]
-
-    @property
-    def failures(self) -> np.ndarray:
-        """Per-trial failure count, in trial order."""
-        return self._per_trial(self.drawn_failures)
-
-    @property
-    def tables_delivered(self) -> np.ndarray:
-        """Per-trial delivered tables, in trial order."""
-        return self._per_trial(self.drawn_delivered)
-
     @cached_property
     def trials(self) -> int:
         return int(self.counts.sum())
-
-    @property
-    def aborted(self) -> np.ndarray:
-        """Per-trial abort flag: more failures than ``threshold``."""
-        return self._per_trial(self.drawn_failures > self.threshold)
 
     @property
     def abort_probability(self) -> float:
@@ -609,20 +570,6 @@ class CheckReport:
     def abort_ci(self) -> tuple:
         """95% Wilson interval of the abort rate."""
         return _wilson_interval(self.abort_probability, self.trials)
-
-    @property
-    def est_epsilon(self) -> np.ndarray:
-        """Per-trial ``c_mid * (failures + 1) / k`` clipped to [0, 1]; NaN when ``k = 0``."""
-        if self.k == 0:
-            return np.full(self.trials, np.nan)
-        eps = np.clip(self.c_mid * (self.drawn_failures + 1.0) / self.k, 0.0, 1.0)
-        return self._per_trial(eps)
-
-    @property
-    def leak_bound_bits(self) -> np.ndarray:
-        """Per-trial leak bound ``h(min(c1 * eps, 1/2))`` in bits; NaN when ``k = 0``."""
-        eps = self.est_epsilon
-        return eps if self.k == 0 else binary_entropy(np.minimum(self.c1 * eps, 0.5))
 
     @property
     def mean_failures(self) -> float:
@@ -644,39 +591,44 @@ class CheckReport:
         }
 
     def to_dict(self) -> dict:
-        def _num(value):
-            return None if np.isnan(value) else float(value)
-
-        records = [
-            {"aborted": bool(aborted), "est_epsilon": _num(eps), "failures": int(failures),
-             "leak_bound_bits": _num(leak), "tables_delivered": int(delivered)}
-            for aborted, eps, failures, leak, delivered in zip(
-                self.aborted, self.est_epsilon, self.failures, self.leak_bound_bits,
-                self.tables_delivered)
+        failures = self.drawn_failures
+        if self.k == 0:   # no estimate without checks
+            eps = leak = [None] * len(failures)
+        else:   # c_mid * (failures + 1) / k clipped to [0, 1], and h(min(c1 * eps, 1/2)) bits
+            eps = np.clip(self.c_mid * (failures + 1.0) / self.k, 0.0, 1.0)
+            leak = binary_entropy(np.minimum(self.c1 * eps, 0.5)).tolist()
+            eps = eps.tolist()
+        cells = [
+            {"aborted": f > self.threshold, "est_epsilon": e, "failures": f,
+             "leak_bound_bits": bits, "tables_delivered": d, "trials": n}
+            for f, e, bits, d, n in zip(failures.tolist(), eps, leak,
+                                        self.drawn_delivered.tolist(), self.counts.tolist())
         ]
         return {
             **self.summary(),
+            "cells": cells,
             "constants": {"c1": self.c1, "c_a": self.c_a, "c_b": self.c_b,
                           "c_mid": self.c_mid},
             "k": self.k,
             "m": self.m,
             "protocol": self.protocol_id,
-            "records": records,
             "side": self.side,
             "threshold": self.threshold,
-            "trials": len(records),
+            "trials": self.trials,
         }
 
 
 def _iid(rng, support: np.ndarray, pmf: np.ndarray, trials: int) -> tuple:
     """``trials`` i.i.d. draws of ``pmf`` over ``support``, as cells and counts.
 
-    Drawn as their multinomial histogram: returns ``support`` and the number
-    of trials at each value, in support order.  The same law as one draw per
-    trial up to the order of the trials, which the run's :class:`CheckReport`
-    draws when it is read, for one binomial draw per support value.
+    Drawn as their multinomial histogram: returns the values drawn and the
+    number of trials at each, in support order, so every cell holds a trial.
+    The same law as one draw per trial up to the order of the trials, which
+    carries nothing, for one binomial draw per support value.
     """
-    return support, rng.multinomial(trials, pmf / pmf.sum())
+    counts = rng.multinomial(trials, pmf / pmf.sum())
+    occupied = np.flatnonzero(counts)
+    return support[occupied], counts[occupied]
 
 
 def _broadcast(value: int, size: int) -> np.ndarray:
@@ -702,16 +654,12 @@ def _binomial_cells(rng, n: int, p: float, trials: int) -> tuple:
     return rng.binomial(n, p, trials), _broadcast(1, trials)
 
 
-def _binomials(rng, n, p: float, trials: int) -> np.ndarray:
-    """``trials`` independent ``Bin(n, p)`` draws, in draw order, ``n`` one count or one per trial.
+def _binomials(rng, n: np.ndarray, p: float, trials: int) -> np.ndarray:
+    """``trials`` independent ``Bin(n[i], p)`` draws, one per trial, in draw order.
 
-    One count is drawn as :func:`_binomial_cells` draws it, then expanded.
-    Counts that vary per trial are drawn one per trial, and nothing is drawn
-    when ``p`` is 0 or 1 or every ``n`` is 0.
+    Nothing is drawn when ``p`` is 0 or 1 or every ``n`` is 0.
     """
-    if np.ndim(n) == 0:
-        return np.repeat(*_binomial_cells(rng, n, p, trials))
-    if not (0.0 < p < 1.0 and np.any(n)):
+    if not (0.0 < p < 1.0 and n.any()):
         return np.full(trials, n * int(p >= 1.0), dtype=np.int64)
     return rng.binomial(n, p, trials)
 
@@ -731,11 +679,6 @@ def _shared_cells(rng, m: int, k_a: int, k_b: int, trials: int) -> tuple:
     if support <= trials or max(k_a, m - k_a) >= _NUMPY_HYPERGEOMETRIC_MAX:
         return _iid(rng, *_shared_pmf(m, k_a, k_b), trials)
     return rng.hypergeometric(k_a, m - k_a, k_b, size=trials), _broadcast(1, trials)
-
-
-def _shared_labels(rng, m: int, k_a: int, k_b: int, trials: int) -> np.ndarray:
-    """:func:`_shared_cells`' draws, one per trial, in draw order."""
-    return np.repeat(*_shared_cells(rng, m, k_a, k_b, trials))
 
 
 _INT64_MAX = 2**63 - 1
@@ -821,8 +764,7 @@ def _joint_draw(rng, p_b: float, p_a: float, m: int, k_b: int, k_a: int, trials:
     p_b)`` since Bob's verdicts do not depend on which labels Alice checks,
     then of ``F_a`` in each occupied ``(J, F_b)`` cell, all cells in one
     batched draw.  Returns each occupied ``(J, F_b, F_a)`` cell's three values
-    and its count, in table order; the trial order is the report's
-    (:class:`CheckReport`).
+    and its count, in table order.
     """
     shared, weights = _shared_pmf(m, k_a, k_b)
     table = _joint_table(p_b, p_a, shared, weights, k_b, k_a).reshape(-1, k_a + 1)
@@ -871,7 +813,7 @@ def _check_run(protocol_id: int, config: CheckConfig, k_a: int, t_a: int,
             shared, counts = _shared_cells(rng, m, k_a, k_b, trials)
             failures_b = failures_a = _broadcast(0, len(shared))
         else:
-            shared = _shared_labels(rng, m, k_a, k_b, trials)
+            shared = np.repeat(*_shared_cells(rng, m, k_a, k_b, trials))
             u = _binomials(rng, shared, p_b, trials)
             failures_b = u + _binomials(rng, k_b - shared, p_b, trials)
             failures_a = _binomials(rng, u, _thinning_rate(p_b, p_a), trials)
@@ -884,15 +826,14 @@ def _check_run(protocol_id: int, config: CheckConfig, k_a: int, t_a: int,
     if bob.kind == "computational" and alice.kind == "honest":
         guessed = _big_binomial(rng, trials * m, _INPUT_GUESS_RATE)
         extras["x_guess_rate"] = guessed / (trials * m)
-    order = _TrialOrder(rng.bit_generator.random_raw(), trials)
     # Per cell; no table is delivered when either side aborts; an object array past int64.
     delivered = passed * np.asarray(m - checked)
     bob_report = CheckReport(protocol_id, "bob", m, k_b, t_b, failures_b, delivered, counts,
-                             config.c1, dict(extras), order)
+                             config.c1, dict(extras))
     if protocol_id == 2:
         return bob_report
     return bob_report, CheckReport(3, "alice", m, k_a, t_a, failures_a, delivered, counts,
-                                   config.c1, dict(extras), order)
+                                   config.c1, dict(extras))
 
 
 def run_protocol2(config: CheckConfig, alice: AliceStrategy,
@@ -927,9 +868,9 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
     k_bob)``, and the chain ``U ~ Bin(J, p_b)``, ``F_b = U + Bin(k_bob - J,
     p_b)``, ``F_a = Bin(U, q) + Bin(k_alice - J, p_a)`` (q is 1 against an
     honest Alice).  When a side checks no label, none is shared, only the
-    other side's count is drawn (:func:`_binomials`) and the side that checks
-    nothing never aborts: with ``k_alice = 0`` and an honest ``bob`` this is
-    :func:`run_protocol2`, draw for draw.  When both check, Bob's check can
+    other side's count is drawn (:func:`_binomial_cells`) and the side that
+    checks nothing never aborts: with ``k_alice = 0`` and an honest ``bob``
+    this is :func:`run_protocol2`, draw for draw.  When both check, Bob's check can
     fail and the exact table of ``(J, F_b, F_a)`` has at most
     ``_TABLE_CELLS_PER_TRIAL`` cells per trial, it is drawn as two multinomial
     histograms (:func:`_joint_draw`); when Bob's check cannot fail, neither
@@ -937,7 +878,7 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
     Against a computational-basis Bob each instance's input guess is right
     with probability 3/4 whatever its verdicts, so the total over all
     ``trials * m`` instances is one binomial of that exact marginal.  The
-    run's last draw is the seed of the trial order that its two reports share.
+    two reports share their cells, in drawn order.
     """
     return _check_run(3, config, config.k_alice, config.resolved_threshold("alice"),
                       alice, bob, rng)

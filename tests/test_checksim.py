@@ -37,6 +37,21 @@ def _verdict_cells(alice, bob, table=checksim._instance_table):
     return fail.reshape(2, 2), guess.reshape(2, 2)
 
 
+_CELL_FIELDS = ("aborted", "est_epsilon", "failures", "leak_bound_bits", "tables_delivered")
+
+
+def _per_trial(report):
+    """A report's per-trial values, by field: each of its ``to_dict()`` cells'
+    values repeated by the cell's ``trials``, in drawn order (NaN for a null
+    estimate).  Protocol 3's two reports share their cells, so trial i is the
+    same trial in both."""
+    cells = report.to_dict()["cells"]
+    counts = [cell["trials"] for cell in cells]
+    return {name: np.repeat([np.nan if cell[name] is None else cell[name] for cell in cells],
+                            counts)
+            for name in _CELL_FIELDS}
+
+
 class TestConfig:
     def test_k_bounds(self):
         with pytest.raises(ValueError):
@@ -91,7 +106,8 @@ class TestConfig:
         bob, alice = run_protocol3(config, AliceStrategy.honest(), BobStrategy.honest(),
                                    np.random.default_rng(5))
         assert bob.trials == alice.trials == 3
-        assert bob.tables_delivered.tolist() == alice.tables_delivered.tolist()
+        assert _per_trial(bob)["tables_delivered"].tolist() == \
+            _per_trial(alice)["tables_delivered"].tolist()
 
     def test_sizes_beyond_int64_accepted(self):
         huge = 2**64
@@ -99,8 +115,9 @@ class TestConfig:
         assert (config.m, config.k_bob, config.trials) == (huge, huge - 1, 2**70)
         config = CheckConfig(m=2**70, k_bob=5, threshold_bob=1, trials=40)
         report = run_protocol2(config, AliceStrategy.learn_y(), np.random.default_rng(6))
-        delivered = [record["tables_delivered"] for record in report.to_dict()["records"]]
-        assert delivered == [0 if f > 1 else 2**70 - 5 for f in report.failures]
+        per_trial = _per_trial(report)
+        delivered = per_trial["tables_delivered"].tolist()
+        assert delivered == [0 if f > 1 else 2**70 - 5 for f in per_trial["failures"]]
         assert 0 < delivered.count(0) < 40
 
     @pytest.mark.parametrize("k_bob,k_alice", [(0, 4), (4, 0)])
@@ -111,9 +128,9 @@ class TestConfig:
                              threshold_alice=1, trials=40)
         reports = run_protocol3(config, AliceStrategy.honest(),
                                 BobStrategy.phase_noise(np.pi / 2), np.random.default_rng(7))
-        failures = reports[0].failures if k_bob else reports[1].failures
+        failures = _per_trial(reports[0] if k_bob else reports[1])["failures"]
         for report in reports:
-            delivered = [record["tables_delivered"] for record in report.to_dict()["records"]]
+            delivered = _per_trial(report)["tables_delivered"].tolist()
             assert delivered == [0 if f > 1 else 2**70 - 4 for f in failures]
             assert 0 < delivered.count(0) < 40
 
@@ -124,8 +141,8 @@ class TestConfig:
         bob, alice = run_protocol3(config, AliceStrategy.learn_y(), BobStrategy.honest(),
                                    np.random.default_rng(8))
         for report in (bob, alice):
-            delivered = [record["tables_delivered"] for record in report.to_dict()["records"]]
-            assert delivered == [0 if f > 1 else 2**70 - 9 for f in bob.failures]
+            delivered = _per_trial(report)["tables_delivered"].tolist()
+            assert delivered == [0 if f > 1 else 2**70 - 9 for f in _per_trial(bob)["failures"]]
             assert 0 < delivered.count(0) < 40
 
     @pytest.mark.parametrize("value", [2**63, 2**64, 10**23])
@@ -140,8 +157,9 @@ class TestHonestRuns:
         config = CheckConfig(m=20, k_bob=10, trials=10_000)
         report = run_protocol2(config, AliceStrategy.honest(), np.random.default_rng(1))
         assert report.abort_probability == 0.0
-        assert report.failures.max() == 0
-        assert np.all(report.tables_delivered == 10)
+        per_trial = _per_trial(report)
+        assert per_trial["failures"].max() == 0
+        assert np.all(per_trial["tables_delivered"] == 10)
 
     def test_protocol3_never_aborts(self):
         config = CheckConfig(m=20, k_bob=8, k_alice=8, trials=10_000)
@@ -229,10 +247,26 @@ class TestCheatingBob:
     def test_input_guess_is_independent_of_the_verdicts(self):
         # run_protocol3 draws the guess total as one binomial of this rate.
         alice, bob = AliceStrategy.honest(), BobStrategy.computational_basis()
-        fail, guess = _verdict_cells(alice, bob)
         rate = checksim._INPUT_GUESS_RATE
         assert rate == 0.75
-        assert np.array_equal(guess, rate * fail)
+        # Exactly: in each verdict cell the |2> read's rows weigh 1/128 and
+        # half of them guess right, while the basis reads' rows, half as many
+        # at 1/64 to round-off, all guess right; so both reads hold half the
+        # cell, and a right guess 3/4 of it.
+        probs, columns = checksim._instance_table(alice, bob)
+        verdict = 2 * columns["bob_fail"] + columns["alice_fail"]
+        right = columns["x_guess_correct"] == 1
+        for cell in np.unique(verdict):
+            rows = verdict == cell
+            reads2 = rows & (probs == 2.0 ** -7)
+            basis = rows & ~reads2
+            assert reads2.sum() == 2 * basis.sum() == 2 * right[reads2].sum() > 0
+            assert right[basis].all()
+            assert np.all(np.abs(probs[basis] - 2.0 ** -6) <= np.spacing(2.0 ** -6))
+        # The basis reads' weights round 2**-58 under 1/64, the |2> read's not
+        # at all, so the identity holds to one ulp of each cell, not bitwise.
+        fail, guess = _verdict_cells(alice, bob)
+        assert np.all(np.abs(guess - rate * fail) <= np.spacing(rate * fail))
 
     def test_alice_abort_rate(self):
         config = CheckConfig(m=20, k_bob=0, k_alice=10, trials=20_000)
@@ -268,7 +302,7 @@ def test_protocol2_is_protocol3_with_an_honest_unchecked_receiver(alice, m, k, t
                              BobStrategy.honest(), np.random.default_rng(81))
     assert np.array_equal(two.drawn_failures, three.drawn_failures)
     assert np.array_equal(two.drawn_delivered, three.drawn_delivered)
-    assert two.order.seed == three.order.seed
+    assert np.array_equal(two.counts, three.counts)
     assert two.summary() == three.summary()
     assert {**two.to_dict(), "protocol": 3} == three.to_dict()
 
@@ -300,21 +334,22 @@ class TestEstimates:
 
     def test_epsilon_examples(self):
         report = self._report([0, 4, 100], 100)
-        assert report.est_epsilon == pytest.approx([0.01, 0.05, 1.0])  # the last clipped
+        # The last clipped.
+        assert _per_trial(report)["est_epsilon"] == pytest.approx([0.01, 0.05, 1.0])
 
     def test_epsilon_domain(self):
-        # Undefined without checks: NaN, and null in the JSON records.
+        # Undefined without checks: null in the JSON cells.
         _, report = run_protocol3(CheckConfig(m=10, k_bob=5, trials=3), AliceStrategy.honest(),
                                   BobStrategy.honest(), np.random.default_rng(0))
         assert report.k == 0
-        assert np.isnan(report.est_epsilon).all() and np.isnan(report.leak_bound_bits).all()
-        assert {record["est_epsilon"] for record in report.to_dict()["records"]} == {None}
+        cells = report.to_dict()["cells"]
+        assert {(cell["est_epsilon"], cell["leak_bound_bits"]) for cell in cells} == {(None, None)}
 
     def test_leak_bound(self):
-        leak = self._report([0, 89], 100).leak_bound_bits
+        leak = _per_trial(self._report([0, 89], 100))["leak_bound_bits"]
         assert leak[0] == pytest.approx(binary_entropy(0.01), abs=1e-12)
         assert leak[1] == pytest.approx(1.0, abs=1e-12)  # clipped at h(1/2)
-        halved = self._report([0], 100, c1=0.5).leak_bound_bits
+        halved = _per_trial(self._report([0], 100, c1=0.5))["leak_bound_bits"]
         assert halved[0] == pytest.approx(binary_entropy(0.005), abs=1e-12)
 
     def test_leak_bound_domain(self):
@@ -325,25 +360,23 @@ class TestEstimates:
     def test_report_records_estimator(self):
         config = CheckConfig(m=30, k_bob=10, threshold_bob=30, trials=200)
         report = run_protocol2(config, AliceStrategy.learn_y(), np.random.default_rng(16))
-        expected_eps = np.clip((report.failures + 1.0) / 10.0, 0.0, 1.0)
-        assert np.allclose(report.est_epsilon, expected_eps)
+        per_trial = _per_trial(report)
+        expected_eps = np.clip((per_trial["failures"] + 1.0) / 10.0, 0.0, 1.0)
+        assert np.allclose(per_trial["est_epsilon"], expected_eps)
         expected_leak = [binary_entropy(min(e, 0.5)) for e in expected_eps]
-        assert np.allclose(report.leak_bound_bits, expected_leak)
+        assert np.allclose(per_trial["leak_bound_bits"], expected_leak)
         assert (report.c_a, report.c_mid, report.c_b) == (0.5, 1.0, 2.0)
 
     def test_estimates_computed_only_when_read(self, monkeypatch, capsys):
         # A run keeps what it drew; its estimates are derived from the failure
-        # counts when a report is read, so runs and summaries compute none.
-        reached, epsilon = [], CheckReport.est_epsilon
+        # counts when a report is written, so runs and summaries compute none.
+        reached = []
 
-        def guard(name):
-            def refuse(report):
-                reached.append(name)
-                raise AssertionError(f"{name} read")
-            return property(refuse)
+        def refuse(delta):
+            reached.append(delta)
+            raise AssertionError("leak bound computed")
 
-        monkeypatch.setattr(CheckReport, "est_epsilon", guard("est_epsilon"))
-        monkeypatch.setattr(CheckReport, "leak_bound_bits", guard("leak_bound_bits"))
+        monkeypatch.setattr(checksim, "binary_entropy", refuse)
         report = run_protocol2(CheckConfig(m=30, k_bob=10, trials=200),
                                AliceStrategy.learn_y(), np.random.default_rng(18))
         pair = run_protocol3(CheckConfig(m=30, k_bob=10, k_alice=10, trials=200),
@@ -357,34 +390,10 @@ class TestEstimates:
             assert cli.main(argv) == 0
         capsys.readouterr()
         assert reached == []
-        for read in (lambda: report.est_epsilon, report.to_dict):
-            with pytest.raises(AssertionError, match="est_epsilon read"):
-                read()
-        with pytest.raises(AssertionError, match="leak_bound_bits read"):
-            report.leak_bound_bits
-        monkeypatch.setattr(CheckReport, "est_epsilon", epsilon)
-        with pytest.raises(AssertionError, match="leak_bound_bits read"):
+        with pytest.raises(AssertionError, match="leak bound computed"):
             report.to_dict()
-        assert reached == ["est_epsilon"] * 2 + ["leak_bound_bits"] * 2
-
-    def test_to_dict_reads_abort_flags_once_for_all_records(self, monkeypatch):
-        # One read for all records, not one per record: per record would be
-        # quadratic in the trials.
-        reads, flags = [], CheckReport.aborted
-
-        def counted(report):
-            reads.append(1)
-            return flags.fget(report)
-
-        monkeypatch.setattr(CheckReport, "aborted", property(counted))
-        config = CheckConfig(m=30, k_bob=10, threshold_bob=4, trials=500)
-        report = run_protocol2(config, AliceStrategy.learn_y(), np.random.default_rng(19))
-        report.summary()
-        in_summary = len(reads)
-        reads.clear()
-        records = report.to_dict()["records"]
-        assert len(reads) == in_summary + 1
-        assert [record["aborted"] for record in records] == flags.fget(report).tolist()
+        # Once per report, over all its cells.
+        assert len(reached) == 1 and len(reached[0]) == len(report.counts)
 
     @pytest.mark.parametrize("m,k,trials", [(30, 10, 200), (10**9, 10**9, 3),
                                             (10**9, 10**8, 5)])
@@ -394,12 +403,13 @@ class TestEstimates:
         threshold = k // 2   # learn-y fails half its checks: both verdicts occur
         config = CheckConfig(m=m, k_bob=k, threshold_bob=threshold, trials=trials)
         report = run_protocol2(config, AliceStrategy.learn_y(), np.random.default_rng(17))
-        eps = [float(np.clip((int(f) + 1.0) / k, 0.0, 1.0)) for f in report.failures]
-        assert report.est_epsilon.tolist() == eps
-        assert report.leak_bound_bits.tolist() == [binary_entropy(min(e, 0.5)) for e in eps]
-        aborted = [int(f) > threshold for f in report.failures]
-        assert report.aborted.tolist() == aborted
-        assert report.tables_delivered.tolist() == [0 if a else m - k for a in aborted]
+        per_trial = _per_trial(report)
+        eps = [float(np.clip((int(f) + 1.0) / k, 0.0, 1.0)) for f in per_trial["failures"]]
+        assert per_trial["est_epsilon"].tolist() == eps
+        assert per_trial["leak_bound_bits"].tolist() == [binary_entropy(min(e, 0.5)) for e in eps]
+        aborted = [int(f) > threshold for f in per_trial["failures"]]
+        assert per_trial["aborted"].tolist() == aborted
+        assert per_trial["tables_delivered"].tolist() == [0 if a else m - k for a in aborted]
         assert report.trials == trials
         assert report.abort_probability == sum(aborted) / trials
         # The 95% Wilson interval, one scalar evaluation.
@@ -441,8 +451,9 @@ def _assert_binomial(count, n, p):
 
 
 def _assert_aborts(report, abort_probability, p):
-    _assert_binomial(int(report.aborted.sum()), report.trials, abort_probability)
-    _assert_binomial(int(report.failures.sum()), report.trials * report.k, p)
+    per_trial = _per_trial(report)
+    _assert_binomial(int(per_trial["aborted"].sum()), report.trials, abort_probability)
+    _assert_binomial(int(per_trial["failures"].sum()), report.trials * report.k, p)
 
 
 def _assert_binomial_histogram(counts, k, p):
@@ -508,7 +519,7 @@ class TestAgainstExact:
                                            np.random.default_rng(22))
         _assert_aborts(bob_rep, law.abort_bob, p)
         _assert_aborts(alice_rep, law.abort_alice, p)
-        either = int(np.sum(bob_rep.aborted | alice_rep.aborted))
+        either = int(np.sum(_per_trial(bob_rep)["aborted"] | _per_trial(alice_rep)["aborted"]))
         _assert_binomial(either, trials, 1.0 - law.pass_probability)
         if name == "computational":
             guessed = alice_rep.extras["x_guess_rate"] * trials * m
@@ -519,7 +530,7 @@ class TestAgainstExact:
     def test_protocol2_failure_counts_are_binomial(self, name, alice, p):
         config = CheckConfig(m=40, k_bob=15, threshold_bob=40, trials=20_000)
         report = run_protocol2(config, alice, np.random.default_rng(25))
-        _assert_binomial_histogram(report.failures, 15, p)
+        _assert_binomial_histogram(_per_trial(report)["failures"], 15, p)
 
     @pytest.mark.parametrize("name,bob,p", _RECEIVERS, ids=[c[0] for c in _RECEIVERS])
     def test_protocol3_failure_counts_are_binomial(self, name, bob, p):
@@ -528,8 +539,8 @@ class TestAgainstExact:
                              threshold_alice=30, trials=20_000)
         bob_rep, alice_rep = run_protocol3(config, AliceStrategy.honest(), bob,
                                            np.random.default_rng(26))
-        _assert_binomial_histogram(bob_rep.failures, 12, p)
-        _assert_binomial_histogram(alice_rep.failures, 18, p)
+        _assert_binomial_histogram(_per_trial(bob_rep)["failures"], 12, p)
+        _assert_binomial_histogram(_per_trial(alice_rep)["failures"], 18, p)
 
     @pytest.mark.parametrize("m,k_b,k_a", [(200, 15, 25), (10, 10, 10), (30, 0, 7)])
     def test_protocol3_mean_delivered_tables(self, m, k_b, k_a):
@@ -537,7 +548,7 @@ class TestAgainstExact:
         config = CheckConfig(m=m, k_bob=k_b, k_alice=k_a, trials=trials)
         bob_rep, _ = run_protocol3(config, AliceStrategy.honest(), BobStrategy.honest(),
                                    np.random.default_rng(23))
-        delivered = bob_rep.tables_delivered
+        delivered = _per_trial(bob_rep)["tables_delivered"]
         expected = checksim.exact_law(config, AliceStrategy.honest(),
                                       BobStrategy.honest()).tables_delivered
         assert abs(delivered.mean() - expected) <= 3 * delivered.std() / math.sqrt(trials) + 1e-9
@@ -553,7 +564,8 @@ class TestAgainstExact:
         expected = checksim.exact_law(config, AliceStrategy.honest(), bob).pass_probability
         bob_rep, alice_rep = run_protocol3(config, AliceStrategy.honest(), bob,
                                            np.random.default_rng(24))
-        _assert_binomial(int(np.sum(~bob_rep.aborted & ~alice_rep.aborted)), trials, expected)
+        passed = ~_per_trial(bob_rep)["aborted"] & ~_per_trial(alice_rep)["aborted"]
+        _assert_binomial(int(np.sum(passed)), trials, expected)
 
     @pytest.mark.parametrize("t_b,t_a", [(4, 5), (6, 3)])
     def test_protocol3_joint_abort_against_computational_bob(self, t_b, t_a):
@@ -566,9 +578,10 @@ class TestAgainstExact:
         law = checksim.exact_law(config, AliceStrategy.honest(), bob)
         bob_rep, alice_rep = run_protocol3(config, AliceStrategy.honest(), bob,
                                            np.random.default_rng(27))
-        either = int(np.sum(bob_rep.aborted | alice_rep.aborted))
+        bob_trials, alice_trials = _per_trial(bob_rep), _per_trial(alice_rep)
+        either = int(np.sum(bob_trials["aborted"] | alice_trials["aborted"]))
         _assert_binomial(either, trials, 1.0 - law.pass_probability)
-        delivered = bob_rep.tables_delivered
+        delivered = bob_trials["tables_delivered"]
         assert abs(delivered.mean() - law.tables_delivered) <= \
             3 * delivered.std() / math.sqrt(trials) + 1e-9
 
@@ -593,12 +606,13 @@ class TestAgainstExact:
                                   m - checked.sum(axis=1)])
 
         bob_rep, alice_rep = run_protocol3(config, alice, bob, np.random.default_rng(29))
-        aborted = bob_rep.aborted | alice_rep.aborted
-        run = np.column_stack([bob_rep.failures, alice_rep.failures])
+        bob_trials, alice_trials = _per_trial(bob_rep), _per_trial(alice_rep)
+        aborted = bob_trials["aborted"] | alice_trials["aborted"]
+        run = np.column_stack([bob_trials["failures"], alice_trials["failures"]])
         _assert_same_law(oracle[:, :2], run)
         # Deliveries are zero on abort, on both sides.
         oracle_passed = (oracle[:, 0] <= 1) & (oracle[:, 1] <= 2)
-        _assert_same_law(np.where(oracle_passed, oracle[:, 2], 0), bob_rep.tables_delivered)
+        _assert_same_law(np.where(oracle_passed, oracle[:, 2], 0), bob_trials["tables_delivered"])
         assert np.array_equal(aborted, ~((run[:, 0] <= 1) & (run[:, 1] <= 2)))
         guessed = round(alice_rep.extras["x_guess_rate"] * trials * m)
         oracle_guessed = int(fields["x_guess_correct"].sum())
@@ -903,10 +917,10 @@ class TestInstanceTable:
 def _assert_table_verdict(got, want, *context):
     """``got`` within 4 ulps of the table's ``want``, in ulps of ``max(want, 1/2)``.
 
-    The table's Born weights are 3x3 sums whose terms cancel, so their
-    round-off is a few ulps of the terms, not of a small failure chance (at
-    a phase of 0.0132 the table reads 512 ulps off ``sin^2(0.0066)``, the
-    kernel 2).
+    The table and the kernel take one Born weight per cell from the same
+    contraction (:func:`checksim._born`), but the table normalizes its rows
+    and sums them in its own order, and a mix its components' tables, so a
+    sum may round apart by a few ulps of the total; 4 is the most seen.
     """
     assert abs(got - want) <= 4 * np.spacing(max(want, 0.5)), (*context, got, want)
 
@@ -936,6 +950,19 @@ _VERDICT_RECEIVERS = (
 
 class TestVerdicts:
     """The verdict kernel against its oracle, the instance table, and the closed forms."""
+
+    # Bob's failure mass against a small phase error is a small sum: the
+    # table read it 1476 and 20 ulps off when it summed 3x3 elements.
+    @pytest.mark.parametrize("angle", [0.0132, -0.0932])
+    def test_small_failure_mass_to_a_few_ulps_of_itself(self, angle):
+        import mpmath
+
+        with mpmath.workdps(50):
+            exact = float(mpmath.sin(mpmath.mpf(angle) / 2) ** 2)
+        alice, bob = AliceStrategy.honest(), BobStrategy.phase_noise(angle)
+        fail, _ = _verdict_cells(alice, bob, checksim._instance_table.__wrapped__)
+        for got in (fail[1].sum(), fail[1, 1], checksim._verdicts(alice, bob)[0]):
+            assert abs(got - exact) <= 2 * np.spacing(exact), (got, exact)
 
     @pytest.mark.parametrize("bob", _VERDICT_RECEIVERS, ids=_receiver_id)
     def test_kernel_agrees_with_the_table(self, bob):
@@ -1066,9 +1093,10 @@ class TestReproducibility:
         bob_rep, alice_rep = run_protocol3(config, AliceStrategy.honest(), BobStrategy.honest(),
                                            np.random.default_rng(5))
         # No aborts: delivered = m - |union of checked labels| in [m-6, m-3].
-        assert np.all(bob_rep.tables_delivered >= 4)
-        assert np.all(bob_rep.tables_delivered <= 7)
-        assert np.array_equal(bob_rep.tables_delivered, alice_rep.tables_delivered)
+        delivered = _per_trial(bob_rep)["tables_delivered"]
+        assert np.all(delivered >= 4)
+        assert np.all(delivered <= 7)
+        assert np.array_equal(delivered, _per_trial(alice_rep)["tables_delivered"])
 
 
 @pytest.mark.parametrize("sizes", [dict(m=20, k_bob=0, k_alice=7),
@@ -1090,11 +1118,12 @@ def test_protocol3_draws_follow_the_exact_law(sizes, alice, bob):
     for report, abort, p in ((bob_rep, law.abort_bob, law.fail_bob),
                              (alice_rep, law.abort_alice, law.fail_alice)):
         if report.k == 0:
-            assert not report.failures.any() and not report.aborted.any()
+            per_trial = _per_trial(report)
+            assert not per_trial["failures"].any() and not per_trial["aborted"].any()
         else:
             _assert_aborts(report, abort, p)
-    _assert_binomial(int(np.sum(~bob_rep.aborted & ~alice_rep.aborted)), trials,
-                     law.pass_probability)
+    passed = ~_per_trial(bob_rep)["aborted"] & ~_per_trial(alice_rep)["aborted"]
+    _assert_binomial(int(np.sum(passed)), trials, law.pass_probability)
 
 
 # Two-sided p-value of a 5-sigma deviation of a normal variable.
@@ -1107,11 +1136,12 @@ class TestIid:
         (np.arange(3, 9), np.array([1e-9, 0.2, 0.3, 0.1, 0.4 - 1e-9, 0.0]), 5000),
         (np.array([7]), np.array([1.0]), 10),
     ], ids=["binomial", "sparse", "one-value"])
-    def test_shuffled_multinomial_histogram(self, support, pmf, trials):
+    def test_multinomial_histogram(self, support, pmf, trials):
         cells, cell_counts = checksim._iid(np.random.default_rng(41), support, pmf, trials)
         counts = np.random.default_rng(41).multinomial(trials, pmf / pmf.sum())
-        # Its multinomial counts, laid out in support order.
-        assert np.array_equal(cells, support) and np.array_equal(cell_counts, counts)
+        # Its multinomial counts, laid out in support order, without the values none drew.
+        assert np.array_equal(cells, support[counts > 0])
+        assert np.array_equal(cell_counts, counts[counts > 0]) and cell_counts.all()
         draws = np.repeat(cells, cell_counts)
         assert np.array_equal(draws, np.repeat(support, counts))
         for value, p in zip(support, pmf / pmf.sum()):
@@ -1120,15 +1150,14 @@ class TestIid:
                 assert count == 0
             else:
                 assert stats.binomtest(count, trials, p).pvalue >= _P_5SIGMA, (value, count, p)
-        # A report reads them in its trial order, a permutation of the draws.
+        # A report writes each cell once, with its count, in drawn order.
         k = int(support.max())
         report = CheckReport(2, "bob", m=k, k=k, threshold=k, drawn_failures=cells,
-                             drawn_delivered=np.zeros(len(cells), dtype=int), counts=cell_counts,
-                             order=checksim._TrialOrder(42, trials))
-        failures = report.failures
-        assert np.array_equal(np.sort(failures), draws)
-        if len(support) > 1:  # shuffled: both halves of the trials share one law
-            _assert_same_law(failures[:trials // 2], failures[trials // 2:])
+                             drawn_delivered=np.zeros(len(cells), dtype=int), counts=cell_counts)
+        written = report.to_dict()["cells"]
+        assert [(cell["failures"], cell["trials"]) for cell in written] == \
+            list(zip(cells.tolist(), cell_counts.tolist()))
+        assert np.array_equal(_per_trial(report)["failures"], draws)
 
     @pytest.mark.parametrize("k,trials,histogram", [(20, 21, True), (20, 20, False),
                                                     (0, 5, False)])
@@ -1140,13 +1169,14 @@ class TestIid:
         config = CheckConfig(m=40, k_bob=k, threshold_bob=40, trials=trials)
         report = run_protocol2(config, AliceStrategy.learn_y(), np.random.default_rng(3))
         assert len(calls) == int(histogram)
-        assert report.failures.shape == (trials,) and report.failures.max() <= k
+        failures = _per_trial(report)["failures"]
+        assert failures.shape == (trials,) and failures.max() <= k
 
     def test_certain_failures_past_int64_refused(self):
         # A failure probability of 1 draws nothing: its count is refused as a draw's would be.
         for n in (2**63, 2**70):
             with pytest.raises(OverflowError):
-                checksim._binomials(np.random.default_rng(0), n, 1.0, 3)
+                checksim._binomial_cells(np.random.default_rng(0), n, 1.0, 3)
 
     @pytest.mark.parametrize("n,p,expected", [
         (5, 0.0, [0, 0, 0]), (5, 1.0, [5, 5, 5]), (0, 0.3, [0, 0, 0]),
@@ -1156,9 +1186,13 @@ class TestIid:
     ], ids=["scalar-p0", "scalar-p1", "scalar-zero", "numpy-scalar-zero", "past-int64-p0",
             "array-p0", "array-p1", "array-zeros"])
     def test_no_draw_paths_leave_the_stream_untouched(self, n, p, expected):
+        # One count is drawn as cells, counts that vary per trial one per trial.
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
-        counts = checksim._binomials(rng, n, p, 3)
+        if np.ndim(n) == 0:
+            counts = np.repeat(*checksim._binomial_cells(rng, n, p, 3))
+        else:
+            counts = checksim._binomials(rng, n, p, 3)
         assert counts.dtype == np.int64 and counts.tolist() == expected
         assert rng.bit_generator.state == state
 
@@ -1171,7 +1205,7 @@ class TestIid:
         calls = []
         real = checksim._iid
         monkeypatch.setattr(checksim, "_iid", lambda *args: calls.append(args[1]) or real(*args))
-        shared = checksim._shared_labels(np.random.default_rng(4), m, k_a, 5, trials)
+        shared = np.repeat(*checksim._shared_cells(np.random.default_rng(4), m, k_a, 5, trials))
         assert (len(calls) == 1) == histogram
         if histogram:
             assert calls[0].tolist() == list(range(6))
@@ -1208,6 +1242,13 @@ def _joint_table(alice, bob, m, k_b, k_a):
     p_b, p_a = checksim._verdicts(alice, bob)
     shared, weights = checksim._shared_pmf(m, k_a, k_b)
     return shared, checksim._joint_table(p_b, p_a, shared, weights, k_b, k_a)
+
+
+def _paired_trials(bob_rep, alice_rep):
+    """``[trials, 3]``: each trial's Bob failures, Alice failures and delivered tables."""
+    bob_trials = _per_trial(bob_rep)
+    return np.column_stack([bob_trials["failures"], _per_trial(alice_rep)["failures"],
+                            bob_trials["tables_delivered"]])
 
 
 def _count_calls(monkeypatch, name):
@@ -1311,8 +1352,7 @@ class TestJointTable:
         for seed, cells_per_trial in ((31, checksim._TABLE_CELLS_PER_TRIAL), (32, 0)):
             monkeypatch.setattr(checksim, "_TABLE_CELLS_PER_TRIAL", cells_per_trial)
             bob_rep, alice_rep = run_protocol3(config, _MIX, bob, np.random.default_rng(seed))
-            samples.append(np.column_stack([bob_rep.failures, alice_rep.failures,
-                                            bob_rep.tables_delivered]))
+            samples.append(_paired_trials(bob_rep, alice_rep))
         assert len(joint) == 1
         _assert_same_law(*samples)
 
@@ -1334,8 +1374,9 @@ class TestJointTable:
                              trials=trials)
         bob_rep, alice_rep = run_protocol3(config, alice, bob, np.random.default_rng(32))
         assert len(calls) == int(histogram)
-        assert bob_rep.failures.shape == alice_rep.failures.shape == (trials,)
-        assert bob_rep.failures.max() <= k_b and alice_rep.failures.max() <= 7
+        bob_failures, alice_failures = _paired_trials(bob_rep, alice_rep)[:, :2].T
+        assert bob_failures.shape == alice_failures.shape == (trials,)
+        assert bob_failures.max() <= k_b and alice_failures.max() <= 7
 
     @pytest.mark.parametrize("k_b,trials,iid,joint", [
         # m = k_alice = 12, k_bob = 5: J = 5 in every trial, 1 * 6 * 13 = 78 cells.
@@ -1357,9 +1398,10 @@ class TestJointTable:
         assert (len(iid_calls), len(joint_calls)) == (iid, joint)
         if iid and k_b:
             assert iid_calls[0][1].tolist() == [5]
-        assert bob_rep.failures.shape == (trials,) and bob_rep.failures.max() <= k_b
+        bob_failures, alice_failures = _paired_trials(bob_rep, alice_rep)[:, :2].T
+        assert bob_failures.shape == (trials,) and bob_failures.max() <= k_b
         # An honest Alice fails the shared labels together with Bob.
-        assert (alice_rep.failures >= bob_rep.failures).all()
+        assert (alice_failures >= bob_failures).all()
 
 
 class TestPairing:
@@ -1377,8 +1419,7 @@ class TestPairing:
         samples = []
         for _ in range(runs):
             bob_rep, alice_rep = run_protocol3(config, alice, bob, rng)
-            samples.append(np.column_stack([bob_rep.failures, alice_rep.failures,
-                                            bob_rep.tables_delivered]))
+            samples.append(_paired_trials(bob_rep, alice_rep))
         assert not joint
         samples = np.concatenate(samples)
         n = len(samples)
@@ -1405,37 +1446,22 @@ class TestPairing:
                     (t_b, t_a, passed / n, law.pass_probability)
 
 
-class TestTrialOrder:
+class TestSharedCells:
     @pytest.mark.parametrize("sizes", [dict(m=30, k_bob=5, k_alice=7, trials=500),
                                        # 51 * 31 cells: off the joint table.
                                        dict(m=50, k_bob=50, k_alice=30, trials=300),
                                        dict(m=20, k_bob=0, k_alice=7, trials=500)],
                              ids=["joint-table", "fixed-overlap", "k_bob=0"])
-    def test_protocol3_reports_share_one_order(self, monkeypatch, sizes):
-        calls = _count_calls(monkeypatch, "_trial_permutation")
+    def test_protocol3_reports_share_their_cells(self, sizes):
         config = CheckConfig(**sizes, threshold_bob=1, threshold_alice=1)
         bob_rep, alice_rep = run_protocol3(config, AliceStrategy.honest(),
                                            BobStrategy.computational_basis(),
                                            np.random.default_rng(71))
-        bob_rep.summary(), alice_rep.summary()
-        assert not calls
-        assert bob_rep.order is alice_rep.order
-        assert np.array_equal(bob_rep.tables_delivered, alice_rep.tables_delivered)
-        aborted = bob_rep.aborted | alice_rep.aborted
-        assert np.array_equal(aborted, bob_rep.tables_delivered == 0) and aborted.any()
-        bob_rep.to_dict(), alice_rep.to_dict()
-        assert len(calls) == 1
-
-    def test_summary_reads_the_drawn_order(self):
-        config = CheckConfig(m=12, k_bob=12, threshold_bob=3, trials=2000)
-        report = run_protocol2(config, AliceStrategy.learn_y(), np.random.default_rng(72))
-        assert np.array_equal(report.drawn_failures, np.sort(report.drawn_failures))
-        assert not np.array_equal(report.failures, report.drawn_failures)
-        in_order = replace(report, drawn_failures=report.failures,
-                           drawn_delivered=report.tables_delivered,
-                           counts=np.ones(report.trials, dtype=int), order=None)
-        assert in_order.summary() == report.summary()
-        assert in_order.to_dict() == report.to_dict()
+        assert bob_rep.counts is alice_rep.counts
+        bob_trials, alice_trials = _per_trial(bob_rep), _per_trial(alice_rep)
+        assert np.array_equal(bob_trials["tables_delivered"], alice_trials["tables_delivered"])
+        aborted = bob_trials["aborted"] | alice_trials["aborted"]
+        assert np.array_equal(aborted, bob_trials["tables_delivered"] == 0) and aborted.any()
 
 
 def _fancy_index_joint_table(p_b, p_a, shared, weights, k_b, k_a):
@@ -1501,10 +1527,10 @@ def _expanded(report):
 def _assert_reads_equal(report, other):
     assert report.trials == other.trials
     assert report.summary() == other.summary()
-    for name in ("failures", "tables_delivered", "aborted", "est_epsilon", "leak_bound_bits"):
-        mine, theirs = getattr(report, name), getattr(other, name)
-        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs, equal_nan=True), name
-    assert json.dumps(report.to_dict()) == json.dumps(other.to_dict())
+    mine, theirs = _per_trial(report), _per_trial(other)
+    for name in _CELL_FIELDS:
+        assert mine[name].dtype == theirs[name].dtype, name
+        assert np.array_equal(mine[name], theirs[name], equal_nan=True), name
 
 
 # One run per draw path: (protocol, config, alice, bob, histogram).
@@ -1558,21 +1584,6 @@ class TestHistogramReport:
                 assert not report.drawn_failures.any() and report.drawn_failures.strides == (0,)
             _assert_reads_equal(report, _expanded(report))
 
-    @pytest.mark.parametrize("sizes", [dict(m=10, k_bob=0, k_alice=5, trials=300),
-                                       dict(m=10, k_bob=5, k_alice=0, trials=300)],
-                             ids=["k_bob=0", "k_alice=0"])
-    def test_estimates_at_k0_compute_no_permutation(self, monkeypatch, sizes):
-        calls = _count_calls(monkeypatch, "_trial_permutation")
-        reports = run_protocol3(CheckConfig(**sizes), AliceStrategy.honest(),
-                                BobStrategy.computational_basis(), np.random.default_rng(93))
-        report = next(r for r in reports if r.k == 0)
-        eps, leak = report.est_epsilon, report.leak_bound_bits
-        assert not calls
-        assert eps.shape == leak.shape == (300,)
-        assert np.isnan(eps).all() and np.isnan(leak).all()
-        report.failures
-        assert len(calls) == 1
-
     def test_mean_failures_exact_past_int64(self):
         # Each cell's failures times its count passes 2**63, and so does their sum.
         failures = np.array([2**40 - 1, 7, 2**40 - 3])
@@ -1603,23 +1614,38 @@ class TestHistogramReport:
 
     @pytest.mark.parametrize("case", ["p2-learn-y", "p3-computational", "p3-honest"])
     def test_summary_only_run_holds_no_memory_per_trial(self, case):
-        config = CheckConfig(m=200, k_bob=20, k_alice=20, threshold_bob=1, threshold_alice=1,
-                             trials=10**7)
-        if case == "p2-learn-y":
-            def run(cfg):
-                return (run_protocol2(cfg, AliceStrategy.learn_y(), np.random.default_rng(94)),)
-        else:
-            bob = BobStrategy(kind=case.split("-")[1])
-
-            def run(cfg):
-                return run_protocol3(cfg, AliceStrategy.honest(), bob, np.random.default_rng(94))
-        run(replace(config, trials=1000))   # warm the per-pair caches
-        tracemalloc.start()
-        try:
-            summaries = [report.summary() for report in run(config)]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        summaries, peak = _traced_run(case, lambda report: report.summary())
         # One int64 array per trial would take 80 MB.
         assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
         assert all(s["mean_failures"] <= 20.0 for s in summaries)
+
+    @pytest.mark.parametrize("case", ["p2-learn-y", "p3-computational", "p3-honest"])
+    def test_written_run_holds_memory_of_its_cells(self, case):
+        # --out writes each cell once: a few hundred bytes per cell, none per trial.
+        written, peak = _traced_run(case, lambda report: report.to_dict())
+        cells = sum(len(payload["cells"]) for payload in written)
+        assert all(payload["trials"] == 10**7 for payload in written)
+        assert cells < 10**4 and peak < 1e3 * cells + 1e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def _traced_run(case, read):
+    """``read`` of each report of a 10**7-trial run of ``case``, and the peak
+    traced memory of the run and the reads."""
+    config = CheckConfig(m=200, k_bob=20, k_alice=20, threshold_bob=1, threshold_alice=1,
+                         trials=10**7)
+    if case == "p2-learn-y":
+        def run(cfg):
+            return (run_protocol2(cfg, AliceStrategy.learn_y(), np.random.default_rng(94)),)
+    else:
+        bob = BobStrategy(kind=case.split("-")[1])
+
+        def run(cfg):
+            return run_protocol3(cfg, AliceStrategy.honest(), bob, np.random.default_rng(94))
+    run(replace(config, trials=1000))   # warm the per-pair caches
+    tracemalloc.start()
+    try:
+        values = [read(report) for report in run(config)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return values, peak

@@ -290,8 +290,8 @@ class TestChecksim:
             code, out, err = _run(capsys, argv + extra)
             assert code == 0 and err == ""
             assert set(json.loads(out)["summary"]["aggregate"]) == {"alice", "bob"}
-        records = json.loads((tmp_path / "payload.json").read_text())["reports"]["bob"]["records"]
-        assert len(records) == 3
+        cells = json.loads((tmp_path / "payload.json").read_text())["reports"]["bob"]["cells"]
+        assert sum(cell["trials"] for cell in cells) == 3
 
     def test_protocol3_check_counts_summing_beyond_int64(self, capsys):
         # k_bob + k_alice passes 2**63 - 1; the labels checked by either side never pass m.
@@ -339,7 +339,8 @@ class TestChecksim:
 # with 0.13.0, when random-overlap runs began drawing (J, F_b, F_a) as two
 # histograms of their joint law, and with 0.14.0, when that draw stopped
 # shuffling before the input-guess total.  The two checksim --out pins were
-# re-recorded with 0.14.0 too, when trial order became the report's.  The two
+# re-recorded with 0.14.0 too, when trial order became the report's, and
+# with 0.17.0, when --out began writing cells with counts.  The two
 # protocol-3 pins off the joint table whose checks can fail were recorded with
 # 0.16.0, when that path became one binomial chain.  A refactor that moves no
 # payload byte and no RNG stream keeps these; one that does bumps __version__
@@ -389,10 +390,13 @@ def test_payload_matches_recorded_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# Full --out payloads: checksim's, per-trial estimates included, for a
+# Full --out payloads: checksim's, each cell's estimates included, for a
 # fractional threshold with c1 != 1 and for a protocol 3 run whose Bob side
-# checks nothing (k = 0), so its records hold null estimates; and table's for
-# every (x, y) at one run and at the benchmark's largest size.
+# checks nothing (k = 0), so its cells hold null estimates; and table's for
+# every (x, y) at one run and at the benchmark's largest size.  The two
+# checksim pins were re-recorded with 0.17.0, when --out stopped writing one
+# record per trial in a drawn trial order and began writing the run's
+# histogram: each cell once, with its count of trials.
 _OUT_PINS = [
     ("table --x 0 --y 0 --n 1 --seed 2718",
      "8df403904bc88a4f3bd069853a0bf0e652938f9523df6d83d34342c4b20a811f"),
@@ -412,10 +416,10 @@ _OUT_PINS = [
      "aab162b443d4c39f6a11fccb8e588ffa79804a06590a11191119e9bee4d5f5e4"),
     ("checksim --protocol 2 --alice param --alpha 0.7 --m 50 --k 25 --threshold 0.1 "
      "--c1 1.7 --trials 300 --seed 5",
-     "dac9fc178cab53027c1ddc2196f70b4db08c9acfd58362158cb2b6cf1a17feac"),
+     "f6e20f4a8f3433b1ea8c91f240b09f68dbef25238b146ca348ebb5eb57a8371c"),
     ("checksim --protocol 3 --bob computational --m 30 --k 0 --k-alice 7 "
      "--threshold-alice 2 --trials 300 --seed 11",
-     "dbd78c25b5334a1a77051c0dc05aed5fbfa3039fc076c47690d6bd2cf4dc8fe6"),
+     "a06e79df59bbe869713775d9a958f92689fefc9fcdb13b6e62efe747e7ac6ccf"),
 ]
 
 
@@ -431,16 +435,75 @@ _CHECKSIM_PINS = [argv for argv, _ in _PAYLOAD_PINS + _OUT_PINS if argv.startswi
 
 
 @pytest.mark.parametrize("argv", _CHECKSIM_PINS)
-def test_checksim_stdout_does_not_depend_on_out(capsys, monkeypatch, tmp_path, argv):
-    # Only --out reads per-trial values, so only it puts the trials in order.
-    calls, real = [], checksim._trial_permutation
-    monkeypatch.setattr(checksim, "_trial_permutation",
-                        lambda *args: calls.append(args) or real(*args))
+def test_checksim_stdout_does_not_depend_on_out(capsys, tmp_path, argv):
     alone = _run(capsys, argv.split())
-    assert not calls
     with_out = _run(capsys, argv.split() + ["--out", str(tmp_path / "payload.json")])
-    assert len(calls) == 1
     assert with_out == alone and alone[0] == 0
+
+
+# A run of each draw path: a single-side histogram, the joint table, the
+# per-trial chain (one cell per trial) and a side that checks nothing.
+_CELL_RUNS = {
+    "p2-histogram": "checksim --protocol 2 --alice learn-y --m 200 --k 20 --threshold 1 "
+                    "--trials 4000 --seed 9191",
+    "p3-joint": "checksim --protocol 3 --bob computational --m 30 --k 5 --k-alice 7 "
+                "--threshold 1 --threshold-alice 2 --trials 300 --seed 11",
+    "p3-chain": "checksim --protocol 3 --bob phase-noise --angle 1.2 --m 50 --k 50 --k-alice 30 "
+                "--threshold 17 --threshold-alice 9 --trials 300 --seed 5",
+    "p3-k0": "checksim --protocol 3 --bob computational --m 30 --k 0 --k-alice 7 "
+             "--threshold-alice 2 --trials 300 --seed 11",
+}
+
+
+def _cell_payload(capsys, tmp_path, name):
+    """``(trials, reports, stdout summary)`` of the ``--out`` run ``_CELL_RUNS[name]``."""
+    argv = _CELL_RUNS[name].split()
+    out_path = tmp_path / "payload.json"
+    code, out, _ = _run(capsys, argv + ["--out", str(out_path)])
+    assert code == 0
+    payload, summary = json.loads(out_path.read_text()), json.loads(out)["summary"]
+    assert payload["summary"] == summary
+    return int(argv[argv.index("--trials") + 1]), payload["reports"], summary
+
+
+class TestOutCells:
+    @pytest.mark.parametrize("name", list(_CELL_RUNS))
+    def test_cell_counts_sum_to_the_trials(self, capsys, tmp_path, name):
+        trials, reports, _ = _cell_payload(capsys, tmp_path, name)
+        for report in reports.values():
+            assert report["trials"] == trials
+            assert sum(cell["trials"] for cell in report["cells"]) == trials
+            assert all(cell["trials"] >= 1 for cell in report["cells"])
+
+    @pytest.mark.parametrize("name", [name for name in _CELL_RUNS if name.startswith("p3")])
+    def test_protocol3_cells_pair_up_index_by_index(self, capsys, tmp_path, name):
+        _, reports, _ = _cell_payload(capsys, tmp_path, name)
+        bob, alice = reports["bob"]["cells"], reports["alice"]["cells"]
+        assert len(bob) == len(alice)
+        for mine, theirs in zip(bob, alice):
+            # One cell holds the same trials on both sides: their count and
+            # their delivered tables, none when either side aborts.
+            assert mine["trials"] == theirs["trials"]
+            assert mine["tables_delivered"] == theirs["tables_delivered"]
+            if mine["aborted"] or theirs["aborted"]:
+                assert mine["tables_delivered"] == 0
+        assert any(cell["aborted"] for cell in bob + alice)
+
+    @pytest.mark.parametrize("name", list(_CELL_RUNS))
+    def test_expanded_cells_reproduce_the_summary(self, capsys, tmp_path, name):
+        trials, reports, summary = _cell_payload(capsys, tmp_path, name)
+        for side, report in reports.items():
+            cells = report["cells"]
+            counts = [cell["trials"] for cell in cells]
+            failures = np.repeat([cell["failures"] for cell in cells], counts)
+            aborted = np.repeat([cell["aborted"] for cell in cells], counts)
+            assert len(failures) == trials
+            assert np.array_equal(aborted, failures > report["threshold"])
+            phat = int(aborted.sum()) / trials
+            expected = {"abort_ci": list(checksim._wilson_interval(phat, trials)),
+                        "abort_probability": phat, "mean_failures": int(failures.sum()) / trials}
+            assert {key: report[key] for key in expected} == expected
+            assert {key: summary["aggregate"][side][key] for key in expected} == expected
 
 
 # Failure counts beyond numpy's 64-bit integers, which no binomial draw takes,
