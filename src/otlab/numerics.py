@@ -38,7 +38,8 @@ COMPLETENESS_ATOL = 1e-10
 # Eigenvalues in [EIG_FLOOR, 0] are numerical PSD drift and are clamped to 0
 # before logarithms; anything below the floor is rejected as unphysical.
 EIG_FLOOR = -1e-10
-# Rows per block of dirichlet_blocks.  A block's [rows, 3] draw is 192 KiB
+# Rows per block of dirichlet_blocks and of the tradeoff curve's diagonals
+# (security._haar_diagonals).  A block's [rows, 3] draw is 192 KiB
 # and each per-sample temporary 64 KiB, so a 100k-sample sweep works on
 # cache-sized arrays instead of a few dozen fresh 800 KB ones.
 DIRICHLET_BLOCK = 8192

@@ -28,11 +28,11 @@ import numpy as np
 
 from . import protocol
 from .numerics import (
+    DIRICHLET_BLOCK,
     Ensemble,
     Povm,
     _valid_ensemble,
     classical_mutual_information,
-    dirichlet_blocks,
     trace_distance,
     xlog2,
 )
@@ -676,9 +676,38 @@ def max_holevo_sum_search() -> MaxHolevoSumResult:
                               constrained_max=constrained, unconstrained_max=unconstrained)
 
 
+# Rows of uniforms drawn at once by _haar_diagonals: a [rows, 3, 3] slice
+# holds no more values than a [DIRICHLET_BLOCK, 3] block.
+_UNIFORM_ROWS = DIRICHLET_BLOCK // 3
+
+
+def _haar_diagonals(rng: np.random.Generator, n: int):
+    """``n`` Dirichlet(3, 3, 3) rows, Erlang(3) triples over their sums, in ``DIRICHLET_BLOCK`` blocks.
+
+    Each entry is ``-log((1 - U1)(1 - U2)(1 - U3))`` of three uniforms, and
+    the uniforms are drawn row-major as ``[rows, 3, 3]``, ``_UNIFORM_ROWS``
+    rows at a time: the blocks concatenate to the rows of one draw
+    ``rng.random((n, 3, 3))`` and leave ``rng`` in the same state.  A row is
+    taken as its logarithms over their sum, which negating both leaves
+    exactly as it is.
+    """
+    for start in range(0, n, DIRICHLET_BLOCK):
+        squares = np.empty((min(DIRICHLET_BLOCK, n - start), 3))
+        for row in range(0, len(squares), _UNIFORM_ROWS):
+            uniforms = rng.random((min(_UNIFORM_ROWS, len(squares) - row), 3, 3))
+            np.subtract(1.0, uniforms, out=uniforms)
+            product = squares[row:row + len(uniforms)]
+            np.multiply(uniforms[..., 0], uniforms[..., 1], out=product)
+            product *= uniforms[..., 2]
+        np.log(squares, out=squares)
+        # Summed column by column, in the order of sum(axis=1), which reduces a short axis slowly.
+        squares /= (squares[:, 0] + squares[:, 1] + squares[:, 2])[:, None]
+        yield squares
+
+
 def _curve_blocks(rng: np.random.Generator, n: int):
-    """Each block of ``n`` Dirichlet(3, 3, 3) squares, with its closed-form triple."""
-    for squares in dirichlet_blocks(rng, [3.0, 3.0, 3.0], n):
+    """Each block of :func:`_haar_diagonals`, with its closed-form triple."""
+    for squares in _haar_diagonals(rng, n):
         yield squares, _triple_from_squares(*squares.T)
 
 
@@ -739,14 +768,20 @@ def tradeoff_curve(n_samples: int, bin_width: float = 0.01,
     reduced operator.  A sample enters only through that diagonal, drawn
     from its exact law: each entry sums three squared moduli of i.i.d.
     complex Gaussians over the kept qutrit, a Gamma(3) variable, so the
-    normalized diagonal is Dirichlet(3, 3, 3).  Its closed-form Holevo triple is
-    computed, and the per-bin maximum of ``chi_y`` is recorded over
-    left-closed bins ``[k*w, (k+1)*w)`` of ``max(chi_r, chi_yxr) <= 1``; a
-    width ``w >= 2**-53`` keeps every ``k`` an exact integer.  ``n_samples``
-    is an integer (Python or numpy, not bool) in [1, 2**63 - 1].
+    normalized diagonal is Dirichlet(3, 3, 3).  Each squared modulus is an
+    Exp(1) variable ``-log(1 - U)`` of a uniform U, so an entry is drawn as
+    the Erlang(3) variable ``-log((1 - U1)(1 - U2)(1 - U3))``.  The draw
+    stays finite: ``1 - U`` lies in (0, 1], so the product is at least
+    ``2**-159``, and an entry is 0 only if its three uniforms are (a row of
+    nine zero uniforms, the one 0/0, has probability ``2**-477``).  Its
+    closed-form Holevo triple is computed, and the per-bin maximum of
+    ``chi_y`` is recorded over left-closed bins ``[k*w, (k+1)*w)`` of
+    ``max(chi_r, chi_yxr) <= 1``; a width ``w >= 2**-53`` keeps every ``k``
+    an exact integer.  ``n_samples`` is an integer (Python or numpy, not
+    bool) in [1, 2**63 - 1].
 
-    Samples go through in blocks of :func:`numerics.dirichlet_blocks`, drawn
-    in stream order, so the result is that of one draw of all samples, and
+    Samples go through in the blocks of :func:`_haar_diagonals`, drawn in
+    stream order, so the result is that of one draw of all samples, and
     no block is kept.  While the ``floor(1/w) + 1`` bins that cover [0, 1]
     number at most ``n_samples``, each block takes its per-bin maxima into
     one dense array indexed by ``k``, grown to the largest ``k`` a block

@@ -1533,7 +1533,8 @@ def _assert_reads_equal(report, other):
         assert np.array_equal(mine[name], theirs[name], equal_nan=True), name
 
 
-# One run per draw path: (protocol, config, alice, bob, histogram).
+# One run per draw path: (protocol, config, alice, bob, histogram); a path
+# that is not a histogram draws one value per trial and merges equal trials.
 _DRAW_PATHS = {
     "single-side-histogram": (2, dict(m=40, k_bob=20, threshold_bob=9, trials=300),
                               AliceStrategy.learn_y(), None, True),
@@ -1545,11 +1546,13 @@ _DRAW_PATHS = {
                       trials=300), AliceStrategy.honest(), BobStrategy.phase_noise(1.2), False),
     "no-failure-chain": (3, dict(m=30, k_bob=5, k_alice=7, threshold_bob=1, trials=500),
                          AliceStrategy.honest(), BobStrategy.honest(), True),
+    "no-failure-per-trial": (3, dict(m=40, k_bob=20, k_alice=20, trials=15),
+                             AliceStrategy.honest(), BobStrategy.honest(), False),
 }
 
 
-def _run_path(name, rng):
-    protocol, sizes, alice, bob, _ = _DRAW_PATHS[name]
+def _run_path(name, rng, paths=_DRAW_PATHS):
+    protocol, sizes, alice, bob, _ = paths[name]
     config = CheckConfig(**sizes, c1=1.7)
     if protocol == 2:
         return (run_protocol2(config, alice, rng),)
@@ -1562,11 +1565,9 @@ class TestHistogramReport:
         joint = _count_calls(monkeypatch, "_joint_draw")
         reports = _run_path(name, np.random.default_rng(91))
         assert len(joint) == int(name == "joint")
-        histogram = _DRAW_PATHS[name][-1]
         for report in reports:
-            assert (len(report.drawn_failures) < report.trials) == histogram
-            if not histogram:   # one cell per trial, counted once in one element of memory
-                assert report.counts.strides == (0,) and not report.counts.flags.writeable
+            # Histograms, and per-trial draws once merged: fewer cells than trials.
+            assert len(report.drawn_failures) < report.trials and report.counts.min() >= 1
             _assert_reads_equal(report, _expanded(report))
         if len(reports) == 2:   # protocol 3's reports share the cells and their counts
             bob_rep, alice_rep = reports
@@ -1626,6 +1627,65 @@ class TestHistogramReport:
         cells = sum(len(payload["cells"]) for payload in written)
         assert all(payload["trials"] == 10**7 for payload in written)
         assert cells < 10**4 and peak < 1e3 * cells + 1e6, f"peak {peak / 1e6:.1f} MB"
+
+
+# The per-trial paths; the chain at a random overlap, where trials that abort
+# with equal failures differ in J alone; and the chain where the delivered
+# tables pass int64.
+_PER_TRIAL_PATHS = {name: path for name, path in _DRAW_PATHS.items() if not path[-1]}
+_PER_TRIAL_PATHS["chain-random-overlap"] = (
+    3, dict(m=300, k_bob=30, k_alice=30, threshold_bob=15, threshold_alice=15, trials=500),
+    AliceStrategy.honest(), BobStrategy.computational_basis(), False)
+_PER_TRIAL_PATHS["chain-past-int64"] = (3, dict(_DRAW_PATHS["chain"][1], m=2**70),
+                                        *_DRAW_PATHS["chain"][2:])
+
+
+def _cell_rows(reports):
+    """Each shared cell's failures, side by side, then its delivered tables, as tuples."""
+    return list(zip(*[report.drawn_failures.tolist() for report in reports],
+                    reports[0].drawn_delivered.tolist()))
+
+
+class TestMergedCells:
+    """Runs drawn one trial at a time keep each distinct cell once."""
+
+    @pytest.mark.parametrize("name", list(_PER_TRIAL_PATHS))
+    def test_cells_distinct_and_counting_the_trials(self, name):
+        reports = _run_path(name, np.random.default_rng(95), _PER_TRIAL_PATHS)
+        trials = _PER_TRIAL_PATHS[name][1]["trials"]
+        rows = _cell_rows(reports)
+        assert len(set(rows)) == len(rows) < trials
+        for report in reports:
+            assert report.trials == int(report.counts.sum()) == trials
+            assert report.counts.min() >= 1
+
+    @pytest.mark.parametrize("name", list(_PER_TRIAL_PATHS))
+    def test_summary_is_that_of_the_unmerged_draws(self, name, monkeypatch):
+        rng, unmerged_rng = np.random.default_rng(96), np.random.default_rng(96)
+        merged = _run_path(name, rng, _PER_TRIAL_PATHS)
+        monkeypatch.setattr(checksim, "_merged", lambda *columns: (
+            *columns, np.ones(len(columns[0]), dtype=np.int64)))
+        unmerged = _run_path(name, unmerged_rng, _PER_TRIAL_PATHS)
+        assert rng.bit_generator.state == unmerged_rng.bit_generator.state
+        assert len(unmerged[0].counts) == unmerged[0].trials
+        for mine, theirs in zip(merged, unmerged):
+            assert mine.summary() == theirs.summary()
+        expanded = [row for row, count in zip(_cell_rows(merged), merged[0].counts.tolist())
+                    for _ in range(count)]
+        assert sorted(expanded) == sorted(_cell_rows(unmerged))
+
+    @pytest.mark.parametrize("columns", [
+        [[3, 1, 3, 3, 2]],
+        [[0, 1, 0, 1, 0, 0], [5, 5, 5, 4, 5, 5], [2, 2, 2, 2, 1, 2]],
+        [[7], [2**62], [0]],
+    ], ids=["one-column", "three-columns", "one-row"])
+    def test_merged_is_unique_rows_with_their_counts(self, columns):
+        columns = [np.array(column, dtype=np.int64) for column in columns]
+        *cells, counts = checksim._merged(*columns)
+        rows, expected = np.unique(np.column_stack(columns), axis=0, return_counts=True)
+        assert np.array_equal(np.column_stack(cells), rows)
+        assert np.array_equal(counts, expected)
+        assert all(cell.dtype == np.int64 for cell in cells) and counts.dtype == np.int64
 
 
 def _traced_run(case, read):

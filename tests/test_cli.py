@@ -475,6 +475,12 @@ class TestOutCells:
             assert sum(cell["trials"] for cell in report["cells"]) == trials
             assert all(cell["trials"] >= 1 for cell in report["cells"])
 
+    def test_chain_writes_each_distinct_cell_once(self, capsys, tmp_path):
+        trials, reports, _ = _cell_payload(capsys, tmp_path, "p3-chain")
+        rows = [(mine["failures"], theirs["failures"], mine["tables_delivered"])
+                for mine, theirs in zip(reports["bob"]["cells"], reports["alice"]["cells"])]
+        assert len(set(rows)) == len(rows) < trials
+
     @pytest.mark.parametrize("name", [name for name in _CELL_RUNS if name.startswith("p3")])
     def test_protocol3_cells_pair_up_index_by_index(self, capsys, tmp_path, name):
         _, reports, _ = _cell_payload(capsys, tmp_path, name)

@@ -60,6 +60,16 @@ def _sent_diagonal(amps):
     return (np.abs(amps.reshape(amps.shape[:-1] + (3, 3))) ** 2).sum(axis=-2)
 
 
+def _erlang_diagonals(rng, n):
+    """``n`` normalized Erlang(3) triples from one draw of ``[n, 3, 3]`` uniforms.
+
+    The tradeoff curve's draw, written as one call: each entry is
+    ``-log((1 - U1)(1 - U2)(1 - U3))``, and each row is divided by its sum.
+    """
+    gamma = -np.log((1.0 - rng.random((n, 3, 3))).prod(axis=2))
+    return gamma / gamma.sum(axis=1, keepdims=True)
+
+
 def _returned_branches(amps):
     """The four returned two-qutrit states ``[4, 9]`` of one input, in ``RY_ORDER``."""
     return np.stack([np.kron(np.eye(3), protocol.bob_gate(y, r)) @ amps
@@ -729,7 +739,7 @@ class TestTradeoffCurve:
 
     def test_sampler_draws_dirichlet_diagonals(self):
         curve = tradeoff_curve(500, 0.01, np.random.default_rng(47))
-        squares = np.random.default_rng(47).dirichlet([3.0, 3.0, 3.0], size=500)
+        squares = _erlang_diagonals(np.random.default_rng(47), 500)
         expected = np.column_stack(security._triple_from_squares(*squares.T))
         assert np.array_equal(curve.triples, expected)
         arg = int(np.argmax(expected[:, 0] + np.maximum(expected[:, 1], expected[:, 2])))
@@ -743,7 +753,7 @@ class TestTradeoffCurve:
 
         rng = np.random.default_rng(48)
         oracle = _sent_diagonal(_haar_two_qutrit(rng, 5000))
-        sampled = rng.dirichlet([3.0, 3.0, 3.0], size=20000)  # the curve's draw (test above)
+        sampled = np.concatenate([squares for squares, _ in security._curve_blocks(rng, 20000)])
         for squares in (oracle, sampled):
             for col in range(3):
                 assert stats.kstest(squares[:, col], "beta", args=(3, 6)).pvalue > 1e-3
@@ -751,6 +761,48 @@ class TestTradeoffCurve:
                                   (squares * np.roll(squares, 1, axis=1), 1 / 10)):
                 sigma = values.std(axis=0) / np.sqrt(len(values))
                 assert np.all(np.abs(values.mean(axis=0) - exact) <= 5 * sigma)
+
+    def test_diagonals_are_finite_rows_of_one_draw(self):
+        n = 2 * numerics.DIRICHLET_BLOCK + 37
+        rng, reference = np.random.default_rng(59), np.random.default_rng(59)
+        squares = np.concatenate([squares for squares, _ in security._curve_blocks(rng, n)])
+        assert squares.tobytes() == _erlang_diagonals(reference, n).tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert not np.isnan(squares).any() and squares.min() >= 0.0
+        assert np.abs(squares.sum(axis=1) - 1.0).max() <= 4 * np.finfo(float).eps
+
+    def test_diagonal_blocks_hold_a_few_blocks_of_memory(self):
+        # The block the caller holds, the next one, a slice of uniforms no larger
+        # and one temporary: one block's [8192, 3, 3] uniforms at once would
+        # take three blocks alone.
+        block_bytes = numerics.DIRICHLET_BLOCK * 3 * 8
+        rng = np.random.default_rng(60)
+        tracemalloc.start()
+        try:
+            for _ in security._haar_diagonals(rng, 2 * numerics.DIRICHLET_BLOCK):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * block_bytes, f"peak {peak / block_bytes:.1f} blocks"
+
+    def test_extreme_uniforms_give_finite_diagonals(self):
+        # The smallest and largest uniforms: 0, whose 1 - U is 1, and 1 - 2**-53.
+        top = 1.0 - 2.0 ** -53
+        rows = np.array([[[top] * 3] * 3,
+                         [[0.0] * 3, [top] * 3, [top] * 3],
+                         [[0.0] * 3, [0.0, 0.0, top], [0.5] * 3]])
+
+        class Extremes:
+            def random(self, shape):
+                return np.resize(rows, shape)
+
+        squares = next(security._haar_diagonals(Extremes(), 3))
+        assert np.isfinite(squares).all() and squares.min() >= 0.0
+        assert squares[0, 0] == squares[0, 1] == squares[0, 2] == pytest.approx(1 / 3, abs=1e-15)
+        assert squares[1, 0] == 0.0 and squares[1, 1] == squares[1, 2] == 0.5
+        assert squares[2, 0] == 0.0 < squares[2, 2] < squares[2, 1]
+        assert np.abs(squares.sum(axis=1) - 1.0).max() <= 4 * np.finfo(float).eps
 
     @pytest.mark.parametrize("width", [2.0 ** -53, 1e-4, 0.01, 0.37, 2.0])
     def test_one_pass_bins_equal_per_bin_masks(self, width):
@@ -798,7 +850,7 @@ class TestTradeoffCurve:
     @classmethod
     def _one_shot(cls, n, width, rng):
         """Bins, triples, max sum and argmax from one draw of all samples: the reference."""
-        squares = rng.dirichlet([3.0, 3.0, 3.0], size=n)
+        squares = _erlang_diagonals(rng, n)
         triples = np.column_stack(security._triple_from_squares(*squares.T))
         sums = triples[:, 0] + np.maximum(triples[:, 1], triples[:, 2])
         arg = int(np.argmax(sums))
@@ -815,15 +867,15 @@ class TestTradeoffCurve:
     def test_both_bin_paths_equal_reference(self, monkeypatch, width, path):
         n_bins = int(np.floor(1.0 / width)) + 1
         n = n_bins - 1 if path == "sparse" else n_bins
-        blocks = security.dirichlet_blocks
+        blocks = security._haar_diagonals
 
-        def first_above_one(rng, alpha, size):
-            for index, block in enumerate(blocks(rng, alpha, size)):
+        def first_above_one(rng, size):
+            for index, block in enumerate(blocks(rng, size)):
                 if index == 0:
                     block[0] = self._ABOVE_ONE
                 yield block
 
-        monkeypatch.setattr(security, "dirichlet_blocks", first_above_one)
+        monkeypatch.setattr(security, "_haar_diagonals", first_above_one)
         sorts, unique = [], np.unique
 
         def counted_unique(*args, **kwargs):
@@ -854,7 +906,7 @@ class TestTradeoffCurve:
             np.zeros_like(a2), np.full_like(a2, 0.5), np.zeros_like(a2)))
         n = numerics.DIRICHLET_BLOCK + 3
         curve = tradeoff_curve(n, 0.01, np.random.default_rng(51))
-        first = np.random.default_rng(51).dirichlet([3.0, 3.0, 3.0])
+        first = _erlang_diagonals(np.random.default_rng(51), 1)[0]
         assert curve.argmax == CheatParams.from_squares(*first) and curve.max_sum == 0.5
         assert curve.bins == ((0.505, 0.0),)
 
