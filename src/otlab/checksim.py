@@ -43,7 +43,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import protocol
-from .security import CheatParams, _quarter_turn, binary_entropy
+from .security import CheatParams, _example_vectors, binary_entropy
 
 __all__ = [
     "CheckConfig",
@@ -253,12 +253,8 @@ def _sender(alice: AliceStrategy):
         # Outcomes |+>, |-> of the cheat state's basis read y; |2> reads a coin.
         rows = np.vstack([sent, sent * [1.0, -1.0, 1.0], [0.0, 0.0, 1.0]])
     else:
-        # Example 1's measurement at alpha = atan2(c, b): the rows of
-        # security.example1_elements, bit for bit, without its stacking.
-        alpha = _quarter_turn(np.arctan2(params.c, params.b))
-        cos, sin = np.cos(alpha), np.sin(alpha)
-        rows = np.array([[cos, 1.0, 0.0], [cos, -1.0, 0.0],
-                         [sin, 0.0, 1.0], [sin, 0.0, -1.0]]) / np.sqrt(2.0)
+        # Example 1's measurement at alpha = atan2(c, b).
+        rows = _example_vectors(np.arctan2(params.c, params.b))
     return honest, weights, sent, x, rows[None], reports
 
 

@@ -38,10 +38,10 @@ COMPLETENESS_ATOL = 1e-10
 # Eigenvalues in [EIG_FLOOR, 0] are numerical PSD drift and are clamped to 0
 # before logarithms; anything below the floor is rejected as unphysical.
 EIG_FLOOR = -1e-10
-# Rows per block of dirichlet_blocks and of the tradeoff curve's diagonals
-# (security._haar_diagonals).  A block's [rows, 3] draw is 192 KiB
-# and each per-sample temporary 64 KiB, so a 100k-sample sweep works on
-# cache-sized arrays instead of a few dozen fresh 800 KB ones.
+# Rows per block of dirichlet_blocks, which both sampled sweeps (verify
+# prop3 and the tradeoff curve) draw through.  A block's [rows, 3] draw is
+# 192 KiB and each per-sample temporary 64 KiB, so a 100k-sample sweep works
+# on cache-sized arrays instead of a few dozen fresh 800 KB ones.
 DIRICHLET_BLOCK = 8192
 
 
@@ -72,15 +72,40 @@ def xlog2(x):
     return float(out) if out.ndim == 0 else out
 
 
-def dirichlet_blocks(rng: np.random.Generator, alpha, n: int):
-    """The rows of ``rng.dirichlet(alpha, size=n)``, in blocks of ``DIRICHLET_BLOCK`` rows.
+def dirichlet_blocks(rng: np.random.Generator, shape: int, n: int):
+    """``n`` Dirichlet(shape, shape, shape) rows, in blocks of ``DIRICHLET_BLOCK`` rows.
 
-    The generator draws a sample's gamma variates row by row, so the blocks,
-    drawn in order, concatenate to exactly the one-call array and leave
-    ``rng`` in the same state; only the last block may be shorter.
+    Each entry is the Erlang(``shape``) variable ``-log((1 - U1)...(1 - Us))``
+    of ``shape`` uniforms, over its row's sum.  The uniforms are drawn
+    row-major as ``[rows, 3, shape]``, ``DIRICHLET_BLOCK // shape`` rows at a
+    time, so the blocks, drawn in order, concatenate to the rows of one draw
+    ``rng.random((n, 3, shape))``, leave ``rng`` in the same state, and hold
+    no more uniforms at once than one block holds entries (at shape 1 they
+    are drawn into the block itself); only the last block may be shorter.  A row is taken as its logarithms over their sum,
+    which negating both leaves exactly as it is.  The rows stay finite:
+    ``1 - U`` lies in (0, 1], so an entry is at most ``53 * shape * log(2)``,
+    and it is 0 only if its ``shape`` uniforms are.  The one 0/0, a row of
+    ``3 * shape`` zero uniforms, has probability ``2**-159`` at shape 1 and
+    ``2**-477`` at shape 3.
     """
+    slice_rows = DIRICHLET_BLOCK // shape
     for start in range(0, n, DIRICHLET_BLOCK):
-        yield rng.dirichlet(alpha, size=min(DIRICHLET_BLOCK, n - start))
+        squares = np.empty((min(DIRICHLET_BLOCK, n - start), 3))
+        for row in range(0, len(squares), slice_rows):
+            product = squares[row:row + slice_rows]
+            if shape == 1:
+                rng.random(out=product)
+                np.subtract(1.0, product, out=product)
+            else:
+                uniforms = rng.random((len(product), 3, shape))
+                np.subtract(1.0, uniforms, out=uniforms)
+                np.multiply(uniforms[..., 0], uniforms[..., 1], out=product)
+                for factor in range(2, shape):
+                    product *= uniforms[..., factor]
+        np.log(squares, out=squares)
+        # Summed column by column, in the order of sum(axis=1), which reduces a short axis slowly.
+        squares /= (squares[:, 0] + squares[:, 1] + squares[:, 2])[:, None]
+        yield squares
 
 
 def _unit_trace_hermitian(mats) -> np.ndarray:

@@ -28,11 +28,11 @@ import numpy as np
 
 from . import protocol
 from .numerics import (
-    DIRICHLET_BLOCK,
     Ensemble,
     Povm,
     _valid_ensemble,
     classical_mutual_information,
+    dirichlet_blocks,
     trace_distance,
     xlog2,
 )
@@ -400,15 +400,22 @@ def _quarter_turn(alpha) -> np.ndarray:
     return alpha
 
 
+# Columns e_1 and e_2 of the rows of _example_vectors, before the 1/sqrt(2).
+_EXAMPLE_SIGNS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+
 def _example_vectors(alpha) -> np.ndarray:
     """Qutrit rows ``[..., 4, 3]``: ``cos alpha e_0 +- e_1`` and ``sin alpha e_0 +- e_2``.
 
     Each row is over sqrt(2).  Every alpha must lie in ``[0, pi/2]``.
     """
     alpha = _quarter_turn(alpha)
-    first = np.repeat(np.stack([np.cos(alpha), np.sin(alpha)], axis=-1), 2, axis=-1)
-    rest = np.array([1.0, -1.0, 1.0, -1.0])[:, None] * np.repeat(np.eye(3)[1:], 2, axis=0)
-    return (first[..., None] * np.eye(3)[0] + rest) / np.sqrt(2.0)
+    vectors = np.empty(alpha.shape + (4, 3))
+    vectors[..., :2, 0] = np.cos(alpha)[..., None]
+    vectors[..., 2:, 0] = np.sin(alpha)[..., None]
+    vectors[..., 1:] = _EXAMPLE_SIGNS
+    vectors /= np.sqrt(2.0)
+    return vectors
 
 
 def example1_elements(alpha) -> np.ndarray:
@@ -676,38 +683,9 @@ def max_holevo_sum_search() -> MaxHolevoSumResult:
                               constrained_max=constrained, unconstrained_max=unconstrained)
 
 
-# Rows of uniforms drawn at once by _haar_diagonals: a [rows, 3, 3] slice
-# holds no more values than a [DIRICHLET_BLOCK, 3] block.
-_UNIFORM_ROWS = DIRICHLET_BLOCK // 3
-
-
-def _haar_diagonals(rng: np.random.Generator, n: int):
-    """``n`` Dirichlet(3, 3, 3) rows, Erlang(3) triples over their sums, in ``DIRICHLET_BLOCK`` blocks.
-
-    Each entry is ``-log((1 - U1)(1 - U2)(1 - U3))`` of three uniforms, and
-    the uniforms are drawn row-major as ``[rows, 3, 3]``, ``_UNIFORM_ROWS``
-    rows at a time: the blocks concatenate to the rows of one draw
-    ``rng.random((n, 3, 3))`` and leave ``rng`` in the same state.  A row is
-    taken as its logarithms over their sum, which negating both leaves
-    exactly as it is.
-    """
-    for start in range(0, n, DIRICHLET_BLOCK):
-        squares = np.empty((min(DIRICHLET_BLOCK, n - start), 3))
-        for row in range(0, len(squares), _UNIFORM_ROWS):
-            uniforms = rng.random((min(_UNIFORM_ROWS, len(squares) - row), 3, 3))
-            np.subtract(1.0, uniforms, out=uniforms)
-            product = squares[row:row + len(uniforms)]
-            np.multiply(uniforms[..., 0], uniforms[..., 1], out=product)
-            product *= uniforms[..., 2]
-        np.log(squares, out=squares)
-        # Summed column by column, in the order of sum(axis=1), which reduces a short axis slowly.
-        squares /= (squares[:, 0] + squares[:, 1] + squares[:, 2])[:, None]
-        yield squares
-
-
 def _curve_blocks(rng: np.random.Generator, n: int):
-    """Each block of :func:`_haar_diagonals`, with its closed-form triple."""
-    for squares in _haar_diagonals(rng, n):
+    """Each block of Haar diagonals, Dirichlet(3, 3, 3) rows, with its closed-form triple."""
+    for squares in dirichlet_blocks(rng, 3, n):
         yield squares, _triple_from_squares(*squares.T)
 
 
@@ -770,25 +748,23 @@ def tradeoff_curve(n_samples: int, bin_width: float = 0.01,
     complex Gaussians over the kept qutrit, a Gamma(3) variable, so the
     normalized diagonal is Dirichlet(3, 3, 3).  Each squared modulus is an
     Exp(1) variable ``-log(1 - U)`` of a uniform U, so an entry is drawn as
-    the Erlang(3) variable ``-log((1 - U1)(1 - U2)(1 - U3))``.  The draw
-    stays finite: ``1 - U`` lies in (0, 1], so the product is at least
-    ``2**-159``, and an entry is 0 only if its three uniforms are (a row of
-    nine zero uniforms, the one 0/0, has probability ``2**-477``).  Its
-    closed-form Holevo triple is computed, and the per-bin maximum of
+    the Erlang(3) variable ``-log((1 - U1)(1 - U2)(1 - U3))`` by
+    :func:`numerics.dirichlet_blocks` at shape 3, which keeps it finite.
+    Its closed-form Holevo triple is computed, and the per-bin maximum of
     ``chi_y`` is recorded over left-closed bins ``[k*w, (k+1)*w)`` of
     ``max(chi_r, chi_yxr) <= 1``; a width ``w >= 2**-53`` keeps every ``k``
     an exact integer.  ``n_samples`` is an integer (Python or numpy, not
     bool) in [1, 2**63 - 1].
 
-    Samples go through in the blocks of :func:`_haar_diagonals`, drawn in
-    stream order, so the result is that of one draw of all samples, and
-    no block is kept.  While the ``floor(1/w) + 1`` bins that cover [0, 1]
-    number at most ``n_samples``, each block takes its per-bin maxima into
-    one dense array indexed by ``k``, grown to the largest ``k`` a block
-    reaches (``max(chi_r, chi_yxr)`` can round a few ulps above 1), so
-    memory is that of one block.  With more bins than samples, each
-    sample's ``k`` and ``chi_y`` are kept and the occupied bins are found
-    by one sort of the ``k`` instead.  Either way each bin holds the
+    Samples go through in the blocks of :func:`numerics.dirichlet_blocks`,
+    drawn in stream order, so the result is that of one draw of all
+    samples, and no block is kept.  While the ``floor(1/w) + 1`` bins that
+    cover [0, 1] number at most ``n_samples``, each block takes its per-bin
+    maxima into one dense array indexed by ``k``, grown to the largest
+    ``k`` a block reaches (``max(chi_r, chi_yxr)`` can round a few ulps
+    above 1), so memory is that of one block.  With more bins than samples,
+    each sample's ``k`` and ``chi_y`` are kept and the occupied bins are
+    found by one sort of the ``k`` instead.  Either way each bin holds the
     maximum of the same samples, so the bins are the same.
     """
     if (isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer))

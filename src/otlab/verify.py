@@ -95,7 +95,7 @@ def prop2(samples: int, seed: int) -> dict:
 def prop3(samples: int, seed: int) -> dict:
     """Binary-entropy tradeoff bounds over random amplitude triples.
 
-    Per block of Dirichlet triples, reduces the margins that
+    Per block of Dirichlet(1, 1, 1) triples, reduces the margins that
     :func:`security.tradeoff_bound_margins` gives on the rows where a bound
     applies: ``applicable`` counts (sample, anchor) pairs with a bound,
     ``min_margin`` is their smallest margin (null when there is none) and
@@ -103,7 +103,7 @@ def prop3(samples: int, seed: int) -> dict:
     """
     rng = substream_rng(seed, COMPONENTS["verify"], 3)
     applicable, min_margin, violations = 0, np.nan, 0
-    for squares in numerics.dirichlet_blocks(rng, [1.0, 1.0, 1.0], samples):
+    for squares in numerics.dirichlet_blocks(rng, 1, samples):
         triple = security._triple_from_squares(*squares.T)
         for rows, margins in security.tradeoff_bound_margins(*triple):
             applicable += rows.size

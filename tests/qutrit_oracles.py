@@ -24,3 +24,14 @@ def random_povm_elements(dim, n_elements, rng, real=False, rank=None):
 def random_povm(dim, n_elements, rng, real=False, rank=None) -> Povm:
     """The :class:`Povm` of :func:`random_povm_elements` (same draws)."""
     return Povm(random_povm_elements(dim, n_elements, rng, real, rank))
+
+
+def erlang_rows(rng, shape, n):
+    """``n`` Dirichlet(shape, shape, shape) rows from one draw of ``[n, 3, shape]`` uniforms.
+
+    ``numerics.dirichlet_blocks``'s draw, written as one call: each entry is
+    the Erlang(shape) variable ``-log((1 - U1)...(1 - Us))``, and each row is
+    divided by its sum.
+    """
+    gamma = -np.log((1.0 - rng.random((n, 3, shape))).prod(axis=2))
+    return gamma / gamma.sum(axis=1, keepdims=True)

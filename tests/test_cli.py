@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otlab import checksim, cli, protocol, security, verify
+from otlab import checksim, cli, numerics, protocol, security, verify
 
 
 def _module_env() -> dict:
@@ -105,7 +105,10 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["samples"] == samples
 
-    def test_prop3_without_applicable_bound_reports_null_margin(self, capsys):
+    def test_prop3_without_applicable_bound_reports_null_margin(self, capsys, monkeypatch):
+        # At squares (1, 0, 0) every chi is 0, so neither anchor's bound applies.
+        monkeypatch.setattr(numerics, "dirichlet_blocks",
+                            lambda rng, shape, n: iter([np.array([[1.0, 0.0, 0.0]])]))
         code, out, _ = _run(capsys, ["verify", "prop3", "--samples", "1", "--seed", "5"])
         assert code == 0
         report = json.loads(out)

@@ -33,7 +33,7 @@ from otlab.security import (
     tradeoff_bound_margins,
     tradeoff_curve,
 )
-from qutrit_oracles import projector, random_povm
+from qutrit_oracles import erlang_rows, projector, random_povm
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -58,16 +58,6 @@ def _haar_two_qutrit(rng, n):
 def _sent_diagonal(amps):
     """Diagonals ``[..., 3]`` of the sent qutrit's reduced operators: the squared triples."""
     return (np.abs(amps.reshape(amps.shape[:-1] + (3, 3))) ** 2).sum(axis=-2)
-
-
-def _erlang_diagonals(rng, n):
-    """``n`` normalized Erlang(3) triples from one draw of ``[n, 3, 3]`` uniforms.
-
-    The tradeoff curve's draw, written as one call: each entry is
-    ``-log((1 - U1)(1 - U2)(1 - U3))``, and each row is divided by its sum.
-    """
-    gamma = -np.log((1.0 - rng.random((n, 3, 3))).prod(axis=2))
-    return gamma / gamma.sum(axis=1, keepdims=True)
 
 
 def _returned_branches(amps):
@@ -739,26 +729,32 @@ class TestTradeoffCurve:
 
     def test_sampler_draws_dirichlet_diagonals(self):
         curve = tradeoff_curve(500, 0.01, np.random.default_rng(47))
-        squares = _erlang_diagonals(np.random.default_rng(47), 500)
+        squares = erlang_rows(np.random.default_rng(47), 3, 500)
         expected = np.column_stack(security._triple_from_squares(*squares.T))
         assert np.array_equal(curve.triples, expected)
         arg = int(np.argmax(expected[:, 0] + np.maximum(expected[:, 1], expected[:, 2])))
         assert curve.argmax == CheatParams.from_squares(*squares[arg])
 
-    def test_sampler_matches_haar_reduced_diagonal_law(self):
-        # Oracle: the reduced diagonals of full Haar two-qutrit states.  The exact
-        # law of each diagonal entry is Beta(3, 6), with E[a^2] = 1/3,
-        # E[a^4] = 2/15 and E[a^2 b^2] = 1/10.
+    @pytest.mark.parametrize("shape,a4,a2b2", [(1, 1 / 6, 1 / 12), (3, 2 / 15, 1 / 10)])
+    def test_sampler_matches_haar_reduced_diagonal_law(self, shape, a4, a2b2):
+        # Oracle: the sent qutrit's reduced diagonals of Haar states whose withheld
+        # part has dimension ``shape``: one qutrit for prop3's draw (shape 1), the
+        # curve's two-qutrit inputs (shape 3).  The exact law of each diagonal
+        # entry is Beta(shape, 2 shape), with E[a^2] = 1/3, E[a^4] = a4 and
+        # E[a^2 b^2] = a2b2.
         from scipy import stats
 
         rng = np.random.default_rng(48)
-        oracle = _sent_diagonal(_haar_two_qutrit(rng, 5000))
-        sampled = np.concatenate([squares for squares, _ in security._curve_blocks(rng, 20000)])
+        z = rng.normal(size=(5000, 2, 3 * shape))
+        amps = z[:, 0] + 1j * z[:, 1]
+        amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+        oracle = (np.abs(amps.reshape(-1, shape, 3)) ** 2).sum(axis=1)
+        sampled = np.concatenate(list(numerics.dirichlet_blocks(rng, shape, 20000)))
         for squares in (oracle, sampled):
             for col in range(3):
-                assert stats.kstest(squares[:, col], "beta", args=(3, 6)).pvalue > 1e-3
-            for values, exact in ((squares, 1 / 3), (squares ** 2, 2 / 15),
-                                  (squares * np.roll(squares, 1, axis=1), 1 / 10)):
+                assert stats.kstest(squares[:, col], "beta", args=(shape, 2 * shape)).pvalue > 1e-3
+            for values, exact in ((squares, 1 / 3), (squares ** 2, a4),
+                                  (squares * np.roll(squares, 1, axis=1), a2b2)):
                 sigma = values.std(axis=0) / np.sqrt(len(values))
                 assert np.all(np.abs(values.mean(axis=0) - exact) <= 5 * sigma)
 
@@ -766,12 +762,13 @@ class TestTradeoffCurve:
         n = 2 * numerics.DIRICHLET_BLOCK + 37
         rng, reference = np.random.default_rng(59), np.random.default_rng(59)
         squares = np.concatenate([squares for squares, _ in security._curve_blocks(rng, n)])
-        assert squares.tobytes() == _erlang_diagonals(reference, n).tobytes()
+        assert squares.tobytes() == erlang_rows(reference, 3, n).tobytes()
         assert rng.bit_generator.state == reference.bit_generator.state
         assert not np.isnan(squares).any() and squares.min() >= 0.0
         assert np.abs(squares.sum(axis=1) - 1.0).max() <= 4 * np.finfo(float).eps
 
-    def test_diagonal_blocks_hold_a_few_blocks_of_memory(self):
+    @pytest.mark.parametrize("shape", [1, 3])
+    def test_diagonal_blocks_hold_a_few_blocks_of_memory(self, shape):
         # The block the caller holds, the next one, a slice of uniforms no larger
         # and one temporary: one block's [8192, 3, 3] uniforms at once would
         # take three blocks alone.
@@ -779,25 +776,29 @@ class TestTradeoffCurve:
         rng = np.random.default_rng(60)
         tracemalloc.start()
         try:
-            for _ in security._haar_diagonals(rng, 2 * numerics.DIRICHLET_BLOCK):
+            for _ in numerics.dirichlet_blocks(rng, shape, 2 * numerics.DIRICHLET_BLOCK):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 5 * block_bytes, f"peak {peak / block_bytes:.1f} blocks"
 
-    def test_extreme_uniforms_give_finite_diagonals(self):
+    @pytest.mark.parametrize("shape", [1, 3])
+    def test_extreme_uniforms_give_finite_diagonals(self, shape):
         # The smallest and largest uniforms: 0, whose 1 - U is 1, and 1 - 2**-53.
+        # Each entry takes the last ``shape`` uniforms of its three.
         top = 1.0 - 2.0 ** -53
         rows = np.array([[[top] * 3] * 3,
                          [[0.0] * 3, [top] * 3, [top] * 3],
-                         [[0.0] * 3, [0.0, 0.0, top], [0.5] * 3]])
+                         [[0.0] * 3, [0.0, 0.0, top], [0.5] * 3]])[..., -shape:]
 
         class Extremes:
-            def random(self, shape):
-                return np.resize(rows, shape)
+            def random(self, size=None, out=None):
+                if out is None:
+                    return np.resize(rows, size)
+                out[...] = np.resize(rows, out.shape)
 
-        squares = next(security._haar_diagonals(Extremes(), 3))
+        squares = next(numerics.dirichlet_blocks(Extremes(), shape, 3))
         assert np.isfinite(squares).all() and squares.min() >= 0.0
         assert squares[0, 0] == squares[0, 1] == squares[0, 2] == pytest.approx(1 / 3, abs=1e-15)
         assert squares[1, 0] == 0.0 and squares[1, 1] == squares[1, 2] == 0.5
@@ -850,7 +851,7 @@ class TestTradeoffCurve:
     @classmethod
     def _one_shot(cls, n, width, rng):
         """Bins, triples, max sum and argmax from one draw of all samples: the reference."""
-        squares = _erlang_diagonals(rng, n)
+        squares = erlang_rows(rng, 3, n)
         triples = np.column_stack(security._triple_from_squares(*squares.T))
         sums = triples[:, 0] + np.maximum(triples[:, 1], triples[:, 2])
         arg = int(np.argmax(sums))
@@ -867,15 +868,15 @@ class TestTradeoffCurve:
     def test_both_bin_paths_equal_reference(self, monkeypatch, width, path):
         n_bins = int(np.floor(1.0 / width)) + 1
         n = n_bins - 1 if path == "sparse" else n_bins
-        blocks = security._haar_diagonals
+        blocks = security.dirichlet_blocks
 
-        def first_above_one(rng, size):
-            for index, block in enumerate(blocks(rng, size)):
+        def first_above_one(rng, shape, size):
+            for index, block in enumerate(blocks(rng, shape, size)):
                 if index == 0:
                     block[0] = self._ABOVE_ONE
                 yield block
 
-        monkeypatch.setattr(security, "_haar_diagonals", first_above_one)
+        monkeypatch.setattr(security, "dirichlet_blocks", first_above_one)
         sorts, unique = [], np.unique
 
         def counted_unique(*args, **kwargs):
@@ -906,7 +907,7 @@ class TestTradeoffCurve:
             np.zeros_like(a2), np.full_like(a2, 0.5), np.zeros_like(a2)))
         n = numerics.DIRICHLET_BLOCK + 3
         curve = tradeoff_curve(n, 0.01, np.random.default_rng(51))
-        first = _erlang_diagonals(np.random.default_rng(51), 1)[0]
+        first = erlang_rows(np.random.default_rng(51), 3, 1)[0]
         assert curve.argmax == CheatParams.from_squares(*first) and curve.max_sum == 0.5
         assert curve.bins == ((0.505, 0.0),)
 

@@ -2,28 +2,21 @@ import numpy as np
 import pytest
 
 from otlab import numerics, security, seeding, verify
+from qutrit_oracles import erlang_rows
 
 # Not a multiple of the block size, so the last block is short.
 N = 2 * numerics.DIRICHLET_BLOCK + 37
 
 
-class _Inflated:
-    """A generator whose Dirichlet rows are scaled by 1.6.
-
-    Many inflated rows break the tradeoff bounds, so the violation counts
-    of the block sweeps are not all zero.
-    """
-
-    def __init__(self, rng):
-        self.rng = rng
-
-    def dirichlet(self, alpha, size):
-        return 1.6 * self.rng.dirichlet(alpha, size=size)
+# Rows of prop3's sampler are scaled by this when inflated: many inflated rows
+# break the tradeoff bounds, so the violation counts are not all zero.
+_INFLATION = 1.6
 
 
 def _squares(seed, suite, inflate, n=N):
     rng = seeding.substream_rng(seed, seeding.COMPONENTS["verify"], suite)
-    return (_Inflated(rng) if inflate else rng).dirichlet([1.0, 1.0, 1.0], size=n)
+    squares = erlang_rows(rng, 1, n)
+    return _INFLATION * squares if inflate else squares
 
 
 def _nan_margins(chi_y, chi_r, chi_yxr):
@@ -55,8 +48,9 @@ def _prop3_one_shot(squares):
 @pytest.fixture(params=[False, True], ids=["dirichlet", "inflated"])
 def inflate(request, monkeypatch):
     if request.param:
-        monkeypatch.setattr(verify, "substream_rng",
-                            lambda *key: _Inflated(seeding.substream_rng(*key)))
+        blocks = numerics.dirichlet_blocks
+        monkeypatch.setattr(numerics, "dirichlet_blocks", lambda rng, shape, n: (
+            _INFLATION * squares for squares in blocks(rng, shape, n)))
     return request.param
 
 
