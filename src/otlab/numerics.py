@@ -27,8 +27,7 @@ __all__ = [
     "classical_mutual_information",
     "xlog2",
     "dirichlet_blocks",
-    "draw_povm_seeds",
-    "normalize_povm_seeds",
+    "draw_povm_block",
 ]
 
 NORM_ATOL = 1e-12
@@ -38,10 +37,11 @@ COMPLETENESS_ATOL = 1e-10
 # Eigenvalues in [EIG_FLOOR, 0] are numerical PSD drift and are clamped to 0
 # before logarithms; anything below the floor is rejected as unphysical.
 EIG_FLOOR = -1e-10
-# Rows per block of dirichlet_blocks, which both sampled sweeps (verify
-# prop3 and the tradeoff curve) draw through.  A block's [rows, 3] draw is
-# 192 KiB and each per-sample temporary 64 KiB, so a 100k-sample sweep works
-# on cache-sized arrays instead of a few dozen fresh 800 KB ones.
+# Rows per block of dirichlet_blocks, which every sampled sweep (verify
+# prop1, prop3 and lemma1, and the tradeoff curve) draws through.  A block's
+# [rows, 3] draw is 192 KiB and each per-sample temporary 64 KiB, so a
+# 100k-sample sweep works on cache-sized arrays instead of a few dozen fresh
+# 800 KB ones.
 DIRICHLET_BLOCK = 8192
 
 
@@ -462,46 +462,47 @@ def holevo(ensemble):
     return float(chi) if chi.ndim == 0 else chi
 
 
-def draw_povm_seeds(dim: int, n_elements: int, rng: np.random.Generator,
-                    real: bool = False, rank: int | None = None) -> tuple:
-    """The draws of a random POVM: seeds ``[n, dim, dim]`` and ``eigh`` of their sum.
+def draw_povm_block(rng: np.random.Generator, dim: int, sizes, real: bool = False,
+                    ranks=None) -> np.ndarray:
+    """Elements ``[s, N, dim, dim]`` of ``s`` random POVMs of ``sizes[s]`` elements each.
 
-    Each seed is a random PSD ``x x^dagger`` with ``x`` of shape
-    ``(dim, rank)`` (default rank: full); ``real=True`` draws real ``x``.
-    A draw whose sum is ill-conditioned is drawn again; if 100 draws in a row
-    are, the last one gets a multiple of the identity as one more seed, so
-    ``n = n_elements + 1``.  Gives ``(seeds, w, v)`` for
-    :func:`normalize_povm_seeds`.
+    A POVM's seeds are random PSD ``x x^dagger``, with ``x`` the first
+    ``ranks[i]`` columns (default: all) of a ``dim x dim`` Gaussian matrix,
+    real if ``real``, else a real part plus ``1j`` times an imaginary part.
+    The elements are the seeds conjugated by the inverse square root of
+    their sum, and past a POVM's own count they are exact zeros.  Each draw
+    is one ``rng.normal`` of ``[rows, max(sizes), 1 or 2, dim, dim]``: the
+    POVMs whose seeds' sum is ill-conditioned are drawn again as one batch.
+    One drawn so 100 times gets ``0.01 * w.max()`` times the identity as one
+    more seed, and then ``N = max(sizes) + 1``.
     """
-    rank = dim if rank is None else rank
-    if n_elements < 1:
-        raise ValueError("need at least one element")
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-    # Reject ill-conditioned frames so the normalized elements stay exact
-    # to machine precision (low-rank seeds can nearly miss a direction).
-    for _ in range(100):
-        # Per seed: its real part, then (if complex) its imaginary part.
-        z = rng.normal(size=(n_elements, 1 if real else 2, dim, rank))
-        x = z[:, 0] if real else z[:, 0] + 1j * z[:, 1]
-        seeds = x @ np.conj(np.swapaxes(x, -1, -2))
-        w, v = np.linalg.eigh(seeds.sum(axis=0))
-        if w.min() > 1e-3 * w.max():
+    sizes = np.asarray(sizes)
+    ranks = np.full(len(sizes), dim) if ranks is None else np.asarray(ranks)
+    if sizes.min(initial=1) < 1 or ranks.min(initial=1) < 1:
+        raise ValueError("need at least one element of rank >= 1 per POVM")
+    # Per POVM, its live Gaussian entries: the first sizes[i] seeds' first ranks[i] columns.
+    live = ((np.arange(sizes.max(initial=1)) < sizes[:, None])[:, :, None, None, None]
+            & (np.arange(dim) < ranks[:, None])[:, None, None, None, :])
+
+    def seeds_of(rows):
+        z = rng.normal(size=(len(rows), live.shape[1], 1 if real else 2, dim, dim)) * live[rows]
+        x = z[:, :, 0] if real else z[:, :, 0] + 1j * z[:, :, 1]
+        return x @ np.conj(np.swapaxes(x, -1, -2))
+
+    rows = np.arange(len(sizes))
+    seeds = seeds_of(rows)
+    w, v = np.linalg.eigh(seeds.sum(axis=1))
+    for draw in range(100):
+        # Reject ill-conditioned frames so the normalized elements stay exact
+        # to machine precision (low-rank seeds can nearly miss a direction).
+        rows = rows[w[rows, 0] <= 1e-3 * w[rows, -1]]
+        if rows.size == 0:
             break
-    else:
-        seeds = np.concatenate([seeds, [0.01 * float(w.max()) * np.eye(dim)]])
-        w, v = np.linalg.eigh(seeds.sum(axis=0))
-    return seeds, w, v
-
-
-def normalize_povm_seeds(seeds, w, v) -> np.ndarray:
-    """POVM elements ``[..., n, d, d]``: seeds conjugated by the inverse square root of their sum.
-
-    ``seeds[..., n, d, d]`` with ``w[..., d]``, ``v[..., d, d]`` the ``eigh``
-    of their sum, as :func:`draw_povm_seeds` gives them; leading axes stack
-    measurements of the same size, each normalized as it would be alone.
-    """
-    inv_sqrt = (v * (w[..., None, :] ** -0.5)) @ np.conj(np.swapaxes(v, -1, -2))
-    inv_sqrt = inv_sqrt[..., None, :, :]
+        if draw < 99:
+            seeds[rows] = seeds_of(rows)
+        else:
+            seeds = np.concatenate([seeds, np.zeros_like(seeds[:, :1])], axis=1)
+            seeds[rows, sizes[rows]] = 0.01 * w[rows, -1, None, None] * np.eye(dim)
+        w[rows], v[rows] = np.linalg.eigh(seeds[rows].sum(axis=1))
+    inv_sqrt = ((v * (w[:, None, :] ** -0.5)) @ np.conj(np.swapaxes(v, -1, -2)))[:, None]
     return (inv_sqrt @ seeds @ inv_sqrt).astype(complex, copy=False)
-

@@ -16,44 +16,36 @@ from . import numerics, security
 from .seeding import COMPONENTS, substream_rng
 
 
-# Samples per block of the prop1 and lemma1 sweeps.  A block's samples are
-# drawn one at a time, in stream order, and then evaluated in batched passes;
-# a long sweep holds one block's draws and arrays (a few MB), not all of them.
+# POVMs per block of the prop1 and lemma1 sweeps, and so part of their
+# stream definition: each block draws its POVM sizes (and lemma1's ranks),
+# then its amplitude rows, then its elements, and is evaluated in one pass.
+# A long sweep holds one block's draws and arrays (a few MB), not all of them.
 SAMPLE_BLOCK = 512
 
 
-def _povm_batches(rng: np.random.Generator, samples: int, draw):
-    """Random POVMs of ``samples`` calls of ``draw(rng)``, stacked by size.
+def _povm_blocks(rng: np.random.Generator, samples: int, block: int, triples: int, real: bool):
+    """Per block of up to ``block`` random qutrit POVMs, their elements and squared amplitudes.
 
-    ``draw`` makes one sample's draws and gives the ``(seeds, w, v)`` of
-    :func:`numerics.draw_povm_seeds` and an array of its other draws.  Per
-    block of up to ``SAMPLE_BLOCK`` samples and per POVM size ``n``, yields
-    the normalized elements ``[s, n, d, d]`` and the other draws stacked
-    ``[s, ...]``.  Stacks hold one size each, so every sample is evaluated
-    on arrays of the shapes it would have alone.
+    Yields elements ``[s, N, 3, 3]``, zero past each POVM's 3 to 7 outcomes
+    (see :func:`numerics.draw_povm_block`), and ``triples`` Dirichlet(1, 1, 1)
+    rows per POVM, ``[s, triples, 3]``.
     """
-    for start in range(0, samples, SAMPLE_BLOCK):
-        by_size = {}
-        for _ in range(min(SAMPLE_BLOCK, samples - start)):
-            povm, other = draw(rng)
-            by_size.setdefault(len(povm[0]), []).append((povm, other))
-        for group in by_size.values():
-            seeds, w, v = (np.stack(part) for part in zip(*(povm for povm, _ in group)))
-            yield (numerics.normalize_povm_seeds(seeds, w, v),
-                   np.stack([other for _, other in group]))
+    for start in range(0, samples, block):
+        s = min(block, samples - start)
+        sizes = rng.integers(3, 8, size=s)
+        # Rank-1 outcomes are the informative extreme; real (lemma1's) POVMs mix in full rank.
+        ranks = np.where(rng.random(s) < 0.5, 1, 3) if real else np.ones(s, dtype=int)
+        squares = np.concatenate(list(numerics.dirichlet_blocks(rng, 1, s * triples)))
+        yield (numerics.draw_povm_block(rng, 3, sizes, real, ranks),
+               squares.reshape(s, triples, 3))
 
 
 def prop1(samples: int, seed: int) -> dict:
     """Same-measurement information sums stay below one bit."""
-
-    def draw(rng):
-        squares = rng.dirichlet([1.0, 1.0, 1.0])
-        return numerics.draw_povm_seeds(3, int(rng.integers(3, 8)), rng, rank=1), squares
-
     rng = substream_rng(seed, COMPONENTS["verify"], 1)
-    # Rows come grouped by POVM size, not in sample order; the report does not depend on it.
-    info = np.concatenate([security.sign_state_information(elements, np.sqrt(squares))
-                           for elements, squares in _povm_batches(rng, samples, draw)])
+    info = np.concatenate([security.sign_state_information(elements, np.sqrt(squares[:, 0]))
+                           for elements, squares in _povm_blocks(rng, samples, SAMPLE_BLOCK,
+                                                                 1, real=False)])
     i_y, i_r, i_yxr = info.T
     margins = 1.0 - (i_y[:, None] + np.column_stack([i_r, i_yxr, np.maximum(i_r, i_yxr)]))
     return {"min_margin": float(margins.min()), "samples": samples,
@@ -122,17 +114,12 @@ def lemma1(samples: int, seed: int, params_per_povm: int = 10) -> dict:
     the sign state, or are not Hermitian and complete, and one more if its
     psd images are not a bona fide POVM.
     """
-
-    def draw(rng):
-        n_out = int(rng.integers(3, 8))
-        # Rank-1 outcomes are the informative extreme; mix them with full rank.
-        rank = 1 if rng.random() < 0.5 else 3
-        povm = numerics.draw_povm_seeds(3, n_out, rng, real=True, rank=rank)
-        return povm, rng.dirichlet([1.0, 1.0, 1.0], size=params_per_povm)
-
     rng = substream_rng(seed, COMPONENTS["verify"], 4)
+    # A block holds SAMPLE_BLOCK POVMs at the default 10 triples each, and
+    # about as many (POVM, triple) pairs at any other count.
+    block = max(1, SAMPLE_BLOCK * 10 // params_per_povm)
     max_dev, max_mi, violations = 0.0, 0.0, 0
-    for elements, squares in _povm_batches(rng, samples, draw):
+    for elements, squares in _povm_blocks(rng, samples, block, params_per_povm, real=True):
         amplitudes = np.sqrt(squares)                                   # [s, p, 3]
         exact = security.lemma1_images(elements, amplitudes, "exact")  # [s, p, n, 2, 2]
         probs2 = np.einsum("...pnjk,skj->...psn", exact, security.TETRAHEDRON).real
@@ -145,8 +132,11 @@ def lemma1(samples: int, seed: int, params_per_povm: int = 10) -> dict:
                                  | ~numerics.is_measurement(exact)))
         # The psd variant must always be a bona fide POVM.
         psd = security.lemma1_images(elements, amplitudes, "psd")
-        min_eig = np.linalg.eigvalsh(psd).min(axis=(-2, -1))
-        violations += int(np.sum((min_eig < numerics.EIG_FLOOR) | ~numerics.is_measurement(psd)))
+        # Zero elements have zero images, which pass: only the live ones are diagonalized.
+        live = np.broadcast_to(elements.any(axis=(-2, -1))[:, None], psd.shape[:3])
+        negative = np.zeros(live.shape, dtype=bool)                    # [s, p, n]
+        negative[live] = np.linalg.eigvalsh(psd[live])[:, 0] < numerics.EIG_FLOOR
+        violations += int(np.sum(negative.any(axis=-1) | ~numerics.is_measurement(psd)))
     return {"max_joint_mi": max_mi, "max_statistics_deviation": max_dev,
             "samples": samples, "violations": violations}
 

@@ -7,7 +7,7 @@ that collects both.
 
 import numpy as np
 
-from otlab.numerics import DensityOperator, Povm, draw_povm_seeds, normalize_povm_seeds
+from otlab.numerics import DensityOperator, Povm
 
 
 def projector(vec) -> DensityOperator:
@@ -17,8 +17,30 @@ def projector(vec) -> DensityOperator:
 
 
 def random_povm_elements(dim, n_elements, rng, real=False, rank=None):
-    """Elements ``[n, dim, dim]`` of a random measurement: ``draw_povm_seeds``, normalized."""
-    return normalize_povm_seeds(*draw_povm_seeds(dim, n_elements, rng, real, rank))
+    """Elements ``[n, dim, dim]`` of one random measurement, drawn on its own.
+
+    Each seed is a random PSD ``x x^dagger`` with ``x`` of shape
+    ``(dim, rank)`` (default rank: full); ``real=True`` draws real ``x``.
+    A draw whose sum is ill-conditioned is drawn again; if 100 draws in a row
+    are, the last one gets a multiple of the identity as one more seed, so
+    ``n = n_elements + 1``.  The seeds are conjugated by the inverse square
+    root of their sum.  The one-POVM form of ``numerics.draw_povm_block``'s
+    law.
+    """
+    rank = dim if rank is None else rank
+    for _ in range(100):
+        # Per seed: its real part, then (if complex) its imaginary part.
+        z = rng.normal(size=(n_elements, 1 if real else 2, dim, rank))
+        x = z[:, 0] if real else z[:, 0] + 1j * z[:, 1]
+        seeds = x @ np.conj(np.swapaxes(x, -1, -2))
+        w, v = np.linalg.eigh(seeds.sum(axis=0))
+        if w.min() > 1e-3 * w.max():
+            break
+    else:
+        seeds = np.concatenate([seeds, [0.01 * float(w.max()) * np.eye(dim)]])
+        w, v = np.linalg.eigh(seeds.sum(axis=0))
+    inv_sqrt = (v * (w ** -0.5)) @ np.conj(v.T)
+    return (inv_sqrt @ seeds @ inv_sqrt).astype(complex)
 
 
 def random_povm(dim, n_elements, rng, real=False, rank=None) -> Povm:

@@ -345,7 +345,9 @@ class TestChecksim:
 # re-recorded with 0.14.0 too, when trial order became the report's, and
 # with 0.17.0, when --out began writing cells with counts.  The two
 # protocol-3 pins off the joint table whose checks can fail were recorded with
-# 0.16.0, when that path became one binomial chain.  A refactor that moves no
+# 0.16.0, when that path became one binomial chain.  The lemma1 pin was
+# re-recorded with 0.20.0, when its POVMs began to be drawn a block at a
+# time.  A refactor that moves no
 # payload byte and no RNG stream keeps these; one that does bumps __version__
 # and re-records.
 _PAYLOAD_PINS = [
@@ -371,7 +373,7 @@ _PAYLOAD_PINS = [
     ("verify thm3 --seed 7",
      "b6971ba032f3223572425c5f954cb138b3ca7b9000f7402f5efd46612c313dcf"),
     ("verify lemma1 --samples 20 --seed 7",
-     "8ec15c00d6894bf246b74d01522d300f93a9c578b8a40741e586bfae7921700c"),
+     "8d5be36b95ca7d5b551a7e80aa32af4c056d32294900e012619d2f5f940093cb"),
     # The largest and smallest table jobs of the benchmark.
     ("table --x 1 --y 1 --n 1750 --seed 9191",
      "490c87988472b11450d5395063b4219eac00da7780ccd4e2598fb584bfc8acc7"),

@@ -558,56 +558,72 @@ class TestMeasurementStacks:
         assert verdicts.tolist() == [False] * 10 + [True] * 4
 
 
-class TestRandomPovm:
-    @pytest.mark.parametrize("rank", [0, -1])
-    def test_rank_below_one_rejected(self, rank):
+class TestDrawPovmBlock:
+    @pytest.mark.parametrize("sizes,ranks", [([4], [0]), ([4], [-1]), ([3, 0], None)])
+    def test_empty_povm_or_rank_below_one_rejected(self, sizes, ranks):
         with pytest.raises(ValueError, match="rank"):
-            numerics.draw_povm_seeds(3, 4, np.random.default_rng(0), rank=rank)
+            numerics.draw_povm_block(np.random.default_rng(0), 3, sizes, ranks=ranks)
 
     def test_valid_and_real_option(self):
         rng = np.random.default_rng(20)
         for real in (False, True):
-            povm = Povm(random_povm_elements(3, 5, rng, real=real))
-            total = sum(povm.elements)
-            assert np.allclose(total, np.eye(3), atol=1e-10)
-            if real:
-                assert all(np.abs(m.imag).max() < 1e-15 for m in povm.elements)
+            elements = numerics.draw_povm_block(rng, 3, [5, 3, 7], real=real)
+            for povm, n in zip(elements, (5, 3, 7)):
+                povm = Povm(povm[:n])
+                assert np.allclose(sum(povm.elements), np.eye(3), atol=1e-10)
+                if real:
+                    assert np.abs(povm.elements.imag).max() < 1e-15
 
     @pytest.mark.parametrize("real", [False, True])
-    @pytest.mark.parametrize("dim,n_elements,rank,n_out", [
-        (3, 5, None, 5),    # full rank
-        (3, 4, 1, 4),       # rank 1, occasionally rejected and redrawn
-        (2, 3, 1, 3),
-        # Two rank-1 seeds never span 3 dims: the fallback adds an identity element.
-        (3, 2, 1, 3),
+    @pytest.mark.parametrize("dim,sizes,ranks,counts", [
+        (3, [5, 3, 7, 4, 6, 3], [3, 1, 1, 3, 1, 1], [5, 3, 7, 4, 6, 3]),
+        (2, [3, 3, 4], [1, 1, 2], [3, 3, 4]),
+        # Three rank-1 seeds in 3 dims are often ill-conditioned, and redrawn.
+        (3, [3] * 100, [1] * 100, [3] * 100),
+        # Two rank-1 seeds never span 3 dims: the fallback adds an identity
+        # element to those POVMs only, and one zero element to the others.
+        (3, [2, 5, 2, 4], [1, 3, 1, 1], [3, 5, 3, 4]),
     ])
-    def test_elements_match_validated_povm(self, real, dim, n_elements, rank, n_out):
-        for seed in range(20):
-            elements = random_povm_elements(dim, n_elements, np.random.default_rng(seed),
-                                      real=real, rank=rank)
-            povm = Povm(elements)
-            reference = _per_seed_random_povm(dim, n_elements, np.random.default_rng(seed),
-                                              real=real, rank=rank)
-            assert elements.shape == (n_out, dim, dim) and elements.dtype == complex
-            assert np.array_equal(elements, np.stack(povm.elements))
-            assert np.array_equal(elements, reference)
+    def test_elements_match_per_povm_reference(self, real, dim, sizes, ranks, counts):
+        for seed in range(10):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            elements = numerics.draw_povm_block(rng, dim, sizes, real, ranks)
+            reference = _per_povm_block_reference(ref_rng, dim, sizes, real, ranks)
+            assert elements.dtype == complex
+            # A fallback anywhere in the block gives every POVM one more slot.
+            assert elements.shape == (len(sizes), max(sizes) + (counts != sizes), dim, dim)
+            for povm, want, n in zip(elements, reference, counts):
+                assert len(want) == n and np.all(povm[n:] == 0.0)
+                assert np.abs(povm[:n] - want).max() <= 1e-12
+                Povm(povm[:n])
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def _per_seed_random_povm(dim, n_elements, rng, real, rank):
-    """Draw-by-draw reference: one seed at a time, its real then its imaginary part."""
-    rank = dim if rank is None else rank
+def _per_povm_block_reference(rng, dim, sizes, real, ranks):
+    """Each POVM of a ``draw_povm_block`` block, built from its own Gaussians: the reference.
+
+    Draws as the block does, one ``[rows, max(sizes), 1 or 2, dim, dim]``
+    array per draw of the POVMs still ill-conditioned, in POVM order, and
+    takes each POVM's first ``sizes[i]`` seeds' first ``ranks[i]`` columns.
+    Gives each POVM's elements ``[n, dim, dim]``, unpadded.
+    """
+    drawn, pending = [None] * len(sizes), list(range(len(sizes)))
     for _ in range(100):
-        seeds = []
-        for _ in range(n_elements):
-            x = rng.normal(size=(dim, rank))
-            if not real:
-                x = x + 1j * rng.normal(size=(dim, rank))
-            seeds.append(x @ x.conj().T)
-        w, v = np.linalg.eigh(sum(seeds))
-        if w.min() > 1e-3 * w.max():
+        z = rng.normal(size=(len(pending), max(sizes), 1 if real else 2, dim, dim))
+        for row, i in zip(z, pending):
+            x = row[:sizes[i], :, :, :ranks[i]]
+            x = x[:, 0] if real else x[:, 0] + 1j * x[:, 1]
+            seeds = [g @ g.conj().T for g in x]
+            drawn[i] = seeds, np.linalg.eigvalsh(sum(seeds))
+        pending = [i for i in pending if not drawn[i][1].min() > 1e-3 * drawn[i][1].max()]
+        if not pending:
             break
-    else:
-        seeds.append(0.01 * float(w.max()) * np.eye(dim))
+    for i in pending:
+        seeds, w = drawn[i]
+        drawn[i] = seeds + [0.01 * float(w.max()) * np.eye(dim)], None
+    elements = []
+    for seeds, _ in drawn:
         w, v = np.linalg.eigh(sum(seeds))
-    inv_sqrt = (v * (w ** -0.5)) @ v.conj().T
-    return np.stack([inv_sqrt @ g @ inv_sqrt for g in seeds]).astype(complex)
+        inv_sqrt = (v * (w ** -0.5)) @ v.conj().T
+        elements.append(np.stack([inv_sqrt @ g @ inv_sqrt for g in seeds]).astype(complex))
+    return elements

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.stats
 
 from otlab import numerics, security, seeding, verify
 from qutrit_oracles import erlang_rows
@@ -123,10 +124,10 @@ def test_prop2_counts_a_misplaced_locus(monkeypatch):
 class _Degenerate:
     """A generator whose Gaussian draws number ``bad`` (counted from 0) lose a coordinate.
 
-    Zeroing every seed's last row makes the seeds' sum singular, so
-    ``draw_povm_seeds`` rejects that draw as ill-conditioned and draws
-    again; 100 such draws in a row end in the identity element.  Every
-    other call goes to the wrapped generator, so the stream is the same.
+    Zeroing the last row of the first POVM's seeds makes their sum
+    singular, so ``draw_povm_block`` rejects that POVM and draws it again,
+    first in its batch of redrawn POVMs; 100 such draws in a row end in an
+    identity element.  Every other call goes to the wrapped generator.
     """
 
     def __init__(self, rng, bad=()):
@@ -135,7 +136,7 @@ class _Degenerate:
     def normal(self, size):
         z = self.rng.normal(size=size)
         if self.normal_calls in self.bad:
-            z[..., -1, :] = 0.0
+            z[0, ..., -1, :] = 0.0
         self.normal_calls += 1
         return z
 
@@ -143,61 +144,73 @@ class _Degenerate:
         return getattr(self.rng, name)
 
 
-def _prop1_per_sample(rng, samples):
-    """The prop1 report, each sample drawn and evaluated in turn: the reference.
+# Per suite: its substream index, whether its POVMs are real, and its POVMs per block.
+_SUITES = {"prop1": (1, False, lambda triples: verify.SAMPLE_BLOCK),
+           "lemma1": (4, True, lambda triples: max(1, verify.SAMPLE_BLOCK * 10 // triples))}
 
-    Also gives each POVM's requested and actual element counts.
+
+def _drawn_blocks(rng, suite, samples, triples):
+    """The suite's blocks, drawn here call by call: sizes, elements and squares per block.
+
+    Per block: the POVM sizes, lemma1's ranks, the amplitude rows (by the
+    one-call reference ``erlang_rows``), then the elements.
     """
-    info, sizes = np.empty((samples, 3)), []
-    for i in range(samples):
-        amplitudes = np.sqrt(rng.dirichlet([1.0, 1.0, 1.0]))
-        n_out = int(rng.integers(3, 8))
-        elements = numerics.normalize_povm_seeds(*numerics.draw_povm_seeds(3, n_out, rng, rank=1))
-        info[i] = security.sign_state_information(elements, amplitudes)
-        sizes.append((n_out, len(elements)))
+    _, real, block = _SUITES[suite]
+    for start in range(0, samples, block(triples)):
+        s = min(block(triples), samples - start)
+        sizes = rng.integers(3, 8, size=s)
+        ranks = np.where(rng.random(s) < 0.5, 1, 3) if real else np.ones(s, dtype=int)
+        squares = erlang_rows(rng, 1, s * triples).reshape(s, triples, 3)
+        yield sizes, numerics.draw_povm_block(rng, 3, sizes, real, ranks), squares
+
+
+def _live(povm):
+    """A POVM's elements ``[N, 3, 3]`` without its zero padding."""
+    return povm[povm.any(axis=(-2, -1))]
+
+
+def _prop1_per_povm(blocks, samples):
+    """The prop1 report, each POVM of the drawn blocks evaluated alone: the reference."""
+    info = np.array([security.sign_state_information(_live(povm), np.sqrt(squares[0]))
+                     for _, elements, block_squares in blocks
+                     for povm, squares in zip(elements, block_squares)])
     i_y, i_r, i_yxr = info.T
     margins = 1.0 - (i_y[:, None] + np.column_stack([i_r, i_yxr, np.maximum(i_r, i_yxr)]))
     return {"min_margin": float(margins.min()), "samples": samples,
-            "violations": int(np.any(margins < -1e-9, axis=1).sum())}, sizes
+            "violations": int(np.any(margins < -1e-9, axis=1).sum())}
 
 
-def _lemma1_per_sample(rng, samples, params_per_povm=10):
-    """The lemma1 report, each POVM drawn and evaluated in turn: the reference.
-
-    Also gives each POVM's requested and actual element counts.
-    """
-    max_dev, max_mi, violations, sizes = 0.0, 0.0, 0, []
-    for _ in range(samples):
-        n_out = int(rng.integers(3, 8))
-        rank = 1 if rng.random() < 0.5 else 3
-        elements = numerics.normalize_povm_seeds(
-            *numerics.draw_povm_seeds(3, n_out, rng, real=True, rank=rank))
-        amplitudes = np.sqrt(rng.dirichlet([1.0, 1.0, 1.0], size=params_per_povm))
-        exact = security.lemma1_images(elements, amplitudes, "exact")
-        probs2 = np.einsum("pnjk,skj->psn", exact, security.TETRAHEDRON).real
-        dev = np.abs(security.sign_state_probabilities(elements, amplitudes) - probs2).max(
-            axis=(1, 2))
-        joint_mi = numerics.classical_mutual_information(0.25 * probs2)
-        max_dev = max(max_dev, float(dev.max()))
-        max_mi = max(max_mi, float(joint_mi.max()))
-        violations += int(np.sum((dev > 1e-10) | (joint_mi > 1.0 + 1e-9)
-                                 | ~numerics.is_measurement(exact)))
-        psd = security.lemma1_images(elements, amplitudes, "psd")
-        min_eig = np.linalg.eigvalsh(psd).min(axis=(1, 2))
-        violations += int(np.sum((min_eig < numerics.EIG_FLOOR) | ~numerics.is_measurement(psd)))
-        sizes.append((n_out, len(elements)))
+def _lemma1_per_povm(blocks, samples):
+    """The lemma1 report, each POVM of the drawn blocks evaluated alone: the reference."""
+    max_dev, max_mi, violations = 0.0, 0.0, 0
+    for _, elements, block_squares in blocks:
+        for povm, squares in zip(elements, block_squares):
+            povm, amplitudes = _live(povm), np.sqrt(squares)
+            exact = security.lemma1_images(povm, amplitudes, "exact")
+            probs2 = np.einsum("pnjk,skj->psn", exact, security.TETRAHEDRON).real
+            dev = np.abs(security.sign_state_probabilities(povm, amplitudes) - probs2).max(
+                axis=(1, 2))
+            joint_mi = numerics.classical_mutual_information(0.25 * probs2)
+            max_dev = max(max_dev, float(dev.max()))
+            max_mi = max(max_mi, float(joint_mi.max()))
+            violations += int(np.sum((dev > 1e-10) | (joint_mi > 1.0 + 1e-9)
+                                     | ~numerics.is_measurement(exact)))
+            psd = security.lemma1_images(povm, amplitudes, "psd")
+            min_eig = np.linalg.eigvalsh(psd).min(axis=(1, 2))
+            violations += int(np.sum((min_eig < numerics.EIG_FLOOR)
+                                     | ~numerics.is_measurement(psd)))
     return {"max_joint_mi": max_mi, "max_statistics_deviation": max_dev,
-            "samples": samples, "violations": violations}, sizes
+            "samples": samples, "violations": violations}
 
 
-_PER_SAMPLE = {"prop1": (1, _prop1_per_sample), "lemma1": (4, _lemma1_per_sample)}
+_PER_POVM = {"prop1": _prop1_per_povm, "lemma1": _lemma1_per_povm}
 
 
-def _batched_and_per_sample(monkeypatch, suite, samples, seed, bad=()):
-    """The suite's and the reference's report and final generator state.
+def _suite_and_per_povm(monkeypatch, suite, samples, seed, bad=(), triples=10):
+    """The suite's report and the per-POVM reference's on the same drawn blocks.
 
-    Also gives the reference's element counts and its number of Gaussian
-    draws, which the suite must have made too.
+    Both run on a ``_Degenerate`` of the suite's substream.  Also gives the
+    drawn blocks and whether both left their generators in the same state.
     """
     used = []
 
@@ -206,32 +219,102 @@ def _batched_and_per_sample(monkeypatch, suite, samples, seed, bad=()):
         return used[-1]
 
     monkeypatch.setattr(verify, "substream_rng", rng_of)
-    report = verify.SUITES[suite](samples, seed)
-    index, reference = _PER_SAMPLE[suite]
-    rng = _Degenerate(seeding.substream_rng(seed, seeding.COMPONENTS["verify"], index), bad)
-    want, sizes = reference(rng, samples)
-    assert used[0].normal_calls == rng.normal_calls
-    return ((report, used[0].rng.bit_generator.state), (want, rng.rng.bit_generator.state),
-            sizes, rng.normal_calls)
+    kwargs = {"params_per_povm": triples} if suite == "lemma1" else {}
+    report = verify.SUITES[suite](samples, seed, **kwargs)
+    rng = _Degenerate(seeding.substream_rng(seed, seeding.COMPONENTS["verify"], _SUITES[suite][0]),
+                      bad)
+    blocks = list(_drawn_blocks(rng, suite, samples, triples if suite == "lemma1" else 1))
+    same_state = used[0].rng.bit_generator.state == rng.rng.bit_generator.state
+    return report, _PER_POVM[suite](blocks, samples), blocks, same_state
+
+
+def _assert_reports_match(got, want):
+    """Counts equal and floats within 1e-12: padding moves only the last bits of sums."""
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, float):
+            assert got[key] == pytest.approx(value, rel=0.0, abs=1e-12), key
+        else:
+            assert got[key] == value, key
 
 
 @pytest.mark.parametrize("block", [verify.SAMPLE_BLOCK, 7])
-@pytest.mark.parametrize("suite,samples,seed", [
-    ("prop1", 60, 5), ("prop1", 60, 2024), ("lemma1", 25, 7), ("lemma1", 25, 11)])
-def test_batched_sweep_equals_per_sample_reference(monkeypatch, block, suite, samples, seed):
+@pytest.mark.parametrize("suite,samples,seed,triples", [
+    ("prop1", 60, 5, 1), ("prop1", 60, 2024, 1), ("lemma1", 25, 7, 10), ("lemma1", 25, 11, 10),
+    ("lemma1", 25, 11, 3)])
+def test_block_sweep_equals_per_povm_reference(monkeypatch, block, suite, samples, seed, triples):
     monkeypatch.setattr(verify, "SAMPLE_BLOCK", block)
-    got, want, sizes, _ = _batched_and_per_sample(monkeypatch, suite, samples, seed)
-    assert got == want
-    assert {size for _, size in sizes} == {3, 4, 5, 6, 7}
+    got, want, blocks, same_state = _suite_and_per_povm(monkeypatch, suite, samples, seed,
+                                                         triples=triples)
+    _assert_reports_match(got, want)
+    assert same_state
+    sizes = np.concatenate([block_sizes for block_sizes, _, _ in blocks])
+    assert len(sizes) == samples and set(sizes) == {3, 4, 5, 6, 7}
 
 
 @pytest.mark.parametrize("suite", ["prop1", "lemma1"])
-@pytest.mark.parametrize("bad", [(9,), range(9, 109)], ids=["redrawn", "identity-element"])
-def test_ill_conditioned_draw_is_redrawn_in_stream_order(monkeypatch, suite, bad):
-    *_, clean_calls = _batched_and_per_sample(monkeypatch, suite, 20, 3)
-    got, want, sizes, calls = _batched_and_per_sample(monkeypatch, suite, 20, 3, bad)
-    assert got == want
-    assert calls >= clean_calls + 1
-    # 100 ill-conditioned draws in a row give one POVM an identity element more.
-    grown = sum(size == n_out + 1 for n_out, size in sizes)
-    assert grown == (len(bad) == 100) and all(size - n_out in (0, 1) for n_out, size in sizes)
+@pytest.mark.parametrize("bad", [(0,), range(100)], ids=["redrawn", "identity-element"])
+def test_ill_conditioned_povm_is_redrawn(monkeypatch, suite, bad):
+    got, want, blocks, same_state = _suite_and_per_povm(monkeypatch, suite, 20, 3, bad)
+    _assert_reports_match(got, want)
+    assert same_state and got["violations"] == 0
+    (sizes, elements, _), = blocks
+    # The first POVM's singular draws were all rejected: the last draw is
+    # valid, and it has an identity element more only after 100 of them.
+    assert numerics.is_measurement(elements[0])
+    grown = elements.any(axis=(-2, -1)).sum(axis=1) - sizes
+    assert grown.tolist() == [len(bad) == 100] + [0] * (len(sizes) - 1)
+
+
+def test_povm_block_law():
+    rng = np.random.default_rng(4040)
+    # POVM sizes are uniform on 3..7 for both suites; lemma1's ranks are 1 or 3 with equal odds.
+    for suite, samples in (("prop1", 10_000), ("lemma1", 10_000)):
+        sizes, ranks = [], []
+        for elements, _ in verify._povm_blocks(rng, samples, verify.SAMPLE_BLOCK, 1,
+                                               real=_SUITES[suite][1]):
+            live = elements.any(axis=(-2, -1))
+            sizes.append(live.sum(axis=1))
+            eigs = np.linalg.eigvalsh(elements[:, 0])
+            ranks.append(np.where(eigs[:, 1] < 1e-9 * eigs[:, 2], 1, 3))
+        counts = np.bincount(np.concatenate(sizes), minlength=8)[3:]
+        assert counts.sum() == samples
+        assert scipy.stats.chisquare(counts).pvalue > 1e-3
+        ranks = np.concatenate(ranks)
+        if suite == "prop1":
+            assert np.all(ranks == 1)
+        else:
+            assert abs(np.mean(ranks == 1) - 0.5) <= 5.0 * np.sqrt(0.25 / samples)
+    # Each element of an n-outcome POVM has mean trace d / n, real or
+    # complex, at ranks 1 and 3; padding changes no information.
+    for real in (False, True):
+        for rank in (1, 3):
+            sizes = rng.integers(3, 8, size=5000)
+            elements = numerics.draw_povm_block(rng, 3, sizes, real, np.full(5000, rank))
+            traces = np.trace(elements, axis1=-2, axis2=-1).real
+            for n in range(3, 8):
+                povms = traces[sizes == n, :n]
+                se = povms.std(axis=0) / np.sqrt(len(povms))
+                assert np.all(np.abs(povms.mean(axis=0) - 3.0 / n) <= 5.0 * se)
+            amplitudes = np.sqrt(erlang_rows(rng, 1, 5000))
+            padded = security.sign_state_information(elements, amplitudes)
+            live = np.array([security.sign_state_information(_live(povm), amps)
+                             for povm, amps in zip(elements, amplitudes)])
+            assert np.abs(padded - live).max() <= 1e-15
+
+
+def test_negative_psd_image_is_a_violation(monkeypatch):
+    # A traceless shift between two live elements keeps the psd images
+    # Hermitian and complete, so only the eigenvalue check can count it.
+    kernel, shift = security.lemma1_images, np.diag([2.0, -2.0])
+
+    def negative(elements, amplitudes, variant="exact"):
+        images = kernel(elements, amplitudes, variant)
+        if variant == "psd":
+            images[..., 0, :, :] += shift
+            images[..., 1, :, :] -= shift
+        return images
+
+    monkeypatch.setattr(security, "lemma1_images", negative)
+    for triples in (10, 3):
+        assert verify.lemma1(25, 11, params_per_povm=triples)["violations"] == 25 * triples
