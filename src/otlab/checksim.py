@@ -23,11 +23,11 @@ with probability 3/4 whatever the verdicts.  Instances are i.i.d., so a
 trial needs only its sufficient statistics: the number J of labels both
 sides check, Bob's failures ``U ~ Bin(J, p_b)`` on them, Alice's ``Bin(U,
 q)`` with ``q = p_a / p_b``, and each side's failures on its own labels.
-Runs draw this chain, as multinomial histograms of its exact law or one
-binomial per link and trial, and :func:`exact_law` sums it.  The trials of
-a run are exchangeable, so their order carries nothing and none is drawn: a
-:class:`CheckReport` is the run's histogram, its drawn cells with their
-counts, and writes each cell once.
+:func:`exact_law` sums this chain; a run draws it as two links, ``(J, F_b)``
+over ``h(J) Bin(k_b, p_b)``, then ``F_a`` over the ``(J, F_b)`` cell's row of
+the joint table, as histograms or one value per trial (a link of one value
+draws nothing).  Trials are exchangeable, so none is ordered: a
+:class:`CheckReport` is the run's histogram, its distinct cells with counts.
 :func:`simulate_instances` draws whole instances from the pair's exact
 joint distribution over all per-instance classical values
 (:func:`_instance_table`), the oracle of the verdicts and of the
@@ -435,19 +435,27 @@ def _within(k: int, p: float, t: int, n: int) -> np.ndarray:
     return np.cumsum(_binomial_pmf(k, p)[:t + 1])[np.minimum(t - np.arange(n), k)]
 
 
+_NONE_SHARED = (np.broadcast_to(np.int64(0), (1,)), np.broadcast_to(1.0, (1,)))   # read-only
+
+
+@lru_cache(maxsize=8)
 def _shared_pmf(m: int, k_a: int, k_b: int) -> tuple:
     """Support and probabilities of ``J ~ Hypergeometric(k_a, m - k_a, k_b)``.
 
     From the ratios ``pmf(j + 1) / pmf(j) = (k_a - j)(k_b - j) / ((j + 1)(m - k_a
     - k_b + j + 1))``, each factor an exact int64 while ``m`` fits in int64;
-    past it, ``m - k_a - k_b + j + 1`` is summed in float.
+    past it, ``m - k_a - k_b + j + 1`` is summed in float.  Cached, read-only.
     """
+    if not (k_a and k_b):   # a side that checks no label shares none, whatever m
+        return _NONE_SHARED
     low = max(0, k_a + k_b - m)
     shared = low + np.arange(min(k_a, k_b) - low + 1)   # np.arange(low, 2**63) is float64
     j = shared[:-1]
     first = max(m - k_a - k_b + 1, 1)   # m - k_a - k_b + low + 1, at most m
     rest = (first if m <= _INT64_MAX else float(first)) + np.arange(len(j))
-    return shared, _from_ratios((k_a - j) / (j + 1.0) * ((k_b - j) / rest))
+    weights = _from_ratios((k_a - j) / (j + 1.0) * ((k_b - j) / rest))
+    shared.flags.writeable = weights.flags.writeable = False
+    return shared, weights
 
 
 @dataclass(frozen=True)
@@ -474,10 +482,11 @@ def exact_law(config: CheckConfig, alice: AliceStrategy,
     """Exact law of :func:`run_protocol3`, or of :func:`run_protocol2` without ``bob``.
 
     Protocol 2 is protocol 3 with an honest receiver who is never checked.
-    Per J shared labels, it sums the chain the runs draw (:func:`_joint_table`)
-    over passing counts only: ``Bin(J, p_b)`` times the chance that Bob's own
-    labels fail at most ``t_b - u``, then the ``[u, s]`` thinning ``Bin(u, q)``,
-    then the chance that Alice's own fail at most ``t_a - s``.
+    Per J shared labels, it sums the chain over passing counts only:
+    ``Bin(J, p_b)`` times the chance that Bob's own labels fail at most ``t_b
+    - u``, then the ``[u, s]`` thinning ``Bin(u, q)``, then the chance that
+    Alice's own fail at most ``t_a - s``.  It never builds the runs' two
+    links of :func:`_joint_table`, so it is their independent oracle.
     """
     if bob is None:
         config, bob = replace(config, k_alice=0, threshold_alice=0), BobStrategy.honest()
@@ -485,8 +494,7 @@ def exact_law(config: CheckConfig, alice: AliceStrategy,
     m, k_b, k_a = config.m, config.k_bob, config.k_alice
     t_b = min(config.resolved_threshold("bob"), k_b)
     t_a = min(config.resolved_threshold("alice"), k_a)
-    # A side that checks no label shares none, as in a run (and m may pass int64).
-    shared, weights = _shared_pmf(m, k_a, k_b) if k_a and k_b else (np.zeros(1, int), np.ones(1))
+    shared, weights = _shared_pmf(m, k_a, k_b)
     top = min(int(shared.max()), t_b)   # Bob passes only with u <= t_b, Alice with s <= t_a
     thinning = _binomial_pmf(np.arange(top + 1), _thinning_rate(p_b, p_a))[:, :t_a + 1]
     passed = np.zeros(len(shared))
@@ -528,9 +536,8 @@ class CheckReport:
     histogram as it was drawn: its cells, each with the side's failure count
     (``drawn_failures``) and the number of delivered (unchecked,
     non-aborted) tables (``drawn_delivered``), and the number of trials in
-    each (``counts``), with its side's geometry.  A run drawn one trial at a
-    time merges its equal trials (:func:`_merged`), so it has one cell per
-    distinct value drawn.  :meth:`summary`,
+    each (``counts``), with its side's geometry; no two cells read alike
+    (:func:`_merged`).  :meth:`summary`,
     ``trials``, ``abort_probability`` and ``mean_failures`` read the counts,
     and :meth:`to_dict` writes each cell once, with its count: a cell aborts
     with more failures than ``threshold``, and its failure-rate estimate
@@ -616,82 +623,58 @@ class CheckReport:
 
 
 def _iid(rng, support: np.ndarray, pmf: np.ndarray, trials: int) -> tuple:
-    """``trials`` i.i.d. draws of ``pmf`` over ``support``, as cells and counts.
-
-    Drawn as their multinomial histogram: returns the values drawn and the
-    number of trials at each, in support order, so every cell holds a trial.
-    The same law as one draw per trial up to the order of the trials, which
-    carries nothing, for one binomial draw per support value.
-    """
+    """``trials`` i.i.d. draws of ``pmf`` over ``support``, as their multinomial histogram:
+    the values drawn and the trials at each, in support order (trials' order carries nothing)."""
+    if len(pmf) == 1:   # one value: nothing is drawn
+        return support, np.array([trials], dtype=np.int64)
     counts = rng.multinomial(trials, pmf / pmf.sum())
     occupied = np.flatnonzero(counts)
     return support[occupied], counts[occupied]
 
 
-def _broadcast(value: int, size: int) -> np.ndarray:
-    """``size`` copies of the int64 ``value``, a read-only view of one element.
+def _merged(columns, counts=None) -> tuple:
+    """Rows of int64 ``columns`` as cells: each distinct row once, sorted, with its trials.
 
-    Draws made one per trial count once each, as ``_broadcast(1, trials)``.
-    """
-    return np.ndarray((size,), np.int64, np.int64(value).tobytes(), strides=(0,))
-
-
-def _merged(*columns) -> tuple:
-    """Per-trial int64 ``columns`` as cells: each distinct row once, sorted, with its trials.
-
-    What ``np.unique(..., axis=0, return_counts=True)`` of the stacked
-    columns gives, by one ``lexsort``: a few times faster than its sort of
-    whole rows as opaque bytes.
-    """
-    cells = np.stack(columns)[:, np.lexsort(columns[::-1])]
-    first = np.ones(cells.shape[1], dtype=bool)
-    first[1:] = (cells[:, 1:] != cells[:, :-1]).any(axis=0)
-    starts = np.flatnonzero(first)
-    return (*cells[:, starts], np.diff(starts, append=cells.shape[1]))
-
-
-def _binomial_cells(rng, n: int, p: float, trials: int) -> tuple:
-    """``trials`` independent ``Bin(n, p)`` draws of one count ``n``, as cells and counts.
-
-    Nothing is drawn when ``p`` is 0 or 1 or ``n`` is 0: one cell holds every
-    trial, and a count of ``n`` failures past int64 raises OverflowError, as a
-    draw would.  A support, ``n + 1`` values, that fits in the trials is drawn
-    by :func:`_iid`; a larger one is drawn one per trial, and equal draws
-    share a cell.
-    """
-    if not (0.0 < p < 1.0 and n != 0):
-        return np.full(1, n * int(p >= 1.0), dtype=np.int64), np.full(1, trials, dtype=np.int64)
-    if n < trials:
-        return _iid(rng, np.arange(n + 1), _binomial_pmf(n, p), trials)
-    return _merged(rng.binomial(n, p, trials))
+    A row holds one trial, or ``counts[i]``; a scalar column is one value for every
+    row, returned as it is.  Sorted by flat index: a few times faster than a lexsort."""
+    keys = [column for column in columns if np.ndim(column)]
+    try:   # each row's index in the grid of the columns' ranges
+        flat = np.ravel_multi_index(keys, [int(key.max()) + 1 for key in keys])
+    except ValueError:   # a grid past int64: each row's rank among the distinct rows
+        flat = np.unique(np.stack(keys), axis=1, return_inverse=True)[1].ravel()
+    order = np.argsort(flat, kind="stable")
+    flat = flat[order]
+    new = np.ones(len(flat), dtype=bool)   # each row that starts a cell, in sorted order
+    np.not_equal(flat[1:], flat[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    counts = (np.diff(starts, append=len(flat)) if counts is None
+              else np.add.reduceat(counts[order], starts))
+    rows = iter([key[order[starts]] for key in keys])
+    return (*(next(rows) if np.ndim(column) else column for column in columns), counts)
 
 
-def _binomials(rng, n: np.ndarray, p: float, trials: int) -> np.ndarray:
-    """``trials`` independent ``Bin(n[i], p)`` draws, one per trial, in draw order.
+def _binomials(rng, n, p: float, trials: int):
+    """``trials`` independent ``Bin(n, p)`` draws, one per trial (and count, for an array ``n``).
 
-    Nothing is drawn when ``p`` is 0 or 1 or every ``n`` is 0.
-    """
-    if not (0.0 < p < 1.0 and n.any()):
-        return np.full(trials, n * int(p >= 1.0), dtype=np.int64)
-    return rng.binomial(n, p, trials)
-
-
-# numpy's hypergeometric sampler needs both populations below this.
-_NUMPY_HYPERGEOMETRIC_MAX = 10**9
+    A link of one value (``p`` 0 or 1, or every count 0) draws nothing: it is
+    returned, a scalar for a scalar ``n``, and past int64 raises as a draw would."""
+    if 0.0 < p < 1.0 and np.any(n):
+        return rng.binomial(n, p, trials)
+    return np.int64(n * int(p >= 1.0))
 
 
-def _shared_cells(rng, m: int, k_a: int, k_b: int, trials: int) -> tuple:
-    """``trials`` draws of ``J ~ Hypergeometric(k_a, m - k_a, k_b)``, as cells and counts.
+_NUMPY_HYPERGEOMETRIC_MAX = 10**9   # numpy's sampler takes populations below it
 
-    By :func:`_iid` when J's support fits in the trials (a J fixed by a side
-    that checks every label draws nothing), or when numpy's per-trial sampler
-    cannot take the populations; else one draw per trial, each its own cell,
-    in draw order.
-    """
-    support = min(k_a, k_b) - max(0, k_a + k_b - m) + 1
-    if support <= trials or max(k_a, m - k_a) >= _NUMPY_HYPERGEOMETRIC_MAX:
-        return _iid(rng, *_shared_pmf(m, k_a, k_b), trials)
-    return rng.hypergeometric(k_a, m - k_a, k_b, size=trials), _broadcast(1, trials)
+
+def _shared_trials(rng, m: int, k_a: int, k_b: int, trials: int):
+    """``trials`` draws of ``J ~ Hypergeometric(k_a, m - k_a, k_b)``, one per trial: a support
+    that fits in the trials, or populations numpy's sampler cannot take, by :func:`_iid`, expanded
+    (one value drawn by nothing, as a Python int); else numpy's sampler, with no law built."""
+    if (min(k_a, k_b) - max(0, k_a + k_b - m) >= trials
+            and max(k_a, m - k_a) < _NUMPY_HYPERGEOMETRIC_MAX):
+        return rng.hypergeometric(k_a, m - k_a, k_b, size=trials)
+    support, law = _shared_pmf(m, k_a, k_b)
+    return int(support[0]) if len(support) == 1 else np.repeat(*_iid(rng, support, law, trials))
 
 
 _INT64_MAX = 2**63 - 1
@@ -729,18 +712,17 @@ def _joint_table(p_b: float, p_a: float, shared: np.ndarray, weights: np.ndarray
                  k_b: int, k_a: int) -> np.ndarray:
     """Exact law ``[G, k_b + 1, k_a + 1]`` of a protocol-3 trial's ``(J, F_b, F_a)``.
 
-    ``shared`` and ``weights`` are J's support and law, ``p_b`` and ``p_a``
-    those of :func:`_verdicts`.  Given J, Bob's failures on the shared labels
-    are ``U ~ Bin(J, p_b)`` and on his own ``Bin(k_b - J, p_b)``; Alice's are
-    ``Bin(U, q)`` plus ``Bin(k_a - J, p_a)`` on hers.  Per J, the table is
-    ``h(J)`` times the matrix chain over u and Alice's shared failures s: Bob's
-    own law shifted by u, ``Bin(J, p_b)``, ``Bin(u, q)``, and Alice's own law
-    shifted by s.  Each set of binomial rows is one vectorized call.  The
-    thinning is the identity when ``q = 1`` (an honest Alice), and is then
-    skipped.  Alice's own-label rows are Bob's when ``(k_a, p_a) = (k_b,
+    ``shared`` and ``weights`` are J's support and law, or any part of them,
+    ``p_b`` and ``p_a`` those of :func:`_verdicts`.  Given J, Bob's failures on
+    the shared labels are ``U ~ Bin(J, p_b)`` and on his own ``Bin(k_b - J,
+    p_b)``; Alice's are ``Bin(U, q)`` plus ``Bin(k_a - J, p_a)`` on hers.  Per
+    J, the table is ``h(J)`` times the matrix chain over u and Alice's shared
+    failures s: Bob's own law shifted by u, ``Bin(J, p_b)``, ``Bin(u, q)``, and
+    Alice's own law shifted by s.  Each set of binomial rows is one vectorized
+    call, and the thinning, the identity when ``q = 1`` (an honest Alice), is
+    skipped there.  Alice's own-label rows are Bob's when ``(k_a, p_a) = (k_b,
     p_b)``, unless the overlap is forced (``k_a + k_b > m``): her own call's
-    rows are then narrower, and a row's normalizing sum may round otherwise
-    at another width.
+    rows are then narrower, and a row's normalizing sum may round otherwise.
     """
     g, top = len(shared), int(shared.max())
     rows = _binomial_pmf(np.concatenate([k_b - shared, shared]), p_b)
@@ -759,36 +741,10 @@ def _joint_table(p_b: float, p_a: float, shared: np.ndarray, weights: np.ndarray
     return weights[:, None, None] * (chain @ alice)
 
 
-# Largest joint table, in cells per trial, that run_protocol3 draws from.  The
-# table costs a few float arrays of its size and a binomial per occupied cell
-# and F_a value; the per-trial path, three binomial draws per trial.  Timed
-# with both reports' summaries on a 2-core x86 host at k = k_alice = 20, 40
-# and 80 (m = 10 k), the table was the faster below 10 to 12 cells per trial
-# (m = 200, k = 20, 4000 trials: 2.3 cells, 0.38 of the per-trial time).  The
-# constant picks the draw path, and so the stream: 4 keeps the table faster,
-# with temporaries a few times the per-trial arrays'.
+# Largest chain, in cells per trial (J's values times each side's), drawn as
+# histograms: the faster below 10 to 12 cells per trial at k = k_alice = 20, 40
+# and 80, m = 10 k, on a 2-core x86 host.  It picks the branch, and the stream.
 _TABLE_CELLS_PER_TRIAL = 4
-
-
-def _joint_draw(rng, p_b: float, p_a: float, m: int, k_b: int, k_a: int, trials: int) -> tuple:
-    """``trials`` i.i.d. draws of ``(J, F_b, F_a)`` from :func:`_joint_table`, as cells and counts.
-
-    Two multinomial histograms: of ``(J, F_b)``, whose law is ``h(J) Bin(k_b,
-    p_b)`` since Bob's verdicts do not depend on which labels Alice checks,
-    then of ``F_a`` in each occupied ``(J, F_b)`` cell, all cells in one
-    batched draw.  Returns each occupied ``(J, F_b, F_a)`` cell's three values
-    and its count, in table order.
-    """
-    shared, weights = _shared_pmf(m, k_a, k_b)
-    table = _joint_table(p_b, p_a, shared, weights, k_b, k_a).reshape(-1, k_a + 1)
-    first = table.sum(axis=1)
-    counts = rng.multinomial(trials, first / first.sum())
-    occupied = np.flatnonzero(counts)
-    counts = rng.multinomial(counts[occupied], table[occupied] / first[occupied, None]).ravel()
-    cell = np.flatnonzero(counts)
-    row, failures_a = np.divmod(cell, k_a + 1)
-    j, failures_b = np.divmod(occupied[row], k_b + 1)
-    return shared[j], failures_b, failures_a, counts[cell]
 
 
 # Against a computational-basis Bob, an honest Alice's input is guessed
@@ -799,53 +755,64 @@ _INPUT_GUESS_RATE = 0.75
 
 def _check_run(protocol_id: int, config: CheckConfig, k_a: int, t_a: int,
                alice: AliceStrategy, bob: BobStrategy, rng: np.random.Generator):
-    """One run of :func:`run_protocol3` with Alice checking ``k_a`` labels at threshold ``t_a``.
-
-    Returns Bob's report alone for protocol 2, whose receiver is never
-    checked, and ``(bob_report, alice_report)`` for protocol 3.
-    """
+    """One run of :func:`run_protocol3` with Alice checking ``k_a`` labels at threshold ``t_a``:
+    Bob's report alone for protocol 2, whose receiver is never checked, else both reports."""
     m, k_b, trials = config.m, config.k_bob, config.trials
     t_b = config.resolved_threshold("bob")
     p_b, p_a = _verdicts(alice, bob)
-    if k_a == 0 or k_b == 0:
-        # A side that checks no label shares none, draws nothing and never
-        # aborts; the count of labels checked stays a scalar, exact past int64.
-        k, p, t = (k_b, p_b, t_b) if k_b else (k_a, p_a, t_a)
-        failures, counts = _binomial_cells(rng, k, p, trials)
-        none = _broadcast(0, len(failures))
-        failures_b, failures_a = (failures, none) if k_b else (none, failures)
-        passed, checked = failures <= t, k
-    else:
-        support = min(k_a, k_b) - max(0, k_a + k_b - m) + 1
-        if p_b > 0.0 and support * (k_b + 1) * (k_a + 1) <= _TABLE_CELLS_PER_TRIAL * trials:
-            shared, failures_b, failures_a, counts = _joint_draw(rng, p_b, p_a, m, k_b, k_a,
-                                                                 trials)
-        elif p_b == 0.0:
-            # Alice's check fails only where Bob's does, so neither can fail:
-            # J is all the chain draws, and its cells are the run's.
-            shared, counts = _shared_cells(rng, m, k_a, k_b, trials)
-            if len(shared) == trials:   # J drawn one per trial: equal draws share a cell
-                shared, counts = _merged(shared)
-            failures_b = failures_a = _broadcast(0, len(shared))
-        else:
-            shared = np.repeat(*_shared_cells(rng, m, k_a, k_b, trials))
-            u = _binomials(rng, shared, p_b, trials)
-            failures_b = u + _binomials(rng, k_b - shared, p_b, trials)
-            failures_a = _binomials(rng, u, _thinning_rate(p_b, p_a), trials)
-            failures_a += _binomials(rng, k_a - shared, p_a, trials)
-            # Drawn per trial.  An aborted trial delivers nothing, so its J is
-            # never read: zeroed, trials that read alike share one cell.
-            shared = np.where((failures_b <= t_b) & (failures_a <= t_a), shared, 0)
-            shared, failures_b, failures_a, counts = _merged(shared, failures_b, failures_a)
+    # Values of J and of each side's failures: one, drawn by nothing, if k or p(1 - p) is 0.
+    values_j = min(k_a, k_b) - max(0, k_a + k_b - m) + 1
+    values_b = k_b + 1 if k_b and 0.0 < p_b < 1.0 else 1
+    values_a = k_a + 1 if k_a and 0.0 < p_a < 1.0 else 1
+    if values_j * values_b * values_a <= _TABLE_CELLS_PER_TRIAL * trials:   # the one rule
+        support, weights = _shared_pmf(m, k_a, k_b)
+        # Link 1, (J, F_b): h(J) Bin(k_b, p_b), as Bob's verdicts ignore Alice's labels.
+        law = _binomial_pmf(k_b, p_b) if values_b > 1 else weights
+        if values_j > 1 and values_b > 1:   # a link of one value stays out of the cells
+            law = np.outer(weights, law).ravel()
+        j, counts = _iid(rng, np.arange(len(law)), law, trials)
+        j, failures_b = np.divmod(j, values_b)
+        if p_b >= 1.0:   # a link of one value is k or 0 (past int64 raising, as a draw would)
+            failures_b += k_b
+        failures_a = np.int64(k_a * int(p_a >= 1.0))
+        if values_a > 1:
+            # Link 2, F_a in each occupied (J, F_b) cell: its row of the table for J
+            # up to the largest drawn, normalized; Alice's own Bin(k_a, p_a) if J = 0.
+            top = j[-1] + 1
+            rows = (_joint_table(p_b, p_a, support[:top], weights[:top], k_b, k_a)[j, failures_b]
+                    if support[top - 1] else _binomial_pmf(k_a, p_a))
+            counts = counts if len(counts) > 1 else counts[0]   # one row: a faster scalar
+            counts = rng.multinomial(counts, rows / rows.sum(axis=-1, keepdims=True)).ravel()
+            cell = np.flatnonzero(counts)
+            row, failures_a = np.divmod(cell, k_a + 1)
+            j, failures_b, counts = j[row], failures_b[row], counts[cell]
+        shared = support[j] if values_j > 1 else support[0]
+    else:   # the same links, one value per trial
+        shared = _shared_trials(rng, m, k_a, k_b, trials)
+        u = _binomials(rng, shared, p_b, trials)
+        failures_b = u + _binomials(rng, k_b - shared, p_b, trials)
+        failures_a = _binomials(rng, u, _thinning_rate(p_b, p_a), trials)
+        failures_a = failures_a + _binomials(rng, k_a - shared, p_a, trials)
+        counts = None
+    passed = (failures_b <= t_b) & (failures_a <= t_a)
+    # An aborted trial delivers nothing, so its J is never read: zeroed, trials and
+    # cells that read alike merge (histogram cells only where J has two values).
+    if counts is None or (values_j > 1 and not passed.all()):
+        columns = np.where(passed, shared, 0), failures_b, failures_a
+        shared, failures_b, failures_a, counts = _merged(columns, counts)
         passed = (failures_b <= t_b) & (failures_a <= t_a)
-        # At most m, where k_b + k_a can pass int64; in Python ints when m does.
-        checked = (k_b - (shared.astype(object) if m > _INT64_MAX else shared)) + k_a
+    # The m - k_b - k_a + J tables no side checks: in Python ints when m passes int64.
+    unchecked = (m - k_b - k_a) + (shared.astype(object) if m > _INT64_MAX else shared)
     extras = {}
     if bob.kind == "computational" and alice.kind == "honest":
         guessed = _big_binomial(rng, trials * m, _INPUT_GUESS_RATE)
         extras["x_guess_rate"] = guessed / (trials * m)
     # Per cell; no table is delivered when either side aborts; an object array past int64.
-    delivered = passed * np.asarray(m - checked)
+    delivered = passed * np.asarray(unchecked)
+    # A side of one value holds it in the memory of one element.
+    failures_b, failures_a = (
+        f if n > 1 else np.ndarray(counts.shape, np.int64, np.ravel(f), strides=(0,))
+        for f, n in ((failures_b, values_b), (failures_a, values_a)))
     bob_report = CheckReport(protocol_id, "bob", m, k_b, t_b, failures_b, delivered, counts,
                              config.c1, dict(extras))
     if protocol_id == 2:
@@ -881,23 +848,15 @@ def run_protocol3(config: CheckConfig, alice: AliceStrategy, bob: BobStrategy,
     zero when either side aborts.  Against a cheating Alice her own check is
     vacuous (she has no honest values) and never aborts.
 
-    A trial draws only its sufficient statistics (module docstring), from the
-    caller's Generator ``rng``: ``J ~ Hypergeometric(k_alice, m - k_alice,
-    k_bob)``, and the chain ``U ~ Bin(J, p_b)``, ``F_b = U + Bin(k_bob - J,
-    p_b)``, ``F_a = Bin(U, q) + Bin(k_alice - J, p_a)`` (q is 1 against an
-    honest Alice).  When a side checks no label, none is shared, only the
-    other side's count is drawn (:func:`_binomial_cells`) and the side that
-    checks nothing never aborts: with ``k_alice = 0`` and an honest ``bob``
-    this is :func:`run_protocol2`, draw for draw.  When both check, Bob's check can
-    fail and the exact table of ``(J, F_b, F_a)`` has at most
-    ``_TABLE_CELLS_PER_TRIAL`` cells per trial, it is drawn as two multinomial
-    histograms (:func:`_joint_draw`); when Bob's check cannot fail, neither
-    can Alice's, and only J is drawn; otherwise link by link, per trial.
-    Against a computational-basis Bob each instance's input guess is right
-    with probability 3/4 whatever its verdicts, so the total over all
-    ``trials * m`` instances is one binomial of that exact marginal.  The
-    two reports share their cells; a run drawn per trial merges its equal
-    trials, an aborted trial's J zeroed, as it delivers nothing.
+    A trial draws its sufficient statistics from the caller's Generator
+    ``rng`` as the module docstring's two links, ``(J, F_b)`` with ``J ~
+    Hypergeometric(k_alice, m - k_alice, k_bob)``, then ``F_a``: as
+    histograms up to ``_TABLE_CELLS_PER_TRIAL`` cells per trial, else one
+    value per trial.  A side that checks nothing never aborts: with
+    ``k_alice = 0`` and an honest ``bob`` this is :func:`run_protocol2`, draw
+    for draw.  Against a computational-basis Bob each input guess is right
+    with probability 3/4 whatever the verdicts: the total over all ``trials
+    * m`` instances is one binomial, drawn last.
     """
     return _check_run(3, config, config.k_alice, config.resolved_threshold("alice"),
                       alice, bob, rng)

@@ -1099,22 +1099,34 @@ class TestReproducibility:
         assert np.array_equal(delivered, _per_trial(alice_rep)["tables_delivered"])
 
 
-@pytest.mark.parametrize("sizes", [dict(m=20, k_bob=0, k_alice=7),
-                                   dict(m=12, k_bob=5, k_alice=12),
-                                   dict(m=30, k_bob=5, k_alice=7)],
-                         ids=["k_bob=0", "k_alice=m", "random-overlap"])
+# Sizes with the branch the one rule picks at 20 000 trials: (J, F_b, F_a)
+# cells of 8, 78 and 288 draw histograms, and 51 ** 3 = 132651 cells (more
+# than 4 per trial) one value per trial, unless a check cannot fail: its
+# side then counts one value (learn-y: 51 * 51 cells, histograms).
+@pytest.mark.parametrize("sizes,histogram", [
+    (dict(m=20, k_bob=0, k_alice=7), True),
+    (dict(m=12, k_bob=5, k_alice=12), True),
+    (dict(m=30, k_bob=5, k_alice=7), True),
+    (dict(m=500, k_bob=50, k_alice=50, threshold_bob=12, threshold_alice=12), False),
+], ids=["k_bob=0", "k_alice=m", "random-overlap", "per-trial"])
 @pytest.mark.parametrize("alice,bob", [
     (AliceStrategy.honest(), BobStrategy.computational_basis()),
     (AliceStrategy.honest(), BobStrategy.phase_noise(0.7)),
     (AliceStrategy.learn_y(), BobStrategy.honest()),
-], ids=["computational", "phase-noise", "learn-y"])
-def test_protocol3_draws_follow_the_exact_law(sizes, alice, bob):
-    # Fixed and random overlaps: each side's aborts and failures, and the
-    # joint pass, against exact_law by exact binomial tests.
+    # A thinning rate 0 < q < 1: Alice fails some, not all, of Bob's shared failures.
+    (AliceStrategy.per_instance_mix([(0.3, AliceStrategy.learn_y()),
+                                     (0.7, AliceStrategy.honest())]),
+     BobStrategy.computational_basis()),
+], ids=["computational", "phase-noise", "learn-y", "mix-computational"])
+def test_protocol3_draws_follow_the_exact_law(monkeypatch, sizes, histogram, alice, bob):
+    # Fixed and random overlaps, on each branch: each side's aborts and
+    # failures, and the joint pass, against exact_law by exact binomial tests.
     trials = 20_000
-    config = CheckConfig(**sizes, threshold_bob=1, threshold_alice=1, trials=trials)
+    config = CheckConfig(**{"threshold_bob": 1, "threshold_alice": 1, **sizes}, trials=trials)
     law = checksim.exact_law(config, alice, bob)
+    chains = _count_calls(monkeypatch, "_shared_trials")   # one call per run drawn per trial
     bob_rep, alice_rep = run_protocol3(config, alice, bob, np.random.default_rng(77))
+    assert len(chains) == int(not histogram and alice.kind != "learn-y")
     for report, abort, p in ((bob_rep, law.abort_bob, law.fail_bob),
                              (alice_rep, law.abort_alice, law.fail_alice)):
         if report.k == 0:
@@ -1159,16 +1171,19 @@ class TestIid:
             list(zip(cells.tolist(), cell_counts.tolist()))
         assert np.array_equal(_per_trial(report)["failures"], draws)
 
-    @pytest.mark.parametrize("k,trials,histogram", [(20, 21, True), (20, 20, False),
-                                                    (0, 5, False)])
+    # k = 20: 21 values of Bob's failures, histograms at up to 4 per trial;
+    # k = 0: one value, drawn by nothing.
+    @pytest.mark.parametrize("k,trials,histogram", [(20, 6, True), (20, 5, False),
+                                                    (0, 5, True)])
     def test_protocol2_histogram_only_when_support_fits(self, monkeypatch, k, trials,
                                                         histogram):
-        calls = []
-        real = checksim._iid
-        monkeypatch.setattr(checksim, "_iid", lambda *args: calls.append(1) or real(*args))
+        per_trial = _count_calls(monkeypatch, "_shared_trials")
         config = CheckConfig(m=40, k_bob=k, threshold_bob=40, trials=trials)
-        report = run_protocol2(config, AliceStrategy.learn_y(), np.random.default_rng(3))
-        assert len(calls) == int(histogram)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        report = run_protocol2(config, AliceStrategy.learn_y(), rng)
+        assert len(per_trial) == int(not histogram)
+        assert (rng.bit_generator.state == state) == (k == 0)
         failures = _per_trial(report)["failures"]
         assert failures.shape == (trials,) and failures.max() <= k
 
@@ -1176,23 +1191,19 @@ class TestIid:
         # A failure probability of 1 draws nothing: its count is refused as a draw's would be.
         for n in (2**63, 2**70):
             with pytest.raises(OverflowError):
-                checksim._binomial_cells(np.random.default_rng(0), n, 1.0, 3)
+                checksim._binomials(np.random.default_rng(0), n, 1.0, 3)
 
     @pytest.mark.parametrize("n,p,expected", [
-        (5, 0.0, [0, 0, 0]), (5, 1.0, [5, 5, 5]), (0, 0.3, [0, 0, 0]),
-        (np.int64(0), 0.3, [0, 0, 0]), (2**70, 0.0, [0, 0, 0]),
+        (5, 0.0, 0), (5, 1.0, 5), (0, 0.3, 0), (np.int64(0), 0.3, 0), (2**70, 0.0, 0),
         (np.array([2, 0, 7]), 0.0, [0, 0, 0]), (np.array([2, 0, 7]), 1.0, [2, 0, 7]),
         (np.zeros(3, dtype=np.int64), 0.3, [0, 0, 0]),
     ], ids=["scalar-p0", "scalar-p1", "scalar-zero", "numpy-scalar-zero", "past-int64-p0",
             "array-p0", "array-p1", "array-zeros"])
     def test_no_draw_paths_leave_the_stream_untouched(self, n, p, expected):
-        # One count is drawn as cells, counts that vary per trial one per trial.
+        # A link of one value is returned as it is: one scalar for one count.
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
-        if np.ndim(n) == 0:
-            counts = np.repeat(*checksim._binomial_cells(rng, n, p, 3))
-        else:
-            counts = checksim._binomials(rng, n, p, 3)
+        counts = checksim._binomials(rng, n, p, 3)
         assert counts.dtype == np.int64 and counts.tolist() == expected
         assert rng.bit_generator.state == state
 
@@ -1205,11 +1216,19 @@ class TestIid:
         calls = []
         real = checksim._iid
         monkeypatch.setattr(checksim, "_iid", lambda *args: calls.append(args[1]) or real(*args))
-        shared = np.repeat(*checksim._shared_cells(np.random.default_rng(4), m, k_a, 5, trials))
+        rng = np.random.default_rng(4)
+        shared = checksim._shared_trials(rng, m, k_a, 5, trials)
         assert (len(calls) == 1) == histogram
         if histogram:
             assert calls[0].tolist() == list(range(6))
         assert shared.shape == (trials,) and 0 <= shared.min() and shared.max() <= 5
+
+    def test_shared_labels_of_one_value_draw_nothing(self):
+        # Alice checks every label: J is Bob's count, returned as it is.
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        shared = checksim._shared_trials(rng, 12, 12, 5, 9)
+        assert shared == 5 and type(shared) is int and rng.bit_generator.state == state
 
 
 # Senders and receivers of the library, with parameter sweeps: the premise of
@@ -1342,24 +1361,29 @@ class TestJointTable:
 
     def test_histogram_and_per_trial_paths_share_one_law(self, monkeypatch):
         # The mix law has three live verdict cells, so Alice's shared failures
-        # are a thinning of Bob's.
+        # are a thinning of Bob's.  6 * 6 * 8 = 288 cells: one run of 20 000
+        # trials draws histograms, and 282 runs of 71 trials one value per trial.
         config = CheckConfig(m=30, k_bob=5, k_alice=7, threshold_bob=1, threshold_alice=1,
                              trials=20_000)
         bob = BobStrategy.computational_basis()
         assert np.count_nonzero(_verdict_cells(_MIX, bob)[0]) == 3
-        joint = _count_calls(monkeypatch, "_joint_draw")
-        samples = []
-        for seed, cells_per_trial in ((31, checksim._TABLE_CELLS_PER_TRIAL), (32, 0)):
-            monkeypatch.setattr(checksim, "_TABLE_CELLS_PER_TRIAL", cells_per_trial)
-            bob_rep, alice_rep = run_protocol3(config, _MIX, bob, np.random.default_rng(seed))
-            samples.append(_paired_trials(bob_rep, alice_rep))
-        assert len(joint) == 1
-        _assert_same_law(*samples)
+        per_trial = _count_calls(monkeypatch, "_shared_trials")
+        histogram = _paired_trials(*run_protocol3(config, _MIX, bob, np.random.default_rng(31)))
+        assert not per_trial
+        rng, small = np.random.default_rng(32), replace(config, trials=71)
+        chain = np.concatenate([_paired_trials(*run_protocol3(small, _MIX, bob, rng))
+                                for _ in range(282)])
+        assert len(per_trial) == 282
+        _assert_same_law(histogram, chain)
 
     @pytest.mark.parametrize("case,trials,histogram", [
         # m = 30, k = 5, k_alice = 7: 6 * 6 * 8 = 288 cells.
         ("computational", 72, True), ("computational", 71, False),
-        ("mix", 72, True), ("honest", 5000, False), ("k_bob=0", 5000, False),
+        ("mix", 72, True), ("mix", 71, False),
+        # Bob's check never fails (p_b = 0), nor then Alice's: J's 6 values alone.
+        ("honest", 2, True), ("honest", 1, False),
+        # Bob checks nothing: Alice's 8 values alone.
+        ("k_bob=0", 2, True), ("k_bob=0", 1, False),
     ])
     def test_histogram_only_when_the_table_fits(self, monkeypatch, case, trials, histogram):
         alice, bob, k_b = AliceStrategy.honest(), BobStrategy.computational_basis(), 5
@@ -1369,39 +1393,60 @@ class TestJointTable:
             bob = BobStrategy.honest()
         elif case == "k_bob=0":
             k_b = 0
-        calls = _count_calls(monkeypatch, "_joint_draw")
+        per_trial = _count_calls(monkeypatch, "_shared_trials")
         config = CheckConfig(m=30, k_bob=k_b, k_alice=7, threshold_bob=1, threshold_alice=1,
                              trials=trials)
         bob_rep, alice_rep = run_protocol3(config, alice, bob, np.random.default_rng(32))
-        assert len(calls) == int(histogram)
+        assert len(per_trial) == int(not histogram)
         bob_failures, alice_failures = _paired_trials(bob_rep, alice_rep)[:, :2].T
         assert bob_failures.shape == alice_failures.shape == (trials,)
         assert bob_failures.max() <= k_b and alice_failures.max() <= 7
 
-    @pytest.mark.parametrize("k_b,trials,iid,joint", [
+    @pytest.mark.parametrize("k_b,trials,histogram", [
         # m = k_alice = 12, k_bob = 5: J = 5 in every trial, 1 * 6 * 13 = 78 cells.
-        (5, 20, 0, 1),
-        # The table does not fit: J is a one-value histogram, and the rest of
-        # the chain is drawn per trial.
-        (5, 19, 1, 0), (5, 6, 1, 0), (5, 5, 1, 0),
+        (5, 20, True),
+        # The table does not fit: J, of one value, is drawn by nothing, and
+        # the rest of the chain one value per trial.
+        (5, 19, False), (5, 6, False), (5, 5, False),
         # Bob checks nothing: only Alice's failures are drawn, as one histogram.
-        (0, 300, 1, 0),
+        (0, 300, True),
     ])
-    def test_fixed_overlap_draws_histograms(self, monkeypatch, k_b, trials, iid, joint):
+    def test_fixed_overlap_draws_histograms(self, monkeypatch, k_b, trials, histogram):
         iid_calls = _count_calls(monkeypatch, "_iid")
-        joint_calls = _count_calls(monkeypatch, "_joint_draw")
+        per_trial = _count_calls(monkeypatch, "_shared_trials")
         config = CheckConfig(m=12, k_bob=k_b, k_alice=12, threshold_bob=1, threshold_alice=2,
                              trials=trials)
         bob_rep, alice_rep = run_protocol3(config, AliceStrategy.honest(),
                                            BobStrategy.computational_basis(),
                                            _NoShuffle(np.random.default_rng(33)))
-        assert (len(iid_calls), len(joint_calls)) == (iid, joint)
-        if iid and k_b:
-            assert iid_calls[0][1].tolist() == [5]
+        assert (len(iid_calls), len(per_trial)) == (int(histogram), int(not histogram))
+        if histogram:   # link 1 over J's one value times Bob's failure counts
+            assert iid_calls[0][1].tolist() == list(range(k_b + 1))
         bob_failures, alice_failures = _paired_trials(bob_rep, alice_rep)[:, :2].T
         assert bob_failures.shape == (trials,) and bob_failures.max() <= k_b
         # An honest Alice fails the shared labels together with Bob.
         assert (alice_failures >= bob_failures).all()
+
+    # Every geometry the one rule reads: one side or both checking, checks
+    # that can fail or not, at the largest trials that draw one value per
+    # trial and at the next.
+    @pytest.mark.parametrize("alice,bob,k_b,k_a,cells", [
+        (AliceStrategy.honest(), BobStrategy.computational_basis(), 5, 7, 6 * 6 * 8),
+        (AliceStrategy.learn_y(), BobStrategy.computational_basis(), 5, 7, 6 * 6),
+        (AliceStrategy.honest(), BobStrategy.honest(), 5, 7, 6),
+        (AliceStrategy.honest(), BobStrategy.phase_noise(0.9), 0, 7, 8),
+        (AliceStrategy.learn_y(), BobStrategy.honest(), 9, 0, 10),
+        (AliceStrategy.honest(), BobStrategy.honest(), 9, 0, 1),
+    ], ids=["both", "alice-cannot-fail", "neither-can-fail", "k_bob=0", "k_alice=0",
+            "one-value"])
+    def test_one_rule_picks_the_branch(self, monkeypatch, alice, bob, k_b, k_a, cells):
+        per_trial = _count_calls(monkeypatch, "_shared_trials")
+        fits = -(-cells // checksim._TABLE_CELLS_PER_TRIAL)   # fewest trials that draw histograms
+        for trials in (fits - 1, fits):
+            if trials:
+                config = CheckConfig(m=30, k_bob=k_b, k_alice=k_a, trials=trials)
+                run_protocol3(config, alice, bob, np.random.default_rng(34))
+        assert len(per_trial) == int(fits > 1)
 
 
 class TestPairing:
@@ -1409,18 +1454,21 @@ class TestPairing:
     # does), so each side's failure count sums its shared failures and its own
     # ones.  Both must be drawn for the same trial, else the count loses its
     # binomial law while each summand keeps its own.
+    # 51 * 31 cells: runs of 100 trials draw one value per trial, runs of 400 histograms.
+    @pytest.mark.parametrize("trials,runs", [(100, 200), (400, 50)],
+                             ids=["per-trial", "histogram"])
     @pytest.mark.parametrize("k_b,k_a", [(50, 30), (30, 50)], ids=["k_bob=m", "k_alice=m"])
-    def test_independent_draws_pair_at_random(self, monkeypatch, k_b, k_a):
-        m, trials, runs = 50, 100, 200
+    def test_independent_draws_pair_at_random(self, monkeypatch, k_b, k_a, trials, runs):
+        m = 50
         alice, bob = AliceStrategy.honest(), BobStrategy.phase_noise(1.2)
         config = CheckConfig(m=m, k_bob=k_b, k_alice=k_a, trials=trials)
-        joint = _count_calls(monkeypatch, "_joint_draw")
+        per_trial = _count_calls(monkeypatch, "_shared_trials")
         rng = np.random.default_rng(61)
         samples = []
         for _ in range(runs):
             bob_rep, alice_rep = run_protocol3(config, alice, bob, rng)
             samples.append(_paired_trials(bob_rep, alice_rep))
-        assert not joint
+        assert len(per_trial) == (runs if trials == 100 else 0)
         samples = np.concatenate(samples)
         n = len(samples)
         p = math.sin(0.6) ** 2
@@ -1487,6 +1535,22 @@ _TABLE_RECEIVERS = [BobStrategy.honest(), BobStrategy.computational_basis(),
                     BobStrategy.phase_noise(0.9)]
 
 
+class _Multinomials:
+    """A Generator that records each ``multinomial`` call: its counts, its
+    probabilities and what it drew."""
+
+    def __init__(self, rng):
+        self._rng, self.calls = rng, []
+
+    def multinomial(self, n, pvals):
+        drawn = self._rng.multinomial(n, pvals)
+        self.calls.append((n, pvals, drawn))
+        return drawn
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
 class TestJointTableConstruction:
     # A forced overlap narrows Alice's own rows, whose sums then round otherwise
     # at 10, 7, 7 against phase noise and at 24, 15, 15 against a basis read.
@@ -1501,6 +1565,48 @@ class TestJointTableConstruction:
         shared, weights = checksim._shared_pmf(m, k_a, k_b)
         table = checksim._joint_table(p_b, p_a, shared, weights, k_b, k_a)
         assert np.array_equal(table, _fancy_index_joint_table(p_b, p_a, shared, weights, k_b, k_a))
+
+    # The eight geometries above, and Bob checking nothing, where J = 0 and link
+    # 2 draws Alice's own law without building the table.
+    @pytest.mark.parametrize("m,k_b,k_a", [(200, 20, 20), (30, 5, 7), (12, 5, 12), (50, 40, 3),
+                                           (40, 25, 25), (10, 7, 7), (24, 15, 15), (9, 9, 9),
+                                           (30, 0, 7)],
+                             ids=["sparse", "k_a>k_b", "k_a=m", "k_b>k_a", "forced-overlap",
+                                  "forced-overlap-7", "forced-overlap-15", "m=k", "k_b=0"])
+    @pytest.mark.parametrize("bob", _TABLE_RECEIVERS, ids=lambda b: b.kind)
+    @pytest.mark.parametrize("alice", _TABLE_SENDERS, ids=lambda a: a.kind)
+    def test_run_draws_the_two_links_of_the_table(self, alice, bob, m, k_b, k_a):
+        # A run on the histogram branch draws link 1, (J, F_b), from h(J)
+        # Bin(k_b, p_b): the table summed over F_a.  Link 2 draws F_a in each
+        # occupied (J, F_b) cell from that cell's row of the table, normalized.
+        p_b, p_a = checksim._verdicts(alice, bob)
+        shared, weights = checksim._shared_pmf(m, k_a, k_b)
+        table = checksim._joint_table(p_b, p_a, shared, weights, k_b, k_a)
+        rng = _Multinomials(np.random.default_rng(35))
+        trials = table.size
+        run_protocol3(CheckConfig(m=m, k_bob=k_b, k_alice=k_a, trials=trials), alice, bob, rng)
+        if not (k_b and 0.0 < p_b < 1.0):   # Bob's one value: every other F_b has no mass
+            failures_b = 0 if p_b < 1.0 else k_b
+            assert not np.delete(table, failures_b, axis=1).any()
+            table = table[:, [failures_b]]
+        links = table.sum(axis=2)
+        if links.size == 1:   # link 1 of one value draws nothing
+            first, drawn, second = np.ones(1), np.full(1, trials), rng.calls
+        else:
+            (n, first, drawn), *second = rng.calls
+            assert n == trials
+        np.testing.assert_allclose(first, (links / links.sum()).ravel(), rtol=1e-13, atol=0)
+        if not (k_a and 0.0 < p_a < 1.0):   # Alice's one value: nothing drawn
+            assert not second
+            assert not np.delete(table, 0 if p_a < 1.0 else k_a, axis=2).any()
+            return
+        ((counts, rows, _),) = second
+        occupied = np.flatnonzero(drawn)
+        assert np.array_equal(np.atleast_1d(counts), drawn[occupied])
+        expected = table.reshape(-1, k_a + 1)[occupied]   # rows of one law may come as one
+        np.testing.assert_allclose(np.broadcast_to(rows, expected.shape),
+                                   expected / expected.sum(axis=1, keepdims=True),
+                                   rtol=1e-13, atol=0)
 
     def test_thinning_covers_rates_off_zero_and_one(self):
         q = {(a.kind, b.kind): checksim._thinning_rate(*checksim._verdicts(a, b))
@@ -1533,12 +1639,14 @@ def _assert_reads_equal(report, other):
         assert np.array_equal(mine[name], theirs[name], equal_nan=True), name
 
 
-# One run per draw path: (protocol, config, alice, bob, histogram); a path
-# that is not a histogram draws one value per trial and merges equal trials.
+# One run per kind of chain and branch: (protocol, config, alice, bob,
+# histogram); a run that is not drawn as histograms draws one value per trial
+# and merges equal trials.  One side's 201 values are more than 4 per trial
+# at 50 trials, as are J's 201 values when no check can fail.
 _DRAW_PATHS = {
     "single-side-histogram": (2, dict(m=40, k_bob=20, threshold_bob=9, trials=300),
                               AliceStrategy.learn_y(), None, True),
-    "single-side-per-trial": (2, dict(m=40, k_bob=20, threshold_bob=9, trials=15),
+    "single-side-per-trial": (2, dict(m=400, k_bob=200, threshold_bob=100, trials=50),
                               AliceStrategy.learn_y(), None, False),
     "joint": (3, dict(m=30, k_bob=5, k_alice=7, threshold_bob=1, threshold_alice=1, trials=500),
               _MIX, BobStrategy.computational_basis(), True),
@@ -1546,7 +1654,7 @@ _DRAW_PATHS = {
                       trials=300), AliceStrategy.honest(), BobStrategy.phase_noise(1.2), False),
     "no-failure-chain": (3, dict(m=30, k_bob=5, k_alice=7, threshold_bob=1, trials=500),
                          AliceStrategy.honest(), BobStrategy.honest(), True),
-    "no-failure-per-trial": (3, dict(m=40, k_bob=20, k_alice=20, trials=15),
+    "no-failure-per-trial": (3, dict(m=400, k_bob=200, k_alice=200, trials=50),
                              AliceStrategy.honest(), BobStrategy.honest(), False),
 }
 
@@ -1562,9 +1670,9 @@ def _run_path(name, rng, paths=_DRAW_PATHS):
 class TestHistogramReport:
     @pytest.mark.parametrize("name", list(_DRAW_PATHS))
     def test_cells_read_as_their_count_one_expansion(self, name, monkeypatch):
-        joint = _count_calls(monkeypatch, "_joint_draw")
+        per_trial = _count_calls(monkeypatch, "_shared_trials")
         reports = _run_path(name, np.random.default_rng(91))
-        assert len(joint) == int(name == "joint")
+        assert len(per_trial) == int(not _DRAW_PATHS[name][-1])
         for report in reports:
             # Histograms, and per-trial draws once merged: fewer cells than trials.
             assert len(report.drawn_failures) < report.trials and report.counts.min() >= 1
@@ -1574,11 +1682,15 @@ class TestHistogramReport:
             assert bob_rep.counts is alice_rep.counts
             assert bob_rep.drawn_delivered is alice_rep.drawn_delivered
 
-    @pytest.mark.parametrize("k_b,k_a", [(0, 20), (20, 0)], ids=["k_bob=0", "k_alice=0"])
-    def test_side_that_checks_nothing_reads_zeros(self, k_b, k_a):
-        reports = run_protocol3(CheckConfig(m=40, k_bob=k_b, k_alice=k_a, trials=300),
+    # The checking side's 41 values: histograms at 300 trials, one value per trial at 10.
+    @pytest.mark.parametrize("trials", [300, 10], ids=["histogram", "per-trial"])
+    @pytest.mark.parametrize("k_b,k_a", [(0, 40), (40, 0)], ids=["k_bob=0", "k_alice=0"])
+    def test_side_that_checks_nothing_reads_zeros(self, monkeypatch, k_b, k_a, trials):
+        per_trial = _count_calls(monkeypatch, "_shared_trials")
+        reports = run_protocol3(CheckConfig(m=80, k_bob=k_b, k_alice=k_a, trials=trials),
                                 AliceStrategy.honest(), BobStrategy.phase_noise(0.9),
                                 np.random.default_rng(92))
+        assert len(per_trial) == int(trials == 10)
         for report in reports:
             assert len(report.drawn_failures) < report.trials
             if report.k == 0:   # one zero, in the memory of one element
@@ -1629,7 +1741,7 @@ class TestHistogramReport:
         assert cells < 10**4 and peak < 1e3 * cells + 1e6, f"peak {peak / 1e6:.1f} MB"
 
 
-# The per-trial paths; the chain at a random overlap, where trials that abort
+# The per-trial runs; the chain at a random overlap, where trials that abort
 # with equal failures differ in J alone; and the chain where the delivered
 # tables pass int64.
 _PER_TRIAL_PATHS = {name: path for name, path in _DRAW_PATHS.items() if not path[-1]}
@@ -1646,13 +1758,18 @@ def _cell_rows(reports):
                     reports[0].drawn_delivered.tolist()))
 
 
-class TestMergedCells:
-    """Runs drawn one trial at a time keep each distinct cell once."""
+# Every run: the histograms too keep one cell per distinct paired value, an
+# aborted cell's J zeroed.
+_ALL_PATHS = {**_DRAW_PATHS, **_PER_TRIAL_PATHS}
 
-    @pytest.mark.parametrize("name", list(_PER_TRIAL_PATHS))
+
+class TestMergedCells:
+    """Runs keep each distinct cell once, whichever branch drew them."""
+
+    @pytest.mark.parametrize("name", list(_ALL_PATHS))
     def test_cells_distinct_and_counting_the_trials(self, name):
-        reports = _run_path(name, np.random.default_rng(95), _PER_TRIAL_PATHS)
-        trials = _PER_TRIAL_PATHS[name][1]["trials"]
+        reports = _run_path(name, np.random.default_rng(95), _ALL_PATHS)
+        trials = _ALL_PATHS[name][1]["trials"]
         rows = _cell_rows(reports)
         assert len(set(rows)) == len(rows) < trials
         for report in reports:
@@ -1663,7 +1780,7 @@ class TestMergedCells:
     def test_summary_is_that_of_the_unmerged_draws(self, name, monkeypatch):
         rng, unmerged_rng = np.random.default_rng(96), np.random.default_rng(96)
         merged = _run_path(name, rng, _PER_TRIAL_PATHS)
-        monkeypatch.setattr(checksim, "_merged", lambda *columns: (
+        monkeypatch.setattr(checksim, "_merged", lambda columns, counts: (
             *columns, np.ones(len(columns[0]), dtype=np.int64)))
         unmerged = _run_path(name, unmerged_rng, _PER_TRIAL_PATHS)
         assert rng.bit_generator.state == unmerged_rng.bit_generator.state
@@ -1679,13 +1796,25 @@ class TestMergedCells:
         [[0, 1, 0, 1, 0, 0], [5, 5, 5, 4, 5, 5], [2, 2, 2, 2, 1, 2]],
         [[7], [2**62], [0]],
     ], ids=["one-column", "three-columns", "one-row"])
-    def test_merged_is_unique_rows_with_their_counts(self, columns):
+    @pytest.mark.parametrize("weighted", [False, True], ids=["trials", "cells"])
+    def test_merged_is_unique_rows_with_their_counts(self, columns, weighted):
+        # Rows of one trial each, or cells with their counts of trials.
         columns = [np.array(column, dtype=np.int64) for column in columns]
-        *cells, counts = checksim._merged(*columns)
-        rows, expected = np.unique(np.column_stack(columns), axis=0, return_counts=True)
+        weights = np.arange(1, len(columns[0]) + 1) if weighted else None
+        *cells, counts = checksim._merged(columns, weights)
+        rows, inverse = np.unique(np.column_stack(columns), axis=0, return_inverse=True)
+        expected = np.bincount(inverse.ravel(), weights).astype(np.int64)
         assert np.array_equal(np.column_stack(cells), rows)
         assert np.array_equal(counts, expected)
         assert all(cell.dtype == np.int64 for cell in cells) and counts.dtype == np.int64
+
+    def test_scalar_columns_stay_one_value(self):
+        # A column of one value for every row is not sorted on, and comes back as it was.
+        zero = np.int64(0)
+        shared, failures, none, counts = checksim._merged(
+            (np.array([2, 0, 2]), np.array([1, 1, 1]), zero), np.array([3, 4, 5]))
+        assert shared.tolist() == [0, 2] and failures.tolist() == [1, 1] and none is zero
+        assert counts.tolist() == [4, 8]
 
 
 def _traced_run(case, read):

@@ -347,7 +347,8 @@ class TestChecksim:
 # protocol-3 pins off the joint table whose checks can fail were recorded with
 # 0.16.0, when that path became one binomial chain.  The lemma1 pin was
 # re-recorded with 0.20.0, when its POVMs began to be drawn a block at a
-# time.  A refactor that moves no
+# time.  The two checks-sparse protocol-3 pins were recorded with 0.20.0,
+# before every check run became one chain of two links.  A refactor that moves no
 # payload byte and no RNG stream keeps these; one that does bumps __version__
 # and re-records.
 _PAYLOAD_PINS = [
@@ -385,6 +386,13 @@ _PAYLOAD_PINS = [
      "530e782ad2deb1240b7cf8eef51339ceb25c4ae3bdc5e6f1850194019806ed34"),
     ("checksim --protocol 2 --alice mix --phi 0.5 --m 12 --k 12 --trials 5000 --seed 31337",
      "4a29c4d4f3191f0812a7fcfa46dd6b1be798e1da979c46e289665d8ce1e6135e"),
+    # Two checks-sparse protocol 3 jobs, where both sides check and can fail.
+    ("checksim --protocol 3 --bob computational --m 200 --k 20 --k-alice 20 --threshold 1 "
+     "--threshold-alice 1 --trials 4000 --seed 1",
+     "92e403c55bea9722453539be953b06357c617ba68efb0930f1ea25b12638279c"),
+    ("checksim --protocol 3 --bob phase-noise --angle 1.2 --m 200 --k 20 --k-alice 20 "
+     "--threshold 2 --threshold-alice 2 --trials 4000 --seed 1",
+     "17ebdc154cba79980c61bd4893dbf44a273a3bfcc6325616a5f375dfae615f19"),
 ]
 
 
@@ -446,8 +454,9 @@ def test_checksim_stdout_does_not_depend_on_out(capsys, tmp_path, argv):
     assert with_out == alone and alone[0] == 0
 
 
-# A run of each draw path: a single-side histogram, the joint table, the
-# per-trial chain (one cell per trial) and a side that checks nothing.
+# A run of each kind: a single-side histogram, both sides' histograms, the
+# per-trial chain, a side that checks nothing, and the checks-sparse geometry,
+# where trials that abort with equal failures differ in J alone.
 _CELL_RUNS = {
     "p2-histogram": "checksim --protocol 2 --alice learn-y --m 200 --k 20 --threshold 1 "
                     "--trials 4000 --seed 9191",
@@ -457,6 +466,8 @@ _CELL_RUNS = {
                 "--threshold 17 --threshold-alice 9 --trials 300 --seed 5",
     "p3-k0": "checksim --protocol 3 --bob computational --m 30 --k 0 --k-alice 7 "
              "--threshold-alice 2 --trials 300 --seed 11",
+    "p3-sparse": "checksim --protocol 3 --bob computational --m 200 --k 20 --k-alice 20 "
+                 "--threshold 5 --threshold-alice 5 --trials 4000 --seed 1",
 }
 
 
@@ -480,11 +491,20 @@ class TestOutCells:
             assert sum(cell["trials"] for cell in report["cells"]) == trials
             assert all(cell["trials"] >= 1 for cell in report["cells"])
 
-    def test_chain_writes_each_distinct_cell_once(self, capsys, tmp_path):
-        trials, reports, _ = _cell_payload(capsys, tmp_path, "p3-chain")
+    @pytest.mark.parametrize("name", ["p3-chain", "p3-joint", "p3-sparse"])
+    def test_chain_writes_each_distinct_cell_once(self, capsys, tmp_path, name):
+        # Per trial and as histograms, an aborted cell's J zeroed.
+        trials, reports, _ = _cell_payload(capsys, tmp_path, name)
         rows = [(mine["failures"], theirs["failures"], mine["tables_delivered"])
                 for mine, theirs in zip(reports["bob"]["cells"], reports["alice"]["cells"])]
         assert len(set(rows)) == len(rows) < trials
+
+    def test_sparse_run_writes_its_172_distinct_cells(self, capsys, tmp_path):
+        # 0.20.0 wrote 660 cells here, one per occupied (J, F_b, F_a).
+        trials, reports, _ = _cell_payload(capsys, tmp_path, "p3-sparse")
+        for report in reports.values():
+            assert len(report["cells"]) == 172
+            assert sum(cell["trials"] for cell in report["cells"]) == trials == 4000
 
     @pytest.mark.parametrize("name", [name for name in _CELL_RUNS if name.startswith("p3")])
     def test_protocol3_cells_pair_up_index_by_index(self, capsys, tmp_path, name):
