@@ -326,7 +326,7 @@ def _instance_table(alice: AliceStrategy, bob: BobStrategy):
     y, r, x = y[b], r[b], x[s]
     # Alice checks ``x AND y = e XOR r``: an honest sender reports a = x, so her
     # check fails exactly where Bob's does; a cheater, holding no input, never fails.
-    bob_fail = (a & y) != (e ^ r)
+    bob_fail = ~protocol.correlated(a, y, e, r)
     columns = dict(y=y, r=r, a_rep=a, e_rep=e, bob_fail=bob_fail, alice_fail=honest & bob_fail,
                    x=x, e=honest * e, honest_alice=np.full(len(s), honest),
                    x_guess_correct=honest & (xhat[b] == x))
@@ -348,16 +348,16 @@ def _check_weights(alice_kind: str, bob_kind: str) -> np.ndarray:
     kinds, the state's prior, the probability of each report the outcome
     allows, and the chance that the report fails Bob's check.
 
-    The check ``a AND y = e XOR r`` fails for the report ``(a, e)`` given
-    the branch's bits ``y, r``; the chance sums the report law over the
-    failing pairs.  Every report an outcome allows has the same probability,
-    1 or 1/2.  None of this depends on the sender's amplitudes or the
-    receiver's angle, so it is built once per kind pair.
+    The report ``(a, e)`` fails the check given the branch's bits ``y, r``
+    unless ``a AND y = e XOR r`` (:func:`protocol.correlated`); the chance
+    sums the report law over the failing pairs.  Every report an outcome
+    allows has the same probability, 1 or 1/2.  None of this depends on the
+    sender's amplitudes or the receiver's angle: built once per kind pair.
     """
     _, weights, _, reports = _sender_law(alice_kind)
     _, y, r, _ = _receiver_branches(bob_kind)
     a, e = np.divmod(np.arange(4), 2)
-    fails = (a[:, None] & y) != (e[:, None] ^ r)                     # [(a, e), B]
+    fails = ~protocol.correlated(a[:, None], y, e[:, None], r)       # [(a, e), B]
     laws = reports.reshape(*reports.shape[:2], 4)                    # [S, O, (a, e)]
     shape = laws.shape[:2] + (len(y),)
     return np.stack([np.broadcast_to(weights[:, None, None], shape),
@@ -417,14 +417,15 @@ def _from_ratios(ratios: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def _binomial_pmf(k, p: float) -> np.ndarray:
+def _binomial_pmf(k, p: float, width: int | None = None) -> np.ndarray:
     """``P(Bin(k, p) = j)`` for j = 0..k.
 
-    For an array of counts, one row per count over j = 0..max(k), zero past
+    For an array of counts, one row per count over j = 0..max(k) (or over
+    ``width`` values, which changes only how a row's sum rounds), zero past
     each row's own count: all rows in one vectorized pass.
     """
     k = np.asarray(k)
-    j = np.arange(k.max() + 1)
+    j = np.arange(k.max() + 1 if width is None else width)
     if not 0.0 < p < 1.0:
         return (j == np.where(p >= 1.0, k, 0)[..., None]).astype(float)
     return _from_ratios(np.maximum(k[..., None] - j[:-1], 0) / (j[:-1] + 1.0) * (p / (1.0 - p)))
@@ -496,7 +497,12 @@ def exact_law(config: CheckConfig, alice: AliceStrategy,
     t_a = min(config.resolved_threshold("alice"), k_a)
     shared, weights = _shared_pmf(m, k_a, k_b)
     top = min(int(shared.max()), t_b)   # Bob passes only with u <= t_b, Alice with s <= t_a
-    thinning = _binomial_pmf(np.arange(top + 1), _thinning_rate(p_b, p_a))[:, :t_a + 1]
+    q = _thinning_rate(p_b, p_a)
+    # Only the columns s <= t_a are read: built 128 rows at a time, each at the full width.
+    thinning = np.empty((top + 1, min(top, t_a) + 1))
+    for start in range(0, top + 1, 128):
+        block = thinning[start:start + 128]
+        block[:] = _binomial_pmf(start + np.arange(len(block)), q, top + 1)[:, :block.shape[1]]
     passed = np.zeros(len(shared))
     for i in np.flatnonzero(weights):   # a J of probability 0 adds nothing
         j = int(shared[i])

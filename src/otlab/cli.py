@@ -341,27 +341,18 @@ def _read_flags(parser: _Parser, words, preset: dict):
 def _parse(argv) -> argparse.Namespace:
     """The namespace the top-level parser gives ``argv``, at a fraction of its cost.
 
-    A command line that starts with a subcommand is read off that
-    subcommand's flag table (``_read_flags``) when every other word is an
-    exact flag followed by a value that does not start with ``-``, or
-    ``verify``'s suite, every value passes its flag's type and choices, and
-    no required flag is missing.  Any other such line goes to the
-    subcommand's own parser, with the same namespace, output and errors as
-    the top-level pass, which hands the parser the same words: help,
-    abbreviations, ``--flag=value``, ``--``, dash-led values, unknown words
-    and usage errors.  Only ``--from-manifest``, ``--help``, an empty line
-    and unknown subcommands reach the top-level parser.
+    A line has two outcomes.  One that starts with a subcommand and that
+    ``_read_flags`` reads is read off that subcommand's flag table; every
+    other line goes to the top-level parser: help, abbreviations,
+    ``--flag=value``, ``--``, dash-led values, unknown words, usage errors,
+    ``--from-manifest``, an empty line and unknown subcommands.
     """
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     sub = parser.subcommands.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    preset = {"from_manifest": None, "subcommand": argv[0]}
-    namespace = _read_flags(sub, argv[1:], preset)
-    if namespace is None:
-        namespace = sub.parse_args(argv[1:], argparse.Namespace(**preset))
-    return namespace
+    namespace = None if sub is None else _read_flags(
+        sub, argv[1:], {"from_manifest": None, "subcommand": argv[0]})
+    return parser.parse_args(argv) if namespace is None else namespace
 
 
 def _params_from_args(args: argparse.Namespace) -> dict:

@@ -182,9 +182,8 @@ class PureState:
 class DensityOperator:
     """Hermitian, unit-trace, positive semidefinite operator ``dim x dim``.
 
-    ``DensityOperator(matrix)`` keeps a read-only copy of the square matrix.
-    Validation computes the spectrum, which is kept (read-only) for
-    :meth:`eigenvalues`.
+    ``DensityOperator(matrix)`` keeps a read-only copy of the square matrix,
+    validated through its spectrum, which is not kept.
     """
 
     matrix: np.ndarray
@@ -193,29 +192,19 @@ class DensityOperator:
         mat = _frozen(self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        eigs = _density_spectra(mat)
-        eigs.setflags(write=False)
+        _density_spectra(mat)
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "_eigenvalues", eigs)
 
     @classmethod
-    def _view(cls, matrix: np.ndarray, spectrum: np.ndarray) -> "DensityOperator":
-        """An operator of a read-only matrix and its read-only spectrum, both validated already.
-
-        Private to :attr:`Ensemble.states`: nothing is copied or checked.
-        """
+    def _view(cls, matrix: np.ndarray) -> "DensityOperator":
+        """A view of a validated read-only matrix, for :attr:`Ensemble.states`: no copy, no check."""
         op = object.__new__(cls)
         object.__setattr__(op, "matrix", matrix)
-        object.__setattr__(op, "_eigenvalues", spectrum)
         return op
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        """The spectrum, ascending, computed once at validation (read-only)."""
-        return self._eigenvalues
 
 
 def is_measurement(elements):
@@ -361,11 +350,11 @@ class Ensemble:
 
     @property
     def states(self) -> tuple:
-        """Read-only :class:`DensityOperator` views of the matrices, carrying the stored spectra.
+        """Read-only :class:`DensityOperator` views of the matrices.
 
         The views are built as they are, without validation or ``eigvalsh``.
         """
-        return tuple(map(DensityOperator._view, self.matrices, self.spectra))
+        return tuple(map(DensityOperator._view, self.matrices))
 
 
 def _valid_ensemble(probabilities, states) -> Ensemble:
@@ -381,18 +370,15 @@ def _valid_ensemble(probabilities, states) -> Ensemble:
     return ensemble
 
 
-def _checked(rho):
-    """Matrices and spectra of a :class:`DensityOperator` or of a validated stack.
-
-    An operator gives its matrix and stored spectrum; an array ``[..., d, d]``
-    is validated in one batched pass.
-    """
+def _checked(rho) -> np.ndarray:
+    """The matrix of a :class:`DensityOperator`, or an array ``[..., d, d]`` validated at once."""
     if isinstance(rho, DensityOperator):
-        return rho.matrix, rho.eigenvalues()
+        return rho.matrix
     mats = np.asarray(rho, dtype=complex)
     if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {mats.shape}")
-    return mats, _density_spectra(mats)
+    _density_spectra(mats)
+    return mats
 
 
 def trace_distance(rho, sigma):
@@ -403,7 +389,7 @@ def trace_distance(rho, sigma):
     non-unit-trace matrix anywhere raises :class:`InvalidOperatorError`.
     Stacks broadcast and give one distance per pair, otherwise a float.
     """
-    (rho, _), (sigma, _) = _checked(rho), _checked(sigma)
+    rho, sigma = _checked(rho), _checked(sigma)
     if rho.shape[-1] != sigma.shape[-1]:
         raise ValueError(f"dimension mismatch: {rho.shape[-1]} vs {sigma.shape[-1]}")
     dist = np.abs(np.linalg.eigvalsh(rho - sigma)).sum(axis=-1) * 0.5

@@ -27,13 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import PureState
+from .numerics import PureState, _frozen
 
 __all__ = [
     "SENT",
     "GATES",
     "BASES",
     "OUTCOMES",
+    "correlated",
     "OneTimeTable",
     "AndEvalResult",
     "alice_prepare",
@@ -47,20 +48,13 @@ __all__ = [
 _ONE_HOT_TOL = 1e-12
 
 
-def _table(rows) -> np.ndarray:
-    """``rows`` as a read-only complex array."""
-    table = np.array(rows, dtype=complex)
-    table.setflags(write=False)
-    return table
-
-
 _S = 1.0 / np.sqrt(2.0)
 #: ``SENT[x, t]``: amplitudes of the sent state ``(|x> + (-1)^t |2>)/sqrt(2)``.
-SENT = _table([[[_S, 0, _S], [_S, 0, -_S]], [[0, _S, _S], [0, _S, -_S]]])
+SENT = _frozen([[[_S, 0, _S], [_S, 0, -_S]], [[0, _S, _S], [0, _S, -_S]]])
 #: ``GATES[y, r]``: diagonal of Bob's phase gate ``diag((-1)^r, (-1)^(y+r), 1)``.
-GATES = _table([[[1, 1, 1], [-1, -1, 1]], [[1, -1, 1], [-1, 1, 1]]])
+GATES = _frozen([[[1, 1, 1], [-1, -1, 1]], [[1, -1, 1], [-1, 1, 1]]])
 #: ``BASES[x]``: rows of Alice's analysis basis, ``SENT[x, 0]``, ``SENT[x, 1]``, ``|1-x>``.
-BASES = _table([[*SENT[0], [0, 1, 0]], [*SENT[1], [1, 0, 0]]])
+BASES = _frozen([[*SENT[0], [0, 1, 0]], [*SENT[1], [1, 0, 0]]])
 
 
 def _outcome_law(bases, gates, sent) -> np.ndarray:
@@ -91,6 +85,11 @@ def _bits(value, name: str) -> np.ndarray:
     return bits.astype(np.int64)
 
 
+def correlated(x, y, e, f):
+    """Where ``e XOR f = x AND y`` on bits or bit arrays: the relation a table's check tests."""
+    return (e ^ f) == (x & y)
+
+
 @dataclass(frozen=True)
 class OneTimeTable:
     """Correlation records: inputs ``x, y`` and outputs ``e, f``, bits or bit arrays."""
@@ -103,7 +102,7 @@ class OneTimeTable:
     @property
     def correlation_ok(self):
         """Where ``e XOR f = x AND y`` holds (everywhere on honest runs)."""
-        return (self.e ^ self.f) == (self.x & self.y)
+        return correlated(self.x, self.y, self.e, self.f)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 import itertools
 import math
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -738,6 +742,29 @@ class TestExactLaw:
         p_b, p_a = fail[1].sum(), fail[:, 1].sum()
         assert law.abort_bob == pytest.approx(stats.binom.sf(t_b, k_b, p_b), abs=1e-12)
         assert law.abort_alice == pytest.approx(stats.binom.sf(t_a, k_a, p_a), abs=1e-12)
+
+    def test_large_bob_threshold_builds_only_the_thinning_columns_read(self):
+        # t_b = 2000 and t_a = 0: one column of the [u, s] thinning law is
+        # read, so a fresh process stays far below what the square
+        # [2001, 2001] law and its temporaries take (about 150 MB).
+        job = ("from otlab.checksim import AliceStrategy, BobStrategy, CheckConfig, exact_law\n"
+               "mix = AliceStrategy.per_instance_mix([(0.5, AliceStrategy.learn_y()),\n"
+               "                                      (0.5, AliceStrategy.honest())])\n"
+               "config = CheckConfig(m=2000, k_bob=2000, k_alice=2000, threshold_bob=2000,\n"
+               "                     threshold_alice=0)\n"
+               "exact_law(config, mix, BobStrategy.computational_basis())\n")
+        # A child's ru_maxrss counts the memory of the process that spawned it,
+        # so the job runs under a small launcher, which reports the job's peak.
+        launcher = ("import resource, subprocess, sys\n"
+                    "code = subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode\n"
+                    "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)\n")
+        src = str(Path(checksim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", launcher, job], capture_output=True,
+                              text=True, env=env, timeout=120)
+        code, peak_mb = proc.stdout.split()
+        assert code == "0", proc.stderr
+        assert float(peak_mb) <= 60.0
 
     def test_closed_forms(self):
         m, k, p = 20, 10, math.sin(0.25) ** 2

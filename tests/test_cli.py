@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -719,6 +718,10 @@ class _TopLevelParse(Exception):
     """Raised by a patched parser; ``main`` lets it through."""
 
 
+def _refuse(*args, **kwargs):
+    raise _TopLevelParse
+
+
 # Each subcommand's exact flags with values valid for them; a generated line
 # also takes odd values, abbreviated flags, ``=`` forms, help and ``--``.
 _LINE_FLAGS = {
@@ -771,31 +774,29 @@ def _lines(draw, name):
     return [word for group in groups for word in group]
 
 
-def _argparse_reads(sub, words, preset):
-    """``vars`` of the namespace argparse gives ``words``, or None if it raises or prints help."""
+def _reads(parse, argv):
+    """``vars`` of the namespace ``parse`` gives ``argv``, or None if it raises or prints help."""
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            return vars(sub.parse_args(words, argparse.Namespace(**preset)))
+            return vars(parse(argv))
     except (ValueError, SystemExit):
         return None
 
 
 class TestSubcommandParse:
-    """A line that starts with a subcommand never reaches the top-level parser.
+    """A line has two outcomes: the subcommand's flag table, or the top-level parser.
 
-    A well-formed one is read off the subcommand's flag table and reaches no
-    argparse parser; the table gives argparse's namespace, and gives nothing
-    where argparse fails or prints help.
+    A well-formed line that starts with a subcommand is read off that
+    subcommand's flag table and reaches no argparse parser; the table gives
+    the top-level parser's namespace, and gives nothing where that parser
+    fails or prints help.  Every other line goes to the top-level parser.
     """
 
     @staticmethod
     def _refuse_top_level(monkeypatch, parsers=None):
-        def refuse(*args, **kwargs):
-            raise _TopLevelParse
-
         for parser in parsers or [cli._parser()]:
-            monkeypatch.setattr(parser, "parse_args", refuse)
-            monkeypatch.setattr(parser, "parse_known_args", refuse)
+            monkeypatch.setattr(parser, "parse_args", _refuse)
+            monkeypatch.setattr(parser, "parse_known_args", _refuse)
 
     def _refuse_argparse(self, monkeypatch):
         parser = cli._parser()
@@ -847,8 +848,7 @@ class TestSubcommandParse:
     ], ids=["table", "verify-samples", "verify", "curve", "p2-learn-y", "p2-alpha", "p2-phi",
             "p3-computational", "p3-angle"])
     def test_benchmark_lines_take_the_table_path(self, monkeypatch, argv):
-        preset = {"from_manifest": None, "subcommand": argv[0]}
-        expected = _argparse_reads(cli._parser().subcommands[argv[0]], argv[1:], preset)
+        expected = _reads(cli._parser().parse_args, argv)
         assert expected is not None
         self._refuse_argparse(monkeypatch)
         assert vars(cli._parse(argv)) == expected
@@ -867,6 +867,17 @@ class TestSubcommandParse:
         with pytest.raises(_TopLevelParse):
             cli.main(argv)
 
+    @pytest.mark.parametrize("argv", [["checksim", "--trials=5", "--seed", "3"],
+                                      ["verify", "--", "prop1", "--seed", "1"], ["table", "-h"]],
+                             ids=["equals", "separator", "help"])
+    def test_other_subcommand_lines_take_no_subcommand_parse_args(self, capsys, monkeypatch,
+                                                                   argv):
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the same width
+        unpatched = _run(capsys, argv)
+        for sub in cli._parser().subcommands.values():
+            monkeypatch.setattr(sub, "parse_args", _refuse)
+        assert _run(capsys, argv) == unpatched
+
     @_LINES
     @pytest.mark.parametrize("name", sorted(_LINE_FLAGS))
     @given(data=st.data())
@@ -874,9 +885,16 @@ class TestSubcommandParse:
         words = data.draw(_lines(name))
         preset = {"from_manifest": None, "subcommand": name}
         table = cli._read_flags(cli._parser().subcommands[name], words, preset)
-        reference = _argparse_reads(cli._parser().subcommands[name], words, preset)
+        reference = _reads(cli._parser().parse_args, [name, *words])
         # Compared by repr, so that a NaN value (``--a nan``) equals itself.
         assert table is None or repr(vars(table)) == repr(reference)
+
+    @_LINES
+    @pytest.mark.parametrize("name", sorted(_LINE_FLAGS))
+    @given(data=st.data())
+    def test_parse_gives_top_level_namespace_or_both_fail(self, name, data):
+        argv = [name, *data.draw(_lines(name))]
+        assert repr(_reads(cli._parse, argv)) == repr(_reads(cli._parser().parse_args, argv))
 
 
 class TestImportCost:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,15 @@ def test_encoding_tables_are_read_only(name):
         table[0, 0, 0] = 0.0
     with pytest.raises(ValueError):
         table.reshape(-1)[0] = 0.0
+
+
+def test_correlated_on_all_sixteen_bit_combinations():
+    combos = list(itertools.product((0, 1), repeat=4))
+    x, y, e, f = np.array(combos).T
+    expected = [(ei + fi) % 2 == xi * yi for xi, yi, ei, fi in combos]
+    assert protocol.correlated(x, y, e, f).tolist() == expected
+    assert [bool(protocol.correlated(*combo)) for combo in combos] == expected
+    assert sum(expected) == 8
 
 
 class TestGate:
