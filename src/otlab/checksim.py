@@ -226,13 +226,10 @@ def _sender_law(kind: str) -> tuple:
         reports[np.arange(4), 1, x, 1 - t] = 1.0
         reports[np.arange(4), 2, x] = 0.5         # impossible under honesty: a coin
         return True, np.full(4, 0.25), x, reports
-    if kind == "learn-y":
-        reports = np.zeros((1, 3, 2, 2))
-        reports[0, :, 0] = 0.5                    # claim input 0, report a coin
-    else:
-        reports = np.zeros((1, 4, 2, 2))
-        reports[0, :2, 0] = 0.5                   # outcomes 0/1 reveal y only: a coin
-        reports[0, 2, 0, 0] = reports[0, 3, 0, 1] = 1.0  # outcomes 2/3 reveal r
+    # A cheater (learn-y is param at alpha = 0) claims input 0.
+    reports = np.zeros((1, 4, 2, 2))
+    reports[0, :2, 0] = 0.5                       # outcomes 0/1 reveal y only: a coin
+    reports[0, 2, 0, 0] = reports[0, 3, 0, 1] = 1.0  # outcomes 2/3 reveal r
     return False, np.ones(1), np.zeros(1, dtype=int), reports
 
 
@@ -249,12 +246,8 @@ def _sender(alice: AliceStrategy):
         return honest, weights, protocol.SENT.reshape(4, 3), x, protocol.BASES[x], reports
     params = CheatParams.learn_y() if alice.kind == "learn-y" else alice.params
     sent = np.array([[params.a, params.b, params.c]])
-    if alice.kind == "learn-y":
-        # Outcomes |+>, |-> of the cheat state's basis read y; |2> reads a coin.
-        rows = np.vstack([sent, sent * [1.0, -1.0, 1.0], [0.0, 0.0, 1.0]])
-    else:
-        # Example 1's measurement at alpha = atan2(c, b).
-        rows = _example_vectors(np.arctan2(params.c, params.b))
+    # Example 1's measurement at alpha = atan2(c, b).
+    rows = _example_vectors(np.arctan2(params.c, params.b))
     return honest, weights, sent, x, rows[None], reports
 
 
@@ -572,7 +565,7 @@ class CheckReport:
     def trials(self) -> int:
         return int(self.counts.sum())
 
-    @property
+    @cached_property
     def abort_probability(self) -> float:
         return int(self.counts @ (self.drawn_failures > self.threshold)) / self.trials
 
@@ -592,10 +585,9 @@ class CheckReport:
 
     def summary(self) -> dict:
         """Aggregate of all trials: abort rate with its interval, extras, mean failures."""
-        phat = self.abort_probability
         return {
-            "abort_ci": [float(bound) for bound in _wilson_interval(phat, self.trials)],
-            "abort_probability": phat,
+            "abort_ci": [float(bound) for bound in self.abort_ci],
+            "abort_probability": self.abort_probability,
             "extras": {key: float(val) for key, val in self.extras.items()},
             "mean_failures": self.mean_failures,
         }

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -222,6 +223,8 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         self.actions, self.flags = [], {}
         super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent: "-1e-3" would read as an unknown flag.
+        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)

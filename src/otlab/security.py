@@ -112,9 +112,8 @@ class CheatParams:
 
     @classmethod
     def learn_y(cls) -> "CheatParams":
-        """The y-extracting cheat state ``(|0> + |1>)/sqrt(2)``."""
-        s = 1.0 / np.sqrt(2.0)
-        return cls(s, s, 0.0)
+        """The y-extracting cheat state ``(|0> + |1>)/sqrt(2)``: the extremal family at 0."""
+        return cls.from_alpha(0.0)
 
     @classmethod
     def from_alpha(cls, alpha: float) -> "CheatParams":
@@ -626,59 +625,35 @@ def _chi_sum_of_squares(a2, b2):
     return np.where((a2 >= 0.0) & (b2 >= 0.0) & (c2 >= -1e-15), chi_y + chi_r, -np.inf)
 
 
-# Reciprocal of the golden ratio: each golden-section step keeps this
-# fraction of the bracket and reuses one of its two interior points.
-_INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+def _zoom_max(f, center) -> tuple:
+    """``(x, f(x))`` at the maximum of ``f`` by a zooming grid around ``center``.
 
-
-def _golden_section_max(f, lo: float, hi: float, xatol: float) -> tuple:
-    """``(x, f(x))`` at the maximum of a unimodal scalar ``f`` on ``[lo, hi]``."""
-    x1, x2 = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > xatol:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = f(x2)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
-
-
-def _simplex_zoom_max() -> float:
-    """Maximum of ``chi_y + chi_r`` over ``(a^2, b^2)`` by a zooming grid.
-
-    Each round evaluates a ``points x points`` grid in one array pass and
-    recentres a window four grid steps wide on its best point, so the step
-    shrinks tenfold per round.
+    Each of 12 rounds evaluates ``f`` once on the :func:`numpy.ix_` axes of
+    a grid of 41 points per coordinate, first over a window 1 wide, and
+    recentres a window four grid steps wide on its best point, so the
+    window shrinks tenfold per round.  ``f`` gives -inf off its domain.
     """
-    points, rounds = 41, 12
-    center, half = np.array([0.5, 0.5]), 0.5
-    for _ in range(rounds):
-        offsets = np.linspace(-half, half, points)
-        a2, b2 = center[0] + offsets[:, None], center[1] + offsets[None, :]
-        values = _chi_sum_of_squares(a2, b2)
-        row, col = np.unravel_index(np.argmax(values), values.shape)
-        best = float(values[row, col])
-        center = np.array([a2[row, 0], b2[0, col]])
+    points, center, half = 41, np.atleast_1d(center), 0.5
+    for _ in range(12):
+        axes = np.ix_(*(c + np.linspace(-half, half, points) for c in center))
+        values = f(*axes)
+        best = np.unravel_index(np.argmax(values), values.shape)
+        center = np.array([axis.flat[i] for axis, i in zip(axes, best)])
         half = 4.0 * half / (points - 1)
-    return best
+    return center, float(values[best])
 
 
 def max_holevo_sum_search() -> MaxHolevoSumResult:
-    """Maximize ``chi_y + chi_r`` over amplitude triples.
+    """Maximize ``chi_y + chi_r`` over amplitude triples by :func:`_zoom_max`.
 
-    Primary route: golden-section search along the symmetric slice
-    ``b^2 = c^2``, where the sum is a unimodal function of ``b^2``.
-    Cross-check: a zooming grid over the free ``(a^2, b^2)`` simplex; the
-    two routes agree to 1e-8.
+    Primary route: along the symmetric slice ``b^2 = c^2``, where the sum
+    is a unimodal function of ``b^2``.  Cross-check: over the free ``(a^2,
+    b^2)`` simplex; the two routes agree to 1e-8.
     """
-    b2_star, constrained = _golden_section_max(
-        lambda b2: float(_chi_sum_of_squares(1.0 - 2.0 * b2, b2)), 1e-15, 0.5 - 1e-15, 1e-13)
+    (b2_star,), constrained = _zoom_max(
+        lambda b2: _chi_sum_of_squares(1.0 - 2.0 * b2, b2), 0.25)
     argmax = CheatParams.from_squares(1.0 - 2.0 * b2_star, b2_star, b2_star)
-    unconstrained = _simplex_zoom_max()
+    _, unconstrained = _zoom_max(_chi_sum_of_squares, (0.5, 0.5))
     return MaxHolevoSumResult(max_sum=constrained, argmax=argmax,
                               constrained_max=constrained, unconstrained_max=unconstrained)
 

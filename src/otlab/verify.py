@@ -47,7 +47,7 @@ def prop1(samples: int, seed: int) -> dict:
                            for elements, squares in _povm_blocks(rng, samples, SAMPLE_BLOCK,
                                                                  1, real=False)])
     i_y, i_r, i_yxr = info.T
-    margins = 1.0 - (i_y[:, None] + np.column_stack([i_r, i_yxr, np.maximum(i_r, i_yxr)]))
+    margins = 1.0 - (i_y[:, None] + np.column_stack([i_r, i_yxr]))
     return {"min_margin": float(margins.min()), "samples": samples,
             "violations": int(np.any(margins < -1e-9, axis=1).sum())}
 

@@ -218,6 +218,19 @@ class TestLearnY:
         # She claims input 0 and reports a coin for e, whatever she learned of y.
         assert total.tolist() == [0.25, 0.25, 0.0, 0.0, 0.25, 0.25, 0.0, 0.0]
 
+    @pytest.mark.parametrize("line", [
+        "--protocol 2",
+        "--protocol 3 --bob phase-noise --angle 0.7 --k-alice 8 --threshold-alice 1",
+        "--protocol 3 --bob computational --k-alice 8",
+    ], ids=["p2", "p3-phase-noise", "p3-computational"])
+    def test_runs_as_param_at_alpha_zero(self, capsys, line):
+        argv = f"checksim {line} --m 40 --k 10 --threshold 3 --trials 500 --seed 8".split()
+        outputs = []
+        for alice in (["--alice", "learn-y"], ["--alice", "param", "--alpha", "0"]):
+            assert cli.main(argv + alice) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
 
 class TestParamStrategy:
     def test_pass_probability_tracks_alpha(self):
@@ -897,7 +910,8 @@ _TABLE_RECEIVERS = (
 
 def _report_map_table(report_map, bob, monkeypatch):
     """Instance table of a learn-y sender who reports ``report_map[o]`` after
-    reading bit ``o``, and either of those pairs by a coin after ``|2>``.
+    reading bit ``o`` (outcome 0 or 1), and either of those pairs by a coin
+    after outcome 2 or 3.
 
     The learn-y sender's report law is replaced in :func:`checksim._sender`,
     and the table is built without the cache, so no cached table changes.
@@ -909,7 +923,8 @@ def _report_map_table(report_map, bob, monkeypatch):
         observed = np.zeros((2, 2, 2))            # [observed bit, a, e]
         for bit, (a, e) in enumerate(report_map):
             observed[bit, a, e] = 1.0
-        return (*arrays, np.stack([observed[0], observed[1], observed.mean(axis=0)])[None])
+        coin = observed.mean(axis=0)
+        return (*arrays, np.stack([observed[0], observed[1], coin, coin])[None])
 
     monkeypatch.setattr(checksim, "_sender", mapped)
     return checksim._instance_table.__wrapped__(AliceStrategy.learn_y(), bob)
@@ -1011,6 +1026,18 @@ class TestVerdicts:
         assert checksim._verdicts(AliceStrategy.learn_y(), bob) == (0.5, 0.0)
         if bob.kind != "computational" and bob.angle == 0.0:
             assert checksim._verdicts(AliceStrategy.honest(), bob) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("bob", _VERDICT_RECEIVERS, ids=_receiver_id)
+    def test_learn_y_is_param_at_alpha_zero(self, bob):
+        # Example 1's sender at alpha = 0: the same arrays, so the same bits.
+        learn_y = AliceStrategy.learn_y()
+        param = AliceStrategy.param(CheatParams.from_alpha(0.0))
+        assert checksim._verdicts(learn_y, bob) == checksim._verdicts(param, bob)
+        (probs, columns), (want_probs, want) = (checksim._instance_table(alice, bob)
+                                                for alice in (learn_y, param))
+        assert np.array_equal(probs, want_probs)
+        for name in checksim._FIELDS:
+            assert np.array_equal(columns[name], want[name]), name
 
     def test_param_closed_form(self):
         rng = np.random.default_rng(61)

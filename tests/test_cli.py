@@ -224,6 +224,15 @@ class TestChecksim:
         assert abs(agg["alice"]["abort_probability"] - (1 - 2 ** -10)) < 0.02
         assert abs(agg["alice"]["extras"]["x_guess_rate"] - 0.75) < 0.02
 
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-.1e-2", "-1e+0"])
+    def test_negative_value_in_exponent_form(self, capsys, value):
+        # Read as the number it is, as ``--angle=value`` and the decimal form are.
+        argv = "checksim --protocol 3 --bob phase-noise --k-alice 5 --trials 50 --seed 3".split()
+        decimal = _run(capsys, argv + ["--angle", str(float(value))])
+        assert decimal[0] == 0
+        assert _run(capsys, argv + ["--angle", value]) == decimal
+        assert _run(capsys, argv + [f"--angle={value}"]) == decimal
+
     def test_inconsistent_flags_are_usage_error(self, capsys):
         code, _, err = _run(capsys, ["checksim", "--m", "5", "--k", "10"])
         assert code == 2

@@ -709,7 +709,7 @@ class TestMaxHolevoSum:
         result = max_holevo_sum_search()
         assert result.max_sum == pytest.approx(MAX_HOLEVO_SUM, abs=1e-9)
         assert result.argmax.squares[0] == pytest.approx(np.sqrt(5.0) / 5.0, abs=1e-6)
-        assert result.argmax.squares[1] == pytest.approx((5.0 - np.sqrt(5.0)) / 10.0, abs=1e-6)
+        assert result.argmax.squares[1] == pytest.approx((5.0 - np.sqrt(5.0)) / 10.0, abs=1e-9)
         assert abs(result.constrained_max - result.unconstrained_max) < 1e-8
 
 
