@@ -41,7 +41,7 @@ EIG_FLOOR = -1e-10
 # prop1, prop3 and lemma1, and the tradeoff curve) draws through.  A block's
 # [rows, 3] draw is 192 KiB and each per-sample temporary 64 KiB, so a
 # 100k-sample sweep works on cache-sized arrays instead of a few dozen fresh
-# 800 KB ones.
+# 800 KB ones.  verify infodelta checks its grid in blocks of as many points.
 DIRICHLET_BLOCK = 8192
 
 
@@ -60,15 +60,21 @@ class InvalidMeasurementError(ValueError):
 def xlog2(x):
     """Elementwise ``x * log2(x)`` with the ``0 * log 0 = 0`` convention.
 
-    Entries that are not positive (NaN included) give exactly 0: the
-    logarithm and the product are taken at the positive entries only, into
-    an array of zeros.
+    Entries that are not positive (NaN included) give exactly 0.  When every
+    entry is positive, the logarithm and the product are taken unmasked;
+    only when some entry is not are they taken at the positive entries
+    alone, into an array of zeros, through numpy's slower masked loops.  The
+    two paths give the same bits on the positive entries.
     """
     arr = np.asarray(x, dtype=float)
     positive = arr > 0.0
-    out = np.zeros(arr.shape)
-    np.log2(arr, out=out, where=positive)
-    np.multiply(out, arr, out=out, where=positive)
+    if positive.all():
+        out = np.log2(arr)
+        out *= arr
+    else:
+        out = np.zeros(arr.shape)
+        np.log2(arr, out=out, where=positive)
+        np.multiply(out, arr, out=out, where=positive)
     return float(out) if out.ndim == 0 else out
 
 

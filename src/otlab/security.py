@@ -259,14 +259,14 @@ def _triple_from_squares(a2, b2, c2):
     c2 = np.clip(np.asarray(c2, dtype=float), 0.0, 1.0)
     # Terms summed in the nine-term order, so results are bitwise those of
     # taking each xlog2 separately (TestTripleFromSquares checks this); on
-    # arrays the sums go in place.
+    # arrays the sums and the clamp at 0 go in place.
     la, lb, lc = xlog2(a2), xlog2(b2), xlog2(c2)
     chis = []
     for first, second, rest in ((la, lb, c2), (la, lc, b2), (lb, lc, a2)):
         chi = -first
         chi -= second
         chi += xlog2(1.0 - rest)
-        chis.append(np.clip(chi, 0.0, None))
+        chis.append(np.maximum(chi, 0.0, out=chi if isinstance(chi, np.ndarray) else None))
     return tuple(chis)
 
 
@@ -293,10 +293,14 @@ def binary_entropy(delta):
     Elementwise for arrays; a float for scalar input.
     """
     delta = np.asarray(delta, dtype=float)
-    outside = ~((delta >= 0.0) & (delta <= 1.0))
-    if outside.any():
-        raise ValueError(f"argument {delta[outside].flat[0]} outside [0, 1]")
-    return -xlog2(delta) - xlog2(1.0 - delta)
+    inside = (delta >= 0.0) & (delta <= 1.0)
+    if not inside.all():
+        raise ValueError(f"argument {delta[~inside].flat[0]} outside [0, 1]")
+    # -xlog2(delta) - xlog2(1 - delta), negated and subtracted in place on arrays.
+    bits = xlog2(delta)
+    bits = np.negative(bits, out=bits) if delta.ndim else -bits
+    bits -= xlog2(1.0 - delta)
+    return bits
 
 
 def tradeoff_bound_margins(chi_y, chi_r, chi_yxr) -> tuple:
@@ -873,8 +877,10 @@ def infodelta_check(grid: Iterable[float]) -> InfoDeltaReport:
     is strictly below ``1 + delta log2(2 delta)`` (dropping the positive
     subtracted term), which is strictly below ``1 - 2 delta`` on the stated
     interval.  Behavior outside (0, 0.1) is deliberately not extrapolated.
+    An array grid is taken as it is; any other iterable is read into one.
     """
-    delta = np.array(list(grid), dtype=float)
+    delta = (np.asarray(grid, dtype=float) if isinstance(grid, np.ndarray)
+             else np.fromiter(grid, dtype=float))
     outside = ~((delta > 0.0) & (delta < 0.1))
     if outside.any():
         raise ValueError(f"delta {delta[outside][0]} outside (0, 0.1)")

@@ -166,6 +166,35 @@ class TestEntropy:
             for arr in (x, x[::3], x[:size - size % 2].reshape(-1, 2).T, 1.0 - x):
                 assert numerics.xlog2(arr).tobytes() == replaced(arr).tobytes()
 
+    def test_xlog2_unmasked_path_bitwise_equal_to_the_masked_form(self):
+        # Strictly positive inputs skip the masked loops: the same bits as the masked form.
+        def masked(x):
+            arr = np.asarray(x, dtype=float)
+            out = np.zeros(arr.shape)
+            np.log2(arr, out=out, where=arr > 0.0)
+            np.multiply(out, arr, out=out, where=arr > 0.0)
+            return out
+
+        rng = np.random.default_rng(16)
+        specials = np.array([5e-324, 1e-300, 1.0 - 2.0 ** -53, 1.0, np.inf])
+        for size in (5, 64, 3848, 8192, 100_005):
+            x = rng.random(size) ** rng.uniform(0.1, 20.0)
+            x[x == 0.0] = 5e-324
+            x[:5] = specials
+            x[rng.integers(0, size, size=max(1, size // 50))] = rng.choice(
+                specials, size=max(1, size // 50))
+            square = x[:size - size % 5].reshape(5, -1)
+            for arr in (x, x[::3], x[1::7], square.T, square[:, ::2].T, np.asfortranarray(square)):
+                assert (arr > 0.0).all()
+                assert numerics.xlog2(arr).tobytes() == masked(arr).tobytes()
+        for value in specials:
+            for scalar in (value, np.float64(value), np.array(value)):
+                got = numerics.xlog2(scalar)
+                assert isinstance(got, float)
+                assert np.float64(got).tobytes() == masked(value).tobytes()
+        got = numerics.xlog2(specials.tolist())
+        assert isinstance(got, np.ndarray) and got.tobytes() == masked(specials).tobytes()
+
     def test_entropy_bits_bitwise_equal_to_the_clamped_form(self):
         # One mask in place of the clamp and xlog2's own mask: the same bits.
         def clamped(spectra):

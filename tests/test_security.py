@@ -983,6 +983,15 @@ class TestInfoDelta:
         assert margins[2] > 0.0
         assert report.ok
 
+    def test_iterables_read_as_the_array(self):
+        grid = np.linspace(0.005, 0.095, 25)
+        want = infodelta_check(grid)
+        for other in (grid.tolist(), tuple(grid), iter(grid.tolist()), (d for d in grid)):
+            got = infodelta_check(other)
+            assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes()
+                       for f in ("delta", "mi_bound", "drop_margin", "terminal_margin",
+                                 "identity_residual"))
+
     def test_identity_residuals_vanish(self):
         report = infodelta_check(np.linspace(0.005, 0.095, 25))
         assert np.all(report.identity_residual <= 1e-12)

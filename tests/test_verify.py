@@ -92,6 +92,27 @@ def test_prop3_takes_entropies_of_the_applicable_deltas_only(inflate, monkeypatc
     assert 0 < sum(w.size for w in want) < 2 * N
 
 
+@pytest.mark.parametrize("n", [2, numerics.DIRICHLET_BLOCK - 1, numerics.DIRICHLET_BLOCK,
+                               numerics.DIRICHLET_BLOCK + 1, 3 * numerics.DIRICHLET_BLOCK + 5])
+def test_infodelta_blocks_equal_one_shot_reference(monkeypatch, n):
+    grid = np.linspace(0.001, 0.099, n)
+    report = security.infodelta_check(grid)
+    assert verify.infodelta(n, 5) == {"min_margin": report.min_margin, "samples": n,
+                                      "violations": int(np.sum(~report.point_ok))}
+    # The blocks' points are the linspace grid's, bit for bit.
+    blocks = []
+    check = security.infodelta_check
+
+    def recorded(delta):
+        blocks.append(delta)
+        return check(delta)
+
+    monkeypatch.setattr(security, "infodelta_check", recorded)
+    verify.infodelta(n, 5)
+    assert all(len(block) <= numerics.DIRICHLET_BLOCK for block in blocks)
+    assert np.concatenate(blocks).tobytes() == grid.tobytes()
+
+
 def test_prop2_reports_the_closed_form_locus():
     # Both left sides are x (1 - x) at x = a^2 or b^2: the report is that
     # identity on the locus grid, whatever the seed and the sample count.
