@@ -41,7 +41,7 @@ EIG_FLOOR = -1e-10
 # prop1, prop3 and lemma1, and the tradeoff curve) draws through.  A block's
 # [rows, 3] draw is 192 KiB and each per-sample temporary 64 KiB, so a
 # 100k-sample sweep works on cache-sized arrays instead of a few dozen fresh
-# 800 KB ones.  verify infodelta checks its grid in blocks of as many points.
+# 800 KB ones.  verify infodelta and examples check their grids in blocks of as many points.
 DIRICHLET_BLOCK = 8192
 
 
@@ -159,9 +159,7 @@ def _entropy_bits(spectra):
 
 
 def _frozen(values) -> np.ndarray:
-    """``values`` as a read-only complex array: a read-only complex input itself, else a copy."""
-    if isinstance(values, np.ndarray) and values.dtype == complex and not values.flags.writeable:
-        return values
+    """``values`` as a read-only complex copy."""
     arr = np.array(values, dtype=complex)
     arr.setflags(write=False)
     return arr

@@ -149,21 +149,21 @@ def thm3(samples: int, seed: int) -> dict:
     return {**report, "samples": samples, "violations": violations}
 
 
-def infodelta(samples: int, seed: int) -> dict:
-    """Strict small-delta information chain on a grid in (0, 0.1).
-
-    The grid, ``np.linspace(0.001, 0.099, max(2, samples))`` bit for bit, is
-    built and checked ``numerics.DIRICHLET_BLOCK`` points at a time.
-    """
-    n = max(2, samples)
-    step = (0.099 - 0.001) / (n - 1)
-    min_margin, violations = np.inf, 0
+def _grid_blocks(lo: float, hi: float, n: int):
+    """``np.linspace(lo, hi, n)`` bit for bit, ``numerics.DIRICHLET_BLOCK`` points at a time."""
+    step = (hi - lo) / (n - 1)
     for start in range(0, n, numerics.DIRICHLET_BLOCK):
-        stop = min(start + numerics.DIRICHLET_BLOCK, n)
         # linspace's own arithmetic, with its last point pinned to the end.
-        delta = np.arange(start, stop) * step + 0.001
-        if stop == n:
-            delta[-1] = 0.099
+        grid = np.arange(start, min(start + numerics.DIRICHLET_BLOCK, n)) * step + lo
+        if start + grid.size == n:
+            grid[-1] = hi
+        yield grid
+
+
+def infodelta(samples: int, seed: int) -> dict:
+    """Strict small-delta information chain on ``np.linspace(0.001, 0.099, max(2, samples))``."""
+    min_margin, violations = np.inf, 0
+    for delta in _grid_blocks(0.001, 0.099, max(2, samples)):
         report = security.infodelta_check(delta)
         min_margin = min(min_margin, report.min_margin)
         violations += int(np.count_nonzero(~report.point_ok))
@@ -171,27 +171,29 @@ def infodelta(samples: int, seed: int) -> dict:
 
 
 def examples(samples: int, seed: int) -> dict:
-    """Example measurement identities on parameter grids."""
+    """Example measurement identities on parameter grids, checked a block at a time."""
+    center = abs(security.example3_value(1 / np.sqrt(2)) - 1.0)
+    worst, violations = center, int(center > 1e-10)
     # CheatParams.from_alpha(alpha) measured by example1_povm(alpha): the
     # information about y is cos^2(alpha) and the sum over y and r one bit.
-    alphas = np.linspace(0.0, np.pi / 2, max(2, samples))
-    amplitudes = (1.0 / np.sqrt(2.0)) * np.column_stack(
-        [np.ones_like(alphas), np.cos(alphas), np.sin(alphas)])
-    info = security.sign_state_information(security.example1_elements(alphas), amplitudes)
-    split_dev = np.maximum(np.abs(info[:, 0] - np.cos(alphas) ** 2),
-                           np.abs(info[:, 0] + info[:, 1] - 1.0))
+    for alphas in _grid_blocks(0.0, np.pi / 2, max(2, samples)):
+        amplitudes = (1.0 / np.sqrt(2.0)) * np.column_stack(
+            [np.ones_like(alphas), np.cos(alphas), np.sin(alphas)])
+        info = security.sign_state_information(security.example1_elements(alphas), amplitudes)
+        split_dev = np.maximum(np.abs(info[:, 0] - np.cos(alphas) ** 2),
+                               np.abs(info[:, 0] + info[:, 1] - 1.0))
+        worst = max(worst, float(split_dev.max()))
+        violations += int(np.count_nonzero(split_dev > 1e-10))
     # Triples (a, b' cos t, b' sin t) measured by example1_povm(t) carry
     # example3_value(a) bits about y and r together.
-    a_grid = np.linspace(0.05, 0.95, max(2, samples // 2))
-    thetas = np.linspace(0.1, 1.4, len(a_grid))
-    b_prime = np.sqrt(1 - a_grid ** 2)
-    amplitudes = np.column_stack([a_grid, b_prime * np.cos(thetas), b_prime * np.sin(thetas)])
-    info = security.sign_state_information(security.example1_elements(thetas), amplitudes)
-    closed = np.array([security.example3_value(a) for a in a_grid])
-    value_dev = np.abs(closed - (info[:, 0] + info[:, 1]))
-    center = abs(security.example3_value(1 / np.sqrt(2)) - 1.0)
-    worst = max(float(split_dev.max()), float(value_dev.max()), center)
-    violations = int(np.sum(split_dev > 1e-10) + np.sum(value_dev > 1e-9)) + int(center > 1e-10)
+    n = max(2, samples // 2)
+    for a_grid, thetas in zip(_grid_blocks(0.05, 0.95, n), _grid_blocks(0.1, 1.4, n)):
+        b_prime = np.sqrt(1 - a_grid ** 2)
+        amplitudes = np.column_stack([a_grid, b_prime * np.cos(thetas), b_prime * np.sin(thetas)])
+        info = security.sign_state_information(security.example1_elements(thetas), amplitudes)
+        value_dev = np.abs(security.example3_value(a_grid) - (info[:, 0] + info[:, 1]))
+        worst = max(worst, float(value_dev.max()))
+        violations += int(np.count_nonzero(value_dev > 1e-9))
     return {"max_deviation": worst, "samples": samples, "violations": violations}
 
 

@@ -646,6 +646,32 @@ class TestExample3:
         with pytest.raises(ValueError):
             example3_value(1.5)
 
+    def test_arrays_match_an_exact_evaluation(self):
+        import mpmath
+
+        a = np.concatenate([np.linspace(0.0, 1.0, 1001), [SQRT_HALF, 5e-324, 1.0 - 2.0 ** -53]])
+        with mpmath.workdps(50):
+            def exact(a_val):
+                a_val = mpmath.mpf(a_val)
+                b_prime = mpmath.sqrt(max(0, 1 - a_val ** 2))
+                terms = (a_val + b_prime, abs(a_val - b_prime))
+                return float(sum(x ** 2 * mpmath.log(x, 2) for x in terms if x > 0))
+
+            want = np.array([exact(a_val) for a_val in a])
+        got = example3_value(a)
+        assert got.shape == a.shape
+        assert np.abs(got - want).max() <= 2e-15
+
+    def test_shapes_and_the_first_entry_outside(self):
+        assert type(example3_value(0.3)) is float
+        assert type(example3_value(np.float64(0.3))) is float
+        grid = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        values = example3_value(grid)
+        assert values.shape == (2, 3)
+        assert values.tolist() == [[example3_value(a) for a in row] for row in grid.tolist()]
+        with pytest.raises(ValueError, match="nan"):
+            example3_value([0.2, np.nan, 2.0])
+
 
 class TestAccessibleInfoSearch:
     def test_orthogonal_pair_reaches_one_bit(self):
@@ -988,9 +1014,8 @@ class TestInfoDelta:
         want = infodelta_check(grid)
         for other in (grid.tolist(), tuple(grid), iter(grid.tolist()), (d for d in grid)):
             got = infodelta_check(other)
-            assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes()
-                       for f in ("delta", "mi_bound", "drop_margin", "terminal_margin",
-                                 "identity_residual"))
+            assert all(getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes()
+                       for f in dataclasses.fields(want))
 
     def test_identity_residuals_vanish(self):
         report = infodelta_check(np.linspace(0.005, 0.095, 25))

@@ -92,8 +92,12 @@ def test_prop3_takes_entropies_of_the_applicable_deltas_only(inflate, monkeypatc
     assert 0 < sum(w.size for w in want) < 2 * N
 
 
-@pytest.mark.parametrize("n", [2, numerics.DIRICHLET_BLOCK - 1, numerics.DIRICHLET_BLOCK,
-                               numerics.DIRICHLET_BLOCK + 1, 3 * numerics.DIRICHLET_BLOCK + 5])
+# Grid sizes ending inside, at and just past a block edge.
+_BLOCK_EDGES = [2, numerics.DIRICHLET_BLOCK - 1, numerics.DIRICHLET_BLOCK,
+                numerics.DIRICHLET_BLOCK + 1, 3 * numerics.DIRICHLET_BLOCK + 5]
+
+
+@pytest.mark.parametrize("n", _BLOCK_EDGES)
 def test_infodelta_blocks_equal_one_shot_reference(monkeypatch, n):
     grid = np.linspace(0.001, 0.099, n)
     report = security.infodelta_check(grid)
@@ -111,6 +115,53 @@ def test_infodelta_blocks_equal_one_shot_reference(monkeypatch, n):
     verify.infodelta(n, 5)
     assert all(len(block) <= numerics.DIRICHLET_BLOCK for block in blocks)
     assert np.concatenate(blocks).tobytes() == grid.tobytes()
+
+
+@pytest.mark.parametrize("n", _BLOCK_EDGES)
+@pytest.mark.parametrize("lo,hi", [(0.001, 0.099), (0.0, np.pi / 2), (0.05, 0.95), (0.1, 1.4)])
+def test_grid_blocks_concatenate_to_linspace(lo, hi, n):
+    blocks = list(verify._grid_blocks(lo, hi, n))
+    assert all(len(block) <= numerics.DIRICHLET_BLOCK for block in blocks)
+    assert np.concatenate(blocks).tobytes() == np.linspace(lo, hi, n).tobytes()
+
+
+def _examples_one_shot(samples):
+    """The examples report from whole ``np.linspace`` grids, one pass each: the reference."""
+    alphas = np.linspace(0.0, np.pi / 2, max(2, samples))
+    amplitudes = (1.0 / np.sqrt(2.0)) * np.column_stack(
+        [np.ones_like(alphas), np.cos(alphas), np.sin(alphas)])
+    info = security.sign_state_information(security.example1_elements(alphas), amplitudes)
+    split_dev = np.maximum(np.abs(info[:, 0] - np.cos(alphas) ** 2),
+                           np.abs(info[:, 0] + info[:, 1] - 1.0))
+    a_grid = np.linspace(0.05, 0.95, max(2, samples // 2))
+    thetas = np.linspace(0.1, 1.4, len(a_grid))
+    b_prime = np.sqrt(1 - a_grid ** 2)
+    amplitudes = np.column_stack([a_grid, b_prime * np.cos(thetas), b_prime * np.sin(thetas)])
+    info = security.sign_state_information(security.example1_elements(thetas), amplitudes)
+    closed = np.array([security.example3_value(a) for a in a_grid])
+    value_dev = np.abs(closed - (info[:, 0] + info[:, 1]))
+    center = abs(security.example3_value(1 / np.sqrt(2)) - 1.0)
+    worst = max(float(split_dev.max()), float(value_dev.max()), center)
+    violations = int(np.sum(split_dev > 1e-10) + np.sum(value_dev > 1e-9)) + int(center > 1e-10)
+    return {"max_deviation": worst, "samples": samples, "violations": violations}
+
+
+@pytest.mark.parametrize("samples", [2, 3, 2 * numerics.DIRICHLET_BLOCK - 2,
+                                     2 * numerics.DIRICHLET_BLOCK, 2 * numerics.DIRICHLET_BLOCK + 2,
+                                     3 * numerics.DIRICHLET_BLOCK + 5])
+def test_examples_blocks_equal_one_shot_reference(monkeypatch, samples):
+    want = _examples_one_shot(samples)
+    rows = []
+    information = security.sign_state_information
+
+    def recorded(elements, amplitudes):
+        rows.append(len(amplitudes))
+        return information(elements, amplitudes)
+
+    monkeypatch.setattr(security, "sign_state_information", recorded)
+    assert verify.examples(samples, 7) == want
+    assert max(rows) <= numerics.DIRICHLET_BLOCK
+    assert sum(rows) == max(2, samples) + max(2, samples // 2)
 
 
 def test_prop2_reports_the_closed_form_locus():
