@@ -171,20 +171,10 @@ def cheat_state_vectors(params: CheatParams) -> np.ndarray:
     return _sign_rows([params.a, params.b, params.c])
 
 
-def _label_index(label: str, r: int, y: int) -> int:
-    if label == "y":
-        return y
-    if label == "r":
-        return r
-    if label == "yxr":
-        return y ^ r
-    raise ValueError(f"unknown label {label!r}")
-
-
 _LABELS = ("y", "r", "yxr")
 # Weight of each sign state in the joint table of each label and label value:
 # a prior of 1/2 on the value times the 1/2 of each state averaged into it.
-_LABEL_WEIGHTS = 0.25 * np.array([[[_label_index(label, r, y) == value for r, y in RY_ORDER]
+_LABEL_WEIGHTS = 0.25 * np.array([[[dict(y=y, r=r, yxr=y ^ r)[label] == value for r, y in RY_ORDER]
                                    for value in (0, 1)] for label in _LABELS])
 # Weight of each sign state in each label value's returned state, per label.
 _STATE_WEIGHTS = dict(zip(_LABELS, 2.0 * _LABEL_WEIGHTS))
@@ -474,7 +464,10 @@ class SearchResult:
     With ``R_k`` the information gradient of element ``Pi_k`` and
     ``G = sum_k R_k Pi_k`` (Hermitian part), a stationary measurement has
     ``stationarity = max_k ||Pi_k (G - R_k)||_2 = 0``, and a maximum also
-    has ``min_condition_eig = min_k lambda_min(G - R_k) >= 0``.
+    has ``min_condition_eig = min_k lambda_min(G - R_k) >= 0``.  A real
+    frame's ``G - R_k`` are real symmetric, and a real symmetric matrix is
+    PSD over the complex numbers exactly when it is PSD over the reals, so
+    its eigenvalue checks the complex conditions too.
     """
 
     best_value: float
@@ -554,15 +547,17 @@ def accessible_info_search(ensemble: Ensemble, config: SearchConfig | None = Non
     """Lower-bound the accessible information by steepest-ascent iteration.
 
     The iteration of Rehacek, Englert and Kaszlikowski (PRA 71, 054303,
-    2005) on rank-1 measurements with ``d^2`` outcomes, enough by Davies'
-    theorem.  Each element ``Pi_k = v_k v_k^dagger`` takes the step
-    ``w_k = (1 + eps R_k) v_k``, ``v_k <- Lambda^{-1/2} w_k`` with
-    ``Lambda = sum_k w_k w_k^dagger`` and the gradient
+    2005) on rank-1 measurements, each element ``Pi_k = v_k v_k^dagger``
+    taking the step ``w_k = (1 + eps R_k) v_k``, ``v_k <- Lambda^{-1/2} w_k``
+    with ``Lambda = sum_k w_k w_k^dagger`` and the gradient
     ``R_k = sum_i p_i rho_i log2(p(k|i) / q_k)``.  A step is taken only if it
     raises the information and ``Lambda`` is well conditioned; otherwise that
-    start's ``eps`` halves.  The starts -- the known extremal measurements,
-    zero-padded to ``d^2`` rows (a zero row stays zero), and
-    ``config.n_starts`` random complex frames -- run in lockstep as one
+    start's ``eps`` halves.  A real ensemble (every imaginary part exactly 0)
+    runs on real frames of ``d(d+1)/2`` rows, enough for a real optimum
+    (Sasaki, Barnett, Jozsa, Osaki and Hirota, PRA 59, 3325, 1999); any
+    other on complex frames of ``d^2`` rows, enough by Davies' theorem.  The
+    starts -- the known extremal measurements, zero-padded (a zero row stays
+    zero), and ``config.n_starts`` Gaussian frames -- run in lockstep as one
     stack.  The result is deterministic for a given generator and never
     exceeds the Holevo quantity of the ensemble.
     """
@@ -571,13 +566,17 @@ def accessible_info_search(ensemble: Ensemble, config: SearchConfig | None = Non
     priors = ensemble.probabilities
     states = ensemble.matrices
     dim = ensemble.dim
+    if states.imag.any():
+        noise = rng.normal(size=(cfg.n_starts, 2, dim * dim, dim))
+        noise = noise[:, 0] + 1j * noise[:, 1]
+    else:
+        states = states.real
+        noise = rng.normal(size=(cfg.n_starts, dim * (dim + 1) // 2, dim))
     seeds = _seed_frames(states, priors)
-    starts = np.zeros((len(seeds) + cfg.n_starts, dim * dim, dim), dtype=complex)
+    starts = np.zeros((len(seeds),) + noise.shape[1:], dtype=noise.dtype)
     for idx, frame in enumerate(seeds):
         starts[idx, :len(frame)] = frame
-    noise = rng.normal(size=(cfg.n_starts, 2, dim * dim, dim))
-    starts[len(seeds):] = noise[:, 0] + 1j * noise[:, 1]
-    vecs, valid = _normalize(starts)
+    vecs, valid = _normalize(np.concatenate([starts, noise]))
     vecs = vecs[valid]
     info, weights = _frame_statistics(vecs, states, priors)
     eps = np.ones(len(vecs))

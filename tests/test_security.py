@@ -42,6 +42,19 @@ def _random_params(rng):
     return CheatParams.from_squares(*rng.dirichlet([1.0, 1.0, 1.0]))
 
 
+# diag(1, w, w^2) with w = exp(i pi / 3): it turns every nonzero off-diagonal
+# entry of a real qutrit matrix complex (diag(1, i, -1) leaves the (0, 2)
+# entry real, and with it every "r" ensemble).
+_PHASES = np.exp(1j * np.pi * np.arange(3) / 3)
+
+
+def _phased(ens):
+    """``ens`` under the diagonal unitary ``diag(_PHASES)``: complex, and unitarily equivalent."""
+    phased = Ensemble(ens.probabilities, _PHASES[:, None] * ens.matrices * _PHASES.conj())
+    assert phased.matrices.imag.any()
+    return phased
+
+
 # Two-qutrit inputs: amplitudes [..., 9] over |withheld, sent>, the sent
 # qutrit the second (fast) factor, on which the receiver's gate acts.
 
@@ -728,6 +741,41 @@ class TestAccessibleInfoSearch:
         a = accessible_info_search(ens, cfg, np.random.default_rng(44))
         b = accessible_info_search(ens, cfg, np.random.default_rng(44))
         assert a.best_value == b.best_value
+
+    @pytest.mark.parametrize("cfg, n_triples", [(SearchConfig(2, 100), 20), (SearchConfig(), 2)])
+    def test_real_frames_reach_the_complex_value(self, cfg, n_triples):
+        # A real binary ensemble is searched on 6 real rows; the same ensemble
+        # under a diagonal phase unitary on 9 complex rows.
+        rng = np.random.default_rng(48)
+        for _ in range(n_triples):
+            params = _random_params(rng)
+            for label in ("y", "r", "yxr"):
+                ens = returned_ensemble(params, label)
+                seed = int(rng.integers(2 ** 31))
+                real = accessible_info_search(ens, cfg, np.random.default_rng(seed))
+                complex_ = accessible_info_search(_phased(ens), cfg, np.random.default_rng(seed))
+                assert real.best_value >= complex_.best_value - 1e-12
+
+    def test_each_path_runs_its_own_frames(self, monkeypatch):
+        frames = []
+        normalize = security._normalize
+
+        def recording(rows):
+            frames.append((rows.shape[-2:], rows.dtype))
+            return normalize(rows)
+
+        monkeypatch.setattr(security, "_normalize", recording)
+        cfg = SearchConfig(n_starts=4, max_iters=60)
+        ens = returned_ensemble(CheatParams(SQRT_HALF, 0.5, 0.5), "yxr")
+        real = accessible_info_search(ens, cfg, np.random.default_rng(49))
+        assert set(frames) == {((6, 3), np.dtype(float))}
+        assert len(real.best_povm.elements) <= 6
+        assert not real.best_povm.elements.imag.any()
+        frames.clear()
+        phased = _phased(ens)
+        complex_ = accessible_info_search(phased, cfg, np.random.default_rng(49))
+        assert set(frames) == {((9, 3), np.dtype(complex))}
+        assert complex_.best_value <= holevo(phased) + 1e-9
 
 
 class TestMaxHolevoSum:
