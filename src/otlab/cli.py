@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, checksim, protocol, security, verify
+from . import __version__, checksim, numerics, protocol, security, verify
 from .seeding import COMPONENTS, master_seed, substream_rng
 
 DEFAULT_SEED = 7
@@ -43,9 +43,11 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, allow_nan=False)
 
 
-def _write_with_manifest(out: Path, payload: str, subcommand: str, params: dict) -> None:
+def _write_with_manifest(out: Path, chunks, subcommand: str, params: dict) -> None:
+    """Writes the payload ``chunks`` (an iterable of strings) to ``out``, then its manifest."""
     out = Path(out)
-    out.write_text(payload)
+    with out.open("w") as handle:
+        handle.writelines(chunks)
     manifest = {
         "artifact_version": __version__,
         "outputs": [str(out)],
@@ -65,30 +67,40 @@ _RECORD = '{{"e": {}, "f": {}, "x": {}, "y": {}}}\n'
 
 
 def run_table(params: dict) -> int:
-    x, y, n, seed = params["x"], params["y"], params["n"], params["seed"]
+    """Honest runs of one ``(x, y)``: their coins drawn whole, their records a block at a time.
+
+    Only the coins are held, as int8: each block of ``numerics.DIRICHLET_BLOCK``
+    runs is looked up, counted and written before the next, and ``bias_e``
+    and ``correctness`` are exact counts divided once by ``n``.
+    """
+    n, seed = params["n"], params["seed"]
     if n < 1:
         raise ValueError("n must be >= 1")
+    x, y = (int(protocol._bits(params[name], name)) for name in ("x", "y"))
     rng = substream_rng(seed, COMPONENTS["table"])
-    table = protocol.run_honest(np.full(n, x), y, rng)[0]
-    summary = {
-        "bias_e": float(np.mean(table.e)),
-        "correctness": float(np.mean(table.correlation_ok)),
-        "n": n,
-        "seed": seed,
-        "x": x,
-        "y": y,
-    }
-    # The four encoded lines, all of one width, indexed by 2e + f: every
-    # record lands in one buffer, decoded once.
+    t, r = protocol._honest_coins(n, rng, np.int8)
+    # The four encoded lines, all of one width, indexed by 2e + f.
     encoded = np.array([_RECORD.format(e, f, x, y).encode() for e in (0, 1) for f in (0, 1)])
-    records = str(encoded[2 * table.e + table.f].data, "ascii")
-    last = _dumps({"summary": summary}) + "\n"
+    summary = {"n": n, "seed": seed, "x": x, "y": y}
+
+    def payload():
+        """Each block's records, then the summary line, once every block is counted."""
+        ones = agree = 0
+        for start in range(0, n, numerics.DIRICHLET_BLOCK):
+            block = slice(start, start + numerics.DIRICHLET_BLOCK)
+            coins, f = t[block], r[block]
+            e = protocol._honest_outcomes(x, y, coins, f) ^ coins
+            ones += int(np.count_nonzero(e))
+            agree += int(np.count_nonzero(protocol.correlated(x, y, e, f)))
+            yield str(encoded.take(2 * e + f).data, "ascii")
+        summary.update(bias_e=ones / n, correctness=agree / n)
+        yield _dumps({"summary": summary}) + "\n"
+
     if params.get("out"):
-        _write_with_manifest(Path(params["out"]), records + last, "table", params)
-        sys.stdout.write(last)
+        _write_with_manifest(Path(params["out"]), payload(), "table", params)
+        sys.stdout.write(_dumps({"summary": summary}) + "\n")
     else:
-        sys.stdout.write(records)
-        sys.stdout.write(last)
+        sys.stdout.writelines(payload())
     return EXIT_OK if summary["correctness"] == 1.0 else EXIT_VIOLATION
 
 
@@ -104,7 +116,7 @@ def run_verify(params: dict) -> int:
     report.update({"seed": seed, "suite": suite})
     payload = _dumps(report) + "\n"
     if params.get("out"):
-        _write_with_manifest(Path(params["out"]), payload, "verify", params)
+        _write_with_manifest(Path(params["out"]), [payload], "verify", params)
     print(payload, end="")
     return EXIT_OK if report["violations"] == 0 else EXIT_VIOLATION
 
@@ -135,7 +147,7 @@ def run_curve(params: dict) -> int:
         "seed": seed,
     }
     if params.get("out"):
-        _write_with_manifest(Path(params["out"]), csv_payload, "curve", params)
+        _write_with_manifest(Path(params["out"]), [csv_payload], "curve", params)
     else:
         sys.stdout.write(csv_payload)
     print(_dumps({"summary": summary}))
@@ -199,7 +211,7 @@ def run_checksim(params: dict) -> int:
         full = {"config": {k: v for k, v in params.items() if k != "out"},
                 "reports": {side: r.to_dict() for side, r in reports.items()},
                 "summary": summary}
-        _write_with_manifest(Path(params["out"]), _dumps(full) + "\n", "checksim", params)
+        _write_with_manifest(Path(params["out"]), [_dumps(full) + "\n"], "checksim", params)
     print(_dumps({"summary": summary}))
     return EXIT_OK
 

@@ -17,8 +17,15 @@ eigenstate of Alice's basis, so the four bits ``(x, y, t, r)`` fix the
 outcome, with no draw for the measurement.  :data:`OUTCOMES`, a fourth
 read-only table, holds that outcome for each of the 16 combinations; it is
 computed from the exact Born law at import, which raises RuntimeError unless
-every combination is one-hot on outcome 0 or 1.  :func:`run_honest` runs a
-batch on bit arrays and gives each run the outcome of its combination.
+every combination is one-hot on outcome 0 or 1.
+
+Honest runs have one draw order, ``_honest_coins`` (all of Alice's coins
+``t``, then all of Bob's output bits ``r``), and one Born-law lookup,
+``_honest_outcomes``, which indexes :data:`OUTCOMES`.  Both are private and
+check nothing: their callers pass bits checked by ``_bits``.
+:func:`run_honest` runs a batch on bit arrays through both; the command
+line's ``table`` checks its scalar ``x`` and ``y`` once, draws its coins
+whole through the first and looks its outcomes up a block at a time.
 """
 
 from __future__ import annotations
@@ -127,21 +134,41 @@ def alice_basis(x: int) -> np.ndarray:
     return BASES[_bits(x, "x")]
 
 
+def _honest_coins(shape, rng: np.random.Generator, dtype=np.int64) -> tuple:
+    """Alice's coins ``t`` and Bob's output bits ``r`` of honest runs of ``shape``.
+
+    The one honest draw order: all of ``t``, then all of ``r``, each drawn as
+    int64 and returned as ``dtype``; an empty shape draws nothing.
+    """
+    t = rng.integers(0, 2, size=shape).astype(dtype, copy=False)
+    r = rng.integers(0, 2, size=shape).astype(dtype, copy=False)
+    return t, r
+
+
+def _honest_outcomes(x, y, t, r) -> np.ndarray:
+    """Alice's certain outcome ``OUTCOMES[x, y, t, r]`` of each run, broadcast.
+
+    The outcome is ``t XOR (x AND y) XOR r``, read off the Born law, not
+    computed.  Nothing is checked: a negative bit would wrap, so callers pass
+    bits checked by ``_bits`` and coins from ``_honest_coins``.
+    """
+    return OUTCOMES[x, y, t, r]
+
+
 def run_honest(x, y, rng: np.random.Generator):
     """Honest protocol runs for bit arrays ``x`` and ``y`` (broadcast together).
 
     Returns ``(table, t, r, outcome)``: a :class:`OneTimeTable` of int arrays
     with ``f = r``, Alice's coins ``t``, Bob's output bits ``r``, and the
     measured analysis-vector index ``outcome = t XOR (x AND y) XOR r``, with
-    ``e = outcome XOR t``.  The draws are all of ``t``, then all of ``r``;
-    an empty batch draws nothing.  Each outcome is looked up in
-    :data:`OUTCOMES`, the exact Born law of the 16 combinations
-    ``(x, y, t, r)`` computed at import.
+    ``e = outcome XOR t``.  The coins come from ``_honest_coins``, all of
+    ``t`` then all of ``r``, and an empty batch draws nothing; each outcome
+    is looked up by ``_honest_outcomes`` in :data:`OUTCOMES`, the exact
+    Born law of the 16 combinations ``(x, y, t, r)`` computed at import.
     """
     x, y = np.broadcast_arrays(np.atleast_1d(_bits(x, "x")), np.atleast_1d(_bits(y, "y")))
-    t = rng.integers(0, 2, size=x.shape)
-    r = rng.integers(0, 2, size=x.shape)
-    outcome = OUTCOMES[x, y, t, r]
+    t, r = _honest_coins(x.shape, rng)
+    outcome = _honest_outcomes(x, y, t, r)
     table = OneTimeTable(x=x, y=y, e=outcome ^ t, f=r)
     return table, t, r, outcome
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otlab import checksim, cli, numerics, protocol, security, verify
+from otlab.seeding import COMPONENTS, substream_rng
 
 
 def _module_env() -> dict:
@@ -84,6 +85,34 @@ class TestTable:
         code, out, err = _run(capsys, argv)
         assert code == 2 and out == ""
         assert err == "otlab: seed must be in [0, 2**64), got -1\n"
+
+
+_BLOCK = numerics.DIRICHLET_BLOCK
+
+
+def _honest_table_payload(x, y, n, seed) -> str:
+    """The table payload as built from ``run_honest`` on ``np.full(n, x)``, whole."""
+    rng = substream_rng(seed, COMPONENTS["table"])
+    table = protocol.run_honest(np.full(n, x), y, rng)[0]
+    lines = {(e, f): json.dumps({"e": e, "f": f, "x": x, "y": y}, sort_keys=True) + "\n"
+             for e in (0, 1) for f in (0, 1)}
+    summary = {"bias_e": float(np.mean(table.e)),
+               "correctness": float(np.mean(table.correlation_ok)),
+               "n": n, "seed": seed, "x": x, "y": y}
+    records = "".join(lines[e, f] for e, f in zip(table.e.tolist(), table.f.tolist()))
+    return records + json.dumps({"summary": summary}, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("seed", [1, 2718, 18446744073709551615])
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("x,y", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_table_blocks_match_the_whole_honest_run(capsys, tmp_path, x, y, n, seed):
+    want = _honest_table_payload(x, y, n, seed)
+    argv = ["table", "--x", str(x), "--y", str(y), "--n", str(n), "--seed", str(seed)]
+    assert _run(capsys, argv) == (0, want, "")
+    out_path = tmp_path / "table.jsonl"
+    assert _run(capsys, argv + ["--out", str(out_path)]) == (0, want.rsplit("\n", 2)[1] + "\n", "")
+    assert out_path.read_text() == want
 
 
 class TestVerify:
@@ -401,6 +430,9 @@ _PAYLOAD_PINS = [
     ("checksim --protocol 3 --bob phase-noise --angle 1.2 --m 200 --k 20 --k-alice 20 "
      "--threshold 2 --threshold-alice 2 --trials 4000 --seed 1",
      "17ebdc154cba79980c61bd4893dbf44a273a3bfcc6325616a5f375dfae615f19"),
+    # A table of three record blocks, recorded with 0.22.0 when it was still written whole.
+    ("table --x 1 --y 1 --n 16385 --seed 7",
+     "a57666e9f7552724221643c7e0aa2e803179a77169b552e8292d8fbf4062e228"),
 ]
 
 
@@ -441,6 +473,9 @@ _OUT_PINS = [
     ("checksim --protocol 3 --bob computational --m 30 --k 0 --k-alice 7 "
      "--threshold-alice 2 --trials 300 --seed 11",
      "a06e79df59bbe869713775d9a958f92689fefc9fcdb13b6e62efe747e7ac6ccf"),
+    # Three record blocks, recorded with 0.22.0 when the table was still written whole.
+    ("table --x 1 --y 1 --n 16385 --seed 7",
+     "a57666e9f7552724221643c7e0aa2e803179a77169b552e8292d8fbf4062e228"),
 ]
 
 
@@ -648,7 +683,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv,target", [
         (["curve", "--n-samples", "1000"], (security, "tradeoff_curve")),
         (["verify", "prop3", "--samples", "5"], (verify.SUITES, "prop3")),
-        (["table", "--x", "1", "--y", "0", "--n", "5"], (protocol, "run_honest")),
+        (["table", "--x", "1", "--y", "0", "--n", "5"], (protocol, "_honest_coins")),
         (["checksim", "--trials", "5"], (checksim, "run_protocol2")),
     ])
     def test_oversized_request_exits_2_without_traceback(self, capsys, monkeypatch,

@@ -192,6 +192,26 @@ def test_run_honest_does_no_per_run_contraction(monkeypatch):
     assert calls == []
 
 
+def test_honest_coins_keep_the_draw_order_in_any_dtype():
+    # All of t, then all of r: the first draw of a fresh generator is t.
+    t, r = protocol._honest_coins(1001, np.random.default_rng(35))
+    rng = np.random.default_rng(35)
+    assert np.array_equal(t, rng.integers(0, 2, size=1001))
+    assert np.array_equal(r, rng.integers(0, 2, size=1001))
+    t8, r8 = protocol._honest_coins(1001, np.random.default_rng(35), np.int8)
+    assert t8.dtype == r8.dtype == np.int8
+    assert np.array_equal(t8, t) and np.array_equal(r8, r)
+
+
+@pytest.mark.parametrize("x,y", list(itertools.product((0, 1), repeat=2)))
+def test_scalar_bits_look_up_as_their_broadcast_arrays(x, y):
+    t, r = protocol._honest_coins(64, np.random.default_rng(36), np.int8)
+    scalar = protocol._honest_outcomes(x, y, t, r)
+    assert scalar.dtype == np.int64
+    assert np.array_equal(scalar, protocol._honest_outcomes(np.full(64, x), np.full(64, y), t, r))
+    assert np.array_equal(scalar, t ^ (x & y) ^ r)
+
+
 def test_outcome_table_is_read_only():
     assert not protocol.OUTCOMES.flags.writeable
     with pytest.raises(ValueError):
