@@ -64,36 +64,41 @@ def _write_with_manifest(out: Path, chunks, subcommand: str, params: dict) -> No
 
 # One table record line: ``_dumps`` of ``{"e", "f", "x", "y"}`` for 0/1 values.
 _RECORD = '{{"e": {}, "f": {}, "x": {}, "y": {}}}\n'
+# ``_LINES[x, y, 2e + f]``: each encoded record line, all of one width.
+_LINES = np.array([[[_RECORD.format(code >> 1, code & 1, x, y).encode() for code in range(4)]
+                    for y in (0, 1)] for x in (0, 1)])
+_LINES.setflags(write=False)
 
 
 def run_table(params: dict) -> int:
     """Honest runs of one ``(x, y)``: their coins drawn whole, their records a block at a time.
 
-    Only the coins are held, as int8: each block of ``numerics.DIRICHLET_BLOCK``
-    runs is looked up, counted and written before the next, and ``bias_e``
-    and ``correctness`` are exact counts divided once by ``n``.
+    ``x`` and ``y`` are taken as the parser checked them.  Only the coins are
+    held, as int8: each block of ``numerics.DIRICHLET_BLOCK`` runs is looked
+    up by ``protocol._honest_records``, tallied by record code and written
+    before the next, and ``bias_e`` and ``correctness`` are exact counts of
+    the tally divided once by ``n``.
     """
-    n, seed = params["n"], params["seed"]
+    n, seed, x, y = params["n"], params["seed"], params["x"], params["y"]
     if n < 1:
         raise ValueError("n must be >= 1")
-    x, y = (int(protocol._bits(params[name], name)) for name in ("x", "y"))
     rng = substream_rng(seed, COMPONENTS["table"])
     t, r = protocol._honest_coins(n, rng, np.int8)
-    # The four encoded lines, all of one width, indexed by 2e + f.
-    encoded = np.array([_RECORD.format(e, f, x, y).encode() for e in (0, 1) for f in (0, 1)])
+    lines = _LINES[x, y]
     summary = {"n": n, "seed": seed, "x": x, "y": y}
 
     def payload():
-        """Each block's records, then the summary line, once every block is counted."""
-        ones = agree = 0
+        """Each block's records, then the summary line, once every block is tallied."""
+        tally = np.zeros(4, dtype=np.int64)
         for start in range(0, n, numerics.DIRICHLET_BLOCK):
             block = slice(start, start + numerics.DIRICHLET_BLOCK)
-            coins, f = t[block], r[block]
-            e = protocol._honest_outcomes(x, y, coins, f) ^ coins
-            ones += int(np.count_nonzero(e))
-            agree += int(np.count_nonzero(protocol.correlated(x, y, e, f)))
-            yield str(encoded.take(2 * e + f).data, "ascii")
-        summary.update(bias_e=ones / n, correctness=agree / n)
+            codes = protocol._honest_records(x, y, t[block], r[block])
+            tally += np.bincount(codes, minlength=4)
+            yield str(lines.take(codes).data, "ascii")
+        counts = tally.tolist()
+        agree = sum(count for code, count in enumerate(counts)
+                    if protocol.correlated(x, y, code >> 1, code & 1))
+        summary.update(bias_e=(counts[2] + counts[3]) / n, correctness=agree / n)
         yield _dumps({"summary": summary}) + "\n"
 
     if params.get("out"):

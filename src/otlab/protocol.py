@@ -20,12 +20,14 @@ computed from the exact Born law at import, which raises RuntimeError unless
 every combination is one-hot on outcome 0 or 1.
 
 Honest runs have one draw order, ``_honest_coins`` (all of Alice's coins
-``t``, then all of Bob's output bits ``r``), and one Born-law lookup,
-``_honest_outcomes``, which indexes :data:`OUTCOMES`.  Both are private and
-check nothing: their callers pass bits checked by ``_bits``.
-:func:`run_honest` runs a batch on bit arrays through both; the command
-line's ``table`` checks its scalar ``x`` and ``y`` once, draws its coins
-whole through the first and looks its outcomes up a block at a time.
+``t``, then all of Bob's output bits ``r``, each drawn as int32), and one
+record lookup, ``_honest_records``, which reads the code ``2e + f`` of each
+run off ``_RECORDS``, a read-only 16-entry table built from :data:`OUTCOMES`
+at import.  Both are private and check nothing: their callers pass checked
+bits.  :func:`run_honest` checks its bit arrays with ``_bits`` and runs a
+batch through both; the command line's ``table``, whose scalar ``x`` and
+``y`` its parser has checked, draws its coins whole through the first and
+looks its records up a block at a time through the second.
 """
 
 from __future__ import annotations
@@ -83,6 +85,20 @@ def _outcome_law(bases, gates, sent) -> np.ndarray:
 OUTCOMES = _outcome_law(BASES, GATES, SENT)
 
 
+def _record_law(outcomes) -> np.ndarray:
+    """Read-only int8 record code ``2e + f`` of each ``(x, y, t, r)``, flat in that order.
+
+    Entry ``((2x + y)*2 + t)*2 + r`` holds ``2 * (outcomes[x, y, t, r] ^ t) + r``.
+    """
+    _, _, t, r = np.indices(outcomes.shape)
+    records = (2 * (outcomes ^ t) + r).astype(np.int8).ravel()
+    records.setflags(write=False)
+    return records
+
+
+_RECORDS = _record_law(OUTCOMES)
+
+
 def _bits(value, name: str) -> np.ndarray:
     """``value`` as an int array, checked to hold only 0s and 1s."""
     bits = np.asarray(value)
@@ -138,21 +154,23 @@ def _honest_coins(shape, rng: np.random.Generator, dtype=np.int64) -> tuple:
     """Alice's coins ``t`` and Bob's output bits ``r`` of honest runs of ``shape``.
 
     The one honest draw order: all of ``t``, then all of ``r``, each drawn as
-    int64 and returned as ``dtype``; an empty shape draws nothing.
+    int32 and returned as ``dtype``; an empty shape draws nothing.  Below
+    2**32 numpy fills int32 and int64 from the same 32-bit words, so the
+    stream is that of int64 draws, at half the transient.
     """
-    t = rng.integers(0, 2, size=shape).astype(dtype, copy=False)
-    r = rng.integers(0, 2, size=shape).astype(dtype, copy=False)
+    t = rng.integers(0, 2, size=shape, dtype=np.int32).astype(dtype, copy=False)
+    r = rng.integers(0, 2, size=shape, dtype=np.int32).astype(dtype, copy=False)
     return t, r
 
 
-def _honest_outcomes(x, y, t, r) -> np.ndarray:
-    """Alice's certain outcome ``OUTCOMES[x, y, t, r]`` of each run, broadcast.
+def _honest_records(x, y, t, r) -> np.ndarray:
+    """Record code ``2e + f`` of each run, read off ``_RECORDS``, broadcast, as int8.
 
-    The outcome is ``t XOR (x AND y) XOR r``, read off the Born law, not
-    computed.  Nothing is checked: a negative bit would wrap, so callers pass
-    bits checked by ``_bits`` and coins from ``_honest_coins``.
+    ``e = OUTCOMES[x, y, t, r] XOR t`` and ``f = r``: the Born law, not
+    computed.  Nothing is checked: a bit other than 0 or 1 reads another
+    entry or none, so callers pass checked bits and coins from ``_honest_coins``.
     """
-    return OUTCOMES[x, y, t, r]
+    return _RECORDS.take(((2 * x + y) * 2 + t) * 2 + r)
 
 
 def run_honest(x, y, rng: np.random.Generator):
@@ -162,15 +180,14 @@ def run_honest(x, y, rng: np.random.Generator):
     with ``f = r``, Alice's coins ``t``, Bob's output bits ``r``, and the
     measured analysis-vector index ``outcome = t XOR (x AND y) XOR r``, with
     ``e = outcome XOR t``.  The coins come from ``_honest_coins``, all of
-    ``t`` then all of ``r``, and an empty batch draws nothing; each outcome
-    is looked up by ``_honest_outcomes`` in :data:`OUTCOMES`, the exact
-    Born law of the 16 combinations ``(x, y, t, r)`` computed at import.
+    ``t`` then all of ``r``, and an empty batch draws nothing; each run's
+    record code is looked up by ``_honest_records``, and ``e = code >> 1``.
     """
     x, y = np.broadcast_arrays(np.atleast_1d(_bits(x, "x")), np.atleast_1d(_bits(y, "y")))
     t, r = _honest_coins(x.shape, rng)
-    outcome = _honest_outcomes(x, y, t, r)
-    table = OneTimeTable(x=x, y=y, e=outcome ^ t, f=r)
-    return table, t, r, outcome
+    e = (_honest_records(x, y, t, r) >> 1).astype(np.int64)
+    table = OneTimeTable(x=x, y=y, e=e, f=r)
+    return table, t, r, e ^ t
 
 
 def and_eval(table: OneTimeTable, a, b) -> AndEvalResult:

@@ -673,6 +673,33 @@ class TestErrorPaths:
         if argv in _BEYOND_INT64:
             assert err.startswith("otlab: size too large: ")
 
+    @pytest.mark.parametrize("bits", [
+        ["--x", "-1", "--y", "0"],
+        ["--x", "1", "--y", "1.0"],
+        {"x": -1, "y": 0},
+        {"x": True, "y": 0},
+        {"x": 1, "y": "1"},
+    ], ids=["x=-1", "y=1.0", "manifest-x=-1", "manifest-x=true", "manifest-y='1'"])
+    @pytest.mark.parametrize("with_out", [False, True], ids=["stdout", "out"])
+    def test_table_bits_the_parser_rejects_exit_2_and_write_nothing(self, capsys, tmp_path,
+                                                                   bits, with_out):
+        # run_table trusts its x and y: the parse, shared by both routes, is their check.
+        out = str(tmp_path / "table.jsonl") if with_out else None
+        if isinstance(bits, dict):
+            path = tmp_path / "bad.manifest.json"
+            path.write_text(json.dumps({"subcommand": "table", "parameters": {
+                **bits, "n": 5, "seed": 1, "out": out}}))
+            argv = ["--from-manifest", str(path)]
+        else:
+            argv = ["table", *bits, "--n", "5"] + (["--out", out] if with_out else [])
+        code, stdout, err = _run(capsys, argv)
+        assert code == 2 and stdout == ""
+        assert err.startswith("otlab: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        # Nothing is written: no payload and no manifest beside it.
+        written = [] if argv[0] == "table" else [path.name]
+        assert [p.name for p in tmp_path.iterdir()] == written
+
     @pytest.mark.parametrize("alpha", ["2", "-0.5"])
     def test_alpha_outside_quarter_turn_names_alpha(self, capsys, alpha):
         code, out, err = _run(capsys, ["checksim", "--alice", "param", "--alpha", alpha])

@@ -192,30 +192,54 @@ def test_run_honest_does_no_per_run_contraction(monkeypatch):
     assert calls == []
 
 
-def test_honest_coins_keep_the_draw_order_in_any_dtype():
-    # All of t, then all of r: the first draw of a fresh generator is t.
-    t, r = protocol._honest_coins(1001, np.random.default_rng(35))
-    rng = np.random.default_rng(35)
-    assert np.array_equal(t, rng.integers(0, 2, size=1001))
-    assert np.array_equal(r, rng.integers(0, 2, size=1001))
-    t8, r8 = protocol._honest_coins(1001, np.random.default_rng(35), np.int8)
-    assert t8.dtype == r8.dtype == np.int8
-    assert np.array_equal(t8, t) and np.array_equal(r8, r)
+@pytest.mark.parametrize("seed", [35, 2718, 18446744073709551615])
+@pytest.mark.parametrize("size", [1, 1001, 100001])
+@pytest.mark.parametrize("dtype", [np.int64, np.int8])
+def test_honest_coins_keep_the_draw_order_in_any_dtype(seed, size, dtype):
+    # All of t, then all of r, as plain int64 draws would give them, and the
+    # generator left where those draws leave it.
+    rng = np.random.default_rng(seed)
+    t, r = protocol._honest_coins(size, rng, dtype)
+    plain = np.random.default_rng(seed)
+    assert t.dtype == r.dtype == dtype
+    assert np.array_equal(t, plain.integers(0, 2, size=size))
+    assert np.array_equal(r, plain.integers(0, 2, size=size))
+    assert rng.random() == plain.random()
+
+
+def test_record_table_is_the_born_law_of_each_combination():
+    assert protocol._RECORDS.shape == (16,) and protocol._RECORDS.dtype == np.int8
+    for x, y, t, r in itertools.product((0, 1), repeat=4):
+        code = protocol._RECORDS[((2 * x + y) * 2 + t) * 2 + r]
+        assert code == 2 * (protocol.OUTCOMES[x, y, t, r] ^ t) + r
 
 
 @pytest.mark.parametrize("x,y", list(itertools.product((0, 1), repeat=2)))
 def test_scalar_bits_look_up_as_their_broadcast_arrays(x, y):
     t, r = protocol._honest_coins(64, np.random.default_rng(36), np.int8)
-    scalar = protocol._honest_outcomes(x, y, t, r)
-    assert scalar.dtype == np.int64
-    assert np.array_equal(scalar, protocol._honest_outcomes(np.full(64, x), np.full(64, y), t, r))
-    assert np.array_equal(scalar, t ^ (x & y) ^ r)
+    scalar = protocol._honest_records(x, y, t, r)
+    assert scalar.dtype == np.int8
+    assert np.array_equal(scalar, protocol._honest_records(np.full(64, x), np.full(64, y), t, r))
+    assert np.array_equal(scalar, 2 * ((x & y) ^ r) + r)
 
 
-def test_outcome_table_is_read_only():
-    assert not protocol.OUTCOMES.flags.writeable
+@pytest.mark.parametrize("seed", [37, 38, 39])
+def test_run_honest_reads_outcomes_as_the_born_law_indexed_whole(seed):
+    x, y = _bits_of(5000, seed), _bits_of(5000, seed + 100)
+    table, t, r, outcome = run_honest(x, y, np.random.default_rng(seed))
+    want = protocol.OUTCOMES[x, y, t, r]
+    assert outcome.dtype == table.e.dtype == np.int64
+    assert np.array_equal(outcome, want)
+    assert np.array_equal(table.e, want ^ t)
+    assert np.array_equal(table.f, r)
+
+
+@pytest.mark.parametrize("name,index", [("OUTCOMES", (1, 1, 0, 0)), ("_RECORDS", 15)])
+def test_outcome_table_is_read_only(name, index):
+    table = getattr(protocol, name)
+    assert not table.flags.writeable
     with pytest.raises(ValueError):
-        protocol.OUTCOMES[1, 1, 0, 0] = 0
+        table[index] = 0
 
 
 def test_outcome_table_matches_per_run_reference():
