@@ -62,11 +62,10 @@ def _write_with_manifest(out: Path, chunks, subcommand: str, params: dict) -> No
 # table
 # ---------------------------------------------------------------------------
 
-# One table record line: ``_dumps`` of ``{"e", "f", "x", "y"}`` for 0/1 values.
-_RECORD = '{{"e": {}, "f": {}, "x": {}, "y": {}}}\n'
-# ``_LINES[x, y, 2e + f]``: each encoded record line, all of one width.
-_LINES = np.array([[[_RECORD.format(code >> 1, code & 1, x, y).encode() for code in range(4)]
-                    for y in (0, 1)] for x in (0, 1)])
+# ``_LINES[x, y, 2t + r]``: the encoded record line of each honest run, all of one width.
+_LINES = np.array([[[(_dumps({"e": code >> 1, "f": code & 1, "x": x, "y": y}) + "\n").encode()
+                     for code in codes] for y, codes in enumerate(row)]
+                   for x, row in enumerate(protocol._RECORDS.reshape(2, 2, 4).tolist())])
 _LINES.setflags(write=False)
 
 
@@ -74,10 +73,11 @@ def run_table(params: dict) -> int:
     """Honest runs of one ``(x, y)``: their coins drawn whole, their records a block at a time.
 
     ``x`` and ``y`` are taken as the parser checked them.  Only the coins are
-    held, as int8: each block of ``numerics.DIRICHLET_BLOCK`` runs is looked
-    up by ``protocol._honest_records``, tallied by record code and written
-    before the next, and ``bias_e`` and ``correctness`` are exact counts of
-    the tally divided once by ``n``.
+    held, as int8: each block of ``numerics.DIRICHLET_BLOCK`` runs is indexed
+    by its coin pairs ``2t + r``, tallied by pair and written from ``_LINES``
+    before the next.  ``bias_e`` and ``correctness`` are exact counts of the
+    tally, read through the pairs' record codes in ``protocol._RECORDS``,
+    divided once by ``n``.
     """
     n, seed, x, y = params["n"], params["seed"], params["x"], params["y"]
     if n < 1:
@@ -92,13 +92,14 @@ def run_table(params: dict) -> int:
         tally = np.zeros(4, dtype=np.int64)
         for start in range(0, n, numerics.DIRICHLET_BLOCK):
             block = slice(start, start + numerics.DIRICHLET_BLOCK)
-            codes = protocol._honest_records(x, y, t[block], r[block])
-            tally += np.bincount(codes, minlength=4)
-            yield str(lines.take(codes).data, "ascii")
-        counts = tally.tolist()
-        agree = sum(count for code, count in enumerate(counts)
+            pairs = 2 * t[block] + r[block]
+            tally += np.bincount(pairs, minlength=4)
+            yield str(lines.take(pairs).data, "ascii")
+        runs = list(zip(protocol._RECORDS[x, y].reshape(4).tolist(), tally.tolist()))
+        ones = sum(count for code, count in runs if code >> 1)
+        agree = sum(count for code, count in runs
                     if protocol.correlated(x, y, code >> 1, code & 1))
-        summary.update(bias_e=(counts[2] + counts[3]) / n, correctness=agree / n)
+        summary.update(bias_e=ones / n, correctness=agree / n)
         yield _dumps({"summary": summary}) + "\n"
 
     if params.get("out"):

@@ -411,9 +411,7 @@ def classical_mutual_information(joint):
     total = joint.sum(axis=(-2, -1), keepdims=True)
     joint = joint / np.where(total > 0, total, 1.0)
     denom = joint.sum(axis=-1, keepdims=True) * joint.sum(axis=-2, keepdims=True)
-    mask = joint > 1e-300
-    ratio = np.ones_like(joint)
-    ratio[mask] = joint[mask] / np.where(denom > 0, denom, 1.0)[mask]
+    ratio = np.where(joint > 1e-300, joint / np.where(denom > 0, denom, 1.0), 1.0)
     info = np.maximum(0.0, np.sum(joint * np.log2(ratio), axis=(-2, -1)))
     return float(info) if info.ndim == 0 else info
 

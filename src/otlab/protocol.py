@@ -21,13 +21,13 @@ every combination is one-hot on outcome 0 or 1.
 
 Honest runs have one draw order, ``_honest_coins`` (all of Alice's coins
 ``t``, then all of Bob's output bits ``r``, each drawn as int32), and one
-record lookup, ``_honest_records``, which reads the code ``2e + f`` of each
-run off ``_RECORDS``, a read-only 16-entry table built from :data:`OUTCOMES`
-at import.  Both are private and check nothing: their callers pass checked
-bits.  :func:`run_honest` checks its bit arrays with ``_bits`` and runs a
-batch through both; the command line's ``table``, whose scalar ``x`` and
-``y`` its parser has checked, draws its coins whole through the first and
-looks its records up a block at a time through the second.
+record table, ``_RECORDS[x, y, t, r]``, the read-only int8 code ``2e + f``
+of each combination, built from :data:`OUTCOMES` at import and indexed as it
+is.  Both are private and neither checks its bits: callers pass checked ones.
+:func:`run_honest` checks its bit arrays with ``_bits``, draws a batch's
+coins and reads ``e`` off the table; the command line's ``table``, whose
+scalar ``x`` and ``y`` its parser has checked, draws its coins whole and
+encodes its record lines from the table once, at import.
 """
 
 from __future__ import annotations
@@ -86,12 +86,12 @@ OUTCOMES = _outcome_law(BASES, GATES, SENT)
 
 
 def _record_law(outcomes) -> np.ndarray:
-    """Read-only int8 record code ``2e + f`` of each ``(x, y, t, r)``, flat in that order.
+    """Read-only int8 ``[2, 2, 2, 2]`` record code ``2e + f`` of each ``(x, y, t, r)``.
 
-    Entry ``((2x + y)*2 + t)*2 + r`` holds ``2 * (outcomes[x, y, t, r] ^ t) + r``.
+    Entry ``[x, y, t, r]`` holds ``2 * (outcomes[x, y, t, r] ^ t) + r``.
     """
     _, _, t, r = np.indices(outcomes.shape)
-    records = (2 * (outcomes ^ t) + r).astype(np.int8).ravel()
+    records = (2 * (outcomes ^ t) + r).astype(np.int8)
     records.setflags(write=False)
     return records
 
@@ -163,16 +163,6 @@ def _honest_coins(shape, rng: np.random.Generator, dtype=np.int64) -> tuple:
     return t, r
 
 
-def _honest_records(x, y, t, r) -> np.ndarray:
-    """Record code ``2e + f`` of each run, read off ``_RECORDS``, broadcast, as int8.
-
-    ``e = OUTCOMES[x, y, t, r] XOR t`` and ``f = r``: the Born law, not
-    computed.  Nothing is checked: a bit other than 0 or 1 reads another
-    entry or none, so callers pass checked bits and coins from ``_honest_coins``.
-    """
-    return _RECORDS.take(((2 * x + y) * 2 + t) * 2 + r)
-
-
 def run_honest(x, y, rng: np.random.Generator):
     """Honest protocol runs for bit arrays ``x`` and ``y`` (broadcast together).
 
@@ -181,11 +171,11 @@ def run_honest(x, y, rng: np.random.Generator):
     measured analysis-vector index ``outcome = t XOR (x AND y) XOR r``, with
     ``e = outcome XOR t``.  The coins come from ``_honest_coins``, all of
     ``t`` then all of ``r``, and an empty batch draws nothing; each run's
-    record code is looked up by ``_honest_records``, and ``e = code >> 1``.
+    record code is read off ``_RECORDS[x, y, t, r]``, and ``e = code >> 1``.
     """
     x, y = np.broadcast_arrays(np.atleast_1d(_bits(x, "x")), np.atleast_1d(_bits(y, "y")))
     t, r = _honest_coins(x.shape, rng)
-    e = (_honest_records(x, y, t, r) >> 1).astype(np.int64)
+    e = (_RECORDS[x, y, t, r] >> 1).astype(np.int64)
     table = OneTimeTable(x=x, y=y, e=e, f=r)
     return table, t, r, e ^ t
 

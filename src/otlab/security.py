@@ -872,10 +872,13 @@ def infodelta_check(grid: Iterable[float]) -> InfoDeltaReport:
     is strictly below ``1 + delta log2(2 delta)`` (dropping the positive
     subtracted term), which is strictly below ``1 - 2 delta`` on the stated
     interval.  Behavior outside (0, 0.1) is deliberately not extrapolated.
-    An array grid is taken as it is; any other iterable is read into one.
+    An array grid is taken as it is; any other iterable is read into one.  An
+    empty grid is rejected: a report of no points would pass vacuously.
     """
     delta = (np.asarray(grid, dtype=float) if isinstance(grid, np.ndarray)
              else np.fromiter(grid, dtype=float))
+    if delta.size == 0:
+        raise ValueError("the delta grid is empty")
     outside = ~((delta > 0.0) & (delta < 0.1))
     if outside.any():
         raise ValueError(f"delta {delta[outside][0]} outside (0, 0.1)")

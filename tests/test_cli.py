@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -113,6 +114,13 @@ def test_table_blocks_match_the_whole_honest_run(capsys, tmp_path, x, y, n, seed
     out_path = tmp_path / "table.jsonl"
     assert _run(capsys, argv + ["--out", str(out_path)]) == (0, want.rsplit("\n", 2)[1] + "\n", "")
     assert out_path.read_text() == want
+
+
+def test_table_lines_are_the_encoded_born_law_of_each_coin_pair():
+    assert cli._LINES.shape == (2, 2, 4) and not cli._LINES.flags.writeable
+    for x, y, t, r in itertools.product((0, 1), repeat=4):
+        record = {"e": int(protocol.OUTCOMES[x, y, t, r] ^ t), "f": r, "x": x, "y": y}
+        assert cli._LINES[x, y, 2 * t + r] == (cli._dumps(record) + "\n").encode()
 
 
 class TestVerify:

@@ -1071,6 +1071,8 @@ class TestInfoDelta:
 
     def test_domain(self):
         with pytest.raises(ValueError):
+            infodelta_check([])
+        with pytest.raises(ValueError):
             infodelta_check([0.2])
         with pytest.raises(ValueError):
             infodelta_check([0.0])
