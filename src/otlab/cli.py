@@ -62,10 +62,10 @@ def _write_with_manifest(out: Path, chunks, subcommand: str, params: dict) -> No
 # table
 # ---------------------------------------------------------------------------
 
-# ``_LINES[x, y, 2t + r]``: the encoded record line of each honest run, all of one width.
-_LINES = np.array([[[(_dumps({"e": code >> 1, "f": code & 1, "x": x, "y": y}) + "\n").encode()
-                     for code in codes] for y, codes in enumerate(row)]
-                   for x, row in enumerate(protocol._RECORDS.reshape(2, 2, 4).tolist())])
+# ``_LINES[x, y, 2t + r]``: the encoded record ``e = OUTCOMES[x, y, t, r] XOR t``,
+# ``f = r`` of each honest run, all of one width.
+_LINES = np.array([(_dumps({"e": int(o) ^ t, "f": r, "x": x, "y": y}) + "\n").encode()
+                   for (x, y, t, r), o in np.ndenumerate(protocol.OUTCOMES)]).reshape(2, 2, 4)
 _LINES.setflags(write=False)
 
 
@@ -76,8 +76,7 @@ def run_table(params: dict) -> int:
     held, as int8: each block of ``numerics.DIRICHLET_BLOCK`` runs is indexed
     by its coin pairs ``2t + r``, tallied by pair and written from ``_LINES``
     before the next.  ``bias_e`` and ``correctness`` are exact counts of the
-    tally, read through the pairs' record codes in ``protocol._RECORDS``,
-    divided once by ``n``.
+    tally, read through ``protocol.OUTCOMES[x, y]``, divided once by ``n``.
     """
     n, seed, x, y = params["n"], params["seed"], params["x"], params["y"]
     if n < 1:
@@ -95,10 +94,12 @@ def run_table(params: dict) -> int:
             pairs = 2 * t[block] + r[block]
             tally += np.bincount(pairs, minlength=4)
             yield str(lines.take(pairs).data, "ascii")
-        runs = list(zip(protocol._RECORDS[x, y].reshape(4).tolist(), tally.tolist()))
-        ones = sum(count for code, count in runs if code >> 1)
-        agree = sum(count for code, count in runs
-                    if protocol.correlated(x, y, code >> 1, code & 1))
+        # Each coin pair's record: ``e = OUTCOMES[x, y, t, r] XOR t`` and ``f = r``.
+        counts = tally.reshape(2, 2).tolist()
+        runs = [(o ^ t, r, counts[t][r]) for t, by_r in enumerate(protocol.OUTCOMES[x, y].tolist())
+                for r, o in enumerate(by_r)]
+        ones = sum(count for e, _, count in runs if e)
+        agree = sum(count for e, f, count in runs if protocol.correlated(x, y, e, f))
         summary.update(bias_e=ones / n, correctness=agree / n)
         yield _dumps({"summary": summary}) + "\n"
 

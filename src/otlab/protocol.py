@@ -19,15 +19,12 @@ read-only table, holds that outcome for each of the 16 combinations; it is
 computed from the exact Born law at import, which raises RuntimeError unless
 every combination is one-hot on outcome 0 or 1.
 
-Honest runs have one draw order, ``_honest_coins`` (all of Alice's coins
-``t``, then all of Bob's output bits ``r``, each drawn as int32), and one
-record table, ``_RECORDS[x, y, t, r]``, the read-only int8 code ``2e + f``
-of each combination, built from :data:`OUTCOMES` at import and indexed as it
-is.  Both are private and neither checks its bits: callers pass checked ones.
-:func:`run_honest` checks its bit arrays with ``_bits``, draws a batch's
-coins and reads ``e`` off the table; the command line's ``table``, whose
-scalar ``x`` and ``y`` its parser has checked, draws its coins whole and
-encodes its record lines from the table once, at import.
+Honest runs have one draw order, the private ``_honest_coins`` (all of
+Alice's coins ``t``, then all of Bob's output bits ``r``, each drawn as
+int32), which checks no bits.  A run's record is ``e = OUTCOMES[x, y, t, r]
+XOR t`` and ``f = r``: :func:`run_honest` checks its bit arrays with
+``_bits`` and reads ``e`` so, and the command line's ``table`` encodes its
+record lines from :data:`OUTCOMES` once, at import.
 """
 
 from __future__ import annotations
@@ -83,20 +80,6 @@ def _outcome_law(bases, gates, sent) -> np.ndarray:
 
 #: ``OUTCOMES[x, y, t, r]``: index of Alice's certain outcome, ``t XOR (x AND y) XOR r``.
 OUTCOMES = _outcome_law(BASES, GATES, SENT)
-
-
-def _record_law(outcomes) -> np.ndarray:
-    """Read-only int8 ``[2, 2, 2, 2]`` record code ``2e + f`` of each ``(x, y, t, r)``.
-
-    Entry ``[x, y, t, r]`` holds ``2 * (outcomes[x, y, t, r] ^ t) + r``.
-    """
-    _, _, t, r = np.indices(outcomes.shape)
-    records = (2 * (outcomes ^ t) + r).astype(np.int8)
-    records.setflags(write=False)
-    return records
-
-
-_RECORDS = _record_law(OUTCOMES)
 
 
 def _bits(value, name: str) -> np.ndarray:
@@ -171,13 +154,12 @@ def run_honest(x, y, rng: np.random.Generator):
     measured analysis-vector index ``outcome = t XOR (x AND y) XOR r``, with
     ``e = outcome XOR t``.  The coins come from ``_honest_coins``, all of
     ``t`` then all of ``r``, and an empty batch draws nothing; each run's
-    record code is read off ``_RECORDS[x, y, t, r]``, and ``e = code >> 1``.
+    outcome is read off :data:`OUTCOMES`.
     """
     x, y = np.broadcast_arrays(np.atleast_1d(_bits(x, "x")), np.atleast_1d(_bits(y, "y")))
     t, r = _honest_coins(x.shape, rng)
-    e = (_RECORDS[x, y, t, r] >> 1).astype(np.int64)
-    table = OneTimeTable(x=x, y=y, e=e, f=r)
-    return table, t, r, e ^ t
+    outcome = OUTCOMES[x, y, t, r]
+    return OneTimeTable(x=x, y=y, e=outcome ^ t, f=r), t, r, outcome
 
 
 def and_eval(table: OneTimeTable, a, b) -> AndEvalResult:

@@ -96,7 +96,8 @@ class CheatParams:
         for name in ("a", "b", "c"):
             if getattr(self, name) < -1e-12:
                 raise ValueError(f"{name} must be nonnegative")
-        norm_sq = self.a ** 2 + self.b ** 2 + self.c ** 2
+        # Products of Python floats overflow to inf, where ``**`` raises OverflowError.
+        norm_sq = sum(float(v) * float(v) for v in (self.a, self.b, self.c))
         if abs(norm_sq - 1.0) > 1e-12:
             raise ValueError(f"squares sum to {norm_sq}, expected 1")
 
@@ -451,10 +452,20 @@ def example3_value(a):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Random starts and iteration budget of :func:`accessible_info_search`."""
+    """Random starts and iteration budget of :func:`accessible_info_search`.
+
+    Both are integers (Python or numpy, not bool) >= 0; ``(0, 0)`` runs the
+    seed frames alone.
+    """
 
     n_starts: int = 32
     max_iters: int = 400
+
+    def __post_init__(self):
+        for name in ("n_starts", "max_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, not {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -729,7 +740,7 @@ def tradeoff_curve(n_samples: int, bin_width: float = 0.01,
     ``chi_y`` is recorded over left-closed bins ``[k*w, (k+1)*w)`` of
     ``max(chi_r, chi_yxr) <= 1``; a width ``w >= 2**-53`` keeps every ``k``
     an exact integer.  ``n_samples`` is an integer (Python or numpy, not
-    bool) in [1, 2**63 - 1].
+    bool) in [1, 2**63 - 1], and ``bin_width`` is not a bool.
 
     Samples go through in the blocks of :func:`numerics.dirichlet_blocks`,
     drawn in stream order, so the result is that of one draw of all
@@ -745,7 +756,8 @@ def tradeoff_curve(n_samples: int, bin_width: float = 0.01,
     if (isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer))
             or not 1 <= int(n_samples) <= 2**63 - 1):
         raise ValueError(f"n_samples must be an integer in [1, 2**63 - 1], not {n_samples!r}")
-    if not (np.isfinite(bin_width) and bin_width >= 2.0 ** -53):
+    if isinstance(bin_width, (bool, np.bool_)) or not (
+            np.isfinite(bin_width) and bin_width >= 2.0 ** -53):
         raise ValueError("bin_width must be finite and at least 2**-53")
     n = int(n_samples)
     rng = np.random.default_rng(0) if rng is None else rng

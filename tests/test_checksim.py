@@ -1119,6 +1119,25 @@ class TestStrategyValidation:
             BobStrategy(kind, angle=1.0)
         assert BobStrategy(kind, angle=0.0) == BobStrategy(kind)
 
+    @pytest.mark.parametrize("fields,message", [
+        (dict(kind="greedy"), "unknown Alice strategy 'greedy'"),
+        (dict(kind="param"), "param strategy needs an amplitude triple"),
+        (dict(kind="mix"), "mix strategy needs components"),
+        (dict(kind="mix", mix=((0.5, AliceStrategy.honest()), (0.4, AliceStrategy.learn_y()))),
+         "mix weights sum to 0.9, expected 1"),
+    ])
+    def test_sender_kind_and_components_checked(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AliceStrategy(**fields)
+
+    @pytest.mark.parametrize("fields,message", [
+        (dict(kind="greedy"), "unknown Bob strategy 'greedy'"),
+        (dict(kind="phase-noise", angle=math.inf), "angle must be finite"),
+    ])
+    def test_receiver_kind_and_angle_checked(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BobStrategy(**fields)
+
     def test_fields_of_their_own_kind_accepted(self):
         AliceStrategy.param(CheatParams.learn_y())
         AliceStrategy.per_instance_mix([(1.0, AliceStrategy.honest())])

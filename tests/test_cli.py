@@ -681,6 +681,14 @@ class TestErrorPaths:
         if argv in _BEYOND_INT64:
             assert err.startswith("otlab: size too large: ")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["checksim", "--alice", "mix", "--phi", "1.5"], "phi must be in [0, 1]"),
+        (["checksim", "--alice", "param", "--a", "1e155", "--b", "0", "--c", "0"],
+         "squares sum to inf, expected 1"),
+    ])
+    def test_rejected_values_name_their_check(self, capsys, argv, message):
+        assert _run(capsys, argv) == (2, "", f"otlab: {message}\n")
+
     @pytest.mark.parametrize("bits", [
         ["--x", "-1", "--y", "0"],
         ["--x", "1", "--y", "1.0"],

@@ -102,6 +102,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             Ensemble((0.6, 0.6), (op, op))
 
+    def test_ensemble_rejects_a_negative_probability(self):
+        op = projector([1, 0, 0])
+        with pytest.raises(ValueError, match="^ensemble probabilities must be nonnegative$"):
+            Ensemble((1.5, -0.5), (op, op))
+
+    def test_density_rejects_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            DensityOperator(np.zeros((2, 3)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_ensemble_rejects_non_finite_probabilities(self, bad):
         op = DensityOperator(np.eye(2) / 2)

@@ -207,21 +207,6 @@ def test_honest_coins_keep_the_draw_order_in_any_dtype(seed, size, dtype):
     assert rng.random() == plain.random()
 
 
-def test_record_table_is_the_born_law_of_each_combination():
-    assert protocol._RECORDS.shape == (2, 2, 2, 2) and protocol._RECORDS.dtype == np.int8
-    for x, y, t, r in itertools.product((0, 1), repeat=4):
-        assert protocol._RECORDS[x, y, t, r] == 2 * (protocol.OUTCOMES[x, y, t, r] ^ t) + r
-
-
-@pytest.mark.parametrize("x,y", list(itertools.product((0, 1), repeat=2)))
-def test_scalar_bits_look_up_as_their_broadcast_arrays(x, y):
-    t, r = protocol._honest_coins(64, np.random.default_rng(36), np.int8)
-    scalar = protocol._RECORDS[x, y, t, r]
-    assert scalar.dtype == np.int8
-    assert np.array_equal(scalar, protocol._RECORDS[np.full(64, x), np.full(64, y), t, r])
-    assert np.array_equal(scalar, 2 * ((x & y) ^ r) + r)
-
-
 @pytest.mark.parametrize("seed", [37, 38, 39])
 def test_run_honest_reads_outcomes_as_the_born_law_indexed_whole(seed):
     x, y = _bits_of(5000, seed), _bits_of(5000, seed + 100)
@@ -233,12 +218,10 @@ def test_run_honest_reads_outcomes_as_the_born_law_indexed_whole(seed):
     assert np.array_equal(table.f, r)
 
 
-@pytest.mark.parametrize("name,index", [("OUTCOMES", (1, 1, 0, 0)), ("_RECORDS", (1, 1, 1, 1))])
-def test_outcome_table_is_read_only(name, index):
-    table = getattr(protocol, name)
-    assert not table.flags.writeable
+def test_outcome_table_is_read_only():
+    assert not protocol.OUTCOMES.flags.writeable
     with pytest.raises(ValueError):
-        table[index] = 0
+        protocol.OUTCOMES[1, 1, 0, 0] = 0
 
 
 def test_outcome_table_matches_per_run_reference():

@@ -111,6 +111,16 @@ class TestCheatParams:
         with pytest.raises(ValueError, match="finite"):
             CheatParams(*triple)
 
+    def test_negative_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="^b must be nonnegative$"):
+            CheatParams(0.6, -0.8, 0.0)
+
+    @pytest.mark.parametrize("a", [1e155, 1e200, np.float64(1e200)])
+    def test_overflowing_squares_fail_the_norm_check(self, a):
+        # An overflowing square is inf, which fails the check without a RuntimeWarning.
+        with pytest.raises(ValueError, match="^squares sum to inf, expected 1$"):
+            CheatParams(a, 0.0, 0.0)
+
     @pytest.mark.parametrize("alpha", [-0.5, -1e-9, np.pi / 2 + 1e-9, 2.0])
     def test_alpha_outside_quarter_turn_rejected(self, alpha):
         with pytest.raises(ValueError, match=r"alpha .* outside \[0, pi/2\]"):
@@ -299,6 +309,16 @@ class TestGuessProbs:
             for label, value in (("y", g.p_y), ("r", g.p_r), ("yxr", g.p_yxr)):
                 dist = trace_distance(*returned_ensemble(params, label).states)
                 assert value == pytest.approx(0.5 * (1.0 + dist), abs=1e-10)
+
+
+@pytest.mark.parametrize("record,values,message", [
+    (security.GuessProbs, (0.4, 0.5, 0.5), r"p_y=0.4 outside \[1/2, 1\]"),
+    (security.GuessProbs, (1.0, 1.0, 0.5), r"circle constraint violated: 0.5 > 1/4"),
+    (security.HolevoTriple, (0.5, 1.5, 0.0), r"chi_r=1.5 outside \[0, 1\]"),
+])
+def test_records_built_directly_check_their_range(record, values, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        record(*values)
 
 
 class TestHolevoTriple:
@@ -717,6 +737,16 @@ class TestAccessibleInfoSearch:
         assert result.stationarity <= 1e-6
         assert result.min_condition_eig >= -1e-9
 
+    @pytest.mark.parametrize("fields,name", [
+        ((-1, 5), "n_starts"), ((2, -5), "max_iters"), ((2.5, 5), "n_starts"),
+        ((True, 5), "n_starts"), ((2, np.float64(5.0)), "max_iters"), ((2, np.int64(-1)), "max_iters"),
+    ])
+    def test_config_fields_are_integers_at_least_zero(self, fields, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0, not "):
+            SearchConfig(*fields)
+        # The bound itself is valid: no random starts and no iterations run the seed frames alone.
+        assert SearchConfig(0, 0) == SearchConfig(np.int64(0), np.uint8(0))
+
     def test_holevo_conditions_flag_an_unconverged_measurement(self):
         # No iteration: the best seed of the joint family falls short of one bit.
         ens = returned_ensemble(CheatParams.from_alpha(0.8), "joint")
@@ -1025,6 +1055,11 @@ class TestTradeoffCurve:
         curve = tradeoff_curve(n_samples, 0.5, np.random.default_rng(58))
         assert type(curve.n_samples) is int and curve.n_samples == n_samples
         assert curve.triples.shape == (n_samples, 3)
+
+    @pytest.mark.parametrize("bin_width", [True, np.True_])
+    def test_bool_bin_width_rejected(self, bin_width):
+        with pytest.raises(ValueError, match="^bin_width must be finite and at least 2"):
+            tradeoff_curve(1000, bin_width)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
