@@ -43,6 +43,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import protocol
+from .numerics import _integer, _real
 from .security import CheatParams, _example_vectors, binary_entropy
 
 __all__ = [
@@ -58,19 +59,14 @@ __all__ = [
 ]
 
 
-_FLOAT = (float, np.floating)
-_REAL = (int, np.integer) + _FLOAT   # np.bool_ is neither
-
-
 @dataclass(frozen=True)
 class CheckConfig:
     """Run geometry: tables generated, labels checked, thresholds, trials.
 
-    ``m``, ``k_bob``, ``k_alice`` and ``trials`` are integers (Python or
-    numpy, not bool); thresholds and ``c1`` are real numbers (integers or
-    floats, Python or numpy, not bool).  Thresholds are maximum tolerated
-    failure counts.  An integer is an absolute count; a float in [0, 1) is
-    interpreted as a fraction of the checked labels (``floor(t * k)``).
+    Sizes are integers and ``c1`` a real (:func:`numerics._integer`,
+    :func:`numerics._real`).  A threshold is a maximum tolerated failure
+    count: an integer, of any size, or a float, which in [0, 1) is a
+    fraction of the checked labels (``floor(t * k)``).
     """
 
     m: int
@@ -82,40 +78,31 @@ class CheckConfig:
     c1: float = 1.0
 
     def __post_init__(self):
-        for name in ("m", "k_bob", "k_alice", "trials"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        for name in ("k_bob", "k_alice"):
-            k = getattr(self, name)
-            if not (0 <= k <= self.m):
+        for name in ("m", "k_bob", "k_alice", "trials"):   # kept as ints: numpy's would wrap
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name in ("m", "trials"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name, k in (("k_bob", self.k_bob), ("k_alice", self.k_alice)):
+            if not 0 <= k <= self.m:
                 raise ValueError(f"{name}={k} outside [0, m={self.m}]")
-        for name in ("threshold_bob", "threshold_alice", "c1"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, _REAL):
-                raise ValueError(f"{name} must be a real number, not {value!r}")
         for name in ("threshold_bob", "threshold_alice"):
-            value = getattr(self, name)
-            if not 0 <= value < np.inf:   # NaN fails too; any int passes
+            try:   # an integer is compared exactly, whatever its size
+                value = _integer(getattr(self, name), name)
+            except ValueError:
+                value = _real(getattr(self, name), name)
+                if value >= 1.0 and not value.is_integer():
+                    raise ValueError(f"fractional {name} must lie in [0, 1)") from None
+            if value < 0:
                 raise ValueError(f"{name} must be finite and nonnegative")
-            if isinstance(value, _FLOAT) and not value.is_integer() and value >= 1.0:
-                raise ValueError(f"fractional {name} must lie in [0, 1)")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        try:
-            finite = 0.0 < float(self.c1) < np.inf
-        except OverflowError:   # an integer past the float range
-            finite = False
-        if not finite:
+        if not _real(self.c1, "c1") > 0.0:
             raise ValueError("c1 must be positive and finite")
 
     def resolved_threshold(self, side: str) -> int:
         """Absolute failure threshold for one side, resolving fractions of k."""
         value = self.threshold_bob if side == "bob" else self.threshold_alice
         k = self.k_bob if side == "bob" else self.k_alice
-        if isinstance(value, _FLOAT) and 0.0 < value < 1.0:
+        if 0.0 < value < 1.0:   # a fraction: no integer lies strictly between
             return int(np.floor(value * k))
         return int(value)
 
@@ -146,12 +133,13 @@ class AliceStrategy:
                 raise ValueError("mix strategy needs components")
             if not all(isinstance(part, AliceStrategy) for _, part in self.mix):
                 raise ValueError("every mix component must be an AliceStrategy")
-            weights = np.array([w for w, _ in self.mix], dtype=float)
-            if not (np.isfinite(weights).all() and (weights >= 0.0).all()):
-                raise ValueError(f"mix weights {weights.tolist()} must be finite and nonnegative")
-            total = weights.sum()
+            weights = [_real(w, "mix weight") for w, _ in self.mix]
+            if min(weights) < 0.0:
+                raise ValueError(f"mix weights {weights} must be nonnegative")
+            total = np.sum(weights)
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"mix weights sum to {total}, expected 1")
+            object.__setattr__(self, "mix", tuple(zip(weights, (part for _, part in self.mix))))
 
     @classmethod
     def honest(cls) -> "AliceStrategy":
@@ -167,7 +155,7 @@ class AliceStrategy:
 
     @classmethod
     def per_instance_mix(cls, components) -> "AliceStrategy":
-        return cls(kind="mix", mix=tuple((float(w), s) for w, s in components))
+        return cls(kind="mix", mix=tuple(components))
 
 
 @dataclass(frozen=True)
@@ -182,8 +170,7 @@ class BobStrategy:
     def __post_init__(self):
         if self.kind not in ("honest", "computational", "phase-noise"):
             raise ValueError(f"unknown Bob strategy {self.kind!r}")
-        if not np.isfinite(self.angle):
-            raise ValueError("angle must be finite")
+        object.__setattr__(self, "angle", _real(self.angle, "angle"))
         if self.angle != 0.0 and self.kind != "phase-noise":
             raise ValueError(f"angle applies only to phase-noise, not {self.kind!r}")
 
@@ -197,7 +184,7 @@ class BobStrategy:
 
     @classmethod
     def phase_noise(cls, angle: float) -> "BobStrategy":
-        return cls(kind="phase-noise", angle=float(angle))
+        return cls(kind="phase-noise", angle=angle)
 
 
 # ---------------------------------------------------------------------------
@@ -536,15 +523,14 @@ class CheckReport:
     (``drawn_failures``) and the number of delivered (unchecked,
     non-aborted) tables (``drawn_delivered``), and the number of trials in
     each (``counts``), with its side's geometry; no two cells read alike
-    (:func:`_merged`).  :meth:`summary`,
-    ``trials``, ``abort_probability`` and ``mean_failures`` read the counts,
-    and :meth:`to_dict` writes each cell once, with its count: a cell aborts
-    with more failures than ``threshold``, and its failure-rate estimate
-    ``est_epsilon`` and leak bound ``leak_bound_bits`` follow from its
-    failure count.  Protocol 3's two reports share their cells, so cell i of
-    each holds the same trials.  The order-equivalence bracket ``[c_a,
-    c_b]`` around the estimator constant is recorded, as class constants,
-    rather than hidden.
+    (:func:`_merged`).  :meth:`summary`, ``trials``, ``abort_probability``
+    and ``mean_failures`` read the counts, and :meth:`to_dict` writes each
+    cell once, with its count: a cell aborts with more failures than
+    ``threshold``, and its failure-rate estimate ``est_epsilon`` and leak
+    bound ``leak_bound_bits`` follow from its failure count.  Protocol 3's
+    two reports share their cells, so cell i of each holds the same trials.
+    The order-equivalence bracket ``[c_a, c_b]`` around the estimator
+    constant is recorded, as class constants, rather than hidden.
     """
 
     protocol_id: int

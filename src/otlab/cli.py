@@ -34,9 +34,7 @@ EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_IO = 0, 1, 2, 3
 
 
 def _resolve_seed(value) -> int:
-    if value is None:
-        value = os.environ.get("OTLAB_SEED", DEFAULT_SEED)
-    return master_seed(value)
+    return master_seed(int(os.environ.get("OTLAB_SEED", DEFAULT_SEED)) if value is None else value)
 
 
 def _dumps(obj) -> str:
@@ -167,11 +165,11 @@ def run_curve(params: dict) -> int:
 
 def _alice_from_params(params: dict) -> checksim.AliceStrategy:
     """The sender strategy of the flags; a triple or mix flag it does not use is rejected."""
-    name, alpha = params["alice"], params.get("alpha")
+    name, alpha, phi = params["alice"], params.get("alpha"), params.get("phi", 0.5)
     abc = [params.get(key) for key in ("a", "b", "c")]
     if alpha is not None and any(v is not None for v in abc):
         raise ValueError("--alpha excludes --a --b --c")
-    if name != "mix" and params.get("phi", 0.5) != 0.5:
+    if name != "mix" and phi != 0.5:
         raise ValueError("--phi applies to --alice mix only")
     triple, mix = None, ()
     if alpha is not None:
@@ -181,9 +179,6 @@ def _alice_from_params(params: dict) -> checksim.AliceStrategy:
     elif name == "param" or any(v is not None for v in abc):
         raise ValueError("a cheat triple needs --alpha or all of --a --b --c")
     if name == "mix":
-        phi = params.get("phi", 0.5)
-        if not (0.0 <= phi <= 1.0):
-            raise ValueError("phi must be in [0, 1]")
         mix = ((phi, checksim.AliceStrategy.learn_y()), (1.0 - phi, checksim.AliceStrategy.honest()))
     # The strategy rejects a triple given to a kind other than param.
     return checksim.AliceStrategy(kind=name, params=triple, mix=mix)

@@ -8,6 +8,7 @@ in bits.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +38,11 @@ COMPLETENESS_ATOL = 1e-10
 # Eigenvalues in [EIG_FLOOR, 0] are numerical PSD drift and are clamped to 0
 # before logarithms; anything below the floor is rejected as unphysical.
 EIG_FLOOR = -1e-10
-# Rows per block of dirichlet_blocks, which every sampled sweep (verify
-# prop1, prop3 and lemma1, and the tradeoff curve) draws through.  A block's
-# [rows, 3] draw is 192 KiB and each per-sample temporary 64 KiB, so a
-# 100k-sample sweep works on cache-sized arrays instead of a few dozen fresh
-# 800 KB ones.  verify infodelta and examples check their grids in blocks of as many points.
+# Rows per block of dirichlet_blocks, which every sampled sweep (verify prop1, prop3 and lemma1,
+# and the tradeoff curve) draws through.  A block's [rows, 3] draw is 192 KiB and each per-sample
+# temporary 64 KiB, so a 100k-sample sweep works on cache-sized arrays instead of a few dozen
+# fresh 800 KB ones.  verify infodelta and examples check their grids, and the CLI's table
+# writes its runs, in blocks of as many points.
 DIRICHLET_BLOCK = 8192
 
 
@@ -55,6 +56,27 @@ class InvalidStateError(ValueError):
 
 class InvalidMeasurementError(ValueError):
     """A POVM failed positivity or completeness, or does not fit the states."""
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int: a Python or numpy integer of any size, not a bool.
+
+    Every count and seed enters the library here, and every real through :func:`_real`;
+    each caller checks its range.  Anything else raises ValueError naming ``name``.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a finite float: a Python or numpy integer or float, not a bool."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, not {value!r}")
+    with contextlib.suppress(OverflowError):   # an integer past the float range is not finite
+        if -np.inf < float(value) < np.inf:   # NaN fails too
+            return float(value)
+    raise ValueError(f"{name} must be finite")
 
 
 def xlog2(x):

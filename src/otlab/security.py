@@ -27,15 +27,8 @@ from typing import Iterable
 import numpy as np
 
 from . import protocol
-from .numerics import (
-    Ensemble,
-    Povm,
-    _valid_ensemble,
-    classical_mutual_information,
-    dirichlet_blocks,
-    trace_distance,
-    xlog2,
-)
+from .numerics import (Ensemble, Povm, _integer, _real, _valid_ensemble,
+                       classical_mutual_information, dirichlet_blocks, trace_distance, xlog2)
 
 __all__ = [
     "CheatParams",
@@ -91,13 +84,13 @@ class CheatParams:
     c: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.a, self.b, self.c)):
-            raise ValueError(f"amplitudes ({self.a}, {self.b}, {self.c}) must be finite")
         for name in ("a", "b", "c"):
-            if getattr(self, name) < -1e-12:
+            value = _real(getattr(self, name), name)
+            if value < -1e-12:
                 raise ValueError(f"{name} must be nonnegative")
-        # Products of Python floats overflow to inf, where ``**`` raises OverflowError.
-        norm_sq = sum(float(v) * float(v) for v in (self.a, self.b, self.c))
+            object.__setattr__(self, name, value)
+        # Products of floats overflow to inf, where ``**`` raises OverflowError.
+        norm_sq = sum(v * v for v in (self.a, self.b, self.c))
         if abs(norm_sq - 1.0) > 1e-12:
             raise ValueError(f"squares sum to {norm_sq}, expected 1")
 
@@ -119,7 +112,7 @@ class CheatParams:
     @classmethod
     def from_alpha(cls, alpha: float) -> "CheatParams":
         """Extremal family ``(1, cos(alpha), sin(alpha))/sqrt(2)``, ``alpha`` in ``[0, pi/2]``."""
-        _quarter_turn(alpha)
+        alpha = _quarter_turn(_real(alpha, "alpha"))
         s = 1.0 / np.sqrt(2.0)
         return cls(s, float(np.cos(alpha)) * s, float(np.sin(alpha)) * s)
 
@@ -454,7 +447,7 @@ def example3_value(a):
 class SearchConfig:
     """Random starts and iteration budget of :func:`accessible_info_search`.
 
-    Both are integers (Python or numpy, not bool) >= 0; ``(0, 0)`` runs the
+    Both are integers >= 0 (:func:`numerics._integer`); ``(0, 0)`` runs the
     seed frames alone.
     """
 
@@ -463,9 +456,8 @@ class SearchConfig:
 
     def __post_init__(self):
         for name in ("n_starts", "max_iters"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-                raise ValueError(f"{name} must be an integer >= 0, not {value!r}")
+            if _integer(getattr(self, name), name) < 0:
+                raise ValueError(f"{name} must be an integer >= 0, not {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -739,8 +731,8 @@ def tradeoff_curve(n_samples: int, bin_width: float = 0.01,
     Its closed-form Holevo triple is computed, and the per-bin maximum of
     ``chi_y`` is recorded over left-closed bins ``[k*w, (k+1)*w)`` of
     ``max(chi_r, chi_yxr) <= 1``; a width ``w >= 2**-53`` keeps every ``k``
-    an exact integer.  ``n_samples`` is an integer (Python or numpy, not
-    bool) in [1, 2**63 - 1], and ``bin_width`` is not a bool.
+    an exact integer.  ``n_samples`` is an integer in [1, 2**63 - 1] and
+    ``bin_width`` a real (:func:`numerics._integer`, :func:`numerics._real`).
 
     Samples go through in the blocks of :func:`numerics.dirichlet_blocks`,
     drawn in stream order, so the result is that of one draw of all
@@ -753,13 +745,11 @@ def tradeoff_curve(n_samples: int, bin_width: float = 0.01,
     found by one sort of the ``k`` instead.  Either way each bin holds the
     maximum of the same samples, so the bins are the same.
     """
-    if (isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer))
-            or not 1 <= int(n_samples) <= 2**63 - 1):
+    n, bin_width = _integer(n_samples, "n_samples"), _real(bin_width, "bin_width")
+    if not 1 <= n <= 2**63 - 1:
         raise ValueError(f"n_samples must be an integer in [1, 2**63 - 1], not {n_samples!r}")
-    if isinstance(bin_width, (bool, np.bool_)) or not (
-            np.isfinite(bin_width) and bin_width >= 2.0 ** -53):
+    if not bin_width >= 2.0 ** -53:
         raise ValueError("bin_width must be finite and at least 2**-53")
-    n = int(n_samples)
     rng = np.random.default_rng(0) if rng is None else rng
     rng_state = rng.bit_generator.state
     dense = math.floor(1.0 / bin_width) + 1 <= n
@@ -795,7 +785,7 @@ def tradeoff_curve(n_samples: int, bin_width: float = 0.01,
         np.maximum.at(maxima, inverse, sample_chi_y)
     bins = tuple(((k + 0.5) * bin_width, v) for k, v in zip(keys.tolist(), maxima.tolist()))
     return TradeoffCurve(
-        n_samples=n, bin_width=float(bin_width), bins=bins, max_sum=max_sum,
+        n_samples=n, bin_width=bin_width, bins=bins, max_sum=max_sum,
         argmax=CheatParams.from_squares(*argmax_squares), rng_state=rng_state)
 
 

@@ -23,13 +23,17 @@ from .seeding import COMPONENTS, substream_rng
 SAMPLE_BLOCK = 512
 
 
-def _povm_blocks(rng: np.random.Generator, samples: int, block: int, triples: int, real: bool):
-    """Per block of up to ``block`` random qutrit POVMs, their elements and squared amplitudes.
+def _povm_blocks(rng: np.random.Generator, samples: int, pairs: int, triples: int, real: bool):
+    """Per block of ``max(1, pairs // triples)`` random qutrit POVMs, their elements and squares.
 
     Yields elements ``[s, N, 3, 3]``, zero past each POVM's 3 to 7 outcomes
     (see :func:`numerics.draw_povm_block`), and ``triples`` Dirichlet(1, 1, 1)
-    rows per POVM, ``[s, triples, 3]``.
+    rows per POVM, ``[s, triples, 3]``.  ``samples`` and ``triples`` are integers >= 1.
     """
+    for name, count in (("samples", samples), ("params_per_povm", triples)):
+        if numerics._integer(count, name) < 1:
+            raise ValueError(f"{name} must be >= 1")
+    block = max(1, pairs // triples)
     for start in range(0, samples, block):
         s = min(block, samples - start)
         sizes = rng.integers(3, 8, size=s)
@@ -94,6 +98,8 @@ def prop3(samples: int, seed: int) -> dict:
     ``violations`` counts margins below -1e-9.
     """
     rng = substream_rng(seed, COMPONENTS["verify"], 3)
+    if numerics._integer(samples, "samples") < 1:
+        raise ValueError("samples must be >= 1")
     applicable, min_margin, violations = 0, np.nan, 0
     for squares in numerics.dirichlet_blocks(rng, 1, samples):
         triple = security._triple_from_squares(*squares.T)
@@ -115,11 +121,9 @@ def lemma1(samples: int, seed: int, params_per_povm: int = 10) -> dict:
     psd images are not a bona fide POVM.
     """
     rng = substream_rng(seed, COMPONENTS["verify"], 4)
-    # A block holds SAMPLE_BLOCK POVMs at the default 10 triples each, and
-    # about as many (POVM, triple) pairs at any other count.
-    block = max(1, SAMPLE_BLOCK * 10 // params_per_povm)
     max_dev, max_mi, violations = 0.0, 0.0, 0
-    for elements, squares in _povm_blocks(rng, samples, block, params_per_povm, real=True):
+    # Blocks of SAMPLE_BLOCK POVMs at the default 10 triples each: as many pairs at any count.
+    for elements, squares in _povm_blocks(rng, samples, SAMPLE_BLOCK * 10, params_per_povm, True):
         amplitudes = np.sqrt(squares)                                   # [s, p, 3]
         exact = security.lemma1_images(elements, amplitudes, "exact")  # [s, p, n, 2, 2]
         probs2 = np.einsum("...pnjk,skj->...psn", exact, security.TETRAHEDRON).real

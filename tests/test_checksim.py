@@ -92,7 +92,7 @@ class TestConfig:
     @pytest.mark.parametrize("value", [10**400, -(10**400), math.inf, math.nan, 0, -1.5],
                              ids=["1e400", "-1e400", "inf", "nan", "0", "-1.5"])
     def test_c1_domain(self, value):
-        with pytest.raises(ValueError, match="^c1 must be positive and finite"):
+        with pytest.raises(ValueError, match="^c1 must be (positive and )?finite"):
             CheckConfig(m=5, k_bob=2, c1=value)
 
     @pytest.mark.parametrize("value,resolved", [(np.int64(3), 3), (np.uint8(3), 3), (3.0, 3),
@@ -112,6 +112,13 @@ class TestConfig:
         assert bob.trials == alice.trials == 3
         assert _per_trial(bob)["tables_delivered"].tolist() == \
             _per_trial(alice)["tables_delivered"].tolist()
+        # Sizes are kept as Python ints: m - k_bob - k_alice < 0 does not wrap in uint8.
+        sizes = dict(m=10, k_bob=8, k_alice=8, threshold_bob=1, threshold_alice=1)
+        numpy_sizes = {**sizes, **{name: to_int(sizes[name])
+                                   for name in ("m", "k_bob", "k_alice")}}
+        noise = BobStrategy.phase_noise(0.5)
+        assert checksim.exact_law(CheckConfig(**numpy_sizes), AliceStrategy.honest(), noise) \
+            == checksim.exact_law(CheckConfig(**sizes), AliceStrategy.honest(), noise)
 
     def test_sizes_beyond_int64_accepted(self):
         huge = 2**64
@@ -1090,9 +1097,13 @@ class TestVerdicts:
 
 
 class TestStrategyValidation:
-    @pytest.mark.parametrize("weights", [(math.nan, math.nan), (1.5, -0.5), (math.inf, 0.0)])
+    # Weights pass through per_instance_mix as given: the strategy checks each as a real.
+    @pytest.mark.parametrize("weights", [
+        (math.nan, math.nan), (1.5, -0.5), (math.inf, 0.0), (True, False), (np.True_, np.False_),
+        ("1", "0"), (None, 1.0), (1j, 0.0), (10**400, 0.0)])
     def test_mix_weights_finite_and_nonnegative(self, weights):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
+        with pytest.raises(ValueError,
+                           match=r"^mix weights? .*must be (a real number|finite|nonnegative)"):
             AliceStrategy.per_instance_mix(zip(weights, (AliceStrategy.learn_y(),
                                                          AliceStrategy.honest())))
 
@@ -1133,6 +1144,10 @@ class TestStrategyValidation:
     @pytest.mark.parametrize("fields,message", [
         (dict(kind="greedy"), "unknown Bob strategy 'greedy'"),
         (dict(kind="phase-noise", angle=math.inf), "angle must be finite"),
+        (dict(kind="phase-noise", angle=10**400), "angle must be finite"),
+        (dict(kind="phase-noise", angle=True), "angle must be a real number, not True"),
+        (dict(kind="phase-noise", angle=np.True_), r"angle must be a real number, not np\.True_"),
+        (dict(kind="phase-noise", angle="1"), "angle must be a real number, not '1'"),
     ])
     def test_receiver_kind_and_angle_checked(self, fields, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -682,7 +682,13 @@ class TestErrorPaths:
             assert err.startswith("otlab: size too large: ")
 
     @pytest.mark.parametrize("argv,message", [
-        (["checksim", "--alice", "mix", "--phi", "1.5"], "phi must be in [0, 1]"),
+        # The mix strategy checks --phi: its weights are phi and 1 - phi.
+        (["checksim", "--alice", "mix", "--phi", "1.5"],
+         "mix weights [1.5, -0.5] must be nonnegative"),
+        (["checksim", "--alice", "mix", "--phi", "-0.1"],
+         "mix weights [-0.1, 1.1] must be nonnegative"),
+        (["checksim", "--alice", "mix", "--phi", "nan"], "mix weight must be finite"),
+        (["checksim", "--alice", "mix", "--phi", "inf"], "mix weight must be finite"),
         (["checksim", "--alice", "param", "--a", "1e155", "--b", "0", "--c", "0"],
          "squares sum to inf, expected 1"),
     ])

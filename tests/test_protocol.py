@@ -12,7 +12,7 @@ from otlab.protocol import (
     bob_gate,
     run_honest,
 )
-from otlab.seeding import COMPONENTS, substream_rng
+from otlab.seeding import COMPONENTS, master_seed, substream_rng
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -242,10 +242,13 @@ def test_empty_batch_returns_empty_arrays_and_draws_nothing():
     assert rng.bit_generator.state == state
 
 
-@pytest.mark.parametrize("seed", [-1, 1 << 64])
+@pytest.mark.parametrize("seed", [-1, 1 << 64, 1.5, True, np.float64(2.7), np.True_, "1", None])
 def test_substream_rejects_seeds_outside_64_bits(seed):
-    with pytest.raises(ValueError, match="seed must be in"):
+    # Only integers are seeds: a float or a bool is never folded to one.
+    with pytest.raises(ValueError, match="^seed must be (in|an integer)"):
         substream_rng(seed, COMPONENTS["table"])
+    top = np.uint64(2**64 - 1)
+    assert master_seed(top) == 2**64 - 1 and type(master_seed(top)) is int
 
 
 class TestAndEval:

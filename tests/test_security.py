@@ -106,9 +106,12 @@ class TestCheatParams:
             CheatParams(1.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("triple", [(np.nan, 0.5, 0.5), (0.6, np.nan, 0.8),
-                                        (np.inf, 0.0, 0.0), (0.0, -np.inf, 1.0)])
+                                        (np.inf, 0.0, 0.0), (0.0, -np.inf, 1.0),
+                                        (10**400, 0, 0), (True, False, False),
+                                        (np.True_, 0.0, 0.0), ("1", 0, 0), (None, 1.0, 0.0),
+                                        (1j, 0.0, 0.0)])
     def test_non_finite_amplitudes_rejected(self, triple):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="^[abc] must be (finite|a real number)"):
             CheatParams(*triple)
 
     def test_negative_amplitude_rejected(self):
@@ -121,14 +124,21 @@ class TestCheatParams:
         with pytest.raises(ValueError, match="^squares sum to inf, expected 1$"):
             CheatParams(a, 0.0, 0.0)
 
-    @pytest.mark.parametrize("alpha", [-0.5, -1e-9, np.pi / 2 + 1e-9, 2.0])
+    @pytest.mark.parametrize("alpha", [-0.5, -1e-9, np.pi / 2 + 1e-9, 2.0, "0.1", True,
+                                       np.True_, pytest.param(10**400, id="1e400")])
     def test_alpha_outside_quarter_turn_rejected(self, alpha):
-        with pytest.raises(ValueError, match=r"alpha .* outside \[0, pi/2\]"):
+        with pytest.raises(ValueError, match=r"^alpha (.* outside \[0, pi/2\]|must be a real "
+                                             r"number|must be finite)"):
             CheatParams.from_alpha(alpha)
 
     def test_alpha_endpoints_accepted(self):
         assert CheatParams.from_alpha(0.0).c == 0.0
         assert CheatParams.from_alpha(np.pi / 2 + 1e-12).a == pytest.approx(SQRT_HALF)
+        # Any real type gives the triple of its float, bit for bit.
+        for alpha in (np.float32(0.3), np.float16(0.3), np.int8(1)):
+            got, want = CheatParams.from_alpha(alpha), CheatParams.from_alpha(float(alpha))
+            assert np.array([got.a, got.b, got.c]).tobytes() == \
+                np.array([want.a, want.b, want.c]).tobytes()
 
     def test_alpha_family(self):
         p = CheatParams.from_alpha(0.3)
@@ -642,7 +652,7 @@ class TestExample1:
                 example1_povm(alpha)
             with pytest.raises(ValueError, match="outside"):
                 security.example1_elements(np.array([0.5, alpha]))
-            with pytest.raises(ValueError, match="outside"):
+            with pytest.raises(ValueError, match="outside|must be finite"):
                 CheatParams.from_alpha(alpha)
 
 
@@ -742,7 +752,7 @@ class TestAccessibleInfoSearch:
         ((True, 5), "n_starts"), ((2, np.float64(5.0)), "max_iters"), ((2, np.int64(-1)), "max_iters"),
     ])
     def test_config_fields_are_integers_at_least_zero(self, fields, name):
-        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0, not "):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer( >= 0)?, not "):
             SearchConfig(*fields)
         # The bound itself is valid: no random starts and no iterations run the seed frames alone.
         assert SearchConfig(0, 0) == SearchConfig(np.int64(0), np.uint8(0))
@@ -1056,9 +1066,10 @@ class TestTradeoffCurve:
         assert type(curve.n_samples) is int and curve.n_samples == n_samples
         assert curve.triples.shape == (n_samples, 3)
 
-    @pytest.mark.parametrize("bin_width", [True, np.True_])
+    @pytest.mark.parametrize("bin_width", [True, np.True_, "0.1", None, 1j,
+                                           pytest.param(10**400, id="1e400")])
     def test_bool_bin_width_rejected(self, bin_width):
-        with pytest.raises(ValueError, match="^bin_width must be finite and at least 2"):
+        with pytest.raises(ValueError, match="^bin_width must be (a real number|finite)"):
             tradeoff_curve(1000, bin_width)
 
     def test_input_validation(self):

@@ -390,3 +390,17 @@ def test_negative_psd_image_is_a_violation(monkeypatch):
     monkeypatch.setattr(security, "lemma1_images", negative)
     for triples in (10, 3):
         assert verify.lemma1(25, 11, params_per_povm=triples)["violations"] == 25 * triples
+
+
+@pytest.mark.parametrize("suite,samples,kwargs,message", [
+    ("prop1", 0, {}, "samples must be >= 1"),
+    ("prop3", 0, {}, "samples must be >= 1"),
+    ("lemma1", 0, {}, "samples must be >= 1"),
+    ("lemma1", 3, {"params_per_povm": 0}, "params_per_povm must be >= 1"),
+    ("prop1", True, {}, "samples must be an integer, not True"),
+    ("prop3", 2.0, {}, "samples must be an integer, not 2.0"),
+    ("lemma1", 3, {"params_per_povm": 2.5}, "params_per_povm must be an integer, not 2.5"),
+])
+def test_sampled_suites_reject_sizes_that_draw_nothing(suite, samples, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify.SUITES[suite](samples, 1, **kwargs)
