@@ -20,6 +20,6 @@ The package is organized as six modules:
   ``python -m otlab.cli`` runs it once (``from otlab import cli``).
 """
 
-__version__ = "0.22.0"
+__version__ = "0.23.0"
 
 from . import checksim, numerics, protocol, security, verify  # noqa: F401

@@ -43,7 +43,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import protocol
-from .numerics import _integer, _real
+from .numerics import _integer, _real, _shown
 from .security import CheatParams, _example_vectors, binary_entropy
 
 __all__ = [
@@ -85,7 +85,7 @@ class CheckConfig:
                 raise ValueError(f"{name} must be >= 1")
         for name, k in (("k_bob", self.k_bob), ("k_alice", self.k_alice)):
             if not 0 <= k <= self.m:
-                raise ValueError(f"{name}={k} outside [0, m={self.m}]")
+                raise ValueError(f"{name}={_shown(k)} outside [0, m={_shown(self.m)}]")
         for name in ("threshold_bob", "threshold_alice"):
             try:   # an integer is compared exactly, whatever its size
                 value = _integer(getattr(self, name), name)
@@ -95,7 +95,8 @@ class CheckConfig:
                     raise ValueError(f"fractional {name} must lie in [0, 1)") from None
             if value < 0:
                 raise ValueError(f"{name} must be finite and nonnegative")
-        if not _real(self.c1, "c1") > 0.0:
+        object.__setattr__(self, "c1", _real(self.c1, "c1"))   # a float, as reports print it
+        if not self.c1 > 0.0:
             raise ValueError("c1 must be positive and finite")
 
     def resolved_threshold(self, side: str) -> int:

@@ -69,6 +69,22 @@ def _integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
+# Integers wider than this are shown in messages by their width, not their digits: Python's
+# str() of an int stops at 4300 digits, and a message should not run for pages either.
+_SHOWN_BITS = 256
+
+
+def _shown(value, convert=str) -> str:
+    """``convert(value)`` for a message, or, for an int wider than ``_SHOWN_BITS``, its width.
+
+    Every range message that prints a value it was given prints it through
+    here, so that no integer, of any size, makes the message itself fail.
+    """
+    if isinstance(value, int) and value.bit_length() > _SHOWN_BITS:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+    return convert(value)
+
+
 def _real(value, name: str) -> float:
     """``value`` as a finite float: a Python or numpy integer or float, not a bool."""
     if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
@@ -472,36 +488,49 @@ def holevo(ensemble):
     return float(chi) if chi.ndim == 0 else chi
 
 
-def draw_povm_block(rng: np.random.Generator, dim: int, sizes, real: bool = False,
-                    ranks=None) -> np.ndarray:
-    """Elements ``[s, N, dim, dim]`` of ``s`` random POVMs of ``sizes[s]`` elements each.
+def _povm_frames(rng: np.random.Generator, dim: int, sizes, real: bool = False,
+                 ranks=None) -> np.ndarray:
+    """Frames ``V[s, N, r, dim]`` of ``s`` random POVMs of ``sizes[s]`` elements each.
 
     A POVM's seeds are random PSD ``x x^dagger``, with ``x`` the first
     ``ranks[i]`` columns (default: all) of a ``dim x dim`` Gaussian matrix,
     real if ``real``, else a real part plus ``1j`` times an imaginary part.
-    The elements are the seeds conjugated by the inverse square root of
-    their sum, and past a POVM's own count they are exact zeros.  Each draw
-    is one ``rng.normal`` of ``[rows, max(sizes), 1 or 2, dim, dim]``: the
-    POVMs whose seeds' sum is ill-conditioned are drawn again as one batch.
-    One drawn so 100 times gets ``0.01 * w.max()`` times the identity as one
-    more seed, and then ``N = max(sizes) + 1``.
+    The frame vectors are those columns times the inverse square root
+    ``S^{-1/2}`` of the seeds' sum, so element ``n`` is
+    ``sum_k V[n, k] V[n, k]^dagger``; past a POVM's own count and rank they
+    are exact zeros.  Each draw is one ``rng.normal`` of
+    ``[rows, max(sizes), 1 or 2, dim, dim]``: the POVMs whose ``S`` is
+    ill-conditioned are drawn again as one batch.  One drawn so 100 times
+    gets ``0.01 * w.max()`` times the identity as one more seed, and then
+    ``N = max(sizes) + 1`` and, in that block only, ``r = dim``; otherwise
+    ``r = max(ranks)``.  The frames are real if ``real``, else complex.
     """
     sizes = np.asarray(sizes)
     ranks = np.full(len(sizes), dim) if ranks is None else np.asarray(ranks)
     if sizes.min(initial=1) < 1 or ranks.min(initial=1) < 1:
         raise ValueError("need at least one element of rank >= 1 per POVM")
+    rank = int(ranks.max(initial=1))
     # Per POVM, its live Gaussian entries: the first sizes[i] seeds' first ranks[i] columns.
     live = ((np.arange(sizes.max(initial=1)) < sizes[:, None])[:, :, None, None, None]
-            & (np.arange(dim) < ranks[:, None])[:, None, None, None, :])
+            & (np.arange(rank) < ranks[:, None])[:, None, None, None, :])
 
-    def seeds_of(rows):
-        z = rng.normal(size=(len(rows), live.shape[1], 1 if real else 2, dim, dim)) * live[rows]
-        x = z[:, :, 0] if real else z[:, :, 0] + 1j * z[:, :, 1]
-        return x @ np.conj(np.swapaxes(x, -1, -2))
+    def columns_of(rows):
+        z = rng.normal(size=(len(rows), live.shape[1], 1 if real else 2, dim, dim))
+        z = z[..., :rank] * live[rows]
+        return z[:, :, 0] if real else z[:, :, 0] + 1j * z[:, :, 1]
+
+    def flat(x):
+        """The columns ``[rows, dim, N * r]`` of every seed of ``x[rows, N, dim, r]``, in a row."""
+        return np.moveaxis(x, -2, 1).reshape(len(x), dim, -1)
+
+    def frame_sums(x):
+        # sum_n x_n x_n^dagger, as one [dim, N * r] matrix times its adjoint.
+        cols = flat(x)
+        return cols @ np.conj(np.swapaxes(cols, -1, -2))
 
     rows = np.arange(len(sizes))
-    seeds = seeds_of(rows)
-    w, v = np.linalg.eigh(seeds.sum(axis=1))
+    x = columns_of(rows)                                   # [s, N, dim, r]
+    w, v = np.linalg.eigh(frame_sums(x))
     for draw in range(100):
         # Reject ill-conditioned frames so the normalized elements stay exact
         # to machine precision (low-rank seeds can nearly miss a direction).
@@ -509,10 +538,25 @@ def draw_povm_block(rng: np.random.Generator, dim: int, sizes, real: bool = Fals
         if rows.size == 0:
             break
         if draw < 99:
-            seeds[rows] = seeds_of(rows)
+            x[rows] = columns_of(rows)
         else:
-            seeds = np.concatenate([seeds, np.zeros_like(seeds[:, :1])], axis=1)
-            seeds[rows, sizes[rows]] = 0.01 * w[rows, -1, None, None] * np.eye(dim)
-        w[rows], v[rows] = np.linalg.eigh(seeds[rows].sum(axis=1))
-    inv_sqrt = ((v * (w[:, None, :] ** -0.5)) @ np.conj(np.swapaxes(v, -1, -2)))[:, None]
-    return (inv_sqrt @ seeds @ inv_sqrt).astype(complex, copy=False)
+            # The identity seed's columns are sqrt(0.01 w.max()) e_k, so r widens to dim.
+            grown = np.zeros((len(x), x.shape[1] + 1, dim, dim), dtype=x.dtype)
+            grown[:, :-1, :, :rank] = x
+            grown[rows, sizes[rows]] = np.sqrt(0.01 * w[rows, -1, None, None]) * np.eye(dim)
+            x = grown
+        w[rows], v[rows] = np.linalg.eigh(frame_sums(x[rows]))
+    inv_sqrt = (v * (w[:, None, :] ** -0.5)) @ np.conj(np.swapaxes(v, -1, -2))
+    frames = (inv_sqrt @ flat(x)).reshape(len(x), dim, x.shape[1], x.shape[-1])
+    return np.moveaxis(frames, 1, -1)
+
+
+def _frame_elements(frames: np.ndarray) -> np.ndarray:
+    """Elements ``[..., dim, dim]`` of frames ``[..., r, dim]``: ``sum_k v_k v_k^dagger``."""
+    return np.swapaxes(frames, -1, -2) @ np.conj(frames)
+
+
+def draw_povm_block(rng: np.random.Generator, dim: int, sizes, real: bool = False,
+                    ranks=None) -> np.ndarray:
+    """Elements ``[s, N, dim, dim]`` of the frames of :func:`_povm_frames`, complex."""
+    return _frame_elements(_povm_frames(rng, dim, sizes, real, ranks)).astype(complex, copy=False)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import PureState, _frozen
+from .numerics import PureState, _frozen, _shown
 
 __all__ = [
     "SENT",
@@ -87,7 +87,7 @@ def _bits(value, name: str) -> np.ndarray:
     bits = np.asarray(value)
     ok = (bits == 0) | (bits == 1)
     if not ok.all():
-        raise ValueError(f"{name} must be 0 or 1, got {bits[~ok].flat[0].item()!r}")
+        raise ValueError(f"{name} must be 0 or 1, got {_shown(bits[~ok].tolist()[0], repr)}")
     return bits.astype(np.int64)
 
 

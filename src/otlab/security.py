@@ -27,8 +27,9 @@ from typing import Iterable
 import numpy as np
 
 from . import protocol
-from .numerics import (Ensemble, Povm, _integer, _real, _valid_ensemble,
-                       classical_mutual_information, dirichlet_blocks, trace_distance, xlog2)
+from .numerics import (COMPLETENESS_ATOL, Ensemble, Povm, _integer, _real, _shown,
+                       _valid_ensemble, classical_mutual_information, dirichlet_blocks,
+                       trace_distance, xlog2)
 
 __all__ = [
     "CheatParams",
@@ -133,7 +134,7 @@ class GuessProbs:
         for name in ("p_y", "p_r", "p_yxr"):
             val = getattr(self, name)
             if not (0.5 - 1e-12 <= val <= 1.0 + 1e-12):
-                raise ValueError(f"{name}={val} outside [1/2, 1]")
+                raise ValueError(f"{name}={_shown(val)} outside [1/2, 1]")
         for other in (self.p_r, self.p_yxr):
             lhs = (other - 0.5) ** 2 + (self.p_y - 0.5) ** 2
             if lhs > 0.25 + 1e-12:
@@ -152,7 +153,7 @@ class HolevoTriple:
         for name in ("chi_y", "chi_r", "chi_yxr"):
             val = getattr(self, name)
             if not (-1e-12 <= val <= 1.0 + 1e-12):
-                raise ValueError(f"{name}={val} outside [0, 1]")
+                raise ValueError(f"{name}={_shown(val)} outside [0, 1]")
 
 
 def _sign_rows(amplitudes) -> np.ndarray:
@@ -215,6 +216,37 @@ def sign_state_probabilities(elements, amplitudes) -> np.ndarray:
     return np.einsum("...si,...nij,...sj->...sn", states, elements, states).real
 
 
+def _frame_probabilities(frames, amplitudes) -> np.ndarray:
+    """Probabilities ``[..., p, 4, n]`` of frames ``[..., n, r, 3]`` and rows ``[..., p, 3]``.
+
+    Leading axes broadcast, as in :func:`lemma1_images`; each row's entry is
+    :func:`sign_state_probabilities` of the frames' elements.  Element ``n``
+    is ``sum_k v_k v_k^dagger`` over its frame vectors ``frames[..., n, k, :]``
+    (see :func:`numerics._povm_frames`), so its probability on the real sign
+    state ``psi`` is ``sum_k |v_k . psi|^2``: no element is formed, and every
+    overlap comes from one matmul per leading index.
+    """
+    frames = np.asarray(frames)
+    states = _sign_rows(amplitudes)                                        # [..., p, 4, 3]
+    n, r, d = frames.shape[-3:]
+    p = states.shape[-3]
+    vectors = np.moveaxis(frames, -1, -3).reshape(frames.shape[:-3] + (d, n * r))
+    overlaps = states.reshape(states.shape[:-3] + (p * 4, d)) @ vectors   # [..., 4p, n r]
+    overlaps = overlaps.reshape(overlaps.shape[:-2] + (p, 4, n, r))
+    if np.iscomplexobj(overlaps):   # |z|^2 as the sum of squares of its real and imaginary parts
+        overlaps = overlaps.view(float)
+    return np.einsum("...k,...k->...", overlaps, overlaps)
+
+
+def _label_information(probs) -> np.ndarray:
+    """Information ``[..., 3]`` about y, r and y XOR r of sign-state probabilities ``[..., 4, n]``.
+
+    The label tables of :func:`sign_state_information`, from probabilities
+    computed in any form.
+    """
+    return classical_mutual_information(np.einsum("lgs,...sn->...lgn", _LABEL_WEIGHTS, probs))
+
+
 def sign_state_information(elements, amplitudes) -> np.ndarray:
     """Information ``[..., 3]`` about y, r and y XOR r in a measurement's outcome.
 
@@ -222,8 +254,7 @@ def sign_state_information(elements, amplitudes) -> np.ndarray:
     equal ``mutual_information(returned_ensemble(params, label), povm)`` for
     the labels ``"y"``, ``"r"`` and ``"yxr"``.
     """
-    probs = sign_state_probabilities(elements, amplitudes)
-    return classical_mutual_information(np.einsum("lgs,...sn->...lgn", _LABEL_WEIGHTS, probs))
+    return _label_information(sign_state_probabilities(elements, amplitudes))
 
 
 def guess_probs(params: CheatParams) -> GuessProbs:
@@ -315,9 +346,13 @@ def tradeoff_bound_margins(chi_y, chi_r, chi_yxr) -> tuple:
     return tuple(out)
 
 
+# Bloch vectors ``[4, 3]`` of the tetrahedron states, in RY_ORDER.
+_TETRA_BLOCH = _TETRA_SIGNS / np.sqrt(3.0)
+
+
 def _tetrahedron() -> np.ndarray:
-    """Density matrices ``[4, 2, 2]`` of Bloch vectors ``_TETRA_SIGNS / sqrt(3)``, read-only."""
-    ex, ey, ez = (_TETRA_SIGNS / np.sqrt(3.0)).T
+    """Density matrices ``[4, 2, 2]`` of the Bloch vectors ``_TETRA_BLOCH``, read-only."""
+    ex, ey, ez = _TETRA_BLOCH.T
     bloch = np.stack([ez, ex - 1j * ey, ex + 1j * ey, -ez], axis=-1).reshape(4, 2, 2)
     states = 0.5 * (np.eye(2) + bloch)
     states.setflags(write=False)
@@ -331,16 +366,69 @@ def _tetrahedron() -> np.ndarray:
 TETRAHEDRON = _tetrahedron()
 
 
+def _lemma1_bloch(elements, amplitudes, variant: str = "exact") -> tuple:
+    """Bloch form ``(t, b)`` of the images of elements ``[..., n, 3, 3]`` for rows ``[..., p, 3]``.
+
+    The image of element ``n`` for row ``p`` is ``t I + b . sigma``: ``t`` is
+    ``[..., p, n]`` and ``b`` (in the order x, y, z) ``[..., p, n, 3]``, both
+    real, so every image is Hermitian by construction.  Its outcome
+    probability on the Bloch vector ``r`` is ``t + b . r``, its eigenvalues
+    are ``t +- |b|``, and the images sum to the identity exactly when the
+    sums of ``t`` and ``b`` are 1 and 0.  :func:`lemma1_images` gives the
+    matrices, with the variants described there.
+    """
+    if variant not in ("exact", "psd"):
+        raise ValueError(f"unknown variant {variant!r}")
+    # The real part drops i*(antisymmetric) exactly and stays symmetric PSD;
+    # its entries get a unit p axis and the amplitudes a unit n axis.
+    real = np.asarray(elements).real[..., None, :, :, :]
+    amps = np.asarray(amplitudes, dtype=float)[..., None]
+    a, b, c = amps[..., 0, :], amps[..., 1, :], amps[..., 2, :]
+    f, g, h = real[..., 0, 0], real[..., 1, 1], real[..., 2, 2]
+    u, v, w = real[..., 0, 1], real[..., 0, 2], real[..., 1, 2]
+    t = a * a * f + b * b * g + c * c * h
+    if variant == "exact":
+        scale, xyz = 2.0 * np.sqrt(3.0), (a * b * u, b * c * w, a * c * v)
+    else:
+        scale, xyz = np.sqrt(3.0), (a * b * u, a * c * v, b * c * w)
+    # Component by component, so that each component is one contiguous array.
+    bloch = np.empty((3,) + t.shape)
+    for axis, component in enumerate(xyz):
+        np.multiply(scale, component, out=bloch[axis])
+    return t, np.moveaxis(bloch, 0, -1)
+
+
+def _bloch_is_measurement(t, bloch):
+    """:func:`numerics.is_measurement` of the images ``t I + b . sigma`` ``[..., n]``, ``[...]``.
+
+    Real ``t`` and ``b`` make every image Hermitian, so only completeness is
+    tested: the images' sum is ``(T + B_z, B_x - i B_y; B_x + i B_y, T - B_z)``,
+    and its largest entrywise distance from the identity,
+    ``max(|T +- B_z - 1|, |B_x +- i B_y|)``, must be at most
+    ``COMPLETENESS_ATOL``.  A NaN never passes.
+    """
+    total, (bx, by, bz) = np.sum(t, axis=-1), np.moveaxis(np.sum(bloch, axis=-2), -1, 0)
+    gap = np.maximum(np.maximum(np.abs(total + bz - 1.0), np.abs(total - bz - 1.0)),
+                     np.hypot(bx, by))
+    return gap <= COMPLETENESS_ATOL
+
+
+def _bloch_least_eigenvalues(t, bloch):
+    """Least eigenvalues ``t - |b|`` ``[...]`` of the images ``t I + b . sigma``: no eigensolve."""
+    return t - np.sqrt(np.sum(bloch * bloch, axis=-1))
+
+
 def lemma1_images(elements, amplitudes, variant: str = "exact") -> np.ndarray:
     """Qubit images ``[..., p, n, 2, 2]`` of elements ``[..., n, 3, 3]`` for rows ``[..., p, 3]``.
 
     Leading axes (a sample axis, say) broadcast: each of the ``p`` amplitude
-    rows ``(a, b, c)`` maps each of the ``n`` elements.
+    rows ``(a, b, c)`` maps each of the ``n`` elements.  The matrices of
+    :func:`_lemma1_bloch`'s ``t I + b . sigma``.
 
     Each element's real part ``M`` (the imaginary antisymmetric part changes
     no probability on the real sign states), with diagonal ``(f, g, h)`` and
     ``u, v, w = M[0,1], M[0,2], M[1,2]``, maps to the identity weight
-    ``a^2 f + b^2 g + c^2 h`` plus a Bloch vector.
+    ``t = a^2 f + b^2 g + c^2 h`` plus a Bloch vector.
 
     variant="exact"
         Bloch vector ``2*sqrt(3) * (ab*u, bc*w, ac*v)``: the unique image
@@ -355,24 +443,11 @@ def lemma1_images(elements, amplitudes, variant: str = "exact") -> np.ndarray:
         relabeled), so per-element statistics hold only for diagonal
         measurements.
     """
-    if variant not in ("exact", "psd"):
-        raise ValueError(f"unknown variant {variant!r}")
-    # The real part drops i*(antisymmetric) exactly and stays symmetric PSD;
-    # its entries get a unit p axis and the amplitudes a unit n axis.
-    real = np.asarray(elements).real[..., None, :, :, :]
-    amps = np.asarray(amplitudes, dtype=float)[..., None]
-    a, b, c = amps[..., 0, :], amps[..., 1, :], amps[..., 2, :]
-    f, g, h = real[..., 0, 0], real[..., 1, 1], real[..., 2, 2]
-    u, v, w = real[..., 0, 1], real[..., 0, 2], real[..., 1, 2]
-    base = a * a * f + b * b * g + c * c * h
-    if variant == "exact":
-        scale, (x, y, z) = 2.0 * np.sqrt(3.0), (a * b * u, b * c * w, a * c * v)
-    else:
-        scale, (x, y, z) = np.sqrt(3.0), (a * b * u, a * c * v, b * c * w)
-    x, y, z = scale * x, scale * y, scale * z
-    images = np.empty(base.shape + (2, 2), dtype=complex)
-    images[..., 0, 0] = base + z
-    images[..., 1, 1] = base - z
+    t, bloch = _lemma1_bloch(elements, amplitudes, variant)
+    x, y, z = np.moveaxis(bloch, -1, 0)
+    images = np.empty(t.shape + (2, 2), dtype=complex)
+    images[..., 0, 0] = t + z
+    images[..., 1, 1] = t - z
     images[..., 0, 1] = x - 1j * y
     images[..., 1, 0] = x + 1j * y
     return images

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import _integer
+from .numerics import _integer, _shown
 
 #: First substream key of each command line subcommand.
 COMPONENTS = {"table": 1, "verify": 2, "curve": 3, "checksim": 4}
@@ -19,7 +19,7 @@ def master_seed(seed) -> int:
     """``seed``, an integer, as an int in ``[0, 2**64)``; ValueError outside it, never folded inside."""
     seed = _integer(seed, "seed")
     if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        raise ValueError(f"seed must be in [0, 2**64), got {_shown(seed)}")
     return seed
 
 

@@ -18,16 +18,16 @@ from .seeding import COMPONENTS, substream_rng
 
 # POVMs per block of the prop1 and lemma1 sweeps, and so part of their
 # stream definition: each block draws its POVM sizes (and lemma1's ranks),
-# then its amplitude rows, then its elements, and is evaluated in one pass.
+# then its amplitude rows, then its frames, and is evaluated in one pass.
 # A long sweep holds one block's draws and arrays (a few MB), not all of them.
 SAMPLE_BLOCK = 512
 
 
 def _povm_blocks(rng: np.random.Generator, samples: int, pairs: int, triples: int, real: bool):
-    """Per block of ``max(1, pairs // triples)`` random qutrit POVMs, their elements and squares.
+    """Per block of ``max(1, pairs // triples)`` random qutrit POVMs, their frames and squares.
 
-    Yields elements ``[s, N, 3, 3]``, zero past each POVM's 3 to 7 outcomes
-    (see :func:`numerics.draw_povm_block`), and ``triples`` Dirichlet(1, 1, 1)
+    Yields frames ``[s, N, r, 3]``, zero past each POVM's 3 to 7 outcomes
+    (see :func:`numerics._povm_frames`), and ``triples`` Dirichlet(1, 1, 1)
     rows per POVM, ``[s, triples, 3]``.  ``samples`` and ``triples`` are integers >= 1.
     """
     for name, count in (("samples", samples), ("params_per_povm", triples)):
@@ -40,16 +40,20 @@ def _povm_blocks(rng: np.random.Generator, samples: int, pairs: int, triples: in
         # Rank-1 outcomes are the informative extreme; real (lemma1's) POVMs mix in full rank.
         ranks = np.where(rng.random(s) < 0.5, 1, 3) if real else np.ones(s, dtype=int)
         squares = np.concatenate(list(numerics.dirichlet_blocks(rng, 1, s * triples)))
-        yield (numerics.draw_povm_block(rng, 3, sizes, real, ranks),
+        yield (numerics._povm_frames(rng, 3, sizes, real, ranks),
                squares.reshape(s, triples, 3))
 
 
 def prop1(samples: int, seed: int) -> dict:
-    """Same-measurement information sums stay below one bit."""
+    """Same-measurement information sums stay below one bit.
+
+    Each POVM's outcome probabilities are read off its frames
+    (:func:`security._frame_probabilities`); no element is formed.
+    """
     rng = substream_rng(seed, COMPONENTS["verify"], 1)
-    info = np.concatenate([security.sign_state_information(elements, np.sqrt(squares[:, 0]))
-                           for elements, squares in _povm_blocks(rng, samples, SAMPLE_BLOCK,
-                                                                 1, real=False)])
+    info = np.concatenate([
+        security._label_information(security._frame_probabilities(frames, np.sqrt(squares))[:, 0])
+        for frames, squares in _povm_blocks(rng, samples, SAMPLE_BLOCK, 1, real=False)])
     i_y, i_r, i_yxr = info.T
     margins = 1.0 - (i_y[:, None] + np.column_stack([i_r, i_yxr]))
     return {"min_margin": float(margins.min()), "samples": samples,
@@ -117,30 +121,34 @@ def lemma1(samples: int, seed: int, params_per_povm: int = 10) -> dict:
 
     Every (POVM, triple) pair counts one violation if its exact images miss
     the qutrit statistics by more than 1e-10, carry more than one bit about
-    the sign state, or are not Hermitian and complete, and one more if its
-    psd images are not a bona fide POVM.
+    the sign state, or are not complete, and one more if its psd images are
+    not a bona fide POVM.  The images are checked in the Bloch form
+    ``t I + b . sigma`` of :func:`security._lemma1_bloch`, Hermitian by
+    construction: an image's probability on the tetrahedron state of Bloch
+    vector ``r`` is ``t + b . r``, its least eigenvalue ``t - |b|``, and
+    completeness is :func:`security._bloch_is_measurement`.  The qutrit
+    statistics are read off the frames (:func:`security._frame_probabilities`).
     """
     rng = substream_rng(seed, COMPONENTS["verify"], 4)
     max_dev, max_mi, violations = 0.0, 0.0, 0
     # Blocks of SAMPLE_BLOCK POVMs at the default 10 triples each: as many pairs at any count.
-    for elements, squares in _povm_blocks(rng, samples, SAMPLE_BLOCK * 10, params_per_povm, True):
-        amplitudes = np.sqrt(squares)                                   # [s, p, 3]
-        exact = security.lemma1_images(elements, amplitudes, "exact")  # [s, p, n, 2, 2]
-        probs2 = np.einsum("...pnjk,skj->...psn", exact, security.TETRAHEDRON).real
-        probs3 = security.sign_state_probabilities(elements[:, None], amplitudes)  # [s, p, 4, n]
+    for frames, squares in _povm_blocks(rng, samples, SAMPLE_BLOCK * 10, params_per_povm, True):
+        amplitudes = np.sqrt(squares)                                          # [s, p, 3]
+        elements = numerics._frame_elements(frames)                            # [s, N, 3, 3]
+        t, bloch = security._lemma1_bloch(elements, amplitudes, "exact")       # [s, p, n(, 3)]
+        # t + b . r on the tetrahedron state of each Bloch vector r: [s, p, 4, n].
+        probs2 = np.swapaxes(bloch @ security._TETRA_BLOCH.T, -1, -2) + t[..., None, :]
+        probs3 = security._frame_probabilities(frames, amplitudes)            # [s, p, 4, n]
         dev = np.abs(probs3 - probs2).max(axis=(-2, -1))
         joint_mi = numerics.classical_mutual_information(0.25 * probs2)
         max_dev = max(max_dev, float(dev.max()))
         max_mi = max(max_mi, float(joint_mi.max()))
         violations += int(np.sum((dev > 1e-10) | (joint_mi > 1.0 + 1e-9)
-                                 | ~numerics.is_measurement(exact)))
+                                 | ~security._bloch_is_measurement(t, bloch)))
         # The psd variant must always be a bona fide POVM.
-        psd = security.lemma1_images(elements, amplitudes, "psd")
-        # Zero elements have zero images, which pass: only the live ones are diagonalized.
-        live = np.broadcast_to(elements.any(axis=(-2, -1))[:, None], psd.shape[:3])
-        negative = np.zeros(live.shape, dtype=bool)                    # [s, p, n]
-        negative[live] = np.linalg.eigvalsh(psd[live])[:, 0] < numerics.EIG_FLOOR
-        violations += int(np.sum(negative.any(axis=-1) | ~numerics.is_measurement(psd)))
+        t, bloch = security._lemma1_bloch(elements, amplitudes, "psd")
+        negative = security._bloch_least_eigenvalues(t, bloch) < numerics.EIG_FLOOR
+        violations += int(np.sum(negative.any(axis=-1) | ~security._bloch_is_measurement(t, bloch)))
     return {"max_joint_mi": max_mi, "max_statistics_deviation": max_dev,
             "samples": samples, "violations": violations}
 

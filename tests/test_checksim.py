@@ -156,6 +156,28 @@ class TestConfig:
             assert delivered == [0 if f > 1 else 2**70 - 9 for f in _per_trial(bob)["failures"]]
             assert 0 < delivered.count(0) < 40
 
+    @pytest.mark.parametrize("m,k,shown", [
+        # Past Python's 4300-digit str() limit, and past the width printed in full.
+        (5, 10**5000, "k_bob=an integer of 16610 bits outside [0, m=5]"),
+        (5, -(10**5000), "k_bob=a negative integer of 16610 bits outside [0, m=5]"),
+        (10**5000, -1, "k_bob=-1 outside [0, m=an integer of 16610 bits]"),
+        (5, 2**256 - 1, f"k_bob={2**256 - 1} outside [0, m=5]"),
+        (5, 2**256, "k_bob=an integer of 257 bits outside [0, m=5]")],
+        ids=["k=1e5000", "k=-1e5000", "m=1e5000", "k=2**256-1", "k=2**256"])
+    def test_range_message_shows_any_integer(self, m, k, shown):
+        with pytest.raises(ValueError) as excinfo:
+            CheckConfig(m=m, k_bob=k)
+        assert str(excinfo.value) == shown
+
+    @pytest.mark.parametrize("c1,written", [(np.float32(1.5), 1.5), (2, 2.0), (np.int64(3), 3.0),
+                                            (1.7, 1.7)])
+    def test_c1_is_kept_as_a_float(self, c1, written):
+        config = CheckConfig(m=10, k_bob=5, trials=20, c1=c1)
+        assert type(config.c1) is float and config.c1 == written
+        report = run_protocol2(config, AliceStrategy.honest(), np.random.default_rng(3))
+        constants = json.loads(json.dumps(report.to_dict()))["constants"]
+        assert type(constants["c1"]) is float and constants["c1"] == written
+
     @pytest.mark.parametrize("value", [2**63, 2**64, 10**23])
     def test_huge_integer_thresholds_accepted(self, value):
         config = CheckConfig(m=10, k_bob=5, k_alice=5, threshold_bob=value,

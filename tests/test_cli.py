@@ -162,14 +162,15 @@ class TestVerify:
         assert json.loads(out)["violations"] == 2
 
     def test_incomplete_reduction_is_a_violation(self, capsys, monkeypatch):
-        kernel = security.lemma1_images
+        kernel = security._lemma1_bloch
 
         def incomplete(elements, amplitudes, variant="exact"):
-            images = kernel(elements, amplitudes, variant)
-            images[:, 0] += 1e-6 * np.eye(2)
-            return images
+            # 1e-6 times the identity added to every image of the first row.
+            t, bloch = kernel(elements, amplitudes, variant)
+            t[:, 0] += 1e-6
+            return t, bloch
 
-        monkeypatch.setattr(security, "lemma1_images", incomplete)
+        monkeypatch.setattr(security, "_lemma1_bloch", incomplete)
         code, out, err = _run(capsys, ["verify", "lemma1", "--samples", "3", "--seed", "5"])
         assert code == 1
         assert json.loads(out)["violations"] > 0
@@ -418,8 +419,10 @@ _PAYLOAD_PINS = [
      "415d55672521922138a2c72102c7311033cf82f0d381c00a2c0099e5f77ba70d"),
     ("verify thm3 --seed 7",
      "b6971ba032f3223572425c5f954cb138b3ca7b9000f7402f5efd46612c313dcf"),
+    # Re-recorded with 0.23.0, when lemma1 began to check its images in Bloch
+    # form off the POVMs' frames: the last bits of its two maxima moved.
     ("verify lemma1 --samples 20 --seed 7",
-     "8d5be36b95ca7d5b551a7e80aa32af4c056d32294900e012619d2f5f940093cb"),
+     "4da4669f3df069ed306d84e281d3293a55432e637dfb277920e22f84e1d61b5c"),
     # The largest and smallest table jobs of the benchmark.
     ("table --x 1 --y 1 --n 1750 --seed 9191",
      "490c87988472b11450d5395063b4219eac00da7780ccd4e2598fb584bfc8acc7"),

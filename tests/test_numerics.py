@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from otlab import numerics
+from otlab import numerics, security
 from otlab.numerics import (
     DensityOperator,
     Ensemble,
@@ -600,6 +600,18 @@ class TestMeasurementStacks:
         assert verdicts.tolist() == [False] * 10 + [True] * 4
 
 
+# Blocks of draw_povm_block: dim, POVM sizes and ranks, and each POVM's element count.
+_BLOCK_CASES = [
+    (3, [5, 3, 7, 4, 6, 3], [3, 1, 1, 3, 1, 1], [5, 3, 7, 4, 6, 3]),
+    (2, [3, 3, 4], [1, 1, 2], [3, 3, 4]),
+    # Three rank-1 seeds in 3 dims are often ill-conditioned, and redrawn.
+    (3, [3] * 100, [1] * 100, [3] * 100),
+    # Two rank-1 seeds never span 3 dims: the fallback adds an identity
+    # element to those POVMs only, and one zero element to the others.
+    (3, [2, 5, 2, 4], [1, 3, 1, 1], [3, 5, 3, 4]),
+]
+
+
 class TestDrawPovmBlock:
     @pytest.mark.parametrize("sizes,ranks", [([4], [0]), ([4], [-1]), ([3, 0], None)])
     def test_empty_povm_or_rank_below_one_rejected(self, sizes, ranks):
@@ -617,15 +629,7 @@ class TestDrawPovmBlock:
                     assert np.abs(povm.elements.imag).max() < 1e-15
 
     @pytest.mark.parametrize("real", [False, True])
-    @pytest.mark.parametrize("dim,sizes,ranks,counts", [
-        (3, [5, 3, 7, 4, 6, 3], [3, 1, 1, 3, 1, 1], [5, 3, 7, 4, 6, 3]),
-        (2, [3, 3, 4], [1, 1, 2], [3, 3, 4]),
-        # Three rank-1 seeds in 3 dims are often ill-conditioned, and redrawn.
-        (3, [3] * 100, [1] * 100, [3] * 100),
-        # Two rank-1 seeds never span 3 dims: the fallback adds an identity
-        # element to those POVMs only, and one zero element to the others.
-        (3, [2, 5, 2, 4], [1, 3, 1, 1], [3, 5, 3, 4]),
-    ])
+    @pytest.mark.parametrize("dim,sizes,ranks,counts", _BLOCK_CASES)
     def test_elements_match_per_povm_reference(self, real, dim, sizes, ranks, counts):
         for seed in range(10):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -639,6 +643,31 @@ class TestDrawPovmBlock:
                 assert np.abs(povm[:n] - want).max() <= 1e-12
                 Povm(povm[:n])
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("dim,sizes,ranks,counts",
+                             [case for case in _BLOCK_CASES if case[0] == 3])
+    def test_frame_probabilities_match_per_povm_reference(self, real, dim, sizes, ranks, counts):
+        for seed in range(10):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            frames = numerics._povm_frames(rng, dim, sizes, real, ranks)
+            reference = _per_povm_block_reference(ref_rng, dim, sizes, real, ranks)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            # A fallback anywhere in the block gives every POVM one more slot, of full rank.
+            grown = counts != sizes
+            assert frames.shape == (len(sizes), max(sizes) + grown, dim if grown else max(ranks),
+                                    dim)
+            assert frames.dtype == (float if real else complex)
+            # Zero past each POVM's count, and past its rank but for the identity element.
+            for povm, size, rank, n in zip(frames, sizes, ranks, counts):
+                assert np.all(povm[n:] == 0.0) and np.all(povm[:size, rank:] == 0.0)
+            amplitudes = np.sqrt(erlang_rows(np.random.default_rng(seed + 10), 1,
+                                             2 * len(sizes))).reshape(len(sizes), 2, 3)
+            probs = security._frame_probabilities(frames, amplitudes)       # [s, 2, 4, N]
+            for got, want, n, amps in zip(probs, reference, counts, amplitudes):
+                assert np.all(got[..., n:] == 0.0)
+                assert np.abs(got[..., :n] - security.sign_state_probabilities(want, amps)).max() \
+                    <= 1e-12
 
 
 def _per_povm_block_reference(rng, dim, sizes, real, ranks):

@@ -50,6 +50,22 @@ def test_per_bit_functions_reject_fractions_instead_of_truncating():
             call()
 
 
+def test_range_messages_show_any_integer():
+    # 10**5000 is past Python's 4300-digit limit on str() of an int; 2**70 and it are past
+    # int64, so numpy holds them as objects.
+    calls = [(lambda: alice_basis(10**5000), "x must be 0 or 1, got an integer of 16610 bits"),
+             (lambda: alice_basis(2**70), f"x must be 0 or 1, got {2**70}"),
+             (lambda: alice_basis("1"), "x must be 0 or 1, got '1'"),
+             (lambda: security.GuessProbs(10**5000, 0.5, 0.5),
+              "p_y=an integer of 16610 bits outside [1/2, 1]"),
+             (lambda: security.HolevoTriple(0.5, -(10**5000), 0.5),
+              "chi_r=a negative integer of 16610 bits outside [0, 1]")]
+    for call, message in calls:
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("name", ["SENT", "GATES", "BASES"])
 def test_encoding_tables_are_read_only(name):
     table = getattr(protocol, name)
@@ -249,6 +265,17 @@ def test_substream_rejects_seeds_outside_64_bits(seed):
         substream_rng(seed, COMPONENTS["table"])
     top = np.uint64(2**64 - 1)
     assert master_seed(top) == 2**64 - 1 and type(master_seed(top)) is int
+
+
+@pytest.mark.parametrize("seed,shown", [(10**5000, "an integer of 16610 bits"),
+                                        (-(10**5000), "a negative integer of 16610 bits"),
+                                        (2**70, str(2**70))],
+                         ids=["1e5000", "-1e5000", "2**70"])
+def test_seed_range_message_shows_any_integer(seed, shown):
+    # 10**5000 is past Python's 4300-digit limit on str() of an int.
+    with pytest.raises(ValueError) as excinfo:
+        master_seed(seed)
+    assert str(excinfo.value) == f"seed must be in [0, 2**64), got {shown}"
 
 
 class TestAndEval:

@@ -17,6 +17,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # Public names that nothing runs yet, each with the reason it stays public.
 UNCALLED = {
     "exact_law": "the explained-runs item of ROADMAP.md gives it its first caller",
+    "draw_povm_block": "the element form of the POVM draw, whose frames the verify sweeps read",
+    "lemma1_images": "the matrix form of the reduction that README documents; verify lemma1 "
+                     "checks the Bloch form it is built from",
 }
 
 

@@ -629,6 +629,54 @@ class TestLemma1Reduce:
         with pytest.raises(ValueError):
             lemma1_images(np.stack([np.eye(3)]), [[1.0, 0.0, 0.0]], variant="other")
 
+    @pytest.mark.parametrize("variant", ["exact", "psd"])
+    def test_bloch_form_is_hermitian_by_construction(self, variant):
+        rng = np.random.default_rng(45)
+        elements = np.stack([random_povm(3, 5, rng).elements for _ in range(4)])
+        amplitudes = np.sqrt(rng.dirichlet([1.0, 1.0, 1.0], size=(4, 6)))
+        t, bloch = security._lemma1_bloch(elements, amplitudes, variant)
+        assert t.dtype == bloch.dtype == float
+        assert t.shape == (4, 6, 5) and bloch.shape == (4, 6, 5, 3)
+        # Real t and b: the matrices are exactly Hermitian.
+        images = lemma1_images(elements, amplitudes, variant)
+        assert np.array_equal(images, np.conj(np.swapaxes(images, -1, -2)))
+        # t + b . r is each image's probability on the tetrahedron state of Bloch vector r.
+        probs = np.einsum("...njk,skj->...sn", images, security.TETRAHEDRON).real
+        bloch_probs = np.einsum("...nk,sk->...sn", bloch, security._TETRA_BLOCH) + t[..., None, :]
+        assert np.abs(bloch_probs - probs).max() <= 1e-15
+
+    @pytest.mark.parametrize("variant", ["exact", "psd"])
+    def test_bloch_verdicts_match_matrix_checks(self, variant):
+        rng = np.random.default_rng(46)
+        elements = np.stack([random_povm(3, 5, rng, real=True).elements for _ in range(7)])
+        amplitudes = np.sqrt(rng.dirichlet([1.0, 1.0, 1.0], size=(7, 4)))
+        t, bloch = security._lemma1_bloch(elements, amplitudes, variant)
+        # Per sample: valid; t + 1e-6; b_z + 2 and - 2 on two elements (complete, not psd);
+        # b_x + 1e-6; b_y - 1e-6; b_z + 1e-6; one t NaN.
+        t[1, :, 0] += 1e-6
+        bloch[2, :, 0, 2] += 2.0
+        bloch[2, :, 1, 2] -= 2.0
+        for sample, axis in ((3, 0), (4, 1), (5, 2)):
+            bloch[sample, :, 1, axis] += 1e-6 if axis != 1 else -1e-6
+        t[6, 0, 2] = np.nan
+        # The matrices t I + b . sigma, built here from the Pauli matrices.
+        paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+        images = t[..., None, None] * np.eye(2) + np.einsum("...k,kij->...ij", bloch, paulis)
+        complete = security._bloch_is_measurement(t, bloch)
+        assert np.array_equal(complete, numerics.is_measurement(images))
+        assert complete.all(axis=1).tolist() == [True, False, True, False, False, False, False]
+        assert complete[6].tolist() == [False, True, True, True]
+        least = security._bloch_least_eigenvalues(t, bloch)
+        finite = np.isfinite(images).all(axis=(-2, -1))
+        assert np.abs(least[finite] - np.linalg.eigvalsh(images[finite])[:, 0]).max() <= 1e-15
+        assert np.isnan(least[~finite]).all()
+        negative = least < numerics.EIG_FLOOR
+        assert negative[2, :, :2].all()
+        if variant == "psd":
+            assert negative.any(axis=-1).tolist() == [[False] * 4, [False] * 4, [True] * 4,
+                                                      [False] * 4, [False] * 4, [False] * 4,
+                                                      [False] * 4]
+
 
 class TestExample1:
     def test_completeness_on_grid(self):

@@ -343,8 +343,9 @@ def test_povm_block_law():
     # POVM sizes are uniform on 3..7 for both suites; lemma1's ranks are 1 or 3 with equal odds.
     for suite, samples in (("prop1", 10_000), ("lemma1", 10_000)):
         sizes, ranks = [], []
-        for elements, _ in verify._povm_blocks(rng, samples, verify.SAMPLE_BLOCK, 1,
-                                               real=_SUITES[suite][1]):
+        for frames, _ in verify._povm_blocks(rng, samples, verify.SAMPLE_BLOCK, 1,
+                                             real=_SUITES[suite][1]):
+            elements = numerics._frame_elements(frames)
             live = elements.any(axis=(-2, -1))
             sizes.append(live.sum(axis=1))
             eigs = np.linalg.eigvalsh(elements[:, 0])
@@ -378,16 +379,17 @@ def test_povm_block_law():
 def test_negative_psd_image_is_a_violation(monkeypatch):
     # A traceless shift between two live elements keeps the psd images
     # Hermitian and complete, so only the eigenvalue check can count it.
-    kernel, shift = security.lemma1_images, np.diag([2.0, -2.0])
+    # The shift is diag(2, -2), that is b_z + 2 and b_z - 2 in Bloch form.
+    kernel = security._lemma1_bloch
 
     def negative(elements, amplitudes, variant="exact"):
-        images = kernel(elements, amplitudes, variant)
+        t, bloch = kernel(elements, amplitudes, variant)
         if variant == "psd":
-            images[..., 0, :, :] += shift
-            images[..., 1, :, :] -= shift
-        return images
+            bloch[..., 0, 2] += 2.0
+            bloch[..., 1, 2] -= 2.0
+        return t, bloch
 
-    monkeypatch.setattr(security, "lemma1_images", negative)
+    monkeypatch.setattr(security, "_lemma1_bloch", negative)
     for triples in (10, 3):
         assert verify.lemma1(25, 11, params_per_povm=triples)["violations"] == 25 * triples
 
