@@ -28,7 +28,6 @@ __all__ = [
     "classical_mutual_information",
     "xlog2",
     "dirichlet_blocks",
-    "draw_povm_block",
 ]
 
 NORM_ATOL = 1e-12
@@ -555,8 +554,3 @@ def _frame_elements(frames: np.ndarray) -> np.ndarray:
     """Elements ``[..., dim, dim]`` of frames ``[..., r, dim]``: ``sum_k v_k v_k^dagger``."""
     return np.swapaxes(frames, -1, -2) @ np.conj(frames)
 
-
-def draw_povm_block(rng: np.random.Generator, dim: int, sizes, real: bool = False,
-                    ranks=None) -> np.ndarray:
-    """Elements ``[s, N, dim, dim]`` of the frames of :func:`_povm_frames`, complex."""
-    return _frame_elements(_povm_frames(rng, dim, sizes, real, ranks)).astype(complex, copy=False)

@@ -45,15 +45,10 @@ __all__ = [
     "cheat_state_vectors",
     "returned_states",
     "returned_ensemble",
-    "sign_state_probabilities",
-    "sign_state_information",
     "guess_probs",
     "holevo_triple",
     "binary_entropy",
     "tradeoff_bound_margins",
-    "TETRAHEDRON",
-    "lemma1_images",
-    "example1_elements",
     "example1_povm",
     "example3_value",
     "accessible_info_search",
@@ -69,8 +64,9 @@ RY_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 # The phase gate's diagonals in RY_ORDER: the sign state of (r, y) is GATES[y, r] * (a, b, c).
 _SIGNS = np.array([protocol.GATES[y, r].real for r, y in RY_ORDER])
 
-# Bloch signs of the tetrahedron images, one row per (r, y) in RY_ORDER.
-_TETRA_SIGNS = np.array([[1, 1, 1], [-1, -1, 1], [1, -1, -1], [-1, 1, -1]], dtype=float)
+# Bloch vectors of the tetrahedron images of the sign states, one row per (r, y) in RY_ORDER.
+_TETRA_BLOCH = np.array([[1, 1, 1], [-1, -1, 1], [1, -1, -1], [-1, 1, -1]],
+                        dtype=float) / np.sqrt(3.0)
 
 #: Analytic maximum of chi_y + chi_r over the amplitude triple family.
 MAX_HOLEVO_SUM = float(np.log2(3.0 + np.sqrt(5.0)) - 1.0)
@@ -171,8 +167,12 @@ _LABELS = ("y", "r", "yxr")
 # a prior of 1/2 on the value times the 1/2 of each state averaged into it.
 _LABEL_WEIGHTS = 0.25 * np.array([[[dict(y=y, r=r, yxr=y ^ r)[label] == value for r, y in RY_ORDER]
                                    for value in (0, 1)] for label in _LABELS])
-# Weight of each sign state in each label value's returned state, per label.
-_STATE_WEIGHTS = dict(zip(_LABELS, 2.0 * _LABEL_WEIGHTS))
+# Per label, the sign pattern sum_s w_gs s_a s_b of its returned states [g, 3, 3] (weight 1/2
+# per sign state s averaged into g), and their uniform prior; "joint" is the four sign states.
+_STATE_SIGNS = {label: np.einsum("gs,sa,sb->gab", 2.0 * weights, _SIGNS, _SIGNS)
+                for label, weights in zip(_LABELS, _LABEL_WEIGHTS)}
+_STATE_SIGNS["joint"] = _SIGNS[:, :, None] * _SIGNS[:, None, :]
+_PRIORS = {label: np.full(len(signs), 1.0 / len(signs)) for label, signs in _STATE_SIGNS.items()}
 
 
 def returned_states(amplitudes, label: str) -> np.ndarray:
@@ -181,15 +181,13 @@ def returned_states(amplitudes, label: str) -> np.ndarray:
     ``label`` is one of ``"y"``, ``"r"``, ``"yxr"`` (the two equiprobable
     mixed states of each label value, averaged over the hidden bit) or
     ``"joint"`` (the four pure sign states in ``RY_ORDER``, ``[..., 4, 3, 3]``).
+    Each state is the label's sign pattern times the outer product of its row.
     """
-    weights = _STATE_WEIGHTS.get(label)
-    if weights is None and label != "joint":
+    signs = _STATE_SIGNS.get(label)
+    if signs is None:
         raise ValueError(f"unknown label {label!r}")
-    vecs = _sign_rows(amplitudes)
-    projectors = vecs[..., :, None] * vecs[..., None, :]
-    if weights is None:
-        return projectors
-    return np.einsum("gs,...sab->...gab", weights, projectors)
+    amps = np.asarray(amplitudes, dtype=float)
+    return signs * (amps[..., :, None] * amps[..., None, :])[..., None, :, :]
 
 
 def returned_ensemble(params: CheatParams, label: str) -> Ensemble:
@@ -202,29 +200,18 @@ def returned_ensemble(params: CheatParams, label: str) -> Ensemble:
     checked against the floor.
     """
     states = returned_states([params.a, params.b, params.c], label)
-    return _valid_ensemble(np.ones(len(states)) / len(states), states)
-
-
-def sign_state_probabilities(elements, amplitudes) -> np.ndarray:
-    """Outcome probabilities ``[..., 4, n]`` of the sign states, in ``RY_ORDER``.
-
-    ``elements[..., n, 3, 3]`` are qutrit measurement elements and
-    ``amplitudes[..., 3]`` amplitude rows ``(a, b, c)``; leading axes
-    broadcast.
-    """
-    states = _sign_rows(amplitudes)
-    return np.einsum("...si,...nij,...sj->...sn", states, elements, states).real
+    return _valid_ensemble(_PRIORS[label], states)
 
 
 def _frame_probabilities(frames, amplitudes) -> np.ndarray:
     """Probabilities ``[..., p, 4, n]`` of frames ``[..., n, r, 3]`` and rows ``[..., p, 3]``.
 
-    Leading axes broadcast, as in :func:`lemma1_images`; each row's entry is
-    :func:`sign_state_probabilities` of the frames' elements.  Element ``n``
-    is ``sum_k v_k v_k^dagger`` over its frame vectors ``frames[..., n, k, :]``
-    (see :func:`numerics._povm_frames`), so its probability on the real sign
-    state ``psi`` is ``sum_k |v_k . psi|^2``: no element is formed, and every
-    overlap comes from one matmul per leading index.
+    Leading axes broadcast; the sign states are in ``RY_ORDER``.  Element
+    ``n`` is ``sum_k v_k v_k^dagger`` over its frame vectors
+    ``frames[..., n, k, :]`` (a rank-1 measurement has ``r = 1``), so its
+    probability on the real sign state ``psi`` is ``sum_k |v_k . psi|^2``:
+    no element is formed (``tests/qutrit_oracles.py`` holds that form), and
+    every overlap comes from one matmul per leading index.
     """
     frames = np.asarray(frames)
     states = _sign_rows(amplitudes)                                        # [..., p, 4, 3]
@@ -241,20 +228,10 @@ def _frame_probabilities(frames, amplitudes) -> np.ndarray:
 def _label_information(probs) -> np.ndarray:
     """Information ``[..., 3]`` about y, r and y XOR r of sign-state probabilities ``[..., 4, n]``.
 
-    The label tables of :func:`sign_state_information`, from probabilities
-    computed in any form.
+    On a measurement's probabilities the entries equal ``mutual_information(
+    returned_ensemble(params, label), povm)`` for the labels ``"y"``, ``"r"`` and ``"yxr"``.
     """
     return classical_mutual_information(np.einsum("lgs,...sn->...lgn", _LABEL_WEIGHTS, probs))
-
-
-def sign_state_information(elements, amplitudes) -> np.ndarray:
-    """Information ``[..., 3]`` about y, r and y XOR r in a measurement's outcome.
-
-    Takes the arguments of :func:`sign_state_probabilities`.  The entries
-    equal ``mutual_information(returned_ensemble(params, label), povm)`` for
-    the labels ``"y"``, ``"r"`` and ``"yxr"``.
-    """
-    return _label_information(sign_state_probabilities(elements, amplitudes))
 
 
 def guess_probs(params: CheatParams) -> GuessProbs:
@@ -346,36 +323,21 @@ def tradeoff_bound_margins(chi_y, chi_r, chi_yxr) -> tuple:
     return tuple(out)
 
 
-# Bloch vectors ``[4, 3]`` of the tetrahedron states, in RY_ORDER.
-_TETRA_BLOCH = _TETRA_SIGNS / np.sqrt(3.0)
-
-
-def _tetrahedron() -> np.ndarray:
-    """Density matrices ``[4, 2, 2]`` of the Bloch vectors ``_TETRA_BLOCH``, read-only."""
-    ex, ey, ez = _TETRA_BLOCH.T
-    bloch = np.stack([ez, ex - 1j * ey, ex + 1j * ey, -ez], axis=-1).reshape(4, 2, 2)
-    states = 0.5 * (np.eye(2) + bloch)
-    states.setflags(write=False)
-    return states
-
-
-#: Four pure qubit states on a regular Bloch tetrahedron ``[4, 2, 2]``, in
-#: ``RY_ORDER``: the fixed images of the four sign states under the dimension
-#: reduction in :func:`lemma1_images`.  Their pairwise Hilbert-Schmidt
-#: overlaps all equal 1/3 and their average is the maximally mixed qubit.
-TETRAHEDRON = _tetrahedron()
-
-
 def _lemma1_bloch(elements, amplitudes, variant: str = "exact") -> tuple:
-    """Bloch form ``(t, b)`` of the images of elements ``[..., n, 3, 3]`` for rows ``[..., p, 3]``.
+    """Qubit images of elements ``[..., n, 3, 3]`` for rows ``[..., p, 3]``, in Bloch form.
 
-    The image of element ``n`` for row ``p`` is ``t I + b . sigma``: ``t`` is
-    ``[..., p, n]`` and ``b`` (in the order x, y, z) ``[..., p, n, 3]``, both
-    real, so every image is Hermitian by construction.  Its outcome
-    probability on the Bloch vector ``r`` is ``t + b . r``, its eigenvalues
-    are ``t +- |b|``, and the images sum to the identity exactly when the
-    sums of ``t`` and ``b`` are 1 and 0.  :func:`lemma1_images` gives the
-    matrices, with the variants described there.
+    Leading axes broadcast.  Row ``(a, b, c)`` maps element ``n`` to the
+    image ``t I + b . sigma``: ``t`` is ``[..., p, n]`` and ``b`` (x, y, z)
+    ``[..., p, n, 3]``, both real, so every image is Hermitian by
+    construction (``tests/qutrit_oracles.py`` builds the 2x2 matrices).  Its
+    probability on the tetrahedron state of Bloch vector ``r``
+    (``_TETRA_BLOCH``) is ``t + b . r`` and its eigenvalues ``t +- |b|``.
+    With ``M`` an element's real part, ``(f, g, h)`` its diagonal and ``u, v,
+    w = M[0,1], M[0,2], M[1,2]``, ``t = a^2 f + b^2 g + c^2 h`` and ``b`` is
+    ``2*sqrt(3) * (ab*u, bc*w, ac*v)`` for variant "exact", the unique image
+    with every outcome probability of the sign states (complete, not always
+    PSD), or ``sqrt(3) * (ab*u, ac*v, bc*w)`` for "psd", a genuine POVM whose
+    distribution is the exact one shrunk halfway to the average state's.
     """
     if variant not in ("exact", "psd"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -418,41 +380,6 @@ def _bloch_least_eigenvalues(t, bloch):
     return t - np.sqrt(np.sum(bloch * bloch, axis=-1))
 
 
-def lemma1_images(elements, amplitudes, variant: str = "exact") -> np.ndarray:
-    """Qubit images ``[..., p, n, 2, 2]`` of elements ``[..., n, 3, 3]`` for rows ``[..., p, 3]``.
-
-    Leading axes (a sample axis, say) broadcast: each of the ``p`` amplitude
-    rows ``(a, b, c)`` maps each of the ``n`` elements.  The matrices of
-    :func:`_lemma1_bloch`'s ``t I + b . sigma``.
-
-    Each element's real part ``M`` (the imaginary antisymmetric part changes
-    no probability on the real sign states), with diagonal ``(f, g, h)`` and
-    ``u, v, w = M[0,1], M[0,2], M[1,2]``, maps to the identity weight
-    ``t = a^2 f + b^2 g + c^2 h`` plus a Bloch vector.
-
-    variant="exact"
-        Bloch vector ``2*sqrt(3) * (ab*u, bc*w, ac*v)``: the unique image
-        reproducing every outcome probability on the four sign states.  The
-        images are Hermitian and sum to the identity but need not be positive
-        semidefinite, because the four tetrahedron states affinely span the
-        qubit operator space, which forces this normalization.
-    variant="psd"
-        Bloch vector ``sqrt(3) * (ab*u, ac*v, bc*w)``: genuine POVM elements,
-        whose outcome distribution is the exact one shrunk halfway toward the
-        average-state distribution (with the two middle sign states
-        relabeled), so per-element statistics hold only for diagonal
-        measurements.
-    """
-    t, bloch = _lemma1_bloch(elements, amplitudes, variant)
-    x, y, z = np.moveaxis(bloch, -1, 0)
-    images = np.empty(t.shape + (2, 2), dtype=complex)
-    images[..., 0, 0] = t + z
-    images[..., 1, 1] = t - z
-    images[..., 0, 1] = x - 1j * y
-    images[..., 1, 0] = x + 1j * y
-    return images
-
-
 def _quarter_turn(alpha) -> np.ndarray:
     """``alpha`` as a float array; ValueError unless every entry lies in ``[0, pi/2 + 1e-12]``."""
     alpha = np.asarray(alpha, dtype=float)
@@ -467,9 +394,10 @@ _EXAMPLE_SIGNS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
 
 def _example_vectors(alpha) -> np.ndarray:
-    """Qutrit rows ``[..., 4, 3]``: ``cos alpha e_0 +- e_1`` and ``sin alpha e_0 +- e_2``.
+    """Frame rows ``[..., 4, 3]`` of :func:`example1_povm`, one per outcome.
 
-    Each row is over sqrt(2).  Every alpha must lie in ``[0, pi/2]``.
+    The rows are ``cos alpha e_0 +- e_1`` and ``sin alpha e_0 +- e_2``, each
+    over sqrt(2).  Every alpha must lie in ``[0, pi/2]``.
     """
     alpha = _quarter_turn(alpha)
     vectors = np.empty(alpha.shape + (4, 3))
@@ -480,20 +408,15 @@ def _example_vectors(alpha) -> np.ndarray:
     return vectors
 
 
-def example1_elements(alpha) -> np.ndarray:
-    """Elements ``[..., 4, 3, 3]`` of :func:`example1_povm`, one set per ``alpha``."""
-    vectors = _example_vectors(alpha)
-    return vectors[..., :, None] * vectors[..., None, :]
-
-
 def example1_povm(alpha: float) -> Povm:
     """Four-outcome rank-1 qutrit measurement that splits y- and r-information.
 
     On the extremal input family :meth:`CheatParams.from_alpha` it extracts
     ``cos^2(alpha)`` bits about y and ``sin^2(alpha)`` bits about r, summing
-    to exactly one bit.
+    to exactly one bit.  Its elements are ``v v^T`` of its frame's rows.
     """
-    return Povm(example1_elements(float(alpha)))
+    vectors = _example_vectors(float(alpha))
+    return Povm(vectors[:, :, None] * vectors[:, None, :])
 
 
 def example3_value(a):

@@ -182,6 +182,13 @@ def infodelta(samples: int, seed: int) -> dict:
     return {"min_margin": min_margin, "samples": samples, "violations": violations}
 
 
+def _example1_information(alphas, amplitudes) -> np.ndarray:
+    """Information ``[n, 3]`` of ``example1_povm(alphas[i])`` on row ``i``, off its frame."""
+    frames = security._example_vectors(alphas)[:, :, None, :]
+    return security._label_information(
+        security._frame_probabilities(frames, amplitudes[:, None, :])[:, 0])
+
+
 def examples(samples: int, seed: int) -> dict:
     """Example measurement identities on parameter grids, checked a block at a time."""
     center = abs(security.example3_value(1 / np.sqrt(2)) - 1.0)
@@ -191,7 +198,7 @@ def examples(samples: int, seed: int) -> dict:
     for alphas in _grid_blocks(0.0, np.pi / 2, max(2, samples)):
         amplitudes = (1.0 / np.sqrt(2.0)) * np.column_stack(
             [np.ones_like(alphas), np.cos(alphas), np.sin(alphas)])
-        info = security.sign_state_information(security.example1_elements(alphas), amplitudes)
+        info = _example1_information(alphas, amplitudes)
         split_dev = np.maximum(np.abs(info[:, 0] - np.cos(alphas) ** 2),
                                np.abs(info[:, 0] + info[:, 1] - 1.0))
         worst = max(worst, float(split_dev.max()))
@@ -202,7 +209,7 @@ def examples(samples: int, seed: int) -> dict:
     for a_grid, thetas in zip(_grid_blocks(0.05, 0.95, n), _grid_blocks(0.1, 1.4, n)):
         b_prime = np.sqrt(1 - a_grid ** 2)
         amplitudes = np.column_stack([a_grid, b_prime * np.cos(thetas), b_prime * np.sin(thetas)])
-        info = security.sign_state_information(security.example1_elements(thetas), amplitudes)
+        info = _example1_information(thetas, amplitudes)
         value_dev = np.abs(security.example3_value(a_grid) - (info[:, 0] + info[:, 1]))
         worst = max(worst, float(value_dev.max()))
         violations += int(np.count_nonzero(value_dev > 1e-9))

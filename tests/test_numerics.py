@@ -17,7 +17,8 @@ from otlab.numerics import (
     mutual_information,
     trace_distance,
 )
-from qutrit_oracles import erlang_rows, projector, random_povm, random_povm_elements
+from qutrit_oracles import (draw_povm_block, erlang_rows, projector, random_povm,
+                            random_povm_elements, sign_state_probabilities)
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -616,12 +617,12 @@ class TestDrawPovmBlock:
     @pytest.mark.parametrize("sizes,ranks", [([4], [0]), ([4], [-1]), ([3, 0], None)])
     def test_empty_povm_or_rank_below_one_rejected(self, sizes, ranks):
         with pytest.raises(ValueError, match="rank"):
-            numerics.draw_povm_block(np.random.default_rng(0), 3, sizes, ranks=ranks)
+            draw_povm_block(np.random.default_rng(0), 3, sizes, ranks=ranks)
 
     def test_valid_and_real_option(self):
         rng = np.random.default_rng(20)
         for real in (False, True):
-            elements = numerics.draw_povm_block(rng, 3, [5, 3, 7], real=real)
+            elements = draw_povm_block(rng, 3, [5, 3, 7], real=real)
             for povm, n in zip(elements, (5, 3, 7)):
                 povm = Povm(povm[:n])
                 assert np.allclose(sum(povm.elements), np.eye(3), atol=1e-10)
@@ -633,7 +634,7 @@ class TestDrawPovmBlock:
     def test_elements_match_per_povm_reference(self, real, dim, sizes, ranks, counts):
         for seed in range(10):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            elements = numerics.draw_povm_block(rng, dim, sizes, real, ranks)
+            elements = draw_povm_block(rng, dim, sizes, real, ranks)
             reference = _per_povm_block_reference(ref_rng, dim, sizes, real, ranks)
             assert elements.dtype == complex
             # A fallback anywhere in the block gives every POVM one more slot.
@@ -666,7 +667,7 @@ class TestDrawPovmBlock:
             probs = security._frame_probabilities(frames, amplitudes)       # [s, 2, 4, N]
             for got, want, n, amps in zip(probs, reference, counts, amplitudes):
                 assert np.all(got[..., n:] == 0.0)
-                assert np.abs(got[..., :n] - security.sign_state_probabilities(want, amps)).max() \
+                assert np.abs(got[..., :n] - sign_state_probabilities(want, amps)).max() \
                     <= 1e-12
 
 

@@ -24,16 +24,16 @@ from otlab.security import (
     guess_probs,
     holevo_triple,
     infodelta_check,
-    lemma1_images,
     max_holevo_sum_search,
     returned_ensemble,
     returned_states,
-    sign_state_information,
     theorem3_report,
     tradeoff_bound_margins,
     tradeoff_curve,
 )
-from qutrit_oracles import erlang_rows, projector, random_povm
+import qutrit_oracles
+from qutrit_oracles import (TETRAHEDRON, erlang_rows, lemma1_images, projector, random_povm,
+                            sign_state_information)
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -194,6 +194,18 @@ class TestReturnedEnsemble:
         chi = holevo(states)
         assert np.allclose(chi, [holevo(returned_ensemble(p, label)) for p in params],
                            rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("label", ["y", "r", "yxr", "joint"])
+    def test_returned_states_equal_the_einsum_oracle(self, label):
+        rng = np.random.default_rng(32)
+        rows = np.sqrt(rng.dirichlet([1.0, 1.0, 1.0], size=50))
+        # Rows with one or two zero amplitudes, the honest triples among them.
+        zeros = np.array([[0.0, 0.6, 0.8], [0.6, 0.0, 0.8], [0.6, 0.8, 0.0], [1.0, 0.0, 0.0],
+                          [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        for amplitudes in (rows, zeros, rows.reshape(5, 10, 3), rows[0]):
+            got = returned_states(amplitudes, label)
+            assert np.array_equal(got, qutrit_oracles.returned_states(amplitudes, label))
+            assert got.shape == amplitudes.shape[:-1] + ((4 if label == "joint" else 2), 3, 3)
 
     @pytest.mark.parametrize("label", ["y", "r", "yxr", "joint"])
     def test_one_eigvalsh_per_ensemble_without_operator_objects(self, monkeypatch, label):
@@ -512,22 +524,21 @@ class TestTradeoffBounds:
 
 class TestTetrahedron:
     def test_stack_is_read_only_and_backs_the_states(self):
-        stack = security.TETRAHEDRON
+        stack = TETRAHEDRON
         assert stack.shape == (4, 2, 2) and stack.dtype == complex
-        # C order keeps lemma1's einsum summing in the order its payload was recorded with.
         assert stack.flags.c_contiguous and not stack.flags.writeable
         for op, mat in zip(Ensemble.uniform(stack).states, stack):
             assert np.array_equal(op.matrix, mat)
 
     def test_pure_and_centered(self):
-        states = Ensemble.uniform(security.TETRAHEDRON).states
+        states = Ensemble.uniform(TETRAHEDRON).states
         total = sum(op.matrix for op in states)
         assert np.allclose(total / 4.0, np.eye(2) / 2.0, atol=1e-12)
         for op in states:
             assert np.trace(op.matrix @ op.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     def test_pairwise_overlaps(self):
-        states = Ensemble.uniform(security.TETRAHEDRON).states
+        states = Ensemble.uniform(TETRAHEDRON).states
         for i in range(4):
             for j in range(i + 1, 4):
                 hs = np.trace(states[i].matrix @ states[j].matrix).real
@@ -543,7 +554,7 @@ class TestLemma1Reduce:
     def _stat_deviation(self, povm, images, params):
         states = cheat_state_vectors(params)
         worst = 0.0
-        for vec, tetra in zip(states, security.TETRAHEDRON):
+        for vec, tetra in zip(states, TETRAHEDRON):
             for element, image in zip(povm.elements, images):
                 p3 = float(vec @ element.real @ vec)
                 p2 = float(np.trace(image @ tetra).real)
@@ -601,7 +612,7 @@ class TestLemma1Reduce:
         for _ in range(300):
             povm = random_povm(3, int(rng.integers(3, 7)), rng, real=True)
             images = _reduce(povm, _random_params(rng))
-            probs = np.einsum("njk,skj->sn", images, security.TETRAHEDRON).real
+            probs = np.einsum("njk,skj->sn", images, TETRAHEDRON).real
             assert numerics.classical_mutual_information(0.25 * probs) <= 1.0 + 1e-9
 
     @pytest.mark.parametrize("variant", ["exact", "psd"])
@@ -641,7 +652,7 @@ class TestLemma1Reduce:
         images = lemma1_images(elements, amplitudes, variant)
         assert np.array_equal(images, np.conj(np.swapaxes(images, -1, -2)))
         # t + b . r is each image's probability on the tetrahedron state of Bloch vector r.
-        probs = np.einsum("...njk,skj->...sn", images, security.TETRAHEDRON).real
+        probs = np.einsum("...njk,skj->...sn", images, TETRAHEDRON).real
         bloch_probs = np.einsum("...nk,sk->...sn", bloch, security._TETRA_BLOCH) + t[..., None, :]
         assert np.abs(bloch_probs - probs).max() <= 1e-15
 
@@ -694,12 +705,18 @@ class TestExample1:
             assert i_r == pytest.approx(np.sin(alpha) ** 2, abs=1e-10)
             assert i_y + i_r == pytest.approx(1.0, abs=1e-10)
 
+    def test_elements_equal_the_element_oracle(self):
+        for alpha in np.linspace(0.0, np.pi / 2, 33):
+            got = example1_povm(alpha).elements
+            want = qutrit_oracles.example1_elements(alpha)
+            assert got.tobytes() == want.astype(complex).tobytes()
+
     def test_domain(self):
         for alpha in (-0.1, 2.0, np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="outside"):
                 example1_povm(alpha)
             with pytest.raises(ValueError, match="outside"):
-                security.example1_elements(np.array([0.5, alpha]))
+                qutrit_oracles.example1_elements(np.array([0.5, alpha]))
             with pytest.raises(ValueError, match="outside|must be finite"):
                 CheatParams.from_alpha(alpha)
 

@@ -3,7 +3,8 @@ import pytest
 import scipy.stats
 
 from otlab import numerics, security, seeding, verify
-from qutrit_oracles import erlang_rows
+from qutrit_oracles import (TETRAHEDRON, draw_povm_block, erlang_rows, example1_elements,
+                            lemma1_images, sign_state_information, sign_state_probabilities)
 
 # Not a multiple of the block size, so the last block is short.
 N = 2 * numerics.DIRICHLET_BLOCK + 37
@@ -125,19 +126,25 @@ def test_grid_blocks_concatenate_to_linspace(lo, hi, n):
     assert np.concatenate(blocks).tobytes() == np.linspace(lo, hi, n).tobytes()
 
 
-def _examples_one_shot(samples):
-    """The examples report from whole ``np.linspace`` grids, one pass each: the reference."""
+def _example_grids(samples):
+    """Example 1's and Example 3's whole grids: angles and rows, one pair per identity."""
     alphas = np.linspace(0.0, np.pi / 2, max(2, samples))
-    amplitudes = (1.0 / np.sqrt(2.0)) * np.column_stack(
+    split_rows = (1.0 / np.sqrt(2.0)) * np.column_stack(
         [np.ones_like(alphas), np.cos(alphas), np.sin(alphas)])
-    info = security.sign_state_information(security.example1_elements(alphas), amplitudes)
-    split_dev = np.maximum(np.abs(info[:, 0] - np.cos(alphas) ** 2),
-                           np.abs(info[:, 0] + info[:, 1] - 1.0))
     a_grid = np.linspace(0.05, 0.95, max(2, samples // 2))
     thetas = np.linspace(0.1, 1.4, len(a_grid))
     b_prime = np.sqrt(1 - a_grid ** 2)
-    amplitudes = np.column_stack([a_grid, b_prime * np.cos(thetas), b_prime * np.sin(thetas)])
-    info = security.sign_state_information(security.example1_elements(thetas), amplitudes)
+    value_rows = np.column_stack([a_grid, b_prime * np.cos(thetas), b_prime * np.sin(thetas)])
+    return (alphas, split_rows), (thetas, value_rows), a_grid
+
+
+def _examples_one_shot(samples):
+    """The examples report from whole ``np.linspace`` grids, one pass each: the reference."""
+    (alphas, split_rows), (thetas, value_rows), a_grid = _example_grids(samples)
+    info = verify._example1_information(alphas, split_rows)
+    split_dev = np.maximum(np.abs(info[:, 0] - np.cos(alphas) ** 2),
+                           np.abs(info[:, 0] + info[:, 1] - 1.0))
+    info = verify._example1_information(thetas, value_rows)
     closed = np.array([security.example3_value(a) for a in a_grid])
     value_dev = np.abs(closed - (info[:, 0] + info[:, 1]))
     center = abs(security.example3_value(1 / np.sqrt(2)) - 1.0)
@@ -152,16 +159,25 @@ def _examples_one_shot(samples):
 def test_examples_blocks_equal_one_shot_reference(monkeypatch, samples):
     want = _examples_one_shot(samples)
     rows = []
-    information = security.sign_state_information
+    information = security._label_information
 
-    def recorded(elements, amplitudes):
-        rows.append(len(amplitudes))
-        return information(elements, amplitudes)
+    def recorded(probs):
+        rows.append(len(probs))
+        return information(probs)
 
-    monkeypatch.setattr(security, "sign_state_information", recorded)
+    monkeypatch.setattr(security, "_label_information", recorded)
     assert verify.examples(samples, 7) == want
     assert max(rows) <= numerics.DIRICHLET_BLOCK
     assert sum(rows) == max(2, samples) + max(2, samples // 2)
+
+
+@pytest.mark.parametrize("n", _BLOCK_EDGES)
+def test_examples_frames_match_element_oracle(n):
+    # Example 1's information off its frames, against its elements contracted with the states.
+    for angles, rows in _example_grids(n)[:2]:
+        got = verify._example1_information(angles, rows)
+        want = sign_state_information(example1_elements(angles), rows)
+        assert np.abs(got - want).max() <= 1e-14
 
 
 def test_prop2_reports_the_closed_form_locus():
@@ -233,7 +249,7 @@ def _drawn_blocks(rng, suite, samples, triples):
         sizes = rng.integers(3, 8, size=s)
         ranks = np.where(rng.random(s) < 0.5, 1, 3) if real else np.ones(s, dtype=int)
         squares = erlang_rows(rng, 1, s * triples).reshape(s, triples, 3)
-        yield sizes, numerics.draw_povm_block(rng, 3, sizes, real, ranks), squares
+        yield sizes, draw_povm_block(rng, 3, sizes, real, ranks), squares
 
 
 def _live(povm):
@@ -243,7 +259,7 @@ def _live(povm):
 
 def _prop1_per_povm(blocks, samples):
     """The prop1 report, each POVM of the drawn blocks evaluated alone: the reference."""
-    info = np.array([security.sign_state_information(_live(povm), np.sqrt(squares[0]))
+    info = np.array([sign_state_information(_live(povm), np.sqrt(squares[0]))
                      for _, elements, block_squares in blocks
                      for povm, squares in zip(elements, block_squares)])
     i_y, i_r, i_yxr = info.T
@@ -258,16 +274,16 @@ def _lemma1_per_povm(blocks, samples):
     for _, elements, block_squares in blocks:
         for povm, squares in zip(elements, block_squares):
             povm, amplitudes = _live(povm), np.sqrt(squares)
-            exact = security.lemma1_images(povm, amplitudes, "exact")
-            probs2 = np.einsum("pnjk,skj->psn", exact, security.TETRAHEDRON).real
-            dev = np.abs(security.sign_state_probabilities(povm, amplitudes) - probs2).max(
+            exact = lemma1_images(povm, amplitudes, "exact")
+            probs2 = np.einsum("pnjk,skj->psn", exact, TETRAHEDRON).real
+            dev = np.abs(sign_state_probabilities(povm, amplitudes) - probs2).max(
                 axis=(1, 2))
             joint_mi = numerics.classical_mutual_information(0.25 * probs2)
             max_dev = max(max_dev, float(dev.max()))
             max_mi = max(max_mi, float(joint_mi.max()))
             violations += int(np.sum((dev > 1e-10) | (joint_mi > 1.0 + 1e-9)
                                      | ~numerics.is_measurement(exact)))
-            psd = security.lemma1_images(povm, amplitudes, "psd")
+            psd = lemma1_images(povm, amplitudes, "psd")
             min_eig = np.linalg.eigvalsh(psd).min(axis=(1, 2))
             violations += int(np.sum((min_eig < numerics.EIG_FLOOR)
                                      | ~numerics.is_measurement(psd)))
@@ -363,15 +379,15 @@ def test_povm_block_law():
     for real in (False, True):
         for rank in (1, 3):
             sizes = rng.integers(3, 8, size=5000)
-            elements = numerics.draw_povm_block(rng, 3, sizes, real, np.full(5000, rank))
+            elements = draw_povm_block(rng, 3, sizes, real, np.full(5000, rank))
             traces = np.trace(elements, axis1=-2, axis2=-1).real
             for n in range(3, 8):
                 povms = traces[sizes == n, :n]
                 se = povms.std(axis=0) / np.sqrt(len(povms))
                 assert np.all(np.abs(povms.mean(axis=0) - 3.0 / n) <= 5.0 * se)
             amplitudes = np.sqrt(erlang_rows(rng, 1, 5000))
-            padded = security.sign_state_information(elements, amplitudes)
-            live = np.array([security.sign_state_information(_live(povm), amps)
+            padded = sign_state_information(elements, amplitudes)
+            live = np.array([sign_state_information(_live(povm), amps)
                              for povm, amps in zip(elements, amplitudes)])
             assert np.abs(padded - live).max() <= 1e-15
 
