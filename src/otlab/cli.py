@@ -60,45 +60,46 @@ def _write_with_manifest(out: Path, chunks, subcommand: str, params: dict) -> No
 # table
 # ---------------------------------------------------------------------------
 
-# ``_LINES[x, y, 2t + r]``: the encoded record ``e = OUTCOMES[x, y, t, r] XOR t``,
-# ``f = r`` of each honest run, all of one width.
-_LINES = np.array([(_dumps({"e": int(o) ^ t, "f": r, "x": x, "y": y}) + "\n").encode()
-                   for (x, y, t, r), o in np.ndenumerate(protocol.OUTCOMES)]).reshape(2, 2, 4)
+# ``_LINES[x, y, r]``: the encoded record ``e = OUTCOMES[x, y, t, r] XOR t = (x AND y) XOR r``,
+# ``f = r`` of each honest run, the same for either coin ``t``, all of one width.
+_LINES = np.array([(_dumps({"e": int(o), "f": r, "x": x, "y": y}) + "\n").encode()
+                   for (x, y, r), o in np.ndenumerate(protocol.OUTCOMES[:, :, 0])]).reshape(2, 2, 2)
 _LINES.setflags(write=False)
 
 
 def run_table(params: dict) -> int:
-    """Honest runs of one ``(x, y)``: their coins drawn whole, their records a block at a time.
+    """Honest runs of one ``(x, y)``: Bob's output bits drawn whole, records a block at a time.
 
-    ``x`` and ``y`` are taken as the parser checked them.  Only the coins are
-    held, as int8: each block of ``numerics.DIRICHLET_BLOCK`` runs is indexed
-    by its coin pairs ``2t + r``, tallied by pair and written from ``_LINES``
-    before the next.  ``bias_e`` and ``correctness`` are exact counts of the
-    tally, read through ``protocol.OUTCOMES[x, y]``, divided once by ``n``.
+    ``x`` and ``y`` are taken as the parser checked them.  A record reads
+    only ``r``, since ``e = (x AND y) XOR r`` whatever Alice's coin ``t``, so
+    only ``r`` is drawn, as ``protocol._fair_bits`` bytes: the head of the
+    honest draw order, so the records are those ``protocol.run_honest`` gives
+    on the same substream.  Each block of ``numerics.DIRICHLET_BLOCK`` runs
+    is tallied and written from ``_LINES[x, y, r]`` before the next.
+    ``bias_e`` and ``correctness`` are exact counts of the two-count tally,
+    divided once by ``n``.
     """
     n, seed, x, y = params["n"], params["seed"], params["x"], params["y"]
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = substream_rng(seed, COMPONENTS["table"])
-    t, r = protocol._honest_coins(n, rng, np.int8)
+    r = protocol._fair_bits(n, rng)
     lines = _LINES[x, y]
     summary = {"n": n, "seed": seed, "x": x, "y": y}
 
     def payload():
         """Each block's records, then the summary line, once every block is tallied."""
-        tally = np.zeros(4, dtype=np.int64)
+        ones = 0
         for start in range(0, n, numerics.DIRICHLET_BLOCK):
-            block = slice(start, start + numerics.DIRICHLET_BLOCK)
-            pairs = 2 * t[block] + r[block]
-            tally += np.bincount(pairs, minlength=4)
-            yield str(lines.take(pairs).data, "ascii")
-        # Each coin pair's record: ``e = OUTCOMES[x, y, t, r] XOR t`` and ``f = r``.
-        counts = tally.reshape(2, 2).tolist()
-        runs = [(o ^ t, r, counts[t][r]) for t, by_r in enumerate(protocol.OUTCOMES[x, y].tolist())
-                for r, o in enumerate(by_r)]
-        ones = sum(count for e, _, count in runs if e)
+            block = r[start:start + numerics.DIRICHLET_BLOCK]
+            ones += int(np.count_nonzero(block))
+            yield str(lines.take(block).data, "ascii")
+        # Each output bit's record: ``e = OUTCOMES[x, y, 0, f]`` and ``f = r``.
+        runs = [(int(protocol.OUTCOMES[x, y, 0, f]), f, count)
+                for f, count in enumerate((n - ones, ones))]
+        e_ones = sum(count for e, _, count in runs if e)
         agree = sum(count for e, f, count in runs if protocol.correlated(x, y, e, f))
-        summary.update(bias_e=ones / n, correctness=agree / n)
+        summary.update(bias_e=e_ones / n, correctness=agree / n)
         yield _dumps({"summary": summary}) + "\n"
 
     if params.get("out"):

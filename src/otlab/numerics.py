@@ -445,9 +445,11 @@ def classical_mutual_information(joint):
     carries no information.
     """
     joint = np.clip(np.asarray(joint, dtype=float), 0.0, None)
-    total = joint.sum(axis=(-2, -1), keepdims=True)
+    # einsum sums the short row and column axes faster than ``sum`` does.
+    total = np.einsum("...ij->...", joint)[..., None, None]
     joint = joint / np.where(total > 0, total, 1.0)
-    denom = joint.sum(axis=-1, keepdims=True) * joint.sum(axis=-2, keepdims=True)
+    rows, cols = np.einsum("...ij->...i", joint), np.einsum("...ij->...j", joint)
+    denom = rows[..., :, None] * cols[..., None, :]
     ratio = np.where(joint > 1e-300, joint / np.where(denom > 0, denom, 1.0), 1.0)
     info = np.maximum(0.0, np.sum(joint * np.log2(ratio), axis=(-2, -1)))
     return float(info) if info.ndim == 0 else info

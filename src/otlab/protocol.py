@@ -19,16 +19,20 @@ read-only table, holds that outcome for each of the 16 combinations; it is
 computed from the exact Born law at import, which raises RuntimeError unless
 every combination is one-hot on outcome 0 or 1.
 
-Honest runs have one draw order, the private ``_honest_coins`` (all of
-Alice's coins ``t``, then all of Bob's output bits ``r``, each drawn as
-int32), which checks no bits.  A run's record is ``e = OUTCOMES[x, y, t, r]
-XOR t`` and ``f = r``: :func:`run_honest` checks its bit arrays with
-``_bits`` and reads ``e`` so, and the command line's ``table`` encodes its
-record lines from :data:`OUTCOMES` once, at import.
+Honest runs have one draw order, the private ``_honest_coins``: all of Bob's
+output bits ``r``, then all of Alice's coins ``t``, each drawn by
+``_fair_bits`` from the bit generator's raw 64-bit words, and checking no
+bits.  A run's record is ``e = OUTCOMES[x, y, t, r] XOR t = (x AND y) XOR r``
+and ``f = r``, the same for either ``t``: the coin only masks ``x`` in the
+sent qutrit.  :func:`run_honest` checks its bit arrays with ``_bits``, draws
+both coins and reads ``e`` off :data:`OUTCOMES`; the command line's ``table``
+draws ``r`` alone, the head of the same order, and writes records encoded
+from :data:`OUTCOMES` once, at import.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,17 +137,31 @@ def alice_basis(x: int) -> np.ndarray:
     return BASES[_bits(x, "x")]
 
 
-def _honest_coins(shape, rng: np.random.Generator, dtype=np.int64) -> tuple:
-    """Alice's coins ``t`` and Bob's output bits ``r`` of honest runs of ``shape``.
+def _fair_bits(size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` fair bits as uint8, from ``ceil(size / 64)`` raw words of ``rng``.
 
-    The one honest draw order: all of ``t``, then all of ``r``, each drawn as
-    int32 and returned as ``dtype``; an empty shape draws nothing.  Below
-    2**32 numpy fills int32 and int64 from the same 32-bit words, so the
-    stream is that of int64 draws, at half the transient.
+    Bit ``i`` is bit ``i % 64`` of word ``i // 64``, counted from the least
+    significant: the words are read as little-endian bytes and unpacked.
+    Raw words bypass the Generator's buffered 32-bit half: a half word left
+    over from an earlier 32-bit draw is neither used nor cleared here.  A
+    fresh substream, as the command line uses, has nothing buffered.
+    ``size`` 0 draws nothing.
     """
-    t = rng.integers(0, 2, size=shape, dtype=np.int32).astype(dtype, copy=False)
-    r = rng.integers(0, 2, size=shape, dtype=np.int32).astype(dtype, copy=False)
-    return t, r
+    words = rng.bit_generator.random_raw(-(-size // 64)).astype("<u8", copy=False)
+    return np.unpackbits(words.view(np.uint8), count=size, bitorder="little")
+
+
+def _honest_coins(shape, rng: np.random.Generator) -> tuple:
+    """Bob's output bits ``r`` and Alice's coins ``t`` of honest runs of ``shape``, int64.
+
+    The one honest draw order: all of ``r``, then all of ``t``, each from
+    ``_fair_bits``; an empty shape draws nothing.  ``r`` comes first, so a
+    caller that reads only ``r``, as ``table`` does, draws the head of it.
+    """
+    size = math.prod(shape)
+    r = _fair_bits(size, rng).reshape(shape)
+    t = _fair_bits(size, rng).reshape(shape)
+    return r.astype(np.int64), t.astype(np.int64)
 
 
 def run_honest(x, y, rng: np.random.Generator):
@@ -153,11 +171,11 @@ def run_honest(x, y, rng: np.random.Generator):
     with ``f = r``, Alice's coins ``t``, Bob's output bits ``r``, and the
     measured analysis-vector index ``outcome = t XOR (x AND y) XOR r``, with
     ``e = outcome XOR t``.  The coins come from ``_honest_coins``, all of
-    ``t`` then all of ``r``, and an empty batch draws nothing; each run's
+    ``r`` then all of ``t``, and an empty batch draws nothing; each run's
     outcome is read off :data:`OUTCOMES`.
     """
     x, y = np.broadcast_arrays(np.atleast_1d(_bits(x, "x")), np.atleast_1d(_bits(y, "y")))
-    t, r = _honest_coins(x.shape, rng)
+    r, t = _honest_coins(x.shape, rng)
     outcome = OUTCOMES[x, y, t, r]
     return OneTimeTable(x=x, y=y, e=outcome ^ t, f=r), t, r, outcome
 

@@ -141,3 +141,18 @@ def lemma1_images(elements, amplitudes, variant="exact"):
     images[..., 0, 1] = x - 1j * y
     images[..., 1, 0] = x + 1j * y
     return images
+
+
+def classical_mutual_information(joint):
+    """Mutual information in bits of joint tables ``[..., rows, cols]``, with ``sum`` marginals.
+
+    The form ``numerics.classical_mutual_information`` had before it took
+    its total and marginals with ``einsum``.
+    """
+    joint = np.clip(np.asarray(joint, dtype=float), 0.0, None)
+    total = joint.sum(axis=(-2, -1), keepdims=True)
+    joint = joint / np.where(total > 0, total, 1.0)
+    denom = joint.sum(axis=-1, keepdims=True) * joint.sum(axis=-2, keepdims=True)
+    ratio = np.where(joint > 1e-300, joint / np.where(denom > 0, denom, 1.0), 1.0)
+    info = np.maximum(0.0, np.sum(joint * np.log2(ratio), axis=(-2, -1)))
+    return float(info) if info.ndim == 0 else info

@@ -117,10 +117,11 @@ def test_table_blocks_match_the_whole_honest_run(capsys, tmp_path, x, y, n, seed
 
 
 def test_table_lines_are_the_encoded_born_law_of_each_coin_pair():
-    assert cli._LINES.shape == (2, 2, 4) and not cli._LINES.flags.writeable
+    # One line per output bit r: the Born-law record is the same for both coins t.
+    assert cli._LINES.shape == (2, 2, 2) and not cli._LINES.flags.writeable
     for x, y, t, r in itertools.product((0, 1), repeat=4):
         record = {"e": int(protocol.OUTCOMES[x, y, t, r] ^ t), "f": r, "x": x, "y": y}
-        assert cli._LINES[x, y, 2 * t + r] == (cli._dumps(record) + "\n").encode()
+        assert cli._LINES[x, y, r] == (cli._dumps(record) + "\n").encode()
 
 
 class TestVerify:
@@ -394,18 +395,20 @@ class TestChecksim:
 # 0.16.0, when that path became one binomial chain.  The lemma1 pin was
 # re-recorded with 0.20.0, when its POVMs began to be drawn a block at a
 # time.  The two checks-sparse protocol-3 pins were recorded with 0.20.0,
-# before every check run became one chain of two links.  A refactor that moves no
+# before every check run became one chain of two links.  Every table pin, here
+# and in ``_OUT_PINS``, was re-recorded with 0.25.0, when table began to draw
+# only Bob's output bits, unpacked from raw words.  A refactor that moves no
 # payload byte and no RNG stream keeps these; one that does bumps __version__
 # and re-records.
 _PAYLOAD_PINS = [
     ("table --x 0 --y 0 --n 64 --seed 7",
-     "3681634b0e67d0d4a069f6f9cd3eed56fdeaaa87ad215c86d8ec13cc99d9db82"),
+     "25693b4f6cc652bf70a0e60cc87c1936b5a90877add3d1c8b0d818fbb199bc41"),
     ("table --x 0 --y 1 --n 64 --seed 7",
-     "4ad832679f16390f0ebc49a3314ba8348d774b0a77c9ca719c4d8227d179e3a6"),
+     "89dd5e96294087a96d24a34f28a4ef612dd4697a071cae17a12fa0e27a2d4bb2"),
     ("table --x 1 --y 0 --n 64 --seed 7",
-     "6508e39f4acb180951082441bba84ceccb4ecad467f3dd0f8503c09c58ee9edf"),
+     "ff843739ccbd30b44dfcb6e67ec6bc622829dfc9bea01639cf0a5524c24daaba"),
     ("table --x 1 --y 1 --n 64 --seed 7",
-     "96b51d65ccb1ed382c7b76940c3e6bd927997883f56b233486469c17d300126b"),
+     "b9c552ec95d5aa2c702538ec32b94f4ec9b1179ff56168493c268d4748cbb6f7"),
     ("checksim --protocol 3 --bob computational --m 30 --k 5 --k-alice 7 --threshold 1 "
      "--threshold-alice 2 --trials 300 --seed 11",
      "7c61f17b55e449fbaeee53f8c5e53a9e995b7097739c86b8670b7a45dc968c2b"),
@@ -425,9 +428,9 @@ _PAYLOAD_PINS = [
      "4da4669f3df069ed306d84e281d3293a55432e637dfb277920e22f84e1d61b5c"),
     # The largest and smallest table jobs of the benchmark.
     ("table --x 1 --y 1 --n 1750 --seed 9191",
-     "490c87988472b11450d5395063b4219eac00da7780ccd4e2598fb584bfc8acc7"),
+     "cb3f29f48511242ede4b925643c42ac882e617015be3b2514d8e0a47106dc0bc"),
     ("table --x 0 --y 0 --n 1000 --seed 31337",
-     "c9a49f19c6d6b000e43c5c8a1a80f0e7d4364dfe3a5fbd792a1609c4c62f10f3"),
+     "48f5a363ad9e1fb56d2915373126b8708da5f83c83a2d8264c6e7159f5dc5c21"),
     # A checks-sparse and a checks-dense protocol 2 job of the benchmark.
     ("checksim --protocol 2 --alice learn-y --m 200 --k 20 --threshold 1 --trials 4000 "
      "--seed 9191",
@@ -441,9 +444,9 @@ _PAYLOAD_PINS = [
     ("checksim --protocol 3 --bob phase-noise --angle 1.2 --m 200 --k 20 --k-alice 20 "
      "--threshold 2 --threshold-alice 2 --trials 4000 --seed 1",
      "17ebdc154cba79980c61bd4893dbf44a273a3bfcc6325616a5f375dfae615f19"),
-    # A table of three record blocks, recorded with 0.22.0 when it was still written whole.
+    # A table of three record blocks, first recorded with 0.22.0 when it was still written whole.
     ("table --x 1 --y 1 --n 16385 --seed 7",
-     "a57666e9f7552724221643c7e0aa2e803179a77169b552e8292d8fbf4062e228"),
+     "a272599b329813357fe415a808868c945e808e37bd50d8818506d875841e9026"),
 ]
 
 
@@ -463,30 +466,30 @@ def test_payload_matches_recorded_digest(capsys, argv, digest):
 # histogram: each cell once, with its count of trials.
 _OUT_PINS = [
     ("table --x 0 --y 0 --n 1 --seed 2718",
-     "8df403904bc88a4f3bd069853a0bf0e652938f9523df6d83d34342c4b20a811f"),
+     "d79c101991ce76d3e6aa779a54a4151a0608c9b8c7a826e23d2ffd1a2af5b87f"),
     ("table --x 0 --y 0 --n 1750 --seed 2718",
-     "a3f93c87b79ba90439faf365595cdb9887cf32b1a5f52fc66a1aef1af0192691"),
+     "c2f69a190e6100bc38c71e0a61a64be7a543548d49a8511ddfc1dc171f4e1932"),
     ("table --x 0 --y 1 --n 1 --seed 2718",
-     "0ebcd95c79f9ed7cd685384b23d0d2fa1e96c9f2dbfacee5eb73b0d1f731bf30"),
+     "7ceb9792eb7256ef261327c1f76fd876f5cd32c22653d6c4cebc3d3bfeff9239"),
     ("table --x 0 --y 1 --n 1750 --seed 2718",
-     "8fdbeb6b59d54b510d7ce3681785d5a251fd8e28fcc94ed87f048261f0ab9144"),
+     "89a6de8bd384e81e1bd61ca33036eee59ae070484ce59f8dda2414442ee627a2"),
     ("table --x 1 --y 0 --n 1 --seed 2718",
-     "193592edc5fd6afd0b02a06ab5c012823550b8759742d4901fdf78cf5d24915c"),
+     "c0e95128f872c81dc0e0b8ee744ace13f2ff7abf438be6b55e93415fb0cf7171"),
     ("table --x 1 --y 0 --n 1750 --seed 2718",
-     "e0c95e8c026c6831fef0e9dbaa615596c31a61269a8ef87abf41437f935c93c7"),
+     "713b53c44d3d88c13f4de8c9446a1f4fa9e4adcb68586c078f86f65e14ce5399"),
     ("table --x 1 --y 1 --n 1 --seed 2718",
-     "2f5ba6aeb6e2a5900a26aa7e1f846a8cc8f82b3d547891115f38acff4d423ca0"),
+     "a09cf8ebc0a033203ff48bb090b9c433aae1eb02d72562b8cafbdb44a756fb10"),
     ("table --x 1 --y 1 --n 1750 --seed 2718",
-     "aab162b443d4c39f6a11fccb8e588ffa79804a06590a11191119e9bee4d5f5e4"),
+     "53a35219ce3f6d105f02a7074285985a8cb0eff6fc1f3b108fb9933725451b39"),
     ("checksim --protocol 2 --alice param --alpha 0.7 --m 50 --k 25 --threshold 0.1 "
      "--c1 1.7 --trials 300 --seed 5",
      "f6e20f4a8f3433b1ea8c91f240b09f68dbef25238b146ca348ebb5eb57a8371c"),
     ("checksim --protocol 3 --bob computational --m 30 --k 0 --k-alice 7 "
      "--threshold-alice 2 --trials 300 --seed 11",
      "a06e79df59bbe869713775d9a958f92689fefc9fcdb13b6e62efe747e7ac6ccf"),
-    # Three record blocks, recorded with 0.22.0 when the table was still written whole.
+    # Three record blocks, first recorded with 0.22.0 when the table was still written whole.
     ("table --x 1 --y 1 --n 16385 --seed 7",
-     "a57666e9f7552724221643c7e0aa2e803179a77169b552e8292d8fbf4062e228"),
+     "a272599b329813357fe415a808868c945e808e37bd50d8818506d875841e9026"),
 ]
 
 
@@ -735,7 +738,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv,target", [
         (["curve", "--n-samples", "1000"], (security, "tradeoff_curve")),
         (["verify", "prop3", "--samples", "5"], (verify.SUITES, "prop3")),
-        (["table", "--x", "1", "--y", "0", "--n", "5"], (protocol, "_honest_coins")),
+        (["table", "--x", "1", "--y", "0", "--n", "5"], (protocol, "_fair_bits")),
         (["checksim", "--trials", "5"], (checksim, "run_protocol2")),
     ])
     def test_oversized_request_exits_2_without_traceback(self, capsys, monkeypatch,

@@ -17,6 +17,7 @@ from otlab.numerics import (
     mutual_information,
     trace_distance,
 )
+import qutrit_oracles
 from qutrit_oracles import (draw_povm_block, erlang_rows, projector, random_povm,
                             random_povm_elements, sign_state_probabilities)
 
@@ -408,6 +409,29 @@ class TestInformation:
             assert stacked[idx] == pytest.approx(classical_mutual_information(tables[idx]),
                                                  abs=1e-15)
         assert isinstance(classical_mutual_information(tables[1, 1]), float)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 7), (50, 3, 2, 7), (10, 10, 4, 7), (64, 4, 3)])
+    def test_classical_mi_matches_sum_marginal_oracle(self, shape):
+        # The einsum total and marginals against the ``sum`` form, on sparse
+        # tables with zero rows, zero columns and all-zero tables among them.
+        rng = np.random.default_rng(sum(shape))
+        tables = rng.random(shape) * (rng.random(shape) < 0.6)
+        tables.reshape(-1, *shape[-2:])[0] = 0.0
+        tables[..., 0, :] *= rng.random(shape[:-2] + (1,)) < 0.5
+        tables[..., :, -1] *= rng.random(shape[:-2] + (1,)) < 0.5
+        got = classical_mutual_information(tables)
+        want = qutrit_oracles.classical_mutual_information(tables)
+        assert np.shape(got) == np.shape(want) == shape[:-2]
+        assert np.max(np.abs(np.asarray(got) - want)) <= 1e-13
+
+    @pytest.mark.parametrize("table,value", [
+        (np.zeros((3, 4)), 0.0),
+        ([[0.0, 0.0], [0.3, 0.7]], 0.0),        # a zero row
+        ([[0.0, 0.5], [0.0, 0.5]], 0.0),        # a zero column
+        ([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0]], 1.0),
+    ])
+    def test_classical_mi_on_zero_rows_and_columns(self, table, value):
+        assert classical_mutual_information(table) == pytest.approx(value, abs=1e-15)
 
 
 def _stack_with_ranks(dim, rng, copies=2):

@@ -159,12 +159,24 @@ class TestRunHonest:
             protocol._outcome_law(protocol.BASES, leaky_gates, protocol.SENT)
 
 
+def _raw_word_bits(rng, shape):
+    """Fair bits of ``shape``: bit ``i`` is bit ``i % 64``, low first, of raw word ``i // 64``."""
+    size = int(np.prod(shape))
+    words = rng.bit_generator.random_raw(-(-size // 64)).tolist()
+    return np.array([(words[i // 64] >> (i % 64)) & 1 for i in range(size)],
+                    dtype=np.int64).reshape(shape)
+
+
 def _per_run_reference(x, y, rng):
-    """Honest runs with one Born contraction per run: the oracle of ``run_honest``."""
+    """Honest runs with one Born contraction per run: the oracle of ``run_honest``.
+
+    The coins are drawn in the honest order, all of ``r`` then all of ``t``,
+    and read off the raw words with integer shifts.
+    """
     x, y = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=np.int64)),
                                np.atleast_1d(np.asarray(y, dtype=np.int64)))
-    t = rng.integers(0, 2, size=x.shape)
-    r = rng.integers(0, 2, size=x.shape)
+    r = _raw_word_bits(rng, x.shape)
+    t = _raw_word_bits(rng, x.shape)
     returned = protocol.GATES[y, r] * protocol.SENT[x, t]
     weights = np.abs(np.einsum("...ij,...j->...i", protocol.BASES[x], returned)) ** 2
     outcome = np.argmax(weights[..., :2], axis=-1)
@@ -209,18 +221,32 @@ def test_run_honest_does_no_per_run_contraction(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [35, 2718, 18446744073709551615])
-@pytest.mark.parametrize("size", [1, 1001, 100001])
-@pytest.mark.parametrize("dtype", [np.int64, np.int8])
-def test_honest_coins_keep_the_draw_order_in_any_dtype(seed, size, dtype):
-    # All of t, then all of r, as plain int64 draws would give them, and the
-    # generator left where those draws leave it.
+@pytest.mark.parametrize("size", [0, 1, 63, 64, 65, 8193])
+def test_honest_coins_keep_the_draw_order(seed, size):
+    # All of r's bits, then all of t's, each off ceil(size / 64) raw words,
+    # and the generator left exactly 2 ceil(size / 64) words on.
     rng = np.random.default_rng(seed)
-    t, r = protocol._honest_coins(size, rng, dtype)
+    r, t = protocol._honest_coins((size,), rng)
     plain = np.random.default_rng(seed)
-    assert t.dtype == r.dtype == dtype
-    assert np.array_equal(t, plain.integers(0, 2, size=size))
-    assert np.array_equal(r, plain.integers(0, 2, size=size))
-    assert rng.random() == plain.random()
+    assert r.dtype == t.dtype == np.int64
+    assert np.array_equal(r, _raw_word_bits(plain, size))
+    assert np.array_equal(t, _raw_word_bits(plain, size))
+    words = np.random.default_rng(seed).bit_generator
+    words.advance(2 * -(-size // 64))
+    assert rng.bit_generator.state == words.state
+
+
+def test_fair_bits_leave_a_buffered_half_word_alone():
+    # Raw words bypass the Generator's 32-bit buffer: a half word a 32-bit
+    # draw left there stays buffered for the next 32-bit draw.
+    rng = np.random.default_rng(36)
+    rng.integers(0, 10, size=1, dtype=np.int32)
+    before = rng.bit_generator.state
+    protocol._fair_bits(65, rng)
+    after = rng.bit_generator.state
+    assert before["has_uint32"] == after["has_uint32"] == 1
+    assert before["uinteger"] == after["uinteger"]
+    assert before["state"] != after["state"]
 
 
 @pytest.mark.parametrize("seed", [37, 38, 39])
