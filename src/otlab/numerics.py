@@ -437,21 +437,41 @@ def trace_distance(rho, sigma):
     return float(dist) if dist.ndim == 0 else dist
 
 
-def classical_mutual_information(joint):
-    """Mutual information in bits of a joint probability table.
+def _information(cond, priors, gradient=False):
+    """Information ``[...]`` in bits of channels ``p(k|i)`` ``[..., s, n]`` with priors ``[..., s]``.
 
-    A stack of tables ``[..., rows, cols]`` gives one value per table; a
-    single table gives a float.  Tables are renormalized; an all-zero table
-    carries no information.
+    The lab's one log ratio of probabilities; ``cond`` must be nonnegative.  With ``gradient``
+    also the weights ``dI / dp(k|i) = p_i log2(p(k|i) / q_k)``, ``q_k = sum_i p_i p(k|i)``.  A
+    zero ``p(k|i)``, or an outcome with ``q_k = 0``, adds nothing and gets weight 0.
+    """
+    marginal = np.einsum("...i,...in->...n", priors, cond)[..., None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):   # log2(0), -inf - -inf and 0 * inf
+        logs = np.log2(cond) - np.log2(marginal)
+        weights = np.where(np.isfinite(logs), priors[..., :, None] * logs, 0.0)
+    info = np.maximum(0.0, np.einsum("...in,...in->...", cond, weights))
+    return (info, weights) if gradient else info
+
+
+def classical_mutual_information(joint):
+    """Mutual information in bits of a joint probability table, by :func:`_information`.
+
+    A stack of tables ``[..., rows, cols]`` gives one value per table, a single table a float.
+    Negative entries count as 0.  Tables are renormalized: an all-zero one carries no information,
+    and one whose total overflows is first divided by its largest entry.  A NaN or ``inf``
+    entry, or fewer than two axes, raises ValueError.
     """
     joint = np.clip(np.asarray(joint, dtype=float), 0.0, None)
-    # einsum sums the short row and column axes faster than ``sum`` does.
-    total = np.einsum("...ij->...", joint)[..., None, None]
-    joint = joint / np.where(total > 0, total, 1.0)
-    rows, cols = np.einsum("...ij->...i", joint), np.einsum("...ij->...j", joint)
-    denom = rows[..., :, None] * cols[..., None, :]
-    ratio = np.where(joint > 1e-300, joint / np.where(denom > 0, denom, 1.0), 1.0)
-    info = np.maximum(0.0, np.sum(joint * np.log2(ratio), axis=(-2, -1)))
+    if joint.ndim < 2:
+        raise ValueError(f"expected joint tables [..., rows, cols], got shape {joint.shape}")
+    rows = np.einsum("...ij->...i", joint)   # einsum sums short axes faster than ``sum``
+    total = np.einsum("...i->...", rows)
+    if not np.isfinite(total).all():
+        if not np.isfinite(joint).all():
+            raise ValueError("joint tables must be finite")
+        peaks = joint.max(axis=(-2, -1), keepdims=True)   # each table then sums to its size at most
+        return classical_mutual_information(joint / np.where(peaks > 0, peaks, 1.0))
+    cond = joint / np.where(rows > 0, rows, 1.0)[..., None]
+    info = _information(cond, rows / np.where(total > 0, total, 1.0)[..., None])
     return float(info) if info.ndim == 0 else info
 
 
@@ -462,8 +482,7 @@ def mutual_information(ensemble: Ensemble, povm: Povm) -> float:
             f"POVM dim {povm.dim} does not match ensemble dim {ensemble.dim}")
     # table[s, n] = Tr(M_n rho_s), for every state and element at once.
     table = np.einsum("nij,sji->sn", povm.elements, ensemble.matrices).real
-    joint = ensemble.probabilities[:, None] * np.clip(table, 0.0, None)
-    return classical_mutual_information(joint)
+    return float(_information(np.clip(table, 0.0, None), ensemble.probabilities))
 
 
 def holevo(ensemble):

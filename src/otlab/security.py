@@ -27,9 +27,8 @@ from typing import Iterable
 import numpy as np
 
 from . import protocol
-from .numerics import (COMPLETENESS_ATOL, Ensemble, Povm, _integer, _real, _shown,
-                       _valid_ensemble, classical_mutual_information, dirichlet_blocks,
-                       trace_distance, xlog2)
+from .numerics import (COMPLETENESS_ATOL, Ensemble, Povm, _information, _integer, _real,
+                       _shown, _valid_ensemble, dirichlet_blocks, trace_distance, xlog2)
 
 __all__ = [
     "CheatParams",
@@ -163,13 +162,12 @@ def cheat_state_vectors(params: CheatParams) -> np.ndarray:
 
 
 _LABELS = ("y", "r", "yxr")
-# Weight of each sign state in the joint table of each label and label value:
-# a prior of 1/2 on the value times the 1/2 of each state averaged into it.
-_LABEL_WEIGHTS = 0.25 * np.array([[[dict(y=y, r=r, yxr=y ^ r)[label] == value for r, y in RY_ORDER]
-                                   for value in (0, 1)] for label in _LABELS])
-# Per label, the sign pattern sum_s w_gs s_a s_b of its returned states [g, 3, 3] (weight 1/2
-# per sign state s averaged into g), and their uniform prior; "joint" is the four sign states.
-_STATE_SIGNS = {label: np.einsum("gs,sa,sb->gab", 2.0 * weights, _SIGNS, _SIGNS)
+# Probability of each sign state given each label value: 1/2 for the two averaged into it.
+_LABEL_WEIGHTS = 0.5 * np.array([[[dict(y=y, r=r, yxr=y ^ r)[label] == value for r, y in RY_ORDER]
+                                  for value in (0, 1)] for label in _LABELS])
+# Per label, the sign pattern sum_s w_gs s_a s_b of its returned states [g, 3, 3], and
+# their uniform prior; "joint" is the four sign states.
+_STATE_SIGNS = {label: np.einsum("gs,sa,sb->gab", weights, _SIGNS, _SIGNS)
                 for label, weights in zip(_LABELS, _LABEL_WEIGHTS)}
 _STATE_SIGNS["joint"] = _SIGNS[:, :, None] * _SIGNS[:, None, :]
 _PRIORS = {label: np.full(len(signs), 1.0 / len(signs)) for label, signs in _STATE_SIGNS.items()}
@@ -231,7 +229,7 @@ def _label_information(probs) -> np.ndarray:
     On a measurement's probabilities the entries equal ``mutual_information(
     returned_ensemble(params, label), povm)`` for the labels ``"y"``, ``"r"`` and ``"yxr"``.
     """
-    return classical_mutual_information(np.einsum("lgs,...sn->...lgn", _LABEL_WEIGHTS, probs))
+    return _information(np.einsum("lgs,...sn->...lgn", _LABEL_WEIGHTS, probs), _PRIORS["y"])
 
 
 def guess_probs(params: CheatParams) -> GuessProbs:
@@ -503,32 +501,6 @@ def _seed_frames(states: np.ndarray, priors: np.ndarray) -> list:
     return frames
 
 
-# Smallest normal float: the floor of a zero outcome probability.
-_TINY = np.finfo(float).tiny
-
-
-def _frame_statistics(vecs: np.ndarray, states: np.ndarray, priors: np.ndarray):
-    """Information and gradient weights of rank-1 measurements.
-
-    ``vecs[..., n, d]`` holds the rows ``v_k`` of elements
-    ``Pi_k = v_k v_k^dagger``.  Returns the information ``[...]`` in bits and
-    the weights ``p_i log2(p(k|i) / q_k)`` ``[..., i, n]`` of the gradient
-    ``R_k = sum_i weight_ik rho_i``.  A zero ``p(k|i)`` is floored at the
-    smallest normal float, so its weight is large and negative (it is
-    ``-inf`` in exact arithmetic) but multiplies a zero probability; an
-    element that never fires gets weight 0.  The information is
-    ``sum_ik p(k|i) weight_ik``, each log ratio computed once.
-    """
-    probs = np.einsum("...na,iab,...nb->...in", vecs.conj(), states, vecs).real
-    probs = np.maximum(probs, 0.0)
-    marginal = (priors[:, None] * probs).sum(axis=-2, keepdims=True)
-    fired = marginal > 0.0
-    floored = np.maximum(probs, _TINY)
-    ratio = np.where(fired, floored / np.where(fired, marginal, 1.0), 1.0)
-    weights = priors[:, None] * np.log2(ratio)
-    return np.maximum(0.0, np.einsum("...in,...in->...", probs, weights)), weights
-
-
 def _normalize(rows: np.ndarray):
     """Rows ``Lambda^{-1/2} w_k`` with ``Lambda = sum_k w_k w_k^dagger``, and which are valid.
 
@@ -551,8 +523,11 @@ def accessible_info_search(ensemble: Ensemble, config: SearchConfig | None = Non
     2005) on rank-1 measurements, each element ``Pi_k = v_k v_k^dagger``
     taking the step ``w_k = (1 + eps R_k) v_k``, ``v_k <- Lambda^{-1/2} w_k``
     with ``Lambda = sum_k w_k w_k^dagger`` and the gradient
-    ``R_k = sum_i p_i rho_i log2(p(k|i) / q_k)``.  A step is taken only if it
-    raises the information and ``Lambda`` is well conditioned; otherwise that
+    ``R_k = sum_i p_i rho_i log2(p(k|i) / q_k)``, whose weights are
+    :func:`numerics._information`'s: a zero ``p(k|i)`` gets weight 0, which
+    leaves ``R_k v_k`` as it is, since ``<v|rho|v> = 0`` means ``rho v = 0``
+    for a positive semidefinite ``rho``.  A step is taken only if it raises
+    the information and ``Lambda`` is well conditioned; otherwise that
     start's ``eps`` halves.  A real ensemble (every imaginary part exactly 0)
     runs on real frames of ``d(d+1)/2`` rows, enough for a real optimum
     (Sasaki, Barnett, Jozsa, Osaki and Hirota, PRA 59, 3325, 1999); any
@@ -577,9 +552,15 @@ def accessible_info_search(ensemble: Ensemble, config: SearchConfig | None = Non
     starts = np.zeros((len(seeds),) + noise.shape[1:], dtype=noise.dtype)
     for idx, frame in enumerate(seeds):
         starts[idx, :len(frame)] = frame
+
+    def statistics(frames):
+        """Information ``[s]`` and gradient weights ``[s, i, n]`` of rank-1 ``frames[s, n, d]``."""
+        probs = np.einsum("...na,iab,...nb->...in", frames.conj(), states, frames).real
+        return _information(np.maximum(probs, 0.0), priors, gradient=True)
+
     vecs, valid = _normalize(np.concatenate([starts, noise]))
     vecs = vecs[valid]
-    info, weights = _frame_statistics(vecs, states, priors)
+    info, weights = statistics(vecs)
     eps = np.ones(len(vecs))
     flat_states = states.reshape(len(states), dim * dim)
     for _ in range(cfg.max_iters):
@@ -587,7 +568,7 @@ def accessible_info_search(ensemble: Ensemble, config: SearchConfig | None = Non
         r_k = (np.swapaxes(weights, -1, -2) @ flat_states).reshape(vecs.shape + (dim,))
         grad = np.einsum("snab,snb->sna", r_k, vecs)
         cand, valid = _normalize(vecs + eps[:, None, None] * grad)
-        cand_info, cand_weights = _frame_statistics(cand, states, priors)
+        cand_info, cand_weights = statistics(cand)
         step = valid & (cand_info > info)
         np.copyto(vecs, cand, where=step[:, None, None])
         np.copyto(info, cand_info, where=step)

@@ -80,7 +80,7 @@ def returned_states(amplitudes, label):
     projectors = vecs[..., :, None] * vecs[..., None, :]
     if label == "joint":
         return projectors
-    weights = 2.0 * security._LABEL_WEIGHTS[security._LABELS.index(label)]
+    weights = security._LABEL_WEIGHTS[security._LABELS.index(label)]
     return np.einsum("gs,...sab->...gab", weights, projectors)
 
 
@@ -144,10 +144,12 @@ def lemma1_images(elements, amplitudes, variant="exact"):
 
 
 def classical_mutual_information(joint):
-    """Mutual information in bits of joint tables ``[..., rows, cols]``, with ``sum`` marginals.
+    """Mutual information in bits of joint tables ``[..., rows, cols]``, as a masked ratio.
 
     The form ``numerics.classical_mutual_information`` had before it took
-    its total and marginals with ``einsum``.
+    its total and marginals with ``einsum`` and, later, passed its rows to
+    ``numerics._information``: ``sum`` marginals, and a ratio masked by two
+    nested ``np.where``.
     """
     joint = np.clip(np.asarray(joint, dtype=float), 0.0, None)
     total = joint.sum(axis=(-2, -1), keepdims=True)
@@ -156,3 +158,28 @@ def classical_mutual_information(joint):
     ratio = np.where(joint > 1e-300, joint / np.where(denom > 0, denom, 1.0), 1.0)
     info = np.maximum(0.0, np.sum(joint * np.log2(ratio), axis=(-2, -1)))
     return float(info) if info.ndim == 0 else info
+
+
+def floored_information(cond, priors):
+    """Information ``[...]`` and weights ``[..., i, n]`` of channels ``cond[..., i, n]``, floored.
+
+    The search's statistic before ``numerics._information``: a zero ``p(k|i)``
+    is floored at the smallest normal float, so its weight ``p_i log2(p(k|i)
+    / q_k)`` is large and negative but multiplies a zero probability; an
+    outcome that never fires gets weight 0.
+    """
+    marginal = (priors[:, None] * cond).sum(axis=-2, keepdims=True)
+    fired = marginal > 0.0
+    floored = np.maximum(cond, np.finfo(float).tiny)
+    ratio = np.where(fired, floored / np.where(fired, marginal, 1.0), 1.0)
+    weights = priors[:, None] * np.log2(ratio)
+    return np.maximum(0.0, np.einsum("...in,...in->...", cond, weights)), weights
+
+
+def frame_statistics(vecs, states, priors):
+    """:func:`floored_information` of rank-1 frames ``vecs[..., n, d]`` on ``states[i, d, d]``.
+
+    The search's ``_frame_statistics`` before it called ``numerics._information``.
+    """
+    probs = np.einsum("...na,iab,...nb->...in", vecs.conj(), states, vecs).real
+    return floored_information(np.maximum(probs, 0.0), priors)

@@ -412,13 +412,8 @@ class TestInformation:
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 7), (50, 3, 2, 7), (10, 10, 4, 7), (64, 4, 3)])
     def test_classical_mi_matches_sum_marginal_oracle(self, shape):
-        # The einsum total and marginals against the ``sum`` form, on sparse
-        # tables with zero rows, zero columns and all-zero tables among them.
-        rng = np.random.default_rng(sum(shape))
-        tables = rng.random(shape) * (rng.random(shape) < 0.6)
-        tables.reshape(-1, *shape[-2:])[0] = 0.0
-        tables[..., 0, :] *= rng.random(shape[:-2] + (1,)) < 0.5
-        tables[..., :, -1] *= rng.random(shape[:-2] + (1,)) < 0.5
+        # The kernel's rows against the masked ratio of ``sum`` marginals.
+        tables = _sparse_tables(shape)
         got = classical_mutual_information(tables)
         want = qutrit_oracles.classical_mutual_information(tables)
         assert np.shape(got) == np.shape(want) == shape[:-2]
@@ -432,6 +427,92 @@ class TestInformation:
     ])
     def test_classical_mi_on_zero_rows_and_columns(self, table, value):
         assert classical_mutual_information(table) == pytest.approx(value, abs=1e-15)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 7), (6, 4, 3), (5, 2, 5)])
+    def test_information_matches_mpmath(self, shape):
+        # Each table's information at 50 digits, from its joint probabilities
+        # and from its rows as channels with priors: the wrapper and the kernel.
+        import mpmath
+
+        tables = _sparse_tables(shape).reshape(-1, *shape[-2:])
+        rows = tables.sum(axis=-1)
+        cond = tables / np.where(rows > 0, rows, 1.0)[..., None]
+        priors = rows / np.where(rows.sum(axis=-1) > 0, rows.sum(axis=-1), 1.0)[..., None]
+        got_joint = np.atleast_1d(classical_mutual_information(tables))
+        got_cond = numerics._information(cond, priors)
+        with mpmath.workdps(50):
+            for table, joint_bits, cond_bits in zip(tables, got_joint, got_cond):
+                joint = [[mpmath.mpf(float(x)) for x in row] for row in table]
+                total = sum(map(sum, joint))
+                cols = [sum(col) for col in zip(*joint)]
+                exact = sum(x / total * mpmath.log(x * total / (sum(row) * col), 2)
+                            for row in joint for x, col in zip(row, cols) if x > 0)
+                assert abs(joint_bits - float(exact)) <= 1e-13
+                assert abs(cond_bits - float(exact)) <= 1e-13
+
+    def test_information_weights_are_the_gradient(self):
+        # At interior points, weight_ik = p_i log2(p(k|i) / q_k) is dI / dp(k|i)
+        # by central differences, rows free of their sum to 1.
+        rng = np.random.default_rng(58)
+        for s, n in ((2, 2), (3, 5), (4, 7)):
+            cond = rng.dirichlet(np.ones(n), size=s)
+            priors = rng.dirichlet(np.ones(s))
+            info, weights = numerics._information(cond, priors, gradient=True)
+            assert info == pytest.approx(np.sum(cond * weights), abs=1e-15)
+            h = 1e-6
+            for i, k in np.ndindex(s, n):
+                step = np.zeros((s, n))
+                step[i, k] = h
+                slope = (numerics._information(cond + step, priors)
+                         - numerics._information(cond - step, priors)) / (2 * h)
+                assert slope == pytest.approx(weights[i, k], abs=1e-8)
+
+    def test_zero_conventions_give_the_same_information(self):
+        # Dropping a zero p(k|i) and flooring it at the smallest normal float
+        # give the same information; the weights differ only where p(k|i) = 0
+        # or no outcome k fires.  Zero rows, zero columns and zero priors included.
+        rng = np.random.default_rng(59)
+        cond = rng.dirichlet(np.ones(5), size=(200, 3)) * (rng.random((200, 3, 5)) < 0.6)
+        cond[:20, :, 1] = 0.0
+        cond[20:40, 0] = 0.0
+        cond[40:60, 1:, 2] = 0.0           # with a zero first prior, q_2 = 0 where p(2|0) > 0
+        priors = rng.dirichlet(np.ones(3))
+        for p in (priors, np.array([0.0, 0.4, 0.6])):
+            info, weights = numerics._information(cond, p, gradient=True)
+            floored_info, floored_weights = qutrit_oracles.floored_information(cond, p)
+            assert np.max(np.abs(info - floored_info)) <= 1e-15
+            live = (cond > 0) & (np.einsum("i,...in->...n", p, cond) > 0)[..., None, :]
+            assert np.array_equal(weights == 0.0, ~live | (p[:, None] == 0.0))
+            assert np.max(np.abs(weights - floored_weights)[live]) <= 1e-15
+
+    def test_classical_mi_overflowing_total_is_rescaled(self):
+        # The total of [[1e308, 0], [0, 1e308]] overflows; the table itself is one bit.
+        assert classical_mutual_information([[1e308, 0.0], [0.0, 1e308]]) == 1.0
+        stack = np.array([[[1e308, 1e308], [1e308, 0.0]], [[0.5, 0.0], [0.0, 0.5]],
+                          np.zeros((2, 2))])
+        want = [classical_mutual_information([[1.0, 1.0], [1.0, 0.0]]), 1.0, 0.0]
+        assert np.allclose(classical_mutual_information(stack), want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("joint,match", [
+        ([[np.nan, 0.0], [0.0, 1.0]], "finite"),
+        ([[np.inf, 0.0], [0.0, 1.0]], "finite"),
+        (np.array([[[0.5, 0.0], [0.0, 0.5]], [[1.0, np.inf], [0.0, 0.0]]]), "finite"),
+        ([0.5, 0.5], "expected joint tables"),
+        (0.5, "expected joint tables"),
+    ])
+    def test_classical_mi_rejects_non_finite_entries_and_flat_input(self, joint, match):
+        with pytest.raises(ValueError, match=match):
+            classical_mutual_information(joint)
+
+
+def _sparse_tables(shape):
+    """Random tables ``shape`` with zero entries, zero rows, zero columns and an all-zero table."""
+    rng = np.random.default_rng(sum(shape))
+    tables = rng.random(shape) * (rng.random(shape) < 0.6)
+    tables.reshape(-1, *shape[-2:])[0] = 0.0
+    tables[..., 0, :] *= rng.random(shape[:-2] + (1,)) < 0.5
+    tables[..., :, -1] *= rng.random(shape[:-2] + (1,)) < 0.5
+    return tables
 
 
 def _stack_with_ranks(dim, rng, copies=2):

@@ -840,6 +840,42 @@ class TestAccessibleInfoSearch:
         joint = ens.probabilities[:, None] * table
         assert abs(result.best_value - numerics.classical_mutual_information(joint)) <= 1e-12
 
+    @pytest.mark.parametrize("params", [CheatParams.honest(0), CheatParams.from_alpha(0.8),
+                                        CheatParams.learn_y()], ids=["honest", "alpha", "learn_y"])
+    @pytest.mark.parametrize("label", ["y", "r", "yxr", "joint"])
+    def test_statistics_match_the_floored_oracle(self, params, label):
+        # The search's information and gradient R_k v_k off numerics._information,
+        # against the floored statistic it had before, on its seed frames (many
+        # with zero outcome probabilities) and on random frames.
+        ens = returned_ensemble(params, label)
+        states, priors = ens.matrices.real, ens.probabilities
+        seeds = security._seed_frames(states, priors)
+        frames = np.zeros((len(seeds) + 8, 6, 3))
+        for idx, frame in enumerate(seeds):
+            frames[idx, :len(frame)] = frame
+        frames[len(seeds):] = np.random.default_rng(60).normal(size=(8, 6, 3))
+        vecs, valid = security._normalize(frames)
+        vecs = vecs[valid]
+        probs = np.einsum("...na,iab,...nb->...in", vecs, states, vecs)
+        info, weights = numerics._information(np.maximum(probs, 0.0), priors, gradient=True)
+        floored_info, floored_weights = qutrit_oracles.frame_statistics(vecs, states, priors)
+        assert np.count_nonzero(probs == 0.0) > 0
+        assert np.max(np.abs(info - floored_info)) <= 1e-13
+
+        def step(w):
+            return np.einsum("...in,iab,...nb->...na", w, states, vecs)
+
+        assert np.max(np.abs(step(weights) - step(floored_weights))) <= 1e-14
+
+    def test_optimality_conditions_of_the_honest_r_seeds_hold_to_rounding(self):
+        # Under the floor, a zero probability's weight near -1000 met a rounding
+        # residue of rho v and read min_condition_eig -5.7e-14 here; a dropped
+        # zero leaves the conditions at rounding.
+        ens = returned_ensemble(CheatParams.honest(0), "r")
+        result = accessible_info_search(ens, SearchConfig(0, 0))
+        assert result.min_condition_eig >= -1e-15
+        assert result.stationarity <= 1e-15
+
     def test_deterministic_given_seed(self):
         ens = returned_ensemble(CheatParams(SQRT_HALF, 0.5, 0.5), "y")
         cfg = SearchConfig(n_starts=4, max_iters=60)
